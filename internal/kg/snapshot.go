@@ -1,9 +1,11 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -43,14 +45,14 @@ type Snapshot struct {
 
 	// Edge struct-of-arrays, in Graph.Edges() (key-sorted) order.
 	// Behaviors are interned like node types: eBeh[i] indexes behTable.
-	eHead []int32
-	eTail []int32
-	eRel  []int32 // index into rels
-	eDom  []int32 // index into doms
-	eBeh  []uint8 // index into behTable
-	ePla  []float64
-	eTyp  []float64
-	eSup  []int32
+	eHead    []int32
+	eTail    []int32
+	eRel     []int32 // index into rels
+	eDom     []int32 // index into doms
+	eBeh     []uint8 // index into behTable
+	ePla     []float64
+	eTyp     []float64
+	eSup     []int32
 	behTable []know.BehaviorType
 
 	// prodIx and searchBuyIx cache the interned indexes of NodeProduct
@@ -572,20 +574,18 @@ func (s *Snapshot) ContainsBytes(id []byte) bool {
 
 // relatedScratch is the reusable accumulator for the two-hop
 // RelatedProducts walk: a dense per-node score array, the touched set,
-// the (candidate, tail) via pairs, and the post-walk result — an entry
-// per candidate whose via labels live in the shared arena. Pooled on
-// the snapshot so steady-state walks allocate only what they return
-// (and nothing at all on the RelatedSeq view path).
+// a per-node mark for the head's own tails, and the post-walk result —
+// an entry per kept candidate whose via labels live in the shared
+// arena. Pooled on the snapshot so steady-state walks allocate only
+// what they return (and nothing at all on the RelatedSeq view path).
 type relatedScratch struct {
-	snap  *Snapshot
-	score []float64
-	seen  []int32
-	pairs []viaPair
-	via   []string   // arena of deduped via labels, grouped per entry
-	ents  []relEntry // sorted, truncated result entries
+	snap   *Snapshot
+	score  []float64
+	isTail []bool // per node: set for the head's tails while a walk runs
+	seen   []int32
+	via    []string   // arena of deduped via labels, grouped per entry
+	ents   []relEntry // the up-to-k result entries, best first
 }
-
-type viaPair struct{ cand, tail int32 }
 
 // relEntry is one result candidate: its symbol, final score, and the
 // half-open [viaStart, viaEnd) range of its labels in the via arena.
@@ -596,33 +596,19 @@ type relEntry struct {
 	score    float64
 }
 
-// relatedScratch sorts its via pairs per candidate with labels
-// ascending (sort.Interface on the pooled scratch instead of a
-// sort.Slice closure: no closure capture, no interface boxing, and
-// direct swaps instead of reflection).
-func (sc *relatedScratch) Len() int { return len(sc.pairs) }
-func (sc *relatedScratch) Less(a, b int) bool {
-	if sc.pairs[a].cand != sc.pairs[b].cand {
-		return sc.pairs[a].cand < sc.pairs[b].cand
+// relCmp is the result order: score descending, then product ID
+// ascending — symbols are assigned in ascending ID order, so the symbol
+// comparison stands in for the string comparison. Candidates are
+// distinct symbols, so the order is total.
+func relCmp(a, b relEntry) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
 	}
-	return sc.snap.labels[sc.pairs[a].tail] < sc.snap.labels[sc.pairs[b].tail]
+	return cmp.Compare(a.cand, b.cand)
 }
-func (sc *relatedScratch) Swap(a, b int) { sc.pairs[a], sc.pairs[b] = sc.pairs[b], sc.pairs[a] }
-
-// relatedEntSorter is the same pooled scratch viewed as a sorter for
-// the result entries: score descending, then product ID ascending —
-// symbols are assigned in ascending ID order, so the symbol comparison
-// stands in for the string comparison.
-type relatedEntSorter relatedScratch
-
-func (so *relatedEntSorter) Len() int { return len(so.ents) }
-func (so *relatedEntSorter) Less(i, j int) bool {
-	if so.ents[i].score != so.ents[j].score {
-		return so.ents[i].score > so.ents[j].score
-	}
-	return so.ents[i].cand < so.ents[j].cand
-}
-func (so *relatedEntSorter) Swap(i, j int) { so.ents[i], so.ents[j] = so.ents[j], so.ents[i] }
 
 // emptyRelated is the canonical empty result, hoisted so the unknown-
 // head path stays allocation-free.
@@ -631,7 +617,10 @@ var emptyRelated = []Related{}
 // relatedCollect runs the two-hop walk for head symbol h entirely on
 // pooled scratch and leaves up to k result entries — with their via
 // labels in the scratch arena — in the returned scratch, sorted best
-// first. The caller owns the scratch until it materializes the entries
+// first. It accumulates every candidate's score, selects the k best,
+// and only then gathers via labels, for those k alone: a head reaches
+// thousands of (candidate, tail) pairs, of which a small k keeps a few
+// dozen. The caller owns the scratch until it materializes the entries
 // (RelatedProducts) or releases the view (RelatedSeq.Release); the
 // walk-only fields are reset here, the result fields on release.
 //
@@ -644,9 +633,11 @@ func (s *Snapshot) relatedCollect(h int32, k int) *relatedScratch {
 	sc.ents = sc.ents[:0]
 	if len(sc.score) < len(s.ids) {
 		sc.score = make([]float64, len(s.ids))
+		sc.isTail = make([]bool, len(s.ids))
 	}
 	for _, ei := range s.byHead.row(h) {
 		t := s.eTail[ei]
+		sc.isTail[t] = true
 		for _, bi := range s.byTail.row(t) {
 			bh := s.eHead[bi]
 			if bh == h || int32(s.ntypes[bh]) != s.prodIx {
@@ -660,44 +651,50 @@ func (s *Snapshot) relatedCollect(h int32, k int) *relatedScratch {
 				sc.seen = append(sc.seen, bh)
 			}
 			sc.score[bh] += w
-			sc.pairs = append(sc.pairs, viaPair{cand: bh, tail: t})
 		}
 	}
-	// Group via pairs per candidate with labels ascending; consecutive
-	// dedupe below matches the legacy label-set semantics (distinct
-	// tails can share a label).
-	sort.Sort(sc)
-	for i := 0; i < len(sc.pairs); {
-		c := sc.pairs[i].cand
-		j := i
-		for ; j < len(sc.pairs) && sc.pairs[j].cand == c; j++ {
+	// Select the k best candidates in one pass: ents buffers up to 2k,
+	// is cut back to its best k whenever it fills, and from then on
+	// turns away anything that ranks after the k-th. With k >= len(seen)
+	// nothing is cut and this is a plain sort of seen.
+	var kth relEntry // score 0, which no candidate has, until the first cut
+	for _, c := range sc.seen {
+		en := relEntry{cand: c, score: sc.score[c]}
+		sc.score[c] = 0
+		if kth.score > 0 && relCmp(en, kth) > 0 {
+			continue
 		}
-		start := sym32(len(sc.via))
-		for p := i; p < j; p++ {
-			lbl := s.labels[sc.pairs[p].tail]
-			if len(sc.via) == int(start) || sc.via[len(sc.via)-1] != lbl {
-				sc.via = append(sc.via, lbl)
-			}
+		sc.ents = append(sc.ents, en)
+		if len(sc.ents) == 2*k {
+			slices.SortFunc(sc.ents, relCmp)
+			sc.ents = sc.ents[:k]
+			kth = sc.ents[k-1]
 		}
-		sc.ents = append(sc.ents, relEntry{
-			cand:     c,
-			viaStart: start,
-			viaEnd:   sym32(len(sc.via)),
-			score:    sc.score[c],
-		})
-		i = j
 	}
-	sort.Sort((*relatedEntSorter)(sc))
+	sc.seen = sc.seen[:0]
+	slices.SortFunc(sc.ents, relCmp)
 	if k < len(sc.ents) {
 		sc.ents = sc.ents[:k]
 	}
-	// Reset the walk fields now; via and ents carry the result and are
-	// reset when the scratch is released.
-	for _, c := range sc.seen {
-		sc.score[c] = 0
+	// A kept candidate's via labels are those of its own tails that the
+	// head also reaches, sorted and deduped: the legacy label-set
+	// semantics (distinct tails can share a label).
+	for i := range sc.ents {
+		en := &sc.ents[i]
+		en.viaStart = sym32(len(sc.via))
+		for _, ci := range s.byHead.row(en.cand) {
+			if t := s.eTail[ci]; sc.isTail[t] {
+				sc.via = append(sc.via, s.labels[t])
+			}
+		}
+		labels := sc.via[en.viaStart:]
+		slices.Sort(labels)
+		sc.via = sc.via[:int(en.viaStart)+len(slices.Compact(labels))]
+		en.viaEnd = sym32(len(sc.via))
 	}
-	sc.seen = sc.seen[:0]
-	sc.pairs = sc.pairs[:0]
+	for _, ei := range s.byHead.row(h) {
+		sc.isTail[s.eTail[ei]] = false
+	}
 	return sc
 }
 

@@ -146,3 +146,79 @@ func BenchmarkSnapshotFreeze(b *testing.B) {
 		allocSink += float64(s.NumEdges())
 	}
 }
+
+// fanOutWorld is the shape that makes the related walk expensive: few
+// intention tails shared by many products, as in ScaledKG, where every
+// replica of a head points at the same tails. 900 products hold 10 of
+// 30 tails each, so a head reaches about 3,000 (candidate, tail) via
+// pairs over at most 899 candidates. fanOutViaPairs[i] is that count
+// for fanOutHeads[i], read off the frozen arrays.
+var (
+	fanOutOnce     sync.Once
+	fanOutSnap     *Snapshot
+	fanOutHeads    []string
+	fanOutViaPairs []int
+)
+
+func fanOutWorld(b *testing.B) (*Snapshot, []string, []int) {
+	b.Helper()
+	fanOutOnce.Do(func() {
+		rng := rand.New(rand.NewSource(43))
+		g := New()
+		const products, tails, perProduct = 900, 30, 10
+		for p := 0; p < products; p++ {
+			for _, t := range rng.Perm(tails)[:perProduct] {
+				c := know.Candidate{
+					ID: p, Behavior: know.SearchBuy, Domain: catalog.Sports,
+					Query:    fmt.Sprintf("query %03d", rng.Intn(300)),
+					ProductA: fmt.Sprintf("P%04d", p),
+					Relation: relations.UsedForEve, Tail: fmt.Sprintf("intent activity %02d", t),
+					PlausibleScore: 0.5 + rng.Float64()/2, TypicalScore: rng.Float64(),
+				}
+				if err := g.AddAssertion(c); err != nil {
+					panic(err)
+				}
+			}
+		}
+		s := g.Freeze()
+		fanOutSnap = s
+		for i := 0; i < 256; i++ {
+			head := ProductID(fmt.Sprintf("P%04d", rng.Intn(products)))
+			h, _ := s.symOf(head)
+			pairs := 0
+			for _, ei := range s.byHead.row(h) {
+				for _, bi := range s.byTail.row(s.eTail[ei]) {
+					if bh := s.eHead[bi]; bh != h && int32(s.ntypes[bh]) == s.prodIx {
+						pairs++
+					}
+				}
+			}
+			fanOutHeads = append(fanOutHeads, head)
+			fanOutViaPairs = append(fanOutViaPairs, pairs)
+		}
+	})
+	return fanOutSnap, fanOutHeads, fanOutViaPairs
+}
+
+// BenchmarkSnapshotRelatedFanOut runs the pooled related view on the
+// high-fan-out world. k=1 and k=10 are serving-sized; k=1000 exceeds
+// the candidate count, so every candidate is kept and sorted. pairs/op
+// is the walk's size, so ns/op ÷ pairs/op is the cost per via pair.
+func BenchmarkSnapshotRelatedFanOut(b *testing.B) {
+	s, heads, viaPairs := fanOutWorld(b)
+	for _, k := range []int{1, 10, 1000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			pairs, kept := 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seq := s.RelatedSeqString(heads[i%len(heads)], k)
+				kept += seq.Len()
+				seq.Release()
+				pairs += viaPairs[i%len(heads)]
+			}
+			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
+		})
+	}
+}

@@ -245,6 +245,107 @@ func TestRelatedSeqEquivalence(t *testing.T) {
 	}
 }
 
+// tieGraph is a hand-built graph whose related scores are sums of
+// exact quarters, so whole groups of candidates tie bit for bit. From
+// head p:A: F1..F4 and Y score 1.0 (each F holds the hiking tail under
+// two relations, as does p:A — duplicate (head, tail) edges), E1 0.75,
+// D1..D3 0.5 (both camping tails, which share one label), C1..C5 and Z
+// 0.25, and a query head on a camping tail is never a candidate. The
+// walk meets Y and Z, last by ID in their groups, before the rest of
+// those groups, so a later equal score has to displace an earlier one.
+func tieGraph(t *testing.T) *Graph {
+	t.Helper()
+	g := New()
+	camp1, camp2, hike := "i:usedFor:camping", "i:capableOf:camping", "i:x:hiking"
+	g.AddNode(Node{ID: camp1, Type: NodeIntention, Label: "camping"})
+	g.AddNode(Node{ID: camp2, Type: NodeIntention, Label: "camping"})
+	g.AddNode(Node{ID: hike, Type: NodeIntention, Label: "hiking"})
+	link := func(head string, rel relations.Relation, tail string, typical float64) {
+		t.Helper()
+		typ := NodeProduct
+		if head[0] == 'q' {
+			typ = NodeQuery
+		}
+		g.AddNode(Node{ID: head, Type: typ, Label: "label of " + head})
+		err := g.AddEdge(Edge{Head: head, Relation: rel, Tail: tail, Behavior: know.CoBuy,
+			Domain: catalog.Sports, PlausibleScore: 0.5, TypicalScore: typical})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tail := range []string{camp2, camp1, hike} { // the order p:A walks them in
+		link("p:A", relations.UsedForEve, tail, 0.5)
+	}
+	link("p:A", relations.CapableOf, hike, 0.5)
+	link("q:tents", relations.UsedForEve, camp1, 0.5)
+	link("p:Y", relations.UsedForEve, camp2, 1)
+	link("p:Y", relations.UsedForEve, camp1, 1)
+	link("p:Z", relations.UsedForEve, camp2, 0.5)
+	for _, id := range []string{"p:F1", "p:F2", "p:F3", "p:F4"} {
+		link(id, relations.UsedForEve, hike, 0.5)
+		link(id, relations.CapableOf, hike, 0.5)
+	}
+	link("p:E1", relations.UsedForEve, camp1, 0.5)
+	link("p:E1", relations.UsedForEve, hike, 0.5)
+	for _, id := range []string{"p:D1", "p:D2", "p:D3"} {
+		link(id, relations.UsedForEve, camp2, 0.5)
+		link(id, relations.UsedForEve, camp1, 0.5)
+	}
+	for _, id := range []string{"p:C1", "p:C2", "p:C3", "p:C4", "p:C5"} {
+		link(id, relations.UsedForEve, camp1, 0.5)
+	}
+	return g
+}
+
+// TestRelatedTopKBoundary pins top-k selection where it can go wrong:
+// candidates with exactly equal scores on both sides of the cut. For
+// every head and every k around the candidate count, the snapshot's
+// answer is the first k entries of its own untruncated answer and
+// equals the Graph oracle, on a heap and on a mapped snapshot.
+func TestRelatedTopKBoundary(t *testing.T) {
+	g := tieGraph(t)
+	heap := g.Freeze()
+	mapped, err := MapSnapshotFile(writeV2File(t, heap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	full := heap.RelatedProducts("p:A", 1<<20)
+	if len(full) != 15 {
+		t.Fatalf("p:A has %d related products, want 15: %+v", len(full), full)
+	}
+	for _, cut := range []int{1, 2, len(full) - 1} {
+		if full[cut-1].Score != full[cut].Score {
+			t.Fatalf("no tie across cut %d: %v then %v", cut, full[cut-1].Score, full[cut].Score)
+		}
+	}
+	if want := []string{"camping"}; !reflect.DeepEqual(full[6].Via, want) {
+		t.Fatalf("via of %s = %v, want %v (two tails, one label)", full[6].ProductID, full[6].Via, want)
+	}
+
+	for name, s := range map[string]*Snapshot{"heap": heap, "mapped": mapped} {
+		for _, node := range g.Nodes() {
+			full := s.RelatedProducts(node.ID, 1<<20)
+			n := len(full)
+			for _, k := range []int{1, 2, n - 1, n, n + 1, 1000, 1 << 20} {
+				if k < 0 {
+					continue
+				}
+				got := s.RelatedProducts(node.ID, k)
+				if want := full[:min(k, n)]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: RelatedProducts(%q, %d) is not a prefix of the full answer:\ngot  %+v\nwant %+v",
+						name, node.ID, k, got, want)
+				}
+				if want := g.RelatedProducts(node.ID, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: RelatedProducts(%q, %d) differs from Graph:\ngot  %+v\nwant %+v",
+						name, node.ID, k, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestSnapshotBytesLookups: the byte-keyed entry points agree with the
 // string-keyed ones.
 func TestSnapshotBytesLookups(t *testing.T) {
