@@ -64,7 +64,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write per-experiment timing/allocation measurements to this path")
 	scaleBench := flag.String("scalebench", "", "comma-separated KG scale factors (e.g. 1,10,100): run the snapshot persistence harness instead of experiments")
 	wireBench := flag.Bool("wirebench", false, "run the serving wire benchmarks (stdlib vs pooled encoders, batch, ANN) instead of experiments")
-	mmapBench := flag.Int("mmapbench", 0, "KG scale factor (e.g. 100): compare heap ReadSnapshot vs zero-copy MapSnapshot cold start and footprint instead of experiments")
+	mmapBench := flag.Int("mmapbench", 0, "KG scale factor (e.g. 100): compare ReadSnapshot (heap read, verified up front) vs MapSnapshot (mmap, verified on touch) cold start and footprint instead of experiments")
 	flag.Parse()
 
 	if *list {

@@ -1,6 +1,8 @@
-// The -mmapbench harness: heap ReadSnapshot vs zero-copy MapSnapshot
-// on the ScaledKG artifact, measuring what the mmap serving path is
-// for — cold start to first answer and resident footprint per edge.
+// The -mmapbench harness: ReadSnapshot (whole file read onto the heap
+// and verified up front) vs MapSnapshot (mapped, verified on first
+// touch) on the ScaledKG artifact. Both alias the same image through
+// the same decoder, so the comparison isolates what mapping is for —
+// cold start to first answer and resident footprint per edge.
 package main
 
 import (
@@ -31,7 +33,7 @@ type mmapResult struct {
 	RelatedNsOp      int64   `json:"related_ns_per_op"`
 	HeapBytes        uint64  `json:"heap_bytes"`
 	HeapBytesPerEdge float64 `json:"heap_bytes_per_edge"`
-	RSSBytes         int64   `json:"rss_bytes"`        // /proc/self/smaps_rollup delta; -1 where unavailable
+	RSSBytes         int64   `json:"rss_bytes"` // /proc/self/smaps_rollup delta; -1 where unavailable
 	RSSBytesPerEdge  float64 `json:"rss_bytes_per_edge"`
 	Mapped           bool    `json:"mapped"` // false on the portable fallback build
 }
@@ -117,7 +119,8 @@ func measureLoader(name string, factor int, path string, fileBytes int64,
 
 	// First query: the price of the first answer out of a cold loader.
 	// For mmap this includes the lazy checksum of every section the
-	// query touches (byHead + edge arrays); for heap it is pure lookup.
+	// query touches (byHead + edge arrays); the heap loader verified
+	// everything during its cold start, so for it this is pure lookup.
 	heads := sampleHeads(s, 512)
 	if len(heads) == 0 {
 		s.Close() //cosmo:lint-ignore dropped-error already on the error path

@@ -1,26 +1,19 @@
-// Command cosmo-kg inspects and packs a knowledge graph written by
-// cosmo-pipeline. It reads either format — the mutable-graph gob or a
-// packed .cosmo binary snapshot (sniffed by magic) — and answers every
-// query through the frozen read-optimized snapshot. A gob input pays
-// one Freeze() at load; a .cosmo input loads in O(read).
+// Command cosmo-kg inspects a knowledge-graph artifact: the packed
+// .cosmo binary snapshot written by cosmo-pipeline -out. It maps the
+// file, verifies every section checksum and the full structure before
+// answering (this is the tool that gets pointed at artifacts of unknown
+// provenance), and serves every query from the frozen snapshot.
 //
 // Usage:
 //
-//	cosmo-kg -in kg.gob stats
+//	cosmo-kg -in kg.cosmo stats
 //	cosmo-kg -in kg.cosmo lookup <head-node-id>
 //	cosmo-kg -in kg.cosmo related <product-node-id>
-//	cosmo-kg -in kg.gob -min 2 hierarchy
-//	cosmo-kg -in kg.gob -tsv out.tsv -jsonl out.jsonl export
-//	cosmo-kg -in kg.gob -out kg.cosmo pack
-//
-// pack freezes the graph once and writes the versioned, checksummed
-// binary snapshot that cosmo-serve -snapshot loads without re-indexing
-// — the build-once/serve-many artifact path.
+//	cosmo-kg -in kg.cosmo -min 2 hierarchy
+//	cosmo-kg -in kg.cosmo -tsv out.tsv -jsonl out.jsonl export
 package main
 
 import (
-	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,45 +25,32 @@ import (
 	"cosmo/internal/kg"
 )
 
-// loadSnapshot opens path, sniffs the format by magic, and returns the
-// frozen snapshot view: .cosmo files decode directly (no Freeze), gob
-// files decode into a Graph and freeze once with the capacity guards on.
+// loadSnapshot maps the artifact and verifies it eagerly, so damage is
+// a load error here and never a first-touch panic mid-command.
 func loadSnapshot(path string) (*kg.Snapshot, error) {
-	f, err := os.Open(path)
+	snap, err := kg.MapSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close() //cosmo:lint-ignore dropped-error close of a read-only file; the decode outcome is checked
-
-	br := bufio.NewReaderSize(f, 1<<16)
-	head, err := br.Peek(8)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return nil, err
+	if err := snap.Verify(); err != nil {
+		snap.Close() //cosmo:lint-ignore dropped-error the verification error is the root cause
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if kg.IsSnapshotHeader(head) {
-		return kg.ReadSnapshot(br)
-	}
-	g, err := kg.ReadGob(br)
-	if err != nil {
-		return nil, err
-	}
-	return g.FreezeChecked()
+	return snap, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cosmo-kg: ")
 
-	in := flag.String("in", "", "knowledge graph file: gob (from cosmo-pipeline -out) or packed .cosmo snapshot")
+	in := flag.String("in", "", "packed .cosmo snapshot (from cosmo-pipeline -out)")
 	minSupport := flag.Int("min", 2, "hierarchy minimum edge support")
 	tsv := flag.String("tsv", "", "TSV destination for the export command")
 	jsonl := flag.String("jsonl", "", "JSONL destination for the export command")
-	out := flag.String("out", "", "snapshot destination for the pack command")
-	v2 := flag.Bool("v2", true, "pack in format v2 (per-section checksums, 8-byte alignment, mmap-servable); -v2=false writes legacy v1 for pre-v2 deployments")
 	flag.Parse()
 
 	if *in == "" || flag.NArg() < 1 {
-		log.Fatal("usage: cosmo-kg -in kg.{gob,cosmo} <stats|lookup|related|hierarchy|export|pack> [args]")
+		log.Fatal("usage: cosmo-kg -in kg.cosmo <stats|lookup|related|hierarchy|export> [args]")
 	}
 	snap, err := loadSnapshot(*in)
 	if err != nil {
@@ -126,19 +106,6 @@ func main() {
 		}
 		exportTo(*tsv, snap.WriteTSV)
 		exportTo(*jsonl, snap.WriteJSONL)
-	case "pack":
-		if *out == "" {
-			log.Fatal("pack requires -out <path> (flags go before the command)")
-		}
-		version := uint32(2)
-		if !*v2 {
-			version = 1
-		}
-		if err := kg.WriteSnapshotFileVersion(*out, snap, version); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("packed %d nodes / %d edges into %s (format v%d)\n",
-			snap.NumNodes(), snap.NumEdges(), *out, version)
 	default:
 		log.Fatalf("unknown command %q", flag.Arg(0))
 	}

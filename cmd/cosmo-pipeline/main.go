@@ -5,11 +5,12 @@
 // Usage:
 //
 //	cosmo-pipeline [-seed N] [-events N] [-budget N] [-workers N]
-//	               [-out kg.gob] [-pack kg.cosmo] [-jsonl kg.jsonl] [-tsv kg.tsv]
+//	               [-out kg.cosmo] [-jsonl kg.jsonl] [-tsv kg.tsv]
 //
-// -pack freezes the finished graph once and writes the versioned binary
-// snapshot (.cosmo) that cosmo-serve -snapshot and cosmo-kg load in
-// O(read) — the build side of the build-once/serve-many artifact path.
+// -out freezes the finished graph once and writes the versioned binary
+// snapshot (.cosmo) that cosmo-serve -snapshot and cosmo-kg load with no
+// re-indexing — the build side of the build-once/serve-many artifact
+// path.
 package main
 
 import (
@@ -32,8 +33,7 @@ func main() {
 	events := flag.Int("events", 20000, "behavior events per type (co-buy and search-buy)")
 	budget := flag.Int("budget", 3000, "annotation budget")
 	workers := flag.Int("workers", 0, "worker-pool size for the parallel stages (0 = GOMAXPROCS); never changes the output")
-	out := flag.String("out", "", "write the knowledge graph (gob) to this path")
-	pack := flag.String("pack", "", "write the frozen knowledge graph as a binary snapshot (.cosmo) to this path")
+	out := flag.String("out", "", "write the frozen knowledge graph as a binary snapshot (.cosmo) to this path")
 	jsonl := flag.String("jsonl", "", "write the knowledge graph (JSON lines) to this path")
 	tsv := flag.String("tsv", "", "write the knowledge graph (TSV) to this path")
 	instr := flag.String("instructions", "", "write the instruction dataset (JSON lines) to this path")
@@ -78,16 +78,15 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	write(*out, res.KG.WriteGob)
-	if *pack != "" {
+	if *out != "" {
 		snap, err := res.KG.FreezeChecked()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := kg.WriteSnapshotFile(*pack, snap); err != nil {
+		if err := kg.WriteSnapshotFile(*out, snap); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("packed %s (%d nodes, %d edges)\n", *pack, snap.NumNodes(), snap.NumEdges())
+		fmt.Printf("packed %s (%d nodes, %d edges)\n", *out, snap.NumNodes(), snap.NumEdges())
 	}
 	write(*jsonl, res.KG.WriteJSONL)
 	write(*tsv, res.KG.WriteTSV)

@@ -20,21 +20,21 @@
 // pointer, and each refresh freezes a new snapshot and swaps it in
 // RCU-style without pausing in-flight requests.
 //
-// With -snapshot, the KG is loaded from a packed binary snapshot
-// (.cosmo, written by cosmo-kg pack or cosmo-pipeline -pack) in O(read)
-// — no Freeze, no re-indexing — and each refresh re-reads the file and
-// swaps the fresh snapshot in through the same atomic pointer, so a
-// newly packed artifact goes live on the next refresh tick without a
-// restart. A failed reload keeps the current snapshot serving. Adding
-// -mmap memory-maps a v2 artifact instead of copying it onto the heap
-// (kg.MapSnapshot): start-up touches only the string tables, queries
-// validate each section lazily on first use, and a retired snapshot's
-// mapping is released only once its last in-flight reader is gone — a
-// hot reload never unmaps under a live request. v1 artifacts fall back
-// to the copy loader with a log line.
+// With -snapshot, the KG is served from a packed binary snapshot
+// (.cosmo, written by cosmo-pipeline -out), memory-mapped and aliased
+// in place (kg.MapSnapshot; a heap read on the cosmo_nommap build) — no
+// Freeze, no re-indexing. Each refresh maps the file again and swaps the
+// fresh snapshot in through the same atomic pointer, so a newly built
+// artifact goes live on the next refresh tick without a restart. Every
+// freshly mapped artifact is fully verified (section checksums and
+// structure) before the swap, at start-up and on each reload, so a
+// damaged file is a logged reload failure with the current snapshot
+// still serving — never a first-touch panic on a user request. A retired
+// snapshot's mapping is released only once its last in-flight reader is
+// gone: a hot reload never unmaps under a live request.
 //
 // A refresh tick only reloads when the artifact actually changed:
-// unchanged stat identity (mtime+size), or an unchanged v2 table
+// unchanged stat identity (mtime+size), or an unchanged table
 // checksum — the sealed per-section CRCs double as a content
 // fingerprint — skip the reload and RCU swap entirely, counted by the
 // cosmo_snapshot_reloads_total / cosmo_snapshot_reload_skipped_total
@@ -43,7 +43,7 @@
 // Usage:
 //
 //	cosmo-serve [-addr :8080] [-events N] [-refresh 24h] [-shards 8] [-queue-cap 4096]
-//	            [-snapshot kg.cosmo] [-mmap] [-ann-tables 16] [-ann-bits 10]
+//	            [-snapshot kg.cosmo] [-ann-tables 16] [-ann-bits 10]
 //	            [-drain-grace 15s]
 //	            [-fault-rate 0.2 -fault-seed 1 -fault-hang-rate 0.05 -fault-panic-rate 0.05]
 //
@@ -68,6 +68,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -81,13 +82,67 @@ import (
 	"cosmo/internal/serving"
 )
 
+// loadVerified maps the artifact and verifies it eagerly, so the
+// snapshot handed to the RCU swap can no longer fail on first touch.
+func loadVerified(path string) (*kg.Snapshot, error) {
+	snap, err := kg.MapSnapshotFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := snap.Verify(); err != nil {
+		snap.Close() //cosmo:lint-ignore dropped-error the verification error is the root cause
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, nil
+}
+
+// artifact follows the -snapshot file across refresh ticks.
+type artifact struct {
+	path  string
+	stamp kg.SnapshotStamp // the revision last loaded; zero means reload on the next tick
+}
+
+// load stamps the file and then loads it, in that order: if the file
+// is replaced in between, the node serves the new content under the old
+// stamp and the next tick reloads once more. The other order would
+// serve the old content under the new stamp, and every later tick would
+// skip the reload. The loader is a parameter so the ordering can be
+// tested.
+func (a *artifact) load(loader func(path string) (*kg.Snapshot, error)) (*kg.Snapshot, error) {
+	stamp, stampErr := kg.StampSnapshotFile(a.path)
+	snap, err := loader(a.path)
+	if err != nil {
+		return nil, err
+	}
+	if stampErr != nil {
+		log.Printf("snapshot stamp failed (next tick will reload): %v", stampErr)
+	}
+	a.stamp = stamp
+	return snap, nil
+}
+
+// changed reports whether the file differs from the revision last
+// loaded. Same stat identity is the cheap path (no open); a file
+// rewritten byte-identically (e.g. an idempotent rebuild) is recognised
+// by its content fingerprint.
+func (a *artifact) changed() bool {
+	if fi, err := os.Stat(a.path); err == nil &&
+		fi.Size() == a.stamp.Size && fi.ModTime().Equal(a.stamp.ModTime) {
+		return false
+	}
+	if stamp, err := kg.StampSnapshotFile(a.path); err == nil && stamp.SameContent(a.stamp) {
+		a.stamp = stamp
+		return false
+	}
+	return true
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cosmo-serve: ")
 
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	snapshotPath := flag.String("snapshot", "", "serve the KG from this packed binary snapshot (.cosmo), loaded in O(read) and re-read on each refresh")
-	useMmap := flag.Bool("mmap", false, "memory-map the -snapshot artifact (v2) instead of copying it onto the heap; v1 artifacts fall back to the copy loader")
+	snapshotPath := flag.String("snapshot", "", "serve the KG from this packed binary snapshot (.cosmo), memory-mapped, verified, and re-mapped on each refresh when it changed")
 	events := flag.Int("events", 10000, "behavior events for the offline pipeline")
 	refresh := flag.Duration("refresh", 24*time.Hour, "model refresh interval")
 	batchEvery := flag.Duration("batch", 2*time.Second, "batch-worker interval")
@@ -118,34 +173,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// KG source: a packed binary snapshot loads in O(read) with zero
-	// re-indexing (O(string tables) under -mmap); otherwise the
-	// pipeline's graph is frozen in-process.
-	loadSnapshot := func(path string) (*kg.Snapshot, error) {
-		if !*useMmap {
-			return kg.ReadSnapshotFile(path)
-		}
-		s, err := kg.MapSnapshotFile(path)
-		if errors.Is(err, kg.ErrSnapshotVersion) {
-			log.Printf("%s is not a v2 snapshot; -mmap falls back to the copy loader (repack with cosmo-kg pack to serve zero-copy)", path)
-			return kg.ReadSnapshotFile(path)
-		}
-		return s, err
-	}
+	// KG source: a packed binary snapshot is mapped with zero
+	// re-indexing; otherwise the pipeline's graph is frozen in-process.
 	var snap *kg.Snapshot
-	var lastStamp kg.SnapshotStamp
+	art := &artifact{path: *snapshotPath}
 	if *snapshotPath != "" {
 		start := time.Now()
-		snap, err = loadSnapshot(*snapshotPath)
+		snap, err = art.load(loadVerified)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if lastStamp, err = kg.StampSnapshotFile(*snapshotPath); err != nil {
-			log.Printf("snapshot stamp failed (every refresh tick will reload): %v", err)
-		}
-		how := "no Freeze"
+		how := "heap read, verified"
 		if snap.Mapped() {
-			how = "mmap, lazy validation"
+			how = "mmap, verified"
 		}
 		log.Printf("loaded snapshot %s in %v: %d nodes / %d edges (%s)",
 			*snapshotPath, time.Since(start), snap.NumNodes(), snap.NumEdges(), how)
@@ -234,36 +274,23 @@ func main() {
 				return
 			case <-ticker.C:
 				log.Print("daily refresh: rotating model, caches and KG snapshot")
-				// Pick up a fresh snapshot — re-read the packed file (a
+				// Pick up a fresh snapshot — map the packed file again (a
 				// newly built artifact goes live here) or re-freeze the
 				// in-process graph — and swap it in; readers on the old
-				// snapshot are undisturbed. A failed reload falls back to
-				// the snapshot already serving, and an unchanged artifact
-				// (same stat identity, or same v2 content fingerprint
-				// after e.g. an idempotent repack) skips the reload and
-				// swap entirely.
+				// snapshot are undisturbed. A failed or unverifiable
+				// reload falls back to the snapshot already serving, and
+				// an unchanged artifact skips the reload and swap
+				// entirely.
 				next := dep.KG()
 				if *snapshotPath != "" {
-					fresh := true
-					if fi, err := os.Stat(*snapshotPath); err == nil &&
-						fi.Size() == lastStamp.Size && fi.ModTime().Equal(lastStamp.ModTime) {
-						fresh = false // cheap path: stat identity unchanged, no open
-					} else if stamp, err := kg.StampSnapshotFile(*snapshotPath); err == nil &&
-						stamp.SameContent(lastStamp) {
-						fresh = false // rewritten but byte-identical: fingerprint unchanged
-						lastStamp = stamp
-					}
-					if !fresh {
+					if !art.changed() {
 						dep.NoteSnapshotReloadSkipped()
 						log.Print("snapshot unchanged on disk; skipping reload")
-					} else if reloaded, err := loadSnapshot(*snapshotPath); err != nil {
+					} else if reloaded, err := art.load(loadVerified); err != nil {
 						log.Printf("snapshot reload failed (current snapshot keeps serving): %v", err)
 					} else {
 						next = reloaded
 						dep.NoteSnapshotReload()
-						if lastStamp, err = kg.StampSnapshotFile(*snapshotPath); err != nil {
-							log.Printf("snapshot stamp failed (next tick will reload): %v", err)
-						}
 					}
 				} else {
 					next = res.KG.Freeze()

@@ -1,28 +1,12 @@
 // Binary snapshot persistence: a versioned, checksummed flat encoding
-// of the frozen Snapshot so cosmo-kg can build a graph once and
-// cosmo-serve can load it in O(read) — no re-interning, no re-sorting,
-// no CSR rebuild. The mutable-Graph gob format pays a full Freeze()
-// (hash, sort, index) on every load; at the paper's million-edge scale
-// that dominates startup, so the interned CSR arrays themselves are the
-// durable artifact here.
+// of the frozen Snapshot. It is the one artifact the offline pipeline
+// hands to the online tier: cosmo-pipeline builds and freezes a graph
+// once, and cosmo-serve and cosmo-kg load it with no re-interning, no
+// re-sorting and no CSR rebuild, because the interned CSR arrays
+// themselves are what is stored.
 //
-// Two format versions share the magic and section vocabulary (all
-// integers little-endian; see DESIGN.md, "Binary snapshot persistence"
-// and "Memory-mapped serving", for the normative spec):
-//
-// Version 1 (legacy; still read, no longer written by default):
-//
-//	magic   [8]byte  "COSMOSNP"
-//	version uint32   1
-//	nsect   uint32   section count
-//	table   nsect ×  { id uint32, length uint64 }
-//	body    the sections, contiguous, in table order
-//	footer  uint64   CRC-64/ECMA of every preceding byte
-//
-// Version 2 (current) trades the whole-file footer for a per-section
-// CRC-64 in the table and 8-byte section alignment, which is what lets
-// kg.MapSnapshot alias the numeric arrays straight out of an mmap'd
-// file and validate each section lazily on first touch:
+// Layout (all integers little-endian; DESIGN.md, "Binary snapshot
+// artifact", is the normative spec):
 //
 //	magic    [8]byte  "COSMOSNP"
 //	version  uint32   2
@@ -33,33 +17,28 @@
 //	body     the sections at their table offsets, each offset 8-byte
 //	         aligned, zero padding between sections, no trailing pad
 //
-// Each v2 section crc covers exactly its length payload bytes (never
-// the padding, which readers require to be zero). The tablecrc seals
-// the header and table — and, because the table contains every
-// section's crc, it is a content fingerprint for the whole artifact
-// (cosmo-serve uses it to skip reloading an unchanged file).
+// Each section crc covers exactly its length payload bytes (never the
+// padding, which readers require to be zero). The tablecrc seals the
+// header and table — and, because the table contains every section's
+// crc, it is a content fingerprint for the whole artifact (cosmo-serve
+// uses it to skip reloading an unchanged file). The 8-byte alignment is
+// what lets the decoder alias the numeric arrays in place.
 //
 // String-list sections are a uint32 count followed by count ×
 // (uint32 length + raw bytes). Numeric sections are raw arrays (the
 // element count is the section length over the element width). Node
 // types and behavior types are interned through their own small string
 // tables with one index byte per node/edge — the same u8-over-table
-// layout the in-memory Snapshot now uses, so neither writing nor
-// loading re-interns anything.
+// layout the in-memory Snapshot uses, so neither writing nor loading
+// re-interns anything.
 //
-// ReadSnapshot verifies the checksums (whole-file for v1, per-section
-// for v2) and structurally validates every section (counts consistent,
-// symbols in range, CSR offsets monotone and exhaustive) before
-// building the snapshot, so a corrupt or adversarial input returns an
-// error instead of panicking — or worse, serving wrong edges. Decode
-// failures detected inside a section are reported as a *SectionError
-// naming the section and its byte offset, so triaging a damaged
-// artifact does not require a hex dump.
+// This file holds the format vocabulary, the writer, the structural
+// validation and the eager heap loader (ReadSnapshot); the decoder both
+// loaders share is decodeSnapshot in mapsnapshot.go.
 package kg
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,25 +48,18 @@ import (
 	"math"
 	"os"
 	"runtime"
-
-	"cosmo/internal/catalog"
-	"cosmo/internal/know"
-	"cosmo/internal/relations"
+	"unsafe"
 )
 
 // snapshotMagic opens every binary snapshot file.
 const snapshotMagic = "COSMOSNP"
 
-// Format versions. WriteSnapshot emits snapshotVersion; the reader
-// accepts both. Any change to the layout — new sections, changed
-// encodings, changed sort invariants — bumps the current version;
-// readers reject versions they do not know.
-const (
-	snapshotVersionLegacy = 1
-	snapshotVersion       = 2
-)
+// snapshotVersion is the one format version written and read. Any
+// change to the layout — new sections, changed encodings, changed sort
+// invariants — bumps it; the decoder rejects every other version.
+const snapshotVersion = 2
 
-// Sentinel errors for the three failure classes of ReadSnapshot.
+// Sentinel errors for the three failure classes of snapshot decoding.
 // Structural and checksum failures wrap ErrSnapshotCorrupt so callers
 // can distinguish "not a snapshot" from "a damaged snapshot".
 var (
@@ -96,7 +68,7 @@ var (
 	ErrSnapshotCorrupt = errors.New("kg: snapshot corrupt")
 )
 
-// Section identifiers. Both versions require every section exactly once.
+// Section identifiers. Every section appears exactly once.
 const (
 	secNodeIDs    = 1  // string list, strictly ascending node IDs
 	secNodeLabels = 2  // string list, one label per node
@@ -204,9 +176,9 @@ func v2BodyStart() uint64 {
 	return uint64(v2HeaderLen + len(sectionOrder)*v2TableEntryLen + 8)
 }
 
-// IsSnapshotHeader reports whether b (the first bytes of a file) opens
-// a binary snapshot; callers use it to sniff .cosmo vs gob inputs.
-func IsSnapshotHeader(b []byte) bool {
+// hasSnapshotMagic reports whether b (the first bytes of a file) opens
+// a binary snapshot.
+func hasSnapshotMagic(b []byte) bool {
 	return len(b) >= len(snapshotMagic) && string(b[:len(snapshotMagic)]) == snapshotMagic
 }
 
@@ -282,7 +254,9 @@ func (cw *crcWriter) f64s(xs []float64) {
 	}
 }
 
-func (cw *crcWriter) stringList(xs []string) {
+// writeStringList encodes a string-list section from any of the
+// snapshot's string-typed tables.
+func writeStringList[T ~string](cw *crcWriter, xs []T) {
 	cw.u32n(len(xs))
 	for _, s := range xs {
 		cw.u32n(len(s))
@@ -291,7 +265,7 @@ func (cw *crcWriter) stringList(xs []string) {
 }
 
 // stringListLen is the encoded size of a string-list section.
-func stringListLen(xs []string) uint64 {
+func stringListLen[T ~string](xs []T) uint64 {
 	n := uint64(4)
 	for _, s := range xs {
 		n += 4 + uint64(len(s))
@@ -299,45 +273,18 @@ func stringListLen(xs []string) uint64 {
 	return n
 }
 
-// sectionStrings carries the []string views of the snapshot's typed
-// string tables, built once per write.
-type sectionStrings struct {
-	ntypes, behs, rels, doms []string
-}
-
-func (s *Snapshot) sectionStrings() sectionStrings {
-	var ss sectionStrings
-	ss.ntypes = make([]string, len(s.ntypeTable))
-	for i, t := range s.ntypeTable {
-		ss.ntypes[i] = string(t)
-	}
-	ss.behs = make([]string, len(s.behTable))
-	for i, b := range s.behTable {
-		ss.behs[i] = string(b)
-	}
-	ss.rels = make([]string, len(s.rels))
-	for i, r := range s.rels {
-		ss.rels[i] = string(r)
-	}
-	ss.doms = make([]string, len(s.doms))
-	for i, d := range s.doms {
-		ss.doms[i] = string(d)
-	}
-	return ss
-}
-
 // sectionLengths computes every section's encoded length analytically,
 // so the writers can emit the table before any body bytes exist.
-func (s *Snapshot) sectionLengths(ss sectionStrings) map[uint32]uint64 {
+func (s *Snapshot) sectionLengths() map[uint32]uint64 {
 	nn, ne := uint64(len(s.ids)), uint64(len(s.eHead))
 	return map[uint32]uint64{
 		secNodeIDs:    stringListLen(s.ids),
 		secNodeLabels: stringListLen(s.labels),
-		secNodeTypes:  stringListLen(ss.ntypes),
+		secNodeTypes:  stringListLen(s.ntypeTable),
 		secNodeTypeIx: nn,
-		secRels:       stringListLen(ss.rels),
-		secDoms:       stringListLen(ss.doms),
-		secBehs:       stringListLen(ss.behs),
+		secRels:       stringListLen(s.rels),
+		secDoms:       stringListLen(s.doms),
+		secBehs:       stringListLen(s.behTable),
 		secEdgeHead:   ne * 4,
 		secEdgeTail:   ne * 4,
 		secEdgeRel:    ne * 4,
@@ -357,25 +304,25 @@ func (s *Snapshot) sectionLengths(ss sectionStrings) map[uint32]uint64 {
 	}
 }
 
-// writeSectionBody encodes one section through cw. Shared by the v1
-// writer, the v2 checksum pass and the v2 write pass, so the encoding
-// cannot drift between them.
-func (s *Snapshot) writeSectionBody(cw *crcWriter, ss sectionStrings, id uint32) {
+// writeSectionBody encodes one section through cw. Shared by the
+// checksum pass and the write pass, so the encoding cannot drift
+// between them.
+func (s *Snapshot) writeSectionBody(cw *crcWriter, id uint32) {
 	switch id {
 	case secNodeIDs:
-		cw.stringList(s.ids)
+		writeStringList(cw, s.ids)
 	case secNodeLabels:
-		cw.stringList(s.labels)
+		writeStringList(cw, s.labels)
 	case secNodeTypes:
-		cw.stringList(ss.ntypes)
+		writeStringList(cw, s.ntypeTable)
 	case secNodeTypeIx:
 		cw.write(s.ntypes)
 	case secRels:
-		cw.stringList(ss.rels)
+		writeStringList(cw, s.rels)
 	case secDoms:
-		cw.stringList(ss.doms)
+		writeStringList(cw, s.doms)
 	case secBehs:
-		cw.stringList(ss.behs)
+		writeStringList(cw, s.behTable)
 	case secEdgeHead:
 		cw.i32s(s.eHead)
 	case secEdgeTail:
@@ -411,70 +358,14 @@ func (s *Snapshot) writeSectionBody(cw *crcWriter, ss sectionStrings, id uint32)
 	}
 }
 
-// WriteSnapshot encodes the snapshot in the current binary format
-// version (v2: per-section CRC-64, 8-byte aligned sections). The write
-// is streaming — section lengths are computed analytically and the v2
-// checksum pass encodes through the CRC without buffering — so no
+// WriteSnapshot encodes the snapshot in the binary format. The write is
+// streaming: section lengths are computed analytically, pass one
+// streams every section through a CRC-only writer to fill the table's
+// per-section checksums, and pass two writes the real bytes — so no
 // section is ever materialized in memory.
 func (s *Snapshot) WriteSnapshot(w io.Writer) error {
-	return s.WriteSnapshotVersion(w, snapshotVersion)
-}
-
-// WriteSnapshotVersion encodes the snapshot in an explicit format
-// version: 2 (current) or 1 (legacy, for artifacts that must remain
-// readable by pre-v2 deployments).
-func (s *Snapshot) WriteSnapshotVersion(w io.Writer, version uint32) error {
 	s.touch(maskAll) // re-encoding reads every aliased section
-	switch version {
-	case snapshotVersionLegacy:
-		return s.writeSnapshotV1(w)
-	case snapshotVersion:
-		return s.writeSnapshotV2(w)
-	}
-	return fmt.Errorf("%w: cannot write version %d (writer supports %d and %d)",
-		ErrSnapshotVersion, version, snapshotVersionLegacy, snapshotVersion)
-}
-
-// writeSnapshotV1 emits the legacy layout: {id,len} table, contiguous
-// unaligned bodies, whole-file CRC-64 footer.
-func (s *Snapshot) writeSnapshotV1(w io.Writer) error {
-	ss := s.sectionStrings()
-	lengths := s.sectionLengths(ss)
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw, crc: crc64.New(crcTable)}
-	cw.write([]byte(snapshotMagic))
-	cw.u32(snapshotVersionLegacy)
-	cw.u32n(len(sectionOrder))
-	for _, id := range sectionOrder {
-		cw.u32(id)
-		cw.u64(lengths[id])
-	}
-	for _, id := range sectionOrder {
-		s.writeSectionBody(cw, ss, id)
-	}
-	if cw.err != nil {
-		return fmt.Errorf("kg: write snapshot: %w", cw.err)
-	}
-	sum := cw.crc.Sum64()
-	var foot [8]byte
-	binary.LittleEndian.PutUint64(foot[:], sum)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return fmt.Errorf("kg: write snapshot footer: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("kg: flush snapshot: %w", err)
-	}
-	runtime.KeepAlive(s) // aliased sections must outlive the encode (mmap-backed snapshots)
-	return nil
-}
-
-// writeSnapshotV2 emits the current layout. Pass one streams every
-// section through a CRC-only writer to fill the table's per-section
-// checksums (no buffering); pass two writes the real bytes.
-func (s *Snapshot) writeSnapshotV2(w io.Writer) error {
-	ss := s.sectionStrings()
-	lengths := s.sectionLengths(ss)
+	lengths := s.sectionLengths()
 
 	offs := make(map[uint32]uint64, len(sectionOrder))
 	pos := v2BodyStart()
@@ -486,7 +377,7 @@ func (s *Snapshot) writeSnapshotV2(w io.Writer) error {
 	crcs := make(map[uint32]uint64, len(sectionOrder))
 	for _, id := range sectionOrder {
 		cc := &crcWriter{w: io.Discard, crc: crc64.New(crcTable)}
-		s.writeSectionBody(cc, ss, id)
+		s.writeSectionBody(cc, id)
 		if cc.err != nil {
 			return fmt.Errorf("kg: write snapshot (checksum pass): %w", cc.err)
 		}
@@ -512,7 +403,7 @@ func (s *Snapshot) writeSnapshotV2(w io.Writer) error {
 	at := v2BodyStart()
 	for _, id := range sectionOrder {
 		cw.write(pad[:offs[id]-at]) // zero padding up to the aligned offset
-		s.writeSectionBody(cw, ss, id)
+		s.writeSectionBody(cw, id)
 		at = offs[id] + lengths[id]
 	}
 	if cw.err != nil {
@@ -531,113 +422,14 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 }
 
-// ReadSnapshot decodes a binary snapshot (either version) by copying
-// it onto the heap. The cost is O(bytes read): the flat arrays are
-// copied straight into place and the pre-sorted CSR indexes are reused
-// as-is — no Freeze, no sorting, no re-interning. (The three
-// symbol-lookup hash maps are rebuilt in one linear pass; they are the
-// only derived state.) The checksums and a full structural validation
-// run before any query API can observe the data, so a truncated,
-// bit-flipped or adversarial input fails with an error wrapping
-// ErrSnapshotCorrupt — attributed to the damaged section where
-// detectable — rather than panicking later. For a zero-copy load that
-// defers section validation to first touch, see MapSnapshot.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	head := make([]byte, v2HeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("%w: short header (%v)", ErrSnapshotMagic, err)
-	}
-	if !IsSnapshotHeader(head) {
-		return nil, ErrSnapshotMagic
-	}
-	version := binary.LittleEndian.Uint32(head[len(snapshotMagic):])
-	nsect := binary.LittleEndian.Uint32(head[len(snapshotMagic)+4:])
-	if int(nsect) != len(sectionOrder) {
-		return nil, corrupt("section count %d, want %d", nsect, len(sectionOrder))
-	}
-	switch version {
-	case snapshotVersionLegacy:
-		return readSnapshotV1(br, head)
-	case snapshotVersion:
-		return readSnapshotV2(br, head)
-	}
-	return nil, fmt.Errorf("%w: version %d (reader supports %d and %d)",
-		ErrSnapshotVersion, version, snapshotVersionLegacy, snapshotVersion)
-}
-
-// readSnapshotV1 decodes the legacy contiguous layout behind its
-// whole-file checksum.
-func readSnapshotV1(br *bufio.Reader, head []byte) (*Snapshot, error) {
-	crc := crc64.New(crcTable)
-	crc.Write(head) //cosmo:lint-ignore dropped-error hash.Hash Write never fails by contract
-	tr := io.TeeReader(br, crc)
-
-	// Section table: every known id exactly once, no unknown ids.
-	type sect struct {
-		id     uint32
-		length uint64
-	}
-	known := map[uint32]bool{}
-	for _, id := range sectionOrder {
-		known[id] = true
-	}
-	table := make([]sect, len(sectionOrder))
-	seen := map[uint32]bool{}
-	entry := make([]byte, 12)
-	for i := range table {
-		if _, err := io.ReadFull(tr, entry); err != nil {
-			return nil, corrupt("short section table (%v)", err)
-		}
-		id := binary.LittleEndian.Uint32(entry)
-		if !known[id] {
-			return nil, corrupt("unknown section id %d", id)
-		}
-		if seen[id] {
-			return nil, corrupt("duplicate section id %d", id)
-		}
-		seen[id] = true
-		table[i] = sect{id: id, length: binary.LittleEndian.Uint64(entry[4:])}
-	}
-
-	// Section bodies, contiguous in table order. io.CopyN into a growing
-	// buffer keeps allocation proportional to bytes actually delivered,
-	// so a lying length cannot force a huge up-front allocation.
-	bodies := make(map[uint32][]byte, len(table))
-	offs := make(map[uint32]int64, len(table))
-	pos := int64(len(head) + len(table)*12)
-	for _, t := range table {
-		var buf bytes.Buffer
-		offs[t.id] = pos
-		if n, err := io.CopyN(&buf, tr, int64(t.length)); err != nil {
-			return nil, secErr(t.id, pos, fmt.Errorf("got %d of %d bytes (%v)", n, t.length, err))
-		}
-		bodies[t.id] = buf.Bytes()
-		pos += int64(t.length)
-	}
-
-	// Footer: the checksum is read from the raw stream (it is not part
-	// of its own coverage) and compared against the running CRC.
-	want := crc.Sum64()
-	foot := make([]byte, 8)
-	if _, err := io.ReadFull(br, foot); err != nil {
-		return nil, corrupt("short checksum footer (%v)", err)
-	}
-	if got := binary.LittleEndian.Uint64(foot); got != want {
-		return nil, corrupt("checksum mismatch: file %016x, computed %016x", got, want)
-	}
-
-	return buildSnapshot(bodies, offs)
-}
-
 // sectV2 is one parsed v2 table entry.
 type sectV2 struct {
 	id               uint32
 	off, length, crc uint64
 }
 
-// parseTableV2 decodes and cross-checks the v2 section table from its
-// raw bytes (the reader has already verified the tablecrc): every
+// parseTableV2 decodes and cross-checks the section table from its
+// raw bytes (the decoder has already verified the tablecrc): every
 // known id exactly once, offsets 8-aligned, bodies laid out ascending
 // in table order with sub-8-byte gaps starting at v2BodyStart. Returns
 // the entries in layout (== table) order.
@@ -683,114 +475,6 @@ func parseTableV2(tbl []byte) ([]sectV2, error) {
 		pos = t.off + t.length
 	}
 	return sects, nil
-}
-
-// readSnapshotV2 decodes the aligned per-section-checksum layout from
-// a stream: table first (sealed by tablecrc), then each body in layout
-// order, verifying zero padding and every section's CRC as it goes.
-func readSnapshotV2(br *bufio.Reader, head []byte) (*Snapshot, error) {
-	tbl := make([]byte, len(sectionOrder)*v2TableEntryLen)
-	if _, err := io.ReadFull(br, tbl); err != nil {
-		return nil, corrupt("short section table (%v)", err)
-	}
-	crc := crc64.New(crcTable)
-	crc.Write(head) //cosmo:lint-ignore dropped-error hash.Hash Write never fails by contract
-	crc.Write(tbl)  //cosmo:lint-ignore dropped-error hash.Hash Write never fails by contract
-	seal := make([]byte, 8)
-	if _, err := io.ReadFull(br, seal); err != nil {
-		return nil, corrupt("short table checksum (%v)", err)
-	}
-	if got, want := binary.LittleEndian.Uint64(seal), crc.Sum64(); got != want {
-		return nil, corrupt("table checksum mismatch: file %016x, computed %016x", got, want)
-	}
-	sects, err := parseTableV2(tbl)
-	if err != nil {
-		return nil, err
-	}
-
-	bodies := make(map[uint32][]byte, len(sects))
-	offs := make(map[uint32]int64, len(sects))
-	pos := v2BodyStart()
-	pad := make([]byte, 8)
-	for _, t := range sects {
-		if gap := t.off - pos; gap > 0 {
-			if _, err := io.ReadFull(br, pad[:gap]); err != nil {
-				return nil, corrupt("short padding before section %s (%v)", SectionName(t.id), err)
-			}
-			for _, b := range pad[:gap] {
-				if b != 0 {
-					return nil, corrupt("nonzero padding before section %s", SectionName(t.id))
-				}
-			}
-		}
-		var buf bytes.Buffer
-		sum := crc64.New(crcTable)
-		if n, err := io.CopyN(&buf, io.TeeReader(br, sum), int64(t.length)); err != nil {
-			return nil, secErr(t.id, int64(t.off), fmt.Errorf("got %d of %d bytes (%v)", n, t.length, err))
-		}
-		if got := sum.Sum64(); got != t.crc {
-			return nil, secErr(t.id, int64(t.off),
-				fmt.Errorf("checksum mismatch: table %016x, computed %016x", t.crc, got))
-		}
-		bodies[t.id] = buf.Bytes()
-		offs[t.id] = int64(t.off)
-		pos = t.off + t.length
-	}
-	if n, err := br.Read(pad[:1]); n != 0 || !errors.Is(err, io.EOF) {
-		return nil, corrupt("trailing data after the last section")
-	}
-	return buildSnapshot(bodies, offs)
-}
-
-// parseStringList decodes a string-list section, requiring exact
-// consumption of the body.
-func parseStringList(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("string list shorter than its count")
-	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	out := make([]string, 0, min(int(count), len(b)+1))
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("string %d: missing length", i)
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(n) > uint64(len(b)) {
-			return nil, fmt.Errorf("string %d: length %d exceeds remaining %d bytes", i, n, len(b))
-		}
-		out = append(out, string(b[:n]))
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(b))
-	}
-	return out, nil
-}
-
-// parseI32s decodes a raw int32 array section.
-func parseI32s(b []byte) ([]int32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("length %d not a multiple of 4", len(b))
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
-}
-
-// parseF64s decodes a raw float64 array section.
-func parseF64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("length %d not a multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
 }
 
 // validateCSR checks one CSR index: offsets are monotone, cover exactly
@@ -839,7 +523,7 @@ func validateCSR(name string, c csr, rows, edges int, rowOf func(int32) int32, m
 
 // ascending verifies a symbol table is strictly ascending — the
 // invariant the snapshot's symbol-order-is-ID-order comparisons and the
-// lookup maps depend on.
+// binary-search node lookup depend on.
 func ascending(name string, xs []string) error {
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] >= xs[i] {
@@ -852,12 +536,16 @@ func ascending(name string, xs []string) error {
 // validateStructure runs the full cross-section validation over an
 // assembled snapshot: every symbol in range, supports non-negative,
 // and all four CSR indexes exact permutations filed under the right
-// rows. Shared by the copy loaders (eagerly) and Snapshot.Verify (the
-// eager path over a mapped snapshot); errors are attributed to the
-// section that owns the violated invariant via offs (nil is fine: the
-// offsets then report as 0).
-func validateStructure(s *Snapshot, offs map[uint32]int64) error {
-	off := func(sec uint32) int64 { return offs[sec] }
+// rows. It is the second half of Snapshot.Verify; errors are attributed
+// to the section that owns the violated invariant, at its file offset
+// (0 for a Freeze snapshot, which has no file).
+func validateStructure(s *Snapshot) error {
+	off := func(sec uint32) int64 {
+		if s.lazy == nil {
+			return 0
+		}
+		return int64(s.lazy.secs[sec].off)
+	}
 	nn, ne := len(s.ids), len(s.eHead)
 	for i := 0; i < ne; i++ {
 		if h := s.eHead[i]; h < 0 || int(h) >= nn {
@@ -913,176 +601,14 @@ func validateStructure(s *Snapshot, offs map[uint32]int64) error {
 	return nil
 }
 
-// buildSnapshot assembles and validates the Snapshot from parsed
-// section bodies. Everything that could later index out of range is
-// checked here.
-func buildSnapshot(bodies map[uint32][]byte, offs map[uint32]int64) (*Snapshot, error) {
-	s := &Snapshot{}
-	var err error
-	wrap := func(sec uint32, err error) error { return secErr(sec, offs[sec], err) }
-	if s.ids, err = parseStringList(bodies[secNodeIDs]); err != nil {
-		return nil, wrap(secNodeIDs, err)
-	}
-	if s.labels, err = parseStringList(bodies[secNodeLabels]); err != nil {
-		return nil, wrap(secNodeLabels, err)
-	}
-	ntypeTable, err := parseStringList(bodies[secNodeTypes])
-	if err != nil {
-		return nil, wrap(secNodeTypes, err)
-	}
-	relStrs, err := parseStringList(bodies[secRels])
-	if err != nil {
-		return nil, wrap(secRels, err)
-	}
-	domStrs, err := parseStringList(bodies[secDoms])
-	if err != nil {
-		return nil, wrap(secDoms, err)
-	}
-	behTable, err := parseStringList(bodies[secBehs])
-	if err != nil {
-		return nil, wrap(secBehs, err)
-	}
-
-	nn := len(s.ids)
-	if nn > math.MaxInt32 {
-		return nil, corrupt("%d nodes exceed the int32 symbol space", nn)
-	}
-	if len(relStrs) > math.MaxInt32 || len(domStrs) > math.MaxInt32 {
-		return nil, corrupt("%d relations / %d domains exceed the int32 symbol space",
-			len(relStrs), len(domStrs))
-	}
-	if len(s.labels) != nn {
-		return nil, corrupt("%d labels for %d nodes", len(s.labels), nn)
-	}
-	if len(bodies[secNodeTypeIx]) != nn {
-		return nil, corrupt("%d node-type indexes for %d nodes", len(bodies[secNodeTypeIx]), nn)
-	}
-	if err := ascending("node ID", s.ids); err != nil {
-		return nil, wrap(secNodeIDs, err)
-	}
-	if err := ascending("node type", ntypeTable); err != nil {
-		return nil, wrap(secNodeTypes, err)
-	}
-	if err := ascending("relation", relStrs); err != nil {
-		return nil, wrap(secRels, err)
-	}
-	if err := ascending("domain", domStrs); err != nil {
-		return nil, wrap(secDoms, err)
-	}
-	if err := ascending("behavior", behTable); err != nil {
-		return nil, wrap(secBehs, err)
-	}
-	s.ntypes = bodies[secNodeTypeIx]
-	s.ntypeTable = make([]NodeType, len(ntypeTable))
-	for i, t := range ntypeTable {
-		s.ntypeTable[i] = NodeType(t)
-	}
-	s.rels = make([]relations.Relation, len(relStrs))
-	for i, r := range relStrs {
-		s.rels[i] = relations.Relation(r)
-	}
-	s.doms = make([]catalog.Category, len(domStrs))
-	for i, d := range domStrs {
-		s.doms[i] = catalog.Category(d)
-	}
-	s.behTable = make([]know.BehaviorType, len(behTable))
-	for i, b := range behTable {
-		s.behTable[i] = know.BehaviorType(b)
-	}
-
-	if s.eHead, err = parseI32s(bodies[secEdgeHead]); err != nil {
-		return nil, wrap(secEdgeHead, err)
-	}
-	if s.eTail, err = parseI32s(bodies[secEdgeTail]); err != nil {
-		return nil, wrap(secEdgeTail, err)
-	}
-	if s.eRel, err = parseI32s(bodies[secEdgeRel]); err != nil {
-		return nil, wrap(secEdgeRel, err)
-	}
-	if s.eDom, err = parseI32s(bodies[secEdgeDom]); err != nil {
-		return nil, wrap(secEdgeDom, err)
-	}
-	if s.eSup, err = parseI32s(bodies[secEdgeSup]); err != nil {
-		return nil, wrap(secEdgeSup, err)
-	}
-	if s.ePla, err = parseF64s(bodies[secEdgePla]); err != nil {
-		return nil, wrap(secEdgePla, err)
-	}
-	if s.eTyp, err = parseF64s(bodies[secEdgeTyp]); err != nil {
-		return nil, wrap(secEdgeTyp, err)
-	}
-	ne := len(s.eHead)
-	s.eBeh = bodies[secEdgeBeh]
-	for what, n := range map[string]int{
-		"tail symbols": len(s.eTail), "relation symbols": len(s.eRel),
-		"domain symbols": len(s.eDom), "supports": len(s.eSup),
-		"plausibility scores": len(s.ePla), "typicality scores": len(s.eTyp),
-		"behavior indexes": len(s.eBeh),
-	} {
-		if n != ne {
-			return nil, corrupt("%d %s for %d edges", n, what, ne)
-		}
-	}
-
-	readCSR := func(offSec, idxSec uint32) (csr, error) {
-		off, err := parseI32s(bodies[offSec])
-		if err != nil {
-			return csr{}, wrap(offSec, err)
-		}
-		idx, err := parseI32s(bodies[idxSec])
-		if err != nil {
-			return csr{}, wrap(idxSec, err)
-		}
-		return csr{off: off, idx: idx}, nil
-	}
-	if s.byHead, err = readCSR(secHeadOff, secHeadIdx); err != nil {
-		return nil, err
-	}
-	if s.byTail, err = readCSR(secTailOff, secTailIdx); err != nil {
-		return nil, err
-	}
-	if s.byRel, err = readCSR(secRelOff, secRelIdx); err != nil {
-		return nil, err
-	}
-	if s.byDom, err = readCSR(secDomOff, secDomIdx); err != nil {
-		return nil, err
-	}
-	if err := validateStructure(s, offs); err != nil {
-		return nil, err
-	}
-
-	// The only derived state: the symbol-lookup maps and the walk
-	// scratch pool. One linear pass; everything else above was a copy.
-	s.sym = make(map[string]int32, nn)
-	for i, id := range s.ids {
-		s.sym[id] = int32(i)
-	}
-	s.relSym = make(map[relations.Relation]int32, len(s.rels))
-	for i, r := range s.rels {
-		s.relSym[r] = int32(i)
-	}
-	s.domSym = make(map[catalog.Category]int32, len(s.doms))
-	for i, d := range s.doms {
-		s.domSym[d] = int32(i)
-	}
-	s.bindDerived()
-	return s, nil
-}
-
 // WriteSnapshotFile packs the snapshot to path, fsync-free but with
 // every write and close error surfaced.
 func WriteSnapshotFile(path string, s *Snapshot) error {
-	return WriteSnapshotFileVersion(path, s, snapshotVersion)
-}
-
-// WriteSnapshotFileVersion packs the snapshot to path in an explicit
-// format version (see WriteSnapshotVersion).
-func WriteSnapshotFileVersion(path string, s *Snapshot, version uint32) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("kg: write snapshot: %w", err)
 	}
-	if err := s.WriteSnapshotVersion(f, version); err != nil {
+	if err := s.WriteSnapshot(f); err != nil {
 		f.Close() //cosmo:lint-ignore dropped-error already on the error path; the write error is the root cause
 		return err
 	}
@@ -1092,7 +618,79 @@ func WriteSnapshotFileVersion(path string, s *Snapshot, version uint32) error {
 	return nil
 }
 
-// ReadSnapshotFile loads a packed snapshot from path in O(read).
+// alignedBytes allocates n zeroed bytes (rounded up to a multiple of 8)
+// whose base is 8-byte aligned, the precondition for aliasing
+// int32/float64 sections out of them. The buffer is backed by a
+// []uint64 because the allocator documents no alignment for []byte.
+func alignedBytes(n int) []byte {
+	words := make([]uint64, n/8+1)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)
+}
+
+// readAligned reads r to EOF into an 8-aligned buffer. The first
+// allocation is sized from what r says it holds (a file's size, an
+// in-memory reader's length); past that, or with no such hint, the
+// buffer doubles, so memory stays proportional to the bytes actually
+// delivered, whatever lengths those bytes claim.
+func readAligned(r io.Reader) ([]byte, error) {
+	hint := int64(0)
+	switch r := r.(type) {
+	case *os.File:
+		if fi, err := r.Stat(); err == nil {
+			hint = fi.Size()
+		}
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
+		hint = int64(r.Len())
+	}
+	if hint != int64(int(hint)) {
+		return nil, fmt.Errorf("size %d overflows int", hint)
+	}
+	// alignedBytes rounds up past the hint, so the Read that reports
+	// EOF lands without growing.
+	buf := alignedBytes(max(int(hint), 1<<12))
+	n := 0
+	for {
+		if n == len(buf) {
+			grown := alignedBytes(2 * len(buf))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := r.Read(buf[n:])
+		n += m
+		if errors.Is(err, io.EOF) {
+			return buf[:n:n], nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// ReadSnapshot loads a binary snapshot from a stream onto the heap: the
+// bytes are read into one aligned buffer, decoded in place by the same
+// aliasing decoder MapSnapshot uses, and fully verified — every section
+// checksum plus the structural validation — before any query API can
+// observe the data. A truncated, bit-flipped or adversarial input
+// therefore fails here with an error wrapping ErrSnapshotMagic,
+// ErrSnapshotVersion or ErrSnapshotCorrupt, attributed to the damaged
+// section where detectable, rather than panicking later. For a load
+// that defers section validation to first touch, see MapSnapshot.
+func ReadSnapshot(r io.Reader) (*Snapshot, error) {
+	image, err := readAligned(r)
+	if err != nil {
+		return nil, fmt.Errorf("kg: read snapshot: %w", err)
+	}
+	s, err := decodeSnapshot(image)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Verify(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ReadSnapshotFile loads and fully verifies a packed snapshot from path.
 func ReadSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -2,6 +2,7 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -181,6 +182,14 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
+// v1Header is a hand-written header of the retired format version 1:
+// magic, version 1, the section count, and a plausible amount of body.
+// No writer for it exists any more.
+func v1Header() []byte {
+	b := append([]byte(snapshotMagic), 1, 0, 0, 0, byte(len(sectionOrder)), 0, 0, 0)
+	return append(b, make([]byte, 512)...)
+}
+
 // TestReadSnapshotRejectsFutureVersion pins the compatibility rule:
 // unknown versions are refused, not guessed at.
 func TestReadSnapshotRejectsFutureVersion(t *testing.T) {
@@ -195,13 +204,63 @@ func TestReadSnapshotRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotCorruption flips one byte at a time through the whole
-// file and truncates it at every length: every damaged input must be
-// rejected with an error (never a panic), the checksums guarantee a
-// single flipped byte can never decode silently, and a flip inside a
-// section body must be attributed to exactly that section (id and
-// offset) via *SectionError.
-func TestReadSnapshotCorruption(t *testing.T) {
+// TestSnapshotFormatGolden pins the artifact bytes: the size and table
+// checksum (which seals every section's CRC, so it fingerprints the
+// whole file) of buildTestGraph's artifact, as produced by the commit
+// before the v1/gob/copy-decoder removal. A change here is a format
+// change and needs a version bump.
+func TestSnapshotFormatGolden(t *testing.T) {
+	st, err := StampSnapshotFile(writeV2File(t, buildTestGraph(t).Freeze()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size != 2052 || st.TableCRC != 0x2160819a349d4962 {
+		t.Fatalf("artifact is %d bytes with table CRC %#016x, want 2052 bytes and 0x2160819a349d4962",
+			st.Size, st.TableCRC)
+	}
+}
+
+// queryAll drives every section group through the public query API.
+func queryAll(s *Snapshot) {
+	for _, n := range s.Nodes() {
+		s.IntentionsFor(n.ID)
+		s.EdgesTo(n.ID)
+		s.RelatedProducts(n.ID, 3)
+	}
+	s.Edges()
+	for _, r := range relations.All() {
+		s.EdgesByRelation(r)
+	}
+	s.ComputeStats()
+	s.BuildHierarchy(1)
+}
+
+// firstTouchError runs queryAll over a lazily validated snapshot and
+// returns the error a first-touch checksum failure panicked with, nil
+// if every query was served.
+func firstTouchError(t *testing.T, s *Snapshot) (err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			var ok bool
+			if err, ok = r.(error); !ok {
+				t.Fatalf("panic value %v is not an error", r)
+			}
+		}
+	}()
+	queryAll(s)
+	return nil
+}
+
+// TestSnapshotCorruption flips one byte at a time through the whole
+// file, truncates it at every length and appends garbage, through both
+// entry points. Every damaged input must be caught — the checksums
+// guarantee a single flipped byte can never decode silently — and never
+// by an unattributed panic: ReadSnapshot returns an error, MapSnapshot
+// returns an error or panics out of the first query that touches the
+// damage. Either way a flip inside a section body must be attributed to
+// exactly that section (id and offset) via *SectionError.
+func TestSnapshotCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildTestGraph(t).Freeze().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -219,46 +278,154 @@ func TestReadSnapshotCorruption(t *testing.T) {
 		}
 		return sectV2{}, false
 	}
+	path := filepath.Join(t.TempDir(), "bad.cosmo")
+	// load returns how each entry point rejected b: ReadSnapshot's
+	// error, and MapSnapshot's eager error or first-touch panic.
+	load := func(b []byte) (readErr, mapErr error) {
+		_, readErr = ReadSnapshot(bytes.NewReader(b))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, mapErr := MapSnapshotFile(path)
+		if mapErr == nil {
+			mapErr = firstTouchError(t, s)
+			s.Close()
+		}
+		return readErr, mapErr
+	}
 	// Byte flips; skip the magic (flips there yield ErrSnapshotMagic,
 	// covered above) but include version, table, seal, padding and
 	// bodies.
 	for pos := len(snapshotMagic); pos < len(valid); pos++ {
 		b := append([]byte(nil), valid...)
 		b[pos] ^= 0x5A
-		_, err := ReadSnapshot(bytes.NewReader(b))
-		if err == nil {
-			t.Fatalf("flip at byte %d decoded successfully", pos)
-		}
-		if want, inBody := sectionAt(pos); inBody {
+		readErr, mapErr := load(b)
+		for entry, err := range map[string]error{"ReadSnapshot": readErr, "MapSnapshot": mapErr} {
+			if err == nil {
+				t.Fatalf("%s: flip at byte %d decoded and served queries", entry, pos)
+			}
+			want, inBody := sectionAt(pos)
+			if !inBody {
+				continue
+			}
 			var se *SectionError
 			if !errors.As(err, &se) {
-				t.Fatalf("flip at byte %d (section %s): err = %v, want *SectionError",
-					pos, SectionName(want.id), err)
+				t.Fatalf("%s: flip at byte %d (section %s): err = %v, want *SectionError",
+					entry, pos, SectionName(want.id), err)
 			}
 			if se.Section != want.id || se.Offset != int64(want.off) {
-				t.Fatalf("flip at byte %d attributed to section %s @%d, want %s @%d",
-					pos, SectionName(se.Section), se.Offset, SectionName(want.id), want.off)
+				t.Fatalf("%s: flip at byte %d attributed to section %s @%d, want %s @%d",
+					entry, pos, SectionName(se.Section), se.Offset, SectionName(want.id), want.off)
 			}
 			if !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("SectionError at byte %d does not wrap ErrSnapshotCorrupt: %v", pos, err)
+				t.Fatalf("%s: SectionError at byte %d does not wrap ErrSnapshotCorrupt: %v", entry, pos, err)
 			}
 		}
 	}
-	// Truncations.
+	// Truncations and trailing garbage: the table/size cross-check
+	// catches both before any body byte is read.
+	cases := [][]byte{append(append([]byte(nil), valid...), 0xEE)}
 	for cut := 0; cut < len(valid); cut += 7 {
-		if _, err := ReadSnapshot(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation to %d bytes decoded successfully", cut)
+		cases = append(cases, valid[:cut])
+	}
+	for _, b := range cases {
+		readErr, mapErr := load(b)
+		for entry, err := range map[string]error{"ReadSnapshot": readErr, "MapSnapshot": mapErr} {
+			if !errors.Is(err, ErrSnapshotCorrupt) && !errors.Is(err, ErrSnapshotMagic) {
+				t.Fatalf("%s: %d of %d bytes: err = %v, want ErrSnapshotCorrupt or ErrSnapshotMagic",
+					entry, len(b), len(valid), err)
+			}
 		}
 	}
 }
 
-// FuzzReadSnapshot asserts neither loader ever panics on arbitrary
-// input: ReadSnapshot (both format versions) must error or yield a
-// fully queryable snapshot, and MapSnapshot must never panic at
-// construction — its lazy contract allows a first-touch panic only on
-// a section whose checksum lies, so queries are exercised exactly when
-// Verify vouches for the whole file. Wired into the CI fuzz smoke,
-// which runs it on the native and cosmo_nommap flavors.
+// TestSwapBytes pins the big-endian conversion helper on any host:
+// swapping once turns a little-endian array into what a big-endian
+// decode of the original reads, and swapping twice is the identity.
+func TestSwapBytes(t *testing.T) {
+	orig := make([]byte, 64)
+	rand.New(rand.NewSource(1)).Read(orig)
+	b := append([]byte(nil), orig...)
+	swapBytes(b, 4)
+	for i := 0; i < len(b); i += 4 {
+		if got, want := binary.LittleEndian.Uint32(b[i:]), binary.BigEndian.Uint32(orig[i:]); got != want {
+			t.Fatalf("width 4, element %d: %08x, want %08x", i/4, got, want)
+		}
+	}
+	swapBytes(b, 4)
+	if !bytes.Equal(b, orig) {
+		t.Fatal("width 4: swapping twice is not the identity")
+	}
+	swapBytes(b, 8)
+	for i := 0; i < len(b); i += 8 {
+		if got, want := binary.LittleEndian.Uint64(b[i:]), binary.BigEndian.Uint64(orig[i:]); got != want {
+			t.Fatalf("width 8, element %d: %016x, want %016x", i/8, got, want)
+		}
+	}
+	swapBytes(b, 8)
+	if !bytes.Equal(b, orig) {
+		t.Fatal("width 8: swapping twice is not the identity")
+	}
+}
+
+// TestSwapToHost runs the big-endian load step over a real image: every
+// numeric section comes out element-swapped, everything else is left as
+// written, all sections are marked verified (their checksums no longer
+// describe the bytes), and a damaged section is reported before any
+// byte moves.
+func TestSwapToHost(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildTestGraph(t).Freeze().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	orig := buf.Bytes()
+	decode := func(b []byte) *sectionChecks {
+		image := alignedBytes(len(b))[:len(b)]
+		copy(image, b)
+		s, err := decodeSnapshot(image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.lazy
+	}
+	c := decode(orig)
+	if err := c.swapToHost(); err != nil {
+		t.Fatal(err)
+	}
+	if c.done.Load() != maskAll {
+		t.Fatalf("done bitmap %b after swapToHost, want every section", c.done.Load())
+	}
+	want := append([]byte(nil), orig...)
+	for _, id := range sectionOrder {
+		lo, hi := sectionRange(t, orig, id)
+		swapBytes(want[lo:hi], numericWidth(id))
+	}
+	if !bytes.Equal(c.data, want) {
+		t.Fatal("image after swapToHost is not the per-section element swap of the original")
+	}
+	if bytes.Equal(c.data, orig) {
+		t.Fatal("swapToHost changed nothing")
+	}
+
+	lo, hi := sectionRange(t, orig, secEdgeTyp)
+	bad := append([]byte(nil), orig...)
+	bad[(lo+hi)/2] ^= 0x5A
+	c = decode(bad)
+	var se *SectionError
+	if err := c.swapToHost(); !errors.As(err, &se) || se.Section != secEdgeTyp {
+		t.Fatalf("swapToHost over a damaged section = %v, want *SectionError for %s", err, SectionName(secEdgeTyp))
+	}
+	if !bytes.Equal(c.data, bad) {
+		t.Fatal("swapToHost moved bytes of an image it rejected")
+	}
+}
+
+// FuzzReadSnapshot asserts the decoder never panics on arbitrary input.
+// decodeSnapshot must error or construct: its lazy contract allows a
+// first-touch panic only on a section whose checksum lies, so queries
+// are exercised exactly when Verify vouches for the whole image.
+// ReadSnapshot, which verifies before returning, must error or yield a
+// fully queryable snapshot. Wired into the CI fuzz smoke.
 func FuzzReadSnapshot(f *testing.F) {
 	g := New()
 	g.AddNode(Node{ID: "i:used_for:camping", Type: NodeIntention, Label: "camping"})
@@ -270,40 +437,22 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	for _, version := range []uint32{1, 2} {
-		var buf bytes.Buffer
-		if err := g.Freeze().WriteSnapshotVersion(&buf, version); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	var buf bytes.Buffer
+	if err := g.Freeze().WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
 	}
+	f.Add(buf.Bytes())
+	f.Add(v1Header())
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		query := func(s *Snapshot) {
-			for _, n := range s.Nodes() {
-				s.IntentionsFor(n.ID)
-				s.RelatedProducts(n.ID, 3)
-			}
-			s.Edges()
-			s.ComputeStats()
-			s.BuildHierarchy(1)
+		image := alignedBytes(len(data))[:len(data)]
+		copy(image, data)
+		if s, err := decodeSnapshot(image); err == nil && s.Verify() == nil {
+			queryAll(s)
 		}
 		if s, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
-			// Accepted input: the snapshot must be fully queryable.
-			query(s)
-		}
-		path := filepath.Join(t.TempDir(), "fuzz.cosmo")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := MapSnapshotFile(path)
-		if err != nil {
-			return
-		}
-		defer s.Close()
-		if s.Verify() == nil {
-			query(s)
+			queryAll(s)
 		}
 	})
 }

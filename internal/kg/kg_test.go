@@ -218,34 +218,6 @@ func TestHierarchyMinSupport(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	g := buildTestGraph(t)
-	var buf bytes.Buffer
-	if err := g.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip lost data: %d/%d vs %d/%d",
-			g2.NumNodes(), g2.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	e1, e2 := g.Edges(), g2.Edges()
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("edge %d differs", i)
-		}
-	}
-}
-
-func TestReadGobGarbage(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("not gob")); err == nil {
-		t.Error("garbage input should error")
-	}
-}
-
 func TestWriteJSONLAndTSV(t *testing.T) {
 	g := buildTestGraph(t)
 	var jbuf bytes.Buffer

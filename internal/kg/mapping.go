@@ -86,8 +86,8 @@ func (m *Mapping) Size() int { return len(m.data) }
 
 // Close releases the snapshot's hold on its mapped region, if any.
 // After Close the snapshot must not be used: its aliased sections
-// point into unmapped memory. Snapshots loaded by ReadSnapshot (heap
-// copies) have no mapping; Close is then a no-op. The serving path
+// point into unmapped memory. Freeze and ReadSnapshot snapshots live on
+// the heap and have no mapping; Close is then a no-op. The serving path
 // never calls Close — retired snapshots are released by the collector
 // once the last RCU reader drops them (see the package comment).
 func (s *Snapshot) Close() error {

@@ -1,54 +1,61 @@
-// Zero-copy snapshot loading: MapSnapshot memory-maps a v2 .cosmo file
-// and builds the Snapshot by *aliasing* the mapped region — the
-// int32/float64 edge struct-of-arrays, the four CSR indexes, and the
-// two u8 intern-index arrays via unsafe.Slice, and every string's
-// bytes via unsafe.String (the mapping is PROT_READ, so the string
-// immutability contract holds). Heap-built state is only the string
-// *headers* (the []string tables), the tiny relation/domain symbol
-// maps, and the intern tables; node-ID lookups binary-search the
-// ascending ID table instead of a hash map (see symOf). Start-up cost
-// is therefore O(string headers) — no byte copies, no O(nodes) map
-// build — and resident memory is whatever the page cache keeps hot,
-// not a full heap copy of the graph. The flip side of aliasing:
-// strings obtained from a mapped snapshot (node IDs, labels, Edge
-// fields) must not outlive the snapshot they came from; Close (or the
-// finalizer) unmaps the bytes under them.
+// The snapshot decoder and its two loaders. decodeSnapshot builds a
+// Snapshot over a file image by *aliasing* it — the int32/float64 edge
+// struct-of-arrays, the four CSR indexes, and the two u8 intern-index
+// arrays via unsafe.Slice, and every string's bytes via unsafe.String
+// (the image is never written once decoded, so the string immutability
+// contract holds). Heap-built state is only the string *headers* (the
+// []string tables), the tiny relation/domain symbol maps, and the
+// intern tables; node-ID lookups binary-search the ascending ID table
+// (see symOf). The loaders differ only in where the image comes from
+// and when its sections are verified:
+//
+//   - MapSnapshot memory-maps the file. Start-up cost is O(string
+//     headers) — no byte copies — resident memory is whatever the page
+//     cache keeps hot, and each section is verified lazily on first
+//     touch. The flip side of aliasing a mapping: strings obtained from
+//     a mapped snapshot (node IDs, labels, Edge fields) must not
+//     outlive the snapshot they came from; Close (or the finalizer)
+//     unmaps the bytes under them.
+//   - ReadSnapshot (binary.go) reads the stream into one aligned heap
+//     buffer and calls Verify before returning, so every error is
+//     eager. The collector owns the buffer; there is no lifetime
+//     caveat.
 //
 // Validation is split in three:
 //
-//  1. Eager, at map time: header magic/version, the tablecrc seal over
-//     the section table, the table's layout invariants (alignment,
+//  1. Eager, in decodeSnapshot: header magic/version, the tablecrc seal
+//     over the section table, the table's layout invariants (alignment,
 //     ordering, exact file size), inter-section padding (must be
 //     zero), the six string-table sections' bounds-checked decode and
 //     sort-order validation, and every cross-section length
 //     consistency rule that can be derived from the sealed table
 //     alone. After this, the aliased slices are well-typed and
-//     in-bounds; MapSnapshot never panics, whatever the input.
+//     in-bounds; decodeSnapshot never panics, whatever the input.
 //  2. Lazy, on first touch: each section's CRC-64 (numeric *and*
 //     string content) is verified the first time a query path reads
 //     it, tracked by an atomic bitmap (one bit per section, one atomic
 //     load on the hot path once verified). A mismatch fails closed —
 //     the query panics with a *SectionError rather than serving bytes
-//     that differ from what the writer sealed. CRC equality is also the structural proof for
-//     these sections: the writer only ever seals in-range symbols and
-//     valid CSR permutations, so matching bytes are valid bytes.
-//     Hostile files that forge self-consistent CRCs over invalid
-//     values are bounded by Go's slice bounds checks (a panic, never
-//     memory unsafety); tools that ingest untrusted artifacts call
-//     Verify first.
-//  3. Eager on demand: Verify checksums every section and re-runs the
-//     full structural validation ReadSnapshot applies, returning (not
-//     panicking) section-attributed errors.
+//     that differ from what the writer sealed. CRC equality is also the
+//     structural proof for these sections: the writer only ever seals
+//     in-range symbols and valid CSR permutations, so matching bytes
+//     are valid bytes. Hostile files that forge self-consistent CRCs
+//     over invalid values are bounded by Go's slice bounds checks (a
+//     panic, never memory unsafety); whoever ingests an artifact it
+//     did not write calls Verify first.
+//  3. Eager on demand: Verify checksums every section and runs the
+//     full structural validation, returning (not panicking)
+//     section-attributed errors.
 //
-// The file layout makes the aliasing legal: v2 sections start at
-// 8-byte-aligned offsets, the mmap base is page-aligned (and the
-// fallback build's heap buffer is at least 8-aligned), and all
-// encodings are little-endian. On a big-endian host MapSnapshot
-// quietly degrades to the ReadSnapshot copy path.
+// The file layout makes the aliasing legal: sections start at
+// 8-byte-aligned offsets, the image base is 8-aligned (page-aligned for
+// a mapping, []uint64-backed on the heap; decodeSnapshot checks), and
+// all encodings are little-endian. On a big-endian host both loaders
+// read onto the heap and byte-swap the numeric sections in place before
+// aliasing them (sectionChecks.swapToHost).
 package kg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,8 +76,8 @@ import (
 func secBit(id uint32) uint64 { return 1 << (id - 1) }
 
 // Section groups touched by the query paths. String sections are
-// decoded and order-validated eagerly at map time (their *headers* are
-// needed to assemble the snapshot at all) but their content checksums
+// decoded and order-validated eagerly (their *headers* are needed to
+// assemble the snapshot at all) but their content checksums
 // are lazy like everything else, so every group that can surface
 // string bytes folds maskStrings in: the first query checksums the
 // strings it is about to serve, and cold start checksums nothing.
@@ -96,7 +103,7 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// sectionChecks carries the lazy-validation state of a mapped
+// sectionChecks carries the lazy-validation state of a decoded
 // snapshot: the raw file image, the sealed table entries (indexed by
 // section id), and the atomic done bitmap. Shared by every reader of
 // the snapshot; verification is idempotent, so a racing double-check
@@ -109,7 +116,7 @@ type sectionChecks struct {
 
 // touch ensures every section in mask has passed its checksum,
 // verifying lazily on first use. The steady-state cost is one atomic
-// load; heap-loaded snapshots (lazy == nil) skip even that.
+// load; Freeze-built snapshots (lazy == nil) skip even that.
 //
 //cosmo:alloc-free
 func (s *Snapshot) touch(mask uint64) {
@@ -154,14 +161,13 @@ func (c *sectionChecks) checkSection(id uint32) error {
 	got := crc64.Checksum(c.data[t.off:t.off+t.length], crcTable)
 	if got != t.crc {
 		return &SectionError{Section: id, Offset: int64(t.off),
-			Err: fmt.Errorf("checksum mismatch on first touch: table %016x, computed %016x", t.crc, got)}
+			Err: fmt.Errorf("checksum mismatch: table %016x, computed %016x", t.crc, got)}
 	}
 	return nil
 }
 
-// MapSnapshotFile memory-maps a v2 packed snapshot from path. See
-// MapSnapshot for the semantics; v1 files return an error wrapping
-// ErrSnapshotVersion (load those with ReadSnapshotFile).
+// MapSnapshotFile memory-maps a packed snapshot from path. See
+// MapSnapshot for the semantics.
 func MapSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -176,44 +182,55 @@ func MapSnapshotFile(path string) (*Snapshot, error) {
 }
 
 // MapSnapshot builds a Snapshot over a memory-mapped view of f,
-// aliasing the numeric sections in place and deferring their checksum
+// aliasing the sections in place and deferring their checksum
 // validation to first touch (see the package comment for the exact
 // contract). The file descriptor may be closed after MapSnapshot
 // returns; the mapping keeps the data live. The returned snapshot
 // holds a reference on the mapping that is released when the snapshot
 // becomes unreachable (or eagerly via Close); every query API works
-// identically to a heap-loaded snapshot.
+// identically to a ReadSnapshot or Freeze snapshot.
 //
 // On builds without mmap support (non-Unix, or the cosmo_nommap tag)
 // the "mapping" is a plain heap read of the file — same API, same lazy
 // validation, no zero-copy win.
 func MapSnapshot(f *os.File) (*Snapshot, error) {
+	if !hostLittleEndian {
+		// The numeric sections must be byte-swapped in place, which a
+		// read-only mapping cannot take.
+		return ReadSnapshot(f)
+	}
 	data, unmap, err := mapFile(f)
 	if err != nil {
 		return nil, err
 	}
 	m := newMapping(data, unmap)
-	s, err := mapSnapshot(m)
+	s, err := decodeSnapshot(data)
 	if err != nil {
 		m.release() //cosmo:lint-ignore dropped-error the decode error is the root cause
 		return nil, err
 	}
+	s.mapping = m
 	return s, nil
 }
 
-// mapSnapshot assembles the Snapshot over a mapped file image,
-// running all the eager validation described in the package comment.
-func mapSnapshot(m *Mapping) (*Snapshot, error) {
-	data := m.data
+// decodeSnapshot assembles the Snapshot over a file image, running all
+// the eager validation described in the package comment. It is the only
+// function that turns section bytes into a Snapshot. The image must not
+// be written afterwards, and on a big-endian host it must be writable
+// here (both loaders then pass a private heap buffer).
+func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < v2HeaderLen {
 		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrSnapshotMagic, len(data))
 	}
-	if !IsSnapshotHeader(data) {
+	if !hasSnapshotMagic(data) {
 		return nil, ErrSnapshotMagic
+	}
+	if uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
+		return nil, fmt.Errorf("kg: snapshot image at %p is not 8-byte aligned", &data[0])
 	}
 	version := binary.LittleEndian.Uint32(data[len(snapshotMagic):])
 	if version != snapshotVersion {
-		return nil, fmt.Errorf("%w: version %d (MapSnapshot requires %d; use ReadSnapshot for legacy files)",
+		return nil, fmt.Errorf("%w: version %d (this build reads %d)",
 			ErrSnapshotVersion, version, snapshotVersion)
 	}
 	nsect := binary.LittleEndian.Uint32(data[len(snapshotMagic)+4:])
@@ -248,57 +265,40 @@ func mapSnapshot(m *Mapping) (*Snapshot, error) {
 		pos = t.off + t.length
 	}
 
-	if !hostLittleEndian {
-		// Big-endian host: the aliasing precondition fails, so degrade
-		// to the validated copy path over the mapped bytes.
-		s, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		s.mapping = m // released with the snapshot; harmless extra hold
-		return s, nil
-	}
-
 	checks := &sectionChecks{data: data}
 	for _, t := range sects {
 		checks.secs[t.id] = t
 	}
 
 	// Eager pass over the six string-table sections: decode (headers
-	// only — the bytes stay in the mapping) and the same sort-order
-	// validation the copy loader applies. Checksums stay lazy; the
-	// decode is bounds-checked, so hostile bytes surface as errors
-	// here, never as unsafety.
+	// only — the bytes stay in the image) and sort-order validation.
+	// Checksums stay lazy; the decode is bounds-checked, so hostile
+	// bytes surface as errors here, never as unsafety.
 	sec := func(id uint32) []byte {
 		t := checks.secs[id]
 		return data[t.off : t.off+t.length : t.off+t.length]
 	}
 	s := &Snapshot{}
-	wrap := func(id uint32, err error) error {
-		if err == nil {
-			return nil
-		}
-		return &SectionError{Section: id, Offset: int64(checks.secs[id].off), Err: err}
-	}
-	if s.ids, err = parseStringListZC(sec(secNodeIDs)); err != nil {
+	wrap := func(id uint32, err error) error { return secErr(id, int64(checks.secs[id].off), err) }
+	if s.ids, err = parseStringList(sec(secNodeIDs)); err != nil {
 		return nil, wrap(secNodeIDs, err)
 	}
-	if s.labels, err = parseStringListZC(sec(secNodeLabels)); err != nil {
+	if s.labels, err = parseStringList(sec(secNodeLabels)); err != nil {
 		return nil, wrap(secNodeLabels, err)
 	}
-	ntypeStrs, err := parseStringListZC(sec(secNodeTypes))
+	ntypeStrs, err := parseStringList(sec(secNodeTypes))
 	if err != nil {
 		return nil, wrap(secNodeTypes, err)
 	}
-	relStrs, err := parseStringListZC(sec(secRels))
+	relStrs, err := parseStringList(sec(secRels))
 	if err != nil {
 		return nil, wrap(secRels, err)
 	}
-	domStrs, err := parseStringListZC(sec(secDoms))
+	domStrs, err := parseStringList(sec(secDoms))
 	if err != nil {
 		return nil, wrap(secDoms, err)
 	}
-	behStrs, err := parseStringListZC(sec(secBehs))
+	behStrs, err := parseStringList(sec(secBehs))
 	if err != nil {
 		return nil, wrap(secBehs, err)
 	}
@@ -361,11 +361,14 @@ func mapSnapshot(m *Mapping) (*Snapshot, error) {
 				lenOf(c.id), c.want, nn, ne))
 		}
 	}
+	if !hostLittleEndian {
+		if err := checks.swapToHost(); err != nil {
+			return nil, err
+		}
+	}
 
-	// Intern tables and the two tiny symbol maps: the only heap-built
-	// state. There is deliberately no node sym map — node lookups on a
-	// mapped snapshot binary-search the ascending ID table (see symOf),
-	// so cold start is O(string headers), not O(nodes) hash inserts.
+	// Intern tables: with the string headers above, the only heap-built
+	// state besides bindDerived's.
 	s.ntypeTable = make([]NodeType, len(ntypeStrs))
 	for i, t := range ntypeStrs {
 		s.ntypeTable[i] = NodeType(t)
@@ -375,18 +378,14 @@ func mapSnapshot(m *Mapping) (*Snapshot, error) {
 		s.behTable[i] = know.BehaviorType(b)
 	}
 	s.rels = make([]relations.Relation, len(relStrs))
-	s.relSym = make(map[relations.Relation]int32, len(relStrs))
 	for i, r := range relStrs {
 		s.rels[i] = relations.Relation(r)
-		s.relSym[s.rels[i]] = int32(i) //cosmo:lint-ignore unchecked-narrowing bounded by the MaxInt32 guard above
 	}
 	s.doms = make([]catalog.Category, len(domStrs))
-	s.domSym = make(map[catalog.Category]int32, len(domStrs))
 	for i, d := range domStrs {
 		s.doms[i] = catalog.Category(d)
-		s.domSym[s.doms[i]] = int32(i) //cosmo:lint-ignore unchecked-narrowing bounded by the MaxInt32 guard above
 	}
-	// Aliased sections: slice headers over the mapped region.
+	// Aliased sections: slice headers over the image.
 	s.ntypes = sec(secNodeTypeIx)
 	s.eBeh = sec(secEdgeBeh)
 	i32 := func(id uint32) []int32 { return aliasI32(sec(id)) }
@@ -399,24 +398,25 @@ func mapSnapshot(m *Mapping) (*Snapshot, error) {
 	s.byDom = csr{off: i32(secDomOff), idx: i32(secDomIdx)}
 
 	s.lazy = checks
-	s.mapping = m
 	s.bindDerived()
 	return s, nil
 }
 
-// parseStringListZC decodes a string-table section without copying:
+// parseStringList decodes a string-table section without copying:
 // every returned string aliases the section's bytes via unsafe.String.
-// The section is checksummed before this runs and the backing region
-// is never written (PROT_READ mapping, or a read-only heap buffer on
-// the fallback build), so the strings behave as ordinary immutable Go
-// strings — with the lifetime caveat that they die with the mapping.
-func parseStringListZC(b []byte) ([]string, error) {
+// The backing image is never written once decoded (PROT_READ mapping,
+// or a private heap buffer), so the strings behave as ordinary
+// immutable Go strings — with the caveat that those of a mapped
+// snapshot die with the mapping.
+func parseStringList(b []byte) ([]string, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("string list shorter than its count")
 	}
 	count := binary.LittleEndian.Uint32(b)
 	b = b[4:]
-	out := make([]string, 0, min(int(count), len(b)+1))
+	// Every entry costs at least its 4-byte length prefix, which bounds
+	// the headers a forged count can make this allocate.
+	out := make([]string, 0, min(uint64(count), uint64(len(b)/4)))
 	for i := uint32(0); i < count; i++ {
 		if len(b) < 4 {
 			return nil, fmt.Errorf("string %d: missing length", i)
@@ -439,7 +439,55 @@ func parseStringListZC(b []byte) ([]string, error) {
 	return out, nil
 }
 
-// aliasI32 views an 8-aligned little-endian byte section as []int32.
+// numericWidth is the element width of a section's array encoding: 4
+// for the int32 sections, 8 for float64, 1 for everything byte-wise
+// (string lists, u8 indexes).
+func numericWidth(id uint32) int {
+	switch id {
+	case secEdgePla, secEdgeTyp:
+		return 8
+	case secEdgeHead, secEdgeTail, secEdgeRel, secEdgeDom, secEdgeSup,
+		secHeadOff, secHeadIdx, secTailOff, secTailIdx,
+		secRelOff, secRelIdx, secDomOff, secDomIdx:
+		return 4
+	}
+	return 1
+}
+
+// swapBytes reverses every width-byte element of b in place,
+// converting an array between little- and big-endian.
+func swapBytes(b []byte, width int) {
+	for ; len(b) >= width; b = b[width:] {
+		for i, j := 0, width-1; i < j; i, j = i+1, j-1 {
+			b[i], b[j] = b[j], b[i]
+		}
+	}
+}
+
+// swapToHost prepares a little-endian image for aliasing on a
+// big-endian host: it verifies every section checksum while the bytes
+// are still the ones the writer sealed, converts the numeric sections
+// to host order in place, and marks every section verified (the
+// checksums no longer describe the swapped bytes). The image must be a
+// private writable buffer. String-list length prefixes are read with
+// encoding/binary, not aliased, so those sections stay as written.
+func (c *sectionChecks) swapToHost() error {
+	for _, id := range sectionOrder {
+		if err := c.checkSection(id); err != nil {
+			return err
+		}
+	}
+	for _, id := range sectionOrder {
+		if w := numericWidth(id); w > 1 {
+			t := c.secs[id]
+			swapBytes(c.data[t.off:t.off+t.length], w)
+		}
+	}
+	c.done.Store(maskAll)
+	return nil
+}
+
+// aliasI32 views an 8-aligned host-order byte section as []int32.
 // Alignment and length-multiple preconditions are established by the
 // eager table validation.
 func aliasI32(b []byte) []int32 {
@@ -449,7 +497,7 @@ func aliasI32(b []byte) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
 }
 
-// aliasF64 views an 8-aligned little-endian byte section as []float64.
+// aliasF64 views an 8-aligned host-order byte section as []float64.
 func aliasF64(b []byte) []float64 {
 	if len(b) == 0 {
 		return nil
@@ -458,17 +506,14 @@ func aliasF64(b []byte) []float64 {
 }
 
 // Verify eagerly validates the whole snapshot: every section checksum
-// (for mapped snapshots — marking them verified, so later touches are
-// free) and the full structural validation the copy loader applies.
-// Unlike the lazy first-touch path, Verify returns errors instead of
-// panicking; tools that ingest untrusted artifacts call it before
-// serving queries.
+// not yet verified (marking them verified, so later touches are free)
+// and the full structural validation. Unlike the lazy first-touch path,
+// Verify returns errors instead of panicking. ReadSnapshot calls it
+// before returning; callers of MapSnapshot that did not write the
+// artifact themselves call it before serving queries.
 func (s *Snapshot) Verify() error {
-	var offs map[uint32]int64
 	if c := s.lazy; c != nil {
-		offs = make(map[uint32]int64, len(sectionOrder))
 		for _, id := range sectionOrder {
-			offs[id] = int64(c.secs[id].off)
 			if c.done.Load()&secBit(id) != 0 {
 				continue
 			}
@@ -476,25 +521,20 @@ func (s *Snapshot) Verify() error {
 				return err
 			}
 		}
-		for {
-			old := c.done.Load()
-			if c.done.CompareAndSwap(old, old|maskAll) {
-				break
-			}
-		}
+		c.done.Store(maskAll)
 	}
-	return validateStructure(s, offs)
+	return validateStructure(s)
 }
 
 // SnapshotStamp identifies one on-disk revision of a packed snapshot:
-// file mtime and size, plus — for v2 files — the table checksum, which
-// seals every section's CRC and is therefore a content fingerprint of
-// the whole artifact. The refresh loop uses stamps to skip reloading
+// file mtime and size, plus the table checksum, which seals every
+// section's CRC and is therefore a content fingerprint of the whole
+// artifact. The refresh loop uses stamps to skip reloading
 // an unchanged file (see cosmo-serve).
 type SnapshotStamp struct {
 	ModTime  time.Time
 	Size     int64
-	TableCRC uint64 // v2 table seal; 0 for v1 or unreadable headers
+	TableCRC uint64 // table seal; 0 when the header is not a readable snapshot
 }
 
 // Equal reports whether two stamps identify the same artifact
@@ -503,15 +543,15 @@ func (a SnapshotStamp) Equal(b SnapshotStamp) bool {
 	return a.Size == b.Size && a.TableCRC == b.TableCRC && a.ModTime.Equal(b.ModTime)
 }
 
-// SameContent reports whether two stamps carry the same v2 content
+// SameContent reports whether two stamps carry the same content
 // fingerprint, regardless of mtime — true when the file was rewritten
 // byte-identically (e.g. an idempotent repack touched the mtime).
 func (a SnapshotStamp) SameContent(b SnapshotStamp) bool {
 	return a.TableCRC != 0 && a.Size == b.Size && a.TableCRC == b.TableCRC
 }
 
-// StampSnapshotFile stats path and, for v2 snapshots, reads the table
-// checksum from the header — a fixed-size pread, never the body.
+// StampSnapshotFile stats path and, when it holds a snapshot, reads the
+// table checksum from the header — a fixed-size pread, never the body.
 func StampSnapshotFile(path string) (SnapshotStamp, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -526,11 +566,11 @@ func StampSnapshotFile(path string) (SnapshotStamp, error) {
 	head := make([]byte, v2HeaderLen)
 	if _, err := io.ReadFull(f, head); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return st, nil // too short for a v2 header; mtime+size still identify it
+			return st, nil // too short for a header; mtime+size still identify it
 		}
 		return SnapshotStamp{}, fmt.Errorf("kg: stamp snapshot: %w", err)
 	}
-	if !IsSnapshotHeader(head) ||
+	if !hasSnapshotMagic(head) ||
 		binary.LittleEndian.Uint32(head[len(snapshotMagic):]) != snapshotVersion {
 		return st, nil
 	}

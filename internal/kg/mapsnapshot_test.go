@@ -2,8 +2,10 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -120,37 +122,19 @@ func TestMapSnapshotEmpty(t *testing.T) {
 	}
 }
 
-// TestMapSnapshotRejectsV1 pins the compat rule: MapSnapshot serves v2
-// only; v1 artifacts go through the ReadSnapshot copy path.
-func TestMapSnapshotRejectsV1(t *testing.T) {
+// TestSnapshotRejectsV1 pins that the retired format version 1 is
+// refused by both loaders with ErrSnapshotVersion.
+func TestSnapshotRejectsV1(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.cosmo")
-	if err := WriteSnapshotFileVersion(path, buildTestGraph(t).Freeze(), 1); err != nil {
+	if err := os.WriteFile(path, v1Header(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := MapSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("MapSnapshot(v1) = %v, want ErrSnapshotVersion", err)
 	}
-	// The copy reader still accepts the same file.
-	if _, err := ReadSnapshotFile(path); err != nil {
-		t.Fatalf("ReadSnapshot(v1) = %v", err)
+	if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("ReadSnapshot(v1) = %v, want ErrSnapshotVersion", err)
 	}
-}
-
-// TestV1WriterRoundTrip keeps the legacy writer honest now that the
-// default format is v2: an explicit v1 pack must still round-trip
-// through the version-dispatching reader.
-func TestV1WriterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9300))
-	want := randomGraph(t, rng, 120).Freeze()
-	var buf bytes.Buffer
-	if err := want.WriteSnapshotVersion(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSnapshotsEqual(t, want, got)
 }
 
 // sectionRange looks up a section's [off, off+len) window in a packed
@@ -359,6 +343,30 @@ func TestMapSnapshotEagerRejections(t *testing.T) {
 		s.Close()
 		t.Fatal("trailing byte mapped successfully")
 	}
+	// Forged string count: the section's own table entry is intact, so
+	// only the string decode can notice, and it must do so without
+	// sizing an allocation by the count. Every entry costs at least its
+	// 4-byte length prefix, which bounds the headers at len/4.
+	lo, _ := sectionRange(t, valid, secNodeLabels)
+	b := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(b[lo:], math.MaxUint32)
+	var se *SectionError
+	if _, err := tryMap(t, b); !errors.As(err, &se) || se.Section != secNodeLabels {
+		t.Fatalf("forged string count: err = %v, want *SectionError for %s", err, SectionName(secNodeLabels))
+	}
+	body := make([]byte, 1<<20) // a forged count over 256Ki empty strings
+	binary.LittleEndian.PutUint32(body, math.MaxUint32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = parseStringList(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged string count over a large body decoded")
+	}
+	const headerBytes = 16
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(body)/4*headerBytes*3/2); got > bound {
+		t.Fatalf("forged string count allocated %d bytes for a %d-byte body, want at most %d", got, len(body), bound)
+	}
 }
 
 // TestMapSnapshotZeroAlloc extends the hot-path guarantee to mapped
@@ -495,7 +503,7 @@ func TestMapSnapshotRetirementRace(t *testing.T) {
 
 // TestSnapshotStamp pins the reload-skip fingerprint: same artifact →
 // equal stamps; rewritten-but-identical content → SameContent; changed
-// content → different TableCRC; v1 files carry no fingerprint.
+// content → different TableCRC; other versions carry no fingerprint.
 func TestSnapshotStamp(t *testing.T) {
 	g := buildTestGraph(t)
 	s := g.Freeze()
@@ -554,9 +562,9 @@ func TestSnapshotStamp(t *testing.T) {
 		}
 	}
 
-	// v1 artifacts: stat identity only.
+	// Not a current-version header: stat identity only.
 	v1 := filepath.Join(t.TempDir(), "v1.cosmo")
-	if err := WriteSnapshotFileVersion(v1, s, 1); err != nil {
+	if err := os.WriteFile(v1, v1Header(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	e, err := StampSnapshotFile(v1)
@@ -564,6 +572,6 @@ func TestSnapshotStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.TableCRC != 0 {
-		t.Fatalf("v1 stamp carries a v2 fingerprint: %+v", e)
+		t.Fatalf("v1 stamp carries a fingerprint: %+v", e)
 	}
 }

@@ -4,29 +4,18 @@ package kg
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
-// mmapSupported gates the zero-copy path; this build substitutes a
-// plain read of the whole file. MapSnapshot still works — same API,
-// same lazy-validation semantics, same section aliasing (into the heap
+// mapFile on this build substitutes a plain read of the whole file into
+// an 8-aligned heap buffer. MapSnapshot still works — same API, same
+// lazy-validation semantics, same section aliasing (into the heap
 // buffer instead of a mapped region) — it just pays a copy at load, so
 // the cold-start and residency wins are native-build-only. The
-// cosmo_nommap tag lets CI exercise this flavor on Linux.
-const mmapSupported = false
-
-// mapFile reads the whole file into an ordinary heap buffer. The nil
+// cosmo_nommap tag lets CI exercise this flavor on Linux. The nil
 // releaser tells the Mapping the collector owns the memory.
 func mapFile(f *os.File) ([]byte, func([]byte) error, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, fmt.Errorf("kg: map snapshot: %w", err)
-	}
-	if size := fi.Size(); size != int64(int(size)) {
-		return nil, nil, fmt.Errorf("kg: map snapshot: file size %d overflows int", size)
-	}
-	data, err := io.ReadAll(f)
+	data, err := readAligned(f)
 	if err != nil {
 		return nil, nil, fmt.Errorf("kg: map snapshot: %w", err)
 	}

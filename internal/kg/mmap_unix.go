@@ -8,11 +8,6 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the zero-copy path: on native builds MapSnapshot
-// aliases the file; on the fallback build it degrades to a checked
-// copy (see mmap_fallback.go).
-const mmapSupported = true
-
 // mapFile memory-maps the whole of f read-only and returns the region
 // plus its releaser. The mapping is private (MAP_PRIVATE): concurrent
 // rewrites of the artifact on disk cannot tear pages under a live

@@ -2,42 +2,11 @@ package kg
 
 import (
 	"bufio"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
-
-// snapshot is the serializable form of the graph.
-type snapshot struct {
-	Nodes []Node
-	Edges []Edge
-}
-
-// WriteGob serializes the graph in gob format. The encoder writes
-// through a buffered writer (gob emits many small writes) and the final
-// flush error is surfaced — an almost-full disk used to be reported as
-// success here.
-func (g *Graph) WriteGob(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(snapshot{Nodes: g.Nodes(), Edges: g.Edges()}); err != nil {
-		return fmt.Errorf("kg: encode gob: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("kg: flush gob: %w", err)
-	}
-	return nil
-}
-
-// ReadGob loads a graph from gob format.
-func ReadGob(r io.Reader) (*Graph, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("kg: decode gob: %w", err)
-	}
-	return fromSnapshot(s)
-}
 
 // edgeView is the read surface the row-oriented exporters need; both
 // the mutable Graph and the frozen Snapshot satisfy it, so JSONL and
@@ -140,17 +109,4 @@ func writeTSV(v edgeView, w io.Writer) error {
 func sanitizeTSV(s string) string {
 	s = strings.ReplaceAll(s, "\t", " ")
 	return strings.ReplaceAll(s, "\n", " ")
-}
-
-func fromSnapshot(s snapshot) (*Graph, error) {
-	g := New()
-	for _, n := range s.Nodes {
-		g.AddNode(n)
-	}
-	for _, e := range s.Edges {
-		if err := g.AddEdge(e); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }

@@ -72,27 +72,8 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestWriteGobSurfacesFlushError is the regression test for the
-// unbuffered-gob bug's sibling failure: with buffering, a write error
-// that only materializes at flush time must still be reported.
-func TestWriteGobSurfacesFlushError(t *testing.T) {
-	g := buildTestGraph(t)
-	// Small cap: the buffered encoder only hits the sink at flush.
-	if err := g.WriteGob(&failAfterWriter{n: 64}); err == nil {
-		t.Fatal("WriteGob swallowed the sink's write error")
-	}
-	// Sanity: the same graph still writes fine to a working sink.
-	var buf bytes.Buffer
-	if err := g.WriteGob(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadGob(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWriteSnapshotSurfacesWriteError covers the binary writer's error
-// path the same way.
+// TestWriteSnapshotSurfacesWriteError pins that a sink failing
+// mid-write is reported, not swallowed by the buffered writer.
 func TestWriteSnapshotSurfacesWriteError(t *testing.T) {
 	s := buildTestGraph(t).Freeze()
 	if err := s.WriteSnapshot(&failAfterWriter{n: 64}); err == nil {

@@ -36,12 +36,13 @@ type Snapshot struct {
 	// Symbol table: sym -> ID / label / type, ascending-ID order. Node
 	// types are interned: ntypes[i] indexes ntypeTable, a tiny sorted
 	// closed set — the same u8-over-table layout the binary format uses,
-	// so the mmap loader aliases the index array straight off the file.
+	// so the decoder aliases the index array straight off the file image.
+	// There is no ID -> sym map: ids is strictly ascending, so symOf
+	// binary-searches it.
 	ids        []string
 	labels     []string
 	ntypes     []uint8
 	ntypeTable []NodeType
-	sym        map[string]int32
 
 	// Edge struct-of-arrays, in Graph.Edges() (key-sorted) order.
 	// Behaviors are interned like node types: eBeh[i] indexes behTable.
@@ -76,10 +77,11 @@ type Snapshot struct {
 	// allocates only its result. Bounded by the pool's GC semantics.
 	scratch sync.Pool
 
-	// Mapped-snapshot state (nil for Freeze/ReadSnapshot snapshots):
-	// lazy tracks which aliased sections have passed their checksum,
-	// mapping pins the mmap'd region for as long as this snapshot is
-	// reachable (see mapping.go for the RCU-retirement story).
+	// Decoded-snapshot state (nil for Freeze snapshots): lazy tracks
+	// which aliased sections have passed their checksum; mapping (set by
+	// MapSnapshot only) pins the mmap'd region for as long as this
+	// snapshot is reachable (see mapping.go for the RCU-retirement
+	// story).
 	lazy    *sectionChecks
 	mapping *Mapping
 }
@@ -94,7 +96,7 @@ type csr struct {
 func (c csr) row(r int32) []int32 { return c.idx[c.off[r]:c.off[r+1]] }
 
 // sym32 converts a table index to an int32 symbol. Sizes are bounded
-// up front (checkFreezeCapacity on freeze, validateCSR on load); the
+// up front (checkFreezeCapacity on freeze, decodeSnapshot on load); the
 // local range check keeps every conversion site provably lossless
 // instead of relying on a guard three calls away.
 func sym32(i int) int32 {
@@ -180,12 +182,12 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	sort.Strings(s.ids)
 	s.labels = make([]string, len(s.ids))
 	rawTypes := make([]NodeType, len(s.ids))
-	s.sym = make(map[string]int32, len(s.ids))
+	sym := make(map[string]int32, len(s.ids)) // interning only; dropped on return
 	for i, id := range s.ids {
 		n := g.nodes[id]
 		s.labels[i] = n.Label
 		rawTypes[i] = n.Type
-		s.sym[id] = sym32(i)
+		sym[id] = sym32(i)
 	}
 	var err error
 	if s.ntypeTable, s.ntypes, err = internSyms(rawTypes); err != nil {
@@ -197,50 +199,48 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		s.rels = append(s.rels, r)
 	}
 	sort.Slice(s.rels, func(i, j int) bool { return s.rels[i] < s.rels[j] })
-	s.relSym = make(map[relations.Relation]int32, len(s.rels))
-	for i, r := range s.rels {
-		s.relSym[r] = sym32(i)
-	}
 	for d := range g.byDomain {
 		s.doms = append(s.doms, d)
 	}
 	sort.Slice(s.doms, func(i, j int) bool { return s.doms[i] < s.doms[j] })
-	s.domSym = make(map[catalog.Category]int32, len(s.doms))
-	for i, d := range s.doms {
-		s.domSym[d] = sym32(i)
-	}
 
-	// Edges in key-sorted order (the Graph.Edges() order).
+	// Edges in key-sorted order (the Graph.Edges() order). Behaviors are
+	// interned first: with them every table bindDerived reads is in
+	// place, and the edge loop below interns through its symbol maps.
 	keys := make([]string, 0, len(g.edges))
 	for k := range g.edges {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	ne := len(keys)
+	edges := make([]*Edge, ne)
+	rawBeh := make([]know.BehaviorType, ne)
+	for i, k := range keys {
+		edges[i] = g.edges[k]
+		rawBeh[i] = edges[i].Behavior
+	}
+	if s.behTable, s.eBeh, err = internSyms(rawBeh); err != nil {
+		return nil, err
+	}
+	s.bindDerived()
 	s.eHead = make([]int32, ne)
 	s.eTail = make([]int32, ne)
 	s.eRel = make([]int32, ne)
 	s.eDom = make([]int32, ne)
-	rawBeh := make([]know.BehaviorType, ne)
 	s.ePla = make([]float64, ne)
 	s.eTyp = make([]float64, ne)
 	s.eSup = make([]int32, ne)
-	for i, k := range keys {
-		e := g.edges[k]
+	for i, e := range edges {
 		if e.Support < 0 || e.Support > math.MaxInt32 {
-			return nil, fmt.Errorf("kg: freeze: edge %q support %d outside the snapshot's int32 range", k, e.Support)
+			return nil, fmt.Errorf("kg: freeze: edge %q support %d outside the snapshot's int32 range", keys[i], e.Support)
 		}
-		s.eHead[i] = s.sym[e.Head]
-		s.eTail[i] = s.sym[e.Tail]
+		s.eHead[i] = sym[e.Head]
+		s.eTail[i] = sym[e.Tail]
 		s.eRel[i] = s.relSym[e.Relation]
 		s.eDom[i] = s.domSym[e.Domain]
-		rawBeh[i] = e.Behavior
 		s.ePla[i] = e.PlausibleScore
 		s.eTyp[i] = e.TypicalScore
 		s.eSup[i] = int32(e.Support)
-	}
-	if s.behTable, s.eBeh, err = internSyms(rawBeh); err != nil {
-		return nil, err
 	}
 
 	nn := len(s.ids)
@@ -275,7 +275,6 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		})
 	}
 
-	s.bindDerived()
 	return s, nil
 }
 
@@ -306,10 +305,19 @@ func internSyms[T ~string](xs []T) (table []T, idx []uint8, err error) {
 	return table, idx, nil
 }
 
-// bindDerived computes the non-serialized derivatives every loader
-// shares: the cached NodeProduct / SearchBuy intern indexes (-1 when
+// bindDerived computes the non-serialized derivatives Freeze and the
+// decoder share, from the intern tables: the relation and domain symbol
+// maps, the cached NodeProduct / SearchBuy intern indexes (-1 when
 // absent) and the walk scratch pool.
 func (s *Snapshot) bindDerived() {
+	s.relSym = make(map[relations.Relation]int32, len(s.rels))
+	for i, r := range s.rels {
+		s.relSym[r] = sym32(i)
+	}
+	s.domSym = make(map[catalog.Category]int32, len(s.doms))
+	for i, d := range s.doms {
+		s.domSym[d] = sym32(i)
+	}
 	s.prodIx, s.searchBuyIx = -1, -1
 	for i, t := range s.ntypeTable {
 		if t == NodeProduct {
@@ -342,18 +350,13 @@ func (s *Snapshot) edgeAt(i int32) Edge {
 	}
 }
 
-// symOf resolves a node ID to its dense symbol. Heap-built snapshots
-// (Freeze, ReadSnapshot) answer from the hash map they built; mapped
-// snapshots carry no node map — the ID table is validated strictly
-// ascending at map time, so the file itself is the index and a binary
-// search answers in O(log n) with zero start-up cost.
+// symOf resolves a node ID to its dense symbol. No snapshot carries a
+// node hash map: the ID table is strictly ascending (sorted by Freeze,
+// validated by the decoder), so the table itself is the index and a
+// binary search answers in O(log n) with zero start-up cost.
 //
 //cosmo:alloc-free
 func (s *Snapshot) symOf(id string) (int32, bool) {
-	if s.sym != nil {
-		i, ok := s.sym[id]
-		return i, ok
-	}
 	s.touch(maskStrings)
 	lo, hi := 0, len(s.ids)
 	for lo < hi {
@@ -370,16 +373,11 @@ func (s *Snapshot) symOf(id string) (int32, bool) {
 	return int32(lo), true //cosmo:lint-ignore unchecked-narrowing the loaders cap the node count at MaxInt32
 }
 
-// symOfBytes is symOf keyed by a byte slice, allocation-free on both
-// the map path (compiler-elided conversion) and the search path
-// (byte-wise compare, no string materialized).
+// symOfBytes is symOf keyed by a byte slice, allocation-free: the
+// compare is byte-wise, no string is materialized.
 //
 //cosmo:alloc-free
 func (s *Snapshot) symOfBytes(id []byte) (int32, bool) {
-	if s.sym != nil {
-		i, ok := s.sym[string(id)] //cosmo:lint-ignore alloc-free map index by string(bytes) is a compiler-elided conversion
-		return i, ok
-	}
 	s.touch(maskStrings)
 	lo, hi := 0, len(s.ids)
 	for lo < hi {

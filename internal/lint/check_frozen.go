@@ -23,7 +23,7 @@ var frozenServingCheck = Check{
 
 // frozenGraphMethods are the lock-taking query methods of kg.Graph that
 // have a Snapshot equivalent. Constructive and serialization methods
-// (AddNode, AddEdge, Freeze, WriteGob, WriteTSV, ...) are not listed:
+// (AddNode, AddEdge, Freeze, WriteJSONL, WriteTSV, ...) are not listed:
 // the serving path may legitimately freeze or persist a graph.
 var frozenGraphMethods = map[string]bool{
 	"Node":            true,
