@@ -60,16 +60,19 @@ func main() {
 
 	bases := strings.Split(*nodeList, ",")
 	specs := make([]cluster.NodeSpec, 0, len(bases))
-	client := &http.Client{} // per-attempt deadlines come from the router's contexts
+	backends := make([]*cluster.HTTPBackend, 0, len(bases))
+	client := &http.Client{} // the /readyz probes; queries ride the backends' own keep-alive hop
 	for _, b := range bases {
 		b = strings.TrimSpace(b)
 		if b == "" {
 			continue
 		}
-		specs = append(specs, cluster.NodeSpec{
-			Name:    b,
-			Backend: cluster.NewHTTPBackend(b, client),
-		})
+		if !strings.HasPrefix(b, "http://") {
+			log.Fatalf("-nodes: %q: the router-to-node hop is plain HTTP, want http://host:port", b)
+		}
+		be := cluster.NewHTTPBackend(b, client)
+		backends = append(backends, be)
+		specs = append(specs, cluster.NodeSpec{Name: b, Backend: be})
 	}
 	if len(specs) == 0 {
 		log.Fatal("-nodes is required: pass a comma-separated list of cosmo-serve base URLs")
@@ -126,5 +129,8 @@ func main() {
 		log.Fatal(err)
 	}
 	<-healthDone
+	for _, be := range backends {
+		be.Close() // the idle keep-alive connections to the nodes
+	}
 	log.Print("bye")
 }

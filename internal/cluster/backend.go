@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"cosmo/internal/serving"
 )
@@ -130,80 +128,3 @@ func (r *recorder) Header() http.Header { return r.header }
 func (r *recorder) WriteHeader(status int) { r.status = status }
 
 func (r *recorder) Write(p []byte) (int, error) { return r.body.Write(p) }
-
-// HTTPBackend is a Backend over a real cosmo-serve instance.
-type HTTPBackend struct {
-	base   string
-	client *http.Client
-	// maxBody bounds one proxied response body.
-	maxBody int64
-}
-
-// DefaultMaxProxyBody bounds one proxied response body (1 MiB matches
-// the serve side's own /batch request cap).
-const DefaultMaxProxyBody = 1 << 20
-
-// NewHTTPBackend builds a Backend that queries the cosmo-serve at base
-// (e.g. "http://10.0.0.3:8080"). client may be nil for a default with
-// no global timeout — attempts are bounded per call by the router's
-// attempt context.
-func NewHTTPBackend(base string, client *http.Client) *HTTPBackend {
-	if client == nil {
-		client = &http.Client{}
-	}
-	return &HTTPBackend{
-		base:    strings.TrimRight(base, "/"),
-		client:  client,
-		maxBody: DefaultMaxProxyBody,
-	}
-}
-
-// Do proxies one GET to the node.
-func (b *HTTPBackend) Do(ctx context.Context, path, rawQuery string) (Result, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	req.URL.RawQuery = rawQuery
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return Result{}, err
-	}
-	defer resp.Body.Close() //cosmo:lint-ignore dropped-error best-effort close after the body was read; failures surface on the read
-
-	body, err := io.ReadAll(io.LimitReader(resp.Body, b.maxBody))
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Status:      resp.StatusCode,
-		ContentType: resp.Header.Get("Content-Type"),
-		Body:        body,
-	}, nil
-}
-
-// Check probes the node's /readyz. A 200 is ready; a non-200 whose body
-// says "draining" is a graceful drain (the cosmo-serve -drain-grace
-// protocol); anything else — including transport failure — is down.
-func (b *HTTPBackend) Check(ctx context.Context) Health {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return HealthDown
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return HealthDown
-	}
-	defer resp.Body.Close() //cosmo:lint-ignore dropped-error best-effort close on a readiness probe
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 512))
-	if err != nil {
-		return HealthDown
-	}
-	if resp.StatusCode == http.StatusOK {
-		return HealthReady
-	}
-	if strings.Contains(string(body), "draining") {
-		return HealthDraining
-	}
-	return HealthDown
-}

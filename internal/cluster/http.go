@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"net/http"
+
+	"cosmo/internal/serving"
 )
 
 // NewHTTPHandler exposes a Router over HTTP with the same query surface
@@ -24,7 +26,7 @@ func NewHTTPHandler(r *Router) http.Handler {
 	mux := http.NewServeMux()
 	proxy := func(keyParam string) http.HandlerFunc {
 		return func(w http.ResponseWriter, req *http.Request) {
-			key := req.URL.Query().Get(keyParam)
+			key := serving.QueryParam(req.URL.RawQuery, keyParam)
 			if key == "" {
 				http.Error(w, "missing "+keyParam+" parameter", http.StatusBadRequest)
 				return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -145,6 +146,7 @@ type Router struct {
 	failovers atomic.Uint64
 	noReplica atomic.Uint64
 	e2e       *serving.Histogram // end-to-end routed latency (ms)
+	races     sync.Pool          // *hedgeRace, each with its stopped timer
 }
 
 // New builds a router over the named backends. Node names are the ring
@@ -183,12 +185,14 @@ func New(specs []NodeSpec, cfg Config) (*Router, error) {
 			}
 		}
 	}
-	return &Router{
+	r := &Router{
 		cfg:   cfg,
 		nodes: nodes,
 		ring:  NewRing(names, cfg.VirtualNodes),
 		e2e:   serving.NewHistogram(nil),
-	}, nil
+	}
+	r.races.New = func() any { return r.newHedgeRace() }
+	return r, nil
 }
 
 // NumNodes returns the configured node count.
@@ -206,11 +210,11 @@ func (r *Router) EligibleNodes() int {
 	return n
 }
 
-// eligibleOrder computes the key's full deterministic preference order
-// over currently eligible nodes (ring walk order). Excluded nodes are
-// counted per node.
-func (r *Router) eligibleOrder(key string) []int {
-	return r.ring.Walk(make([]int, 0, len(r.nodes)), key, 0, func(i int) bool {
+// eligibleOrder appends to dst the key's full deterministic preference
+// order over currently eligible nodes (ring walk order). Excluded nodes
+// are counted per node.
+func (r *Router) eligibleOrder(dst []int, key string) []int {
+	return r.ring.Walk(dst, key, 0, func(i int) bool {
 		nd := r.nodes[i]
 		if Health(nd.health.Load()) != HealthReady || !nd.brk.CanServe() {
 			nd.exclusions.Add(1)
@@ -224,7 +228,7 @@ func (r *Router) eligibleOrder(key string) []int {
 // primary first. Diagnostic (the chaos tests assert deterministic
 // failover through it); the serving path uses eligibleOrder directly.
 func (r *Router) ReplicaSet(key string) []string {
-	order := r.eligibleOrder(key)
+	order := r.eligibleOrder(nil, key)
 	if len(order) > r.cfg.Replication {
 		order = order[:r.cfg.Replication]
 	}
@@ -284,77 +288,35 @@ func (r *Router) Do(ctx context.Context, req Request) (Result, error) {
 	return res, nil
 }
 
-// outcome is one attempt's report in a hedged race.
-type outcome struct {
-	res   Result
-	err   error
-	hedge bool
-}
-
 func (r *Router) route(ctx context.Context, req Request) (Result, error) {
-	order := r.eligibleOrder(req.Key)
+	var buf [16]int // the preference order stays on the stack for rings this small
+	order := r.eligibleOrder(buf[:0], req.Key)
 	if len(order) == 0 {
 		r.noReplica.Add(1)
 		return Result{}, ErrNoEligibleNodes
 	}
 
-	// Hedged primary phase: launch the primary, arm the hedge timer,
-	// and race them. Buffered channel: a loser finishing after we
-	// return never blocks.
-	ch := make(chan outcome, 2)
+	// Primary phase, on this goroutine; with a second replica, raced
+	// against a hedge once the hedge delay has passed.
 	primary := r.nodes[order[0]]
 	primary.primaries.Add(1)
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	go func() {
-		res, err := r.attempt(pctx, primary, req)
-		ch <- outcome{res: res, err: err}
-	}()
-
-	var timerC <-chan time.Time
-	canHedge := r.cfg.Replication > 1 && len(order) > 1
-	if canHedge {
-		timer := time.NewTimer(r.hedgeDelay())
-		defer timer.Stop()
-		timerC = timer.C
+	var (
+		res    Result
+		err    error
+		hedged bool
+	)
+	if r.cfg.Replication > 1 && len(order) > 1 {
+		res, hedged, err = r.hedgedAttempt(ctx, primary, r.nodes[order[1]], req)
+	} else {
+		actx, cancel := r.attemptContext(ctx)
+		res, err = r.attempt(actx, primary, req)
+		cancel()
 	}
-
-	hedged := false
-	var hcancel context.CancelFunc
-	outstanding := 1
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case out := <-ch:
-			outstanding--
-			if out.err == nil {
-				if out.hedge {
-					r.hedgeWins.Add(1)
-					r.nodes[order[1]].hedgeWins.Add(1)
-					pcancel() // the primary lost; stop its attempt
-				} else if hcancel != nil {
-					hcancel() // the hedge lost; stop its attempt
-				}
-				return out.res, nil
-			}
-			lastErr = out.err
-		case <-timerC:
-			timerC = nil
-			hedged = true
-			hedge := r.nodes[order[1]]
-			hedge.hedges.Add(1)
-			r.hedges.Add(1)
-			var hctx context.Context
-			hctx, hcancel = context.WithCancel(ctx)
-			defer hcancel()
-			go func() {
-				res, err := r.attempt(hctx, hedge, req)
-				ch <- outcome{res: res, err: err, hedge: true}
-			}()
-			outstanding++
-		case <-ctx.Done():
-			return Result{}, ctx.Err()
-		}
+	if err == nil {
+		return res, nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return Result{}, cerr
 	}
 
 	// Both racers (or the lone primary) failed: deterministic
@@ -364,43 +326,171 @@ func (r *Router) route(ctx context.Context, req Request) (Result, error) {
 		next = 2
 	}
 	for _, idx := range order[next:] {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
 		nd := r.nodes[idx]
 		nd.failovers.Add(1)
 		r.failovers.Add(1)
-		res, err := r.attempt(ctx, nd, req)
-		if err == nil {
+		actx, cancel := r.attemptContext(ctx)
+		res, aerr := r.attempt(actx, nd, req)
+		cancel()
+		if aerr == nil {
 			return res, nil
 		}
-		lastErr = err
+		if cerr := ctx.Err(); cerr != nil {
+			return Result{}, cerr
+		}
+		err = aerr
 	}
 	return Result{}, fmt.Errorf("cluster: all %d eligible replicas failed for key %q: %w",
-		len(order), req.Key, lastErr)
+		len(order), req.Key, err)
 }
 
-// attempt runs one bounded call against a node, feeding the outcome to
-// the node's breaker and (on success) its latency histogram. A call
-// cancelled from above — the hedged race was already won, or the client
-// left — is abandoned: it says nothing about node health, so it feeds
-// neither breaker quorum.
-func (r *Router) attempt(ctx context.Context, nd *node, req Request) (Result, error) {
+// hedgeRace is what the calling goroutine, which runs the primary
+// attempt itself, shares with the hedge: a timer armed for the hedge
+// delay whose function — on the timer's own goroutine, which exists
+// only if the timer fires — is the hedge attempt. Races are pooled with
+// their timers; one goes back to the pool only if its timer was stopped
+// before firing, so a pooled race has no goroutine that can touch it.
+type hedgeRace struct {
+	r     *Router
+	timer *time.Timer // runs run
+
+	// Set by the caller before the timer is armed.
+	ctx           context.Context
+	node          *node // the hedge target
+	req           Request
+	cancelPrimary context.CancelFunc
+
+	mu          sync.Mutex
+	settled     bool               // a winner exists; whoever finishes later lost
+	cancelHedge context.CancelFunc // the running hedge attempt's
+	done        sync.WaitGroup     // run returned
+	res         Result             // run's outcome, read after done
+	err         error
+}
+
+func (r *Router) newHedgeRace() *hedgeRace {
+	h := &hedgeRace{r: r}
+	h.timer = time.AfterFunc(time.Hour, h.run)
+	h.timer.Stop()
+	return h
+}
+
+// hedgedAttempt runs the primary attempt with a hedge armed at
+// hedgeDelay() from now. First success wins and cancels the other
+// attempt. hedged reports whether the hedge node was tried, so the
+// caller's failover skips it.
+func (r *Router) hedgedAttempt(ctx context.Context, primary, hedge *node, req Request) (res Result, hedged bool, err error) {
+	pctx, pcancel := r.attemptContext(ctx)
+	defer pcancel()
+	h := r.races.Get().(*hedgeRace)
+	h.ctx, h.node, h.req, h.cancelPrimary = ctx, hedge, req, pcancel
+	h.done.Add(1)
+	h.timer.Reset(r.hedgeDelay())
+
+	res, err = r.attempt(pctx, primary, req)
+	if h.timer.Stop() {
+		// The common case: the hedge never started.
+		h.done.Done()
+		h.ctx, h.node, h.req, h.cancelPrimary = nil, nil, Request{}, nil
+		r.races.Put(h)
+		return res, false, err
+	}
+
+	if err == nil && h.primaryWon() {
+		return res, true, nil
+	}
+	// The primary failed, or the hedge won first and cancelled it: the
+	// hedge's outcome is the race's. Its context ends with the caller's.
+	h.done.Wait()
+	return h.res, true, h.err
+}
+
+// run is the hedge attempt, on the fired timer's goroutine.
+func (h *hedgeRace) run() {
+	defer h.done.Done()
+	hctx, cancel := h.r.attemptContext(h.ctx)
+	defer cancel()
+	if !h.hedgeStarts(cancel) {
+		return // the primary answered between the timer firing and now
+	}
+	h.node.hedges.Add(1)
+	h.r.hedges.Add(1)
+	res, err := h.r.attempt(hctx, h.node, h.req)
+	h.hedgeDone(res, err)
+}
+
+// primaryWon settles the race for the primary's answer and stops a
+// running hedge; false means the hedge had already won.
+func (h *hedgeRace) primaryWon() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.settled {
+		return false
+	}
+	h.settled = true
+	if h.cancelHedge != nil {
+		h.cancelHedge()
+	}
+	return true
+}
+
+// hedgeStarts registers the hedge attempt's cancel func; false means
+// the primary had already won.
+func (h *hedgeRace) hedgeStarts(cancel context.CancelFunc) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.settled {
+		return false
+	}
+	h.cancelHedge = cancel
+	return true
+}
+
+// hedgeDone records the hedge's outcome and, if it is the first
+// success, settles the race for it and stops the primary.
+func (h *hedgeRace) hedgeDone(res Result, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.res, h.err = res, err
+	if err == nil && !h.settled {
+		h.settled = true
+		h.r.hedgeWins.Add(1)
+		h.node.hedgeWins.Add(1)
+		h.cancelPrimary()
+	}
+}
+
+// errAttemptTimeout is the cancellation cause of an attempt that ran
+// out its own AttemptTimeout — the one way an attempt's context ends
+// that is the node's fault.
+var errAttemptTimeout = errors.New("cluster: attempt timed out")
+
+// attemptContext derives the one context an attempt runs under: its
+// deadline is the AttemptTimeout, and its cancel func is what a hedge
+// win calls to stop the loser.
+func (r *Router) attemptContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if r.cfg.AttemptTimeout > 0 {
+		return context.WithTimeoutCause(ctx, r.cfg.AttemptTimeout, errAttemptTimeout)
+	}
+	return context.WithCancel(ctx)
+}
+
+// attempt runs one call against a node under actx (see attemptContext),
+// feeding the outcome to the node's breaker and (on success) its
+// latency histogram. A call cancelled from above — the hedged race was
+// already won, or the client left or ran out its own deadline — is
+// abandoned: it says nothing about node health, so it feeds neither
+// breaker quorum.
+func (r *Router) attempt(actx context.Context, nd *node, req Request) (Result, error) {
 	if !nd.brk.Allow() {
 		// Lost a probe-slot race since the eligibility scan; treat as a
 		// routing miss, not a node failure.
 		return Result{}, fmt.Errorf("cluster: node %s breaker rejected the call", nd.name)
 	}
-	actx := ctx
-	cancel := func() {}
-	if r.cfg.AttemptTimeout > 0 {
-		actx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-	}
-	defer cancel()
 	start := time.Now()
 	res, err := nd.backend.Do(actx, req.Path, req.RawQuery)
 	if err != nil {
-		if ctx.Err() != nil {
+		if actx.Err() != nil && !errors.Is(context.Cause(actx), errAttemptTimeout) {
 			nd.brk.Abandon()
 			return Result{}, err
 		}

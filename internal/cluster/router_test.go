@@ -492,3 +492,240 @@ func TestRouterHealthLoop(t *testing.T) {
 		t.Fatal("health loop did not stop on ctx cancel")
 	}
 }
+
+// nodeStats returns the named node's counters.
+func nodeStats(t *testing.T, r *Router, name string) NodeStats {
+	t.Helper()
+	for _, n := range r.Stats().Nodes {
+		if n.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("no node %q", name)
+	return NodeStats{}
+}
+
+// TestRouterHedgeLoserAbandons: the primary a hedge win cancels is
+// abandoned — with a threshold of one, a failure vote would open its
+// breaker — and the hedge fires no sooner than the hedge delay.
+func TestRouterHedgeLoserAbandons(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMin: delay, HedgeMax: delay, BreakerThreshold: 1})
+	key := keyWithPrimary(t, r, "n0")
+	var primaryStart, hedgeStart atomic.Int64
+	backends[0].set(func(ctx context.Context) (Result, error) {
+		primaryStart.Store(time.Now().UnixNano())
+		<-ctx.Done()
+		return Result{}, ctx.Err()
+	})
+	backends[1].set(func(ctx context.Context) (Result, error) {
+		hedgeStart.Store(time.Now().UnixNano())
+		return Result{Status: 200, Body: []byte("from-n1")}, nil
+	})
+	res, err := r.Do(context.Background(), Request{Key: key, Path: "/intent"})
+	if err != nil || string(res.Body) != "from-n1" {
+		t.Fatalf("Do = %q, %v; want the hedge's answer", res.Body, err)
+	}
+	if waited := time.Duration(hedgeStart.Load() - primaryStart.Load()); waited < delay {
+		t.Fatalf("hedge started %v after the primary, before the %v hedge delay", waited, delay)
+	}
+	n0 := nodeStats(t, r, "n0")
+	if n0.Failures != 0 || n0.BreakerState != serving.BreakerClosed {
+		t.Fatalf("cancelled primary: failures=%d breaker=%v, want it abandoned", n0.Failures, n0.BreakerState)
+	}
+	if s := r.Stats(); s.Hedges != 1 || s.HedgeWins != 1 || s.Failovers != 0 {
+		t.Fatalf("hedges=%d wins=%d failovers=%d, want 1/1/0", s.Hedges, s.HedgeWins, s.Failovers)
+	}
+}
+
+// TestRouterHedgePrimaryWinsCancelsHedge: the primary answers while the
+// hedge is in flight; the hedge is cancelled, is not a win, and
+// abandons. The hedge node starts half-open, so its attempt holds the
+// one probe slot: the slot coming free is the attempt concluding, and
+// the breaker still half-open is it having voted neither way.
+func TestRouterHedgePrimaryWinsCancelsHedge(t *testing.T) {
+	clock := serving.NewFakeClock(time.Unix(1_700_000_000, 0))
+	r, backends := newStubRouter(t, 2, Config{
+		Replication: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond,
+		BreakerThreshold: 1, BreakerCooldown: 5 * time.Second, BreakerProbes: 1, Clock: clock,
+	})
+	key := keyWithPrimary(t, r, "n0")
+	hedgeBrk := r.nodes[1].brk
+	hedgeBrk.Allow()
+	hedgeBrk.Failure()
+	clock.Advance(6 * time.Second) // open and cooled down: the next call is the half-open probe
+
+	hedgeRunning := make(chan struct{})
+	backends[0].set(func(ctx context.Context) (Result, error) {
+		<-hedgeRunning // answer only once the hedge is in flight
+		return Result{Status: 200, Body: []byte("from-n0")}, nil
+	})
+	backends[1].set(func(ctx context.Context) (Result, error) {
+		close(hedgeRunning)
+		<-ctx.Done()
+		return Result{}, ctx.Err()
+	})
+	res, err := r.Do(context.Background(), Request{Key: key, Path: "/intent"})
+	if err != nil || string(res.Body) != "from-n0" {
+		t.Fatalf("Do = %q, %v; want the primary's answer", res.Body, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !hedgeBrk.CanServe() {
+		if time.Now().After(deadline) {
+			t.Fatalf("primary win did not end the hedge attempt (breaker %v, probe slot still held)", hedgeBrk.State())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if st := hedgeBrk.State(); st != serving.BreakerHalfOpen {
+		t.Fatalf("hedge node's breaker = %v after its cancelled probe, want still half-open: a loser never votes", st)
+	}
+	if s := r.Stats(); s.Hedges != 1 || s.HedgeWins != 0 || nodeStats(t, r, "n1").Failures != 0 {
+		t.Fatalf("hedges=%d wins=%d hedge-node failures=%d, want 1/0/0", s.Hedges, s.HedgeWins, nodeStats(t, r, "n1").Failures)
+	}
+}
+
+// TestRouterHedgeBothFailFallsThrough: primary and hedge both fail once
+// the hedge has fired; failover continues from the third node of the
+// preference order, the same way every time.
+func TestRouterHedgeBothFailFallsThrough(t *testing.T) {
+	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond, BreakerThreshold: 1000})
+	key := keyWithPrimary(t, r, "n0")
+	order := r.eligibleOrder(nil, key)
+	hedgeFailed := make(chan struct{}, 1)
+	backends[order[0]].set(func(ctx context.Context) (Result, error) {
+		<-hedgeFailed // fail only after the hedge has run and failed
+		return Result{}, errors.New("primary boom")
+	})
+	backends[order[1]].set(func(ctx context.Context) (Result, error) {
+		hedgeFailed <- struct{}{}
+		return Result{}, errors.New("hedge boom")
+	})
+	for i := 1; i <= 5; i++ {
+		res, err := r.Do(context.Background(), Request{Key: key, Path: "/intent"})
+		if err != nil || string(res.Body) != fmt.Sprintf("from-n%d", order[2]) {
+			t.Fatalf("Do #%d = %q, %v; want failover to the third node n%d", i, res.Body, err, order[2])
+		}
+		if s := r.Stats(); s.Hedges != uint64(i) || s.HedgeWins != 0 || s.Failovers != uint64(i) {
+			t.Fatalf("Do #%d: hedges=%d wins=%d failovers=%d, want %d/0/%d", i, s.Hedges, s.HedgeWins, s.Failovers, i, i)
+		}
+	}
+	if got := backends[order[1]].calls.Load(); got != 5 {
+		t.Fatalf("hedge node saw %d calls, want 5: failover must skip a node the race already tried", got)
+	}
+}
+
+// TestRouterHedgeCallerCancel: the caller leaving returns its ctx.Err()
+// at once, whether or not the hedge has fired, and nobody votes.
+func TestRouterHedgeCallerCancel(t *testing.T) {
+	for name, hedgeDelay := range map[string]time.Duration{"before the hedge": time.Hour, "after the hedge": time.Millisecond} {
+		t.Run(name, func(t *testing.T) {
+			r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: hedgeDelay, HedgeMax: hedgeDelay, BreakerThreshold: 1})
+			var parked atomic.Int64
+			for _, b := range backends {
+				b.set(func(ctx context.Context) (Result, error) {
+					parked.Add(1)
+					<-ctx.Done()
+					return Result{}, ctx.Err()
+				})
+			}
+			want := int64(1)
+			if hedgeDelay < time.Hour {
+				want = 2
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				for parked.Load() < want {
+					time.Sleep(100 * time.Microsecond)
+				}
+				cancel()
+			}()
+			_, err := r.Do(ctx, Request{Key: "k", Path: "/intent"})
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want the bare context.Canceled", err)
+			}
+			s := r.Stats()
+			if s.Failovers != 0 {
+				t.Fatalf("failovers = %d after the caller left, want 0", s.Failovers)
+			}
+			for _, n := range s.Nodes {
+				if n.Failures != 0 || n.BreakerState != serving.BreakerClosed {
+					t.Fatalf("node %s: failures=%d breaker=%v after the caller left, want abandoned attempts", n.Name, n.Failures, n.BreakerState)
+				}
+			}
+		})
+	}
+}
+
+// TestRouterHedgeConcurrent races many hedged requests (run under
+// -race): stragglers, failures and clean answers mixed, so pooled races
+// are reused while fired ones are still in flight.
+func TestRouterHedgeConcurrent(t *testing.T) {
+	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: 200 * time.Microsecond, HedgeMax: 200 * time.Microsecond, BreakerThreshold: 1 << 30})
+	var calls atomic.Int64
+	for i, b := range backends {
+		body := []byte(fmt.Sprintf("from-n%d", i))
+		b.set(func(ctx context.Context) (Result, error) {
+			switch n := calls.Add(1); {
+			case n%7 == 0:
+				return Result{}, errors.New("boom")
+			case n%5 == 0:
+				select {
+				case <-ctx.Done():
+					return Result{}, ctx.Err()
+				case <-time.After(2 * time.Millisecond):
+				}
+			}
+			return Result{Status: 200, Body: body}, nil
+		})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				res, err := r.Do(context.Background(), Request{Key: fmt.Sprintf("k-%d-%d", w, i), Path: "/intent"})
+				if err == nil && !strings.HasPrefix(string(res.Body), "from-n") {
+					t.Errorf("answer %q from no node", res.Body)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := r.Stats(); s.Requests != 1600 || s.Hedges == 0 || s.HedgeWins == 0 {
+		t.Fatalf("requests=%d hedges=%d wins=%d, want 1600 requests with hedges fired and won", s.Requests, s.Hedges, s.HedgeWins)
+	}
+}
+
+// TestRouterDoAllocBudget pins the inline path: with a second replica
+// and the hedge armed but never firing, a routed request allocates
+// little besides its attempt context.
+func TestRouterDoAllocBudget(t *testing.T) {
+	r, _ := newStubRouter(t, 3, Config{Replication: 2})
+	for _, nd := range r.nodes {
+		for i := 0; i < 64; i++ {
+			nd.hist.Observe(2) // warm: hedgeDelay walks every histogram
+		}
+	}
+	body := []byte("ok")
+	for _, nd := range r.nodes {
+		nd.backend.(*stubBackend).set(func(ctx context.Context) (Result, error) {
+			return Result{Status: 200, Body: body}, nil
+		})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := Request{Key: "camping", Path: "/intent", RawQuery: "q=camping"}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := r.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s := r.Stats(); s.Hedges != 0 {
+		t.Fatalf("%d hedges fired; the budget is for the armed-but-idle path", s.Hedges)
+	}
+	if allocs > 6 {
+		t.Fatalf("Router.Do allocates %v times per request, budget is 6", allocs)
+	}
+	t.Logf("Router.Do: %v allocs/op", allocs)
+}

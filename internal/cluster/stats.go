@@ -22,6 +22,9 @@ type NodeStats struct {
 	Failures     uint64
 	P50, P99     float64 // successful-attempt latency (ms)
 	P999         float64
+	// Hop is the backend's connection use; zero for a backend that
+	// holds no connections (LocalBackend) or hides them behind a wrapper.
+	Hop HopStats
 }
 
 // Stats is a point-in-time snapshot of the router's counters.
@@ -64,6 +67,10 @@ func (r *Router) Stats() Stats {
 	}
 	for _, nd := range r.nodes {
 		h := nd.hist.Snapshot()
+		var hop HopStats
+		if hb, ok := nd.backend.(interface{ HopStats() HopStats }); ok {
+			hop = hb.HopStats()
+		}
 		s.Nodes = append(s.Nodes, NodeStats{
 			Name:         nd.name,
 			Health:       Health(nd.health.Load()),
@@ -79,6 +86,7 @@ func (r *Router) Stats() Stats {
 			P50:          h.Quantile(0.50),
 			P99:          h.Quantile(0.99),
 			P999:         h.Quantile(0.999),
+			Hop:          hop,
 		})
 	}
 	return s
@@ -116,5 +124,8 @@ func (r *Router) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.5\"} %g\n", n.Name, n.P50)
 		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.99\"} %g\n", n.Name, n.P99)
 		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.999\"} %g\n", n.Name, n.P999)
+		fmt.Fprintf(w, "cosmo_node_conns_idle{node=%q} %d\n", n.Name, n.Hop.Idle)
+		fmt.Fprintf(w, "cosmo_node_conn_dials_total{node=%q} %d\n", n.Name, n.Hop.Dials)
+		fmt.Fprintf(w, "cosmo_node_conn_stale_retries_total{node=%q} %d\n", n.Name, n.Hop.StaleRetries)
 	}
 }

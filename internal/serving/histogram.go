@@ -80,8 +80,41 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // returning the upper bound of the bucket containing the rank — the
 // standard conservative fixed-bucket estimate. Returns 0 when empty;
 // observations in the overflow bucket report the last finite bound.
+// It walks the atomic buckets in place and allocates nothing (the
+// router derives its hedge delay from it on every request); on a
+// quiescent histogram it equals Snapshot().Quantile(p).
 func (h *Histogram) Quantile(p float64) float64 {
-	return h.Snapshot().Quantile(p)
+	// Observe bumps a bucket before total, so a racing reader's rank
+	// always falls inside the buckets it then walks.
+	total := h.total.Load()
+	if total == 0 {
+		return 0
+	}
+	rank := quantileRank(p, total)
+	var cum int64
+	for i := range h.bounds {
+		cum += h.counts[i].Load()
+		if cum > rank {
+			return h.bounds[i]
+		}
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// quantileRank is the zero-based rank of the p-quantile among total
+// observations, with p clamped to [0,1].
+func quantileRank(p float64, total int64) int64 {
+	if p < 0 {
+		p = 0
+	}
+	if p > 1 {
+		p = 1
+	}
+	rank := int64(p * float64(total))
+	if rank >= total {
+		rank = total - 1
+	}
+	return rank
 }
 
 // Quantile estimates the p-quantile from a snapshot (see
@@ -91,24 +124,12 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 	if s.Total == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int64(p * float64(s.Total))
-	if rank >= s.Total {
-		rank = s.Total - 1
-	}
+	rank := quantileRank(p, s.Total)
 	var cum int64
-	for i, c := range s.Counts {
-		cum += c
+	for i, bound := range s.Bounds {
+		cum += s.Counts[i]
 		if cum > rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return s.Bounds[len(s.Bounds)-1]
+			return bound
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]

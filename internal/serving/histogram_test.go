@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -48,6 +49,36 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if s.Counts[len(s.Counts)-1] != 1 {
 		t.Errorf("overflow count = %v", s.Counts)
 	}
+}
+
+// TestHistogramQuantileInPlace pins the in-place walk to the snapshot
+// estimate on random fills (including the overflow bucket, empty and
+// out-of-range p) and to zero allocations.
+func TestHistogramQuantileInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ps := []float64{-1, 0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1, 2}
+	for round := 0; round < 200; round++ {
+		h := NewHistogram(nil)
+		scale := []float64{0.3, 5, 80, 3000}[round%4]
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			h.Observe(rng.ExpFloat64() * scale)
+		}
+		s := h.Snapshot()
+		for _, p := range ps {
+			if got, want := h.Quantile(p), s.Quantile(p); got != want {
+				t.Fatalf("round %d (%d obs): Quantile(%v) = %v, Snapshot().Quantile = %v", round, s.Total, p, got, want)
+			}
+		}
+	}
+	h := NewHistogram(nil)
+	for i := 0; i < 1000; i++ {
+		h.Observe(rng.ExpFloat64() * 5)
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += h.Quantile(0.99) }); allocs != 0 {
+		t.Fatalf("Histogram.Quantile allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestHistogramSnapshotSum(t *testing.T) {

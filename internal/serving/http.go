@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -46,7 +47,7 @@ import (
 func NewHTTPHandler(d *Deployment) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/intent", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
+		q := QueryParam(r.URL.RawQuery, "q")
 		if q == "" {
 			http.Error(w, "missing q parameter", http.StatusBadRequest)
 			return
@@ -65,7 +66,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		wire.Put(buf)
 	})
 	mux.HandleFunc("/intentions", func(w http.ResponseWriter, r *http.Request) {
-		id := r.URL.Query().Get("id")
+		id := QueryParam(r.URL.RawQuery, "id")
 		if id == "" {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
 			return
@@ -75,7 +76,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(r.URL.Query().Get("k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		buf := wire.Get()
 		if wantsBinary(r) {
 			w.Header().Set("Content-Type", wire.BinaryContentType)
@@ -89,7 +90,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		wire.Put(buf)
 	})
 	mux.HandleFunc("/related", func(w http.ResponseWriter, r *http.Request) {
-		id := r.URL.Query().Get("id")
+		id := QueryParam(r.URL.RawQuery, "id")
 		if id == "" {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
 			return
@@ -99,7 +100,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(r.URL.Query().Get("k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		buf := wire.Get()
 		if wantsBinary(r) {
 			w.Header().Set("Content-Type", wire.BinaryContentType)
@@ -113,7 +114,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		wire.Put(buf)
 	})
 	mux.HandleFunc("/similar", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query().Get("q")
+		q := QueryParam(r.URL.RawQuery, "q")
 		if q == "" {
 			http.Error(w, "missing q parameter", http.StatusBadRequest)
 			return
@@ -123,7 +124,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "similarity index not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(r.URL.Query().Get("k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		matches := ix.Lookup(q, k)
 		buf := wire.Get()
 		if wantsBinary(r) {
@@ -319,6 +320,30 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		fmt.Fprintf(w, "cosmo_go_mallocs_total %d\n", ms.Mallocs)
 	})
 	return mux
+}
+
+// QueryParam returns the first value of name in a raw URL query — what
+// url.ParseQuery(raw) followed by Get(name) returns, malformed segments
+// skipped the same way — by scanning raw once instead of building the
+// url.Values map; it allocates only when the value itself needs
+// unescaping. The node handlers and the router's proxy read their
+// q/id/k parameters with it.
+func QueryParam(raw, name string) string {
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if seg == "" || strings.Contains(seg, ";") {
+			continue
+		}
+		key, value, _ := strings.Cut(seg, "=")
+		if key, err := url.QueryUnescape(key); err != nil || key != name {
+			continue
+		}
+		if value, err := url.QueryUnescape(value); err == nil {
+			return value
+		}
+	}
+	return ""
 }
 
 // wantsBinary reports whether the request negotiates the compact binary
