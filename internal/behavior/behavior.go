@@ -115,15 +115,16 @@ func Simulate(c *catalog.Catalog, cfg Config) *Log {
 // pickProduct samples a product with probability proportional to its
 // popularity within the whole catalog.
 func pickProduct(rng *rand.Rand, ps []catalog.Product) catalog.Product {
+	// By index: ranging by value would copy a whole Product per step.
 	total := 0.0
-	for _, p := range ps {
-		total += p.Popularity
+	for i := range ps {
+		total += ps[i].Popularity
 	}
 	x := rng.Float64() * total
-	for _, p := range ps {
-		x -= p.Popularity
+	for i := range ps {
+		x -= ps[i].Popularity
 		if x <= 0 {
-			return p
+			return ps[i]
 		}
 	}
 	return ps[len(ps)-1]

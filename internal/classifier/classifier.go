@@ -45,7 +45,8 @@ func (f *Featurizer) hash(s string) int {
 // indices are allowed (they act as feature counts).
 func (f *Featurizer) Features(c know.Candidate) []int {
 	var idx []int
-	toks := textproc.StemAll(textproc.Tokenize(c.Text))
+	raw := textproc.Tokenize(c.Text)
+	toks := textproc.StemAll(raw)
 	for i, t := range toks {
 		idx = append(idx, f.hash("w:"+t))
 		if i+1 < len(toks) {
@@ -60,17 +61,20 @@ func (f *Featurizer) Features(c know.Candidate) []int {
 	)
 	// Overlap between the knowledge text and the behavior context: high
 	// overlap signals paraphrase, low overlap signals new information.
-	overlap := textproc.TokenOverlap(c.Text, c.ContextText)
+	// The text's content stems are the stems of its non-stopword tokens.
+	content := make([]string, 0, len(raw))
+	for i, t := range raw {
+		if !textproc.IsStopword(t) {
+			content = append(content, toks[i])
+		}
+	}
+	overlap := textproc.StemOverlap(content, textproc.ContentStems(c.ContextText))
 	idx = append(idx, f.hash("ovl:"+overlapBucket(overlap)))
 	// Cross features between the knowledge content and the product-type
 	// labels let the model memorize which intents belong to which types —
 	// the world knowledge a fine-tuned LM encodes. For co-buy this is
 	// what separates a shared reason from a one-sided one.
-	content := toks
-	if len(content) > 4 {
-		content = content[:4]
-	}
-	for _, t := range content {
+	for _, t := range toks[:min(len(toks), 4)] {
 		if textproc.IsStopword(t) {
 			continue
 		}

@@ -3,6 +3,7 @@ package classifier
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"cosmo/internal/catalog"
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
+	"cosmo/internal/textproc"
 )
 
 // corpus builds a mixed candidate corpus with ground-truth labels.
@@ -223,5 +225,63 @@ func BenchmarkCriticScore(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		critic.Score(cands)
+	}
+}
+
+// refFeatures is the previous Features, which tokenized Text once for
+// its n-grams and again, with ContextText, inside TokenOverlap.
+func refFeatures(f *Featurizer, c know.Candidate) []int {
+	var idx []int
+	toks := textproc.StemAll(textproc.Tokenize(c.Text))
+	for i, t := range toks {
+		idx = append(idx, f.hash("w:"+t))
+		if i+1 < len(toks) {
+			idx = append(idx, f.hash("b:"+t+"_"+toks[i+1]))
+		}
+	}
+	idx = append(idx,
+		f.hash("rel:"+string(c.Relation)),
+		f.hash("beh:"+string(c.Behavior)),
+		f.hash("dom:"+string(c.Domain)),
+		f.hash("len:"+lengthBucket(len(toks))),
+	)
+	overlap := textproc.TokenOverlap(c.Text, c.ContextText)
+	idx = append(idx, f.hash("ovl:"+overlapBucket(overlap)))
+	content := toks
+	if len(content) > 4 {
+		content = content[:4]
+	}
+	for _, t := range content {
+		if textproc.IsStopword(t) {
+			continue
+		}
+		if c.TypeA != "" {
+			idx = append(idx, f.hash("x:"+t+"|"+c.TypeA))
+		}
+		if c.TypeB != "" {
+			idx = append(idx, f.hash("x:"+t+"|"+c.TypeB))
+		}
+	}
+	ta, tb := c.TypeA, c.TypeB
+	if ta > tb {
+		ta, tb = tb, ta
+	}
+	idx = append(idx, f.hash("t3:"+textproc.Join(toks)+"|"+ta+"|"+tb))
+	return idx
+}
+
+func TestFeaturesMatchReference(t *testing.T) {
+	f := NewFeaturizer(1 << 15)
+	cands := []know.Candidate{
+		{}, {Text: "the of"}, {Text: "Used For Walking the Dogs", ContextText: "dog leash and walking harness"},
+		{Text: "capable of providing protection", ContextText: "camera case", TypeA: "camera", TypeB: "case"},
+	}
+	for _, d := range corpus(t, 400) {
+		cands = append(cands, d.Candidate)
+	}
+	for _, c := range cands {
+		if got, want := f.Features(c), refFeatures(f, c); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Features(%q | %q) = %v, reference %v", c.Text, c.ContextText, got, want)
+		}
 	}
 }

@@ -331,19 +331,15 @@ func expandCandidates(res *Result, cfg Config) [][]know.Candidate {
 		p, _ := res.Catalog.ByID(e.ProductID)
 		ctx := cosmolm.SearchContext(e.Query, p.Title)
 		var out []know.Candidate
-		for _, g := range res.CosmoLM.Generate(ctx, p.Category, "", cfg.ExpandTopK) {
-			_, pProb := res.CosmoLM.Predict(instruction.TaskPlausibility,
-				ctx+" | explanation: "+g.Text)
-			_, tProb := res.CosmoLM.Predict(instruction.TaskTypicality,
-				ctx+" | explanation: "+g.Text)
-			if pProb <= cfg.PlausibilityThreshold {
+		for _, g := range res.CosmoLM.GenerateScored(ctx, p.Category, cfg.ExpandTopK) {
+			if g.Plausibility <= cfg.PlausibilityThreshold {
 				continue
 			}
 			out = append(out, know.Candidate{
 				Behavior: know.SearchBuy, Domain: p.Category,
 				Query: e.Query, ProductA: e.ProductID, TypeA: p.Type,
 				Relation: g.Relation, Tail: g.Tail, Text: g.Text,
-				PlausibleScore: pProb, TypicalScore: tProb,
+				PlausibleScore: g.Plausibility, TypicalScore: g.Typicality,
 			})
 		}
 		return out

@@ -20,13 +20,16 @@
 package cosmolm
 
 import (
-	"hash/fnv"
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"cosmo/internal/catalog"
 	"cosmo/internal/classifier"
+	"cosmo/internal/fnv1a"
 	"cosmo/internal/instruction"
 	"cosmo/internal/llm"
 	"cosmo/internal/relations"
@@ -39,6 +42,14 @@ type Generated struct {
 	Tail     string
 	Text     string
 	Score    float64
+}
+
+// Scored is a generation with the model's own plausibility and
+// typicality predictions for it.
+type Scored struct {
+	Generated
+	Plausibility float64
+	Typicality   float64
 }
 
 // Config controls training.
@@ -62,11 +73,21 @@ type tailEntry struct {
 	domains  map[catalog.Category]int
 }
 
+// posting says that a content token co-occurred count times with the
+// tail; weight is the score one occurrence of the token in a context
+// adds to that tail, idf(token)·log(1+count).
+type posting struct {
+	tail   int32
+	count  int32
+	weight float64
+}
+
 // Model is the trained COSMO-LM.
 type Model struct {
 	tails []tailEntry
-	// inverted maps content token -> tailID -> count.
-	inverted map[string]map[int]int
+	// postings maps content token -> the tails it co-occurred with, by
+	// ascending tail ID.
+	postings map[string][]posting
 	docFreq  map[string]int
 	numDocs  int
 
@@ -74,6 +95,31 @@ type Model struct {
 	heads   map[instruction.Task]*classifier.LogReg
 
 	cost llm.CostMeter
+	// scratch pools *scratch; the two dense slices are sized to tails.
+	scratch sync.Pool
+}
+
+// scratch is the per-call working memory of Generate and Predict.
+type scratch struct {
+	toks    []string  // encoded input
+	idx     []int     // head features
+	acc     []float64 // score per tail ID; zero between calls
+	seen    []bool    // tail ID is in touched; false between calls
+	touched []int32
+	cands   []cand
+}
+
+type cand struct {
+	id int32
+	s  float64
+}
+
+func (m *Model) getScratch() *scratch {
+	sc, _ := m.scratch.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{acc: make([]float64, len(m.tails)), seen: make([]bool, len(m.tails))}
+	}
+	return sc
 }
 
 // Train fits COSMO-LM on instruction data.
@@ -82,14 +128,15 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 		cfg = DefaultConfig()
 	}
 	m := &Model{
-		inverted: map[string]map[int]int{},
-		docFreq:  map[string]int{},
-		headDim:  cfg.HeadDim,
-		heads:    map[instruction.Task]*classifier.LogReg{},
+		docFreq: map[string]int{},
+		headDim: cfg.HeadDim,
+		heads:   map[instruction.Task]*classifier.LogReg{},
 	}
+	inverted := map[string]map[int]int{}
 	tailID := map[string]int{}
 	headX := map[instruction.Task][][]int{}
 	headY := map[instruction.Task][]bool{}
+	var toks []string
 	for _, in := range data {
 		switch in.Task {
 		case instruction.TaskGenerate:
@@ -110,11 +157,14 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 			m.tails[id].domains[in.Domain]++
 			m.numDocs++
 			seenTok := map[string]bool{}
-			for _, tok := range contextTokens(in.Input) {
-				mm := m.inverted[tok]
+			toks, _ = appendEncoded(toks[:0], in.Input)
+			for _, tok := range toks {
+				mm := inverted[tok]
 				if mm == nil {
+					// The key outlives the input it was cut from.
+					tok = strings.Clone(tok)
 					mm = map[int]int{}
-					m.inverted[tok] = mm
+					inverted[tok] = mm
 				}
 				mm[id]++
 				if !seenTok[tok] {
@@ -123,59 +173,102 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 				}
 			}
 		default:
-			headX[in.Task] = append(headX[in.Task], m.features(string(in.Task), in.Input))
+			var split int
+			toks, split = appendEncoded(toks[:0], in.Input)
+			x := append(m.appendFeatures(nil, toks, split), m.taskFeature(in.Task))
+			headX[in.Task] = append(headX[in.Task], x)
 			headY[in.Task] = append(headY[in.Task], in.Output == "yes")
 		}
 	}
+	m.postings = buildPostings(inverted, m.docFreq, m.numDocs)
 	for task, X := range headX {
 		m.heads[task] = classifier.TrainLogReg(m.headDim, X, headY[task], cfg.Train)
 	}
 	return m
 }
 
-// contextTokens extracts stemmed content tokens from a verbalized input.
-func contextTokens(input string) []string {
-	// Drop the template prefix markers; keep the payload words.
-	input = strings.NewReplacer("|", " ", ":", " ").Replace(input)
-	return textproc.StemAll(textproc.ContentTokens(input))
+// buildPostings turns the token -> tail -> count index into the form
+// Generate reads, with each posting's weight worked out once.
+func buildPostings(inverted map[string]map[int]int, docFreq map[string]int, numDocs int) map[string][]posting {
+	postings := make(map[string][]posting, len(inverted))
+	for tok, counts := range inverted {
+		idf := math.Log(1 + float64(numDocs)/float64(1+docFreq[tok]))
+		ps := make([]posting, 0, len(counts))
+		for id, cnt := range counts {
+			//cosmo:lint-ignore unchecked-narrowing Train counts instances and ReadGob rejects a tail ID or count outside int32 before building postings
+			ps = append(ps, posting{tail: int32(id), count: int32(cnt), weight: idf * math.Log(1+float64(cnt))})
+		}
+		slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.tail, b.tail) })
+		postings[tok] = ps
+	}
+	return postings
 }
 
-func (m *Model) features(task, input string) []int {
-	var idx []int
-	h := func(s string) int {
-		hh := fnv.New32a()
-		hh.Write([]byte(s)) //cosmo:lint-ignore dropped-error hash.Hash Write never returns an error (hash package contract)
-		//cosmo:lint-ignore unchecked-narrowing headDim is validated positive in Train and config dims stay far below 2^32
-		return int(hh.Sum32() % uint32(m.headDim))
+// explanationSep joins a behavior context and a candidate explanation
+// into the input of the plausibility and typicality heads, as the
+// instruction data spells it.
+const explanationSep = " | explanation: "
+
+var explanationStems = textproc.ContentStems(explanationSep)
+
+// appendEncoded appends the stemmed content tokens of a verbalized input
+// to dst and returns how many of them lie left of the first '|' (-1 when
+// the input has none). The template markers '|' and ':' separate tokens
+// like a space does, so the two sides tokenize independently: the tokens
+// of a+"|"+b are those of a followed by those of b.
+func appendEncoded(dst []string, input string) ([]string, int) {
+	bar := strings.IndexByte(input, '|')
+	if bar < 0 {
+		return textproc.AppendContentStems(dst, input), -1
 	}
-	toks := contextTokens(input)
+	base := len(dst)
+	dst = textproc.AppendContentStems(dst, input[:bar])
+	split := len(dst) - base
+	return textproc.AppendContentStems(dst, input[bar+1:]), split
+}
+
+// FNV-1a states after the feature-kind prefixes; a feature continues
+// from one of them with its tokens, so no feature string is built.
+var (
+	wordPrefix   = fnv1a.String32(fnv1a.Offset32, "w:")
+	bigramPrefix = fnv1a.String32(fnv1a.Offset32, "b:")
+	crossPrefix  = fnv1a.String32(fnv1a.Offset32, "x:")
+	taskPrefix   = fnv1a.String32(fnv1a.Offset32, "task:")
+)
+
+func (m *Model) slot(h uint32) int {
+	//cosmo:lint-ignore unchecked-narrowing headDim is validated positive in Train and config dims stay far below 2^32
+	return int(h % uint32(m.headDim))
+}
+
+// appendFeatures appends the hashed features of an encoded input that
+// every head shares: "w:"+t per token, "b:"+t+"_"+next per adjacent
+// pair and, when the input has two segments, "x:"+a+"|"+b crosses.
+func (m *Model) appendFeatures(idx []int, toks []string, split int) []int {
 	for i, t := range toks {
-		idx = append(idx, h("w:"+t))
+		idx = append(idx, m.slot(fnv1a.String32(wordPrefix, t)))
 		if i+1 < len(toks) {
-			idx = append(idx, h("b:"+t+"_"+toks[i+1]))
+			idx = append(idx, m.slot(fnv1a.String32(fnv1a.Byte32(fnv1a.String32(bigramPrefix, t), '_'), toks[i+1])))
 		}
 	}
 	// Cross features between the two context segments (query vs. product,
 	// or product vs. product) so the relevance heads can model the
 	// interaction rather than each side's marginal frequency.
-	if parts := strings.SplitN(input, "|", 2); len(parts) == 2 {
-		left := capTokens(contextTokens(parts[0]), 4)
-		right := capTokens(contextTokens(parts[1]), 6)
-		for _, a := range left {
+	if split >= 0 {
+		right := toks[split:min(len(toks), split+6)]
+		for _, a := range toks[:min(split, 4)] {
+			h := fnv1a.Byte32(fnv1a.String32(crossPrefix, a), '|')
 			for _, b := range right {
-				idx = append(idx, h("x:"+a+"|"+b))
+				idx = append(idx, m.slot(fnv1a.String32(h, b)))
 			}
 		}
 	}
-	idx = append(idx, h("task:"+task))
 	return idx
 }
 
-func capTokens(toks []string, n int) []string {
-	if len(toks) > n {
-		return toks[:n]
-	}
-	return toks
+// taskFeature is the feature that closes every head input, "task:"+task.
+func (m *Model) taskFeature(task instruction.Task) int {
+	return m.slot(fnv1a.String32(taskPrefix, string(task)))
 }
 
 // Generate produces the top-k knowledge generations for a behavior
@@ -185,26 +278,35 @@ func capTokens(toks []string, n int) []string {
 // only that relation's tails are considered. Domain "" disables the
 // domain prior.
 func (m *Model) Generate(context string, domain catalog.Category, rel relations.Relation, k int) []Generated {
-	toks := contextTokens(context)
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	sc.toks, _ = appendEncoded(sc.toks[:0], context)
+	return m.generate(sc, sc.toks, domain, rel, k)
+}
+
+// generate is Generate over an encoded context. Scores accumulate in a
+// dense slice over tail IDs; each tail's additions still happen in token
+// order, so the sums do not depend on how the index is laid out.
+func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, rel relations.Relation, k int) []Generated {
 	m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(toks)+8)
-	scores := map[int]float64{}
 	for _, tok := range toks {
-		posting := m.inverted[tok]
-		if len(posting) == 0 {
-			continue
-		}
-		idf := math.Log(1 + float64(m.numDocs)/float64(1+m.docFreq[tok]))
-		for id, cnt := range posting {
-			scores[id] += idf * math.Log(1+float64(cnt))
+		for _, p := range m.postings[tok] {
+			if !sc.seen[p.tail] {
+				sc.seen[p.tail] = true
+				sc.touched = append(sc.touched, p.tail)
+			}
+			sc.acc[p.tail] += p.weight
 		}
 	}
-	type cand struct {
-		id int
-		s  float64
-	}
-	var cands []cand
-	for id, s := range scores {
-		te := m.tails[id]
+	// Select the k best in one pass (the Snapshot.relatedCollect scheme):
+	// cands buffers up to 2k, is cut back to its best k whenever it
+	// fills, and from then on turns away anything ranking after the k-th.
+	cands, full := sc.cands[:0], false
+	var kth cand
+	for _, id := range sc.touched {
+		s := sc.acc[id]
+		sc.acc[id], sc.seen[id] = 0, false
+		te := &m.tails[id]
 		if rel != "" && te.relation != rel {
 			continue
 		}
@@ -212,17 +314,21 @@ func (m *Model) Generate(context string, domain catalog.Category, rel relations.
 		if domain != "" {
 			s += 0.5 * math.Log(1+float64(te.domains[domain]))
 		}
-		cands = append(cands, cand{id, s})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].s != cands[j].s {
-			return cands[i].s > cands[j].s
+		c := cand{id, s}
+		if full && m.rank(c, kth) > 0 {
+			continue
 		}
-		return m.tails[cands[i].id].tail < m.tails[cands[j].id].tail
-	})
-	if k > len(cands) {
-		k = len(cands)
+		cands = append(cands, c)
+		if len(cands) == 2*k {
+			slices.SortFunc(cands, m.rank)
+			cands = cands[:k]
+			kth, full = cands[k-1], true
+		}
 	}
+	sc.touched = sc.touched[:0]
+	slices.SortFunc(cands, m.rank)
+	sc.cands = cands
+	k = min(max(k, 0), len(cands))
 	out := make([]Generated, 0, k)
 	for i := 0; i < k; i++ {
 		// Prune low-confidence continuations: tails whose score rides on
@@ -242,19 +348,82 @@ func (m *Model) Generate(context string, domain catalog.Category, rel relations.
 	return out
 }
 
+// rank orders candidates best first: score, then tail text, relation
+// and tail ID, so that no two candidates compare equal. Tails are keyed
+// by relation and text, so the same text can occur under two relations.
+func (m *Model) rank(a, b cand) int {
+	ta, tb := &m.tails[a.id], &m.tails[b.id]
+	return cmp.Or(
+		cmp.Compare(b.s, a.s),
+		cmp.Compare(ta.tail, tb.tail),
+		cmp.Compare(ta.relation, tb.relation),
+		cmp.Compare(a.id, b.id),
+	)
+}
+
 // minScoreRatio is the beam-pruning threshold relative to the top score.
 const minScoreRatio = 0.45
 
 // Predict answers one of the four yes/no tasks for an input context.
 // It returns the boolean decision and the probability of "yes".
 func (m *Model) Predict(task instruction.Task, input string) (bool, float64) {
-	m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(contextTokens(input))+4)
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	var split int
+	sc.toks, split = appendEncoded(sc.toks[:0], input)
+	m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(sc.toks)+4)
 	head, ok := m.heads[task]
 	if !ok {
 		return false, 0.5
 	}
-	p := head.Prob(m.features(string(task), input))
+	sc.idx = append(m.appendFeatures(sc.idx[:0], sc.toks, split), m.taskFeature(task))
+	p := head.Prob(sc.idx)
 	return p >= 0.5, p
+}
+
+// headProb closes the shared features x (whose last slot is free) with
+// the task's own feature and asks that head; a task the model has no
+// head for reads 0.5.
+func (m *Model) headProb(task instruction.Task, x []int) float64 {
+	head, ok := m.heads[task]
+	if !ok {
+		return 0.5
+	}
+	x[len(x)-1] = m.taskFeature(task)
+	return head.Prob(x)
+}
+
+// GenerateScored is Generate over all relations followed, per
+// generation g, by Predict of the plausibility and the typicality task
+// on context+" | explanation: "+g.Text — the loop of the KG expansion
+// stage — with the same results and the same three kinds of charge on
+// the cost meter. The context is encoded once and each generation's
+// input is the context's tokens followed by the explanation's; the two
+// heads differ only in their closing task feature, so they share one
+// feature vector.
+func (m *Model) GenerateScored(context string, domain catalog.Category, k int) []Scored {
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	toks, split := appendEncoded(sc.toks[:0], context)
+	gens := m.generate(sc, toks, domain, "", k)
+	if split < 0 {
+		split = len(toks) // the separator's '|' is the input's first
+	}
+	nctx := len(toks)
+	out := make([]Scored, len(gens))
+	for i, g := range gens {
+		toks = textproc.AppendContentStems(append(toks[:nctx], explanationStems...), g.Text)
+		m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(toks)+4)
+		m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(toks)+4)
+		sc.idx = append(m.appendFeatures(sc.idx[:0], toks, split), 0)
+		out[i] = Scored{
+			Generated:    g,
+			Plausibility: m.headProb(instruction.TaskPlausibility, sc.idx),
+			Typicality:   m.headProb(instruction.TaskTypicality, sc.idx),
+		}
+	}
+	sc.toks = toks
+	return out
 }
 
 // KnownTails returns the number of distinct knowledge tails learned.

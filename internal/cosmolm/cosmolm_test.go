@@ -23,11 +23,14 @@ type fixture struct {
 
 // buildFixture runs a miniature offline pipeline: generate → filter →
 // annotate → instruction data → train COSMO-LM.
-func buildFixture(tb testing.TB) *fixture {
+func buildFixture(tb testing.TB) *fixture { return buildFixtureAt(tb, 2, 8000) }
+
+// buildFixtureAt is buildFixture for a behavior seed and event count.
+func buildFixtureAt(tb testing.TB, seed int64, events int) *fixture {
 	tb.Helper()
 	cat := catalog.Generate(catalog.Config{ProductsPerType: 4, Seed: 1})
 	log := behavior.Simulate(cat, behavior.Config{
-		Seed: 2, CoBuyEvents: 8000, SearchEvents: 8000,
+		Seed: seed, CoBuyEvents: events, SearchEvents: events,
 		NoiseRate: 0.25, BroadQueryRate: 0.4,
 	})
 	teach := llm.NewTeacher(cat, llm.DefaultConfig(llm.OPT30B))

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 
 	"cosmo/internal/catalog"
 	"cosmo/internal/classifier"
@@ -33,11 +34,18 @@ type tailSnapshot struct {
 // WriteGob serializes the trained model.
 func (m *Model) WriteGob(w io.Writer) error {
 	snap := modelSnapshot{
-		Inverted: m.inverted,
+		Inverted: make(map[string]map[int]int, len(m.postings)),
 		DocFreq:  m.docFreq,
 		NumDocs:  m.numDocs,
 		HeadDim:  m.headDim,
 		Heads:    m.heads,
+	}
+	for tok, ps := range m.postings {
+		counts := make(map[int]int, len(ps))
+		for _, p := range ps {
+			counts[int(p.tail)] = int(p.count)
+		}
+		snap.Inverted[tok] = counts
 	}
 	for _, t := range m.tails {
 		snap.Tails = append(snap.Tails, tailSnapshot{
@@ -62,15 +70,22 @@ func ReadGob(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("cosmolm: decode gob: %w", err)
 	}
+	for tok, counts := range snap.Inverted {
+		for id, cnt := range counts {
+			if id < 0 || id >= len(snap.Tails) || cnt < 0 || cnt > math.MaxInt32 {
+				return nil, fmt.Errorf("cosmolm: decode gob: token %q counts %d for tail %d of %d", tok, cnt, id, len(snap.Tails))
+			}
+		}
+	}
+	if snap.HeadDim <= 0 {
+		return nil, fmt.Errorf("cosmolm: decode gob: head dimension %d", snap.HeadDim)
+	}
 	m := &Model{
-		inverted: snap.Inverted,
+		postings: buildPostings(snap.Inverted, snap.DocFreq, snap.NumDocs),
 		docFreq:  snap.DocFreq,
 		numDocs:  snap.NumDocs,
 		headDim:  snap.HeadDim,
 		heads:    snap.Heads,
-	}
-	if m.inverted == nil {
-		m.inverted = map[string]map[int]int{}
 	}
 	if m.docFreq == nil {
 		m.docFreq = map[string]int{}

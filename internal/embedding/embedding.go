@@ -9,13 +9,18 @@ package embedding
 
 import (
 	"math"
+	"sync"
 
+	"cosmo/internal/fnv1a"
 	"cosmo/internal/textproc"
 )
 
 // Model embeds strings into a fixed-dimension space.
 type Model struct {
 	dim int
+	// pairs pools the two vectors of one Similarity call (*[]float64 of
+	// 2·dim), which never leave it.
+	pairs sync.Pool
 }
 
 // New returns a model with the given embedding dimension (>= 8).
@@ -29,38 +34,17 @@ func New(dim int) *Model {
 // Dim returns the embedding dimension.
 func (m *Model) Dim() int { return m.dim }
 
-// Inlined FNV-1a (hash/fnv semantics, verified by TestHashCompat): the
-// hot path folds feature bytes into a running state instead of
-// allocating a hash.Hash64 and a concatenated feature string per
-// feature. The prefix states below are the hash after consuming "w:",
-// "b:", "c:" — continuing from them is byte-identical to hashing the
-// concatenated string.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
+// Feature hashing is FNV-1a folded inline (hash/fnv semantics, verified
+// by TestHashCompat): the hot path folds feature bytes into a running
+// state instead of allocating a hash.Hash64 and a concatenated feature
+// string per feature. The prefix states below are the hash after
+// consuming "w:", "b:", "c:" — continuing from them is byte-identical to
+// hashing the concatenated string.
 var (
-	wordPrefix   = fnvString(fnvOffset64, "w:")
-	bigramPrefix = fnvString(fnvOffset64, "b:")
-	charPrefix   = fnvString(fnvOffset64, "c:")
+	wordPrefix   = fnv1a.String64(fnv1a.Offset64, "w:")
+	bigramPrefix = fnv1a.String64(fnv1a.Offset64, "b:")
+	charPrefix   = fnv1a.String64(fnv1a.Offset64, "c:")
 )
-
-// fnvString folds s into FNV-1a state h.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// fnvByte folds one byte into FNV-1a state h.
-func fnvByte(h uint64, c byte) uint64 {
-	h ^= uint64(c)
-	h *= fnvPrime64
-	return h
-}
 
 // slot maps a finished feature hash to (index, sign).
 func (m *Model) slot(v uint64) (int, float64) {
@@ -86,34 +70,41 @@ func padByte(t string, p int) byte {
 }
 
 // Embed returns the L2-normalized embedding of s. The zero vector is
-// returned for blank input. The only allocation is the sized result
-// vector: hashing runs inline over the token bytes (PR 3), so the
-// annotation below holds the hot path to that discipline statically.
-//
-//cosmo:alloc-free
+// returned for blank input.
 func (m *Model) Embed(s string) []float64 {
 	vec := make([]float64, m.dim)
-	toks := textproc.StemAll(textproc.Tokenize(s))
+	m.embedInto(vec, textproc.Tokenize(s))
+	return vec
+}
+
+// embedInto writes the embedding of tokens (textproc.Tokenize of the
+// string, left unmodified) into the zeroed vec. Beyond
+// the stems it allocates nothing: hashing runs inline over the stem
+// bytes (PR 3), and the annotation below holds the hot path to that
+// discipline statically.
+//
+//cosmo:alloc-free
+func (m *Model) embedInto(vec []float64, tokens []string) {
+	toks := textproc.StemAll(tokens)
 	for i, t := range toks {
-		idx, sign := m.slot(fnvString(wordPrefix, t))
+		idx, sign := m.slot(fnv1a.String64(wordPrefix, t))
 		vec[idx] += sign * 1.0
 		if i+1 < len(toks) {
-			idx, sign = m.slot(fnvString(fnvByte(fnvString(bigramPrefix, t), '_'), toks[i+1]))
+			idx, sign = m.slot(fnv1a.String64(fnv1a.Byte64(fnv1a.String64(bigramPrefix, t), '_'), toks[i+1]))
 			vec[idx] += sign * 0.5
 		}
 		// Character trigrams of the padded token ("^" + t + "$") for
 		// robustness to morphology, hashed in place over the token bytes.
 		for j := 0; j+3 <= len(t)+2; j++ {
 			h := charPrefix
-			h = fnvByte(h, padByte(t, j))
-			h = fnvByte(h, padByte(t, j+1))
-			h = fnvByte(h, padByte(t, j+2))
+			h = fnv1a.Byte64(h, padByte(t, j))
+			h = fnv1a.Byte64(h, padByte(t, j+1))
+			h = fnv1a.Byte64(h, padByte(t, j+2))
 			idx, sign = m.slot(h)
 			vec[idx] += sign * 0.25
 		}
 	}
 	normalize(vec)
-	return vec
 }
 
 func normalize(v []float64) {
@@ -153,11 +144,26 @@ func Cosine(a, b []float64) float64 {
 // (and returns the zero vector for blank input), so a plain dot product
 // is the cosine and the per-vector norm recomputation is skipped.
 func (m *Model) Similarity(a, b string) float64 {
-	va, vb := m.Embed(a), m.Embed(b)
+	return m.SimilarityTokens(textproc.Tokenize(a), b)
+}
+
+// SimilarityTokens is Similarity for a caller that already holds
+// textproc.Tokenize(a).
+func (m *Model) SimilarityTokens(a []string, b string) float64 {
+	pair, _ := m.pairs.Get().(*[]float64)
+	if pair == nil {
+		buf := make([]float64, 2*m.dim)
+		pair = &buf
+	}
+	clear(*pair)
+	va, vb := (*pair)[:m.dim], (*pair)[m.dim:]
+	m.embedInto(va, a)
+	m.embedInto(vb, textproc.Tokenize(b))
 	dot := 0.0
 	for i := range va {
 		dot += va[i] * vb[i]
 	}
+	m.pairs.Put(pair)
 	return dot
 }
 

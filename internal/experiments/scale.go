@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cosmo/internal/cosmolm"
-	"cosmo/internal/instruction"
 	"cosmo/internal/kg"
 	"cosmo/internal/know"
 )
@@ -59,19 +58,15 @@ func (r *Runner) ScaledKG(factor int) (*kg.Graph, error) {
 				continue
 			}
 			ctx := cosmolm.SearchContext(sb.Query, p.Title)
-			for _, gen := range res.CosmoLM.Generate(ctx, p.Category, "", 2) {
-				_, pProb := res.CosmoLM.Predict(instruction.TaskPlausibility,
-					ctx+" | explanation: "+gen.Text)
-				_, tProb := res.CosmoLM.Predict(instruction.TaskTypicality,
-					ctx+" | explanation: "+gen.Text)
-				if pProb <= 0.5 {
+			for _, gen := range res.CosmoLM.GenerateScored(ctx, p.Category, 2) {
+				if gen.Plausibility <= 0.5 {
 					continue
 				}
 				c := know.Candidate{
 					Behavior: know.SearchBuy, Domain: p.Category,
 					Query: sb.Query + suffix, ProductA: sb.ProductID + suffix, TypeA: p.Type,
 					Relation: gen.Relation, Tail: gen.Tail, Text: gen.Text,
-					PlausibleScore: pProb, TypicalScore: tProb,
+					PlausibleScore: gen.Plausibility, TypicalScore: gen.Typicality,
 				}
 				if err := g.AddAssertion(c); err != nil {
 					return nil, fmt.Errorf("experiments: scale: expansion admit: %w", err)

@@ -104,9 +104,9 @@ func New(cfg Config) *Filter {
 // and reused by every later stage (LM training, co-occurrence, checks,
 // and the kept-candidate parse).
 type view struct {
-	first     string // first sentence of the raw text
-	norm      string // NormalizeSpace of the raw text
-	numTokens int    // token count of first
+	first string   // first sentence of the raw text
+	norm  string   // NormalizeSpace of the raw text
+	toks  []string // Tokenize(first)
 }
 
 // verdict is the order-independent part of a candidate's outcome; the
@@ -129,13 +129,13 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	report := Report{Input: len(cands), Dropped: map[DropReason]int{}}
 	results := make([]Result, len(cands))
 
-	// Tokenize / first-sentence each candidate exactly once, in parallel.
+	// First-sentence and tokenize each candidate exactly once, in parallel.
 	views := parallel.Map(f.cfg.Workers, cands, func(i int, c know.Candidate) view {
 		first := textproc.FirstSentence(c.Text)
 		return view{
-			first:     first,
-			norm:      textproc.NormalizeSpace(c.Text),
-			numTokens: len(textproc.Tokenize(first)),
+			first: first,
+			norm:  textproc.NormalizeSpace(c.Text),
+			toks:  textproc.Tokenize(first),
 		}
 	})
 
@@ -143,7 +143,7 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	// dominates, so malformed candidates land in the high-perplexity tail.
 	f.lm = textproc.NewNgramLM()
 	for i := range cands {
-		f.lm.Train(views[i].first)
+		f.lm.TrainTokens(views[i].toks)
 	}
 
 	// Generic detection needs corpus-level co-occurrence statistics. The
@@ -161,7 +161,7 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 		if v.first == "" {
 			return -1
 		}
-		return f.lm.Perplexity(v.first)
+		return f.lm.PerplexityTokens(v.toks)
 	})
 	ppls := make([]float64, 0, len(cands))
 	for _, p := range scored {
@@ -182,7 +182,7 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 
 	// Per-candidate rule checks: pure reads of the fitted models.
 	verdicts := parallel.Map(f.cfg.Workers, cands, func(i int, c know.Candidate) verdict {
-		return f.check(c, views[i], co, pplThreshold)
+		return f.check(c, views[i], co, scored[i], pplThreshold)
 	})
 
 	// Order-preserving merge: duplicate detection and the report counts
@@ -210,16 +210,18 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	return kept, results, report
 }
 
+// check applies the order-independent rules to one candidate; ppl is its
+// first sentence's perplexity under the fitted LM.
 func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
-	pplThreshold float64) verdict {
+	ppl, pplThreshold float64) verdict {
 	first := v.first
 	if first == "" {
 		return verdict{reason: DropEmpty}
 	}
-	if v.numTokens < 2 {
+	if len(v.toks) < 2 {
 		return verdict{reason: DropShortContent}
 	}
-	if !textproc.LooksComplete(first) {
+	if !textproc.LooksCompleteTokens(first, v.toks) {
 		return verdict{reason: DropIncomplete}
 	}
 	// Copy detection against query, product types, and context title.
@@ -227,7 +229,7 @@ func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
 		if ref == "" {
 			continue
 		}
-		if textproc.NormalizedEditDistance(first, ref) <= f.cfg.MaxEditDistanceRatio {
+		if textproc.WithinEditRatio(first, ref, f.cfg.MaxEditDistanceRatio) {
 			return verdict{reason: DropCopy}
 		}
 	}
@@ -235,7 +237,7 @@ func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
 	if !ok {
 		return verdict{reason: DropNoRelation}
 	}
-	if pplThreshold > 0 && f.lm.Perplexity(first) > pplThreshold {
+	if pplThreshold > 0 && ppl > pplThreshold {
 		return verdict{reason: DropPerplexity}
 	}
 	if co.IsGeneric(v.norm, f.cfg.GenericMinFreq, f.cfg.GenericMinEntropy) &&
@@ -244,7 +246,7 @@ func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
 	}
 	// Similarity filter (Eq. 1): paraphrases of the behavior context.
 	if c.ContextText != "" {
-		if f.emb.Similarity(first, c.ContextText) > f.cfg.MaxContextSimilarity {
+		if f.emb.SimilarityTokens(v.toks, c.ContextText) > f.cfg.MaxContextSimilarity {
 			return verdict{reason: DropParaphrase}
 		}
 	}

@@ -29,7 +29,7 @@ func (g *Graph) Canonicalize() *Graph {
 			continue
 		}
 		rel := relationOfIntentionID(n.ID)
-		stems := textproc.StemAll(textproc.ContentTokens(n.Label))
+		stems := textproc.ContentStems(n.Label)
 		sort.Strings(stems)
 		k := groupKey{relation: rel, stems: strings.Join(stems, " ")}
 		groups[k] = append(groups[k], n)

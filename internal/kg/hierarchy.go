@@ -44,7 +44,7 @@ func (g *Graph) BuildHierarchy(minSupport int) []*HierarchyNode {
 		in := byTail[e.Tail]
 		if in == nil {
 			toks := map[string]bool{}
-			for _, t := range textproc.StemAll(textproc.ContentTokens(n.Label)) {
+			for _, t := range textproc.ContentStems(n.Label) {
 				toks[t] = true
 			}
 			in = &tailInfo{id: e.Tail, label: n.Label, tokens: toks, products: map[string]bool{}}

@@ -836,7 +836,7 @@ func (s *Snapshot) BuildHierarchy(minSupport int) []*HierarchyNode {
 		in := byTail[tailID]
 		if in == nil {
 			toks := map[string]bool{}
-			for _, tok := range textproc.StemAll(textproc.ContentTokens(s.labels[t])) {
+			for _, tok := range textproc.ContentStems(s.labels[t]) {
 				toks[tok] = true
 			}
 			in = &tailInfo{id: tailID, label: s.labels[t], tokens: toks, products: map[string]bool{}}

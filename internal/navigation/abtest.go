@@ -119,13 +119,13 @@ func (e *Experiment) searchResults(query string, k int) []catalog.Product {
 		return ps
 	}
 	qStems := map[string]bool{}
-	for _, s := range textproc.StemAll(textproc.ContentTokens(query)) {
+	for _, s := range textproc.ContentStems(query) {
 		qStems[s] = true
 	}
 	var out []scored
 	for _, p := range e.cat.Products() {
 		match := 0.0
-		for _, s := range textproc.StemAll(textproc.ContentTokens(p.Title)) {
+		for _, s := range textproc.ContentStems(p.Title) {
 			if qStems[s] {
 				match++
 			}
@@ -216,7 +216,7 @@ func (e *Experiment) servesIntent(p catalog.Product, intent catalog.Intent) bool
 // least half the intent's content stems to count — weaker overlaps lead
 // the shopper astray rather than toward their intent.
 func (e *Experiment) matchingSuggestion(sugs []Suggestion, intent catalog.Intent) string {
-	wantStems := textproc.StemAll(textproc.ContentTokens(intent.Tail))
+	wantStems := textproc.ContentStems(intent.Tail)
 	want := map[string]bool{}
 	for _, s := range wantStems {
 		want[s] = true
@@ -226,7 +226,7 @@ func (e *Experiment) matchingSuggestion(sugs []Suggestion, intent catalog.Intent
 	for _, sug := range sugs {
 		seen := map[string]bool{}
 		overlap := 0
-		for _, s := range textproc.StemAll(textproc.ContentTokens(sug.Label)) {
+		for _, s := range textproc.ContentStems(sug.Label) {
 			if want[s] && !seen[s] {
 				seen[s] = true
 				overlap++

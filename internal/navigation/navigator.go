@@ -40,7 +40,7 @@ func NewNavigator(snap *kg.Snapshot, minSupport int) *Navigator {
 	n.roots = snap.BuildHierarchy(minSupport)
 	var walk func(node *kg.HierarchyNode)
 	walk = func(node *kg.HierarchyNode) {
-		for _, s := range textproc.StemAll(textproc.ContentTokens(node.Label)) {
+		for _, s := range textproc.ContentStems(node.Label) {
 			n.byStem[s] = append(n.byStem[s], node)
 		}
 		for _, c := range node.Children {
@@ -56,7 +56,7 @@ func NewNavigator(snap *kg.Snapshot, minSupport int) *Navigator {
 // match finds hierarchy nodes whose label shares stems with the query,
 // ranked by (stem overlap, support).
 func (n *Navigator) match(query string) []*kg.HierarchyNode {
-	stems := textproc.StemAll(textproc.ContentTokens(query))
+	stems := textproc.ContentStems(query)
 	scores := map[*kg.HierarchyNode]int{}
 	for _, s := range stems {
 		for _, node := range n.byStem[s] {

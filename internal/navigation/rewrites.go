@@ -74,7 +74,7 @@ func (s *RewriteStudy) Run(seed int64, n, maxTurns int) RewriteResult {
 // session runs one shopper; returns (rewrites, satisfied).
 func (s *RewriteStudy) session(rng *rand.Rand, intent catalog.Intent, nav bool, maxTurns int) (int, bool) {
 	query := behavior.BroadQuery(intent)
-	intentStems := textproc.StemAll(textproc.ContentTokens(intent.Tail))
+	intentStems := textproc.ContentStems(intent.Tail)
 	for turn := 0; turn < maxTurns; turn++ {
 		results := s.exp.searchResults(query, 4)
 		for _, p := range results {

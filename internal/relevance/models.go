@@ -115,7 +115,7 @@ func (m *Model) encode(t *nn.Tape, text string) *nn.Vec {
 	if m.tok == nil {
 		return raw
 	}
-	toks := textproc.StemAll(textproc.ContentTokens(text))
+	toks := textproc.ContentStems(text)
 	if len(toks) == 0 {
 		return t.Concat(raw, t.Const(make([]float64, m.cfg.EncDim)))
 	}

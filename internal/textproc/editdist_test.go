@@ -1,6 +1,9 @@
 package textproc
 
 import (
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -96,5 +99,64 @@ func BenchmarkEditDistance(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		EditDistance(s1, s2)
+	}
+}
+
+// TestWithinEditRatio: the banded early-exit test answers exactly like
+// NormalizedEditDistance(a, b) <= r, which stays as its oracle — on
+// hand-picked edges and on random ASCII and multi-byte pairs whose
+// distance lands on both sides of the ratio.
+func TestWithinEditRatio(t *testing.T) {
+	ratios := []float64{0, 0.1, 0.25, 1.0 / 3, 0.5, 0.75, 0.999, 1, 1.5, -0.1, math.NaN(), math.Inf(1)}
+	check := func(a, b string) {
+		t.Helper()
+		for _, r := range ratios {
+			if got, want := WithinEditRatio(a, b, r), NormalizedEditDistance(a, b) <= r; got != want {
+				t.Fatalf("WithinEditRatio(%q, %q, %v) = %v, NormalizedEditDistance = %v",
+					a, b, r, got, NormalizedEditDistance(a, b))
+			}
+		}
+		// The ratio the pair sits on, and its float neighbours.
+		d := NormalizedEditDistance(a, b)
+		for _, r := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, 2)} {
+			if got, want := WithinEditRatio(a, b, r), d <= r; got != want {
+				t.Fatalf("WithinEditRatio(%q, %q, %v) = %v at the boundary, distance %v", a, b, r, got, d)
+			}
+		}
+	}
+	for _, p := range [][2]string{
+		{"", ""}, {"", "abc"}, {"abc", ""}, {"kitten", "sitting"}, {"same", "same"},
+		{"\xff", "\xfe"}, {"a\xffb", "a�b"}, {"日本", "日本語"}, {"héllo", "hello"},
+		{strings.Repeat("ab", 150), strings.Repeat("ab", 149) + "ba"},
+		{"camping air mattress", "used for camping with an air mattress"},
+	} {
+		check(p[0], p[1])
+		check(p[1], p[0])
+	}
+	rng := rand.New(rand.NewSource(19))
+	alphabets := [][]rune{[]rune("abc "), []rune("aé日İ ")}
+	for i := 0; i < 4000; i++ {
+		alpha := alphabets[i%len(alphabets)]
+		a := make([]rune, rng.Intn(40))
+		for j := range a {
+			a[j] = alpha[rng.Intn(len(alpha))]
+		}
+		// b is a within a few edits, so the pair sits near the boundary.
+		b := append([]rune(nil), a...)
+		for e := rng.Intn(12); e > 0; e-- {
+			switch pos := rng.Intn(len(b) + 1); rng.Intn(3) {
+			case 0:
+				b = append(b[:pos], append([]rune{alpha[rng.Intn(len(alpha))]}, b[pos:]...)...)
+			case 1:
+				if pos < len(b) {
+					b = append(b[:pos], b[pos+1:]...)
+				}
+			default:
+				if pos < len(b) {
+					b[pos] = alpha[rng.Intn(len(alpha))]
+				}
+			}
+		}
+		check(string(a), string(b))
 	}
 }

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"reflect"
 	"testing"
 	"unicode/utf8"
 )
@@ -9,14 +10,14 @@ import (
 // corpus; `go test -fuzz=FuzzTokenize` explores further.
 
 func FuzzTokenize(f *testing.F) {
-	for _, seed := range []string{
-		"", "hello world", "cat's toy", "co-buy", "日本語", "\x00\xff",
-		"a-", "-a", "''", "1.5 oz.", "USED FOR X",
-	} {
+	for _, seed := range tokenizeCorpus {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		toks := Tokenize(s)
+		if want := refTokenize(s); !reflect.DeepEqual(toks, want) {
+			t.Fatalf("Tokenize(%q) = %q, reference %q", s, toks, want)
+		}
 		for _, tok := range toks {
 			if tok == "" {
 				t.Fatal("empty token")

@@ -38,28 +38,27 @@ func NewNgramLM() *NgramLM {
 }
 
 // Train adds one sentence to the model.
-func (m *NgramLM) Train(sentence string) {
-	toks := Tokenize(sentence)
+func (m *NgramLM) Train(sentence string) { m.TrainTokens(Tokenize(sentence)) }
+
+// TrainTokens is Train for a caller that already holds Tokenize(sentence).
+func (m *NgramLM) TrainTokens(toks []string) {
 	if len(toks) == 0 {
 		return
 	}
-	seq := make([]string, 0, len(toks)+3)
-	seq = append(seq, bosToken, bosToken)
-	seq = append(seq, toks...)
-	seq = append(seq, eosToken)
-	for i := 2; i < len(seq); i++ {
-		w := seq[i]
+	w2, w1 := bosToken, bosToken
+	for i := 0; i <= len(toks); i++ {
+		w := eosToken
+		if i < len(toks) {
+			w = toks[i]
+		}
 		if m.uni[w] == 0 {
 			m.vocab++
 		}
 		m.uni[w]++
 		m.total++
-		m.bi[seq[i-1]+" "+w]++
-		m.tri[seq[i-2]+" "+seq[i-1]+" "+w]++
-	}
-	// Count context unigrams/bigrams for denominators.
-	for i := 1; i < len(seq); i++ {
-		m.uni[seq[i-1]] += 0 // context keys exist implicitly via counts below
+		m.bi[w1+" "+w]++
+		m.tri[w2+" "+w1+" "+w]++
+		w2, w1 = w1, w
 	}
 }
 
@@ -92,28 +91,33 @@ func (m *NgramLM) prob(w2, w1, w string) float64 {
 }
 
 // LogProb returns the total natural-log score of the sentence.
-func (m *NgramLM) LogProb(sentence string) float64 {
-	toks := Tokenize(sentence)
-	seq := make([]string, 0, len(toks)+3)
-	seq = append(seq, bosToken, bosToken)
-	seq = append(seq, toks...)
-	seq = append(seq, eosToken)
+func (m *NgramLM) LogProb(sentence string) float64 { return m.LogProbTokens(Tokenize(sentence)) }
+
+// LogProbTokens is LogProb for a caller that already holds
+// Tokenize(sentence).
+func (m *NgramLM) LogProbTokens(toks []string) float64 {
 	lp := 0.0
-	for i := 2; i < len(seq); i++ {
-		lp += math.Log(m.prob(seq[i-2], seq[i-1], seq[i]))
+	w2, w1 := bosToken, bosToken
+	for _, w := range toks {
+		lp += math.Log(m.prob(w2, w1, w))
+		w2, w1 = w1, w
 	}
-	return lp
+	return lp + math.Log(m.prob(w2, w1, eosToken))
 }
 
 // Perplexity returns exp(-LogProb/N) where N counts the scored tokens
 // (words plus the end marker). Lower is better. Empty input returns +Inf.
 func (m *NgramLM) Perplexity(sentence string) float64 {
-	toks := Tokenize(sentence)
-	n := len(toks) + 1
+	return m.PerplexityTokens(Tokenize(sentence))
+}
+
+// PerplexityTokens is Perplexity for a caller that already holds
+// Tokenize(sentence).
+func (m *NgramLM) PerplexityTokens(toks []string) float64 {
 	if len(toks) == 0 {
 		return math.Inf(1)
 	}
-	return math.Exp(-m.LogProb(sentence) / float64(n))
+	return math.Exp(-m.LogProbTokens(toks) / float64(len(toks)+1))
 }
 
 // VocabSize returns the number of distinct trained unigram types.

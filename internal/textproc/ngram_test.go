@@ -162,3 +162,88 @@ func BenchmarkPerplexity(b *testing.B) {
 		m.Perplexity("capable of providing protection for the camera")
 	}
 }
+
+// refTrain is the previous Train, including the loop that inserted
+// zero-count context keys (only "<s>" is ever new) into the unigram map.
+func refTrain(m *NgramLM, sentence string) {
+	toks := refTokenize(sentence)
+	if len(toks) == 0 {
+		return
+	}
+	seq := make([]string, 0, len(toks)+3)
+	seq = append(seq, bosToken, bosToken)
+	seq = append(seq, toks...)
+	seq = append(seq, eosToken)
+	for i := 2; i < len(seq); i++ {
+		w := seq[i]
+		if m.uni[w] == 0 {
+			m.vocab++
+		}
+		m.uni[w]++
+		m.total++
+		m.bi[seq[i-1]+" "+w]++
+		m.tri[seq[i-2]+" "+seq[i-1]+" "+w]++
+	}
+	for i := 1; i < len(seq); i++ {
+		m.uni[seq[i-1]] += 0
+	}
+}
+
+// refLogProb and refPerplexity are the previous string-in scorers, which
+// built the padded sequence and tokenized twice.
+func refLogProb(m *NgramLM, sentence string) float64 {
+	toks := refTokenize(sentence)
+	seq := make([]string, 0, len(toks)+3)
+	seq = append(seq, bosToken, bosToken)
+	seq = append(seq, toks...)
+	seq = append(seq, eosToken)
+	lp := 0.0
+	for i := 2; i < len(seq); i++ {
+		lp += math.Log(m.prob(seq[i-2], seq[i-1], seq[i]))
+	}
+	return lp
+}
+
+func refPerplexity(m *NgramLM, sentence string) float64 {
+	toks := refTokenize(sentence)
+	if len(toks) == 0 {
+		return math.Inf(1)
+	}
+	return math.Exp(-refLogProb(m, sentence) / float64(len(toks)+1))
+}
+
+// TestNgramMatchesReference: the token-slice entry points and the model
+// without the zero-count keys score bitwise like the previous code.
+func TestNgramMatchesReference(t *testing.T) {
+	ref := NewNgramLM()
+	for _, s := range trainingSentences {
+		refTrain(ref, s)
+	}
+	m := trainedLM()
+	if m.VocabSize() != ref.VocabSize() || m.total != ref.total {
+		t.Fatalf("vocab/total %d/%d, reference %d/%d", m.VocabSize(), m.total, ref.VocabSize(), ref.total)
+	}
+	probes := append([]string{
+		"", "s", "<s>", "dog the walking for used", "zzyzx qwrk flrm",
+		"capable of providing protection for the", "Used For Walking The DOG!",
+	}, trainingSentences...)
+	for _, s := range probes {
+		toks := Tokenize(s)
+		for name, got := range map[string]float64{
+			"Perplexity":       m.Perplexity(s),
+			"PerplexityTokens": m.PerplexityTokens(toks),
+		} {
+			if want := refPerplexity(ref, s); got != want {
+				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
+			}
+		}
+		for name, got := range map[string]float64{
+			"LogProb":       m.LogProb(s),
+			"LogProbTokens": m.LogProbTokens(toks),
+		} {
+			if want := refLogProb(ref, s); got != want {
+				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
+			}
+		}
+	}
+}

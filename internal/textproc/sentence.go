@@ -79,8 +79,11 @@ func FirstSentence(text string) string {
 // paper's coarse-grained rule filter: a knowledge string must contain at
 // least two tokens, must not end mid-word (trailing comma, conjunction,
 // preposition, or article), and must contain at least one non-stopword.
-func LooksComplete(s string) bool {
-	toks := Tokenize(s)
+func LooksComplete(s string) bool { return LooksCompleteTokens(s, Tokenize(s)) }
+
+// LooksCompleteTokens is LooksComplete for a caller that already holds
+// toks = Tokenize(s).
+func LooksCompleteTokens(s string, toks []string) bool {
 	if len(toks) < 2 {
 		return false
 	}

@@ -5,36 +5,110 @@
 package textproc
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
 
 // Tokenize splits s into lowercase word tokens. Punctuation separates
 // tokens and is dropped, except that intra-word apostrophes and hyphens
-// are preserved ("cat's", "co-buy").
-func Tokenize(s string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+// are preserved ("cat's", "co-buy"). It is one pass over one lower-cased
+// copy of s: the tokens are substrings of that copy (of s itself when s
+// is already lower-case ASCII) in a slice sized by a counting pass.
+func Tokenize(s string) []string { return appendTokens(nil, s) }
+
+// appendTokens appends Tokenize(s) to dst, growing it at most once.
+func appendTokens(dst []string, s string) []string {
+	lower := lowered(s)
+	n := 0
+	for _, end := nextToken(lower, 0); end >= 0; _, end = nextToken(lower, end) {
+		n++
 	}
-	runes := []rune(s)
-	for i, r := range runes {
+	if n == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	for start, end := nextToken(lower, 0); end >= 0; start, end = nextToken(lower, end) {
+		dst = append(dst, lower[start:end])
+	}
+	return dst
+}
+
+// tokenByte marks the bytes of a lowered string that belong to a word:
+// ASCII lower-case letters and digits, and every byte of a multi-byte
+// rune (lowered leaves only letters and digits above 0x7f).
+var tokenByte = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = c >= 0x80 || ('a' <= c && c <= 'z') || ('0' <= c && c <= '9')
+	}
+	return t
+}()
+
+// nextToken returns the bounds of the first token of lower that starts at
+// or after i, or end = -1 when there is none. An apostrophe or hyphen
+// stays in a token only between two word bytes.
+func nextToken(lower string, i int) (start, end int) {
+	for i < len(lower) && !tokenByte[lower[i]] {
+		i++
+	}
+	if i == len(lower) {
+		return -1, -1
+	}
+	start = i
+	for i < len(lower) {
+		c := lower[i]
+		if !tokenByte[c] && !((c == '\'' || c == '-') && i+1 < len(lower) && tokenByte[lower[i+1]]) {
+			break
+		}
+		i++
+	}
+	return start, i
+}
+
+// lowered returns s with every letter lower-cased and, when s is not
+// ASCII, every rune that is neither a letter, a digit, an apostrophe nor
+// a hyphen replaced by a space. Lower-case ASCII input is returned as is.
+func lowered(s string) string {
+	upper := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 0x80 {
+			return loweredRunes(s)
+		}
+		upper = upper || ('A' <= c && c <= 'Z')
+	}
+	if !upper {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// loweredRunes is the non-ASCII path of lowered. Case mapping stays per
+// rune with unicode.ToLower (strings.ToLower special-cases some runes,
+// e.g. U+0130), and an invalid byte decodes to U+FFFD, a separator.
+func loweredRunes(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for _, r := range s {
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
 			b.WriteRune(unicode.ToLower(r))
-		case (r == '\'' || r == '-') && b.Len() > 0 && i+1 < len(runes) &&
-			(unicode.IsLetter(runes[i+1]) || unicode.IsDigit(runes[i+1])):
-			b.WriteRune(r)
+		case r == '\'' || r == '-':
+			b.WriteByte(byte(r))
 		default:
-			flush()
+			b.WriteByte(' ')
 		}
 	}
-	flush()
-	return tokens
+	return b.String()
 }
 
 // Join is the inverse-ish of Tokenize: join tokens with single spaces.
@@ -68,6 +142,24 @@ func ContentTokens(s string) []string {
 	for _, t := range toks {
 		if !stopwords[t] {
 			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// ContentStems returns the stemmed content tokens of s: tokenize, drop
+// stopwords and stem in one pass over one slice.
+func ContentStems(s string) []string { return AppendContentStems(nil, s) }
+
+// AppendContentStems appends ContentStems(s) to dst, for a caller that
+// encodes several strings into one reused buffer.
+func AppendContentStems(dst []string, s string) []string {
+	base := len(dst)
+	dst = appendTokens(dst, s)
+	out := dst[:base]
+	for _, t := range dst[base:] {
+		if !stopwords[t] {
+			out = append(out, Stem(t))
 		}
 	}
 	return out
