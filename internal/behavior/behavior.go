@@ -112,14 +112,20 @@ func Simulate(c *catalog.Catalog, cfg Config) *Log {
 	return log
 }
 
-// pickProduct samples a product with probability proportional to its
-// popularity within the whole catalog.
-func pickProduct(rng *rand.Rand, ps []catalog.Product) catalog.Product {
+// popularity returns the summed popularity of ps, the total pickProduct
+// draws against. A simulation sums the whole catalog once and reuses it.
+func popularity(ps []catalog.Product) float64 {
 	// By index: ranging by value would copy a whole Product per step.
 	total := 0.0
 	for i := range ps {
 		total += ps[i].Popularity
 	}
+	return total
+}
+
+// pickProduct samples a product of ps with probability proportional to
+// its popularity; total is popularity(ps).
+func pickProduct(rng *rand.Rand, ps []catalog.Product, total float64) catalog.Product {
 	x := rng.Float64() * total
 	for i := range ps {
 		x -= ps[i].Popularity
@@ -133,10 +139,11 @@ func pickProduct(rng *rand.Rand, ps []catalog.Product) catalog.Product {
 func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 	c := l.Catalog
 	all := c.Products()
+	allPop := popularity(all)
 	type key struct{ a, b string }
 	agg := map[key]*CoBuyPair{}
 	for i := 0; i < cfg.CoBuyEvents; i++ {
-		a := pickProduct(rng, all)
+		a := pickProduct(rng, all, allPop)
 		var b catalog.Product
 		intentional := rng.Float64() >= cfg.NoiseRate
 		var intent catalog.Intent
@@ -146,7 +153,8 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 				intentional = false
 			} else {
 				comp := pt.Complements[rng.Intn(len(pt.Complements))]
-				b = pickProduct(rng, c.OfType(comp))
+				comps := c.OfType(comp)
+				b = pickProduct(rng, comps, popularity(comps))
 				shared := c.SharedIntents(a, b)
 				if len(shared) > 0 {
 					intent = shared[rng.Intn(len(shared))]
@@ -158,9 +166,9 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 			}
 		}
 		if !intentional {
-			b = pickProduct(rng, all)
+			b = pickProduct(rng, all, allPop)
 			for b.ID == a.ID {
-				b = pickProduct(rng, all)
+				b = pickProduct(rng, all, allPop)
 			}
 		}
 		ka, kb := a.ID, b.ID
@@ -247,10 +255,11 @@ func SpecificQuery(p catalog.Product, in catalog.Intent, qualified bool) string 
 func (l *Log) simulateSearchBuys(rng *rand.Rand, cfg Config) {
 	c := l.Catalog
 	all := c.Products()
+	allPop := popularity(all)
 	type key struct{ q, p string }
 	agg := map[key]*SearchBuyPair{}
 	for i := 0; i < cfg.SearchEvents; i++ {
-		p := pickProduct(rng, all)
+		p := pickProduct(rng, all, allPop)
 		intents := c.IntentsOf(p)
 		intentional := rng.Float64() >= cfg.NoiseRate && len(intents) > 0
 		var q string
@@ -381,7 +390,8 @@ func SimulateSessions(c *catalog.Catalog, cfg SessionConfig) []Session {
 			if rng.Float64() < 0.2 {
 				tn = types[rng.Intn(len(types))]
 			}
-			p := pickProduct(rng, c.OfType(tn))
+			ofType := c.OfType(tn)
+			p := pickProduct(rng, ofType, popularity(ofType))
 			if i > 0 && rng.Float64() < cfg.QueryChurn {
 				// Reformulate: qualify the broad query with the type.
 				if rng.Float64() < 0.5 {

@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"math/rand"
 	"testing"
 
 	"cosmo/internal/catalog"
@@ -261,5 +262,36 @@ func TestSimulateSessionsEmptyCases(t *testing.T) {
 	}
 	if s := SimulateSessions(c, SessionConfig{Sessions: 5, Category: catalog.Category("nope"), MeanLength: 5}); s != nil {
 		t.Error("unknown category should return nil")
+	}
+}
+
+// refPickProduct is the previous pickProduct, which re-summed the
+// popularity of ps on every pick.
+func refPickProduct(rng *rand.Rand, ps []catalog.Product) catalog.Product {
+	total := 0.0
+	for i := range ps {
+		total += ps[i].Popularity
+	}
+	x := rng.Float64() * total
+	for i := range ps {
+		x -= ps[i].Popularity
+		if x <= 0 {
+			return ps[i]
+		}
+	}
+	return ps[len(ps)-1]
+}
+
+// TestPickProductMatchesReference: a total summed once, in the same
+// order, picks what re-summing on every pick did.
+func TestPickProductMatchesReference(t *testing.T) {
+	c := catalog.Generate(catalog.Config{ProductsPerType: 8, Seed: 1})
+	all := c.Products()
+	total := popularity(all)
+	rng, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		if got, want := pickProduct(rng, all, total), refPickProduct(ref, all); got.ID != want.ID {
+			t.Fatalf("pick %d: %s, reference %s", i, got.ID, want.ID)
+		}
 	}
 }

@@ -8,11 +8,11 @@
 package classifier
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
 
+	"cosmo/internal/fnv1a"
 	"cosmo/internal/know"
 	"cosmo/internal/parallel"
 	"cosmo/internal/textproc"
@@ -34,30 +34,44 @@ func NewFeaturizer(dim int) *Featurizer {
 // Dim returns the feature space dimension.
 func (f *Featurizer) Dim() int { return f.dim }
 
-func (f *Featurizer) hash(s string) int {
-	h := fnv.New32a()
-	h.Write([]byte(s)) //cosmo:lint-ignore dropped-error hash.Hash Write never returns an error (hash package contract)
+// FNV-1a states after the feature-kind prefixes; a feature continues
+// from one of them with its parts, so no feature string is built (FNV of
+// a concatenation equals feeding the parts in order).
+var (
+	wordPrefix    = fnv1a.String32(fnv1a.Offset32, "w:")
+	bigramPrefix  = fnv1a.String32(fnv1a.Offset32, "b:")
+	relPrefix     = fnv1a.String32(fnv1a.Offset32, "rel:")
+	behPrefix     = fnv1a.String32(fnv1a.Offset32, "beh:")
+	domPrefix     = fnv1a.String32(fnv1a.Offset32, "dom:")
+	lenPrefix     = fnv1a.String32(fnv1a.Offset32, "len:")
+	overlapPrefix = fnv1a.String32(fnv1a.Offset32, "ovl:")
+	crossPrefix   = fnv1a.String32(fnv1a.Offset32, "x:")
+	textPrefix    = fnv1a.String32(fnv1a.Offset32, "t3:")
+)
+
+func (f *Featurizer) slot(h uint32) int {
 	//cosmo:lint-ignore unchecked-narrowing dim is clamped to >= 64 in NewFeaturizer and config dims stay far below 2^32
-	return int(h.Sum32() % uint32(f.dim))
+	return int(h % uint32(f.dim))
 }
 
 // Features extracts sparse feature indices for a candidate. Duplicate
 // indices are allowed (they act as feature counts).
 func (f *Featurizer) Features(c know.Candidate) []int {
-	var idx []int
 	raw := textproc.Tokenize(c.Text)
 	toks := textproc.StemAll(raw)
+	// Two features per token, then 4 + 1 + up to 8 + 1 below.
+	idx := make([]int, 0, 2*len(toks)+14)
 	for i, t := range toks {
-		idx = append(idx, f.hash("w:"+t))
+		idx = append(idx, f.slot(fnv1a.String32(wordPrefix, t)))
 		if i+1 < len(toks) {
-			idx = append(idx, f.hash("b:"+t+"_"+toks[i+1]))
+			idx = append(idx, f.slot(fnv1a.String32(fnv1a.Byte32(fnv1a.String32(bigramPrefix, t), '_'), toks[i+1])))
 		}
 	}
 	idx = append(idx,
-		f.hash("rel:"+string(c.Relation)),
-		f.hash("beh:"+string(c.Behavior)),
-		f.hash("dom:"+string(c.Domain)),
-		f.hash("len:"+lengthBucket(len(toks))),
+		f.slot(fnv1a.String32(relPrefix, string(c.Relation))),
+		f.slot(fnv1a.String32(behPrefix, string(c.Behavior))),
+		f.slot(fnv1a.String32(domPrefix, string(c.Domain))),
+		f.slot(fnv1a.String32(lenPrefix, lengthBucket(len(toks)))),
 	)
 	// Overlap between the knowledge text and the behavior context: high
 	// overlap signals paraphrase, low overlap signals new information.
@@ -69,7 +83,7 @@ func (f *Featurizer) Features(c know.Candidate) []int {
 		}
 	}
 	overlap := textproc.StemOverlap(content, textproc.ContentStems(c.ContextText))
-	idx = append(idx, f.hash("ovl:"+overlapBucket(overlap)))
+	idx = append(idx, f.slot(fnv1a.String32(overlapPrefix, overlapBucket(overlap))))
 	// Cross features between the knowledge content and the product-type
 	// labels let the model memorize which intents belong to which types —
 	// the world knowledge a fine-tuned LM encodes. For co-buy this is
@@ -78,24 +92,32 @@ func (f *Featurizer) Features(c know.Candidate) []int {
 		if textproc.IsStopword(t) {
 			continue
 		}
+		h := fnv1a.Byte32(fnv1a.String32(crossPrefix, t), '|')
 		if c.TypeA != "" {
-			idx = append(idx, f.hash("x:"+t+"|"+c.TypeA))
+			idx = append(idx, f.slot(fnv1a.String32(h, c.TypeA)))
 		}
 		if c.TypeB != "" {
-			idx = append(idx, f.hash("x:"+t+"|"+c.TypeB))
+			idx = append(idx, f.slot(fnv1a.String32(h, c.TypeB)))
 		}
 	}
 	// Full text × type-pair cross (order-normalized): typicality of a
 	// co-buy explanation is a property of (knowledge, type pair), so the
 	// head memorizes exactly and generalizes through the additive
-	// features above for unseen pairs.
+	// features above for unseen pairs. The text part is the stems joined
+	// by single spaces.
 	ta, tb := c.TypeA, c.TypeB
 	if ta > tb {
 		ta, tb = tb, ta
 	}
-	norm := textproc.Join(toks)
-	idx = append(idx, f.hash("t3:"+norm+"|"+ta+"|"+tb))
-	return idx
+	h := textPrefix
+	for i, t := range toks {
+		if i > 0 {
+			h = fnv1a.Byte32(h, ' ')
+		}
+		h = fnv1a.String32(h, t)
+	}
+	h = fnv1a.String32(fnv1a.Byte32(fnv1a.String32(fnv1a.Byte32(h, '|'), ta), '|'), tb)
+	return append(idx, f.slot(h))
 }
 
 func lengthBucket(n int) string {

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"cosmo/internal/catalog"
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
+	"cosmo/internal/relations"
 	"cosmo/internal/textproc"
 )
 
@@ -228,25 +230,34 @@ func BenchmarkCriticScore(b *testing.B) {
 	}
 }
 
-// refFeatures is the previous Features, which tokenized Text once for
-// its n-grams and again, with ContextText, inside TokenOverlap.
+// refHash is the previous feature hash: hash/fnv's FNV-1a over the
+// concatenated feature string.
+func refHash(f *Featurizer, s string) int {
+	h := fnv.New32a()
+	h.Write([]byte(s))
+	return int(h.Sum32() % uint32(f.Dim()))
+}
+
+// refFeatures is the previous Features, kept as the oracle: it built
+// every feature string and ran hash/fnv over it, and tokenized Text once
+// for its n-grams and again, with ContextText, inside TokenOverlap.
 func refFeatures(f *Featurizer, c know.Candidate) []int {
 	var idx []int
 	toks := textproc.StemAll(textproc.Tokenize(c.Text))
 	for i, t := range toks {
-		idx = append(idx, f.hash("w:"+t))
+		idx = append(idx, refHash(f, "w:"+t))
 		if i+1 < len(toks) {
-			idx = append(idx, f.hash("b:"+t+"_"+toks[i+1]))
+			idx = append(idx, refHash(f, "b:"+t+"_"+toks[i+1]))
 		}
 	}
 	idx = append(idx,
-		f.hash("rel:"+string(c.Relation)),
-		f.hash("beh:"+string(c.Behavior)),
-		f.hash("dom:"+string(c.Domain)),
-		f.hash("len:"+lengthBucket(len(toks))),
+		refHash(f, "rel:"+string(c.Relation)),
+		refHash(f, "beh:"+string(c.Behavior)),
+		refHash(f, "dom:"+string(c.Domain)),
+		refHash(f, "len:"+lengthBucket(len(toks))),
 	)
 	overlap := textproc.TokenOverlap(c.Text, c.ContextText)
-	idx = append(idx, f.hash("ovl:"+overlapBucket(overlap)))
+	idx = append(idx, refHash(f, "ovl:"+overlapBucket(overlap)))
 	content := toks
 	if len(content) > 4 {
 		content = content[:4]
@@ -256,32 +267,44 @@ func refFeatures(f *Featurizer, c know.Candidate) []int {
 			continue
 		}
 		if c.TypeA != "" {
-			idx = append(idx, f.hash("x:"+t+"|"+c.TypeA))
+			idx = append(idx, refHash(f, "x:"+t+"|"+c.TypeA))
 		}
 		if c.TypeB != "" {
-			idx = append(idx, f.hash("x:"+t+"|"+c.TypeB))
+			idx = append(idx, refHash(f, "x:"+t+"|"+c.TypeB))
 		}
 	}
 	ta, tb := c.TypeA, c.TypeB
 	if ta > tb {
 		ta, tb = tb, ta
 	}
-	idx = append(idx, f.hash("t3:"+textproc.Join(toks)+"|"+ta+"|"+tb))
+	idx = append(idx, refHash(f, "t3:"+textproc.Join(toks)+"|"+ta+"|"+tb))
 	return idx
 }
 
+// TestFeaturesMatchReference: hashing from prefix states, with one
+// tokenization, gives the indices the string-building hash/fnv
+// featurizer gave — for both behaviors, with and without types, query
+// and context, and at a dimension that is not a power of two.
 func TestFeaturesMatchReference(t *testing.T) {
-	f := NewFeaturizer(1 << 15)
 	cands := []know.Candidate{
 		{}, {Text: "the of"}, {Text: "Used For Walking the Dogs", ContextText: "dog leash and walking harness"},
 		{Text: "capable of providing protection", ContextText: "camera case", TypeA: "camera", TypeB: "case"},
+		{Behavior: know.CoBuy, Domain: catalog.Electronics, Text: "used with the case", TypeA: "phone"},
+		{Behavior: know.CoBuy, Text: "used for camping", TypeB: "tent", Relation: relations.UsedForFunc, Tail: "camping"},
+		{Behavior: know.SearchBuy, Domain: catalog.Sports, Query: "camping", ProductA: "P000001", TypeA: "air mattress",
+			ContextText: "camping Acme Air Mattress", Text: "used for camping in the mountains", Relation: relations.UsedForEve},
+		{Behavior: know.SearchBuy, Query: "camping", Text: "capable of keeping warm"},
+		{Behavior: know.SearchBuy, ContextText: "winter boots", Text: "Used for hiking. In snow!"},
 	}
 	for _, d := range corpus(t, 400) {
 		cands = append(cands, d.Candidate)
 	}
-	for _, c := range cands {
-		if got, want := f.Features(c), refFeatures(f, c); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Features(%q | %q) = %v, reference %v", c.Text, c.ContextText, got, want)
+	for _, dim := range []int{1 << 15, 1000} {
+		f := NewFeaturizer(dim)
+		for _, c := range cands {
+			if got, want := f.Features(c), refFeatures(f, c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("dim %d: Features(%q | %q) = %v, reference %v", dim, c.Text, c.ContextText, got, want)
+			}
 		}
 	}
 }

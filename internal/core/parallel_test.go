@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -96,5 +99,60 @@ func TestPipelineWorkersDefaultEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ra.FilterReport, r1.FilterReport) {
 		t.Error("default workers changed the filter report")
+	}
+}
+
+// goroutineID reads the calling goroutine's number from its stack
+// header, "goroutine N [running]:".
+func goroutineID() string {
+	var buf [64]byte
+	header := buf[:runtime.Stack(buf[:], false)]
+	return string(bytes.Fields(header)[1])
+}
+
+// logCall is one Config.Logf call as Run made it.
+type logCall struct {
+	format string
+	args   []any
+}
+
+// TestRunLogOrder is the stage-overlap contract the benchmark harness
+// parses: Run makes the same Logf calls — format strings in stage order,
+// arguments — at Workers 1 and 8, and makes every one of them on the
+// goroutine that called Run, never on a branch's.
+func TestRunLogOrder(t *testing.T) {
+	// The prefixes bench/offline.go maps to stage timings, in stage order.
+	stages := []string{"world:", "sampled:", "generated", "filter kept", "annotated",
+		"kg: admitted", "instruction data", "kg expansion", "canonicalized"}
+	record := func(workers int) []logCall {
+		t.Helper()
+		cfg := smallConfig()
+		cfg.Workers = workers
+		caller := goroutineID()
+		var calls []logCall
+		cfg.Logf = func(format string, args ...any) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("workers %d: %q logged on goroutine %s, Run was called on %s", workers, format, id, caller)
+			}
+			calls = append(calls, logCall{format, args})
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+	seq, par := record(1), record(8)
+	if len(seq) != len(stages) {
+		t.Fatalf("%d progress lines, want one per stage %q", len(seq), stages)
+	}
+	for i, c := range seq {
+		if !strings.HasPrefix(c.format, stages[i]) {
+			t.Errorf("line %d is %q, want the %q stage", i, c.format, stages[i])
+		}
+	}
+	// Formats and arguments, the kg: admitted counts the harness reads
+	// among them.
+	if !reflect.DeepEqual(seq, par) {
+		t.Errorf("progress lines differ between workers 1 and 8:\n%v\nvs\n%v", seq, par)
 	}
 }

@@ -56,10 +56,12 @@ type Config struct {
 	CanonicalizeTails bool
 
 	// Workers bounds the fan-out of the embarrassingly parallel stages
-	// (generation, filtering, critic scoring, KG expansion); <= 0 means
-	// GOMAXPROCS. The worker count never changes the output: every
-	// parallel stage draws randomness from per-item derived seeds and
-	// merges results in input order (see DESIGN.md, "Determinism under
+	// (generation, filtering, critic scoring, KG expansion) and of the
+	// critic ∥ COSMO-LM stage overlap; <= 0 means GOMAXPROCS, and 1 runs
+	// everything sequentially. The worker count never changes the
+	// output: every parallel stage draws randomness from per-item derived
+	// seeds and merges results in input order, and the overlapped
+	// branches share no written state (see DESIGN.md, "Determinism under
 	// parallelism").
 	Workers int
 
@@ -167,43 +169,40 @@ func Run(cfg Config) (*Result, error) {
 	res.AuditAccuracy = oracle.Audit(annCands, anns, 0.05).Accuracy()
 	logf("annotated %d candidates (audit accuracy %.3f)", len(anns), res.AuditAccuracy)
 
-	// Stage 5: critic training and scoring (§3.3.2).
-	labeled := make([]classifier.Labeled, len(annCands))
-	for i := range annCands {
-		labeled[i] = classifier.Labeled{
-			Candidate: annCands[i],
-			Plausible: anns[i].Plausible(),
-			Typical:   anns[i].Typical(),
-		}
-	}
-	res.Critic = classifier.TrainCritic(cfg.CriticDim, labeled, cfg.CriticTrain)
-	scored := res.Critic.ScoreParallel(kept, cfg.Workers)
-
-	// Stage 6: knowledge-graph assembly.
-	res.KG = kg.New()
+	// Stages 5–6 (critic, KG assembly) and Stages 7–8a (instruction data,
+	// COSMO-LM, expansion candidates) read only the filtered and annotated
+	// candidates and write disjoint Result fields, so the two branches run
+	// side by side; at Workers == 1 they run in this order on this
+	// goroutine. Progress lines stay here, after the join, in stage order.
 	admitted := 0
-	for _, c := range scored {
-		if c.PlausibleScore <= cfg.PlausibilityThreshold {
-			continue
-		}
-		if err := res.KG.AddAssertion(c); err != nil {
-			return nil, fmt.Errorf("core: kg assembly: %w", err)
-		}
-		admitted++
+	var kgErr error
+	var expansion [][]know.Candidate
+	branches := []func(){
+		func() { // Stages 5–6
+			admitted, kgErr = criticAndAssemble(res, kept, annCands, anns, cfg)
+		},
+		func() { // Stages 7–8a
+			res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
+			res.CosmoLM = cosmolm.Train(res.Instruction, cfg.CosmoLM)
+			if cfg.ExpandWithCosmoLM {
+				expansion = expandCandidates(res, cfg)
+			}
+		},
+	}
+	parallel.ForEach(cfg.Workers, branches, func(_ int, branch func()) { branch() })
+	if kgErr != nil {
+		return nil, kgErr
 	}
 	logf("kg: admitted %d assertions -> %d nodes, %d edges",
 		admitted, res.KG.NumNodes(), res.KG.NumEdges())
-
-	// Stage 7: instruction data + COSMO-LM (§3.4).
-	res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
-	res.CosmoLM = cosmolm.Train(res.Instruction, cfg.CosmoLM)
 	logf("instruction data: %d instances; cosmo-lm tails: %d",
 		len(res.Instruction), res.CosmoLM.KnownTails())
 
-	// Stage 8: KG expansion with COSMO-LM — the step that scales the
-	// graph beyond the teacher-generated candidates.
+	// Stage 8b: KG expansion with COSMO-LM — the step that scales the
+	// graph beyond the teacher-generated candidates — admitted in
+	// behavior order once the assembled KG exists.
 	if cfg.ExpandWithCosmoLM {
-		res.ExpandedEdges = expand(res, cfg)
+		res.ExpandedEdges = admitExpansion(res, expansion)
 		logf("kg expansion added %d edges -> %d total", res.ExpandedEdges, res.KG.NumEdges())
 	}
 
@@ -313,19 +312,43 @@ func selectForAnnotation(res *Result, kept []know.Candidate, cfg Config) []know.
 	return out
 }
 
-// expand generates additional assertions with COSMO-LM for every sampled
-// search behavior and admits those whose predicted plausibility passes
-// the threshold. Generation and the two prediction-head calls fan out
-// across workers (the trained model is read-only); KG admission is
-// order-sensitive (the graph dedupes edges), so it runs sequentially
-// over the order-preserved groups.
-func expand(res *Result, cfg Config) int {
-	groups := expandCandidates(res, cfg)
-	return admitExpansion(res, groups)
+// criticAndAssemble is Stages 5–6: it trains the critic on the annotated
+// sample (§3.3.2), scores every kept candidate, and assembles the KG
+// from those whose plausibility passes the threshold. It returns how many
+// assertions it admitted.
+func criticAndAssemble(res *Result, kept, annCands []know.Candidate, anns []annotation.Annotation, cfg Config) (int, error) {
+	labeled := make([]classifier.Labeled, len(annCands))
+	for i := range annCands {
+		labeled[i] = classifier.Labeled{
+			Candidate: annCands[i],
+			Plausible: anns[i].Plausible(),
+			Typical:   anns[i].Typical(),
+		}
+	}
+	res.Critic = classifier.TrainCritic(cfg.CriticDim, labeled, cfg.CriticTrain)
+	scored := res.Critic.ScoreParallel(kept, cfg.Workers)
+
+	res.KG = kg.New()
+	admitted := 0
+	for _, c := range scored {
+		if c.PlausibleScore <= cfg.PlausibilityThreshold {
+			continue
+		}
+		if err := res.KG.AddAssertion(c); err != nil {
+			return 0, fmt.Errorf("core: kg assembly: %w", err)
+		}
+		admitted++
+	}
+	return admitted, nil
 }
 
-// expandCandidates computes, in parallel, the threshold-passing expansion
-// candidates per sampled search behavior, in behavior order.
+// expandCandidates generates additional assertions with COSMO-LM for
+// every sampled search behavior and keeps those whose predicted
+// plausibility passes the threshold, per behavior in behavior order.
+// Generation and the two prediction heads fan out across workers (the
+// trained model is read-only); admission is order-sensitive (the graph
+// dedupes edges), so admitExpansion runs it sequentially over the
+// order-preserved groups.
 func expandCandidates(res *Result, cfg Config) [][]know.Candidate {
 	return parallel.Map(cfg.Workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) []know.Candidate {
 		p, _ := res.Catalog.ByID(e.ProductID)

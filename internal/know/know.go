@@ -4,8 +4,6 @@
 package know
 
 import (
-	"fmt"
-
 	"cosmo/internal/catalog"
 	"cosmo/internal/llm"
 	"cosmo/internal/relations"
@@ -57,10 +55,10 @@ type Candidate struct {
 // Key identifies a candidate's (head, text) combination for dedup and
 // co-occurrence statistics.
 func (c Candidate) Key() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s", c.Behavior, c.Query, c.ProductA, c.ProductB, c.Text)
+	return string(c.Behavior) + "|" + c.Query + "|" + c.ProductA + "|" + c.ProductB + "|" + c.Text
 }
 
 // HeadKey identifies the behavior head (the pair), ignoring the text.
 func (c Candidate) HeadKey() string {
-	return fmt.Sprintf("%s|%s|%s|%s", c.Behavior, c.Query, c.ProductA, c.ProductB)
+	return string(c.Behavior) + "|" + c.Query + "|" + c.ProductA + "|" + c.ProductB
 }

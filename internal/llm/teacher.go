@@ -144,23 +144,22 @@ func DeriveSeed(master int64, index uint64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// rngAt returns a fresh generator for the behavior at index.
-func (t *Teacher) rngAt(index uint64) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(t.cfg.Seed, index)))
-}
-
 // GenerateCoBuyAt is the order-independent form of GenerateCoBuy: the
 // candidates for (index, a, b, k) are a pure function of the teacher
 // config and index, so calls may run concurrently and in any order.
 // Callers must give each behavior a distinct index (disjoint across
 // behavior types) for the streams to be independent.
 func (t *Teacher) GenerateCoBuyAt(index uint64, a, b catalog.Product, k int) []Candidate {
-	return t.generateCoBuy(t.rngAt(index), a, b, k)
+	rng := t.rngAt(index)
+	defer streams.Put(rng)
+	return t.generateCoBuy(rng, a, b, k)
 }
 
 // GenerateSearchBuyAt is the order-independent form of GenerateSearchBuy.
 func (t *Teacher) GenerateSearchBuyAt(index uint64, query string, p catalog.Product, k int) []Candidate {
-	return t.generateSearchBuy(t.rngAt(index), query, p, k)
+	rng := t.rngAt(index)
+	defer streams.Put(rng)
+	return t.generateSearchBuy(rng, query, p, k)
 }
 
 var genericPool = []string{

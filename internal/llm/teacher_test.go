@@ -8,7 +8,7 @@ import (
 	"cosmo/internal/relations"
 )
 
-func testTeacher(t *testing.T) (*catalog.Catalog, *Teacher) {
+func testTeacher(t testing.TB) (*catalog.Catalog, *Teacher) {
 	t.Helper()
 	c := catalog.Generate(catalog.Config{ProductsPerType: 3, Seed: 1})
 	return c, NewTeacher(c, DefaultConfig(OPT30B))
@@ -196,16 +196,5 @@ func TestLargerTeacherIsMoreFaithful(t *testing.T) {
 	small, large := rate(OPT30B), rate(OPT175B)
 	if large <= small {
 		t.Errorf("175b typicality %.3f should exceed 30b %.3f", large, small)
-	}
-}
-
-func BenchmarkTeacherGenerate(b *testing.B) {
-	c := catalog.Generate(catalog.Config{ProductsPerType: 2, Seed: 1})
-	teach := NewTeacher(c, DefaultConfig(OPT30B))
-	p1 := c.OfType("tent")[0]
-	p2 := c.OfType("sleeping bag")[0]
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		teach.GenerateCoBuy(p1, p2, 5)
 	}
 }

@@ -1,6 +1,9 @@
 package textproc
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Entropy returns the Shannon entropy (bits) of the distribution implied
 // by counts. Zero counts are ignored.
@@ -57,7 +60,8 @@ func (s *CooccurrenceStats) Frequency(k string) int { return s.total[k] }
 
 // ContextEntropy returns the entropy (bits) of the context distribution
 // for k. High entropy means k spreads evenly over many contexts — a
-// hallmark of generic knowledge.
+// hallmark of generic knowledge. The counts are summed in ascending
+// order: map order would change the float's last bits from run to run.
 func (s *CooccurrenceStats) ContextEntropy(k string) float64 {
 	m := s.counts[k]
 	if len(m) == 0 {
@@ -67,6 +71,7 @@ func (s *CooccurrenceStats) ContextEntropy(k string) float64 {
 	for _, c := range m {
 		counts = append(counts, c)
 	}
+	sort.Ints(counts)
 	return Entropy(counts)
 }
 

@@ -11,9 +11,11 @@ import (
 // strings, it assigns markedly higher perplexity to truncated or malformed
 // generations, and a tuned threshold removes them.
 type NgramLM struct {
+	// uni counts tokens; bi and tri count token tuples keyed by the
+	// tuple itself, so neither training nor scoring builds a key string.
 	uni   map[string]int
-	bi    map[string]int
-	tri   map[string]int
+	bi    map[[2]string]int
+	tri   map[[3]string]int
 	total int
 	vocab int
 	// backoff is the stupid-backoff discount (0.4 in the original paper
@@ -31,8 +33,8 @@ const (
 func NewNgramLM() *NgramLM {
 	return &NgramLM{
 		uni:     map[string]int{},
-		bi:      map[string]int{},
-		tri:     map[string]int{},
+		bi:      map[[2]string]int{},
+		tri:     map[[3]string]int{},
 		backoff: 0.4,
 	}
 }
@@ -56,8 +58,8 @@ func (m *NgramLM) TrainTokens(toks []string) {
 		}
 		m.uni[w]++
 		m.total++
-		m.bi[w1+" "+w]++
-		m.tri[w2+" "+w1+" "+w]++
+		m.bi[[2]string{w1, w}]++
+		m.tri[[3]string{w2, w1, w}]++
 		w2, w1 = w1, w
 	}
 }
@@ -73,12 +75,12 @@ func (m *NgramLM) TrainAll(sentences []string) {
 // tokens. It is a score, not a normalized probability, which is fine for
 // thresholding perplexity-like quantities.
 func (m *NgramLM) prob(w2, w1, w string) float64 {
-	if c := m.tri[w2+" "+w1+" "+w]; c > 0 {
-		if d := m.bi[w2+" "+w1]; d > 0 {
+	if c := m.tri[[3]string{w2, w1, w}]; c > 0 {
+		if d := m.bi[[2]string{w2, w1}]; d > 0 {
 			return float64(c) / float64(d)
 		}
 	}
-	if c := m.bi[w1+" "+w]; c > 0 {
+	if c := m.bi[[2]string{w1, w}]; c > 0 {
 		if d := m.uni[w1]; d > 0 {
 			return m.backoff * float64(c) / float64(d)
 		}

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -155,6 +156,34 @@ func TestCooccurrenceGenericDetection(t *testing.T) {
 	}
 }
 
+// TestContextEntropyOrderIndependent: the entropy sum over these counts
+// depends on the order it runs in, and 200 freshly built stats — each
+// map iterating in its own order — all return the ascending-order value.
+func TestContextEntropyOrderIndependent(t *testing.T) {
+	counts := []int{1, 2, 4, 8, 16, 32}
+	want := Entropy(counts)
+	reversed := make([]int, len(counts))
+	for i, c := range counts {
+		reversed[len(counts)-1-i] = c
+	}
+	if Entropy(reversed) == want {
+		t.Fatal("the count multiset no longer exercises order: pick one whose entropy sum depends on it")
+	}
+	for run := 0; run < 200; run++ {
+		s := NewCooccurrenceStats()
+		for i := range counts {
+			j := (i + run) % len(counts)
+			for n := 0; n < counts[j]; n++ {
+				s.Observe("used for the same reason", fmt.Sprintf("ctx%d", j))
+			}
+		}
+		if got := s.ContextEntropy("used for the same reason"); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d: ContextEntropy %v (%#x), ascending-order entropy %v (%#x)",
+				run, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func BenchmarkPerplexity(b *testing.B) {
 	m := trainedLM()
 	b.ReportAllocs()
@@ -163,9 +192,20 @@ func BenchmarkPerplexity(b *testing.B) {
 	}
 }
 
-// refTrain is the previous Train, including the loop that inserted
-// zero-count context keys (only "<s>" is ever new) into the unigram map.
-func refTrain(m *NgramLM, sentence string) {
+// refNgramLM is the previous model, kept as the oracle: bigrams and
+// trigrams counted under space-joined string keys, the padded sequence
+// built per sentence, zero-count context keys inserted into the unigram
+// map, and every sentence tokenized again for scoring.
+type refNgramLM struct {
+	uni, bi, tri map[string]int
+	total, vocab int
+}
+
+func newRefNgramLM() *refNgramLM {
+	return &refNgramLM{uni: map[string]int{}, bi: map[string]int{}, tri: map[string]int{}}
+}
+
+func (m *refNgramLM) train(sentence string) {
 	toks := refTokenize(sentence)
 	if len(toks) == 0 {
 		return
@@ -189,9 +229,25 @@ func refTrain(m *NgramLM, sentence string) {
 	}
 }
 
-// refLogProb and refPerplexity are the previous string-in scorers, which
-// built the padded sequence and tokenized twice.
-func refLogProb(m *NgramLM, sentence string) float64 {
+func (m *refNgramLM) prob(w2, w1, w string) float64 {
+	const backoff = 0.4
+	if c := m.tri[w2+" "+w1+" "+w]; c > 0 {
+		if d := m.bi[w2+" "+w1]; d > 0 {
+			return float64(c) / float64(d)
+		}
+	}
+	if c := m.bi[w1+" "+w]; c > 0 {
+		if d := m.uni[w1]; d > 0 {
+			return backoff * float64(c) / float64(d)
+		}
+	}
+	if c := m.uni[w]; c > 0 {
+		return backoff * backoff * float64(c) / float64(m.total)
+	}
+	return backoff * backoff / float64(m.total+m.vocab+1)
+}
+
+func (m *refNgramLM) logProb(sentence string) float64 {
 	toks := refTokenize(sentence)
 	seq := make([]string, 0, len(toks)+3)
 	seq = append(seq, bosToken, bosToken)
@@ -204,36 +260,46 @@ func refLogProb(m *NgramLM, sentence string) float64 {
 	return lp
 }
 
-func refPerplexity(m *NgramLM, sentence string) float64 {
+func (m *refNgramLM) perplexity(sentence string) float64 {
 	toks := refTokenize(sentence)
 	if len(toks) == 0 {
 		return math.Inf(1)
 	}
-	return math.Exp(-refLogProb(m, sentence) / float64(len(toks)+1))
+	return math.Exp(-m.logProb(sentence) / float64(len(toks)+1))
 }
 
-// TestNgramMatchesReference: the token-slice entry points and the model
-// without the zero-count keys score bitwise like the previous code.
+// TestNgramMatchesReference: the token-slice entry points and the
+// struct-keyed model without the zero-count keys score bitwise like the
+// previous code, on a corpus whose tokens repeat in many contexts.
 func TestNgramMatchesReference(t *testing.T) {
-	ref := NewNgramLM()
-	for _, s := range trainingSentences {
-		refTrain(ref, s)
+	ref := newRefNgramLM()
+	m := NewNgramLM()
+	corpus := append([]string{
+		"used for walking the dog in the park with the dog",
+		"the the the dog", "dog dog walking the", "a b a b a b c",
+	}, trainingSentences...)
+	for _, s := range corpus {
+		ref.train(s)
+		m.Train(s)
 	}
-	m := trainedLM()
-	if m.VocabSize() != ref.VocabSize() || m.total != ref.total {
-		t.Fatalf("vocab/total %d/%d, reference %d/%d", m.VocabSize(), m.total, ref.VocabSize(), ref.total)
+	if m.VocabSize() != ref.vocab || m.total != ref.total {
+		t.Fatalf("vocab/total %d/%d, reference %d/%d", m.VocabSize(), m.total, ref.vocab, ref.total)
+	}
+	if len(m.bi) != len(ref.bi) || len(m.tri) != len(ref.tri) {
+		t.Fatalf("bigram/trigram types %d/%d, reference %d/%d", len(m.bi), len(m.tri), len(ref.bi), len(ref.tri))
 	}
 	probes := append([]string{
-		"", "s", "<s>", "dog the walking for used", "zzyzx qwrk flrm",
+		"", "s", "<s>", "</s>", "<s> </s>", "dog the walking for used", "zzyzx qwrk flrm",
 		"capable of providing protection for the", "Used For Walking The DOG!",
-	}, trainingSentences...)
+		"a b c", "b a b", "the dog dog the",
+	}, corpus...)
 	for _, s := range probes {
 		toks := Tokenize(s)
 		for name, got := range map[string]float64{
 			"Perplexity":       m.Perplexity(s),
 			"PerplexityTokens": m.PerplexityTokens(toks),
 		} {
-			if want := refPerplexity(ref, s); got != want {
+			if want := ref.perplexity(s); got != want {
 				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
 			}
 		}
@@ -241,7 +307,7 @@ func TestNgramMatchesReference(t *testing.T) {
 			"LogProb":       m.LogProb(s),
 			"LogProbTokens": m.LogProbTokens(toks),
 		} {
-			if want := refLogProb(ref, s); got != want {
+			if want := ref.logProb(s); got != want {
 				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
 			}
 		}
