@@ -2,10 +2,12 @@
 // module: determinism (seeded-rand, wallclock), lock and atomic
 // hygiene (mutex-hygiene, atomic-hygiene), bounded serving memory
 // (unbounded-append), error discipline (dropped-error,
-// sentinel-compare), serving-path contracts (frozen-serving,
-// ctx-propagation), overflow safety (unchecked-narrowing), and
-// hot-path allocation certification (alloc-free). See internal/lint
-// for the checks and DESIGN.md for the invariants they encode.
+// sentinel-compare), the serving-path context contract
+// (ctx-propagation), overflow safety (unchecked-narrowing), and
+// hot-path allocation certification (alloc-free). A //cosmo:lint-ignore
+// directive that names no registered check is itself a finding. See
+// internal/lint for the checks and DESIGN.md for the invariants they
+// encode.
 //
 // Loading and checking fan out across a worker pool; the finding order
 // is deterministic and identical for every -workers value.

@@ -7,10 +7,10 @@
 //	cosmo-pipeline [-seed N] [-events N] [-budget N] [-workers N]
 //	               [-out kg.cosmo] [-jsonl kg.jsonl] [-tsv kg.tsv]
 //
-// -out freezes the finished graph once and writes the versioned binary
-// snapshot (.cosmo) that cosmo-serve -snapshot and cosmo-kg load with no
-// re-indexing — the build side of the build-once/serve-many artifact
-// path.
+// The finished graph is frozen once; that snapshot feeds the stats line
+// and every output. -out writes the versioned binary snapshot (.cosmo)
+// that cosmo-serve -snapshot and cosmo-kg load with no re-indexing — the
+// build side of the build-once/serve-many artifact path.
 package main
 
 import (
@@ -52,7 +52,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stats := res.KG.ComputeStats()
+	snap, err := res.KG.FreezeChecked()
+	if err != nil {
+		log.Fatal(err)
+	}
+	stats := snap.ComputeStats()
 	fmt.Printf("pipeline complete: %d nodes, %d edges, %d relations, %d domains\n",
 		stats.Nodes, stats.Edges, stats.Relations, stats.Domains)
 	fmt.Printf("annotation audit accuracy: %.3f\n", res.AuditAccuracy)
@@ -79,17 +83,13 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 	}
 	if *out != "" {
-		snap, err := res.KG.FreezeChecked()
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := kg.WriteSnapshotFile(*out, snap); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("packed %s (%d nodes, %d edges)\n", *out, snap.NumNodes(), snap.NumEdges())
 	}
-	write(*jsonl, res.KG.WriteJSONL)
-	write(*tsv, res.KG.WriteTSV)
+	write(*jsonl, snap.WriteJSONL)
+	write(*tsv, snap.WriteTSV)
 	write(*instr, func(w io.Writer) error {
 		return instruction.WriteJSONL(w, res.Instruction)
 	})

@@ -22,17 +22,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stats := res.KG.ComputeStats()
+	// Freeze the built graph into the read-only snapshot every query uses.
+	snap := res.KG.Freeze()
+	stats := snap.ComputeStats()
 	fmt.Printf("\nknowledge graph: %d nodes, %d edges, %d relations, %d domains\n",
 		stats.Nodes, stats.Edges, stats.Relations, stats.Domains)
 
 	// What does COSMO know about the query "camping"?
 	fmt.Println("\nintentions behind the query \"camping\":")
-	for i, e := range res.KG.IntentionsFor(kg.QueryID("camping")) {
-		if i == 5 {
-			break
-		}
-		tail, _ := res.KG.Node(e.Tail)
+	seq := snap.IntentionsFor(kg.QueryID("camping"))
+	for i := 0; i < min(seq.Len(), 5); i++ {
+		e := seq.At(i)
+		tail, _ := snap.Node(e.Tail)
 		fmt.Printf("  %-14s %-35s typical=%.2f\n", e.Relation, tail.Label, e.TypicalScore)
 	}
 

@@ -93,7 +93,7 @@ func TestPipelineKGPrecision(t *testing.T) {
 
 func TestPipelineKGCoversAllDomains(t *testing.T) {
 	res := run(t)
-	stats := res.KG.ComputeStats()
+	stats := res.KG.Freeze().ComputeStats()
 	if stats.Domains < 18 {
 		t.Errorf("KG covers %d domains, want 18", stats.Domains)
 	}

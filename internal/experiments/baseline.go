@@ -19,8 +19,8 @@ func (r *Runner) baselineFolkScope() error {
 	if err != nil {
 		return err
 	}
-	cosmoStats := res.KG.ComputeStats()
-	fsStats := fs.KG.ComputeStats()
+	cosmoStats := r.KGSnapshot().ComputeStats()
+	fsStats := fs.KG.Freeze().ComputeStats()
 	fmt.Fprintf(r.Out, "%-10s %8s %8s %6s %8s %12s\n",
 		"KG", "#Nodes", "#Edges", "#Rels", "#Domains", "behaviors")
 	fmt.Fprintf(r.Out, "%-10s %8d %8d %6d %8d %12s\n", "FolkScope",

@@ -13,8 +13,7 @@ import (
 )
 
 func (r *Runner) table1() error {
-	res := r.World()
-	s := res.KG.ComputeStats()
+	s := r.KGSnapshot().ComputeStats()
 	fmt.Fprintf(r.Out, "%-10s %10s %10s %6s %8s\n", "KG", "#Nodes", "#Edges", "#Rels", "#Domains")
 	fmt.Fprintf(r.Out, "%-10s %10s %10s %6d %8s\n", "paper", "6.3M", "29M", 15, "18")
 	fmt.Fprintf(r.Out, "%-10s %10d %10d %6d %8d\n", "measured",
@@ -75,7 +74,7 @@ func (r *Runner) table3() error {
 	for _, c := range res.AnnotatedCandidates {
 		anns[c.Domain]++
 	}
-	kgStats := res.KG.ComputeStats()
+	kgStats := r.KGSnapshot().ComputeStats()
 	fmt.Fprintf(r.Out, "%-28s %8s %8s %6s %8s %8s\n",
 		"Category", "co-pairs", "sb-pairs", "annot", "co-edges", "sb-edges")
 	totCo, totSb, totAnn, totCoE, totSbE := 0, 0, 0, 0, 0

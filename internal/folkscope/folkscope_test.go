@@ -22,7 +22,7 @@ func TestFolkScopeScopeRestrictions(t *testing.T) {
 	if res.KG.NumEdges() == 0 {
 		t.Fatal("empty baseline KG")
 	}
-	stats := res.KG.ComputeStats()
+	stats := res.KG.Freeze().ComputeStats()
 	// Two domains only — the published FolkScope scope.
 	if stats.Domains > 2 {
 		t.Errorf("FolkScope KG spans %d domains, want <= 2", stats.Domains)
@@ -73,7 +73,7 @@ func TestFolkScopeSmallerThanCosmo(t *testing.T) {
 	// Table 1's structural comparison: COSMO covers more domains and
 	// behavior types than FolkScope on the same world.
 	_, res := run(t)
-	stats := res.KG.ComputeStats()
+	stats := res.KG.Freeze().ComputeStats()
 	if stats.Domains >= 18 {
 		t.Error("baseline should not cover all 18 domains")
 	}

@@ -3,12 +3,14 @@ package kg
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cosmo/internal/catalog"
@@ -131,9 +133,10 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	assertSnapshotsEqual(t, want, got)
 }
 
-// TestSnapshotExportEquivalence pins that the frozen-view exporters
-// emit byte-identical output to the Graph exporters, and that a
-// loaded binary snapshot exports the same bytes again.
+// TestSnapshotExportEquivalence pins the exporters to the graph they
+// were frozen from — every JSONL row decodes to the matching g.Edges()
+// edge with its nodes' labels, every TSV row is that edge's line — and
+// checks that a loaded binary snapshot exports the same bytes again.
 func TestSnapshotExportEquivalence(t *testing.T) {
 	g := buildTestGraph(t)
 	s := g.Freeze()
@@ -145,31 +148,42 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gj, sj, lj bytes.Buffer
-	if err := g.WriteJSONL(&gj); err != nil {
-		t.Fatal(err)
+	var sj, lj, st, lt bytes.Buffer
+	for _, err := range []error{s.WriteJSONL(&sj), loaded.WriteJSONL(&lj), s.WriteTSV(&st), loaded.WriteTSV(&lt)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.WriteJSONL(&sj); err != nil {
-		t.Fatal(err)
+	if sj.String() != lj.String() || st.String() != lt.String() {
+		t.Fatal("export differs between snapshot and loaded snapshot")
 	}
-	if err := loaded.WriteJSONL(&lj); err != nil {
-		t.Fatal(err)
+
+	edges := g.Edges()
+	label := func(id string) string { n, _ := g.Node(id); return n.Label }
+	rows := strings.Split(strings.TrimSuffix(sj.String(), "\n"), "\n")
+	tsv := strings.Split(strings.TrimSuffix(st.String(), "\n"), "\n")
+	if len(rows) != len(edges) || len(tsv) != len(edges)+1 {
+		t.Fatalf("%d JSONL and %d TSV rows for %d edges", len(rows), len(tsv), len(edges))
 	}
-	if gj.String() != sj.String() || gj.String() != lj.String() {
-		t.Fatal("JSONL export differs between graph, snapshot and loaded snapshot")
-	}
-	var gt, st, lt bytes.Buffer
-	if err := g.WriteTSV(&gt); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteTSV(&st); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.WriteTSV(&lt); err != nil {
-		t.Fatal(err)
-	}
-	if gt.String() != st.String() || gt.String() != lt.String() {
-		t.Fatal("TSV export differs between graph, snapshot and loaded snapshot")
+	for i, e := range edges {
+		var got map[string]any
+		if err := json.Unmarshal([]byte(rows[i]), &got); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]any{
+			"head": e.Head, "head_label": label(e.Head), "relation": string(e.Relation),
+			"tail": e.Tail, "tail_label": label(e.Tail), "behavior": string(e.Behavior),
+			"domain": string(e.Domain), "plausible": e.PlausibleScore, "typical": e.TypicalScore,
+			"support": float64(e.Support),
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("JSONL row %d = %v, want %v", i, got, want)
+		}
+		wantTSV := fmt.Sprintf("%s\t%s\t%s\t%.4f\t%.4f\t%d",
+			e.Head, e.Relation, label(e.Tail), e.PlausibleScore, e.TypicalScore, e.Support)
+		if tsv[i+1] != wantTSV {
+			t.Fatalf("TSV row %d = %q, want %q", i, tsv[i+1], wantTSV)
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package kg
 import (
 	"sort"
 	"strings"
-
-	"cosmo/internal/textproc"
 )
 
 // HierarchyNode is one node of the intention hierarchy of paper Figure 8:
@@ -31,37 +29,9 @@ type tailInfo struct {
 	products map[string]bool
 }
 
-// BuildHierarchy organizes the graph's intention tails into a
-// specialization forest: tail B is a child of tail A when A's content
-// tokens are a strict subset of B's (e.g. "camping" ⊂ "winter camping").
-// Products attached to an intention in the KG become the leaf links.
-// Roots are returned sorted by descending edge support.
-func (g *Graph) BuildHierarchy(minSupport int) []*HierarchyNode {
-	g.mu.RLock()
-	byTail := map[string]*tailInfo{}
-	for _, e := range g.edges {
-		n := g.nodes[e.Tail]
-		in := byTail[e.Tail]
-		if in == nil {
-			toks := map[string]bool{}
-			for _, t := range textproc.ContentStems(n.Label) {
-				toks[t] = true
-			}
-			in = &tailInfo{id: e.Tail, label: n.Label, tokens: toks, products: map[string]bool{}}
-			byTail[e.Tail] = in
-		}
-		in.count += e.Support
-		if hn, ok := g.nodes[e.Head]; ok && hn.Type == NodeProduct {
-			in.products[hn.Label] = true
-		}
-	}
-	g.mu.RUnlock()
-	return assembleHierarchy(byTail, minSupport)
-}
-
 // assembleHierarchy turns per-tail aggregates into the specialization
-// forest. Shared by the mutable Graph and the frozen Snapshot so the
-// two read paths produce identical hierarchies.
+// forest: tail B is a child of tail A when A's content tokens are a
+// strict subset of B's (e.g. "camping" ⊂ "winter camping").
 func assembleHierarchy(byTail map[string]*tailInfo, minSupport int) []*HierarchyNode {
 	infos := make([]*tailInfo, 0, len(byTail))
 	for _, in := range byTail {

@@ -1,7 +1,9 @@
 // Package kg implements the COSMO knowledge-graph store: typed nodes
-// (products, queries, intentions), scored edges (head, relation, tail),
-// secondary indexes, per-domain statistics (paper Tables 1 and 3), the
-// intention hierarchy of Figure 8, and serialization.
+// (products, queries, intentions) and scored edges (head, relation,
+// tail). The offline pipeline builds a Graph; Freeze turns it into the
+// immutable Snapshot that every read goes through — indexed queries,
+// per-domain statistics (paper Tables 1 and 3), the intention hierarchy
+// of Figure 8, JSONL/TSV export and the .cosmo artifact.
 package kg
 
 import (
@@ -50,29 +52,20 @@ type Edge struct {
 	Support int
 }
 
-// Graph is the knowledge graph. Writes happen during construction;
-// concurrent reads are safe after Freeze (or via the RWMutex otherwise).
+// Graph is the knowledge-graph builder: the offline pipeline adds nodes
+// and merges edges into it, then Freeze turns it into the Snapshot that
+// serves every query. Graph itself answers only what building needs
+// (Node, Nodes, Edges and the counts). The RWMutex makes concurrent
+// writers and Freeze safe.
 type Graph struct {
 	mu    sync.RWMutex
 	nodes map[string]Node
 	edges map[string]*Edge // key: head|rel|tail
-	// indexes
-	byHead     map[string][]string
-	byTail     map[string][]string
-	byRelation map[relations.Relation][]string
-	byDomain   map[catalog.Category][]string
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes:      map[string]Node{},
-		edges:      map[string]*Edge{},
-		byHead:     map[string][]string{},
-		byTail:     map[string][]string{},
-		byRelation: map[relations.Relation][]string{},
-		byDomain:   map[catalog.Category][]string{},
-	}
+	return &Graph{nodes: map[string]Node{}, edges: map[string]*Edge{}}
 }
 
 // IntentionID returns the canonical node ID for an intention tail.
@@ -124,10 +117,6 @@ func (g *Graph) AddEdge(e Edge) error {
 		cp.Support = 1
 	}
 	g.edges[k] = &cp
-	g.byHead[e.Head] = append(g.byHead[e.Head], k)
-	g.byTail[e.Tail] = append(g.byTail[e.Tail], k)
-	g.byRelation[e.Relation] = append(g.byRelation[e.Relation], k)
-	g.byDomain[e.Domain] = append(g.byDomain[e.Domain], k)
 	return nil
 }
 
@@ -191,49 +180,6 @@ func (g *Graph) NumEdges() int {
 	return len(g.edges)
 }
 
-// NumRelations returns the number of distinct relations present.
-func (g *Graph) NumRelations() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.byRelation)
-}
-
-func (g *Graph) collect(keys []string) []Edge {
-	out := make([]Edge, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *g.edges[k])
-	}
-	return out
-}
-
-// EdgesFrom returns all edges with the given head.
-func (g *Graph) EdgesFrom(head string) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.collect(g.byHead[head])
-}
-
-// EdgesTo returns all edges pointing at the given intention tail.
-func (g *Graph) EdgesTo(tail string) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.collect(g.byTail[tail])
-}
-
-// EdgesByRelation returns all edges of a relation.
-func (g *Graph) EdgesByRelation(r relations.Relation) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.collect(g.byRelation[r])
-}
-
-// EdgesInDomain returns all edges of a domain.
-func (g *Graph) EdgesInDomain(d catalog.Category) []Edge {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.collect(g.byDomain[d])
-}
-
 // Edges returns every edge in deterministic (key-sorted) order.
 func (g *Graph) Edges() []Edge {
 	g.mu.RLock()
@@ -243,7 +189,11 @@ func (g *Graph) Edges() []Edge {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return g.collect(keys)
+	out := make([]Edge, len(keys))
+	for i, k := range keys {
+		out[i] = *g.edges[k]
+	}
+	return out
 }
 
 // Nodes returns every node in deterministic order.
@@ -260,67 +210,4 @@ func (g *Graph) Nodes() []Node {
 		out[i] = g.nodes[id]
 	}
 	return out
-}
-
-// IntentionsFor returns the intention labels reachable from a head,
-// sorted by descending typicality score.
-func (g *Graph) IntentionsFor(head string) []Edge {
-	es := g.EdgesFrom(head)
-	sortIntentions(es)
-	return es
-}
-
-// sortIntentions orders edges by descending typicality with a total
-// (tail, relation) tie-break — the order Snapshot pre-bakes into its
-// per-head CSR rows.
-func sortIntentions(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].TypicalScore != es[j].TypicalScore {
-			return es[i].TypicalScore > es[j].TypicalScore
-		}
-		if es[i].Tail != es[j].Tail {
-			return es[i].Tail < es[j].Tail
-		}
-		return es[i].Relation < es[j].Relation
-	})
-}
-
-// Stats summarizes the graph (the COSMO row of paper Table 1).
-type Stats struct {
-	Nodes     int
-	Edges     int
-	Relations int
-	Domains   int
-	PerDomain map[catalog.Category]DomainStats
-}
-
-// DomainStats is one row of paper Table 3's edge counts.
-type DomainStats struct {
-	CoBuyEdges     int
-	SearchBuyEdges int
-}
-
-// ComputeStats builds graph statistics.
-func (g *Graph) ComputeStats() Stats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s := Stats{
-		Nodes:     len(g.nodes),
-		Edges:     len(g.edges),
-		Relations: len(g.byRelation),
-		Domains:   len(g.byDomain),
-		PerDomain: map[catalog.Category]DomainStats{},
-	}
-	for d, keys := range g.byDomain {
-		ds := DomainStats{}
-		for _, k := range keys {
-			if g.edges[k].Behavior == know.SearchBuy {
-				ds.SearchBuyEdges++
-			} else {
-				ds.CoBuyEdges++
-			}
-		}
-		s.PerDomain[d] = ds
-	}
-	return s
 }

@@ -2,7 +2,9 @@ package kg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"cosmo/internal/catalog"
@@ -42,7 +44,7 @@ func TestAddAssertionSearchBuy(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Errorf("edges = %d, want 2", g.NumEdges())
 	}
-	es := g.EdgesFrom(QueryID("camping"))
+	es := g.Freeze().EdgesFrom(QueryID("camping"))
 	if len(es) != 1 || es[0].Relation != relations.UsedForEve {
 		t.Fatalf("query edges = %+v", es)
 	}
@@ -58,7 +60,7 @@ func TestAddAssertionCoBuy(t *testing.T) {
 		t.Errorf("edges = %d, want 2 (both products link to intention)", g.NumEdges())
 	}
 	tail := IntentionID(relations.UsedForEve, "camping in the mountains")
-	if len(g.EdgesTo(tail)) != 2 {
+	if len(g.Freeze().EdgesTo(tail)) != 2 {
 		t.Error("intention should have two incoming edges")
 	}
 }
@@ -97,7 +99,7 @@ func TestEdgeMerging(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("edges = %d, duplicates must merge", g.NumEdges())
 	}
-	es := g.EdgesFrom(QueryID("camping"))
+	es := g.Freeze().EdgesFrom(QueryID("camping"))
 	if es[0].Support != 2 {
 		t.Errorf("support = %d, want 2", es[0].Support)
 	}
@@ -129,15 +131,15 @@ func buildTestGraph(t *testing.T) *Graph {
 }
 
 func TestIndexes(t *testing.T) {
-	g := buildTestGraph(t)
-	if n := len(g.EdgesByRelation(relations.UsedForEve)); n == 0 {
+	s := buildTestGraph(t).Freeze()
+	if n := len(s.EdgesByRelation(relations.UsedForEve)); n == 0 {
 		t.Error("relation index empty")
 	}
-	if n := len(g.EdgesInDomain(catalog.Sports)); n != g.NumEdges() {
-		t.Errorf("domain index has %d of %d", n, g.NumEdges())
+	if n := len(s.EdgesInDomain(catalog.Sports)); n != s.NumEdges() {
+		t.Errorf("domain index has %d of %d", n, s.NumEdges())
 	}
-	if g.NumRelations() != 2 {
-		t.Errorf("relations = %d, want 2", g.NumRelations())
+	if s.NumRelations() != 2 {
+		t.Errorf("relations = %d, want 2", s.NumRelations())
 	}
 }
 
@@ -153,7 +155,7 @@ func TestIntentionsForSorted(t *testing.T) {
 	if err := g.AddAssertion(b); err != nil {
 		t.Fatal(err)
 	}
-	es := g.IntentionsFor(QueryID("camping"))
+	es := g.Freeze().IntentionsFor(QueryID("camping")).Edges()
 	if len(es) != 2 {
 		t.Fatalf("got %d edges", len(es))
 	}
@@ -164,7 +166,7 @@ func TestIntentionsForSorted(t *testing.T) {
 
 func TestComputeStats(t *testing.T) {
 	g := buildTestGraph(t)
-	s := g.ComputeStats()
+	s := g.Freeze().ComputeStats()
 	if s.Edges != g.NumEdges() || s.Nodes != g.NumNodes() {
 		t.Error("stats disagree with counters")
 	}
@@ -179,7 +181,7 @@ func TestComputeStats(t *testing.T) {
 
 func TestHierarchy(t *testing.T) {
 	g := buildTestGraph(t)
-	roots := g.BuildHierarchy(1)
+	roots := g.Freeze().BuildHierarchy(1)
 	if len(roots) == 0 {
 		t.Fatal("no hierarchy roots")
 	}
@@ -212,7 +214,7 @@ func TestHierarchy(t *testing.T) {
 
 func TestHierarchyMinSupport(t *testing.T) {
 	g := buildTestGraph(t)
-	roots := g.BuildHierarchy(100)
+	roots := g.Freeze().BuildHierarchy(100)
 	if len(roots) != 0 {
 		t.Errorf("min support 100 should prune everything, got %d roots", len(roots))
 	}
@@ -220,8 +222,9 @@ func TestHierarchyMinSupport(t *testing.T) {
 
 func TestWriteJSONLAndTSV(t *testing.T) {
 	g := buildTestGraph(t)
+	s := g.Freeze()
 	var jbuf bytes.Buffer
-	if err := g.WriteJSONL(&jbuf); err != nil {
+	if err := s.WriteJSONL(&jbuf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(jbuf.String(), "\n")
@@ -229,7 +232,7 @@ func TestWriteJSONLAndTSV(t *testing.T) {
 		t.Errorf("jsonl lines = %d, want %d", lines, g.NumEdges())
 	}
 	var tbuf bytes.Buffer
-	if err := g.WriteTSV(&tbuf); err != nil {
+	if err := s.WriteTSV(&tbuf); err != nil {
 		t.Fatal(err)
 	}
 	tlines := strings.Count(tbuf.String(), "\n")
@@ -238,22 +241,33 @@ func TestWriteJSONLAndTSV(t *testing.T) {
 	}
 }
 
+// TestConcurrentReads runs the builder's reads and Freeze beside a
+// writer; under -race it proves the RWMutex covers every path.
 func TestConcurrentReads(t *testing.T) {
 	g := buildTestGraph(t)
-	done := make(chan bool)
+	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
+		wg.Add(1)
 		go func() {
-			for j := 0; j < 200; j++ {
-				g.EdgesFrom(QueryID("camping"))
-				g.ComputeStats()
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				g.Node(QueryID("camping"))
+				g.Nodes()
 				g.Edges()
+				g.NumEdges()
+				if s := g.Freeze(); s.NumEdges() == 0 {
+					t.Error("frozen snapshot lost the edges")
+					return
+				}
 			}
-			done <- true
 		}()
 	}
-	for i := 0; i < 8; i++ {
-		<-done
+	for i := 0; i < 200; i++ {
+		if err := g.AddAssertion(searchCand(100+i, fmt.Sprintf("query %d", i), "P9", "late intent", relations.UsedForEve)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	wg.Wait()
 }
 
 func BenchmarkAddAssertion(b *testing.B) {
@@ -265,21 +279,5 @@ func BenchmarkAddAssertion(b *testing.B) {
 		if err := g.AddAssertion(c); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkEdgesFrom(b *testing.B) {
-	g := New()
-	for i := 0; i < 100; i++ {
-		c := searchCand(i, "camping", "P1", "tail", relations.UsedForEve)
-		c.Tail = c.Tail + string(rune('a'+i%26))
-		if err := g.AddAssertion(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.EdgesFrom(QueryID("camping"))
 	}
 }

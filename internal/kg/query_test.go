@@ -3,7 +3,6 @@ package kg
 import (
 	"testing"
 
-	"cosmo/internal/catalog"
 	"cosmo/internal/relations"
 )
 
@@ -21,7 +20,7 @@ func TestRelatedProducts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rel := g.RelatedProducts(ProductID("P1"), 5)
+	rel := g.Freeze().RelatedProducts(ProductID("P1"), 5)
 	if len(rel) != 1 {
 		t.Fatalf("related = %+v", rel)
 	}
@@ -48,7 +47,7 @@ func TestRelatedProductsRanking(t *testing.T) {
 	mustAdd("P1", "P2", "camping")
 	mustAdd("P1", "P2", "hiking")
 	mustAdd("P1", "P5", "camping")
-	rel := g.RelatedProducts(ProductID("P1"), 5)
+	rel := g.Freeze().RelatedProducts(ProductID("P1"), 5)
 	if len(rel) != 2 {
 		t.Fatalf("related = %+v", rel)
 	}
@@ -67,22 +66,10 @@ func TestRelatedProductsK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rel := g.RelatedProducts(ProductID("P1"), 2); len(rel) != 2 {
+	if rel := g.Freeze().RelatedProducts(ProductID("P1"), 2); len(rel) != 2 {
 		t.Errorf("k cap violated: %d", len(rel))
 	}
-	if rel := g.RelatedProducts("p:NOPE", 2); len(rel) != 0 {
+	if rel := g.Freeze().RelatedProducts("p:NOPE", 2); len(rel) != 0 {
 		t.Errorf("unknown head should have no relations: %+v", rel)
-	}
-}
-
-func TestSubgraph(t *testing.T) {
-	g := buildTestGraph(t)
-	sub := g.Subgraph(map[string]bool{string(catalog.Sports): true})
-	if sub.NumEdges() != g.NumEdges() {
-		t.Errorf("all test edges are Sports; got %d of %d", sub.NumEdges(), g.NumEdges())
-	}
-	empty := g.Subgraph(map[string]bool{"Nope": true})
-	if empty.NumEdges() != 0 || empty.NumNodes() != 0 {
-		t.Error("empty domain filter should give empty graph")
 	}
 }

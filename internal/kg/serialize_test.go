@@ -1,7 +1,6 @@
 package kg
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strings"
@@ -11,11 +10,11 @@ import (
 	"cosmo/internal/relations"
 )
 
-// danglingGraph builds a graph holding an edge whose tail node is
-// missing — a state AddEdge refuses but that corruption, partial loads
-// or future delete operations could produce. The test reaches into the
-// unexported maps deliberately.
-func danglingGraph(t *testing.T) *Graph {
+// danglingGraph builds a graph holding an edge whose head or tail node
+// is missing — a state AddEdge refuses but that corruption, partial
+// loads or future delete operations could produce. The test reaches into
+// the unexported maps deliberately.
+func danglingGraph(t *testing.T, missing string) *Graph {
 	t.Helper()
 	g := New()
 	g.AddNode(Node{ID: "p:P1", Type: NodeProduct, Label: "tent"})
@@ -24,37 +23,36 @@ func danglingGraph(t *testing.T) *Graph {
 		Domain: catalog.Sports, Support: 1}); err != nil {
 		t.Fatal(err)
 	}
-	delete(g.nodes, "i:used_for:camping")
+	delete(g.nodes, missing)
 	return g
 }
 
 // TestWriteJSONLDanglingEdge is the regression test for the silent
 // empty-label bug: a dangling edge used to export a row with
-// tail_label "", poisoning downstream feature pipelines. Now the
-// export fails naming the edge.
+// tail_label "", poisoning downstream feature pipelines. Export runs on
+// a snapshot, and FreezeChecked refuses the graph, naming the edge and
+// the missing node.
 func TestWriteJSONLDanglingEdge(t *testing.T) {
-	g := danglingGraph(t)
-	var buf bytes.Buffer
-	err := g.WriteJSONL(&buf)
+	_, err := danglingGraph(t, "i:used_for:camping").FreezeChecked()
 	if err == nil {
-		t.Fatal("WriteJSONL succeeded on a dangling edge")
+		t.Fatal("FreezeChecked accepted a dangling edge")
 	}
 	if !strings.Contains(err.Error(), "unknown tail node") || !strings.Contains(err.Error(), "i:used_for:camping") {
 		t.Fatalf("error does not name the dangling node: %v", err)
 	}
 }
 
-// TestWriteTSVDanglingEdge is the same regression for the TSV path.
+// TestWriteTSVDanglingEdge is the same regression for a missing head,
+// through Freeze's panic.
 func TestWriteTSVDanglingEdge(t *testing.T) {
-	g := danglingGraph(t)
-	var buf bytes.Buffer
-	err := g.WriteTSV(&buf)
-	if err == nil {
-		t.Fatal("WriteTSV succeeded on a dangling edge")
-	}
-	if !strings.Contains(err.Error(), "unknown tail node") {
-		t.Fatalf("error does not report the missing node: %v", err)
-	}
+	g := danglingGraph(t, "p:P1")
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "unknown head node") || !strings.Contains(msg, "p:P1") {
+			t.Fatalf("Freeze panic does not name the dangling node: %q", msg)
+		}
+	}()
+	g.Freeze()
 }
 
 // failAfterWriter errors once n bytes have been written — it simulates

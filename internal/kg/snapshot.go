@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"cosmo/internal/catalog"
@@ -16,11 +15,11 @@ import (
 )
 
 // Snapshot is an immutable, read-optimized view of a Graph, built once
-// by Freeze and then shared freely across goroutines with no locking at
-// all. It is the serving-side read path: the KG is written once per
-// refresh by the offline pipeline and read millions of times by the
-// online applications, so the mutable map-and-RWMutex Graph is frozen
-// into dense arrays the moment it stops changing.
+// by Freeze (or mapped from a .cosmo artifact) and then shared freely
+// across goroutines with no locking at all. It is the only read path:
+// the KG is written once per refresh by the offline pipeline and read
+// millions of times by the online applications, so the builder Graph is
+// frozen into dense arrays the moment it stops changing.
 //
 // Layout: node IDs and labels are interned into a symbol table mapping
 // each node to a dense int32 (symbols are assigned in ascending node-ID
@@ -30,8 +29,8 @@ import (
 // adjacency is pre-sorted in the IntentionsFor order (descending
 // typicality, then tail ID, then relation), so IntentionsFor is a
 // zero-alloc slice view. Per-tail adjacency is pre-sorted by (head ID,
-// relation), which fixes the accumulation order RelatedProducts and the
-// legacy Graph walk share — their scores are bitwise identical.
+// relation), which fixes the accumulation order of RelatedProducts, so
+// its float scores are reproducible bit for bit.
 type Snapshot struct {
 	// Symbol table: sym -> ID / label / type, ascending-ID order. Node
 	// types are interned: ntypes[i] indexes ntypeTable, a tiny sorted
@@ -168,7 +167,27 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 
-	if err := checkFreezeCapacity(len(g.nodes), len(g.edges), len(g.byRelation), len(g.byDomain)); err != nil {
+	// Edges in key-sorted order (the Graph.Edges() order). The same walk
+	// collects the relations and domains present, so the intern tables
+	// hold exactly the values some edge carries.
+	keys := make([]string, 0, len(g.edges))
+	for k := range g.edges {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	ne := len(keys)
+	edges := make([]*Edge, ne)
+	rawBeh := make([]know.BehaviorType, ne)
+	relSet := map[relations.Relation]bool{}
+	domSet := map[catalog.Category]bool{}
+	for i, k := range keys {
+		e := g.edges[k]
+		edges[i] = e
+		rawBeh[i] = e.Behavior
+		relSet[e.Relation] = true
+		domSet[e.Domain] = true
+	}
+	if err := checkFreezeCapacity(len(g.nodes), ne, len(relSet), len(domSet)); err != nil {
 		return nil, err
 	}
 
@@ -179,7 +198,7 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	for id := range g.nodes {
 		s.ids = append(s.ids, id)
 	}
-	sort.Strings(s.ids)
+	slices.Sort(s.ids)
 	s.labels = make([]string, len(s.ids))
 	rawTypes := make([]NodeType, len(s.ids))
 	sym := make(map[string]int32, len(s.ids)) // interning only; dropped on return
@@ -194,31 +213,12 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		return nil, err
 	}
 
-	// Relation and domain intern tables, ascending order.
-	for r := range g.byRelation {
-		s.rels = append(s.rels, r)
-	}
-	sort.Slice(s.rels, func(i, j int) bool { return s.rels[i] < s.rels[j] })
-	for d := range g.byDomain {
-		s.doms = append(s.doms, d)
-	}
-	sort.Slice(s.doms, func(i, j int) bool { return s.doms[i] < s.doms[j] })
-
-	// Edges in key-sorted order (the Graph.Edges() order). Behaviors are
-	// interned first: with them every table bindDerived reads is in
+	// Relation and domain intern tables, ascending order, so relation and
+	// domain symbols compare like the strings they stand for. Behaviors
+	// are interned too: with them every table bindDerived reads is in
 	// place, and the edge loop below interns through its symbol maps.
-	keys := make([]string, 0, len(g.edges))
-	for k := range g.edges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ne := len(keys)
-	edges := make([]*Edge, ne)
-	rawBeh := make([]know.BehaviorType, ne)
-	for i, k := range keys {
-		edges[i] = g.edges[k]
-		rawBeh[i] = edges[i].Behavior
-	}
+	s.rels = sortedKeys(relSet)
+	s.doms = sortedKeys(domSet)
 	if s.behTable, s.eBeh, err = internSyms(rawBeh); err != nil {
 		return nil, err
 	}
@@ -234,8 +234,18 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		if e.Support < 0 || e.Support > math.MaxInt32 {
 			return nil, fmt.Errorf("kg: freeze: edge %q support %d outside the snapshot's int32 range", keys[i], e.Support)
 		}
-		s.eHead[i] = sym[e.Head]
-		s.eTail[i] = sym[e.Tail]
+		h, okHead := sym[e.Head]
+		t, okTail := sym[e.Tail]
+		if !okHead || !okTail {
+			end, id := "head", e.Head
+			if okHead {
+				end, id = "tail", e.Tail
+			}
+			return nil, fmt.Errorf("kg: freeze: edge %s -[%s]-> %s references unknown %s node %q",
+				e.Head, e.Relation, e.Tail, end, id)
+		}
+		s.eHead[i] = h
+		s.eTail[i] = t
 		s.eRel[i] = s.relSym[e.Relation]
 		s.eDom[i] = s.domSym[e.Domain]
 		s.ePla[i] = e.PlausibleScore
@@ -252,30 +262,40 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	// Pre-sort per-head rows in the IntentionsFor order and per-tail
 	// rows in the canonical back-walk order. Symbol comparisons stand in
 	// for the string comparisons because symbols are assigned in sorted
-	// order.
+	// order. Each comparator is a total order within its row — a head
+	// row's (tail, relation) and a tail row's (head, relation) are unique
+	// — so the rows do not depend on the sort algorithm.
+	intentionsOrder := func(x, y int32) int {
+		if c := cmp.Compare(s.eTyp[y], s.eTyp[x]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(s.eTail[x], s.eTail[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(s.eRel[x], s.eRel[y])
+	}
+	backOrder := func(x, y int32) int {
+		if c := cmp.Compare(s.eHead[x], s.eHead[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(s.eRel[x], s.eRel[y])
+	}
 	for r, nn32 := int32(0), sym32(nn); r < nn32; r++ {
-		row := s.byHead.row(r)
-		sort.Slice(row, func(a, b int) bool {
-			x, y := row[a], row[b]
-			if s.eTyp[x] != s.eTyp[y] {
-				return s.eTyp[x] > s.eTyp[y]
-			}
-			if s.eTail[x] != s.eTail[y] {
-				return s.eTail[x] < s.eTail[y]
-			}
-			return s.eRel[x] < s.eRel[y]
-		})
-		back := s.byTail.row(r)
-		sort.Slice(back, func(a, b int) bool {
-			x, y := back[a], back[b]
-			if s.eHead[x] != s.eHead[y] {
-				return s.eHead[x] < s.eHead[y]
-			}
-			return s.eRel[x] < s.eRel[y]
-		})
+		slices.SortFunc(s.byHead.row(r), intentionsOrder)
+		slices.SortFunc(s.byTail.row(r), backOrder)
 	}
 
 	return s, nil
+}
+
+// sortedKeys returns the keys of set in ascending order.
+func sortedKeys[T cmp.Ordered](set map[T]bool) []T {
+	out := make([]T, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // internSyms builds the sorted unique table over xs plus the
@@ -290,7 +310,7 @@ func internSyms[T ~string](xs []T) (table []T, idx []uint8, err error) {
 			table = append(table, s)
 		}
 	}
-	sort.Slice(table, func(i, j int) bool { return table[i] < table[j] })
+	slices.Sort(table)
 	if len(table) > 256 {
 		return nil, nil, fmt.Errorf("kg: snapshot: %d distinct interned values exceed the u8 index space", len(table))
 	}
@@ -533,9 +553,9 @@ func (es EdgeSeq) Edges() []Edge {
 }
 
 // IntentionsFor returns the intentions reachable from a head, sorted by
-// descending typicality (ties: tail ID, then relation) — the same order
-// as Graph.IntentionsFor. The returned view is a slice into the frozen
-// index: no locks, no sorting, no allocation.
+// descending typicality (ties: tail ID, then relation). The returned
+// view is a slice into the frozen index: no locks, no sorting, no
+// allocation.
 //
 //cosmo:alloc-free
 func (s *Snapshot) IntentionsFor(head string) EdgeSeq {
@@ -568,6 +588,17 @@ func (s *Snapshot) IntentionsForBytes(head []byte) EdgeSeq {
 func (s *Snapshot) ContainsBytes(id []byte) bool {
 	_, ok := s.symOfBytes(id)
 	return ok
+}
+
+// Related is one product reached through shared intentions.
+type Related struct {
+	ProductID string // node ID (p:...)
+	Label     string
+	// Score aggregates the typicality-weighted support of the shared
+	// intention paths.
+	Score float64
+	// Via lists the intention labels connecting the two heads.
+	Via []string
 }
 
 // relatedScratch is the reusable accumulator for the two-hop
@@ -705,9 +736,10 @@ func (sc *relatedScratch) release() {
 
 // RelatedProducts walks head → intention → product two-hop paths over
 // interned int IDs and returns up to k products sharing intentions with
-// the head, best first. Semantically identical to Graph.RelatedProducts
-// (bitwise-equal scores, same ordering); the CSR walk takes no locks
-// and builds no maps. The only allocations are the sized result and
+// the head, best first. Path weights accumulate in a fixed order (first
+// hop in IntentionsFor order, back edges by head, then relation), so
+// scores are reproducible bit for bit; the CSR walk takes no locks and
+// builds no maps. The only allocations are the sized result and
 // per-candidate via slices; everything else runs on pooled scratch.
 // Callers that can consume the result before the next lookup avoid even
 // those with RelatedSeq.
@@ -799,6 +831,21 @@ func (rs RelatedSeq) Release() {
 	}
 }
 
+// Stats summarizes the graph (the COSMO row of paper Table 1).
+type Stats struct {
+	Nodes     int
+	Edges     int
+	Relations int
+	Domains   int
+	PerDomain map[catalog.Category]DomainStats
+}
+
+// DomainStats is one row of paper Table 3's edge counts.
+type DomainStats struct {
+	CoBuyEdges     int
+	SearchBuyEdges int
+}
+
 // ComputeStats builds graph statistics from the frozen arrays.
 func (s *Snapshot) ComputeStats() Stats {
 	s.touch(maskByDom | maskEdges)
@@ -824,9 +871,10 @@ func (s *Snapshot) ComputeStats() Stats {
 	return st
 }
 
-// BuildHierarchy organizes the snapshot's intention tails into the same
-// specialization forest as Graph.BuildHierarchy (identical output: both
-// feed the shared assembler identical per-tail aggregates).
+// BuildHierarchy organizes the snapshot's intention tails into a
+// specialization forest: tail B is a child of tail A when A's content
+// tokens are a strict subset of B's. Products attached to an intention
+// become the leaf links; roots are sorted by descending edge support.
 func (s *Snapshot) BuildHierarchy(minSupport int) []*HierarchyNode {
 	s.touch(maskEdges | maskNodeTypes)
 	byTail := map[string]*tailInfo{}

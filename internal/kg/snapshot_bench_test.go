@@ -13,10 +13,9 @@ import (
 
 // The benchmark world: a serving-shaped graph (hundreds of products and
 // queries funneling into a shared intention vocabulary) built once and
-// frozen once. Compare the legacy locked path against the snapshot with
-// `go test -bench='IntentionsFor|RelatedProducts|Freeze' -benchmem
-// -cpu 1,4,8 ./internal/kg` — the -cpu sweep exposes the RWMutex
-// traffic the snapshot removes.
+// frozen once. Run `go test -bench='IntentionsFor|RelatedProducts|Freeze'
+// -benchmem -cpu 1,4,8 ./internal/kg`; the snapshot reads take no lock,
+// so ns/op should hold flat across the -cpu sweep.
 var (
 	benchOnce  sync.Once
 	benchGraph *Graph
@@ -69,24 +68,6 @@ func benchWorld(b *testing.B) (*Graph, *Snapshot, []string) {
 	return benchGraph, benchSnap, benchHeads
 }
 
-// BenchmarkGraphIntentionsFor is the legacy locked path: RLock, map
-// lookups, a fresh []Edge, and a sort on every call.
-func BenchmarkGraphIntentionsFor(b *testing.B) {
-	g, _, heads := benchWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			es := g.IntentionsFor(heads[i%len(heads)])
-			for j := range es {
-				allocSink += es[j].TypicalScore
-			}
-			i++
-		}
-	})
-}
-
 // BenchmarkSnapshotIntentionsFor is the frozen path: a pre-sorted CSR
 // row view — no lock, no sort, no allocation.
 func BenchmarkSnapshotIntentionsFor(b *testing.B) {
@@ -100,21 +81,6 @@ func BenchmarkSnapshotIntentionsFor(b *testing.B) {
 			for j := 0; j < seq.Len(); j++ {
 				allocSink += seq.At(j).TypicalScore
 			}
-			i++
-		}
-	})
-}
-
-// BenchmarkGraphRelatedProducts is the legacy two-hop walk: one RLock
-// plus per-call maps and sorts over materialized edges.
-func BenchmarkGraphRelatedProducts(b *testing.B) {
-	g, _, heads := benchWorld(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			allocSink += float64(len(g.RelatedProducts(heads[i%len(heads)], 10)))
 			i++
 		}
 	})

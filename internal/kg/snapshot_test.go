@@ -10,6 +10,7 @@ import (
 	"cosmo/internal/catalog"
 	"cosmo/internal/know"
 	"cosmo/internal/relations"
+	"cosmo/internal/textproc"
 )
 
 // randomGraph builds a randomized graph whose shape stresses every
@@ -28,8 +29,9 @@ func randomGraph(t testing.TB, rng *rand.Rand, nCands int) *Graph {
 		"camping", "winter camping", "lakeside camping", "holding snacks",
 		"office work", "walking the dog", "camping", "morning runs",
 	}
-	// Quantized scores generate deliberate ties.
-	scores := []float64{0.2, 0.4, 0.6, 0.8, 0.8, 1.0}
+	// Quantized scores generate deliberate ties; a zero typicality takes
+	// the related walk's floor weight.
+	scores := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.8, 1.0}
 	for i := 0; i < nCands; i++ {
 		c := know.Candidate{
 			ID:             i,
@@ -55,25 +57,151 @@ func randomGraph(t testing.TB, rng *rand.Rand, nCands int) *Graph {
 	return g
 }
 
-// sortEdgesCanonical orders edges by their unique (head, relation,
-// tail) key for set comparison of index queries whose legacy order is
-// unspecified (insertion order).
-func sortEdgesCanonical(es []Edge) {
+// oracle answers every snapshot query the naive way, from g.Edges()
+// and g.Nodes() alone: filter the key-sorted edge list, aggregate in
+// maps, sort once. It shares no interning, CSR row, pooled scratch,
+// top-k selection or per-tail aggregation with the Snapshot, so the
+// differential tests below check the frozen layout rather than restate
+// it.
+type oracle struct {
+	nodes map[string]Node
+	edges []Edge // key-sorted, as g.Edges() returns them
+}
+
+func newOracle(g *Graph) *oracle {
+	o := &oracle{nodes: map[string]Node{}, edges: g.Edges()}
+	for _, n := range g.Nodes() {
+		o.nodes[n.ID] = n
+	}
+	return o
+}
+
+// filter returns the edges keep accepts, in key-sorted order — the
+// order of EdgesByRelation and EdgesInDomain.
+func (o *oracle) filter(keep func(Edge) bool) []Edge {
+	out := []Edge{}
+	for _, e := range o.edges {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// intentionsFor is EdgesFrom / IntentionsFor: the head's edges by
+// descending typicality, then tail ID, then relation.
+func (o *oracle) intentionsFor(head string) []Edge {
+	es := o.filter(func(e Edge) bool { return e.Head == head })
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].TypicalScore != es[j].TypicalScore {
+			return es[i].TypicalScore > es[j].TypicalScore
+		}
+		if es[i].Tail != es[j].Tail {
+			return es[i].Tail < es[j].Tail
+		}
+		return es[i].Relation < es[j].Relation
+	})
+	return es
+}
+
+// edgesTo is EdgesTo: the tail's edges by head ID, then relation.
+func (o *oracle) edgesTo(tail string) []Edge {
+	es := o.filter(func(e Edge) bool { return e.Tail == tail })
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].Head != es[j].Head {
 			return es[i].Head < es[j].Head
 		}
-		if es[i].Relation != es[j].Relation {
-			return es[i].Relation < es[j].Relation
-		}
-		return es[i].Tail < es[j].Tail
+		return es[i].Relation < es[j].Relation
 	})
+	return es
+}
+
+// related is RelatedProducts with no pooling and no top-k: score every
+// candidate in maps, sort them all, cut to k. It keeps only the
+// documented accumulation order — first hop in IntentionsFor order, back
+// edges by (head, relation) — because float sums are only bitwise
+// reproducible in a fixed order.
+func (o *oracle) related(head string, k int) []Related {
+	score := map[string]float64{}
+	via := map[string]map[string]bool{}
+	for _, e := range o.intentionsFor(head) {
+		for _, b := range o.edgesTo(e.Tail) {
+			if b.Head == head || o.nodes[b.Head].Type != NodeProduct {
+				continue
+			}
+			w := e.TypicalScore * b.TypicalScore * float64(min(e.Support, b.Support))
+			if w <= 0 {
+				w = 0.01
+			}
+			score[b.Head] += w
+			if via[b.Head] == nil {
+				via[b.Head] = map[string]bool{}
+			}
+			via[b.Head][o.nodes[e.Tail].Label] = true
+		}
+	}
+	out := []Related{}
+	for id, sc := range score {
+		labels := []string{}
+		for l := range via[id] {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		out = append(out, Related{ProductID: id, Label: o.nodes[id].Label, Score: sc, Via: labels})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ProductID < out[j].ProductID
+	})
+	return out[:min(k, len(out))]
+}
+
+// stats is ComputeStats counted edge by edge.
+func (o *oracle) stats() Stats {
+	st := Stats{Nodes: len(o.nodes), Edges: len(o.edges), PerDomain: map[catalog.Category]DomainStats{}}
+	rels := map[relations.Relation]bool{}
+	for _, e := range o.edges {
+		rels[e.Relation] = true
+		ds := st.PerDomain[e.Domain]
+		if e.Behavior == know.SearchBuy {
+			ds.SearchBuyEdges++
+		} else {
+			ds.CoBuyEdges++
+		}
+		st.PerDomain[e.Domain] = ds
+	}
+	st.Relations, st.Domains = len(rels), len(st.PerDomain)
+	return st
+}
+
+// hierarchy aggregates each intention tail's support, content stems and
+// product labels from the graph's edges and assembles the forest.
+func (o *oracle) hierarchy(minSupport int) []*HierarchyNode {
+	byTail := map[string]*tailInfo{}
+	for _, e := range o.edges {
+		in := byTail[e.Tail]
+		if in == nil {
+			label := o.nodes[e.Tail].Label
+			in = &tailInfo{id: e.Tail, label: label, tokens: map[string]bool{}, products: map[string]bool{}}
+			for _, tok := range textproc.ContentStems(label) {
+				in.tokens[tok] = true
+			}
+			byTail[e.Tail] = in
+		}
+		in.count += e.Support
+		if h := o.nodes[e.Head]; h.Type == NodeProduct {
+			in.products[h.Label] = true
+		}
+	}
+	return assembleHierarchy(byTail, minSupport)
 }
 
 // TestSnapshotEquivalence is the randomized property test proving the
-// frozen read path agrees with the locked Graph API — including
-// tie-break ordering for the order-specified queries and bitwise score
-// equality for RelatedProducts.
+// frozen read path agrees with the naive oracle on every query —
+// including tie-break ordering for every order-specified query and
+// bitwise score equality for RelatedProducts.
 func TestSnapshotEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		trial := trial
@@ -81,20 +209,21 @@ func TestSnapshotEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			g := randomGraph(t, rng, 40+rng.Intn(260))
 			s := g.Freeze()
+			o := newOracle(g)
 
-			if s.NumNodes() != g.NumNodes() || s.NumEdges() != g.NumEdges() || s.NumRelations() != g.NumRelations() {
-				t.Fatalf("counts differ: snapshot %d/%d/%d graph %d/%d/%d",
-					s.NumNodes(), s.NumEdges(), s.NumRelations(),
-					g.NumNodes(), g.NumEdges(), g.NumRelations())
-			}
 			if !reflect.DeepEqual(s.Nodes(), g.Nodes()) {
 				t.Fatal("Nodes() differ")
 			}
-			if !reflect.DeepEqual(s.Edges(), g.Edges()) {
+			if !reflect.DeepEqual(s.Edges(), o.edges) {
 				t.Fatal("Edges() differ")
 			}
-			if !reflect.DeepEqual(s.ComputeStats(), g.ComputeStats()) {
-				t.Fatalf("stats differ:\nsnapshot %+v\ngraph    %+v", s.ComputeStats(), g.ComputeStats())
+			want := o.stats()
+			if s.NumNodes() != want.Nodes || s.NumEdges() != want.Edges || s.NumRelations() != want.Relations {
+				t.Fatalf("counts differ: snapshot %d/%d/%d oracle %d/%d/%d",
+					s.NumNodes(), s.NumEdges(), s.NumRelations(), want.Nodes, want.Edges, want.Relations)
+			}
+			if got := s.ComputeStats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stats differ:\nsnapshot %+v\noracle   %+v", got, want)
 			}
 
 			for _, n := range g.Nodes() {
@@ -102,60 +231,43 @@ func TestSnapshotEquivalence(t *testing.T) {
 				if !ok || sn != n {
 					t.Fatalf("Node(%q) = %+v, %v; want %+v", n.ID, sn, ok, n)
 				}
-
-				// Unordered index queries: compare as canonical sets.
-				gf, sf := g.EdgesFrom(n.ID), s.EdgesFrom(n.ID)
-				sortEdgesCanonical(gf)
-				sortEdgesCanonical(sf)
-				if !reflect.DeepEqual(gf, sf) {
-					t.Fatalf("EdgesFrom(%q) differ", n.ID)
+				wantFrom := o.intentionsFor(n.ID)
+				if got := s.EdgesFrom(n.ID); !reflect.DeepEqual(got, wantFrom) {
+					t.Fatalf("EdgesFrom(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
 				}
-				gt, st := g.EdgesTo(n.ID), s.EdgesTo(n.ID)
-				sortEdgesCanonical(gt)
-				sortEdgesCanonical(st)
-				if !reflect.DeepEqual(gt, st) {
-					t.Fatalf("EdgesTo(%q) differ", n.ID)
+				if got := s.IntentionsFor(n.ID).Edges(); !reflect.DeepEqual(got, wantFrom) {
+					t.Fatalf("IntentionsFor(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
 				}
-
-				// Order-specified queries: exact equality, ties included.
-				want := g.IntentionsFor(n.ID)
-				got := s.IntentionsFor(n.ID).Edges()
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("IntentionsFor(%q) differ:\ngraph    %+v\nsnapshot %+v", n.ID, want, got)
+				if got, want := s.EdgesTo(n.ID), o.edgesTo(n.ID); !reflect.DeepEqual(got, want) {
+					t.Fatalf("EdgesTo(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, want)
 				}
 				for _, k := range []int{1, 3, 1 << 20} {
-					wr := g.RelatedProducts(n.ID, k)
-					gr := s.RelatedProducts(n.ID, k)
-					if !reflect.DeepEqual(wr, gr) {
-						t.Fatalf("RelatedProducts(%q, %d) differ:\ngraph    %+v\nsnapshot %+v", n.ID, k, wr, gr)
+					if got, want := s.RelatedProducts(n.ID, k), o.related(n.ID, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("RelatedProducts(%q, %d) differ:\nsnapshot %+v\noracle   %+v", n.ID, k, got, want)
 					}
 				}
 			}
 
 			for _, r := range relations.All() {
-				ge, se := g.EdgesByRelation(r), s.EdgesByRelation(r)
-				sortEdgesCanonical(ge)
-				sortEdgesCanonical(se)
-				if !reflect.DeepEqual(ge, se) {
+				want := o.filter(func(e Edge) bool { return e.Relation == r })
+				if got := s.EdgesByRelation(r); !reflect.DeepEqual(got, want) {
 					t.Fatalf("EdgesByRelation(%q) differ", r)
 				}
 			}
 			for _, d := range catalog.Categories() {
-				ge, se := g.EdgesInDomain(d), s.EdgesInDomain(d)
-				sortEdgesCanonical(ge)
-				sortEdgesCanonical(se)
-				if !reflect.DeepEqual(ge, se) {
+				want := o.filter(func(e Edge) bool { return e.Domain == d })
+				if got := s.EdgesInDomain(d); !reflect.DeepEqual(got, want) {
 					t.Fatalf("EdgesInDomain(%q) differ", d)
 				}
 			}
 
 			for _, minSupport := range []int{1, 2, 4} {
-				if !reflect.DeepEqual(g.BuildHierarchy(minSupport), s.BuildHierarchy(minSupport)) {
+				if !reflect.DeepEqual(s.BuildHierarchy(minSupport), o.hierarchy(minSupport)) {
 					t.Fatalf("BuildHierarchy(%d) differs", minSupport)
 				}
 			}
 
-			// Unknown IDs answer empty on both paths.
+			// Unknown IDs answer empty.
 			if _, ok := s.Node("p:NOPE"); ok {
 				t.Fatal("unknown node found in snapshot")
 			}
@@ -301,9 +413,10 @@ func tieGraph(t *testing.T) *Graph {
 // candidates with exactly equal scores on both sides of the cut. For
 // every head and every k around the candidate count, the snapshot's
 // answer is the first k entries of its own untruncated answer and
-// equals the Graph oracle, on a heap and on a mapped snapshot.
+// equals the naive oracle, on a heap and on a mapped snapshot.
 func TestRelatedTopKBoundary(t *testing.T) {
 	g := tieGraph(t)
+	o := newOracle(g)
 	heap := g.Freeze()
 	mapped, err := MapSnapshotFile(writeV2File(t, heap))
 	if err != nil {
@@ -337,8 +450,8 @@ func TestRelatedTopKBoundary(t *testing.T) {
 					t.Fatalf("%s: RelatedProducts(%q, %d) is not a prefix of the full answer:\ngot  %+v\nwant %+v",
 						name, node.ID, k, got, want)
 				}
-				if want := g.RelatedProducts(node.ID, k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: RelatedProducts(%q, %d) differs from Graph:\ngot  %+v\nwant %+v",
+				if want := o.related(node.ID, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: RelatedProducts(%q, %d) differs from the oracle:\ngot  %+v\nwant %+v",
 						name, node.ID, k, got, want)
 				}
 			}

@@ -12,7 +12,7 @@ import (
 // non-trivial finding set (the module itself is held to zero).
 var fixtureNames = []string{
 	"seededrand", "wallclock", "mutexhygiene", "unboundedappend",
-	"droppederror", "frozenserving", "directives", "uncheckednarrowing",
+	"droppederror", "directives", "uncheckednarrowing",
 	"sentinelcompare", "ctxpropagation", "allocfree", "atomichygiene",
 }
 
@@ -21,7 +21,6 @@ var fixtureNames = []string{
 func fixtureConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ServingPaths = append(cfg.ServingPaths, "cosmo/internal/lint/testdata/src/unboundedappend")
-	cfg.FrozenServingPaths = append(cfg.FrozenServingPaths, "cosmo/internal/lint/testdata/src/frozenserving")
 	cfg.CtxPaths = append(cfg.CtxPaths, "cosmo/internal/lint/testdata/src/ctxpropagation")
 	return cfg
 }

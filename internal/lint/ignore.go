@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -28,12 +29,17 @@ func (ix ignoreIndex) suppressed(file string, line int, check string) bool {
 }
 
 // buildIgnoreIndex scans every comment in the package for directives.
-// Directives missing a check name or a reason are returned as findings
-// under the pseudo-check "lint-ignore" (they cannot suppress anything,
-// including themselves).
+// Directives missing a check name or a reason, or naming a check that
+// is not in AllChecks (a typo, or a check since deleted), are returned
+// as findings under the pseudo-check "lint-ignore" (they cannot
+// suppress anything, including themselves).
 func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) (ignoreIndex, []Finding) {
 	ix := ignoreIndex{}
 	var bad []Finding
+	known := map[string]bool{}
+	for _, c := range AllChecks() {
+		known[c.Name] = true
+	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -59,6 +65,22 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) (ignoreIndex, []Fi
 					})
 					continue
 				}
+				names := strings.Split(fields[0], ",")
+				unknown := ""
+				for _, name := range names {
+					if name != "" && !known[name] {
+						unknown = name
+						break
+					}
+				}
+				if unknown != "" {
+					bad = append(bad, Finding{
+						File: pos.Filename, Line: pos.Line, Col: pos.Column,
+						Check:   "lint-ignore",
+						Message: fmt.Sprintf("directive names unknown check %q: it suppresses nothing", unknown),
+					})
+					continue
+				}
 				lines := ix[pos.Filename]
 				if lines == nil {
 					lines = map[int]map[string]bool{}
@@ -69,7 +91,7 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File) (ignoreIndex, []Fi
 					checks = map[string]bool{}
 					lines[pos.Line] = checks
 				}
-				for _, name := range strings.Split(fields[0], ",") {
+				for _, name := range names {
 					if name != "" {
 						checks[name] = true
 					}

@@ -84,10 +84,6 @@ type Config struct {
 	// ErrorAllowlist lists callees whose dropped errors are tolerated,
 	// keyed as "pkg.Func" or "(*pkg.Type).Method".
 	ErrorAllowlist []string
-	// FrozenServingPaths lists packages on the serving read path, which
-	// must query frozen kg.Snapshot views instead of the locked
-	// kg.Graph.
-	FrozenServingPaths []string
 	// CtxPaths lists packages held to the context-propagation contract:
 	// context.Background/TODO are banned outside package main, and a
 	// function holding a ctx must not call the context-less variant of a
@@ -123,13 +119,6 @@ func DefaultConfig() Config {
 			"(*bytes.Buffer).Write", "(*bytes.Buffer).WriteString",
 			"(*bytes.Buffer).WriteByte", "(*bytes.Buffer).WriteRune",
 		},
-		FrozenServingPaths: []string{
-			"cosmo/internal/serving",
-			"cosmo/internal/navigation",
-			"cosmo/internal/wire",
-			"cosmo/cmd/cosmo-serve",
-			"cosmo/cmd/cosmo-kg",
-		},
 		CtxPaths: []string{
 			"cosmo/internal/serving",
 			"cosmo/internal/cluster",
@@ -150,7 +139,7 @@ type Check struct {
 }
 
 // AllChecks returns the registry in deterministic order. Adding check
-// twelve means writing one Run function against Pass and listing it
+// eleven means writing one Run function against Pass and listing it
 // here.
 func AllChecks() []Check {
 	return []Check{
@@ -159,7 +148,6 @@ func AllChecks() []Check {
 		mutexHygieneCheck,
 		unboundedAppendCheck,
 		droppedErrorCheck,
-		frozenServingCheck,
 		uncheckedNarrowingCheck,
 		sentinelCompareCheck,
 		ctxPropagationCheck,

@@ -158,30 +158,6 @@ func TestFixtures(t *testing.T) {
 			},
 		},
 		{
-			name:    "frozen-serving",
-			fixture: "frozenserving",
-			config: func(c *Config) {
-				c.Checks = []string{"frozen-serving"}
-				c.FrozenServingPaths = []string{"cosmo/internal/lint/testdata/src/frozenserving"}
-			},
-			want: []string{
-				"bad.go:8:frozen-serving",
-				"bad.go:12:frozen-serving",
-				"bad.go:17:frozen-serving",
-				"bad.go:17:frozen-serving",
-				"bad.go:21:frozen-serving",
-			},
-		},
-		{
-			name:    "frozen-serving-outside-serving",
-			fixture: "frozenserving",
-			config: func(c *Config) {
-				c.Checks = []string{"frozen-serving"}
-				c.FrozenServingPaths = nil // offline pipeline code may use the locked graph
-			},
-			want: nil,
-		},
-		{
 			name:    "unchecked-narrowing",
 			fixture: "uncheckednarrowing",
 			want: []string{
@@ -260,6 +236,8 @@ func TestFixtures(t *testing.T) {
 				"bad.go:9:dropped-error",
 				"bad.go:11:lint-ignore",
 				"bad.go:12:dropped-error",
+				"bad.go:16:lint-ignore",
+				"bad.go:17:dropped-error",
 			},
 		},
 	}
@@ -307,12 +285,12 @@ func TestFindingJSON(t *testing.T) {
 	}
 }
 
-// TestCheckRegistry guards the shipped check set: eleven invariant
+// TestCheckRegistry guards the shipped check set: ten invariant
 // checks, deterministic order, non-empty docs, valid severities.
 func TestCheckRegistry(t *testing.T) {
 	want := []string{
 		"seeded-rand", "wallclock", "mutex-hygiene", "unbounded-append",
-		"dropped-error", "frozen-serving", "unchecked-narrowing",
+		"dropped-error", "unchecked-narrowing",
 		"sentinel-compare", "ctx-propagation", "alloc-free", "atomic-hygiene",
 	}
 	checks := AllChecks()

@@ -11,3 +11,8 @@ func malformed() {
 	//cosmo:lint-ignore
 	fallible() // directive names no check: two findings here
 }
+
+func stale() {
+	//cosmo:lint-ignore dropped-errors a typo names no registered check
+	fallible() // the unknown-check directive above suppresses nothing: two findings here
+}

@@ -31,10 +31,8 @@ type Navigator struct {
 }
 
 // NewNavigator indexes the intention hierarchy of a frozen knowledge
-// graph. Navigation is an online surface, so it reads the immutable
-// snapshot — never the locked mutable Graph (enforced by the
-// frozen-serving lint check); a refresh builds a new Navigator from a
-// new snapshot.
+// graph. The hierarchy is a snapshot query (the builder Graph answers
+// none), so a refresh builds a new Navigator from a new snapshot.
 func NewNavigator(snap *kg.Snapshot, minSupport int) *Navigator {
 	n := &Navigator{byStem: map[string][]*kg.HierarchyNode{}}
 	n.roots = snap.BuildHierarchy(minSupport)

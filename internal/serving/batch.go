@@ -2,6 +2,7 @@ package serving
 
 import (
 	"net/http"
+	"strings"
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -19,8 +20,27 @@ import (
 // Errors are isolated per item: an unknown id or missing field turns
 // into {"error":"..."} for that entry while the rest of the batch is
 // answered normally. Only structural violations fail the whole request:
-// malformed JSON is 400, more than the deployment's MaxBatchItems is
+// a body that is not JSON, or whose top level is not an array of
+// objects, is 400; more than the deployment's MaxBatchItems items is
 // 413.
+//
+// An item reads four keys; every other key is skipped.
+//
+//   - As in encoding/json, a key given twice takes its last value.
+//   - "op", "id" and "q" must be strings and "k" an integer literal (5,
+//     not 5.0 or 5e0). Any other value, null included, makes the item
+//     {"error":"invalid item"}.
+//   - k defaults to 10. A k of 0 or below means 10, and one above 1000
+//     means 1000.
+//   - Then, in order: no op is "missing op"; op "intentions" or
+//     "related" without an id is "missing id"; op "intent" without a q
+//     is "missing q"; any other op is "unknown op".
+//   - Strings decode as encoding/json decodes them: escapes resolve, an
+//     unpaired surrogate escape or a byte that is not UTF-8 becomes
+//     U+FFFD.
+//
+// One limit differs from encoding/json: a value nested more than 64
+// levels below an item's key is 400, where encoding/json allows 10,000.
 //
 // The parser is hand-rolled and streaming: it walks the body bytes
 // once, unescaping the few fields it cares about ("op", "id", "q",
@@ -117,7 +137,9 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 	sc.op, sc.id, sc.q = sc.op[:0], sc.id[:0], sc.q[:0]
 	hasOp, hasID, hasQ := false, false, false
 	k := 10
-	bad := false
+	// One bit per known key whose last value has the wrong type; a later
+	// well-typed value clears it, since the last key wins.
+	var bad uint8
 
 	p.ws()
 	if !p.eat('{') {
@@ -147,38 +169,35 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 				if sc.op, ok = p.stringInto(sc.op[:0]); !ok {
 					return dst, false
 				}
-				hasOp = true
+				hasOp, bad = true, bad&^badOp
 			case string(sc.key) == "id" && isStr:
 				if sc.id, ok = p.stringInto(sc.id[:0]); !ok {
 					return dst, false
 				}
-				hasID = true
+				hasID, bad = true, bad&^badID
 			case string(sc.key) == "q" && isStr:
 				if sc.q, ok = p.stringInto(sc.q[:0]); !ok {
 					return dst, false
 				}
-				hasQ = true
+				hasQ, bad = true, bad&^badQ
 			case string(sc.key) == "k" && (c == '-' || (c >= '0' && c <= '9')):
 				v, isInt, ok := p.jsonInt()
 				if !ok {
 					return dst, false
 				}
 				if !isInt {
-					bad = true // a fractional k fails the item, not the batch
+					bad |= badK // a fractional k fails the item, not the batch
 				} else {
-					k = clampBatchK(v)
+					k, bad = clampBatchK(v), bad&^badK
 				}
 			default:
 				// Unknown key, or a known key with the wrong value type:
 				// skip the value to keep the stream aligned; a wrong type
-				// fails the item.
+				// fails the item unless a later value replaces it.
 				if !p.skipValue() {
 					return dst, false
 				}
-				if string(sc.key) == "op" || string(sc.key) == "id" ||
-					string(sc.key) == "q" || string(sc.key) == "k" {
-					bad = true
-				}
+				bad |= badKeyBit(sc.key)
 			}
 			p.ws()
 			if p.eat(',') {
@@ -192,7 +211,7 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 	}
 
 	switch {
-	case bad:
+	case bad != 0:
 		return append(dst, batchErrInvalidItem...), true
 	case !hasOp:
 		return append(dst, batchErrMissingOp...), true
@@ -229,6 +248,29 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 	default:
 		return append(dst, batchErrUnknownOp...), true
 	}
+}
+
+// Bits of appendBatchItem's bad mask, one per known key.
+const (
+	badOp uint8 = 1 << iota
+	badID
+	badQ
+	badK
+)
+
+// badKeyBit is the bad-mask bit of a known key, 0 for any other key.
+func badKeyBit(key []byte) uint8 {
+	switch string(key) {
+	case "op":
+		return badOp
+	case "id":
+		return badID
+	case "q":
+		return badQ
+	case "k":
+		return badK
+	}
+	return 0
 }
 
 // clampBatchK mirrors parseK's bounds for in-batch k values.
@@ -341,9 +383,15 @@ func (p *batchParser) stringInto(dst []byte) ([]byte, bool) {
 			}
 		case c < 0x20:
 			return dst, false // raw control byte inside a string
-		default:
+		case c < utf8.RuneSelf:
 			dst = append(dst, c)
 			p.i++
+		default:
+			// A byte that does not start valid UTF-8 decodes as U+FFFD,
+			// as encoding/json decodes it.
+			r, size := utf8.DecodeRune(p.b[p.i:])
+			dst = utf8.AppendRune(dst, r)
+			p.i += size
 		}
 	}
 	return dst, false
@@ -378,6 +426,12 @@ func (p *batchParser) hex4() (uint32, bool) {
 func (p *batchParser) jsonInt() (v int, isInt, ok bool) {
 	neg := p.eat('-')
 	start := p.i
+	if p.eat('0') {
+		// JSON allows no leading zero: "0" is a whole integer part.
+		if p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
+			return 0, false, false
+		}
+	}
 	for p.i < len(p.b) && p.b[p.i] >= '0' && p.b[p.i] <= '9' {
 		// Values beyond the clamp bound saturate; k is capped at 1000
 		// anyway, so overflow cannot matter.
@@ -505,7 +559,8 @@ func (p *batchParser) skipValueDepth(depth int) bool {
 	}
 }
 
-// skipString consumes a JSON string without unescaping it.
+// skipString consumes a JSON string without unescaping it, checking
+// its escapes.
 func (p *batchParser) skipString() bool {
 	if !p.eat('"') {
 		return false
@@ -517,7 +572,17 @@ func (p *batchParser) skipString() bool {
 			p.i++
 			return true
 		case c == '\\':
-			p.i += 2
+			p.i++
+			if p.eat('u') {
+				if _, ok := p.hex4(); !ok {
+					return false
+				}
+				continue
+			}
+			if p.i >= len(p.b) || strings.IndexByte(`"\/bfnrt`, p.b[p.i]) < 0 {
+				return false
+			}
+			p.i++
 		case c < 0x20:
 			return false
 		default:

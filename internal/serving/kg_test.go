@@ -18,7 +18,7 @@ import (
 
 // testSnapshot freezes a tiny graph: one query node with two intentions
 // of different typicality, and two products sharing the stronger one.
-func testSnapshot(t *testing.T) *kg.Snapshot {
+func testSnapshot(t testing.TB) *kg.Snapshot {
 	t.Helper()
 	g := kg.New()
 	g.AddNode(kg.Node{ID: "q:tent", Type: kg.NodeQuery, Label: "tent"})
