@@ -178,7 +178,7 @@ func measureLoader(name string, factor int, path string, fileBytes int64,
 	return res, nil
 }
 
-// runMmapBench packs the ScaledKG world into a v2 artifact and runs
+// runMmapBench packs the ScaledKG world into a .cosmo artifact and runs
 // the heap and mmap loaders through the same protocol.
 func runMmapBench(r *experiments.Runner, factor int, jsonOut string) error {
 	r.World() // build the shared world outside every measurement

@@ -13,6 +13,8 @@ import (
 	"math"
 	"sort"
 	"strconv"
+
+	"cosmo/internal/fnv1a"
 )
 
 // DefaultVirtualNodes is the per-node virtual point count. At 128
@@ -20,23 +22,14 @@ import (
 // nodes stays within a few percent of even.
 const DefaultVirtualNodes = 128
 
-// fnv1a hashes a key to a ring position. Inlined rather than importing
-// hash/fnv so routing allocates nothing — the same idiom as the cache
+// ringHash hashes a key to a ring position: 64-bit FNV-1a over plain
+// functions, so routing allocates nothing — the same hash as the cache
 // shard striping in internal/serving — then finished with a 64-bit
 // avalanche mixer: raw FNV-1a clusters badly on the short, similar
 // strings ring points are made of ("node0#17"), and clustering is
 // exactly what virtual nodes exist to prevent.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return mix64(h)
+func ringHash(s string) uint64 {
+	return mix64(fnv1a.String64(fnv1a.Offset64, s))
 }
 
 // mix64 is the splitmix64 finalizer: full avalanche, so every input bit
@@ -81,7 +74,7 @@ func NewRing(names []string, vnodes int) *Ring {
 	points := make([]point, 0, len(names)*vnodes)
 	for i, name := range names {
 		for v := 0; v < vnodes; v++ {
-			h := fnv1a(name + "#" + strconv.Itoa(v))
+			h := ringHash(name + "#" + strconv.Itoa(v))
 			points = append(points, point{hash: h, node: int32(i)})
 		}
 	}
@@ -112,7 +105,7 @@ func (r *Ring) Walk(dst []int, key string, max int, eligible func(int) bool) []i
 	if max <= 0 || max > r.nodes {
 		max = r.nodes
 	}
-	h := fnv1a(key)
+	h := ringHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	var seen uint64 // node-index bitmap; rings are small (node count <= 64)
 	if r.nodes > 64 {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cosmo/internal/fnv1a"
 	"cosmo/internal/kg"
 )
 
@@ -24,25 +25,53 @@ func harnessConfig(seed int64, workers int) Config {
 	return cfg
 }
 
+// fnvWriter folds everything written to it into a 64-bit FNV-1a state.
+type fnvWriter struct{ h uint64 }
+
+func (w *fnvWriter) Write(p []byte) (int, error) {
+	for _, c := range p {
+		w.h = fnv1a.Byte64(w.h, c)
+	}
+	return len(p), nil
+}
+
+// contentDigest fingerprints what a snapshot says, independent of how
+// the artifact lays it out: FNV-1a over the JSONL export followed by
+// one id\ttype\tlabel line per node.
+func contentDigest(t *testing.T, s *kg.Snapshot) string {
+	t.Helper()
+	w := &fnvWriter{h: fnv1a.Offset64}
+	if err := s.WriteJSONL(w); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range s.Nodes() {
+		fmt.Fprintf(w, "%s\t%s\t%s\n", n.ID, n.Type, n.Label)
+	}
+	return fmt.Sprintf("%016x", w.h)
+}
+
 // TestOfflineFingerprintGolden holds the contract ROADMAP quotes: a seed
-// fixes the packed artifact's content fingerprint, the edge count and
-// both simulated cost meters, at any worker count. An exact rewrite of
-// the text path (tokenizer, COSMO-LM scoring, filter) must leave every
-// value here alone; a change that moves one changed what the KG says.
+// fixes the KG's content digest, the packed artifact's table
+// fingerprint, the edge count and both simulated cost meters, at any
+// worker count. An exact rewrite of the text path (tokenizer, COSMO-LM
+// scoring, filter) must leave every value here alone; a change that
+// moves content changed what the KG says. A format change moves only
+// fingerprint: content does not depend on the artifact layout.
 func TestOfflineFingerprintGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden floats are pinned on amd64: other targets may fuse multiply-adds and legitimately differ")
 	}
 	golden := []struct {
 		seed        int64
+		content     string
 		fingerprint string
 		edges       int
 		cosmoLMMs   float64
 		teacherMs   float64
 	}{
-		{1, "90c415243a3c6448", 4405, 693662.5, 2314980},
-		{7, "9f20c3c9dc4376e2", 4474, 709177.5, 2399688},
-		{23, "872199533b0b1db2", 4378, 704012.5, 2357460},
+		{1, "1482ac0469a3a721", "f2081c081cf09ace", 4405, 693662.5, 2314980},
+		{7, "0684b6d3ca2ecf6a", "2870738f51560f7d", 4474, 709177.5, 2399688},
+		{23, "b81390543b426d01", "0f963be25e1818c6", 4378, 704012.5, 2357460},
 	}
 	for _, g := range golden {
 		for _, workers := range []int{1, 8} {
@@ -51,8 +80,12 @@ func TestOfflineFingerprintGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				snap := res.KG.Freeze()
+				if got := contentDigest(t, snap); got != g.content {
+					t.Errorf("content %s, want %s", got, g.content)
+				}
 				path := filepath.Join(t.TempDir(), "golden.cosmo")
-				if err := kg.WriteSnapshotFile(path, res.KG.Freeze()); err != nil {
+				if err := kg.WriteSnapshotFile(path, snap); err != nil {
 					t.Fatal(err)
 				}
 				stamp, err := kg.StampSnapshotFile(path)

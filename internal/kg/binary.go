@@ -9,7 +9,7 @@
 // artifact", is the normative spec):
 //
 //	magic    [8]byte  "COSMOSNP"
-//	version  uint32   2
+//	version  uint32   3
 //	nsect    uint32   section count
 //	table    nsect ×  { id uint32, reserved uint32 = 0,
 //	                    offset uint64, length uint64, crc uint64 }
@@ -57,7 +57,7 @@ const snapshotMagic = "COSMOSNP"
 // snapshotVersion is the one format version written and read. Any
 // change to the layout — new sections, changed encodings, changed sort
 // invariants — bumps it; the decoder rejects every other version.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 // Sentinel errors for the three failure classes of snapshot decoding.
 // Structural and checksum failures wrap ErrSnapshotCorrupt so callers
@@ -89,10 +89,6 @@ const (
 	secHeadIdx    = 17 // i32 per edge, byHead CSR indexes
 	secTailOff    = 18 // i32 × (nodes+1), byTail CSR offsets
 	secTailIdx    = 19 // i32 per edge, byTail CSR indexes
-	secRelOff     = 20 // i32 × (relations+1), byRel CSR offsets
-	secRelIdx     = 21 // i32 per edge, byRel CSR indexes
-	secDomOff     = 22 // i32 × (domains+1), byDom CSR offsets
-	secDomIdx     = 23 // i32 per edge, byDom CSR indexes
 )
 
 // sectionOrder fixes the canonical write order; the reader accepts any
@@ -103,7 +99,6 @@ var sectionOrder = []uint32{
 	secEdgeHead, secEdgeTail, secEdgeRel, secEdgeDom,
 	secEdgeBeh, secEdgeSup, secEdgePla, secEdgeTyp,
 	secHeadOff, secHeadIdx, secTailOff, secTailIdx,
-	secRelOff, secRelIdx, secDomOff, secDomIdx,
 }
 
 // sectionNames label sections in SectionError messages.
@@ -117,8 +112,6 @@ var sectionNames = map[uint32]string{
 	secEdgePla: "edge-plausibility", secEdgeTyp: "edge-typicality",
 	secHeadOff: "byhead-offsets", secHeadIdx: "byhead-indexes",
 	secTailOff: "bytail-offsets", secTailIdx: "bytail-indexes",
-	secRelOff: "byrel-offsets", secRelIdx: "byrel-indexes",
-	secDomOff: "bydom-offsets", secDomIdx: "bydom-indexes",
 }
 
 // SectionName returns the human-readable name of a section id (for
@@ -159,21 +152,21 @@ func secErr(sec uint32, off int64, err error) error {
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// align8 rounds up to the next 8-byte boundary (v2 section alignment:
+// align8 rounds up to the next 8-byte boundary (section alignment:
 // every numeric array starts 8-aligned so float64 and int32 sections
 // can be aliased in place by the mmap loader).
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
-// v2 fixed sizes: the 16-byte header (magic + version + nsect), one
+// Fixed sizes: the 16-byte header (magic + version + nsect), one
 // 32-byte table entry per section, and the 8-byte table checksum.
 const (
-	v2HeaderLen     = len(snapshotMagic) + 8
-	v2TableEntryLen = 32
+	headerLen     = len(snapshotMagic) + 8
+	tableEntryLen = 32
 )
 
-// v2BodyStart is the offset of the first section body in a v2 file.
-func v2BodyStart() uint64 {
-	return uint64(v2HeaderLen + len(sectionOrder)*v2TableEntryLen + 8)
+// bodyStart is the offset of the first section body.
+func bodyStart() uint64 {
+	return uint64(headerLen + len(sectionOrder)*tableEntryLen + 8)
 }
 
 // hasSnapshotMagic reports whether b (the first bytes of a file) opens
@@ -297,10 +290,6 @@ func (s *Snapshot) sectionLengths() map[uint32]uint64 {
 		secHeadIdx:    ne * 4,
 		secTailOff:    uint64(len(s.byTail.off)) * 4,
 		secTailIdx:    ne * 4,
-		secRelOff:     uint64(len(s.byRel.off)) * 4,
-		secRelIdx:     ne * 4,
-		secDomOff:     uint64(len(s.byDom.off)) * 4,
-		secDomIdx:     ne * 4,
 	}
 }
 
@@ -347,14 +336,6 @@ func (s *Snapshot) writeSectionBody(cw *crcWriter, id uint32) {
 		cw.i32s(s.byTail.off)
 	case secTailIdx:
 		cw.i32s(s.byTail.idx)
-	case secRelOff:
-		cw.i32s(s.byRel.off)
-	case secRelIdx:
-		cw.i32s(s.byRel.idx)
-	case secDomOff:
-		cw.i32s(s.byDom.off)
-	case secDomIdx:
-		cw.i32s(s.byDom.idx)
 	}
 }
 
@@ -368,7 +349,7 @@ func (s *Snapshot) WriteSnapshot(w io.Writer) error {
 	lengths := s.sectionLengths()
 
 	offs := make(map[uint32]uint64, len(sectionOrder))
-	pos := v2BodyStart()
+	pos := bodyStart()
 	for _, id := range sectionOrder {
 		offs[id] = pos
 		pos = align8(pos + lengths[id])
@@ -400,7 +381,7 @@ func (s *Snapshot) WriteSnapshot(w io.Writer) error {
 	cw.u64(tableCRC)
 
 	var pad [8]byte
-	at := v2BodyStart()
+	at := bodyStart()
 	for _, id := range sectionOrder {
 		cw.write(pad[:offs[id]-at]) // zero padding up to the aligned offset
 		s.writeSectionBody(cw, id)
@@ -422,26 +403,26 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 }
 
-// sectV2 is one parsed v2 table entry.
-type sectV2 struct {
+// sect is one parsed table entry.
+type sect struct {
 	id               uint32
 	off, length, crc uint64
 }
 
-// parseTableV2 decodes and cross-checks the section table from its
+// parseTable decodes and cross-checks the section table from its
 // raw bytes (the decoder has already verified the tablecrc): every
 // known id exactly once, offsets 8-aligned, bodies laid out ascending
-// in table order with sub-8-byte gaps starting at v2BodyStart. Returns
+// in table order with sub-8-byte gaps starting at bodyStart. Returns
 // the entries in layout (== table) order.
-func parseTableV2(tbl []byte) ([]sectV2, error) {
+func parseTable(tbl []byte) ([]sect, error) {
 	known := map[uint32]bool{}
 	for _, id := range sectionOrder {
 		known[id] = true
 	}
 	seen := map[uint32]bool{}
-	sects := make([]sectV2, len(sectionOrder))
+	sects := make([]sect, len(sectionOrder))
 	for i := range sects {
-		e := tbl[i*v2TableEntryLen:]
+		e := tbl[i*tableEntryLen:]
 		id := binary.LittleEndian.Uint32(e)
 		if !known[id] {
 			return nil, corrupt("unknown section id %d", id)
@@ -453,14 +434,14 @@ func parseTableV2(tbl []byte) ([]sectV2, error) {
 		if reserved := binary.LittleEndian.Uint32(e[4:]); reserved != 0 {
 			return nil, corrupt("section id %d: nonzero reserved field %d", id, reserved)
 		}
-		sects[i] = sectV2{
+		sects[i] = sect{
 			id:     id,
 			off:    binary.LittleEndian.Uint64(e[8:]),
 			length: binary.LittleEndian.Uint64(e[16:]),
 			crc:    binary.LittleEndian.Uint64(e[24:]),
 		}
 	}
-	pos := v2BodyStart()
+	pos := bodyStart()
 	for _, t := range sects {
 		if t.off%8 != 0 {
 			return nil, corrupt("section %s: offset %d not 8-byte aligned", SectionName(t.id), t.off)
@@ -479,9 +460,11 @@ func parseTableV2(tbl []byte) ([]sectV2, error) {
 
 // validateCSR checks one CSR index: offsets are monotone, cover exactly
 // [0, edges), every index is in range, appears exactly once across all
-// rows, and lands in the row the edge array assigns it. Row-internal
-// sort order is not re-derived here — it is covered by the checksum.
-func validateCSR(name string, c csr, rows, edges int, rowOf func(int32) int32, mark []bool) error {
+// rows, and lands in the row the edge array rowOf assigns it.
+// Row-internal sort order is not re-derived here — it is covered by the
+// checksum.
+func validateCSR(name string, c csr, rows int, rowOf []int32, mark []bool) error {
+	edges := len(rowOf)
 	if len(c.off) != rows+1 {
 		return fmt.Errorf("%s: %d offsets for %d rows", name, len(c.off), rows)
 	}
@@ -513,8 +496,8 @@ func validateCSR(name string, c csr, rows, edges int, rowOf func(int32) int32, m
 				return fmt.Errorf("%s: edge %d indexed twice", name, e)
 			}
 			mark[e] = true
-			if rowOf(e) != r {
-				return fmt.Errorf("%s: edge %d filed under row %d, belongs to row %d", name, e, r, rowOf(e))
+			if rowOf[e] != r {
+				return fmt.Errorf("%s: edge %d filed under row %d, belongs to row %d", name, e, r, rowOf[e])
 			}
 		}
 	}
@@ -535,10 +518,10 @@ func ascending(name string, xs []string) error {
 
 // validateStructure runs the full cross-section validation over an
 // assembled snapshot: every symbol in range, supports non-negative,
-// and all four CSR indexes exact permutations filed under the right
-// rows. It is the second half of Snapshot.Verify; errors are attributed
-// to the section that owns the violated invariant, at its file offset
-// (0 for a Freeze snapshot, which has no file).
+// and both CSR indexes exact permutations filed under the right rows.
+// It is the second half of Snapshot.Verify; errors are attributed to
+// the section that owns the violated invariant, at its file offset (0
+// for a Freeze snapshot, which has no file).
 func validateStructure(s *Snapshot) error {
 	off := func(sec uint32) int64 {
 		if s.lazy == nil {
@@ -580,22 +563,11 @@ func validateStructure(s *Snapshot) error {
 		}
 	}
 	mark := make([]bool, ne)
-	type csrCheck struct {
-		name   string
-		c      csr
-		rows   int
-		rowOf  func(int32) int32
-		idxSec uint32
+	if err := validateCSR("byHead", s.byHead, nn, s.eHead, mark); err != nil {
+		return secErr(secHeadIdx, off(secHeadIdx), err)
 	}
-	for _, cc := range []csrCheck{
-		{"byHead", s.byHead, nn, func(e int32) int32 { return s.eHead[e] }, secHeadIdx},
-		{"byTail", s.byTail, nn, func(e int32) int32 { return s.eTail[e] }, secTailIdx},
-		{"byRel", s.byRel, len(s.rels), func(e int32) int32 { return s.eRel[e] }, secRelIdx},
-		{"byDom", s.byDom, len(s.doms), func(e int32) int32 { return s.eDom[e] }, secDomIdx},
-	} {
-		if err := validateCSR(cc.name, cc.c, cc.rows, ne, cc.rowOf, mark); err != nil {
-			return secErr(cc.idxSec, off(cc.idxSec), err)
-		}
+	if err := validateCSR("byTail", s.byTail, nn, s.eTail, mark); err != nil {
+		return secErr(secTailIdx, off(secTailIdx), err)
 	}
 	runtime.KeepAlive(s)
 	return nil

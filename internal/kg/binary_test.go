@@ -41,11 +41,8 @@ func assertSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 		if !ok || gn != n {
 			t.Fatalf("Node(%q) = %+v, %v; want %+v", n.ID, gn, ok, n)
 		}
-		if !reflect.DeepEqual(want.EdgesFrom(n.ID), got.EdgesFrom(n.ID)) {
-			t.Fatalf("EdgesFrom(%q) differ", n.ID)
-		}
-		if !reflect.DeepEqual(want.EdgesTo(n.ID), got.EdgesTo(n.ID)) {
-			t.Fatalf("EdgesTo(%q) differ", n.ID)
+		if !reflect.DeepEqual(rowEdges(want, want.byTail, n.ID), rowEdges(got, got.byTail, n.ID)) {
+			t.Fatalf("byTail row of %q differs", n.ID)
 		}
 		if !reflect.DeepEqual(want.IntentionsFor(n.ID).Edges(), got.IntentionsFor(n.ID).Edges()) {
 			t.Fatalf("IntentionsFor(%q) differ", n.ID)
@@ -54,16 +51,6 @@ func assertSnapshotsEqual(t *testing.T, want, got *Snapshot) {
 			if !reflect.DeepEqual(want.RelatedProducts(n.ID, k), got.RelatedProducts(n.ID, k)) {
 				t.Fatalf("RelatedProducts(%q, %d) differ", n.ID, k)
 			}
-		}
-	}
-	for _, r := range relations.All() {
-		if !reflect.DeepEqual(want.EdgesByRelation(r), got.EdgesByRelation(r)) {
-			t.Fatalf("EdgesByRelation(%q) differ", r)
-		}
-	}
-	for _, d := range catalog.Categories() {
-		if !reflect.DeepEqual(want.EdgesInDomain(d), got.EdgesInDomain(d)) {
-			t.Fatalf("EdgesInDomain(%q) differ", d)
 		}
 	}
 	for _, minSupport := range []int{1, 2, 4} {
@@ -204,6 +191,11 @@ func v1Header() []byte {
 	return append(b, make([]byte, 512)...)
 }
 
+// v2Artifact is buildTestGraph's artifact in the retired format
+// version 2 (23 sections, with the relation and domain indexes), as the
+// last v2 writer packed it.
+const v2Artifact = "testdata/v2.cosmo"
+
 // TestReadSnapshotRejectsFutureVersion pins the compatibility rule:
 // unknown versions are refused, not guessed at.
 func TestReadSnapshotRejectsFutureVersion(t *testing.T) {
@@ -218,33 +210,29 @@ func TestReadSnapshotRejectsFutureVersion(t *testing.T) {
 	}
 }
 
-// TestSnapshotFormatGolden pins the artifact bytes: the size and table
-// checksum (which seals every section's CRC, so it fingerprints the
-// whole file) of buildTestGraph's artifact, as produced by the commit
-// before the v1/gob/copy-decoder removal. A change here is a format
-// change and needs a version bump.
+// TestSnapshotFormatGolden pins the format version 3 artifact bytes:
+// the size and table checksum (which seals every section's CRC, so it
+// fingerprints the whole file) of buildTestGraph's artifact. A change
+// here is a format change and needs a version bump.
 func TestSnapshotFormatGolden(t *testing.T) {
-	st, err := StampSnapshotFile(writeV2File(t, buildTestGraph(t).Freeze()))
+	st, err := StampSnapshotFile(writeFile(t, buildTestGraph(t).Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size != 2052 || st.TableCRC != 0x2160819a349d4962 {
-		t.Fatalf("artifact is %d bytes with table CRC %#016x, want 2052 bytes and 0x2160819a349d4962",
+	if st.Size != 1804 || st.TableCRC != 0x0182da805d995541 {
+		t.Fatalf("artifact is %d bytes with table CRC %#016x, want 1804 bytes and 0x0182da805d995541",
 			st.Size, st.TableCRC)
 	}
 }
 
-// queryAll drives every section group through the public query API.
+// queryAll drives every section group through the public query API:
+// RelatedProducts reaches byTail, ComputeStats the edge sections.
 func queryAll(s *Snapshot) {
 	for _, n := range s.Nodes() {
 		s.IntentionsFor(n.ID)
-		s.EdgesTo(n.ID)
 		s.RelatedProducts(n.ID, 3)
 	}
 	s.Edges()
-	for _, r := range relations.All() {
-		s.EdgesByRelation(r)
-	}
 	s.ComputeStats()
 	s.BuildHierarchy(1)
 }
@@ -280,17 +268,17 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
-	sects, err := parseTableV2(valid[v2HeaderLen : v2HeaderLen+len(sectionOrder)*v2TableEntryLen])
+	sects, err := parseTable(valid[headerLen : headerLen+len(sectionOrder)*tableEntryLen])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sectionAt := func(pos int) (sectV2, bool) {
+	sectionAt := func(pos int) (sect, bool) {
 		for _, s := range sects {
 			if uint64(pos) >= s.off && uint64(pos) < s.off+s.length {
 				return s, true
 			}
 		}
-		return sectV2{}, false
+		return sect{}, false
 	}
 	path := filepath.Join(t.TempDir(), "bad.cosmo")
 	// load returns how each entry point rejected b: ReadSnapshot's
@@ -455,10 +443,15 @@ func FuzzReadSnapshot(f *testing.F) {
 	if err := g.Freeze().WriteSnapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
+	v2, err := os.ReadFile(v2Artifact)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(buf.Bytes())
 	f.Add(v1Header())
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
+	f.Add(v2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		image := alignedBytes(len(data))[:len(data)]
 		copy(image, data)

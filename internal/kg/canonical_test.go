@@ -40,7 +40,7 @@ func TestCanonicalizeMergesInflectedTails(t *testing.T) {
 		t.Error("merged variant still present")
 	}
 	// Edges re-point at the representative; supports merge.
-	es := c.Freeze().EdgesTo(want)
+	es := newOracle(c).edgesTo(want)
 	if len(es) < 3 { // q:dog + three product heads, minus duplicates
 		t.Errorf("merged intention has %d incoming edges", len(es))
 	}

@@ -3,6 +3,7 @@ package kg
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func TestAddAssertionSearchBuy(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Errorf("edges = %d, want 2", g.NumEdges())
 	}
-	es := g.Freeze().EdgesFrom(QueryID("camping"))
+	es := g.Freeze().IntentionsFor(QueryID("camping")).Edges()
 	if len(es) != 1 || es[0].Relation != relations.UsedForEve {
 		t.Fatalf("query edges = %+v", es)
 	}
@@ -60,8 +61,8 @@ func TestAddAssertionCoBuy(t *testing.T) {
 		t.Errorf("edges = %d, want 2 (both products link to intention)", g.NumEdges())
 	}
 	tail := IntentionID(relations.UsedForEve, "camping in the mountains")
-	if len(g.Freeze().EdgesTo(tail)) != 2 {
-		t.Error("intention should have two incoming edges")
+	if n := len(newOracle(g).edgesTo(tail)); n != 2 {
+		t.Errorf("intention has %d incoming edges, want 2", n)
 	}
 }
 
@@ -99,7 +100,7 @@ func TestEdgeMerging(t *testing.T) {
 	if g.NumEdges() != 2 {
 		t.Fatalf("edges = %d, duplicates must merge", g.NumEdges())
 	}
-	es := g.Freeze().EdgesFrom(QueryID("camping"))
+	es := g.Freeze().IntentionsFor(QueryID("camping")).Edges()
 	if es[0].Support != 2 {
 		t.Errorf("support = %d, want 2", es[0].Support)
 	}
@@ -130,13 +131,13 @@ func buildTestGraph(t *testing.T) *Graph {
 	return g
 }
 
+// TestIndexes holds ComputeStats' per-domain counts to the oracle's
+// naive count over Edges().
 func TestIndexes(t *testing.T) {
-	s := buildTestGraph(t).Freeze()
-	if n := len(s.EdgesByRelation(relations.UsedForEve)); n == 0 {
-		t.Error("relation index empty")
-	}
-	if n := len(s.EdgesInDomain(catalog.Sports)); n != s.NumEdges() {
-		t.Errorf("domain index has %d of %d", n, s.NumEdges())
+	g := buildTestGraph(t)
+	s := g.Freeze()
+	if got, want := s.ComputeStats(), newOracle(g).stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("stats = %+v, want %+v", got, want)
 	}
 	if s.NumRelations() != 2 {
 		t.Errorf("relations = %d, want 2", s.NumRelations())

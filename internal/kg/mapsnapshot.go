@@ -1,13 +1,13 @@
 // The snapshot decoder and its two loaders. decodeSnapshot builds a
 // Snapshot over a file image by *aliasing* it — the int32/float64 edge
-// struct-of-arrays, the four CSR indexes, and the two u8 intern-index
+// struct-of-arrays, the two CSR indexes, and the two u8 intern-index
 // arrays via unsafe.Slice, and every string's bytes via unsafe.String
 // (the image is never written once decoded, so the string immutability
 // contract holds). Heap-built state is only the string *headers* (the
-// []string tables), the tiny relation/domain symbol maps, and the
-// intern tables; node-ID lookups binary-search the ascending ID table
-// (see symOf). The loaders differ only in where the image comes from
-// and when its sections are verified:
+// []string tables) and the intern tables — no maps; node-ID lookups
+// binary-search the ascending ID table (see symOf). The loaders differ
+// only in where the image comes from and when its sections are
+// verified:
 //
 //   - MapSnapshot memory-maps the file. Start-up cost is O(string
 //     headers) — no byte copies — resident memory is whatever the page
@@ -90,10 +90,7 @@ var (
 		secBit(secEdgePla) | secBit(secEdgeTyp) | maskStrings
 	maskByHead = secBit(secHeadOff) | secBit(secHeadIdx) | maskStrings
 	maskByTail = secBit(secTailOff) | secBit(secTailIdx) | maskStrings
-	maskByRel  = secBit(secRelOff) | secBit(secRelIdx) | maskStrings
-	maskByDom  = secBit(secDomOff) | secBit(secDomIdx) | maskStrings
-	maskAll    = maskStrings | maskNodeTypes | maskEdges |
-		maskByHead | maskByTail | maskByRel | maskByDom
+	maskAll    = maskNodeTypes | maskEdges | maskByHead | maskByTail
 )
 
 // hostLittleEndian reports whether the host's byte order matches the
@@ -110,7 +107,7 @@ var hostLittleEndian = func() bool {
 // is just redundant work, never wrong.
 type sectionChecks struct {
 	data []byte
-	secs [secDomIdx + 1]sectV2
+	secs [secTailIdx + 1]sect
 	done atomic.Uint64
 }
 
@@ -137,7 +134,7 @@ func (s *Snapshot) touch(mask uint64) {
 func (c *sectionChecks) verifySlow(mask uint64) {
 	var fresh uint64
 	done := c.done.Load()
-	for id := uint32(1); id <= secDomIdx; id++ {
+	for id := uint32(1); id <= secTailIdx; id++ {
 		bit := secBit(id)
 		if mask&bit == 0 || done&bit != 0 {
 			continue
@@ -219,7 +216,7 @@ func MapSnapshot(f *os.File) (*Snapshot, error) {
 // be written afterwards, and on a big-endian host it must be writable
 // here (both loaders then pass a private heap buffer).
 func decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < v2HeaderLen {
+	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrSnapshotMagic, len(data))
 	}
 	if !hasSnapshotMagic(data) {
@@ -237,7 +234,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if int(nsect) != len(sectionOrder) {
 		return nil, corrupt("section count %d, want %d", nsect, len(sectionOrder))
 	}
-	tblEnd := v2HeaderLen + len(sectionOrder)*v2TableEntryLen
+	tblEnd := headerLen + len(sectionOrder)*tableEntryLen
 	if len(data) < tblEnd+8 {
 		return nil, corrupt("short section table (%d bytes)", len(data))
 	}
@@ -245,7 +242,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		crc64.Checksum(data[:tblEnd], crcTable); got != want {
 		return nil, corrupt("table checksum mismatch: file %016x, computed %016x", got, want)
 	}
-	sects, err := parseTableV2(data[v2HeaderLen:tblEnd])
+	sects, err := parseTable(data[headerLen:tblEnd])
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +252,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	// Inter-section padding is not covered by any section CRC; require
 	// it zero eagerly (a handful of sub-8-byte gaps — O(1) pages).
-	pos := v2BodyStart()
+	pos := bodyStart()
 	for _, t := range sects {
 		for _, b := range data[pos:t.off] {
 			if b != 0 {
@@ -353,8 +350,6 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		{secEdgeBeh, ne}, {secEdgeSup, ne * 4}, {secEdgePla, ne * 8}, {secEdgeTyp, ne * 8},
 		{secHeadOff, uint64(nn+1) * 4}, {secHeadIdx, ne * 4},
 		{secTailOff, uint64(nn+1) * 4}, {secTailIdx, ne * 4},
-		{secRelOff, uint64(len(relStrs)+1) * 4}, {secRelIdx, ne * 4},
-		{secDomOff, uint64(len(domStrs)+1) * 4}, {secDomIdx, ne * 4},
 	} {
 		if lenOf(c.id) != c.want {
 			return nil, wrap(c.id, fmt.Errorf("length %d, want %d (%d nodes, %d edges)",
@@ -394,8 +389,6 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	s.ePla, s.eTyp = aliasF64(sec(secEdgePla)), aliasF64(sec(secEdgeTyp))
 	s.byHead = csr{off: i32(secHeadOff), idx: i32(secHeadIdx)}
 	s.byTail = csr{off: i32(secTailOff), idx: i32(secTailIdx)}
-	s.byRel = csr{off: i32(secRelOff), idx: i32(secRelIdx)}
-	s.byDom = csr{off: i32(secDomOff), idx: i32(secDomIdx)}
 
 	s.lazy = checks
 	s.bindDerived()
@@ -447,8 +440,7 @@ func numericWidth(id uint32) int {
 	case secEdgePla, secEdgeTyp:
 		return 8
 	case secEdgeHead, secEdgeTail, secEdgeRel, secEdgeDom, secEdgeSup,
-		secHeadOff, secHeadIdx, secTailOff, secTailIdx,
-		secRelOff, secRelIdx, secDomOff, secDomIdx:
+		secHeadOff, secHeadIdx, secTailOff, secTailIdx:
 		return 4
 	}
 	return 1
@@ -563,7 +555,7 @@ func StampSnapshotFile(path string) (SnapshotStamp, error) {
 		return SnapshotStamp{}, fmt.Errorf("kg: stamp snapshot: %w", err)
 	}
 	defer f.Close()
-	head := make([]byte, v2HeaderLen)
+	head := make([]byte, headerLen)
 	if _, err := io.ReadFull(f, head); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return st, nil // too short for a header; mtime+size still identify it
@@ -579,7 +571,7 @@ func StampSnapshotFile(path string) (SnapshotStamp, error) {
 		return st, nil
 	}
 	seal := make([]byte, 8)
-	if _, err := f.ReadAt(seal, int64(v2HeaderLen+int(nsect)*v2TableEntryLen)); err != nil {
+	if _, err := f.ReadAt(seal, int64(headerLen+int(nsect)*tableEntryLen)); err != nil {
 		return st, nil
 	}
 	st.TableCRC = binary.LittleEndian.Uint64(seal)

@@ -19,8 +19,8 @@ import (
 	"cosmo/internal/relations"
 )
 
-// writeV2File freezes g (if s is nil) and packs it to a temp v2 file.
-func writeV2File(t *testing.T, s *Snapshot) string {
+// writeFile packs s to a temp artifact file.
+func writeFile(t *testing.T, s *Snapshot) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "kg.cosmo")
 	if err := WriteSnapshotFile(path, s); err != nil {
@@ -39,7 +39,7 @@ func TestMapSnapshotEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(9100 + trial)))
 			want := randomGraph(t, rng, 40+rng.Intn(200)).Freeze()
-			path := writeV2File(t, want)
+			path := writeFile(t, want)
 			mapped, err := MapSnapshotFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +65,7 @@ func TestMapSnapshotEquivalence(t *testing.T) {
 func TestMapSnapshotLazyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9200))
 	want := randomGraph(t, rng, 150).Freeze()
-	mapped, err := MapSnapshotFile(writeV2File(t, want))
+	mapped, err := MapSnapshotFile(writeFile(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestMapSnapshotLazyEquivalence(t *testing.T) {
 }
 
 // TestMapSnapshotExportEquivalence pins that a mapped snapshot exports
-// (JSONL, TSV, and a byte-identical v2 re-pack) exactly like the heap
+// (JSONL, TSV, and a byte-identical re-pack) exactly like the heap
 // one.
 func TestMapSnapshotExportEquivalence(t *testing.T) {
 	want := buildTestGraph(t).Freeze()
-	path := writeV2File(t, want)
+	path := writeFile(t, want)
 	mapped, err := MapSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestMapSnapshotExportEquivalence(t *testing.T) {
 
 // TestMapSnapshotEmpty maps the degenerate empty snapshot.
 func TestMapSnapshotEmpty(t *testing.T) {
-	mapped, err := MapSnapshotFile(writeV2File(t, New().Freeze()))
+	mapped, err := MapSnapshotFile(writeFile(t, New().Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,26 +122,39 @@ func TestMapSnapshotEmpty(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsV1 pins that the retired format version 1 is
-// refused by both loaders with ErrSnapshotVersion.
-func TestSnapshotRejectsV1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.cosmo")
-	if err := os.WriteFile(path, v1Header(), 0o644); err != nil {
+// TestSnapshotRejectsRetiredVersions pins that the retired format
+// versions are refused by both loaders with ErrSnapshotVersion and carry
+// no table fingerprint, so a server reloading one keeps serving the
+// snapshot it has.
+func TestSnapshotRejectsRetiredVersions(t *testing.T) {
+	v1 := filepath.Join(t.TempDir(), "v1.cosmo")
+	if err := os.WriteFile(v1, v1Header(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("MapSnapshot(v1) = %v, want ErrSnapshotVersion", err)
-	}
-	if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("ReadSnapshot(v1) = %v, want ErrSnapshotVersion", err)
+	for name, path := range map[string]string{"v1": v1, "v2": v2Artifact} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := MapSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("MapSnapshot = %v, want ErrSnapshotVersion", err)
+			}
+			if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("ReadSnapshot = %v, want ErrSnapshotVersion", err)
+			}
+			st, err := StampSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.TableCRC != 0 {
+				t.Fatalf("stamp carries a fingerprint: %+v", st)
+			}
+		})
 	}
 }
 
 // sectionRange looks up a section's [off, off+len) window in a packed
-// v2 byte image via its sealed table.
+// byte image via its sealed table.
 func sectionRange(t *testing.T, valid []byte, id uint32) (int, int) {
 	t.Helper()
-	sects, err := parseTableV2(valid[v2HeaderLen : v2HeaderLen+len(sectionOrder)*v2TableEntryLen])
+	sects, err := parseTable(valid[headerLen : headerLen+len(sectionOrder)*tableEntryLen])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +174,7 @@ func sectionRange(t *testing.T, valid []byte, id uint32) (int, int) {
 // Verify must report the same section as an error, not a panic.
 func TestMapSnapshotLazyFailsClosed(t *testing.T) {
 	want := buildTestGraph(t).Freeze()
-	path := writeV2File(t, want)
+	path := writeFile(t, want)
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -170,48 +183,38 @@ func TestMapSnapshotLazyFailsClosed(t *testing.T) {
 
 	// One toucher per lazily-validated section group, driving it through
 	// the public query API.
+	intentions := func(s *Snapshot) {
+		for _, n := range heads {
+			s.IntentionsFor(n.ID)
+		}
+	}
+	related := func(s *Snapshot) {
+		for _, n := range heads {
+			s.RelatedProducts(n.ID, 3)
+		}
+	}
+	stats := func(s *Snapshot) { s.ComputeStats() }
 	touch := map[uint32]func(s *Snapshot){
 		secNodeTypeIx: func(s *Snapshot) { s.Nodes() },
-		secEdgeHead:   func(s *Snapshot) { s.Edges() },
-		secEdgeTail:   func(s *Snapshot) { s.Edges() },
-		secEdgeRel:    func(s *Snapshot) { s.Edges() },
-		secEdgeDom:    func(s *Snapshot) { s.Edges() },
-		secEdgeBeh:    func(s *Snapshot) { s.Edges() },
-		secEdgeSup:    func(s *Snapshot) { s.Edges() },
-		secEdgePla:    func(s *Snapshot) { s.Edges() },
-		secEdgeTyp:    func(s *Snapshot) { s.Edges() },
-		secHeadOff: func(s *Snapshot) {
-			for _, n := range heads {
-				s.IntentionsFor(n.ID)
-			}
-		},
-		secHeadIdx: func(s *Snapshot) {
-			for _, n := range heads {
-				s.IntentionsFor(n.ID)
-			}
-		},
-		secTailOff: func(s *Snapshot) {
-			for _, n := range heads {
-				s.EdgesTo(n.ID)
-			}
-		},
-		secTailIdx: func(s *Snapshot) {
-			for _, n := range heads {
-				s.EdgesTo(n.ID)
-			}
-		},
-		secRelOff: func(s *Snapshot) {
-			for _, r := range relations.All() {
-				s.EdgesByRelation(r)
-			}
-		},
-		secRelIdx: func(s *Snapshot) {
-			for _, r := range relations.All() {
-				s.EdgesByRelation(r)
-			}
-		},
-		secDomOff: func(s *Snapshot) { s.ComputeStats() },
-		secDomIdx: func(s *Snapshot) { s.ComputeStats() },
+		secEdgeHead:   stats,
+		secEdgeTail:   stats,
+		secEdgeRel:    stats,
+		secEdgeDom:    stats,
+		secEdgeBeh:    stats,
+		secEdgeSup:    stats,
+		secEdgePla:    stats,
+		secEdgeTyp:    stats,
+		secHeadOff:    intentions,
+		secHeadIdx:    intentions,
+		secTailOff:    related,
+		secTailIdx:    related,
+	}
+	// String sections are covered by TestMapSnapshotEagerRejections;
+	// every other section needs a toucher here.
+	for _, id := range sectionOrder {
+		if touch[id] == nil && maskStrings&secBit(id) == 0 {
+			t.Fatalf("no toucher for lazily validated section %s", SectionName(id))
+		}
 	}
 	for id, fn := range touch {
 		lo, hi := sectionRange(t, valid, id)
@@ -274,7 +277,7 @@ func TestMapSnapshotLazyFailsClosed(t *testing.T) {
 // flips, structural string-table damage, and every truncation — plus
 // the string-content flips that defer to the first query's checksum.
 func TestMapSnapshotEagerRejections(t *testing.T) {
-	valid, err := os.ReadFile(writeV2File(t, buildTestGraph(t).Freeze()))
+	valid, err := os.ReadFile(writeFile(t, buildTestGraph(t).Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func TestMapSnapshotEagerRejections(t *testing.T) {
 		return MapSnapshotFile(p)
 	}
 	// Header, table and seal: all eagerly checksummed.
-	for pos := len(snapshotMagic); pos < int(v2BodyStart()); pos++ {
+	for pos := len(snapshotMagic); pos < int(bodyStart()); pos++ {
 		b := append([]byte(nil), valid...)
 		b[pos] ^= 0x5A
 		if s, err := tryMap(t, b); err == nil {
@@ -377,7 +380,7 @@ func TestMapSnapshotZeroAlloc(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race; the alloc guard runs in the regular suite")
 	}
 	rng := rand.New(rand.NewSource(7))
-	s, err := MapSnapshotFile(writeV2File(t, randomGraph(t, rng, 300).Freeze()))
+	s, err := MapSnapshotFile(writeFile(t, randomGraph(t, rng, 300).Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +423,7 @@ func TestMapSnapshotZeroAlloc(t *testing.T) {
 // TestMappingLifetime pins the refcount/Close semantics: Close releases
 // the mapping exactly once and later Closes are no-ops.
 func TestMappingLifetime(t *testing.T) {
-	s, err := MapSnapshotFile(writeV2File(t, buildTestGraph(t).Freeze()))
+	s, err := MapSnapshotFile(writeFile(t, buildTestGraph(t).Freeze()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +458,7 @@ func TestMapSnapshotRetirementRace(t *testing.T) {
 	for i := range paths {
 		g := randomGraph(t, rng, 80+40*i)
 		s := g.Freeze()
-		paths[i] = writeV2File(t, s)
+		paths[i] = writeFile(t, s)
 		for _, n := range s.Nodes() {
 			ids[n.ID] = true
 		}
@@ -503,7 +506,8 @@ func TestMapSnapshotRetirementRace(t *testing.T) {
 
 // TestSnapshotStamp pins the reload-skip fingerprint: same artifact →
 // equal stamps; rewritten-but-identical content → SameContent; changed
-// content → different TableCRC; other versions carry no fingerprint.
+// content → different TableCRC. Retired versions carry no fingerprint
+// (TestSnapshotRejectsRetiredVersions).
 func TestSnapshotStamp(t *testing.T) {
 	g := buildTestGraph(t)
 	s := g.Freeze()
@@ -516,7 +520,7 @@ func TestSnapshotStamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.TableCRC == 0 {
-		t.Fatal("v2 stamp has no table fingerprint")
+		t.Fatal("stamp has no table fingerprint")
 	}
 	b, err := StampSnapshotFile(path)
 	if err != nil {
@@ -560,18 +564,5 @@ func TestSnapshotStamp(t *testing.T) {
 		if a.SameContent(d) {
 			t.Fatal("different content shares a fingerprint")
 		}
-	}
-
-	// Not a current-version header: stat identity only.
-	v1 := filepath.Join(t.TempDir(), "v1.cosmo")
-	if err := os.WriteFile(v1, v1Header(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e, err := StampSnapshotFile(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.TableCRC != 0 {
-		t.Fatalf("v1 stamp carries a fingerprint: %+v", e)
 	}
 }

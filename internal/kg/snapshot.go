@@ -25,12 +25,13 @@ import (
 // each node to a dense int32 (symbols are assigned in ascending node-ID
 // order, so comparing symbols as ints is comparing IDs as strings);
 // edges live in flat struct-of-arrays in Graph.Edges() key order; the
-// four secondary indexes are CSR offset+index arrays. Per-head
-// adjacency is pre-sorted in the IntentionsFor order (descending
-// typicality, then tail ID, then relation), so IntentionsFor is a
-// zero-alloc slice view. Per-tail adjacency is pre-sorted by (head ID,
-// relation), which fixes the accumulation order of RelatedProducts, so
-// its float scores are reproducible bit for bit.
+// two indexes the queries read, by head and by tail, are CSR
+// offset+index arrays. Per-head adjacency is pre-sorted in the
+// IntentionsFor order (descending typicality, then tail ID, then
+// relation), so IntentionsFor is a zero-alloc slice view. Per-tail
+// adjacency is pre-sorted by (head ID, relation), which fixes the
+// accumulation order of RelatedProducts, so its float scores are
+// reproducible bit for bit.
 type Snapshot struct {
 	// Symbol table: sym -> ID / label / type, ascending-ID order. Node
 	// types are interned: ntypes[i] indexes ntypeTable, a tiny sorted
@@ -62,15 +63,11 @@ type Snapshot struct {
 	searchBuyIx int32
 
 	// Interned relation and domain tables, ascending order.
-	rels   []relations.Relation
-	doms   []catalog.Category
-	relSym map[relations.Relation]int32
-	domSym map[catalog.Category]int32
+	rels []relations.Relation
+	doms []catalog.Category
 
 	byHead csr // rows: node syms, pre-sorted in IntentionsFor order
 	byTail csr // rows: node syms, pre-sorted by (head sym, rel sym)
-	byRel  csr // rows: relation syms, global edge order
-	byDom  csr // rows: domain syms, global edge order
 
 	// scratch pools RelatedProducts accumulators so the two-hop walk
 	// allocates only its result. Bounded by the pool's GC semantics.
@@ -178,16 +175,16 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	ne := len(keys)
 	edges := make([]*Edge, ne)
 	rawBeh := make([]know.BehaviorType, ne)
-	relSet := map[relations.Relation]bool{}
-	domSet := map[catalog.Category]bool{}
+	relSym := map[relations.Relation]int32{}
+	domSym := map[catalog.Category]int32{}
 	for i, k := range keys {
 		e := g.edges[k]
 		edges[i] = e
 		rawBeh[i] = e.Behavior
-		relSet[e.Relation] = true
-		domSet[e.Domain] = true
+		relSym[e.Relation] = 0
+		domSym[e.Domain] = 0
 	}
-	if err := checkFreezeCapacity(len(g.nodes), ne, len(relSet), len(domSet)); err != nil {
+	if err := checkFreezeCapacity(len(g.nodes), ne, len(relSym), len(domSym)); err != nil {
 		return nil, err
 	}
 
@@ -216,9 +213,10 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	// Relation and domain intern tables, ascending order, so relation and
 	// domain symbols compare like the strings they stand for. Behaviors
 	// are interned too: with them every table bindDerived reads is in
-	// place, and the edge loop below interns through its symbol maps.
-	s.rels = sortedKeys(relSet)
-	s.doms = sortedKeys(domSet)
+	// place, and the edge loop below interns through the symbol maps,
+	// which are dropped on return like sym.
+	s.rels = sortedSyms(relSym)
+	s.doms = sortedSyms(domSym)
 	if s.behTable, s.eBeh, err = internSyms(rawBeh); err != nil {
 		return nil, err
 	}
@@ -246,8 +244,8 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		}
 		s.eHead[i] = h
 		s.eTail[i] = t
-		s.eRel[i] = s.relSym[e.Relation]
-		s.eDom[i] = s.domSym[e.Domain]
+		s.eRel[i] = relSym[e.Relation]
+		s.eDom[i] = domSym[e.Domain]
 		s.ePla[i] = e.PlausibleScore
 		s.eTyp[i] = e.TypicalScore
 		s.eSup[i] = int32(e.Support)
@@ -256,8 +254,6 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	nn := len(s.ids)
 	s.byHead = newCSR(nn, ne, func(e int32) int32 { return s.eHead[e] })
 	s.byTail = newCSR(nn, ne, func(e int32) int32 { return s.eTail[e] })
-	s.byRel = newCSR(len(s.rels), ne, func(e int32) int32 { return s.eRel[e] })
-	s.byDom = newCSR(len(s.doms), ne, func(e int32) int32 { return s.eDom[e] })
 
 	// Pre-sort per-head rows in the IntentionsFor order and per-tail
 	// rows in the canonical back-walk order. Symbol comparisons stand in
@@ -288,13 +284,17 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	return s, nil
 }
 
-// sortedKeys returns the keys of set in ascending order.
-func sortedKeys[T cmp.Ordered](set map[T]bool) []T {
-	out := make([]T, 0, len(set))
-	for k := range set {
+// sortedSyms returns the keys of syms in ascending order and sets each
+// key's value to its index in that order, its symbol.
+func sortedSyms[T cmp.Ordered](syms map[T]int32) []T {
+	out := make([]T, 0, len(syms))
+	for k := range syms {
 		out = append(out, k)
 	}
 	slices.Sort(out)
+	for i, k := range out {
+		syms[k] = sym32(i)
+	}
 	return out
 }
 
@@ -326,18 +326,9 @@ func internSyms[T ~string](xs []T) (table []T, idx []uint8, err error) {
 }
 
 // bindDerived computes the non-serialized derivatives Freeze and the
-// decoder share, from the intern tables: the relation and domain symbol
-// maps, the cached NodeProduct / SearchBuy intern indexes (-1 when
-// absent) and the walk scratch pool.
+// decoder share, from the intern tables: the cached NodeProduct /
+// SearchBuy intern indexes (-1 when absent) and the walk scratch pool.
 func (s *Snapshot) bindDerived() {
-	s.relSym = make(map[relations.Relation]int32, len(s.rels))
-	for i, r := range s.rels {
-		s.relSym[r] = sym32(i)
-	}
-	s.domSym = make(map[catalog.Category]int32, len(s.doms))
-	for i, d := range s.doms {
-		s.domSym[d] = sym32(i)
-	}
 	s.prodIx, s.searchBuyIx = -1, -1
 	for i, t := range s.ntypeTable {
 		if t == NodeProduct {
@@ -475,57 +466,6 @@ func (s *Snapshot) Edges() []Edge {
 	}
 	runtime.KeepAlive(s) // aliased sections must outlive the last read (mmap-backed snapshots)
 	return out
-}
-
-func (s *Snapshot) collectRow(row []int32) []Edge {
-	out := make([]Edge, len(row))
-	for i, e := range row {
-		out[i] = s.edgeAt(e)
-	}
-	runtime.KeepAlive(s) // row may alias the mapped region; keep it mapped through the loop
-	return out
-}
-
-// EdgesFrom returns all edges with the given head, in the IntentionsFor
-// order (descending typicality).
-func (s *Snapshot) EdgesFrom(head string) []Edge {
-	h, ok := s.symOf(head)
-	if !ok {
-		return []Edge{}
-	}
-	s.touch(maskByHead | maskEdges)
-	return s.collectRow(s.byHead.row(h))
-}
-
-// EdgesTo returns all edges pointing at the given intention tail,
-// sorted by (head, relation).
-func (s *Snapshot) EdgesTo(tail string) []Edge {
-	t, ok := s.symOf(tail)
-	if !ok {
-		return []Edge{}
-	}
-	s.touch(maskByTail | maskEdges)
-	return s.collectRow(s.byTail.row(t))
-}
-
-// EdgesByRelation returns all edges of a relation in key-sorted order.
-func (s *Snapshot) EdgesByRelation(r relations.Relation) []Edge {
-	i, ok := s.relSym[r]
-	if !ok {
-		return []Edge{}
-	}
-	s.touch(maskByRel | maskEdges)
-	return s.collectRow(s.byRel.row(i))
-}
-
-// EdgesInDomain returns all edges of a domain in key-sorted order.
-func (s *Snapshot) EdgesInDomain(d catalog.Category) []Edge {
-	i, ok := s.domSym[d]
-	if !ok {
-		return []Edge{}
-	}
-	s.touch(maskByDom | maskEdges)
-	return s.collectRow(s.byDom.row(i))
 }
 
 // EdgeSeq is a zero-alloc view over a pre-sorted adjacency row. The
@@ -846,26 +786,27 @@ type DomainStats struct {
 	SearchBuyEdges int
 }
 
-// ComputeStats builds graph statistics from the frozen arrays.
+// ComputeStats builds graph statistics from the frozen arrays: one pass
+// over the edges counts each domain's edges by behavior.
 func (s *Snapshot) ComputeStats() Stats {
-	s.touch(maskByDom | maskEdges)
+	s.touch(maskEdges)
+	per := make([]DomainStats, len(s.doms))
+	for i, d := range s.eDom {
+		if int32(s.eBeh[i]) == s.searchBuyIx {
+			per[d].SearchBuyEdges++
+		} else {
+			per[d].CoBuyEdges++
+		}
+	}
 	st := Stats{
 		Nodes:     len(s.ids),
 		Edges:     len(s.eHead),
 		Relations: len(s.rels),
 		Domains:   len(s.doms),
-		PerDomain: map[catalog.Category]DomainStats{},
+		PerDomain: make(map[catalog.Category]DomainStats, len(s.doms)),
 	}
-	for di, d := range s.doms {
-		ds := DomainStats{}
-		for _, e := range s.byDom.row(sym32(di)) {
-			if int32(s.eBeh[e]) == s.searchBuyIx {
-				ds.SearchBuyEdges++
-			} else {
-				ds.CoBuyEdges++
-			}
-		}
-		st.PerDomain[d] = ds
+	for i, d := range s.doms {
+		st.PerDomain[d] = per[i]
 	}
 	runtime.KeepAlive(s) // aliased sections must outlive the last read (mmap-backed snapshots)
 	return st

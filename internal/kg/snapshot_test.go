@@ -76,8 +76,7 @@ func newOracle(g *Graph) *oracle {
 	return o
 }
 
-// filter returns the edges keep accepts, in key-sorted order — the
-// order of EdgesByRelation and EdgesInDomain.
+// filter returns the edges keep accepts, in key-sorted order.
 func (o *oracle) filter(keep func(Edge) bool) []Edge {
 	out := []Edge{}
 	for _, e := range o.edges {
@@ -88,7 +87,7 @@ func (o *oracle) filter(keep func(Edge) bool) []Edge {
 	return out
 }
 
-// intentionsFor is EdgesFrom / IntentionsFor: the head's edges by
+// intentionsFor is IntentionsFor, the byHead row: the head's edges by
 // descending typicality, then tail ID, then relation.
 func (o *oracle) intentionsFor(head string) []Edge {
 	es := o.filter(func(e Edge) bool { return e.Head == head })
@@ -104,7 +103,8 @@ func (o *oracle) intentionsFor(head string) []Edge {
 	return es
 }
 
-// edgesTo is EdgesTo: the tail's edges by head ID, then relation.
+// edgesTo is the byTail row RelatedProducts walks back: the tail's
+// edges by head ID, then relation.
 func (o *oracle) edgesTo(tail string) []Edge {
 	es := o.filter(func(e Edge) bool { return e.Tail == tail })
 	sort.Slice(es, func(i, j int) bool {
@@ -198,86 +198,106 @@ func (o *oracle) hierarchy(minSupport int) []*HierarchyNode {
 	return assembleHierarchy(byTail, minSupport)
 }
 
+// rowEdges materializes node id's row of the CSR index c (s.byHead or
+// s.byTail), so the tests pin the adjacency order the walks read with
+// no query in between. An unknown id has an empty row.
+func rowEdges(s *Snapshot, c csr, id string) []Edge {
+	out := []Edge{}
+	sym, ok := s.symOf(id)
+	if !ok {
+		return out
+	}
+	s.touch(maskByHead | maskByTail | maskEdges)
+	for _, e := range c.row(sym) {
+		out = append(out, s.edgeAt(e))
+	}
+	return out
+}
+
 // TestSnapshotEquivalence is the randomized property test proving the
-// frozen read path agrees with the naive oracle on every query —
-// including tie-break ordering for every order-specified query and
-// bitwise score equality for RelatedProducts.
+// frozen read path agrees with the naive oracle on every query and on
+// both CSR indexes row by row — including tie-break ordering for every
+// order-specified row and bitwise score equality for RelatedProducts —
+// on a Freeze snapshot and on the same snapshot read and mapped back.
 func TestSnapshotEquivalence(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + trial)))
 			g := randomGraph(t, rng, 40+rng.Intn(260))
-			s := g.Freeze()
+			frozen := g.Freeze()
+			path := writeFile(t, frozen)
+			read, err := ReadSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, err := MapSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
 			o := newOracle(g)
-
-			if !reflect.DeepEqual(s.Nodes(), g.Nodes()) {
-				t.Fatal("Nodes() differ")
-			}
-			if !reflect.DeepEqual(s.Edges(), o.edges) {
-				t.Fatal("Edges() differ")
-			}
-			want := o.stats()
-			if s.NumNodes() != want.Nodes || s.NumEdges() != want.Edges || s.NumRelations() != want.Relations {
-				t.Fatalf("counts differ: snapshot %d/%d/%d oracle %d/%d/%d",
-					s.NumNodes(), s.NumEdges(), s.NumRelations(), want.Nodes, want.Edges, want.Relations)
-			}
-			if got := s.ComputeStats(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("stats differ:\nsnapshot %+v\noracle   %+v", got, want)
-			}
-
-			for _, n := range g.Nodes() {
-				sn, ok := s.Node(n.ID)
-				if !ok || sn != n {
-					t.Fatalf("Node(%q) = %+v, %v; want %+v", n.ID, sn, ok, n)
-				}
-				wantFrom := o.intentionsFor(n.ID)
-				if got := s.EdgesFrom(n.ID); !reflect.DeepEqual(got, wantFrom) {
-					t.Fatalf("EdgesFrom(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
-				}
-				if got := s.IntentionsFor(n.ID).Edges(); !reflect.DeepEqual(got, wantFrom) {
-					t.Fatalf("IntentionsFor(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
-				}
-				if got, want := s.EdgesTo(n.ID), o.edgesTo(n.ID); !reflect.DeepEqual(got, want) {
-					t.Fatalf("EdgesTo(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, want)
-				}
-				for _, k := range []int{1, 3, 1 << 20} {
-					if got, want := s.RelatedProducts(n.ID, k), o.related(n.ID, k); !reflect.DeepEqual(got, want) {
-						t.Fatalf("RelatedProducts(%q, %d) differ:\nsnapshot %+v\noracle   %+v", n.ID, k, got, want)
-					}
-				}
-			}
-
-			for _, r := range relations.All() {
-				want := o.filter(func(e Edge) bool { return e.Relation == r })
-				if got := s.EdgesByRelation(r); !reflect.DeepEqual(got, want) {
-					t.Fatalf("EdgesByRelation(%q) differ", r)
-				}
-			}
-			for _, d := range catalog.Categories() {
-				want := o.filter(func(e Edge) bool { return e.Domain == d })
-				if got := s.EdgesInDomain(d); !reflect.DeepEqual(got, want) {
-					t.Fatalf("EdgesInDomain(%q) differ", d)
-				}
-			}
-
-			for _, minSupport := range []int{1, 2, 4} {
-				if !reflect.DeepEqual(s.BuildHierarchy(minSupport), o.hierarchy(minSupport)) {
-					t.Fatalf("BuildHierarchy(%d) differs", minSupport)
-				}
-			}
-
-			// Unknown IDs answer empty.
-			if _, ok := s.Node("p:NOPE"); ok {
-				t.Fatal("unknown node found in snapshot")
-			}
-			if n := s.IntentionsFor("p:NOPE").Len(); n != 0 {
-				t.Fatalf("unknown head has %d intentions", n)
-			}
-			if n := len(s.RelatedProducts("p:NOPE", 5)); n != 0 {
-				t.Fatalf("unknown head has %d related products", n)
+			for name, s := range map[string]*Snapshot{"freeze": frozen, "read": read, "map": mapped} {
+				t.Run(name, func(t *testing.T) { checkOracle(t, g, o, s) })
 			}
 		})
+	}
+}
+
+// checkOracle holds one snapshot of g to the naive oracle.
+func checkOracle(t *testing.T, g *Graph, o *oracle, s *Snapshot) {
+	if !reflect.DeepEqual(s.Nodes(), g.Nodes()) {
+		t.Fatal("Nodes() differ")
+	}
+	if !reflect.DeepEqual(s.Edges(), o.edges) {
+		t.Fatal("Edges() differ")
+	}
+	want := o.stats()
+	if s.NumNodes() != want.Nodes || s.NumEdges() != want.Edges || s.NumRelations() != want.Relations {
+		t.Fatalf("counts differ: snapshot %d/%d/%d oracle %d/%d/%d",
+			s.NumNodes(), s.NumEdges(), s.NumRelations(), want.Nodes, want.Edges, want.Relations)
+	}
+	if got := s.ComputeStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stats differ:\nsnapshot %+v\noracle   %+v", got, want)
+	}
+
+	for _, n := range g.Nodes() {
+		sn, ok := s.Node(n.ID)
+		if !ok || sn != n {
+			t.Fatalf("Node(%q) = %+v, %v; want %+v", n.ID, sn, ok, n)
+		}
+		wantFrom := o.intentionsFor(n.ID)
+		if got := rowEdges(s, s.byHead, n.ID); !reflect.DeepEqual(got, wantFrom) {
+			t.Fatalf("byHead row of %q differs:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
+		}
+		if got := s.IntentionsFor(n.ID).Edges(); !reflect.DeepEqual(got, wantFrom) {
+			t.Fatalf("IntentionsFor(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
+		}
+		if got, want := rowEdges(s, s.byTail, n.ID), o.edgesTo(n.ID); !reflect.DeepEqual(got, want) {
+			t.Fatalf("byTail row of %q differs:\nsnapshot %+v\noracle   %+v", n.ID, got, want)
+		}
+		for _, k := range []int{1, 3, 1 << 20} {
+			if got, want := s.RelatedProducts(n.ID, k), o.related(n.ID, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("RelatedProducts(%q, %d) differ:\nsnapshot %+v\noracle   %+v", n.ID, k, got, want)
+			}
+		}
+	}
+
+	for _, minSupport := range []int{1, 2, 4} {
+		if !reflect.DeepEqual(s.BuildHierarchy(minSupport), o.hierarchy(minSupport)) {
+			t.Fatalf("BuildHierarchy(%d) differs", minSupport)
+		}
+	}
+
+	// Unknown IDs answer empty.
+	if _, ok := s.Node("p:NOPE"); ok {
+		t.Fatal("unknown node found in snapshot")
+	}
+	if n := s.IntentionsFor("p:NOPE").Len(); n != 0 {
+		t.Fatalf("unknown head has %d intentions", n)
+	}
+	if n := len(s.RelatedProducts("p:NOPE", 5)); n != 0 {
+		t.Fatalf("unknown head has %d related products", n)
 	}
 }
 
@@ -418,7 +438,7 @@ func TestRelatedTopKBoundary(t *testing.T) {
 	g := tieGraph(t)
 	o := newOracle(g)
 	heap := g.Freeze()
-	mapped, err := MapSnapshotFile(writeV2File(t, heap))
+	mapped, err := MapSnapshotFile(writeFile(t, heap))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package serving
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"cosmo/internal/fnv1a"
+)
 
 // CacheStats reports cache behavior.
 type CacheStats struct {
@@ -146,8 +150,10 @@ func NewAsyncCacheWithConfig(cfg CacheConfig) *AsyncCache {
 	return c
 }
 
+// shard routes a query to its lock stripe by 64-bit FNV-1a, which
+// allocates nothing on the hot path.
 func (c *AsyncCache) shard(query string) *cacheShard {
-	return c.shards[fnv1a(query)&c.mask]
+	return c.shards[fnv1a.String64(fnv1a.Offset64, query)&c.mask]
 }
 
 // NumShards returns the number of lock stripes.

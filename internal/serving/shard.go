@@ -4,22 +4,9 @@ import (
 	"container/list"
 	"sort"
 	"sync"
-)
 
-// fnv1a hashes a query to a shard index. Inlined rather than importing
-// hash/fnv so the hot path allocates nothing.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
+	"cosmo/internal/fnv1a"
+)
 
 // cacheShard is one lock stripe of the AsyncCache: a slice of the yearly
 // layer, a slice of the daily LRU, and a bounded ring buffer of queued
@@ -216,7 +203,7 @@ func newStripedCounter(n int) *stripedCounter {
 }
 
 func (c *stripedCounter) inc(q string) {
-	s := &c.stripes[fnv1a(q)%uint64(len(c.stripes))]
+	s := &c.stripes[fnv1a.String64(fnv1a.Offset64, q)%uint64(len(c.stripes))]
 	s.mu.Lock()
 	s.counts[q]++
 	s.mu.Unlock()
