@@ -2,7 +2,8 @@
 // and verified up front) vs MapSnapshot (mapped, verified on first
 // touch) on the ScaledKG artifact. Both alias the same image through
 // the same decoder, so the comparison isolates what mapping is for —
-// cold start to first answer and resident footprint per edge.
+// cold start to first answer and resident footprint per edge. The
+// Freeze and pack that produce the artifact are timed on the way.
 package main
 
 import (
@@ -39,11 +40,13 @@ type mmapResult struct {
 }
 
 // mmapSummary is the headline comparison record appended to the two
-// loader records.
+// loader records, with the build-side cost of the artifact they load.
 type mmapSummary struct {
 	Name              string  `json:"name"`
 	Factor            int     `json:"factor"`
 	Edges             int     `json:"edges"`
+	FreezeNs          int64   `json:"freeze_ns"` // FreezeChecked of the scaled graph
+	PackNs            int64   `json:"pack_ns"`   // WriteSnapshotFile: the encode and the file write
 	ColdStartSpeedup  float64 `json:"cold_start_speedup"`
 	FirstAnswerNsHeap int64   `json:"ns_to_first_answer_heap"`
 	FirstAnswerNsMmap int64   `json:"ns_to_first_answer_mmap"`
@@ -152,7 +155,7 @@ func measureLoader(name string, factor int, path string, fileBytes int64,
 		}
 	}
 
-	// Steady-state hot-query latency, same protocol as -scalebench.
+	// Steady-state hot-query latency over the sampled heads.
 	const reps = 4
 	start = time.Now()
 	for rep := 0; rep < reps; rep++ {
@@ -178,27 +181,32 @@ func measureLoader(name string, factor int, path string, fileBytes int64,
 	return res, nil
 }
 
-// runMmapBench packs the ScaledKG world into a .cosmo artifact and runs
-// the heap and mmap loaders through the same protocol.
+// runMmapBench freezes the ScaledKG world and packs it into a .cosmo
+// artifact, timing both steps, and runs the heap and mmap loaders
+// through the same protocol.
 func runMmapBench(r *experiments.Runner, factor int, jsonOut string) error {
 	r.World() // build the shared world outside every measurement
 	g, err := r.ScaledKG(factor)
 	if err != nil {
 		return err
 	}
+	start := time.Now()
 	snap, err := g.FreezeChecked()
 	if err != nil {
 		return err
 	}
+	freezeNs := time.Since(start).Nanoseconds()
 	dir, err := os.MkdirTemp("", "cosmo-mmapbench")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "kg.cosmo")
+	start = time.Now()
 	if err := kg.WriteSnapshotFile(path, snap); err != nil {
 		return err
 	}
+	packNs := time.Since(start).Nanoseconds()
 	fi, err := os.Stat(path)
 	if err != nil {
 		return err
@@ -224,6 +232,8 @@ func runMmapBench(r *experiments.Runner, factor int, jsonOut string) error {
 		Name:              "mmap_vs_heap",
 		Factor:            factor,
 		Edges:             mapped.Edges,
+		FreezeNs:          freezeNs,
+		PackNs:            packNs,
 		FirstAnswerNsHeap: heap.ColdStartNs + heap.FirstQueryNs,
 		FirstAnswerNsMmap: mapped.ColdStartNs + mapped.FirstQueryNs,
 	}
@@ -234,6 +244,8 @@ func runMmapBench(r *experiments.Runner, factor int, jsonOut string) error {
 		summary.HeapReduction = heap.HeapBytesPerEdge / mapped.HeapBytesPerEdge
 	}
 
+	fmt.Printf("artifact factor %d: freeze %v, pack %v (write included)\n",
+		factor, time.Duration(freezeNs), time.Duration(packNs))
 	for _, res := range []mmapResult{heap, mapped} {
 		fmt.Printf("%-14s factor %d: %d nodes / %d edges, file %.1f MiB\n",
 			res.Name, res.Factor, res.Nodes, res.Edges, float64(res.FileBytes)/(1<<20))

@@ -4,21 +4,24 @@
 // waits for the server's /readyz before sending traffic, and with
 // -fault-rate it aborts a seeded-deterministic fraction of requests
 // mid-flight (faults.Sequence), exercising the server's handling of
-// disappearing clients. After the run it scrapes /stats for the
-// server-side view (hit rate, queue depth, bounded-queue drops, batch
-// requeues and breaker state).
+// disappearing clients. After the run it scrapes the server's /metrics
+// for the server-side view (hit rate, queue depth, bounded-queue drops,
+// batch requeues and breaker state).
 //
 // With -batch N every request is a POST /batch carrying N intent
 // lookups, exercising the server's pooled batch path; latencies are
 // then per round trip while the served/queued counters stay per lookup.
-// Around every run the generator also scrapes /metrics for
-// cosmo_go_mallocs_total and reports the server's heap allocations per
-// request — the observable half of the zero-alloc encoding contract.
+// Around every run the generator also reads cosmo_go_mallocs_total and
+// reports the server's heap allocations per request — the observable
+// half of the zero-alloc encoding contract.
 //
 // With -cluster the target is a cosmo-router: after the run the
-// generator scrapes the router's /metrics instead of /stats and reports
-// end-to-end routed latency plus per-node routing, hedging, failover
-// and breaker statistics.
+// generator reads the router's /metrics and reports end-to-end routed
+// latency plus per-node routing, hedging, failover and breaker
+// statistics.
+//
+// A metric a report reads but the page lacks is named on a final
+// "metrics missing" line rather than printed silently as 0.
 //
 // Usage:
 //
@@ -38,6 +41,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,7 +73,7 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "client-side abort rate [0,1] (cancel requests mid-flight)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic abort sequence")
 	batch := flag.Int("batch", 0, "intent lookups per request: 0 sends GET /intent, N>0 sends POST /batch with N items")
-	clusterMode := flag.Bool("cluster", false, "treat the target as a cosmo-router: after the run, scrape its /metrics for per-node routing, hedging and latency stats instead of the single-node /stats view")
+	clusterMode := flag.Bool("cluster", false, "treat the target as a cosmo-router: after the run, report its per-node routing, hedging and latency stats instead of the single-node view")
 	flag.Parse()
 	if *workers < 1 {
 		*workers = 1
@@ -220,7 +224,7 @@ func main() {
 	fmt.Printf("client latency: p50=%.1fms p99=%.1fms p999=%.1fms\n", pct(0.50), pct(0.99), pct(0.999))
 
 	if *clusterMode {
-		reportCluster(*target)
+		reportCluster(os.Stdout, *target)
 		return
 	}
 
@@ -242,39 +246,34 @@ func main() {
 		}
 	}
 
-	// Server-side view: hit rate, queue depth, bounded-queue drops, and
-	// the fault-tolerance counters (requeues, stale serves, breaker).
-	resp, err := http.Get(*target + "/stats")
+	reportNode(os.Stdout, *target)
+}
+
+// reportNode prints the server-side view from a node's /metrics: hit
+// rate, queue depth, bounded-queue drops, and the fault-tolerance
+// counters (requeues, stale serves, and the breaker when the node's
+// responder has one).
+func reportNode(w io.Writer, target string) {
+	m, err := scrapeMetrics(target)
 	if err != nil {
-		log.Printf("stats scrape failed: %v", err)
+		fmt.Fprintf(w, "server: counters n/a (post-run scrape failed: %v)\n", err)
 		return
 	}
-	defer resp.Body.Close()
-	var stats struct {
-		HitRate float64 `json:"hit_rate"`
-		Cache   struct {
-			BatchQueued  int
-			BatchDropped int
-		} `json:"cache"`
-		Batch struct {
-			Requeued       uint64
-			RequeueDropped uint64
-			StaleServed    uint64
-		} `json:"batch"`
-		BreakerState string `json:"breaker_state"`
+	hits, misses := m.get("", "cosmo_cache_hits_total"), m.get("", "cosmo_cache_misses_total")
+	hitRate := 0.0
+	if hits+misses > 0 {
+		hitRate = hits / (hits + misses)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		log.Printf("stats decode failed: %v", err)
-		return
+	fmt.Fprintf(w, "server: hit rate %.1f%%, batch queue depth %.0f, queue dropped %.0f\n",
+		hitRate*100, m.get("", "cosmo_batch_queue_depth"), m.get("", "cosmo_batch_queue_dropped_total"))
+	fmt.Fprintf(w, "server: requeued %.0f, requeue-dropped %.0f, stale served %.0f",
+		m.get("", "cosmo_batch_requeued_total"), m.get("", "cosmo_batch_requeue_dropped_total"),
+		m.get("", "cosmo_stale_served_total"))
+	if state, ok := m.samples[""]["cosmo_breaker_state"]; ok {
+		fmt.Fprintf(w, ", breaker %s", breakerName(state))
 	}
-	fmt.Printf("server: hit rate %.1f%%, batch queue depth %d, queue dropped %d\n",
-		stats.HitRate*100, stats.Cache.BatchQueued, stats.Cache.BatchDropped)
-	fmt.Printf("server: requeued %d, requeue-dropped %d, stale served %d",
-		stats.Batch.Requeued, stats.Batch.RequeueDropped, stats.Batch.StaleServed)
-	if stats.BreakerState != "" {
-		fmt.Printf(", breaker %s", stats.BreakerState)
-	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	m.reportMissing(w, "server")
 }
 
 // batchBody builds a POST /batch payload of n intent lookups drawn
@@ -316,105 +315,121 @@ func countBatchItems(body []byte) (served, queued int64) {
 
 // scrapeMallocs reads cosmo_go_mallocs_total from the server's
 // /metrics endpoint. Every failure mode — transport, non-200 status,
-// read, parse, missing metric — is a distinct error so the caller can
-// report why the allocs column is n/a instead of printing a silent
-// zero.
+// read, missing metric — is a distinct error so the caller can report
+// why the allocs column is n/a instead of printing a silent zero.
 func scrapeMallocs(target string) (uint64, error) {
-	resp, err := http.Get(target + "/metrics")
+	m, err := scrapeMetrics(target)
 	if err != nil {
-		return 0, fmt.Errorf("metrics scrape: %w", err)
+		return 0, err
 	}
-	defer resp.Body.Close() //cosmo:lint-ignore dropped-error best-effort close after the body was read; failures surface on the read
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, fmt.Errorf("metrics read: %w", err)
+	v, ok := m.samples[""]["cosmo_go_mallocs_total"]
+	if !ok {
+		return 0, fmt.Errorf("metrics scrape: cosmo_go_mallocs_total missing from %s/metrics", target)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("metrics scrape: %s/metrics answered %d", target, resp.StatusCode)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, "cosmo_go_mallocs_total "); ok {
-			v, err := strconv.ParseUint(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				return 0, fmt.Errorf("metrics parse: cosmo_go_mallocs_total: %w", err)
-			}
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("metrics scrape: cosmo_go_mallocs_total missing from %s/metrics", target)
+	return uint64(v), nil
 }
 
 // reportCluster scrapes a cosmo-router's /metrics and prints the
 // cluster-mode report: router-level counters, hedge statistics, the
 // end-to-end routed latency quantiles, and one line per node.
-func reportCluster(target string) {
+func reportCluster(w io.Writer, target string) {
+	m, err := scrapeMetrics(target)
+	if err != nil {
+		fmt.Fprintf(w, "router: counters n/a (post-run scrape failed: %v)\n", err)
+		return
+	}
+	r := func(key string) float64 { return m.get("", key) }
+	fmt.Fprintf(w, "router: %.0f nodes (%.0f eligible), %.0f requests, %.0f errors, %.0f failovers, %.0f no-replica\n",
+		r("cosmo_router_nodes"), r("cosmo_router_eligible_nodes"),
+		r("cosmo_router_requests_total"), r("cosmo_router_errors_total"),
+		r("cosmo_router_failovers_total"), r("cosmo_router_no_replica_total"))
+	fmt.Fprintf(w, "router: hedges %.0f, hedge wins %.0f (ratio %.2f), hedge delay %.1fms\n",
+		r("cosmo_router_hedges_total"), r("cosmo_router_hedge_wins_total"),
+		r("cosmo_router_hedge_win_ratio"), r("cosmo_router_hedge_delay_ms"))
+	fmt.Fprintf(w, "router latency: p50=%.1fms p99=%.1fms p999=%.1fms\n",
+		r("cosmo_router_latency_ms@0.5"), r("cosmo_router_latency_ms@0.99"), r("cosmo_router_latency_ms@0.999"))
+	for _, n := range m.nodes {
+		g := func(key string) float64 { return m.get(n, key) }
+		fmt.Fprintf(w, "node %s: %s, breaker %s (opens %.0f), routes %.0f, hedges %.0f (wins %.0f), failovers %.0f, exclusions %.0f, ok %.0f, fail %.0f, p50=%.1fms p99=%.1fms p999=%.1fms\n",
+			n, healthName(g("cosmo_node_health")), breakerName(g("cosmo_node_breaker_state")),
+			g("cosmo_node_breaker_opens_total"), g("cosmo_node_routes_total"),
+			g("cosmo_node_hedges_total"), g("cosmo_node_hedge_wins_total"),
+			g("cosmo_node_failovers_total"), g("cosmo_node_exclusions_total"),
+			g("cosmo_node_successes_total"), g("cosmo_node_failures_total"),
+			g("cosmo_node_latency_ms@0.5"), g("cosmo_node_latency_ms@0.99"), g("cosmo_node_latency_ms@0.999"))
+	}
+	m.reportMissing(w, "router")
+}
+
+// metricSet is one parsed /metrics page. Samples are keyed by name —
+// name@q for a quantile-labelled one — and grouped by their node label
+// ("" for samples without one); nodes keeps the page's node order.
+type metricSet struct {
+	samples map[string]map[string]float64
+	nodes   []string
+	missing map[string]bool
+}
+
+// get returns one sample. A key the page lacks reads as 0 and is
+// recorded, so reportMissing can name it: a renamed metric is reported,
+// never silently printed as 0.
+func (m *metricSet) get(node, key string) float64 {
+	v, ok := m.samples[node][key]
+	if !ok {
+		m.missing[key] = true
+	}
+	return v
+}
+
+// reportMissing prints one line naming every key get did not find.
+func (m *metricSet) reportMissing(w io.Writer, who string) {
+	if len(m.missing) == 0 {
+		return
+	}
+	keys := make([]string, 0, len(m.missing))
+	for k := range m.missing {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fmt.Fprintf(w, "%s: metrics missing from /metrics, printed as 0: %s\n", who, strings.Join(keys, ", "))
+}
+
+// scrapeMetrics fetches and parses target's /metrics. Transport,
+// non-200 status and read failures are distinct errors.
+func scrapeMetrics(target string) (*metricSet, error) {
 	resp, err := http.Get(target + "/metrics")
 	if err != nil {
-		log.Printf("router metrics scrape failed: %v", err)
-		return
+		return nil, fmt.Errorf("metrics scrape: %w", err)
 	}
 	defer resp.Body.Close() //cosmo:lint-ignore dropped-error best-effort close after the body was read; failures surface on the read
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		log.Printf("router metrics read failed: %v", err)
-		return
+		return nil, fmt.Errorf("metrics read: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		log.Printf("router metrics scrape: %s/metrics answered %d", target, resp.StatusCode)
-		return
+		return nil, fmt.Errorf("metrics scrape: %s/metrics answered %d", target, resp.StatusCode)
 	}
-
-	router := map[string]float64{}           // unlabeled cosmo_router_*
-	routerQ := map[string]float64{}          // cosmo_router_latency_ms by quantile
-	nodes := map[string]map[string]float64{} // node -> metric -> value (quantile-labeled keyed as name@q)
-	var nodeOrder []string
+	m := &metricSet{samples: map[string]map[string]float64{}, missing: map[string]bool{}}
 	for _, line := range strings.Split(string(body), "\n") {
 		name, labels, value, ok := parseMetricLine(line)
 		if !ok {
 			continue
 		}
-		if node := labels["node"]; node != "" {
-			m := nodes[node]
-			if m == nil {
-				m = map[string]float64{}
-				nodes[node] = m
-				nodeOrder = append(nodeOrder, node)
-			}
-			key := name
-			if q := labels["quantile"]; q != "" {
-				key = name + "@" + q
-			}
-			m[key] = value
-			continue
-		}
 		if q := labels["quantile"]; q != "" {
-			routerQ[name+"@"+q] = value
-			continue
+			name += "@" + q
 		}
-		router[name] = value
+		node := labels["node"]
+		s := m.samples[node]
+		if s == nil {
+			s = map[string]float64{}
+			m.samples[node] = s
+			if node != "" {
+				m.nodes = append(m.nodes, node)
+			}
+		}
+		s[name] = value
 	}
-
-	fmt.Printf("router: %d nodes (%d eligible), %.0f requests, %.0f errors, %.0f failovers, %.0f no-replica\n",
-		int(router["cosmo_router_nodes"]), int(router["cosmo_router_eligible_nodes"]),
-		router["cosmo_router_requests_total"], router["cosmo_router_errors_total"],
-		router["cosmo_router_failovers_total"], router["cosmo_router_no_replica_total"])
-	fmt.Printf("router: hedges %.0f, hedge wins %.0f (ratio %.2f), hedge delay %.1fms\n",
-		router["cosmo_router_hedges_total"], router["cosmo_router_hedge_wins_total"],
-		router["cosmo_router_hedge_win_ratio"], router["cosmo_router_hedge_delay_ms"])
-	fmt.Printf("router latency: p50=%.1fms p99=%.1fms p999=%.1fms\n",
-		routerQ["cosmo_router_latency_ms@0.5"],
-		routerQ["cosmo_router_latency_ms@0.99"],
-		routerQ["cosmo_router_latency_ms@0.999"])
-	for _, n := range nodeOrder {
-		m := nodes[n]
-		fmt.Printf("node %s: %s, breaker %s (opens %.0f), routes %.0f, hedges %.0f (wins %.0f), failovers %.0f, exclusions %.0f, ok %.0f, fail %.0f, p50=%.1fms p99=%.1fms p999=%.1fms\n",
-			n, healthName(m["cosmo_node_health"]), breakerName(m["cosmo_node_breaker_state"]),
-			m["cosmo_node_breaker_opens_total"], m["cosmo_node_routes_total"],
-			m["cosmo_node_hedges_total"], m["cosmo_node_hedge_wins_total"],
-			m["cosmo_node_failovers_total"], m["cosmo_node_exclusions_total"],
-			m["cosmo_node_successes_total"], m["cosmo_node_failures_total"],
-			m["cosmo_node_latency_ms@0.5"], m["cosmo_node_latency_ms@0.99"], m["cosmo_node_latency_ms@0.999"])
-	}
+	return m, nil
 }
 
 // parseMetricLine parses one Prometheus-style plaintext line of the

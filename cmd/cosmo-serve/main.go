@@ -17,8 +17,10 @@
 //
 // The knowledge graph is served from an immutable frozen snapshot
 // (kg.Snapshot): the request path reads it lock-free through an atomic
-// pointer, and each refresh freezes a new snapshot and swaps it in
-// RCU-style without pausing in-flight requests.
+// pointer, and a new snapshot is swapped in RCU-style without pausing
+// in-flight requests. Without -snapshot the pipeline's graph is frozen
+// once at start-up; it never changes afterwards, so refreshes keep that
+// snapshot.
 //
 // With -snapshot, the KG is served from a packed binary snapshot
 // (.cosmo, written by cosmo-pipeline -out), memory-mapped and aliased
@@ -55,12 +57,13 @@
 // then the server shuts down.
 //
 // Endpoints: GET /intent?q=..., GET /intentions?id=..., GET /related?id=...,
-// GET /similar?q=..., POST /batch, GET /kg, GET /stats, GET /metrics,
-// GET /healthz, GET /readyz.
+// GET /similar?q=..., POST /batch, GET /kg, GET /metrics, GET /healthz,
+// GET /readyz.
 //
 // Alongside each snapshot, an LSH similarity index (kg.SimilarityIndex)
 // is built over the intention labels and swapped in through the same
-// RCU pattern; /similar answers approximate nearest-intention queries
+// RCU pattern — at start-up and when a refresh commits a different
+// snapshot; /similar answers approximate nearest-intention queries
 // against it. -ann-tables and -ann-bits tune the recall/speed shape.
 package main
 
@@ -135,6 +138,29 @@ func (a *artifact) changed() bool {
 		return false
 	}
 	return true
+}
+
+// tick picks the snapshot a refresh tick commits: the one serving,
+// unless the artifact changed on disk and reloads cleanly. Without
+// -snapshot (empty path) there is nothing to pick up: the pipeline's
+// graph never changes after core.Run and was frozen once at start-up.
+func (a *artifact) tick(dep *serving.Deployment) *kg.Snapshot {
+	current := dep.KG()
+	if a.path == "" {
+		return current
+	}
+	if !a.changed() {
+		dep.NoteSnapshotReloadSkipped()
+		log.Print("snapshot unchanged on disk; skipping reload")
+		return current
+	}
+	reloaded, err := a.load(loadVerified)
+	if err != nil {
+		log.Printf("snapshot reload failed (current snapshot keeps serving): %v", err)
+		return current
+	}
+	dep.NoteSnapshotReload()
+	return reloaded
 }
 
 func main() {
@@ -274,34 +300,16 @@ func main() {
 				return
 			case <-ticker.C:
 				log.Print("daily refresh: rotating model, caches and KG snapshot")
-				// Pick up a fresh snapshot — map the packed file again (a
-				// newly built artifact goes live here) or re-freeze the
-				// in-process graph — and swap it in; readers on the old
-				// snapshot are undisturbed. A failed or unverifiable
-				// reload falls back to the snapshot already serving, and
-				// an unchanged artifact skips the reload and swap
-				// entirely.
-				next := dep.KG()
-				if *snapshotPath != "" {
-					if !art.changed() {
-						dep.NoteSnapshotReloadSkipped()
-						log.Print("snapshot unchanged on disk; skipping reload")
-					} else if reloaded, err := art.load(loadVerified); err != nil {
-						log.Printf("snapshot reload failed (current snapshot keeps serving): %v", err)
-					} else {
-						next = reloaded
-						dep.NoteSnapshotReload()
-					}
-				} else {
-					next = res.KG.Freeze()
-				}
-				if err := dep.DailyRefreshContext(ctx, responder, next, 2048); err != nil {
+				// A newly built artifact goes live here; readers on the
+				// old snapshot are undisturbed.
+				before := dep.KG()
+				if err := dep.DailyRefreshContext(ctx, responder, art.tick(dep), 2048); err != nil {
 					log.Printf("daily refresh failed (previous model keeps serving): %v", err)
-				} else {
-					// Rebuild the ANN index against whatever snapshot the
-					// refresh committed, keeping /similar and the KG
-					// endpoints answering from the same world.
-					buildANN(dep.KG())
+				} else if now := dep.KG(); now != before {
+					// Rebuild the ANN index only for a new snapshot,
+					// keeping /similar and the KG endpoints answering
+					// from the same world.
+					buildANN(now)
 				}
 			}
 		}

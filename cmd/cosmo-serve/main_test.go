@@ -8,6 +8,7 @@ import (
 	"cosmo/internal/catalog"
 	"cosmo/internal/kg"
 	"cosmo/internal/relations"
+	"cosmo/internal/serving"
 )
 
 // publish atomically replaces path with an artifact holding one edge
@@ -67,6 +68,55 @@ func TestArtifactStampsBeforeLoading(t *testing.T) {
 	}
 	if a.changed() {
 		t.Fatal("an untouched artifact reports changed right after its load")
+	}
+}
+
+// TestTickKeepsServingSnapshot pins that a refresh tick redoes no work
+// for an unchanged KG: with no artifact, or an artifact unchanged on
+// disk, it hands back the snapshot already serving — the same pointer,
+// so no re-freeze and no ANN rebuild — and only a changed file yields a
+// new one.
+func TestTickKeepsServingSnapshot(t *testing.T) {
+	newDep := func() *serving.Deployment {
+		return serving.NewDeployment(serving.DeployConfig{}, serving.ResponderFunc(func(q string) serving.Feature {
+			return serving.Feature{Query: q}
+		}))
+	}
+
+	dep := newDep()
+	g := kg.New()
+	g.AddNode(kg.Node{ID: "p:P1", Type: kg.NodeProduct, Label: "tent"})
+	frozen := g.Freeze()
+	dep.SetKG(frozen)
+	if got := (&artifact{}).tick(dep); got != frozen {
+		t.Error("a tick without an artifact replaced the start-up snapshot")
+	}
+
+	path := filepath.Join(t.TempDir(), "kg.cosmo")
+	publish(t, path, "p:P1")
+	a := &artifact{path: path}
+	loaded, err := a.load(loadVerified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	dep = newDep()
+	dep.SetKG(loaded)
+	if got := a.tick(dep); got != loaded {
+		t.Error("a tick on an unchanged artifact replaced the serving snapshot")
+	}
+	if reloads, skipped := dep.SnapshotReloadStats(); reloads != 0 || skipped != 1 {
+		t.Errorf("reloads/skipped = %d/%d, want 0/1", reloads, skipped)
+	}
+
+	publish(t, path, "p:P1", "p:P2")
+	next := a.tick(dep)
+	if next == loaded || next.NumEdges() != 2 {
+		t.Fatalf("a tick on a changed artifact did not load the new revision")
+	}
+	next.Close()
+	if reloads, _ := dep.SnapshotReloadStats(); reloads != 1 {
+		t.Errorf("reloads = %d, want 1", reloads)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // ScaledKG builds a knowledge graph whose edge count is at least
 // `factor` times the base world's — the scale harness behind the
-// snapshot-persistence benchmarks (BENCH_6.json). The paper's KG has
+// artifact benchmark (cosmo-bench -mmapbench, BENCH_9.json) and the
+// bench/ harness's serving set-up KG. The paper's KG has
 // millions of edges; the laptop-scale pipeline produces thousands, so
 // the harness models the dimension that actually grows in production —
 // the catalog and query population — while the intention space stays

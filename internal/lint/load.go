@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -36,28 +35,30 @@ func (p *Package) relPath(filename string) string {
 }
 
 // Loader parses and type-checks module packages using only the
-// standard library. Imports inside the module resolve to source
-// directories under the module root; everything else (the stdlib)
-// resolves through go/importer's source importer. Test files are not
-// loaded: the invariants guard production code, and tests legitimately
-// use fixed ad-hoc seeds and wall clocks.
+// standard library. There is one type-check path: LoadAll runs it over
+// the module in dependency waves, and LoadDir runs it for one more
+// directory (a lint fixture under testdata) once LoadAll has loaded the
+// module packages it may import. Imports inside the module resolve to
+// already-loaded packages; everything else (the stdlib) resolves
+// through go/importer's source importer. Test files are not loaded: the
+// invariants guard production code, and tests legitimately use fixed
+// ad-hoc seeds and wall clocks.
 //
 // LoadAll is safe to run with many workers (token.FileSet is
 // internally locked, finished *types.Package values are immutable, and
 // the two shared mutable structures — the package memo and the stdlib
-// source importer — sit behind mutexes). The sequential LoadDir entry
-// point is not itself goroutine-safe; callers who share a Loader
-// across goroutines must serialize LoadDir calls.
+// source importer — sit behind mutexes). Two concurrent LoadDir calls
+// for the same directory both type-check it; callers who share a
+// Loader serialize LoadDir to load each fixture once.
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	fset    *token.FileSet
-	std     types.Importer
-	stdMu   sync.Mutex          // go/importer's source importer memoizes without locking
-	mu      sync.Mutex          // guards pkgs during parallel waves
-	pkgs    map[string]*Package // memoized by absolute dir
-	loading map[string]bool     // import-cycle guard (sequential LoadDir only)
+	fset  *token.FileSet
+	std   types.Importer
+	stdMu sync.Mutex          // go/importer's source importer memoizes without locking
+	mu    sync.Mutex          // guards pkgs
+	pkgs  map[string]*Package // memoized by absolute dir
 }
 
 // stdImport resolves a non-module import through the stdlib source
@@ -88,7 +89,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*Package{},
-		loading:    map[string]bool{},
 	}, nil
 }
 
@@ -154,65 +154,25 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir (memoized).
+// LoadDir parses and type-checks the package in dir (memoized) through
+// the same parse and type-check steps as one LoadAll wave. Its
+// module-internal imports must already be loaded by LoadAll.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	if pkg, ok := l.pkgs[abs]; ok {
+	if pkg := l.memoized(abs); pkg != nil {
 		return pkg, nil
 	}
-	if l.loading[abs] {
-		return nil, fmt.Errorf("import cycle through %s", abs)
-	}
-	l.loading[abs] = true
-	defer delete(l.loading, abs)
-
-	importPath := l.importPathFor(abs)
-	ents, err := os.ReadDir(abs)
+	pd, err := l.parseDir(abs, nil)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range ents {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		if !fileMatchesBuild(filepath.Join(abs, e.Name())) {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(abs, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	if err := l.typeCheckParsed(pd); err != nil {
+		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", abs)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{Importer: (*moduleImporter)(l)}
-	tpkg, err := conf.Check(importPath, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-check %s: %w", importPath, err)
-	}
-	pkg := &Package{
-		Path:       importPath,
-		Dir:        abs,
-		Fset:       l.fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		moduleRoot: l.ModuleRoot,
-	}
-	l.pkgs[abs] = pkg
-	return pkg, nil
+	return l.memoized(abs), nil
 }
 
 // importPathFor maps an absolute directory under the module root to
@@ -223,21 +183,4 @@ func (l *Loader) importPathFor(abs string) string {
 		return l.ModulePath
 	}
 	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-// moduleImporter resolves module-local import paths from source and
-// delegates everything else to the stdlib source importer.
-type moduleImporter Loader
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	l := (*Loader)(m)
-	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
-		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath)))
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return l.stdImport(path)
 }

@@ -190,10 +190,10 @@ func (l *Loader) memoized(dir string) *Package {
 	return l.pkgs[dir]
 }
 
-// waveImporter resolves imports during a parallel type-check wave.
-// Module-internal imports must already be memoized (the wave scheduler
-// guarantees dependencies ran in an earlier wave); the stdlib goes
-// through the serialized source importer.
+// waveImporter resolves imports during a type-check. Module-internal
+// imports must already be memoized: the wave scheduler runs
+// dependencies in an earlier wave, and LoadDir expects LoadAll to have
+// run. The stdlib goes through the serialized source importer.
 type waveImporter struct {
 	l *Loader
 }
@@ -204,7 +204,7 @@ func (w *waveImporter) Import(path string) (*types.Package, error) {
 		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath)))
 		pkg := l.memoized(dir)
 		if pkg == nil {
-			return nil, fmt.Errorf("module package %s not yet loaded (wave scheduling bug)", path)
+			return nil, fmt.Errorf("module package %s is not loaded yet (LoadAll loads module packages before anything imports them)", path)
 		}
 		return pkg.Types, nil
 	}

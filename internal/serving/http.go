@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -28,8 +27,9 @@ import (
 //	POST /batch                 -> JSON array of lookups answered in one
 //	                               round trip (see AppendBatch)
 //	GET  /kg                    -> snapshot size summary (JSON)
-//	GET  /stats                 -> cache and latency statistics (JSON)
-//	GET  /metrics               -> Prometheus-style plaintext metrics
+//	GET  /metrics               -> Prometheus-style plaintext metrics:
+//	                               cache, batch, resilience, latency and
+//	                               KG counters
 //	GET  /healthz               -> liveness (the process is up)
 //	GET  /readyz                -> readiness: 503 until warmup completes
 //	                               (SetReady) and again while the
@@ -175,28 +175,6 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		_, _ = w.Write(resp.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
 		wire.Put(resp)
 	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		p50, p99 := d.LatencyPercentiles()
-		stats := d.Cache.Stats()
-		body := map[string]any{
-			"cache":      stats,
-			"hit_rate":   stats.HitRate(),
-			"latency_ms": map[string]float64{"p50": p50, "p99": p99},
-			"version":    d.Version(),
-			"features":   d.Store.Len(),
-			"batch":      d.BatchTotals(),
-			"ready":      d.Ready(),
-		}
-		if rs, ok := d.ResilienceStats(); ok {
-			body["resilience"] = rs
-			body["breaker_state"] = rs.BreakerState.String()
-		}
-		// /stats is diagnostic, not hot: the stdlib encoder keeps it in
-		// lockstep with whatever the stats structs grow next.
-		w.Header().Set("Content-Type", "application/json")
-		//cosmo:lint-ignore dropped-error best-effort response write; an encode failure means the client is gone
-		_ = json.NewEncoder(w).Encode(body)
-	})
 	mux.HandleFunc("/kg", func(w http.ResponseWriter, r *http.Request) {
 		snap := d.KG()
 		if snap == nil {
@@ -269,6 +247,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		fmt.Fprintf(w, "cosmo_stale_served_total %d\n", bt.StaleServed)
 		fmt.Fprintf(w, "cosmo_refresh_failures_total %d\n", bt.RefreshFails)
 		if hasResilience {
+			fmt.Fprintf(w, "cosmo_responder_calls_total %d\n", rs.Calls)
 			fmt.Fprintf(w, "cosmo_responder_retries_total %d\n", rs.Retries)
 			fmt.Fprintf(w, "cosmo_responder_attempt_failures_total %d\n", rs.Failures)
 			fmt.Fprintf(w, "cosmo_responder_timeouts_total %d\n", rs.Timeouts)

@@ -98,7 +98,7 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 }
 
 // ResilienceStats is a snapshot of the wrapper's counters, exported on
-// /metrics and /stats.
+// /metrics as the cosmo_responder_* and cosmo_breaker_* lines.
 type ResilienceStats struct {
 	// Calls is the number of RespondContext calls admitted past the
 	// breaker (each may span several attempts).

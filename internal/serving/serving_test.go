@@ -3,6 +3,7 @@ package serving
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -402,7 +403,8 @@ func TestDeploymentConcurrent(t *testing.T) {
 }
 
 func TestHTTPHandler(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64},
+		NewResilient(AdaptResponder(echoResponder("v1")), ResilienceConfig{}))
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
@@ -442,18 +444,26 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("warm response = %d %+v", resp.StatusCode, f)
 	}
 
-	// Stats endpoint.
+	// /stats is gone; /metrics carries the one counter only it reported.
 	resp, err = http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/stats status = %d, want 404", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
 		t.Fatal(err)
 	}
+	metrics, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if _, ok := stats["hit_rate"]; !ok {
-		t.Error("stats missing hit_rate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "\ncosmo_responder_calls_total 1\n") {
+		t.Errorf("metrics missing cosmo_responder_calls_total 1:\n%s", metrics)
 	}
 
 	// Health.
