@@ -1,9 +1,10 @@
-// The -mmapbench harness: ReadSnapshot (whole file read onto the heap
-// and verified up front) vs MapSnapshot (mapped, verified on first
-// touch) on the ScaledKG artifact. Both alias the same image through
-// the same decoder, so the comparison isolates what mapping is for —
-// cold start to first answer and resident footprint per edge. The
-// Freeze and pack that produce the artifact are timed on the way.
+// The -mmapbench harness: ReadSnapshot (whole file read onto the heap)
+// vs MapSnapshot (file mapped) on the ScaledKG artifact. Both alias the
+// same image through the same decoder, which verifies every section
+// before it returns, so both cold starts include verification and the
+// comparison isolates what mapping is for — the copy it skips and the
+// resident footprint per edge. The Freeze and pack that produce the
+// artifact are timed on the way.
 package main
 
 import (
@@ -120,10 +121,9 @@ func measureLoader(name string, factor int, path string, fileBytes int64,
 	}
 	res.ColdStartNs = time.Since(start).Nanoseconds()
 
-	// First query: the price of the first answer out of a cold loader.
-	// For mmap this includes the lazy checksum of every section the
-	// query touches (byHead + edge arrays); the heap loader verified
-	// everything during its cold start, so for it this is pure lookup.
+	// First query: the price of the first answer out of a fresh loader.
+	// Both loaders verified everything during their cold start, so this
+	// is pure lookup.
 	heads := sampleHeads(s, 512)
 	if len(heads) == 0 {
 		s.Close() //cosmo:lint-ignore dropped-error already on the error path

@@ -1,8 +1,9 @@
 // Command cosmo-kg inspects a knowledge-graph artifact: the packed
 // .cosmo binary snapshot written by cosmo-pipeline -out. It maps the
-// file, verifies every section checksum and the full structure before
-// answering (this is the tool that gets pointed at artifacts of unknown
-// provenance), and serves every query from the frozen snapshot.
+// file, whose loader verifies every section checksum and the full
+// structure before returning (this is the tool that gets pointed at
+// artifacts of unknown provenance), and serves every query from the
+// frozen snapshot.
 //
 // Usage:
 //
@@ -25,20 +26,6 @@ import (
 	"cosmo/internal/kg"
 )
 
-// loadSnapshot maps the artifact and verifies it eagerly, so damage is
-// a load error here and never a first-touch panic mid-command.
-func loadSnapshot(path string) (*kg.Snapshot, error) {
-	snap, err := kg.MapSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := snap.Verify(); err != nil {
-		snap.Close() //cosmo:lint-ignore dropped-error the verification error is the root cause
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, nil
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cosmo-kg: ")
@@ -52,7 +39,7 @@ func main() {
 	if *in == "" || flag.NArg() < 1 {
 		log.Fatal("usage: cosmo-kg -in kg.cosmo <stats|lookup|related|hierarchy|export> [args]")
 	}
-	snap, err := loadSnapshot(*in)
+	snap, err := kg.MapSnapshotFile(*in)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,13 +27,12 @@
 // in place (kg.MapSnapshot; a heap read on the cosmo_nommap build) — no
 // Freeze, no re-indexing. Each refresh maps the file again and swaps the
 // fresh snapshot in through the same atomic pointer, so a newly built
-// artifact goes live on the next refresh tick without a restart. Every
-// freshly mapped artifact is fully verified (section checksums and
-// structure) before the swap, at start-up and on each reload, so a
-// damaged file is a logged reload failure with the current snapshot
-// still serving — never a first-touch panic on a user request. A retired
-// snapshot's mapping is released only once its last in-flight reader is
-// gone: a hot reload never unmaps under a live request.
+// artifact goes live on the next refresh tick without a restart. The
+// loader verifies every section checksum and the structure before it
+// returns, at start-up and on each reload, so a damaged file is a
+// logged reload failure with the current snapshot still serving. A
+// retired snapshot's mapping is released only once its last in-flight
+// reader is gone: a hot reload never unmaps under a live request.
 //
 // A refresh tick only reloads when the artifact actually changed:
 // unchanged stat identity (mtime+size), or an unchanged table
@@ -71,7 +70,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -84,20 +82,6 @@ import (
 	"cosmo/internal/kg"
 	"cosmo/internal/serving"
 )
-
-// loadVerified maps the artifact and verifies it eagerly, so the
-// snapshot handed to the RCU swap can no longer fail on first touch.
-func loadVerified(path string) (*kg.Snapshot, error) {
-	snap, err := kg.MapSnapshotFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := snap.Verify(); err != nil {
-		snap.Close() //cosmo:lint-ignore dropped-error the verification error is the root cause
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, nil
-}
 
 // artifact follows the -snapshot file across refresh ticks.
 type artifact struct {
@@ -154,13 +138,35 @@ func (a *artifact) tick(dep *serving.Deployment) *kg.Snapshot {
 		log.Print("snapshot unchanged on disk; skipping reload")
 		return current
 	}
-	reloaded, err := a.load(loadVerified)
+	reloaded, err := a.load(kg.MapSnapshotFile)
 	if err != nil {
 		log.Printf("snapshot reload failed (current snapshot keeps serving): %v", err)
 		return current
 	}
 	dep.NoteSnapshotReload()
 	return reloaded
+}
+
+// refresh runs one refresh tick: the model, the caches and, when the
+// artifact changed, the KG snapshot rotate together. It returns the
+// snapshot the tick put in service, or nil when the serving one stayed.
+// A failed refresh drops a reloaded snapshot and forgets its stamp, so
+// the next tick loads that revision again instead of skipping it as
+// unchanged.
+func (a *artifact) refresh(ctx context.Context, dep *serving.Deployment, responder serving.ContextResponder) (*kg.Snapshot, error) {
+	before := dep.KG()
+	next := a.tick(dep)
+	if err := dep.DailyRefreshContext(ctx, responder, next, 2048); err != nil {
+		if next != before {
+			a.stamp = kg.SnapshotStamp{}
+			next.Close() //cosmo:lint-ignore dropped-error the refresh error is the root cause
+		}
+		return nil, err
+	}
+	if next == before {
+		return nil, nil
+	}
+	return next, nil
 }
 
 func main() {
@@ -205,7 +211,7 @@ func main() {
 	art := &artifact{path: *snapshotPath}
 	if *snapshotPath != "" {
 		start := time.Now()
-		snap, err = art.load(loadVerified)
+		snap, err = art.load(kg.MapSnapshotFile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -302,10 +308,9 @@ func main() {
 				log.Print("daily refresh: rotating model, caches and KG snapshot")
 				// A newly built artifact goes live here; readers on the
 				// old snapshot are undisturbed.
-				before := dep.KG()
-				if err := dep.DailyRefreshContext(ctx, responder, art.tick(dep), 2048); err != nil {
+				if now, err := art.refresh(ctx, dep, responder); err != nil {
 					log.Printf("daily refresh failed (previous model keeps serving): %v", err)
-				} else if now := dep.KG(); now != before {
+				} else if now != nil {
 					// Rebuild the ANN index only for a new snapshot,
 					// keeping /similar and the KG endpoints answering
 					// from the same world.

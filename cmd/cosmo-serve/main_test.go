@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,7 +46,7 @@ func TestArtifactStampsBeforeLoading(t *testing.T) {
 	publish(t, path, "p:P1")
 	a := &artifact{path: path}
 	snap, err := a.load(func(p string) (*kg.Snapshot, error) {
-		s, err := loadVerified(p)
+		s, err := kg.MapSnapshotFile(p)
 		publish(t, p, "p:P1", "p:P2") // a new revision lands right behind the load
 		return s, err
 	})
@@ -58,7 +60,7 @@ func TestArtifactStampsBeforeLoading(t *testing.T) {
 	if !a.changed() {
 		t.Fatal("a revision published during the load is never reloaded")
 	}
-	next, err := a.load(loadVerified)
+	next, err := a.load(kg.MapSnapshotFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestTickKeepsServingSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kg.cosmo")
 	publish(t, path, "p:P1")
 	a := &artifact{path: path}
-	loaded, err := a.load(loadVerified)
+	loaded, err := a.load(kg.MapSnapshotFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestTickKeepsServingSnapshot(t *testing.T) {
 }
 
 // TestLoadVerifiedRejectsDamage pins that a damaged artifact is a load
-// error before any swap, not a snapshot that panics on first touch.
+// error before any swap: the loader checksums every section.
 func TestLoadVerifiedRejectsDamage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kg.cosmo")
 	publish(t, path, "p:P1")
@@ -129,12 +131,55 @@ func TestLoadVerifiedRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-1] ^= 0x5A // last byte of the last section body: only its lazy checksum notices
+	b[len(b)-1] ^= 0x5A // last byte of the last section body: only its checksum notices
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := loadVerified(path); err == nil {
+	if snap, err := kg.MapSnapshotFile(path); err == nil {
 		snap.Close()
-		t.Fatal("loadVerified accepted an artifact with a flipped body byte")
+		t.Fatal("MapSnapshotFile accepted an artifact with a flipped body byte")
 	}
+}
+
+// TestRefreshRetriesRevisionAfterFailure is the regression test for a
+// refresh that fails after a clean reload: the revision it loaded must
+// be loaded again by the next tick. Keeping the new stamp made every
+// later tick skip that revision as unchanged.
+func TestRefreshRetriesRevisionAfterFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kg.cosmo")
+	publish(t, path, "p:P1")
+	a := &artifact{path: path}
+	first, err := a.load(kg.MapSnapshotFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	dep := serving.NewDeployment(serving.DeployConfig{}, serving.ResponderFunc(func(q string) serving.Feature {
+		return serving.Feature{Query: q}
+	}))
+	dep.SetKG(first)
+	dep.HandleQuery("tent") // one interaction, so the refresh rebuilds it through the responder
+	publish(t, path, "p:P1", "p:P2")
+
+	failing := serving.ContextResponderFunc(func(context.Context, string) (serving.Feature, error) {
+		return serving.Feature{}, errors.New("model down")
+	})
+	if _, err := a.refresh(context.Background(), dep, failing); err == nil {
+		t.Fatal("a refresh with a failing responder succeeded")
+	}
+	if dep.KG() != first {
+		t.Fatal("a failed refresh swapped the snapshot")
+	}
+
+	healthy := serving.ContextResponderFunc(func(_ context.Context, q string) (serving.Feature, error) {
+		return serving.Feature{Query: q}, nil
+	})
+	now, err := a.refresh(context.Background(), dep, healthy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now == nil || dep.KG() != now || now.NumEdges() != 2 {
+		t.Fatal("the tick after a failed refresh skipped the revision it had loaded")
+	}
+	now.Close()
 }

@@ -119,7 +119,6 @@ func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
 		ix.planes[i] = rng.NormFloat64()
 	}
 
-	s.touch(maskNodeTypes)
 	for i := range s.ntypes {
 		if s.nodeType(sym32(i)) != NodeIntention {
 			continue

@@ -33,7 +33,7 @@
 // re-interns anything.
 //
 // This file holds the format vocabulary, the writer, the structural
-// validation and the eager heap loader (ReadSnapshot); the decoder both
+// validation and the heap loader (ReadSnapshot); the decoder both
 // loaders share is decodeSnapshot in mapsnapshot.go.
 package kg
 
@@ -345,7 +345,6 @@ func (s *Snapshot) writeSectionBody(cw *crcWriter, id uint32) {
 // per-section checksums, and pass two writes the real bytes — so no
 // section is ever materialized in memory.
 func (s *Snapshot) WriteSnapshot(w io.Writer) error {
-	s.touch(maskAll) // re-encoding reads every aliased section
 	lengths := s.sectionLengths()
 
 	offs := make(map[uint32]uint64, len(sectionOrder))
@@ -519,15 +518,16 @@ func ascending(name string, xs []string) error {
 // validateStructure runs the full cross-section validation over an
 // assembled snapshot: every symbol in range, supports non-negative,
 // and both CSR indexes exact permutations filed under the right rows.
-// It is the second half of Snapshot.Verify; errors are attributed to
-// the section that owns the violated invariant, at its file offset (0
-// for a Freeze snapshot, which has no file).
+// It is decodeSnapshot's last step and the second half of
+// Snapshot.Verify; errors are attributed to the section that owns the
+// violated invariant, at its file offset (0 for a Freeze snapshot,
+// which has no file).
 func validateStructure(s *Snapshot) error {
 	off := func(sec uint32) int64 {
-		if s.lazy == nil {
+		if s.image == nil {
 			return 0
 		}
-		return int64(s.lazy.secs[sec].off)
+		return int64(s.image.secs[sec].off)
 	}
 	nn, ne := len(s.ids), len(s.eHead)
 	for i := 0; i < ne; i++ {
@@ -639,27 +639,19 @@ func readAligned(r io.Reader) ([]byte, error) {
 }
 
 // ReadSnapshot loads a binary snapshot from a stream onto the heap: the
-// bytes are read into one aligned buffer, decoded in place by the same
-// aliasing decoder MapSnapshot uses, and fully verified — every section
-// checksum plus the structural validation — before any query API can
-// observe the data. A truncated, bit-flipped or adversarial input
-// therefore fails here with an error wrapping ErrSnapshotMagic,
-// ErrSnapshotVersion or ErrSnapshotCorrupt, attributed to the damaged
-// section where detectable, rather than panicking later. For a load
-// that defers section validation to first touch, see MapSnapshot.
+// bytes are read into one aligned buffer and decoded in place by the
+// same verifying decoder MapSnapshot uses, so every section checksum
+// and the structural validation pass before any query API can observe
+// the data. A truncated, bit-flipped or adversarial input fails here
+// with an error wrapping ErrSnapshotMagic, ErrSnapshotVersion or
+// ErrSnapshotCorrupt, attributed to the damaged section where
+// detectable.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	image, err := readAligned(r)
 	if err != nil {
 		return nil, fmt.Errorf("kg: read snapshot: %w", err)
 	}
-	s, err := decodeSnapshot(image)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Verify(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return decodeSnapshot(image)
 }
 
 // ReadSnapshotFile loads and fully verifies a packed snapshot from path.

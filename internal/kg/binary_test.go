@@ -237,31 +237,12 @@ func queryAll(s *Snapshot) {
 	s.BuildHierarchy(1)
 }
 
-// firstTouchError runs queryAll over a lazily validated snapshot and
-// returns the error a first-touch checksum failure panicked with, nil
-// if every query was served.
-func firstTouchError(t *testing.T, s *Snapshot) (err error) {
-	t.Helper()
-	defer func() {
-		if r := recover(); r != nil {
-			var ok bool
-			if err, ok = r.(error); !ok {
-				t.Fatalf("panic value %v is not an error", r)
-			}
-		}
-	}()
-	queryAll(s)
-	return nil
-}
-
 // TestSnapshotCorruption flips one byte at a time through the whole
 // file, truncates it at every length and appends garbage, through both
-// entry points. Every damaged input must be caught — the checksums
-// guarantee a single flipped byte can never decode silently — and never
-// by an unattributed panic: ReadSnapshot returns an error, MapSnapshot
-// returns an error or panics out of the first query that touches the
-// damage. Either way a flip inside a section body must be attributed to
-// exactly that section (id and offset) via *SectionError.
+// entry points. Both loaders must return an error for every damaged
+// input — the checksums guarantee a single flipped byte can never
+// decode silently — and a flip inside a section body must be attributed
+// to exactly that section (id and offset) via *SectionError.
 func TestSnapshotCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildTestGraph(t).Freeze().WriteSnapshot(&buf); err != nil {
@@ -281,8 +262,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		return sect{}, false
 	}
 	path := filepath.Join(t.TempDir(), "bad.cosmo")
-	// load returns how each entry point rejected b: ReadSnapshot's
-	// error, and MapSnapshot's eager error or first-touch panic.
+	// load returns each entry point's error for b.
 	load := func(b []byte) (readErr, mapErr error) {
 		_, readErr = ReadSnapshot(bytes.NewReader(b))
 		if err := os.WriteFile(path, b, 0o644); err != nil {
@@ -290,7 +270,6 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 		s, mapErr := MapSnapshotFile(path)
 		if mapErr == nil {
-			mapErr = firstTouchError(t, s)
 			s.Close()
 		}
 		return readErr, mapErr
@@ -304,7 +283,7 @@ func TestSnapshotCorruption(t *testing.T) {
 		readErr, mapErr := load(b)
 		for entry, err := range map[string]error{"ReadSnapshot": readErr, "MapSnapshot": mapErr} {
 			if err == nil {
-				t.Fatalf("%s: flip at byte %d decoded and served queries", entry, pos)
+				t.Fatalf("%s: flip at byte %d loaded", entry, pos)
 			}
 			want, inBody := sectionAt(pos)
 			if !inBody {
@@ -370,64 +349,58 @@ func TestSwapBytes(t *testing.T) {
 	}
 }
 
-// TestSwapToHost runs the big-endian load step over a real image: every
-// numeric section comes out element-swapped, everything else is left as
-// written, all sections are marked verified (their checksums no longer
-// describe the bytes), and a damaged section is reported before any
-// byte moves.
+// TestSwapToHost runs the big-endian load step over a real image on
+// any host: swapToHost element-swaps every numeric section and leaves
+// everything else as written, and decodeSnapshot, decoding as a
+// big-endian host does, reports a damaged section before any byte
+// moves.
 func TestSwapToHost(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildTestGraph(t).Freeze().WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
-	decode := func(b []byte) *sectionChecks {
+	aligned := func(b []byte) []byte {
 		image := alignedBytes(len(b))[:len(b)]
 		copy(image, b)
-		s, err := decodeSnapshot(image)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.lazy
+		return image
 	}
-	c := decode(orig)
-	if err := c.swapToHost(); err != nil {
+	s, err := decodeSnapshot(aligned(orig))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.done.Load() != maskAll {
-		t.Fatalf("done bitmap %b after swapToHost, want every section", c.done.Load())
-	}
+	s.image.swapToHost()
 	want := append([]byte(nil), orig...)
 	for _, id := range sectionOrder {
 		lo, hi := sectionRange(t, orig, id)
 		swapBytes(want[lo:hi], numericWidth(id))
 	}
-	if !bytes.Equal(c.data, want) {
+	if !bytes.Equal(s.image.data, want) {
 		t.Fatal("image after swapToHost is not the per-section element swap of the original")
 	}
-	if bytes.Equal(c.data, orig) {
+	if bytes.Equal(s.image.data, orig) {
 		t.Fatal("swapToHost changed nothing")
 	}
 
 	lo, hi := sectionRange(t, orig, secEdgeTyp)
-	bad := append([]byte(nil), orig...)
+	bad := aligned(orig)
 	bad[(lo+hi)/2] ^= 0x5A
-	c = decode(bad)
+	damaged := append([]byte(nil), bad...)
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
 	var se *SectionError
-	if err := c.swapToHost(); !errors.As(err, &se) || se.Section != secEdgeTyp {
-		t.Fatalf("swapToHost over a damaged section = %v, want *SectionError for %s", err, SectionName(secEdgeTyp))
+	if _, err := decodeSnapshot(bad); !errors.As(err, &se) || se.Section != secEdgeTyp {
+		t.Fatalf("big-endian decode of a damaged section = %v, want *SectionError for %s", err, SectionName(secEdgeTyp))
 	}
-	if !bytes.Equal(c.data, bad) {
-		t.Fatal("swapToHost moved bytes of an image it rejected")
+	if !bytes.Equal(bad, damaged) {
+		t.Fatal("big-endian decode moved bytes of an image it rejected")
 	}
 }
 
-// FuzzReadSnapshot asserts the decoder never panics on arbitrary input.
-// decodeSnapshot must error or construct: its lazy contract allows a
-// first-touch panic only on a section whose checksum lies, so queries
-// are exercised exactly when Verify vouches for the whole image.
-// ReadSnapshot, which verifies before returning, must error or yield a
-// fully queryable snapshot. Wired into the CI fuzz smoke.
+// FuzzReadSnapshot asserts the decoder never panics on arbitrary input
+// and that whatever it accepts is fully queryable: decodeSnapshot and
+// ReadSnapshot must each error or return a snapshot on which every
+// query runs without panicking. Wired into the CI fuzz smoke.
 func FuzzReadSnapshot(f *testing.F) {
 	g := New()
 	g.AddNode(Node{ID: "i:used_for:camping", Type: NodeIntention, Label: "camping"})
@@ -455,7 +428,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		image := alignedBytes(len(data))[:len(data)]
 		copy(image, data)
-		if s, err := decodeSnapshot(image); err == nil && s.Verify() == nil {
+		if s, err := decodeSnapshot(image); err == nil {
 			queryAll(s)
 		}
 		if s, err := ReadSnapshot(bytes.NewReader(data)); err == nil {

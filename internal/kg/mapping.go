@@ -9,17 +9,16 @@
 // are a single atomic load), so the release edge cannot be "the server
 // swapped it out"; it has to be "no reader can reach it any more".
 // That is exactly the garbage collector's liveness judgment, so the
-// Mapping rides it: each Snapshot holds a strong reference to its
-// Mapping, and a finalizer unmaps the region only after the collector
-// proves the last snapshot referencing it is unreachable. A retired
-// snapshot therefore keeps serving in-flight readers correctly and the
-// munmap happens strictly after the final reader drops its pointer.
+// mapping rides it: each Snapshot holds a strong reference to its
+// mapping, and a finalizer unmaps the region only after the collector
+// proves the snapshot referencing it is unreachable. A retired snapshot
+// therefore keeps serving in-flight readers correctly and the munmap
+// happens strictly after the final reader drops its pointer.
 //
 // Tools that own their snapshot outright (cosmo-bench, cosmo-kg) can
 // release deterministically with Close; the finalizer is the backstop
-// and the serving-path mechanism, Close the eager path. Both funnel
-// through a refcount so a Mapping shared by several snapshots (not
-// done today, but cheap to allow) unmaps exactly once.
+// and the serving-path mechanism, Close the eager path. Whichever runs
+// first unmaps; the other is a no-op.
 package kg
 
 import (
@@ -27,47 +26,34 @@ import (
 	"sync/atomic"
 )
 
-// Mapping is a refcounted handle on one mmap'd snapshot file (or, in
-// the portable fallback build, a plain heap buffer standing in for
-// it). data is the whole file image; unmap releases it.
-type Mapping struct {
-	data  []byte
-	unmap func([]byte) error
-	refs  atomic.Int64
+// mapping is the handle on one mmap'd snapshot file (or, in the
+// portable fallback build, a plain heap buffer standing in for it).
+// data is the whole file image; unmap releases it.
+type mapping struct {
+	data     []byte
+	unmap    func([]byte) error
+	released atomic.Bool
 }
 
-// newMapping wraps a mapped region with refcount 1 and arms the
-// finalizer that releases it when the last holder is unreachable.
-// unmap may be nil (fallback build: the buffer is ordinary heap memory
-// and the collector frees it without help).
-func newMapping(data []byte, unmap func([]byte) error) *Mapping {
-	m := &Mapping{data: data, unmap: unmap}
-	m.refs.Store(1)
+// newMapping wraps a mapped region and arms the finalizer that releases
+// it once its snapshot is unreachable. unmap may be nil (fallback build:
+// the buffer is ordinary heap memory and the collector frees it without
+// help).
+func newMapping(data []byte, unmap func([]byte) error) *mapping {
+	m := &mapping{data: data, unmap: unmap}
 	if unmap != nil {
-		runtime.SetFinalizer(m, func(m *Mapping) {
+		runtime.SetFinalizer(m, func(m *mapping) {
 			m.release() //cosmo:lint-ignore dropped-error a finalizer has no caller to report munmap failure to
 		})
 	}
 	return m
 }
 
-// retain adds a reference (a second snapshot sharing the mapping).
-func (m *Mapping) retain() { m.refs.Add(1) }
-
-// release drops one reference and unmaps on the last. Idempotent past
-// zero: extra releases (finalizer racing an explicit Close) are no-ops.
-func (m *Mapping) release() error {
-	for {
-		n := m.refs.Load()
-		if n <= 0 {
-			return nil
-		}
-		if m.refs.CompareAndSwap(n, n-1) {
-			if n != 1 {
-				return nil
-			}
-			break
-		}
+// release unmaps the region exactly once: Close and the finalizer may
+// both call it, and only the first call does anything.
+func (m *mapping) release() error {
+	if !m.released.CompareAndSwap(false, true) {
+		return nil
 	}
 	runtime.SetFinalizer(m, nil)
 	data := m.data
@@ -77,12 +63,6 @@ func (m *Mapping) release() error {
 	}
 	return m.unmap(data)
 }
-
-// Mapped reports whether the region is still live (mainly for tests).
-func (m *Mapping) Mapped() bool { return m.refs.Load() > 0 }
-
-// Size is the byte length of the mapped file image.
-func (m *Mapping) Size() int { return len(m.data) }
 
 // Close releases the snapshot's hold on its mapped region, if any.
 // After Close the snapshot must not be used: its aliased sections

@@ -6,53 +6,45 @@
 // contract holds). Heap-built state is only the string *headers* (the
 // []string tables) and the intern tables — no maps; node-ID lookups
 // binary-search the ascending ID table (see symOf). The loaders differ
-// only in where the image comes from and when its sections are
-// verified:
+// only in where the image comes from:
 //
-//   - MapSnapshot memory-maps the file. Start-up cost is O(string
-//     headers) — no byte copies — resident memory is whatever the page
-//     cache keeps hot, and each section is verified lazily on first
-//     touch. The flip side of aliasing a mapping: strings obtained from
-//     a mapped snapshot (node IDs, labels, Edge fields) must not
-//     outlive the snapshot they came from; Close (or the finalizer)
-//     unmaps the bytes under them.
+//   - MapSnapshot memory-maps the file. Start-up cost is one checksum
+//     pass over the image plus the string headers — no byte copies —
+//     and resident memory is whatever the page cache keeps hot. The
+//     flip side of aliasing a mapping: strings obtained from a mapped
+//     snapshot (node IDs, labels, Edge fields) must not outlive the
+//     snapshot they came from; Close (or the finalizer) unmaps the
+//     bytes under them.
 //   - ReadSnapshot (binary.go) reads the stream into one aligned heap
-//     buffer and calls Verify before returning, so every error is
-//     eager. The collector owns the buffer; there is no lifetime
+//     buffer. The collector owns the buffer; there is no lifetime
 //     caveat.
 //
-// Validation is split in three:
+// Validation is one eager tier, all of it in decodeSnapshot, so any
+// Snapshot either loader returns is fully verified:
 //
-//  1. Eager, in decodeSnapshot: header magic/version, the tablecrc seal
-//     over the section table, the table's layout invariants (alignment,
-//     ordering, exact file size), inter-section padding (must be
-//     zero), the six string-table sections' bounds-checked decode and
-//     sort-order validation, and every cross-section length
-//     consistency rule that can be derived from the sealed table
-//     alone. After this, the aliased slices are well-typed and
-//     in-bounds; decodeSnapshot never panics, whatever the input.
-//  2. Lazy, on first touch: each section's CRC-64 (numeric *and*
-//     string content) is verified the first time a query path reads
-//     it, tracked by an atomic bitmap (one bit per section, one atomic
-//     load on the hot path once verified). A mismatch fails closed —
-//     the query panics with a *SectionError rather than serving bytes
-//     that differ from what the writer sealed. CRC equality is also the
-//     structural proof for these sections: the writer only ever seals
-//     in-range symbols and valid CSR permutations, so matching bytes
-//     are valid bytes. Hostile files that forge self-consistent CRCs
-//     over invalid values are bounded by Go's slice bounds checks (a
-//     panic, never memory unsafety); whoever ingests an artifact it
-//     did not write calls Verify first.
-//  3. Eager on demand: Verify checksums every section and runs the
-//     full structural validation, returning (not panicking)
-//     section-attributed errors.
+//  1. Layout: header magic/version, the tablecrc seal over the section
+//     table, the table's layout invariants (alignment, ordering, exact
+//     file size) and zero inter-section padding.
+//  2. The six string-table sections' bounds-checked decode and
+//     sort-order validation, and every cross-section length rule the
+//     sealed table implies, after which every aliased slice is
+//     well-typed and in-bounds.
+//  3. Every section's CRC-64 against the sealed table.
+//  4. The full structural validation (validateStructure): every symbol
+//     in range, both CSR indexes exact permutations filed under the
+//     right rows.
+//
+// Every failure is a returned error, attributed to its section where
+// one owns it (*SectionError); decodeSnapshot never panics, whatever
+// the input, and no query can reach a byte that failed a check. Verify
+// re-runs steps 3 and 4 on demand.
 //
 // The file layout makes the aliasing legal: sections start at
 // 8-byte-aligned offsets, the image base is 8-aligned (page-aligned for
 // a mapping, []uint64-backed on the heap; decodeSnapshot checks), and
 // all encodings are little-endian. On a big-endian host both loaders
-// read onto the heap and byte-swap the numeric sections in place before
-// aliasing them (sectionChecks.swapToHost).
+// read onto the heap, and decodeSnapshot byte-swaps the numeric
+// sections in place once their checksums pass (sealedImage.swapToHost).
 package kg
 
 import (
@@ -63,34 +55,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"cosmo/internal/catalog"
 	"cosmo/internal/know"
 	"cosmo/internal/relations"
-)
-
-// secBit is the lazy-validation bitmap bit for a section id.
-func secBit(id uint32) uint64 { return 1 << (id - 1) }
-
-// Section groups touched by the query paths. String sections are
-// decoded and order-validated eagerly (their *headers* are needed to
-// assemble the snapshot at all) but their content checksums
-// are lazy like everything else, so every group that can surface
-// string bytes folds maskStrings in: the first query checksums the
-// strings it is about to serve, and cold start checksums nothing.
-var (
-	maskStrings = secBit(secNodeIDs) | secBit(secNodeLabels) | secBit(secNodeTypes) |
-		secBit(secRels) | secBit(secDoms) | secBit(secBehs)
-	maskNodeTypes = secBit(secNodeTypeIx) | maskStrings
-	maskEdges     = secBit(secEdgeHead) | secBit(secEdgeTail) | secBit(secEdgeRel) |
-		secBit(secEdgeDom) | secBit(secEdgeBeh) | secBit(secEdgeSup) |
-		secBit(secEdgePla) | secBit(secEdgeTyp) | maskStrings
-	maskByHead = secBit(secHeadOff) | secBit(secHeadIdx) | maskStrings
-	maskByTail = secBit(secTailOff) | secBit(secTailIdx) | maskStrings
-	maskAll    = maskNodeTypes | maskEdges | maskByHead | maskByTail
 )
 
 // hostLittleEndian reports whether the host's byte order matches the
@@ -100,65 +70,22 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// sectionChecks carries the lazy-validation state of a decoded
-// snapshot: the raw file image, the sealed table entries (indexed by
-// section id), and the atomic done bitmap. Shared by every reader of
-// the snapshot; verification is idempotent, so a racing double-check
-// is just redundant work, never wrong.
-type sectionChecks struct {
+// sealedImage is a decoded snapshot's file image and its sealed
+// section table, indexed by section id: what Verify re-checks, and what
+// validateStructure attributes errors to.
+type sealedImage struct {
 	data []byte
 	secs [secTailIdx + 1]sect
-	done atomic.Uint64
 }
 
-// touch ensures every section in mask has passed its checksum,
-// verifying lazily on first use. The steady-state cost is one atomic
-// load; Freeze-built snapshots (lazy == nil) skip even that.
-//
-//cosmo:alloc-free
-func (s *Snapshot) touch(mask uint64) {
-	c := s.lazy
-	if c == nil {
-		return
-	}
-	if c.done.Load()&mask == mask {
-		return
-	}
-	c.verifySlow(mask)
-}
-
-// verifySlow checksums the not-yet-verified sections in mask. A
-// mismatch fails closed: the read that touched the corrupt section
-// panics with a *SectionError instead of returning data the writer
-// never sealed.
-func (c *sectionChecks) verifySlow(mask uint64) {
-	var fresh uint64
-	done := c.done.Load()
-	for id := uint32(1); id <= secTailIdx; id++ {
-		bit := secBit(id)
-		if mask&bit == 0 || done&bit != 0 {
-			continue
+// checksums verifies every section's CRC against the sealed table.
+func (f *sealedImage) checksums() error {
+	for _, id := range sectionOrder {
+		t := f.secs[id]
+		if got := crc64.Checksum(f.data[t.off:t.off+t.length], crcTable); got != t.crc {
+			return &SectionError{Section: id, Offset: int64(t.off),
+				Err: fmt.Errorf("checksum mismatch: table %016x, computed %016x", t.crc, got)}
 		}
-		if err := c.checkSection(id); err != nil {
-			panic(err)
-		}
-		fresh |= bit
-	}
-	for fresh != 0 {
-		old := c.done.Load()
-		if c.done.CompareAndSwap(old, old|fresh) {
-			return
-		}
-	}
-}
-
-// checkSection verifies one section's CRC against the sealed table.
-func (c *sectionChecks) checkSection(id uint32) error {
-	t := c.secs[id]
-	got := crc64.Checksum(c.data[t.off:t.off+t.length], crcTable)
-	if got != t.crc {
-		return &SectionError{Section: id, Offset: int64(t.off),
-			Err: fmt.Errorf("checksum mismatch: table %016x, computed %016x", t.crc, got)}
 	}
 	return nil
 }
@@ -179,16 +106,16 @@ func MapSnapshotFile(path string) (*Snapshot, error) {
 }
 
 // MapSnapshot builds a Snapshot over a memory-mapped view of f,
-// aliasing the sections in place and deferring their checksum
-// validation to first touch (see the package comment for the exact
-// contract). The file descriptor may be closed after MapSnapshot
-// returns; the mapping keeps the data live. The returned snapshot
-// holds a reference on the mapping that is released when the snapshot
-// becomes unreachable (or eagerly via Close); every query API works
-// identically to a ReadSnapshot or Freeze snapshot.
+// aliasing the sections in place once decodeSnapshot has verified every
+// one of them (see the package comment), so a damaged file is an error
+// here, never a wrong answer or a panic later. The file descriptor may
+// be closed after MapSnapshot returns; the mapping keeps the data live.
+// The returned snapshot holds the mapping until it becomes unreachable
+// (or eagerly via Close); every query API works identically to a
+// ReadSnapshot or Freeze snapshot.
 //
 // On builds without mmap support (non-Unix, or the cosmo_nommap tag)
-// the "mapping" is a plain heap read of the file — same API, same lazy
+// the "mapping" is a plain heap read of the file — same API, same
 // validation, no zero-copy win.
 func MapSnapshot(f *os.File) (*Snapshot, error) {
 	if !hostLittleEndian {
@@ -211,10 +138,10 @@ func MapSnapshot(f *os.File) (*Snapshot, error) {
 }
 
 // decodeSnapshot assembles the Snapshot over a file image, running all
-// the eager validation described in the package comment. It is the only
-// function that turns section bytes into a Snapshot. The image must not
-// be written afterwards, and on a big-endian host it must be writable
-// here (both loaders then pass a private heap buffer).
+// the validation described in the package comment before it returns.
+// It is the only function that turns section bytes into a Snapshot. The
+// image must not be written afterwards, and on a big-endian host it must
+// be writable here (both loaders then pass a private heap buffer).
 func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrSnapshotMagic, len(data))
@@ -251,7 +178,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, corrupt("file is %d bytes, table describes %d", len(data), end)
 	}
 	// Inter-section padding is not covered by any section CRC; require
-	// it zero eagerly (a handful of sub-8-byte gaps — O(1) pages).
+	// it zero (a handful of sub-8-byte gaps — O(1) pages).
 	pos := bodyStart()
 	for _, t := range sects {
 		for _, b := range data[pos:t.off] {
@@ -262,21 +189,21 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		pos = t.off + t.length
 	}
 
-	checks := &sectionChecks{data: data}
+	image := &sealedImage{data: data}
 	for _, t := range sects {
-		checks.secs[t.id] = t
+		image.secs[t.id] = t
 	}
 
-	// Eager pass over the six string-table sections: decode (headers
-	// only — the bytes stay in the image) and sort-order validation.
-	// Checksums stay lazy; the decode is bounds-checked, so hostile
-	// bytes surface as errors here, never as unsafety.
+	// The six string-table sections: decode (headers only — the bytes
+	// stay in the image) and sort-order validation. The decode is
+	// bounds-checked, so hostile bytes surface as errors here, never as
+	// unsafety.
 	sec := func(id uint32) []byte {
-		t := checks.secs[id]
+		t := image.secs[id]
 		return data[t.off : t.off+t.length : t.off+t.length]
 	}
 	s := &Snapshot{}
-	wrap := func(id uint32, err error) error { return secErr(id, int64(checks.secs[id].off), err) }
+	wrap := func(id uint32, err error) error { return secErr(id, int64(image.secs[id].off), err) }
 	if s.ids, err = parseStringList(sec(secNodeIDs)); err != nil {
 		return nil, wrap(secNodeIDs, err)
 	}
@@ -331,7 +258,7 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, corrupt("%d node types / %d behaviors exceed the u8 index space",
 			len(ntypeStrs), len(behStrs))
 	}
-	lenOf := func(id uint32) uint64 { return checks.secs[id].length }
+	lenOf := func(id uint32) uint64 { return image.secs[id].length }
 	if lenOf(secNodeTypeIx) != uint64(nn) {
 		return nil, corrupt("%d node-type indexes for %d nodes", lenOf(secNodeTypeIx), nn)
 	}
@@ -356,10 +283,13 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 				lenOf(c.id), c.want, nn, ne))
 		}
 	}
+	// Every checksum, before any numeric byte is read or, on a
+	// big-endian host, moved: they seal the bytes as written.
+	if err := image.checksums(); err != nil {
+		return nil, err
+	}
 	if !hostLittleEndian {
-		if err := checks.swapToHost(); err != nil {
-			return nil, err
-		}
+		image.swapToHost()
 	}
 
 	// Intern tables: with the string headers above, the only heap-built
@@ -390,8 +320,11 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	s.byHead = csr{off: i32(secHeadOff), idx: i32(secHeadIdx)}
 	s.byTail = csr{off: i32(secTailOff), idx: i32(secTailIdx)}
 
-	s.lazy = checks
+	s.image = image
 	s.bindDerived()
+	if err := validateStructure(s); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -456,27 +389,19 @@ func swapBytes(b []byte, width int) {
 	}
 }
 
-// swapToHost prepares a little-endian image for aliasing on a
-// big-endian host: it verifies every section checksum while the bytes
-// are still the ones the writer sealed, converts the numeric sections
-// to host order in place, and marks every section verified (the
-// checksums no longer describe the swapped bytes). The image must be a
-// private writable buffer. String-list length prefixes are read with
-// encoding/binary, not aliased, so those sections stay as written.
-func (c *sectionChecks) swapToHost() error {
-	for _, id := range sectionOrder {
-		if err := c.checkSection(id); err != nil {
-			return err
-		}
-	}
+// swapToHost converts the numeric sections of a little-endian image to
+// host order in place, for aliasing on a big-endian host. The image must
+// be a private writable buffer whose checksums already passed: they
+// describe the bytes as written, not as swapped. String-list length
+// prefixes are read with encoding/binary, not aliased, so those
+// sections stay as written.
+func (f *sealedImage) swapToHost() {
 	for _, id := range sectionOrder {
 		if w := numericWidth(id); w > 1 {
-			t := c.secs[id]
-			swapBytes(c.data[t.off:t.off+t.length], w)
+			t := f.secs[id]
+			swapBytes(f.data[t.off:t.off+t.length], w)
 		}
 	}
-	c.done.Store(maskAll)
-	return nil
 }
 
 // aliasI32 views an 8-aligned host-order byte section as []int32.
@@ -497,23 +422,18 @@ func aliasF64(b []byte) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
-// Verify eagerly validates the whole snapshot: every section checksum
-// not yet verified (marking them verified, so later touches are free)
-// and the full structural validation. Unlike the lazy first-touch path,
-// Verify returns errors instead of panicking. ReadSnapshot calls it
-// before returning; callers of MapSnapshot that did not write the
-// artifact themselves call it before serving queries.
+// Verify re-runs the decoder's checks over the snapshot: every section
+// checksum against the sealed table and the full structural validation,
+// returning section-attributed errors. Both loaders ran them before
+// returning, so on a loaded snapshot it returns nil; a Freeze snapshot
+// has no image and gets the structural half. On a big-endian host the
+// image was byte-swapped after its checksums passed, so only the
+// structure is re-checked there.
 func (s *Snapshot) Verify() error {
-	if c := s.lazy; c != nil {
-		for _, id := range sectionOrder {
-			if c.done.Load()&secBit(id) != 0 {
-				continue
-			}
-			if err := c.checkSection(id); err != nil {
-				return err
-			}
+	if s.image != nil && hostLittleEndian {
+		if err := s.image.checksums(); err != nil {
+			return err
 		}
-		c.done.Store(maskAll)
 	}
 	return validateStructure(s)
 }

@@ -59,20 +59,6 @@ func TestMapSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-// TestMapSnapshotLazyEquivalence re-runs the equivalence check without
-// the eager Verify, so every section really is validated on its first
-// query touch.
-func TestMapSnapshotLazyEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(9200))
-	want := randomGraph(t, rng, 150).Freeze()
-	mapped, err := MapSnapshotFile(writeFile(t, want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	assertSnapshotsEqual(t, want, mapped)
-}
-
 // TestMapSnapshotExportEquivalence pins that a mapped snapshot exports
 // (JSONL, TSV, and a byte-identical re-pack) exactly like the heap
 // one.
@@ -167,115 +153,10 @@ func sectionRange(t *testing.T, valid []byte, id uint32) (int, int) {
 	return 0, 0
 }
 
-// TestMapSnapshotLazyFailsClosed is the lazy-validation contract: a
-// byte flip inside a lazily-validated section must not stop MapSnapshot
-// from constructing the snapshot, but the first query that touches the
-// damaged section must panic with a *SectionError naming it — and
-// Verify must report the same section as an error, not a panic.
-func TestMapSnapshotLazyFailsClosed(t *testing.T) {
-	want := buildTestGraph(t).Freeze()
-	path := writeFile(t, want)
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heads := want.Nodes()
-
-	// One toucher per lazily-validated section group, driving it through
-	// the public query API.
-	intentions := func(s *Snapshot) {
-		for _, n := range heads {
-			s.IntentionsFor(n.ID)
-		}
-	}
-	related := func(s *Snapshot) {
-		for _, n := range heads {
-			s.RelatedProducts(n.ID, 3)
-		}
-	}
-	stats := func(s *Snapshot) { s.ComputeStats() }
-	touch := map[uint32]func(s *Snapshot){
-		secNodeTypeIx: func(s *Snapshot) { s.Nodes() },
-		secEdgeHead:   stats,
-		secEdgeTail:   stats,
-		secEdgeRel:    stats,
-		secEdgeDom:    stats,
-		secEdgeBeh:    stats,
-		secEdgeSup:    stats,
-		secEdgePla:    stats,
-		secEdgeTyp:    stats,
-		secHeadOff:    intentions,
-		secHeadIdx:    intentions,
-		secTailOff:    related,
-		secTailIdx:    related,
-	}
-	// String sections are covered by TestMapSnapshotEagerRejections;
-	// every other section needs a toucher here.
-	for _, id := range sectionOrder {
-		if touch[id] == nil && maskStrings&secBit(id) == 0 {
-			t.Fatalf("no toucher for lazily validated section %s", SectionName(id))
-		}
-	}
-	for id, fn := range touch {
-		lo, hi := sectionRange(t, valid, id)
-		if lo == hi {
-			continue // empty section: nothing to flip
-		}
-		t.Run(SectionName(id), func(t *testing.T) {
-			bad := append([]byte(nil), valid...)
-			bad[(lo+hi)/2] ^= 0x5A
-			badPath := filepath.Join(t.TempDir(), "bad.cosmo")
-			if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s, err := MapSnapshotFile(badPath)
-			if err != nil {
-				t.Fatalf("MapSnapshot must defer section validation, got eager error %v", err)
-			}
-			defer s.Close()
-
-			var verr error
-			func() {
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatal("query over the corrupted section did not fail")
-					}
-					var ok bool
-					if verr, ok = r.(error); !ok {
-						t.Fatalf("panic value %v is not an error", r)
-					}
-				}()
-				fn(s)
-			}()
-			var se *SectionError
-			if !errors.As(verr, &se) || !errors.Is(verr, ErrSnapshotCorrupt) {
-				t.Fatalf("lazy failure %v, want a *SectionError wrapping ErrSnapshotCorrupt", verr)
-			}
-			if se.Section != id {
-				t.Fatalf("lazy failure attributed to section %s, want %s",
-					SectionName(se.Section), SectionName(id))
-			}
-
-			// Verify on a fresh mapping reports the same section, as an
-			// error rather than a panic.
-			s2, err := MapSnapshotFile(badPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			se = nil
-			if verr := s2.Verify(); !errors.As(verr, &se) || se.Section != id {
-				t.Fatalf("Verify() = %v, want *SectionError for %s", verr, SectionName(id))
-			}
-		})
-	}
-}
-
 // TestMapSnapshotEagerRejections covers the damage classes MapSnapshot
 // must reject at construction time, never panicking — header and table
-// flips, structural string-table damage, and every truncation — plus
-// the string-content flips that defer to the first query's checksum.
+// flips, string-table flips, every truncation, trailing bytes and a
+// forged string count.
 func TestMapSnapshotEagerRejections(t *testing.T) {
 	valid, err := os.ReadFile(writeFile(t, buildTestGraph(t).Freeze()))
 	if err != nil {
@@ -299,39 +180,21 @@ func TestMapSnapshotEagerRejections(t *testing.T) {
 			t.Fatalf("flip at header/table byte %d mapped successfully", pos)
 		}
 	}
-	// String sections: decoded eagerly (so structural damage — counts,
-	// length prefixes, sort order — errors at map time) but
-	// checksummed lazily. Every flip must be caught one way or the
-	// other, attributed to the flipped section: either an eager error,
-	// or a panic out of the first query that reads string content.
+	// String sections: a flip fails the decode, the sort-order check or
+	// the section's checksum, and is reported naming the section.
 	for _, id := range []uint32{secNodeIDs, secNodeLabels, secNodeTypes, secRels, secDoms, secBehs} {
 		lo, hi := sectionRange(t, valid, id)
 		for _, pos := range []int{lo, (lo + hi) / 2, hi - 1} {
 			b := append([]byte(nil), valid...)
 			b[pos] ^= 0x5A
 			s, err := tryMap(t, b)
-			if err != nil {
-				var se *SectionError
-				if errors.As(err, &se) && se.Section != id {
-					t.Fatalf("flip in %s attributed to %s", SectionName(id), SectionName(se.Section))
+			var se *SectionError
+			if !errors.As(err, &se) || se.Section != id {
+				if err == nil {
+					s.Close()
 				}
-				continue
+				t.Fatalf("flip in %s (byte %d): err = %v, want *SectionError for it", SectionName(id), pos, err)
 			}
-			func() {
-				defer s.Close()
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatalf("flip in string section %s (byte %d) served queries", SectionName(id), pos)
-					}
-					verr, ok := r.(error)
-					var se *SectionError
-					if !ok || !errors.As(verr, &se) || !errors.Is(verr, ErrSnapshotCorrupt) || se.Section != id {
-						t.Fatalf("flip in %s: lazy failure %v, want *SectionError for it", SectionName(id), r)
-					}
-				}()
-				s.Nodes() // reads every string table's checksum group
-			}()
 		}
 	}
 	// Truncations: the table/size cross-check catches every cut.
@@ -420,8 +283,8 @@ func TestMapSnapshotZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMappingLifetime pins the refcount/Close semantics: Close releases
-// the mapping exactly once and later Closes are no-ops.
+// TestMappingLifetime pins the Close semantics: Close releases the
+// mapping exactly once and later Closes are no-ops.
 func TestMappingLifetime(t *testing.T) {
 	s, err := MapSnapshotFile(writeFile(t, buildTestGraph(t).Freeze()))
 	if err != nil {
@@ -431,13 +294,13 @@ func TestMappingLifetime(t *testing.T) {
 	if m == nil {
 		t.Fatal("mapped snapshot has no mapping")
 	}
-	if !m.Mapped() || m.Size() == 0 {
+	if m.released.Load() || len(m.data) == 0 {
 		t.Fatal("mapping not live after load")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mapped() {
+	if !m.released.Load() {
 		t.Fatal("mapping still live after Close")
 	}
 	if err := s.Close(); err != nil {

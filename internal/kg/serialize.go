@@ -13,7 +13,6 @@ import (
 // in key-sorted edge order — the interchange format used by downstream
 // feature pipelines.
 func (s *Snapshot) WriteJSONL(w io.Writer) error {
-	s.touch(maskEdges)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	type rec struct {
@@ -51,7 +50,6 @@ func (s *Snapshot) WriteJSONL(w io.Writer) error {
 // WriteTSV writes a head\trelation\ttail\tscore table in key-sorted edge
 // order.
 func (s *Snapshot) WriteTSV(w io.Writer) error {
-	s.touch(maskEdges)
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "head\trelation\ttail\tplausible\ttypical\tsupport"); err != nil {
 		return err

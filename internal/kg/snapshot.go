@@ -73,13 +73,13 @@ type Snapshot struct {
 	// allocates only its result. Bounded by the pool's GC semantics.
 	scratch sync.Pool
 
-	// Decoded-snapshot state (nil for Freeze snapshots): lazy tracks
-	// which aliased sections have passed their checksum; mapping (set by
-	// MapSnapshot only) pins the mmap'd region for as long as this
-	// snapshot is reachable (see mapping.go for the RCU-retirement
-	// story).
-	lazy    *sectionChecks
-	mapping *Mapping
+	// Decoded-snapshot state (nil for Freeze snapshots): image is the
+	// verified file image and its sealed section table, kept for Verify
+	// and error attribution; mapping (set by MapSnapshot only) pins the
+	// mmap'd region for as long as this snapshot is reachable (see
+	// mapping.go for the RCU-retirement story).
+	image   *sealedImage
+	mapping *mapping
 }
 
 // csr is a compressed sparse row index: row r's entries are
@@ -368,7 +368,6 @@ func (s *Snapshot) edgeAt(i int32) Edge {
 //
 //cosmo:alloc-free
 func (s *Snapshot) symOf(id string) (int32, bool) {
-	s.touch(maskStrings)
 	lo, hi := 0, len(s.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -389,7 +388,6 @@ func (s *Snapshot) symOf(id string) (int32, bool) {
 //
 //cosmo:alloc-free
 func (s *Snapshot) symOfBytes(id []byte) (int32, bool) {
-	s.touch(maskStrings)
 	lo, hi := 0, len(s.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -432,7 +430,6 @@ func (s *Snapshot) Node(id string) (Node, bool) {
 	if !ok {
 		return Node{}, false
 	}
-	s.touch(maskNodeTypes)
 	return Node{ID: s.ids[i], Type: s.nodeType(i), Label: s.labels[i]}, true
 }
 
@@ -447,7 +444,6 @@ func (s *Snapshot) NumRelations() int { return len(s.rels) }
 
 // Nodes returns every node in deterministic (ID-sorted) order.
 func (s *Snapshot) Nodes() []Node {
-	s.touch(maskNodeTypes)
 	out := make([]Node, len(s.ids))
 	for i := range s.ids {
 		out[i] = Node{ID: s.ids[i], Type: s.nodeType(sym32(i)), Label: s.labels[i]}
@@ -459,7 +455,6 @@ func (s *Snapshot) Nodes() []Node {
 // Edges returns every edge in the same deterministic (key-sorted) order
 // as Graph.Edges.
 func (s *Snapshot) Edges() []Edge {
-	s.touch(maskEdges)
 	out := make([]Edge, len(s.eHead))
 	for i := range out {
 		out[i] = s.edgeAt(sym32(i))
@@ -503,7 +498,6 @@ func (s *Snapshot) IntentionsFor(head string) EdgeSeq {
 	if !ok {
 		return EdgeSeq{}
 	}
-	s.touch(maskByHead | maskEdges)
 	return EdgeSeq{s: s, idx: s.byHead.row(h)}
 }
 
@@ -517,7 +511,6 @@ func (s *Snapshot) IntentionsForBytes(head []byte) EdgeSeq {
 	if !ok {
 		return EdgeSeq{}
 	}
-	s.touch(maskByHead | maskEdges)
 	return EdgeSeq{s: s, idx: s.byHead.row(h)}
 }
 
@@ -595,7 +588,6 @@ var emptyRelated = []Related{}
 //
 //cosmo:alloc-free
 func (s *Snapshot) relatedCollect(h int32, k int) *relatedScratch {
-	s.touch(maskByHead | maskByTail | maskEdges | maskNodeTypes)
 	sc := s.scratch.Get().(*relatedScratch)
 	sc.snap = s
 	sc.via = sc.via[:0]
@@ -789,7 +781,6 @@ type DomainStats struct {
 // ComputeStats builds graph statistics from the frozen arrays: one pass
 // over the edges counts each domain's edges by behavior.
 func (s *Snapshot) ComputeStats() Stats {
-	s.touch(maskEdges)
 	per := make([]DomainStats, len(s.doms))
 	for i, d := range s.eDom {
 		if int32(s.eBeh[i]) == s.searchBuyIx {
@@ -817,7 +808,6 @@ func (s *Snapshot) ComputeStats() Stats {
 // tokens are a strict subset of B's. Products attached to an intention
 // become the leaf links; roots are sorted by descending edge support.
 func (s *Snapshot) BuildHierarchy(minSupport int) []*HierarchyNode {
-	s.touch(maskEdges | maskNodeTypes)
 	byTail := map[string]*tailInfo{}
 	for i := range s.eHead {
 		t := s.eTail[i]

@@ -207,7 +207,6 @@ func rowEdges(s *Snapshot, c csr, id string) []Edge {
 	if !ok {
 		return out
 	}
-	s.touch(maskByHead | maskByTail | maskEdges)
 	for _, e := range c.row(sym) {
 		out = append(out, s.edgeAt(e))
 	}

@@ -117,10 +117,6 @@ type DeployConfig struct {
 	CacheShards int
 	// QueueCap bounds the batch miss queue (DefaultQueueCap when 0).
 	QueueCap int
-	// FeatureStoreCap bounds the feature store (DefaultFeatureStoreCap
-	// when 0, unlimited when negative). Insertions past the cap evict
-	// the oldest-inserted feature.
-	FeatureStoreCap int
 	// MaxBatchItems bounds one POST /batch request
 	// (DefaultMaxBatchItems when 0).
 	MaxBatchItems int
@@ -138,11 +134,6 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 	if cfg.DailyCacheCap <= 0 {
 		cfg.DailyCacheCap = 1024
 	}
-	if cfg.FeatureStoreCap == 0 {
-		cfg.FeatureStoreCap = DefaultFeatureStoreCap
-	} else if cfg.FeatureStoreCap < 0 {
-		cfg.FeatureStoreCap = 0 // explicit opt-out: unlimited
-	}
 	if cfg.MaxBatchItems <= 0 {
 		cfg.MaxBatchItems = DefaultMaxBatchItems
 	}
@@ -152,7 +143,7 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 			Shards:   cfg.CacheShards,
 			QueueCap: cfg.QueueCap,
 		}),
-		Store:         NewFeatureStoreWithCap(cfg.FeatureStoreCap),
+		Store:         NewFeatureStoreWithCap(DefaultFeatureStoreCap),
 		Clock:         RealClock{},
 		responder:     responder,
 		latency:       NewHistogram(nil),
