@@ -39,7 +39,7 @@ func TestReportNode(t *testing.T) {
 			d.RunBatch(10) // fails and is re-queued
 			d.HandleQuery("a")
 			d.HandleQuery("b") // the queue holds 2: the oldest is dropped
-			if err := d.DailyRefreshContext(context.Background(), tc.responder, nil, 0); err != nil {
+			if err := d.Refresh(context.Background(), tc.responder, nil, 0); err != nil {
 				t.Fatal(err)
 			}
 			d.HandleQuery("camping") // daily layer reset: served stale from the store

@@ -15,31 +15,21 @@
 // (internal/faults) between the resilience layer and the model for
 // chaos-testing a live instance.
 //
-// The knowledge graph is served from an immutable frozen snapshot
-// (kg.Snapshot): the request path reads it lock-free through an atomic
-// pointer, and a new snapshot is swapped in RCU-style without pausing
-// in-flight requests. Without -snapshot the pipeline's graph is frozen
-// once at start-up; it never changes afterwards, so refreshes keep that
-// snapshot.
-//
-// With -snapshot, the KG is served from a packed binary snapshot
-// (.cosmo, written by cosmo-pipeline -out), memory-mapped and aliased
-// in place (kg.MapSnapshot; a heap read on the cosmo_nommap build) — no
-// Freeze, no re-indexing. Each refresh maps the file again and swaps the
-// fresh snapshot in through the same atomic pointer, so a newly built
-// artifact goes live on the next refresh tick without a restart. The
-// loader verifies every section checksum and the structure before it
-// returns, at start-up and on each reload, so a damaged file is a
-// logged reload failure with the current snapshot still serving. A
-// retired snapshot's mapping is released only once its last in-flight
-// reader is gone: a hot reload never unmaps under a live request.
-//
-// A refresh tick only reloads when the artifact actually changed:
-// unchanged stat identity (mtime+size), or an unchanged table
-// checksum — the sealed per-section CRCs double as a content
-// fingerprint — skip the reload and RCU swap entirely, counted by the
-// cosmo_snapshot_reloads_total / cosmo_snapshot_reload_skipped_total
-// metric pair.
+// The knowledge graph is served as one serving.Generation: a frozen
+// kg.Snapshot, the LSH similarity index (kg.SimilarityIndex) built over
+// its intention labels for /similar, and the stamp of the file it came
+// from. The index is built before the commit, and a refresh swaps model,
+// version, snapshot and index in as one value, RCU-style, so no request
+// sees a mix of two refreshes. Without -snapshot the pipeline's graph is
+// frozen once at start-up and every refresh keeps it. With -snapshot the
+// KG is a packed .cosmo file (cosmo-pipeline -out), memory-mapped and
+// verified section by section (a heap read on the cosmo_nommap build).
+// serving.Artifact follows that file: a tick reloads it only when it
+// changed on disk (cosmo_snapshot_reloads_total /
+// cosmo_snapshot_reload_skipped_total), a damaged file is a logged
+// reload failure with the current generation still serving, and a
+// retired mapping is released only after its last in-flight reader.
+// -ann-tables and -ann-bits tune the index's recall/speed shape.
 //
 // Usage:
 //
@@ -58,12 +48,6 @@
 // Endpoints: GET /intent?q=..., GET /intentions?id=..., GET /related?id=...,
 // GET /similar?q=..., POST /batch, GET /kg, GET /metrics, GET /healthz,
 // GET /readyz.
-//
-// Alongside each snapshot, an LSH similarity index (kg.SimilarityIndex)
-// is built over the intention labels and swapped in through the same
-// RCU pattern — at start-up and when a refresh commits a different
-// snapshot; /similar answers approximate nearest-intention queries
-// against it. -ann-tables and -ann-bits tune the recall/speed shape.
 package main
 
 import (
@@ -72,7 +56,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -82,92 +65,6 @@ import (
 	"cosmo/internal/kg"
 	"cosmo/internal/serving"
 )
-
-// artifact follows the -snapshot file across refresh ticks.
-type artifact struct {
-	path  string
-	stamp kg.SnapshotStamp // the revision last loaded; zero means reload on the next tick
-}
-
-// load stamps the file and then loads it, in that order: if the file
-// is replaced in between, the node serves the new content under the old
-// stamp and the next tick reloads once more. The other order would
-// serve the old content under the new stamp, and every later tick would
-// skip the reload. The loader is a parameter so the ordering can be
-// tested.
-func (a *artifact) load(loader func(path string) (*kg.Snapshot, error)) (*kg.Snapshot, error) {
-	stamp, stampErr := kg.StampSnapshotFile(a.path)
-	snap, err := loader(a.path)
-	if err != nil {
-		return nil, err
-	}
-	if stampErr != nil {
-		log.Printf("snapshot stamp failed (next tick will reload): %v", stampErr)
-	}
-	a.stamp = stamp
-	return snap, nil
-}
-
-// changed reports whether the file differs from the revision last
-// loaded. Same stat identity is the cheap path (no open); a file
-// rewritten byte-identically (e.g. an idempotent rebuild) is recognised
-// by its content fingerprint.
-func (a *artifact) changed() bool {
-	if fi, err := os.Stat(a.path); err == nil &&
-		fi.Size() == a.stamp.Size && fi.ModTime().Equal(a.stamp.ModTime) {
-		return false
-	}
-	if stamp, err := kg.StampSnapshotFile(a.path); err == nil && stamp.SameContent(a.stamp) {
-		a.stamp = stamp
-		return false
-	}
-	return true
-}
-
-// tick picks the snapshot a refresh tick commits: the one serving,
-// unless the artifact changed on disk and reloads cleanly. Without
-// -snapshot (empty path) there is nothing to pick up: the pipeline's
-// graph never changes after core.Run and was frozen once at start-up.
-func (a *artifact) tick(dep *serving.Deployment) *kg.Snapshot {
-	current := dep.KG()
-	if a.path == "" {
-		return current
-	}
-	if !a.changed() {
-		dep.NoteSnapshotReloadSkipped()
-		log.Print("snapshot unchanged on disk; skipping reload")
-		return current
-	}
-	reloaded, err := a.load(kg.MapSnapshotFile)
-	if err != nil {
-		log.Printf("snapshot reload failed (current snapshot keeps serving): %v", err)
-		return current
-	}
-	dep.NoteSnapshotReload()
-	return reloaded
-}
-
-// refresh runs one refresh tick: the model, the caches and, when the
-// artifact changed, the KG snapshot rotate together. It returns the
-// snapshot the tick put in service, or nil when the serving one stayed.
-// A failed refresh drops a reloaded snapshot and forgets its stamp, so
-// the next tick loads that revision again instead of skipping it as
-// unchanged.
-func (a *artifact) refresh(ctx context.Context, dep *serving.Deployment, responder serving.ContextResponder) (*kg.Snapshot, error) {
-	before := dep.KG()
-	next := a.tick(dep)
-	if err := dep.DailyRefreshContext(ctx, responder, next, 2048); err != nil {
-		if next != before {
-			a.stamp = kg.SnapshotStamp{}
-			next.Close() //cosmo:lint-ignore dropped-error the refresh error is the root cause
-		}
-		return nil, err
-	}
-	if next == before {
-		return nil, nil
-	}
-	return next, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -205,28 +102,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// KG source: a packed binary snapshot is mapped with zero
-	// re-indexing; otherwise the pipeline's graph is frozen in-process.
-	var snap *kg.Snapshot
-	art := &artifact{path: *snapshotPath}
-	if *snapshotPath != "" {
-		start := time.Now()
-		snap, err = art.load(kg.MapSnapshotFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		how := "heap read, verified"
-		if snap.Mapped() {
-			how = "mmap, verified"
-		}
-		log.Printf("loaded snapshot %s in %v: %d nodes / %d edges (%s)",
-			*snapshotPath, time.Since(start), snap.NumNodes(), snap.NumEdges(), how)
-	} else {
-		snap = res.KG.Freeze()
-	}
-	log.Printf("pipeline ready: frozen KG snapshot %d nodes / %d edges, COSMO-LM %d tails",
-		snap.NumNodes(), snap.NumEdges(), res.CosmoLM.KnownTails())
-
 	model := serving.ContextResponderFunc(func(ctx context.Context, q string) (serving.Feature, error) {
 		if err := ctx.Err(); err != nil {
 			return serving.Feature{}, err
@@ -273,19 +148,31 @@ func main() {
 		QueueCap:      *queueCap,
 		MaxBatchItems: *maxBatch,
 	}, responder)
-	dep.SetKG(snap)
+	// KG source: a packed binary snapshot is mapped with zero
+	// re-indexing; otherwise the pipeline's graph is frozen in-process.
+	art := &serving.Artifact{
+		Path:       *snapshotPath,
+		Similarity: kg.SimilarityConfig{Tables: *annTables, Bits: *annBits, Seed: *annSeed},
+	}
+	var gen *serving.Generation
 	if *snapshotPath != "" {
-		dep.NoteSnapshotReload() // the initial artifact load
-	}
-	annCfg := kg.SimilarityConfig{Tables: *annTables, Bits: *annBits, Seed: *annSeed}
-	buildANN := func(s *kg.Snapshot) {
 		start := time.Now()
-		ix := kg.BuildSimilarityIndex(s, annCfg)
-		dep.SetSimilarity(ix)
-		log.Printf("similarity index: %d intentions indexed in %v (%d tables x %d bits)",
-			ix.NumIndexed(), time.Since(start), ix.Config().Tables, ix.Config().Bits)
+		gen, err = art.Load(dep)
+		if err != nil {
+			log.Fatal(err)
+		}
+		how := "heap read, verified"
+		if gen.Snap.Mapped() {
+			how = "mmap, verified"
+		}
+		log.Printf("loaded snapshot %s in %v: %d nodes / %d edges (%s)",
+			*snapshotPath, time.Since(start), gen.Snap.NumNodes(), gen.Snap.NumEdges(), how)
+	} else {
+		gen = serving.NewGeneration(res.KG.Freeze(), art.Similarity, kg.SnapshotStamp{})
 	}
-	buildANN(snap)
+	dep.Install(gen)
+	log.Printf("pipeline ready: frozen KG snapshot %d nodes / %d edges, similarity index: %d intentions indexed, COSMO-LM %d tails",
+		gen.Snap.NumNodes(), gen.Snap.NumEdges(), gen.Sim.NumIndexed(), res.CosmoLM.KnownTails())
 	dep.SetReady(true) // warmup (pipeline + KG install) is complete
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -294,31 +181,10 @@ func main() {
 	// Background batch worker ("Batch Processing and Cache Update").
 	workerDone := dep.StartWorker(ctx, *batchEvery, *batchSize)
 
-	// Daily refresh loop ("Model Deployment" + feedback loop). A failed
-	// refresh is atomic — the previous model, caches and KG snapshot keep
-	// serving — so the error is logged and the next tick retries.
-	go func() {
-		ticker := time.NewTicker(*refresh)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				log.Print("daily refresh: rotating model, caches and KG snapshot")
-				// A newly built artifact goes live here; readers on the
-				// old snapshot are undisturbed.
-				if now, err := art.refresh(ctx, dep, responder); err != nil {
-					log.Printf("daily refresh failed (previous model keeps serving): %v", err)
-				} else if now != nil {
-					// Rebuild the ANN index only for a new snapshot,
-					// keeping /similar and the KG endpoints answering
-					// from the same world.
-					buildANN(now)
-				}
-			}
-		}
-	}()
+	// Daily refresh loop: a newly built artifact goes live on a tick;
+	// readers on the old generation are undisturbed.
+	refreshDone := make(chan struct{})
+	go func() { defer close(refreshDone); art.Run(ctx, dep, responder, *refresh) }()
 
 	// Timeouts bound every connection phase so a slow or hostile client
 	// (slowloris) cannot pin a connection forever.
@@ -358,6 +224,7 @@ func main() {
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+	<-refreshDone
 	<-workerDone // final batch drain completes before exit
 	log.Print("bye")
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -31,7 +32,7 @@ func main() {
 		return f
 	})
 	dep := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 256}, responder)
-	dep.SetKG(res.KG.Freeze())
+	dep.Install(&serving.Generation{Snap: res.KG.Freeze()})
 
 	// Build a Zipf-ish traffic stream from the behavior log's queries.
 	var pool []string
@@ -56,7 +57,7 @@ func main() {
 	fmt.Printf("  hit rate %.1f%% (yearly %d / daily %d)\n", s1.HitRate()*100, s1.YearlyHits, s1.DailyHits)
 
 	fmt.Println("daily refresh: new model version + KG snapshot swap + yearly preload from feedback loop")
-	if err := dep.DailyRefresh(responder, res.KG.Freeze(), 512); err != nil {
+	if err := dep.Refresh(context.Background(), serving.AdaptResponder(responder), &serving.Generation{Snap: res.KG.Freeze()}, 512); err != nil {
 		log.Fatalf("daily refresh: %v", err)
 	}
 

@@ -62,9 +62,7 @@ func hopDeployment(t *testing.T, withKG bool) *serving.Deployment {
 	t.Helper()
 	dep := newLocalDeployment(t, "camping")
 	if withKG {
-		snap := hopSnapshot(t)
-		dep.SetKG(snap)
-		dep.SetSimilarity(kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 1}))
+		dep.Install(serving.NewGeneration(hopSnapshot(t), kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{}))
 	}
 	return dep
 }

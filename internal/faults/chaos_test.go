@@ -214,7 +214,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 	}
 }
 
-// TestChaosRefreshAtomicUnderFaults: a DailyRefresh driven through a
+// TestChaosRefreshAtomicUnderFaults: a Refresh driven through a
 // fault-injecting responder fails without installing anything — the
 // previous model version, yearly layer and KG snapshot keep serving —
 // and the same refresh succeeds once the faults stop.
@@ -226,15 +226,15 @@ func TestChaosRefreshAtomicUnderFaults(t *testing.T) {
 	world := kg.New()
 	world.AddNode(kg.Node{ID: "p1", Label: "tent", Type: kg.NodeProduct})
 	snap := world.Freeze()
-	d.SetKG(snap)
+	d.Install(&serving.Generation{Snap: snap})
 	for i := 0; i < 4; i++ {
 		for j := 0; j <= 4-i; j++ {
 			d.HandleQuery(fmt.Sprintf("hot-%d", i))
 		}
 	}
-	if err := d.DailyRefresh(serving.ResponderFunc(func(q string) serving.Feature {
+	if err := d.Refresh(context.Background(), serving.AdaptResponder(serving.ResponderFunc(func(q string) serving.Feature {
 		return serving.Feature{Query: q, Intents: []string{"v2"}}
-	}), nil, 4); err != nil {
+	})), nil, 4); err != nil {
 		t.Fatalf("baseline refresh: %v", err)
 	}
 
@@ -245,14 +245,14 @@ func TestChaosRefreshAtomicUnderFaults(t *testing.T) {
 		BackoffBase: 100 * time.Microsecond,
 		Seed:        11,
 	})
-	err := d.DailyRefreshContext(context.Background(), faulty, nil, 4)
+	err := d.Refresh(context.Background(), faulty, nil, 4)
 	if err == nil {
 		t.Fatal("refresh through a 100% faulty responder succeeded")
 	}
 	if got := d.Version(); got != 2 {
 		t.Errorf("version = %d after failed refresh, want 2", got)
 	}
-	if d.KG() != snap {
+	if d.Generation().Snap != snap {
 		t.Error("failed refresh swapped the KG snapshot")
 	}
 	for i := 0; i < 4; i++ {
@@ -267,7 +267,7 @@ func TestChaosRefreshAtomicUnderFaults(t *testing.T) {
 
 	// Faults stop; the identical refresh commits.
 	inj.SetEnabled(false)
-	if err := d.DailyRefreshContext(context.Background(), faulty, nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), faulty, nil, 4); err != nil {
 		t.Fatalf("healed refresh: %v", err)
 	}
 	if got := d.Version(); got != 3 {

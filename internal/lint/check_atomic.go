@@ -7,8 +7,8 @@ import (
 )
 
 // atomicHygieneCheck guards the RCU-swap contract the serving tier
-// lives on (Deployment holds atomic.Pointer[kg.Snapshot], readers load
-// it lock-free while DailyRefresh stores a fresh one). Two rules:
+// lives on (Deployment holds one atomic.Pointer to its served value,
+// readers load it lock-free while Refresh stores a fresh one). Two rules:
 //
 //  1. A type transitively containing a sync/atomic value type
 //     (atomic.Pointer[T], atomic.Int64, atomic.Value, ...) must never

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"cosmo/internal/kg"
 )
 
 // This file implements POST /batch: many lookups in one request, parsed
@@ -100,6 +102,8 @@ func (d *Deployment) AppendBatch(dst []byte, body []byte) ([]byte, int) {
 		}
 		return append(dst, ']'), http.StatusOK
 	}
+	// One generation answers the whole batch, even across a swap.
+	snap := d.Generation().Snap
 	items := 0
 	for {
 		if items >= d.maxBatchItems {
@@ -109,7 +113,7 @@ func (d *Deployment) AppendBatch(dst []byte, body []byte) ([]byte, int) {
 			dst = append(dst, ',')
 		}
 		var ok bool
-		dst, ok = d.appendBatchItem(dst, &p, sc)
+		dst, ok = d.appendBatchItem(dst, &p, sc, snap)
 		if !ok {
 			return dst[:mark], http.StatusBadRequest
 		}
@@ -131,9 +135,10 @@ func (d *Deployment) AppendBatch(dst []byte, body []byte) ([]byte, int) {
 }
 
 // appendBatchItem parses one item object and appends its response
-// entry. ok is false only for structural JSON violations (the whole
-// batch fails); per-item problems append a fixed error body instead.
-func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratch) ([]byte, bool) {
+// entry, answering KG lookups from snap. ok is false only for
+// structural JSON violations (the whole batch fails); per-item problems
+// append a fixed error body instead.
+func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratch, snap *kg.Snapshot) ([]byte, bool) {
 	sc.op, sc.id, sc.q = sc.op[:0], sc.id[:0], sc.q[:0]
 	hasOp, hasID, hasQ := false, false, false
 	k := 10
@@ -219,7 +224,6 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 		if !hasID {
 			return append(dst, batchErrMissingID...), true
 		}
-		snap := d.KG()
 		if snap == nil {
 			return append(dst, batchErrNoKG...), true
 		}
@@ -228,7 +232,6 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 		if !hasID {
 			return append(dst, batchErrMissingID...), true
 		}
-		snap := d.KG()
 		if snap == nil {
 			return append(dst, batchErrNoKG...), true
 		}

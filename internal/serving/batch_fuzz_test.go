@@ -74,7 +74,7 @@ func FuzzBatch(f *testing.F) {
 func checkBatch(t *testing.T, snap *kg.Snapshot, body []byte) {
 	t.Helper()
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8, MaxBatchItems: fuzzBatchLimit}, echoResponder("v1"))
-	d.SetKG(snap)
+	d.Install(&Generation{Snap: snap})
 	prefix := []byte("prefix")
 	out, status := d.AppendBatch(prefix, body)
 	wantStatus, alt, want := batchReference(snap, body, fuzzBatchLimit)

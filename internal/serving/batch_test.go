@@ -7,21 +7,24 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cosmo/internal/kg"
 	"cosmo/internal/wire"
 )
 
-// buildTestSimilarity indexes the deployment's current snapshot.
-func buildTestSimilarity(t *testing.T, d *Deployment) *kg.SimilarityIndex {
+// installTestSimilarity re-installs the deployment's snapshot as a
+// generation with its ANN index.
+func installTestSimilarity(t *testing.T, d *Deployment) {
 	t.Helper()
-	ix := kg.BuildSimilarityIndex(d.KG(), kg.SimilarityConfig{Seed: 1})
-	if ix.NumIndexed() == 0 {
+	g := NewGeneration(d.Generation().Snap, kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{})
+	if g.Sim.NumIndexed() == 0 {
 		t.Fatal("test snapshot indexed no intentions")
 	}
-	return ix
+	d.Install(g)
 }
 
 // batchDeployment is a deployment with a snapshot installed, ready for
@@ -29,7 +32,7 @@ func buildTestSimilarity(t *testing.T, d *Deployment) *kg.SimilarityIndex {
 func batchDeployment(t *testing.T) *Deployment {
 	t.Helper()
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
-	d.SetKG(testSnapshot(t))
+	d.Install(&Generation{Snap: testSnapshot(t)})
 	return d
 }
 
@@ -50,7 +53,7 @@ func runBatch(t *testing.T, d *Deployment, body string) (status int, items []jso
 // with exactly the bytes the single-lookup endpoint would produce.
 func TestBatchLookups(t *testing.T) {
 	d := batchDeployment(t)
-	snap := d.KG()
+	snap := d.Generation().Snap
 	status, items := runBatch(t, d,
 		`[{"op":"intentions","id":"q:tent","k":1},
 		  {"op":"related","id":"p:P1"},
@@ -126,8 +129,65 @@ func TestBatchPerItemErrors(t *testing.T) {
 			t.Errorf("item %d = %s, want %s", i, items[i], want)
 		}
 	}
-	if want := AppendIntentionsJSON(nil, d.KG(), "q:tent", 1); !bytes.Equal(items[6], want) {
+	if want := AppendIntentionsJSON(nil, d.Generation().Snap, "q:tent", 1); !bytes.Equal(items[6], want) {
 		t.Errorf("trailing good item = %s, want %s", items[6], want)
+	}
+}
+
+// TestBatchReadsOneGeneration: readers POST batches of one id while a
+// writer swaps between two snapshots that answer that id differently.
+// Every response's items must come from a single snapshot.
+func TestBatchReadsOneGeneration(t *testing.T) {
+	snaps := []*kg.Snapshot{testSnapshot(t), testSnapshot(t, "hiking")}
+	answers := [][]byte{
+		AppendIntentionsJSON(nil, snaps[0], "p:P2", 10),
+		AppendIntentionsJSON(nil, snaps[1], "p:P2", 10),
+	}
+	if bytes.Equal(answers[0], answers[1]) {
+		t.Fatal("the two snapshots must answer p:P2 differently")
+	}
+	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d.Install(&Generation{Snap: snaps[0]})
+	h := NewHTTPHandler(d)
+	const items = 16
+	body := "[" + strings.Repeat(`{"op":"intentions","id":"p:P2"},`, items-1) + `{"op":"intentions","id":"p:P2"}]`
+
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for n := 0; n < 200; n++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body)))
+				var got []json.RawMessage
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got) != items {
+					t.Errorf("POST /batch = %d %s (%v)", rec.Code, rec.Body.Bytes(), err)
+					return
+				}
+				if !bytes.Equal(got[0], answers[0]) && !bytes.Equal(got[0], answers[1]) {
+					t.Errorf("item 0 = %s answers from neither snapshot", got[0])
+					return
+				}
+				for i, item := range got {
+					if !bytes.Equal(item, got[0]) {
+						t.Errorf("item %d = %s but item 0 = %s: one batch answered from two snapshots", i, item, got[0])
+						return
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { readers.Wait(); close(done) }()
+	for i := 1; ; i++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		d.Install(&Generation{Snap: snaps[i%2]})
+		runtime.Gosched()
 	}
 }
 
@@ -166,7 +226,7 @@ func TestBatchStructuralErrors(t *testing.T) {
 	}
 
 	small := NewDeployment(DeployConfig{DailyCacheCap: 8, MaxBatchItems: 2}, echoResponder("v1"))
-	small.SetKG(testSnapshot(t))
+	small.Install(&Generation{Snap: testSnapshot(t)})
 	var sb strings.Builder
 	sb.WriteString(`[`)
 	for i := 0; i < 3; i++ {
@@ -201,7 +261,7 @@ func TestBatchParsingEdges(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d", status)
 	}
-	if want := AppendIntentionsJSON(nil, d.KG(), "q:tent", 1); !bytes.Equal(items[0], want) {
+	if want := AppendIntentionsJSON(nil, d.Generation().Snap, "q:tent", 1); !bytes.Equal(items[0], want) {
 		t.Errorf("escaped id item = %s, want %s", items[0], want)
 	}
 
@@ -307,7 +367,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestSimilarEndpoint pins /similar: 503 before SetSimilarity, then
+// TestSimilarEndpoint pins /similar: 503 without an index, then
 // JSON and binary answers that agree with the index.
 func TestSimilarEndpoint(t *testing.T) {
 	d := batchDeployment(t)
@@ -320,10 +380,10 @@ func TestSimilarEndpoint(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/similar before SetSimilarity = %d, want 503", resp.StatusCode)
+		t.Fatalf("/similar without an index = %d, want 503", resp.StatusCode)
 	}
 
-	d.SetSimilarity(buildTestSimilarity(t, d))
+	installTestSimilarity(t, d)
 
 	resp, err = http.Get(srv.URL + "/similar")
 	if err != nil {
@@ -365,7 +425,7 @@ func TestSimilarEndpoint(t *testing.T) {
 // type flips /intentions, /related, /kg and /similar to binary frames.
 func TestBinaryNegotiation(t *testing.T) {
 	d := batchDeployment(t)
-	d.SetSimilarity(buildTestSimilarity(t, d))
+	installTestSimilarity(t, d)
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
@@ -410,7 +470,7 @@ func TestBinaryNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes, _ := r.ReadUvarint()
-	if int(nodes) != d.KG().NumNodes() {
-		t.Errorf("binary /kg nodes = %d, want %d", nodes, d.KG().NumNodes())
+	if int(nodes) != d.Generation().Snap.NumNodes() {
+		t.Errorf("binary /kg nodes = %d, want %d", nodes, d.Generation().Snap.NumNodes())
 	}
 }

@@ -46,7 +46,7 @@ const interactionStripes = 16
 // O(cache capacity + distinct queries), not O(requests served).
 //
 // The responder path is fallible: batch processing recovers responder
-// panics and re-queues failed queries, DailyRefresh aborts atomically
+// panics and re-queues failed queries, Refresh aborts atomically
 // when inference fails mid-rebuild, and HandleQuery degrades to serving
 // prior-version features (flagged Stale) from the feature store when the
 // cache tiers miss.
@@ -56,10 +56,13 @@ type Deployment struct {
 	// Clock stamps features; swap in a FakeClock for tests.
 	Clock Clock
 
-	mu        sync.Mutex // guards responder; refreshMu serializes refreshes
+	// refreshMu serializes commits: each one reads the served value and
+	// stores the next, so two must not interleave.
 	refreshMu sync.Mutex
-	responder ContextResponder
-	version   atomic.Int64
+	// cur is everything a refresh commits — model, version, generation —
+	// as one immutable value. A request or batch pass loads it once; a
+	// commit stores a new one RCU-style and never blocks readers.
+	cur atomic.Pointer[served]
 
 	// ready flips once warmup completes (SetReady); /readyz reports 503
 	// until then and again whenever the breaker is open.
@@ -87,23 +90,11 @@ type Deployment struct {
 	staleServed         atomic.Uint64
 	refreshFailures     atomic.Uint64
 
-	// Snapshot refresh accounting: reloads that swapped a fresh KG
-	// artifact in, vs refresh ticks that skipped the reload because the
-	// on-disk artifact was unchanged (same stat identity or same v2
-	// content fingerprint; see kg.SnapshotStamp).
+	// Artifact accounting, counted by Artifact: loads of the KG artifact
+	// vs refresh ticks that skipped it as unchanged (same stat identity
+	// or same v3 table CRC; see kg.SnapshotStamp).
 	snapshotReloads        atomic.Uint64
 	snapshotReloadsSkipped atomic.Uint64
-
-	// kgSnap is the frozen knowledge-graph read path. Requests load it
-	// with one atomic read and traverse it lock-free; DailyRefresh
-	// swaps in a fresh snapshot RCU-style — in-flight requests keep
-	// reading the old one until they finish, and the swap never blocks.
-	kgSnap atomic.Pointer[kg.Snapshot]
-
-	// simIdx is the ANN retrieval path (/similar): an immutable LSH
-	// index over the snapshot's intention embeddings, swapped RCU-style
-	// alongside the snapshot it was built from.
-	simIdx atomic.Pointer[kg.SimilarityIndex]
 
 	// maxBatchItems bounds one POST /batch request (DeployConfig).
 	maxBatchItems int
@@ -145,48 +136,78 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 		}),
 		Store:         NewFeatureStoreWithCap(DefaultFeatureStoreCap),
 		Clock:         RealClock{},
-		responder:     responder,
 		latency:       NewHistogram(nil),
 		interactions:  newStripedCounter(interactionStripes),
 		maxBatchItems: cfg.MaxBatchItems,
 	}
-	d.version.Store(1)
+	d.cur.Store(&served{responder: responder, version: 1})
 	return d
 }
 
-// SetKG installs a frozen knowledge-graph snapshot as the serving read
-// path (lock-free atomic store; nil is ignored so a refresh without a
-// rebuilt KG keeps serving the current one).
+// served is one committed refresh, read through Deployment.cur.
+type served struct {
+	responder ContextResponder
+	version   int
+	gen       Generation
+}
+
+// Generation is the immutable KG half of a refresh: a frozen snapshot,
+// the ANN index built from it, and the stamp of the artifact it was
+// loaded from (zero for a snapshot frozen in process).
+type Generation struct {
+	Snap  *kg.Snapshot
+	Sim   *kg.SimilarityIndex
+	Stamp kg.SnapshotStamp
+}
+
+// NewGeneration builds snap's ANN index under simCfg and pairs the two.
+func NewGeneration(snap *kg.Snapshot, simCfg kg.SimilarityConfig, stamp kg.SnapshotStamp) *Generation {
+	return &Generation{Snap: snap, Sim: kg.BuildSimilarityIndex(snap, simCfg), Stamp: stamp}
+}
+
+// Generation returns the serving generation (empty until Install). The
+// caller must not modify it; it stays valid across a concurrent swap.
+func (d *Deployment) Generation() *Generation { return &d.cur.Load().gen }
+
+// Install commits g as the serving generation at start-up, keeping the
+// model and its version.
+func (d *Deployment) Install(g *Generation) { d.editGeneration(func(cur *Generation) { *cur = *g }) }
+
+// editGeneration commits the served value with its generation edited.
+func (d *Deployment) editGeneration(f func(*Generation)) {
+	d.refreshMu.Lock()
+	defer d.refreshMu.Unlock()
+	cur := d.cur.Load()
+	gen := cur.gen
+	f(&gen)
+	d.cur.Store(&served{responder: cur.responder, version: cur.version, gen: gen})
+}
+
+// SetKG installs s beside the serving index; nil is ignored.
+//
+// SetKG, SetSimilarity, KG, Similarity and DailyRefreshContext are kept
+// only for the bench/ harness, which assembles its nodes itself until
+// it drives Refresh (ROADMAP item 2(f)). Everything else commits whole
+// generations through Install and Refresh.
 func (d *Deployment) SetKG(s *kg.Snapshot) {
 	if s != nil {
-		d.kgSnap.Store(s)
+		d.editGeneration(func(g *Generation) { *g = Generation{Snap: s, Sim: g.Sim} })
 	}
 }
 
-// KG returns the current frozen knowledge-graph snapshot (nil until
-// SetKG installs one). The returned snapshot is immutable and safe to
-// traverse without coordination for as long as the caller holds it,
-// even across a concurrent DailyRefresh swap.
-func (d *Deployment) KG() *kg.Snapshot {
-	return d.kgSnap.Load()
-}
-
-// SetSimilarity installs the ANN index backing /similar (lock-free
-// atomic store; nil is ignored, mirroring SetKG, so a refresh without a
-// rebuilt index keeps serving the current one). Callers pair the index
-// with the snapshot it was built from: SetKG then SetSimilarity.
+// SetSimilarity installs ix beside the serving snapshot; nil is
+// ignored. Kept only for bench/ (see SetKG).
 func (d *Deployment) SetSimilarity(ix *kg.SimilarityIndex) {
 	if ix != nil {
-		d.simIdx.Store(ix)
+		d.editGeneration(func(g *Generation) { g.Sim = ix })
 	}
 }
 
-// Similarity returns the current ANN index (nil until SetSimilarity
-// installs one). Like the snapshot it is immutable and safe to query
-// without coordination across a concurrent swap.
-func (d *Deployment) Similarity() *kg.SimilarityIndex {
-	return d.simIdx.Load()
-}
+// KG returns the serving snapshot. Kept only for bench/ (see SetKG).
+func (d *Deployment) KG() *kg.Snapshot { return d.Generation().Snap }
+
+// Similarity returns the serving index. Kept only for bench/ (see SetKG).
+func (d *Deployment) Similarity() *kg.SimilarityIndex { return d.Generation().Sim }
 
 // SetReady marks warmup complete (or revokes readiness); /readyz
 // reports 503 until the deployment is ready.
@@ -224,23 +245,15 @@ func (d *Deployment) DrainElapsed(grace time.Duration) bool {
 }
 
 // Version returns the current model version.
-func (d *Deployment) Version() int {
-	return int(d.version.Load())
-}
-
-// CurrentResponder returns the responder currently installed (the one
-// DailyRefresh last committed).
-func (d *Deployment) CurrentResponder() ContextResponder {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.responder
-}
+func (d *Deployment) Version() int { return d.cur.Load().version }
 
 // ResilienceStats reports the current responder's resilience counters
 // when it exposes them (i.e. it is a *Resilient or equivalent); ok is
 // false for plain responders.
-func (d *Deployment) ResilienceStats() (ResilienceStats, bool) {
-	if rr, ok := d.CurrentResponder().(resilienceReporter); ok {
+func (d *Deployment) ResilienceStats() (ResilienceStats, bool) { return d.cur.Load().resilienceStats() }
+
+func (s *served) resilienceStats() (ResilienceStats, bool) {
+	if rr, ok := s.responder.(resilienceReporter); ok {
 		return rr.ResilienceStats(), true
 	}
 	return ResilienceStats{}, false
@@ -309,19 +322,6 @@ func (d *Deployment) BatchTotals() BatchTotals {
 	}
 }
 
-// NoteSnapshotReload records one KG snapshot reload-and-swap (the
-// refresh loop picked up a changed artifact, or the initial load).
-func (d *Deployment) NoteSnapshotReload() { d.snapshotReloads.Add(1) }
-
-// NoteSnapshotReloadSkipped records one refresh tick that skipped the
-// snapshot reload because the artifact on disk was unchanged.
-func (d *Deployment) NoteSnapshotReloadSkipped() { d.snapshotReloadsSkipped.Add(1) }
-
-// SnapshotReloadStats returns the (reloads, skipped) counter pair.
-func (d *Deployment) SnapshotReloadStats() (reloads, skipped uint64) {
-	return d.snapshotReloads.Load(), d.snapshotReloadsSkipped.Load()
-}
-
 // RunBatch drains up to n queued queries through the responder with a
 // background context; see RunBatchContext. It returns the number
 // successfully processed (for infallible responders this equals the
@@ -337,15 +337,15 @@ func (d *Deployment) RunBatch(n int) int {
 // responder path is fallible: a panic is recovered and counted, and a
 // failed query is re-queued on its shard's bounded queue for a later
 // batch (dropped, with a metric, when that queue is full) — no query is
-// silently lost.
+// silently lost. The whole pass answers with one committed model and
+// stamps its version, even across a concurrent Refresh.
 func (d *Deployment) RunBatchContext(ctx context.Context, n int) BatchResult {
 	queries := d.Cache.DrainQueue(n)
-	responder := d.CurrentResponder()
-	version := d.Version()
+	cur := d.cur.Load()
 	var res BatchResult
 	res.Drained = len(queries)
 	for _, q := range queries {
-		f, err := d.respondSafe(ctx, responder, q)
+		f, err := d.respondSafe(ctx, cur.responder, q)
 		if err != nil {
 			res.Failed++
 			d.batchFailed.Add(1)
@@ -359,7 +359,7 @@ func (d *Deployment) RunBatchContext(ctx context.Context, n int) BatchResult {
 			continue
 		}
 		f.Query = q
-		f.Version = version
+		f.Version = cur.version
 		f.CreatedAt = d.Clock.Now()
 		d.Store.Put(f)
 		d.Cache.InstallDaily(f)
@@ -425,32 +425,41 @@ func (d *Deployment) StartWorker(ctx context.Context, interval time.Duration, ba
 	return done
 }
 
-// DailyRefresh adapts a legacy infallible responder into
-// DailyRefreshContext (kept for offline experiments and fixtures).
-func (d *Deployment) DailyRefresh(responder Responder, kgSnap *kg.Snapshot, yearlyTop int) error {
-	//cosmo:lint-ignore ctx-propagation legacy infallible bridge: callers predate the ctx API and have no deadline to thread
-	return d.DailyRefreshContext(context.Background(), AdaptResponder(responder), kgSnap, yearlyTop)
+// DailyRefreshContext is Refresh with kgSnap beside the serving index
+// (nil keeps the serving generation). Kept only for bench/ (see SetKG).
+func (d *Deployment) DailyRefreshContext(ctx context.Context, responder ContextResponder, kgSnap *kg.Snapshot, yearlyTop int) error {
+	d.refreshMu.Lock()
+	defer d.refreshMu.Unlock()
+	var next *Generation
+	if kgSnap != nil {
+		next = &Generation{Snap: kgSnap, Sim: d.cur.Load().gen.Sim}
+	}
+	return d.refresh(ctx, responder, next, yearlyTop)
 }
 
-// DailyRefreshContext swaps in a refreshed model ("Model Deployment:
-// dynamic ingestion of customer behavior session logs and efficient
-// model updates"), atomically publishes the refreshed KG snapshot (RCU:
-// requests already walking the old snapshot finish on it; new requests
-// see the new one; nil keeps the current snapshot), clears the daily
-// cache layer, and rebuilds the yearly layer from the most-interacted
-// queries of the feedback loop. A negative yearlyTop is treated as 0
-// (refresh the model, install no yearly entries).
+// Refresh swaps in a refreshed model ("Model Deployment: dynamic
+// ingestion of customer behavior session logs and efficient model
+// updates") with the next generation (nil keeps the serving one) as one
+// value, RCU-style, clears the daily cache layer, and rebuilds the
+// yearly layer from the feedback loop's most-interacted queries. A
+// negative yearlyTop is treated as 0.
 //
 // The refresh is atomic with respect to failure: every yearly feature is
 // rebuilt through the new responder before anything is installed, so if
 // inference fails (or panics, or the context is cancelled) mid-rebuild
 // the previous responder, model version, yearly layer, feature store and
-// KG snapshot all stay exactly as they were and the error is returned.
+// generation all stay exactly as they were and the error is returned.
 // Refreshes are serialized; concurrent calls queue behind each other.
-func (d *Deployment) DailyRefreshContext(ctx context.Context, responder ContextResponder, kgSnap *kg.Snapshot, yearlyTop int) error {
+func (d *Deployment) Refresh(ctx context.Context, responder ContextResponder, next *Generation, yearlyTop int) error {
 	d.refreshMu.Lock()
 	defer d.refreshMu.Unlock()
-	version := d.Version() + 1
+	return d.refresh(ctx, responder, next, yearlyTop)
+}
+
+// refresh is Refresh with refreshMu held.
+func (d *Deployment) refresh(ctx context.Context, responder ContextResponder, next *Generation, yearlyTop int) error {
+	cur := d.cur.Load()
+	version := cur.version + 1
 	counts := d.interactions.sorted()
 	if yearlyTop < 0 {
 		yearlyTop = 0
@@ -472,14 +481,12 @@ func (d *Deployment) DailyRefreshContext(ctx context.Context, responder ContextR
 		features = append(features, f)
 	}
 	// Commit point: every yearly feature rebuilt successfully. Install
-	// the new model, version, KG snapshot and cache layers.
-	func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		d.responder = responder
-		d.version.Store(int64(version))
-	}()
-	d.SetKG(kgSnap)
+	// the new model, version, generation and cache layers.
+	gen := cur.gen
+	if next != nil {
+		gen = *next
+	}
+	d.cur.Store(&served{responder: responder, version: version, gen: gen})
 	for _, f := range features {
 		d.Store.Put(f)
 	}

@@ -67,12 +67,12 @@ func TestDailyRefreshFailureAtomicity(t *testing.T) {
 	world := kg.New()
 	world.AddNode(kg.Node{ID: "p1", Label: "tent", Type: kg.NodeProduct})
 	snap := world.Freeze()
-	d.SetKG(snap)
+	d.Install(&Generation{Snap: snap})
 	seedTraffic(d, 8)
 	// v2 is a pointer responder so installed-responder identity is
 	// checkable after the failed refresh attempts below.
 	v2 := &failAfterResponder{n: 1 << 30}
-	if err := d.DailyRefreshContext(context.Background(), v2, nil, 8); err != nil {
+	if err := d.Refresh(context.Background(), v2, nil, 8); err != nil {
 		t.Fatalf("healthy refresh: %v", err)
 	}
 	yearlyBefore := snapshotYearly(t, d)
@@ -85,17 +85,17 @@ func TestDailyRefreshFailureAtomicity(t *testing.T) {
 	failing := &failAfterResponder{n: 3, err: boom}
 	world2 := kg.New()
 	world2.AddNode(kg.Node{ID: "p2", Label: "lantern", Type: kg.NodeProduct})
-	err := d.DailyRefreshContext(context.Background(), failing, world2.Freeze(), 8)
+	err := d.Refresh(context.Background(), failing, &Generation{Snap: world2.Freeze()}, 8)
 	if !errors.Is(err, boom) {
 		t.Fatalf("refresh err = %v, want wrapped backend error", err)
 	}
 	if got := d.Version(); got != 2 {
 		t.Errorf("version = %d, want 2 (unchanged)", got)
 	}
-	if d.KG() != snap {
+	if d.Generation().Snap != snap {
 		t.Error("KG snapshot was swapped by a failed refresh")
 	}
-	if d.CurrentResponder() != ContextResponder(v2) {
+	if d.cur.Load().responder != ContextResponder(v2) {
 		t.Error("responder was swapped by a failed refresh")
 	}
 	yearlyAfter := snapshotYearly(t, d)
@@ -113,7 +113,7 @@ func TestDailyRefreshFailureAtomicity(t *testing.T) {
 	}
 
 	// A panicking rebuild is equally atomic.
-	err = d.DailyRefreshContext(context.Background(), &failAfterResponder{n: 2, panicAfter: true}, nil, 8)
+	err = d.Refresh(context.Background(), &failAfterResponder{n: 2, panicAfter: true}, nil, 8)
 	if !errors.Is(err, ErrResponderPanic) {
 		t.Fatalf("panic refresh err = %v, want ErrResponderPanic", err)
 	}
@@ -125,7 +125,7 @@ func TestDailyRefreshFailureAtomicity(t *testing.T) {
 	}
 
 	// The deployment still serves and a later healthy refresh succeeds.
-	if err := d.DailyRefresh(echoResponder("v3"), nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v3")), nil, 4); err != nil {
 		t.Fatalf("recovery refresh: %v", err)
 	}
 	if got := d.Version(); got != 3 {

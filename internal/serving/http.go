@@ -22,8 +22,7 @@ import (
 //	GET  /related?id=<node>     -> products sharing intentions with the
 //	                               node (two-hop frozen-snapshot walk)
 //	GET  /similar?q=<text>      -> intentions similar to free text via
-//	                               the LSH ANN index (503 until
-//	                               SetSimilarity installs one)
+//	                               the generation's LSH ANN index
 //	POST /batch                 -> JSON array of lookups answered in one
 //	                               round trip (see AppendBatch)
 //	GET  /kg                    -> snapshot size summary (JSON)
@@ -35,7 +34,9 @@ import (
 //	                               (SetReady) and again while the
 //	                               responder circuit breaker is open
 //
-// The KG endpoints answer 503 until SetKG installs a snapshot.
+// The KG endpoints answer 503 until Install commits a generation. Each
+// handler loads the served value once, so every request answers from a
+// single refresh: model version, snapshot and ANN index together.
 //
 // Hot responses are encoded by the hand-rolled appenders in encode.go
 // into pooled buffers (wire.Get/Put) — byte-identical to the
@@ -71,7 +72,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
 			return
 		}
-		snap := d.KG()
+		snap := d.Generation().Snap
 		if snap == nil {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
@@ -95,7 +96,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
 			return
 		}
-		snap := d.KG()
+		snap := d.Generation().Snap
 		if snap == nil {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
@@ -119,7 +120,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "missing q parameter", http.StatusBadRequest)
 			return
 		}
-		ix := d.Similarity()
+		ix := d.Generation().Sim
 		if ix == nil {
 			http.Error(w, "similarity index not loaded", http.StatusServiceUnavailable)
 			return
@@ -176,7 +177,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		wire.Put(resp)
 	})
 	mux.HandleFunc("/kg", func(w http.ResponseWriter, r *http.Request) {
-		snap := d.KG()
+		snap := d.Generation().Snap
 		if snap == nil {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
@@ -217,6 +218,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		_, _ = w.Write([]byte("ready")) //cosmo:lint-ignore dropped-error best-effort readiness response; a write failure means the client is gone
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		cur := d.cur.Load()
 		hist := d.LatencySnapshot()
 		stats := d.Cache.Stats()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -239,7 +241,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		// Panics recovered at the batch/refresh layer plus those the
 		// resilience wrapper converted to errors (disjoint events).
 		panics := bt.Panics
-		rs, hasResilience := d.ResilienceStats()
+		rs, hasResilience := cur.resilienceStats()
 		if hasResilience {
 			panics += rs.Panics
 		}
@@ -275,9 +277,9 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		fmt.Fprintf(w, "cosmo_request_latency_ms_bucket{le=\"+Inf\"} %d\n", hist.Total)
 		fmt.Fprintf(w, "cosmo_request_latency_ms_sum %g\n", hist.SumMs)
 		fmt.Fprintf(w, "cosmo_request_latency_ms_count %d\n", hist.Total)
-		fmt.Fprintf(w, "cosmo_model_version %d\n", d.Version())
+		fmt.Fprintf(w, "cosmo_model_version %d\n", cur.version)
 		fmt.Fprintf(w, "cosmo_feature_store_size %d\n", d.Store.Len())
-		if snap := d.KG(); snap != nil {
+		if snap := cur.gen.Snap; snap != nil {
 			fmt.Fprintf(w, "cosmo_kg_nodes %d\n", snap.NumNodes())
 			fmt.Fprintf(w, "cosmo_kg_edges %d\n", snap.NumEdges())
 			mapped := 0
@@ -286,10 +288,9 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			}
 			fmt.Fprintf(w, "cosmo_kg_snapshot_mmap %d\n", mapped)
 		}
-		reloads, skipped := d.SnapshotReloadStats()
-		fmt.Fprintf(w, "cosmo_snapshot_reloads_total %d\n", reloads)
-		fmt.Fprintf(w, "cosmo_snapshot_reload_skipped_total %d\n", skipped)
-		if ix := d.Similarity(); ix != nil {
+		fmt.Fprintf(w, "cosmo_snapshot_reloads_total %d\n", d.snapshotReloads.Load())
+		fmt.Fprintf(w, "cosmo_snapshot_reload_skipped_total %d\n", d.snapshotReloadsSkipped.Load())
+		if ix := cur.gen.Sim; ix != nil {
 			fmt.Fprintf(w, "cosmo_similarity_indexed %d\n", ix.NumIndexed())
 		}
 		// Cumulative heap allocation count: cosmo-loadgen samples this

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,7 +19,9 @@ import (
 
 // testSnapshot freezes a tiny graph: one query node with two intentions
 // of different typicality, and two products sharing the stronger one.
-func testSnapshot(t testing.TB) *kg.Snapshot {
+// Each extra label adds an intention of p:P2 only, so /related and the
+// q:tent intentions answer as before.
+func testSnapshot(t testing.TB, extra ...string) *kg.Snapshot {
 	t.Helper()
 	g := kg.New()
 	g.AddNode(kg.Node{ID: "q:tent", Type: kg.NodeQuery, Label: "tent"})
@@ -41,10 +44,14 @@ func testSnapshot(t testing.TB) *kg.Snapshot {
 	add("q:tent", "i:b", 0.4)
 	add("p:P1", "i:a", 0.8)
 	add("p:P2", "i:a", 0.7)
+	for _, label := range extra {
+		g.AddNode(kg.Node{ID: "i:" + label, Type: kg.NodeIntention, Label: label})
+		add("p:P2", "i:"+label, 0.5)
+	}
 	return g.Freeze()
 }
 
-// TestKGEndpointsUnavailable pins the 503 contract before SetKG.
+// TestKGEndpointsUnavailable pins the 503 contract before Install.
 func TestKGEndpointsUnavailable(t *testing.T) {
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	srv := httptest.NewServer(NewHTTPHandler(d))
@@ -57,7 +64,7 @@ func TestKGEndpointsUnavailable(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("GET %s before SetKG = %d, want 503", path, resp.StatusCode)
+			t.Errorf("GET %s before Install = %d, want 503", path, resp.StatusCode)
 		}
 	}
 }
@@ -65,7 +72,7 @@ func TestKGEndpointsUnavailable(t *testing.T) {
 // TestKGEndpoints exercises the snapshot-backed read path end to end.
 func TestKGEndpoints(t *testing.T) {
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
-	d.SetKG(testSnapshot(t))
+	d.Install(&Generation{Snap: testSnapshot(t)})
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
@@ -158,37 +165,81 @@ func TestKGEndpoints(t *testing.T) {
 	}
 }
 
-// TestDailyRefreshSwapsSnapshot pins the RCU semantics: a refresh with
-// a new snapshot installs it, a refresh with nil keeps the old one.
+// TestDailyRefreshSwapsSnapshot pins the commit semantics: a refresh
+// with a generation installs it whole, a refresh with nil keeps the
+// serving one, and each shim kept for bench/ replaces only its half.
 func TestDailyRefreshSwapsSnapshot(t *testing.T) {
+	ctx := context.Background()
+	simCfg := kg.SimilarityConfig{Seed: 1}
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
-	first := testSnapshot(t)
-	d.SetKG(first)
+	first := NewGeneration(testSnapshot(t), simCfg, kg.SnapshotStamp{})
+	d.Install(first)
 
-	d.DailyRefresh(echoResponder("v2"), nil, 4)
-	if d.KG() != first {
-		t.Fatal("nil snapshot in DailyRefresh must keep the current one")
+	if err := d.Refresh(ctx, AdaptResponder(echoResponder("v2")), nil, 4); err != nil {
+		t.Fatal(err)
+	}
+	if g := d.Generation(); g.Snap != first.Snap || g.Sim != first.Sim {
+		t.Fatal("a nil generation in Refresh must keep the current one")
+	}
+	second := NewGeneration(testSnapshot(t, "hiking"), simCfg, kg.SnapshotStamp{})
+	if err := d.Refresh(ctx, AdaptResponder(echoResponder("v3")), second, 4); err != nil {
+		t.Fatal(err)
+	}
+	if g := d.Generation(); g.Snap != second.Snap || g.Sim != second.Sim || d.Version() != 3 {
+		t.Fatal("Refresh did not install the new generation")
 	}
 
-	second := testSnapshot(t)
-	d.DailyRefresh(echoResponder("v3"), second, 4)
-	if d.KG() != second {
-		t.Fatal("DailyRefresh did not install the new snapshot")
+	third := testSnapshot(t)
+	d.SetKG(third)
+	d.SetKG(nil) // a no-op, not a teardown
+	if d.KG() != third || d.Similarity() != second.Sim {
+		t.Fatal("SetKG must install the snapshot and keep the serving index")
 	}
-
-	// SetKG(nil) is likewise a no-op, not a teardown.
-	d.SetKG(nil)
-	if d.KG() != second {
-		t.Fatal("SetKG(nil) must not clear the snapshot")
+	d.SetSimilarity(first.Sim)
+	d.SetSimilarity(nil)
+	if d.KG() != third || d.Similarity() != first.Sim {
+		t.Fatal("SetSimilarity must install the index and keep the serving snapshot")
+	}
+	fourth := testSnapshot(t)
+	if err := d.DailyRefreshContext(ctx, AdaptResponder(echoResponder("v4")), fourth, 4); err != nil {
+		t.Fatal(err)
+	}
+	if d.KG() != fourth || d.Similarity() != first.Sim || d.Version() != 4 {
+		t.Fatal("DailyRefreshContext must install the snapshot and keep the serving index")
+	}
+	if err := d.DailyRefreshContext(ctx, AdaptResponder(echoResponder("v5")), nil, 4); err != nil {
+		t.Fatal(err)
+	}
+	if d.KG() != fourth || d.Version() != 5 {
+		t.Fatal("a nil snapshot in DailyRefreshContext must keep the current one")
 	}
 }
 
 // TestKGSwapUnderLoad hammers the read path while refreshes swap
-// snapshots, under -race: readers must always observe a complete
-// snapshot (old or new), never a torn or nil view mid-flight.
+// generations, under -race: readers must always observe a complete
+// generation (old or new), never a torn or nil view mid-flight, and
+// never a snapshot paired with another snapshot's ANN index. The two
+// snapshots index different intention sets, so a mixed pair shows as an
+// index size that does not match the snapshot.
 func TestKGSwapUnderLoad(t *testing.T) {
+	simCfg := kg.SimilarityConfig{Seed: 1}
+	gens := []*Generation{
+		NewGeneration(testSnapshot(t), simCfg, kg.SnapshotStamp{}),
+		NewGeneration(testSnapshot(t, "hiking"), simCfg, kg.SnapshotStamp{}),
+	}
+	intentions := map[*kg.Snapshot]int{}
+	for _, g := range gens {
+		for _, n := range g.Snap.Nodes() {
+			if n.Type == kg.NodeIntention {
+				intentions[g.Snap]++
+			}
+		}
+	}
+	if intentions[gens[0].Snap] == intentions[gens[1].Snap] {
+		t.Fatal("the two snapshots must hold different intention sets")
+	}
 	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
-	d.SetKG(testSnapshot(t))
+	d.Install(gens[0])
 
 	const readers = 8
 	stop := make(chan struct{})
@@ -203,17 +254,21 @@ func TestKGSwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				snap := d.KG()
-				if snap == nil {
-					t.Error("KG() returned nil after SetKG")
+				g := d.Generation()
+				if g.Snap == nil || g.Sim == nil {
+					t.Error("Generation() returned an empty generation after Install")
 					return
 				}
-				seq := snap.IntentionsFor("q:tent")
+				if got, want := g.Sim.NumIndexed(), intentions[g.Snap]; got != want {
+					t.Errorf("generation pairs a %d-intention snapshot with a %d-intention index", want, got)
+					return
+				}
+				seq := g.Snap.IntentionsFor("q:tent")
 				if seq.Len() != 2 {
 					t.Errorf("IntentionsFor len = %d, want 2", seq.Len())
 					return
 				}
-				if got := snap.RelatedProducts("p:P1", 4); len(got) != 1 {
+				if got := g.Snap.RelatedProducts("p:P1", 4); len(got) != 1 {
 					t.Errorf("RelatedProducts len = %d, want 1", len(got))
 					return
 				}
@@ -221,7 +276,11 @@ func TestKGSwapUnderLoad(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		d.DailyRefresh(echoResponder(fmt.Sprintf("v%d", i+2)), testSnapshot(t), 4)
+		responder := AdaptResponder(echoResponder(fmt.Sprintf("v%d", i+2)))
+		if err := d.Refresh(context.Background(), responder, gens[(i+1)%2], 4); err != nil {
+			t.Error(err)
+			break
+		}
 	}
 	close(stop)
 	wg.Wait()

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -195,7 +196,7 @@ func TestDailyRefreshRotatesModelAndCaches(t *testing.T) {
 	}
 	d.HandleQuery("cold")
 	d.RunBatch(10)
-	if err := d.DailyRefresh(echoResponder("v2"), nil, 1); err != nil {
+	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, 1); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	if d.Version() != 2 {
@@ -238,7 +239,7 @@ func TestDailyRefreshNegativeYearlyTop(t *testing.T) {
 	d := NewDeployment(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
 	d.HandleQuery("camping")
 	d.RunBatch(10)
-	if err := d.DailyRefresh(echoResponder("v2"), nil, -5); err != nil { // must not panic
+	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, -5); err != nil { // must not panic
 		t.Fatalf("refresh: %v", err)
 	}
 	if d.Version() != 2 {
@@ -531,7 +532,7 @@ func TestFeatureTimestamps(t *testing.T) {
 		t.Errorf("CreatedAt = %v, want %v", f.CreatedAt, clock.Now())
 	}
 	clock.Advance(24 * time.Hour)
-	if err := d.DailyRefresh(echoResponder("v2"), nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, 4); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	f2, _ := d.Store.Get("camping")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -82,7 +83,7 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := d.DailyRefresh(echoResponder(fmt.Sprintf("v%d", i+2)), nil, 16); err != nil {
+			if err := d.Refresh(context.Background(), AdaptResponder(echoResponder(fmt.Sprintf("v%d", i+2))), nil, 16); err != nil {
 				t.Errorf("refresh %d: %v", i, err)
 			}
 			d.LatencyPercentiles()
@@ -105,6 +106,51 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	}
 	if got := d.Cache.Stats().BatchQueued; got != 0 {
 		t.Errorf("queue depth %d after full drain", got)
+	}
+}
+
+// TestBatchVersionMatchesResponder: a batch pass takes its responder and
+// version from one committed value. Each responder tags its features
+// with the version it is committed as, so under concurrent Refresh and
+// RunBatchContext every stored feature's Version must equal its tag.
+func TestBatchVersionMatchesResponder(t *testing.T) {
+	tagged := func(version int) ContextResponder {
+		tag := strconv.Itoa(version)
+		return ContextResponderFunc(func(_ context.Context, q string) (Feature, error) {
+			return Feature{Query: q, Intents: []string{tag}}, nil
+		})
+	}
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64, QueueCap: 256}, tagged(1))
+	const refreshes = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for v := 2; v <= refreshes+1; v++ {
+			if err := d.Refresh(context.Background(), tagged(v), nil, 4); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				q := fmt.Sprintf("q%d-%d", w, i%16)
+				d.HandleQuery(q)
+				d.RunBatchContext(context.Background(), 8)
+				if f, ok := d.Store.Get(q); ok && (len(f.Intents) != 1 || f.Intents[0] != strconv.Itoa(f.Version)) {
+					t.Errorf("feature %q has version %d but model tag %v", q, f.Version, f.Intents)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if d.Version() != refreshes+1 {
+		t.Errorf("version = %d, want %d", d.Version(), refreshes+1)
 	}
 }
 
