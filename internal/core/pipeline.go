@@ -185,7 +185,7 @@ func Run(cfg Config) (*Result, error) {
 			res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
 			res.CosmoLM = cosmolm.Train(res.Instruction, cfg.CosmoLM)
 			if cfg.ExpandWithCosmoLM {
-				expansion = expandCandidates(res, cfg)
+				expansion = ExpandCandidates(res, cfg)
 			}
 		},
 	}
@@ -342,14 +342,14 @@ func criticAndAssemble(res *Result, kept, annCands []know.Candidate, anns []anno
 	return admitted, nil
 }
 
-// expandCandidates generates additional assertions with COSMO-LM for
-// every sampled search behavior and keeps those whose predicted
-// plausibility passes the threshold, per behavior in behavior order.
-// Generation and the two prediction heads fan out across workers (the
-// trained model is read-only); admission is order-sensitive (the graph
-// dedupes edges), so admitExpansion runs it sequentially over the
-// order-preserved groups.
-func expandCandidates(res *Result, cfg Config) [][]know.Candidate {
+// ExpandCandidates is Stage 8's admission rule: COSMO-LM generates
+// cfg.ExpandTopK assertions for every sampled search behavior of res and
+// those whose predicted plausibility passes cfg.PlausibilityThreshold
+// are kept, per behavior in behavior order. Generation and the two
+// prediction heads fan out across cfg.Workers (the trained model is
+// read-only); admission is order-sensitive (the graph dedupes edges), so
+// admitExpansion runs it sequentially over the order-preserved groups.
+func ExpandCandidates(res *Result, cfg Config) [][]know.Candidate {
 	return parallel.Map(cfg.Workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) []know.Candidate {
 		p, _ := res.Catalog.ByID(e.ProductID)
 		ctx := cosmolm.SearchContext(e.Query, p.Title)

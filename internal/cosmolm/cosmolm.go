@@ -90,6 +90,10 @@ type Model struct {
 	postings map[string][]posting
 	docFreq  map[string]int
 	numDocs  int
+	// prior holds the domain prior per domain and tail ID,
+	// 0.5·log(1+count of the tail's examples in that domain); a domain
+	// no tail carries has no row.
+	prior map[catalog.Category][]float64
 
 	headDim int
 	heads   map[instruction.Task]*classifier.LogReg
@@ -181,6 +185,7 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 		}
 	}
 	m.postings = buildPostings(inverted, m.docFreq, m.numDocs)
+	m.prior = buildPrior(m.tails)
 	for task, X := range headX {
 		m.heads[task] = classifier.TrainLogReg(m.headDim, X, headY[task], cfg.Train)
 	}
@@ -202,6 +207,23 @@ func buildPostings(inverted map[string]map[int]int, docFreq map[string]int, numD
 		postings[tok] = ps
 	}
 	return postings
+}
+
+// buildPrior works out the domain prior generate adds to every tail it
+// scores, once per (domain, tail) instead of once per touched tail.
+func buildPrior(tails []tailEntry) map[catalog.Category][]float64 {
+	prior := map[catalog.Category][]float64{}
+	for id, te := range tails {
+		for d, cnt := range te.domains {
+			row := prior[d]
+			if row == nil {
+				row = make([]float64, len(tails))
+				prior[d] = row
+			}
+			row[id] = 0.5 * math.Log(1+float64(cnt))
+		}
+	}
+	return prior
 }
 
 // explanationSep joins a behavior context and a candidate explanation
@@ -303,16 +325,21 @@ func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, re
 	// fills, and from then on turns away anything ranking after the k-th.
 	cands, full := sc.cands[:0], false
 	var kth cand
+	// Domain prior: tails seen in this domain get a boost. A tail the
+	// domain never saw gets log(1) = 0, as does every tail of a domain
+	// with no row, so skipping the addition leaves the score unchanged.
+	var prior []float64
+	if domain != "" {
+		prior = m.prior[domain]
+	}
 	for _, id := range sc.touched {
 		s := sc.acc[id]
 		sc.acc[id], sc.seen[id] = 0, false
-		te := &m.tails[id]
-		if rel != "" && te.relation != rel {
+		if rel != "" && m.tails[id].relation != rel {
 			continue
 		}
-		// Domain prior: tails seen in this domain get a boost.
-		if domain != "" {
-			s += 0.5 * math.Log(1+float64(te.domains[domain]))
+		if prior != nil {
+			s += prior[id]
 		}
 		c := cand{id, s}
 		if full && m.rank(c, kth) > 0 {
@@ -351,14 +378,19 @@ func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, re
 // rank orders candidates best first: score, then tail text, relation
 // and tail ID, so that no two candidates compare equal. Tails are keyed
 // by relation and text, so the same text can occur under two relations.
+// Scores rarely tie, so the tails are read only when they do.
 func (m *Model) rank(a, b cand) int {
+	if c := cmp.Compare(b.s, a.s); c != 0 {
+		return c
+	}
 	ta, tb := &m.tails[a.id], &m.tails[b.id]
-	return cmp.Or(
-		cmp.Compare(b.s, a.s),
-		cmp.Compare(ta.tail, tb.tail),
-		cmp.Compare(ta.relation, tb.relation),
-		cmp.Compare(a.id, b.id),
-	)
+	if c := strings.Compare(ta.tail, tb.tail); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(ta.relation, tb.relation); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // minScoreRatio is the beam-pruning threshold relative to the top score.

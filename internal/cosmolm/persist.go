@@ -98,5 +98,6 @@ func ReadGob(r io.Reader) (*Model, error) {
 			relation: t.Relation, tail: t.Tail, count: t.Count, domains: t.Domains,
 		})
 	}
+	m.prior = buildPrior(m.tails)
 	return m, nil
 }

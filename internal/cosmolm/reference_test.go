@@ -1,6 +1,7 @@
 package cosmolm
 
 import (
+	"cmp"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -184,29 +185,68 @@ func behaviorContexts(f *fixture, nth int) (ctxs []string, domains []catalog.Cat
 	return ctxs, domains
 }
 
+// noSuchDomain is a domain no tail of any fixture carries, so the prior
+// table has no row for it.
+const noSuchDomain catalog.Category = "no such domain"
+
+// gobRoundTrip returns m written with WriteGob and read back, which
+// rebuilds the postings and the prior table from the file.
+func gobRoundTrip(t *testing.T, m *Model) *Model {
+	t.Helper()
+	var buf strings.Builder
+	if err := m.WriteGob(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadGob(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// domainVariants returns the domain of context i and, for every fifth
+// context, the disabled prior and a domain without a prior row. The
+// extra cases, like the second model the tests try, run on every fifth
+// context only, which keeps the tests' time under -race in bounds.
+func domainVariants(d catalog.Category, i int) []catalog.Category {
+	if i%5 != 0 {
+		return []catalog.Category{d}
+	}
+	return []catalog.Category{d, "", noSuchDomain}
+}
+
 func TestGenerateMatchesReference(t *testing.T) {
 	f := getFixture(t)
-	m := f.model
-	ctxs, domains := behaviorContexts(f, 5)
-	nonEmpty := 0
-	for i, ctx := range ctxs {
-		for _, rel := range []relations.Relation{"", "CAPABLE_OF", "USED_FOR"} {
-			for _, k := range []int{0, 1, 2, 3, 50, 1 << 20} {
-				m.ResetCost()
-				got := m.Generate(ctx, domains[i], rel, k)
-				want, charged := refGenerate(m, ctx, domains[i], rel, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("Generate(%q, %q, %q, %d) = %+v, reference %+v", ctx, domains[i], rel, k, got, want)
+	if _, ok := f.model.prior[noSuchDomain]; ok {
+		t.Fatalf("%q has a prior row", noSuchDomain)
+	}
+	for mi, m := range []*Model{f.model, gobRoundTrip(t, f.model)} {
+		ctxs, domains := behaviorContexts(f, 5)
+		nonEmpty := 0
+		for i, ctx := range ctxs {
+			if mi > 0 && i%5 != 0 {
+				continue
+			}
+			for _, domain := range domainVariants(domains[i], i) {
+				for _, rel := range []relations.Relation{"", "CAPABLE_OF", "USED_FOR"} {
+					for _, k := range []int{0, 1, 2, 3, 50, 1 << 20} {
+						m.ResetCost()
+						got := m.Generate(ctx, domain, rel, k)
+						want, charged := refGenerate(m, ctx, domain, rel, k)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("Generate(%q, %q, %q, %d) = %+v, reference %+v", ctx, domain, rel, k, got, want)
+						}
+						if c := m.Cost(); c.Calls != 1 || c.Tokens != charged {
+							t.Fatalf("Generate(%q) charged %+v, reference %d tokens", ctx, c, charged)
+						}
+						nonEmpty += len(got)
+					}
 				}
-				if c := m.Cost(); c.Calls != 1 || c.Tokens != charged {
-					t.Fatalf("Generate(%q) charged %+v, reference %d tokens", ctx, c, charged)
-				}
-				nonEmpty += len(got)
 			}
 		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no context generated anything")
+		if nonEmpty == 0 {
+			t.Fatal("no context generated anything")
+		}
 	}
 }
 
@@ -214,45 +254,54 @@ func TestGenerateMatchesReference(t *testing.T) {
 // the plausibility and typicality Predict per generation — bitwise the
 // same floats in the same order, and the same calls, tokens and
 // simulated time on the cost meter — on pipeline-trained models at two
-// seeds, and on a model that lacks one of the two heads.
+// seeds, on a model that lacks one of the two heads and on a model read
+// back from its gob, each with the behavior's domain, no domain and a
+// domain without a prior row.
 func TestGenerateScoredEquivalence(t *testing.T) {
 	for _, f := range []*fixture{getFixture(t), buildFixtureAt(t, 7, 3000)} {
 		noTypicality := *f
 		noTypicality.model = Train(nil, DefaultConfig())
 		*noTypicality.model = Model{
 			tails: f.model.tails, postings: f.model.postings, docFreq: f.model.docFreq,
-			numDocs: f.model.numDocs, headDim: f.model.headDim,
+			numDocs: f.model.numDocs, prior: f.model.prior, headDim: f.model.headDim,
 			heads: map[instruction.Task]*classifier.LogReg{
 				instruction.TaskPlausibility: f.model.heads[instruction.TaskPlausibility],
 			},
 		}
-		for _, fx := range []*fixture{f, &noTypicality} {
+		roundTripped := *f
+		roundTripped.model = gobRoundTrip(t, f.model)
+		for fi, fx := range []*fixture{f, &noTypicality, &roundTripped} {
 			m := fx.model
 			ctxs, domains := behaviorContexts(fx, 3)
 			scoredAny := false
 			for i, ctx := range ctxs {
-				for _, k := range []int{0, 1, 2, 5} {
-					m.ResetCost()
-					got := m.GenerateScored(ctx, domains[i], k)
-					gotCost := m.Cost()
+				if fi == 2 && i%5 != 0 {
+					continue
+				}
+				for _, domain := range domainVariants(domains[i], i) {
+					for _, k := range []int{0, 1, 2, 5} {
+						m.ResetCost()
+						got := m.GenerateScored(ctx, domain, k)
+						gotCost := m.Cost()
 
-					m.ResetCost()
-					var want []Scored
-					for _, g := range m.Generate(ctx, domains[i], "", k) {
-						_, pp := m.Predict(instruction.TaskPlausibility, ctx+" | explanation: "+g.Text)
-						_, tp := m.Predict(instruction.TaskTypicality, ctx+" | explanation: "+g.Text)
-						want = append(want, Scored{Generated: g, Plausibility: pp, Typicality: tp})
-					}
-					if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-						t.Fatalf("GenerateScored(%q, %q, %d) = %+v, want %+v", ctx, domains[i], k, got, want)
-					}
-					if wantCost := m.Cost(); gotCost != wantCost {
-						t.Fatalf("GenerateScored(%q) charged %+v, Generate + 2×Predict %+v", ctx, gotCost, wantCost)
-					}
-					for _, s := range got {
-						scoredAny = true
-						if _, ok := m.heads[instruction.TaskTypicality]; !ok && s.Typicality != 0.5 {
-							t.Fatalf("missing typicality head read %v, want 0.5", s.Typicality)
+						m.ResetCost()
+						var want []Scored
+						for _, g := range m.Generate(ctx, domain, "", k) {
+							_, pp := m.Predict(instruction.TaskPlausibility, ctx+" | explanation: "+g.Text)
+							_, tp := m.Predict(instruction.TaskTypicality, ctx+" | explanation: "+g.Text)
+							want = append(want, Scored{Generated: g, Plausibility: pp, Typicality: tp})
+						}
+						if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+							t.Fatalf("GenerateScored(%q, %q, %d) = %+v, want %+v", ctx, domain, k, got, want)
+						}
+						if wantCost := m.Cost(); gotCost != wantCost {
+							t.Fatalf("GenerateScored(%q) charged %+v, Generate + 2×Predict %+v", ctx, gotCost, wantCost)
+						}
+						for _, s := range got {
+							scoredAny = true
+							if _, ok := m.heads[instruction.TaskTypicality]; !ok && s.Typicality != 0.5 {
+								t.Fatalf("missing typicality head read %v, want 0.5", s.Typicality)
+							}
 						}
 					}
 				}
@@ -280,7 +329,55 @@ func tieModel() *Model {
 		heads:   map[instruction.Task]*classifier.LogReg{},
 	}
 	m.postings = buildPostings(map[string]map[int]int{"leash": {0: 1, 1: 1, 2: 1}}, m.docFreq, m.numDocs)
+	m.prior = buildPrior(m.tails)
 	return m
+}
+
+// refRank is the previous rank, which evaluated every comparison and
+// read both tails on every call.
+func refRank(m *Model, a, b cand) int {
+	ta, tb := &m.tails[a.id], &m.tails[b.id]
+	return cmp.Or(
+		cmp.Compare(b.s, a.s),
+		cmp.Compare(ta.tail, tb.tail),
+		cmp.Compare(ta.relation, tb.relation),
+		cmp.Compare(a.id, b.id),
+	)
+}
+
+// TestRankMatchesReference compares rank with refRank on every ordered
+// pair of candidates over the tie model (one tail text under two
+// relations) and over fixture tails whose scores come from a set of
+// three, so most pairs tie on the score.
+func TestRankMatchesReference(t *testing.T) {
+	fm := getFixture(t).model
+	var fixtureCands []cand
+	for id := range fm.tails {
+		fixtureCands = append(fixtureCands, cand{int32(id), []float64{1.5, 0.25, 1.5}[id%3]})
+	}
+	tie := tieModel()
+	for _, tc := range []struct {
+		m     *Model
+		cands []cand
+	}{
+		{tie, []cand{{0, 1}, {1, 1}, {2, 1}, {0, 2}, {1, 0.5}}},
+		{fm, fixtureCands},
+	} {
+		ties := 0
+		for _, a := range tc.cands {
+			for _, b := range tc.cands {
+				if got, want := tc.m.rank(a, b), refRank(tc.m, a, b); got != want {
+					t.Fatalf("rank(%+v, %+v) = %d, reference %d", a, b, got, want)
+				}
+				if a.s == b.s && a.id != b.id {
+					ties++
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatal("no pair ties on the score")
+		}
+	}
 }
 
 // TestGenerateTieOrder: equal scores and equal tail text fall back to

@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"cosmo/internal/cosmolm"
+	"cosmo/internal/core"
 	"cosmo/internal/kg"
-	"cosmo/internal/know"
 )
 
 // ScaledKG builds a knowledge graph whose edge count is at least
@@ -20,14 +19,20 @@ import (
 //   - every behavior head (product or query node) is replicated under a
 //     "#k" suffix per extra replica, re-asserting its edges against the
 //     same intention tails (exact multiplicative growth, deterministic);
-//   - each replica additionally runs the Stage 8 COSMO-LM expansion over
-//     its sampled search behaviors, so the growth path exercises the
-//     same generate → predict → threshold → admit machinery as the
-//     pipeline's own expansion stage.
+//   - each replica additionally admits the Stage 8 COSMO-LM expansion of
+//     the sampled search behaviors under its suffix, so the growth path
+//     exercises the same generate → predict → threshold → admit
+//     machinery as the pipeline's own expansion stage.
 //
-// The result is deterministic for a given (world seed, factor) and
-// reuses the cached world, so successive factors differ only by
-// replica count.
+// The model input carries no suffix, so every replica would ask COSMO-LM
+// the same questions: the expansion is computed once per sampled search
+// behavior (core.ExpandCandidates, fanned out over r.Workers) and only
+// admitted per replica. The COSMO-LM cost meter is therefore charged
+// once per behavior, not once per replica.
+//
+// The result is deterministic for a given (world seed, factor) at any
+// worker count and reuses the cached world, so successive factors differ
+// only by replica count.
 func (r *Runner) ScaledKG(factor int) (*kg.Graph, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("experiments: scale factor %d < 1", factor)
@@ -45,30 +50,22 @@ func (r *Runner) ScaledKG(factor int) (*kg.Graph, error) {
 			return nil, fmt.Errorf("experiments: scale: clone base edge: %w", err)
 		}
 	}
+	if factor == 1 {
+		return g, nil
+	}
 
+	cfg := core.DefaultConfig()
+	cfg.Workers = r.Workers
+	expansion := core.ExpandCandidates(res, cfg)
 	for k := 1; k < factor; k++ {
 		suffix := fmt.Sprintf("#%d", k)
-		// Stage 8 expansion over the replica's search behaviors: the
-		// trained COSMO-LM generates fresh assertions for each replica
-		// query head, gated by its own plausibility prediction — the
-		// same admission rule as core.Run's expansion stage. Runs before
-		// head replication so the replicated nodes' catalog labels win.
-		for _, sb := range res.SampledSearchBuys {
-			p, ok := res.Catalog.ByID(sb.ProductID)
-			if !ok {
-				continue
-			}
-			ctx := cosmolm.SearchContext(sb.Query, p.Title)
-			for _, gen := range res.CosmoLM.GenerateScored(ctx, p.Category, 2) {
-				if gen.Plausibility <= 0.5 {
-					continue
-				}
-				c := know.Candidate{
-					Behavior: know.SearchBuy, Domain: p.Category,
-					Query: sb.Query + suffix, ProductA: sb.ProductID + suffix, TypeA: p.Type,
-					Relation: gen.Relation, Tail: gen.Tail, Text: gen.Text,
-					PlausibleScore: gen.Plausibility, TypicalScore: gen.Typicality,
-				}
+		// Stage 8 expansion under the replica's suffix, in behavior order.
+		// It runs before head replication so the replicated nodes' catalog
+		// labels win.
+		for _, group := range expansion {
+			for _, c := range group {
+				c.Query += suffix
+				c.ProductA += suffix
 				if err := g.AddAssertion(c); err != nil {
 					return nil, fmt.Errorf("experiments: scale: expansion admit: %w", err)
 				}

@@ -7,8 +7,10 @@
 package kg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"cosmo/internal/catalog"
@@ -57,15 +59,42 @@ type Edge struct {
 // serves every query. Graph itself answers only what building needs
 // (Node, Nodes, Edges and the counts). The RWMutex makes concurrent
 // writers and Freeze safe.
+//
+// Nodes are interned on insert: a node ID gets a dense int32 number the
+// first time it is added, relations likewise, and edges are keyed by
+// the (head, relation, tail) numbers, so no insert builds a key string.
+// The order everything reads back in — Nodes by ID, Edges by the
+// head|relation|tail key string — is worked out from the numbers when
+// it is asked for (see keyOrder).
 type Graph struct {
-	mu    sync.RWMutex
-	nodes map[string]Node
-	edges map[string]*Edge // key: head|rel|tail
+	mu sync.RWMutex
+	// index is the node set: node ID -> number. nodes holds the node of
+	// each number.
+	index map[string]int32
+	nodes []Node
+	// relIndex numbers the relations edges carry; rels holds them.
+	relIndex map[relations.Relation]int32
+	rels     []relations.Relation
+	// edgeIndex maps a triple to its position in triples and edges,
+	// which are in insertion order.
+	edgeIndex map[triple]int32
+	triples   []triple
+	edges     []Edge
+	// pipe records that some node ID or relation contains '|', so the
+	// key order cannot be read off per-part ranks.
+	pipe bool
 }
+
+// triple is an edge's identity in interned numbers.
+type triple struct{ head, rel, tail int32 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{nodes: map[string]Node{}, edges: map[string]*Edge{}}
+	return &Graph{
+		index:     map[string]int32{},
+		relIndex:  map[relations.Relation]int32{},
+		edgeIndex: map[triple]int32{},
+	}
 }
 
 // IntentionID returns the canonical node ID for an intention tail.
@@ -82,12 +111,21 @@ func QueryID(q string) string { return "q:" + q }
 // AddNode inserts or updates a node.
 func (g *Graph) AddNode(n Node) {
 	g.mu.Lock()
-	g.nodes[n.ID] = n
+	g.addNode(n)
 	g.mu.Unlock()
 }
 
-func edgeKey(head string, rel relations.Relation, tail string) string {
-	return head + "|" + string(rel) + "|" + tail
+// addNode is AddNode under the write lock; it returns the node's number.
+func (g *Graph) addNode(n Node) int32 {
+	if i, ok := g.index[n.ID]; ok {
+		g.nodes[i] = n
+		return i
+	}
+	i := sym32(len(g.nodes))
+	g.index[n.ID] = i
+	g.nodes = append(g.nodes, n)
+	g.pipe = g.pipe || strings.IndexByte(n.ID, '|') >= 0
+	return i
 }
 
 // AddEdge inserts an edge, merging support and keeping max scores when
@@ -95,14 +133,31 @@ func edgeKey(head string, rel relations.Relation, tail string) string {
 func (g *Graph) AddEdge(e Edge) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.nodes[e.Head]; !ok {
+	h, ok := g.index[e.Head]
+	if !ok {
 		return fmt.Errorf("kg: unknown head node %q", e.Head)
 	}
-	if _, ok := g.nodes[e.Tail]; !ok {
+	t, ok := g.index[e.Tail]
+	if !ok {
 		return fmt.Errorf("kg: unknown tail node %q", e.Tail)
 	}
-	k := edgeKey(e.Head, e.Relation, e.Tail)
-	if old, ok := g.edges[k]; ok {
+	g.addEdge(h, t, e)
+	return nil
+}
+
+// addEdge is AddEdge under the write lock, for head and tail numbers h
+// and t.
+func (g *Graph) addEdge(h, t int32, e Edge) {
+	r, ok := g.relIndex[e.Relation]
+	if !ok {
+		r = sym32(len(g.rels))
+		g.relIndex[e.Relation] = r
+		g.rels = append(g.rels, e.Relation)
+		g.pipe = g.pipe || strings.IndexByte(string(e.Relation), '|') >= 0
+	}
+	k := triple{h, r, t}
+	if i, ok := g.edgeIndex[k]; ok {
+		old := &g.edges[i]
 		old.Support += e.Support
 		if e.PlausibleScore > old.PlausibleScore {
 			old.PlausibleScore = e.PlausibleScore
@@ -110,67 +165,67 @@ func (g *Graph) AddEdge(e Edge) error {
 		if e.TypicalScore > old.TypicalScore {
 			old.TypicalScore = e.TypicalScore
 		}
-		return nil
+		return
 	}
-	cp := e
-	if cp.Support == 0 {
-		cp.Support = 1
+	if e.Support == 0 {
+		e.Support = 1
 	}
-	g.edges[k] = &cp
-	return nil
+	g.edgeIndex[k] = sym32(len(g.edges))
+	g.triples = append(g.triples, k)
+	g.edges = append(g.edges, e)
 }
 
 // AddAssertion is the high-level insert used by the pipeline: it creates
 // the head, relation and intention nodes as needed and adds the edge.
+// It holds the write lock throughout, so Freeze never sees half an
+// assertion.
 func (g *Graph) AddAssertion(c know.Candidate) error {
 	if c.Relation == "" || c.Tail == "" {
 		return fmt.Errorf("kg: candidate %d has no parsed triple", c.ID)
 	}
-	tailID := IntentionID(c.Relation, c.Tail)
-	g.AddNode(Node{ID: tailID, Type: NodeIntention, Label: c.Tail})
-	mk := func(head string) error {
-		return g.AddEdge(Edge{
-			Head: head, Relation: c.Relation, Tail: tailID,
-			Behavior: c.Behavior, Domain: c.Domain,
-			PlausibleScore: c.PlausibleScore, TypicalScore: c.TypicalScore,
-			Support: 1,
-		})
-	}
+	tail := Node{ID: IntentionID(c.Relation, c.Tail), Type: NodeIntention, Label: c.Tail}
+	var a, b Node
 	switch c.Behavior {
 	case know.SearchBuy:
-		qid := QueryID(c.Query)
-		g.AddNode(Node{ID: qid, Type: NodeQuery, Label: c.Query})
-		pid := ProductID(c.ProductA)
-		g.AddNode(Node{ID: pid, Type: NodeProduct, Label: c.ProductA})
-		if err := mk(qid); err != nil {
-			return err
-		}
-		return mk(pid)
+		a = Node{ID: QueryID(c.Query), Type: NodeQuery, Label: c.Query}
+		b = Node{ID: ProductID(c.ProductA), Type: NodeProduct, Label: c.ProductA}
 	default:
-		pa := ProductID(c.ProductA)
-		pb := ProductID(c.ProductB)
-		g.AddNode(Node{ID: pa, Type: NodeProduct, Label: c.ProductA})
-		g.AddNode(Node{ID: pb, Type: NodeProduct, Label: c.ProductB})
-		if err := mk(pa); err != nil {
-			return err
-		}
-		return mk(pb)
+		a = Node{ID: ProductID(c.ProductA), Type: NodeProduct, Label: c.ProductA}
+		b = Node{ID: ProductID(c.ProductB), Type: NodeProduct, Label: c.ProductB}
 	}
+	e := Edge{
+		Relation: c.Relation, Tail: tail.ID,
+		Behavior: c.Behavior, Domain: c.Domain,
+		PlausibleScore: c.PlausibleScore, TypicalScore: c.TypicalScore,
+		Support: 1,
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	t := g.addNode(tail)
+	ia, ib := g.addNode(a), g.addNode(b)
+	e.Head = a.ID
+	g.addEdge(ia, t, e)
+	e.Head = b.ID
+	g.addEdge(ib, t, e)
+	return nil
 }
 
 // Node returns a node by ID.
 func (g *Graph) Node(id string) (Node, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	return n, ok
+	i, ok := g.index[id]
+	if !ok {
+		return Node{}, false
+	}
+	return g.nodes[i], true
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return len(g.index)
 }
 
 // NumEdges returns the edge count.
@@ -180,34 +235,140 @@ func (g *Graph) NumEdges() int {
 	return len(g.edges)
 }
 
-// Edges returns every edge in deterministic (key-sorted) order.
+// Edges returns every edge in deterministic order: sorted by the key
+// string head+"|"+relation+"|"+tail.
 func (g *Graph) Edges() []Edge {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	keys := make([]string, 0, len(g.edges))
-	for k := range g.edges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Edge, len(keys))
-	for i, k := range keys {
-		out[i] = *g.edges[k]
+	order := g.keyOrder(g.sortedNodes())
+	out := make([]Edge, len(order))
+	for i, e := range order {
+		out[i] = g.edges[e]
 	}
 	return out
 }
 
-// Nodes returns every node in deterministic order.
+// Nodes returns every node in ascending ID order.
 func (g *Graph) Nodes() []Node {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
+	nodes := g.sortedNodes()
+	out := make([]Node, len(nodes.num))
+	for i, n := range nodes.num {
+		out[i] = g.nodes[n]
 	}
-	sort.Strings(ids)
-	out := make([]Node, len(ids))
-	for i, id := range ids {
-		out[i] = g.nodes[id]
+	return out
+}
+
+// nodeOrder is the node set in ascending ID order.
+type nodeOrder struct {
+	ids []string
+	num []int32 // num[i] is the number of the node ids[i] names
+	// rank maps a node number to its position in ids, -1 for a number
+	// the index does not name.
+	rank []int32
+}
+
+// sortedNodes sorts the node set by ID, once; the caller holds the lock.
+func (g *Graph) sortedNodes() nodeOrder {
+	type ref struct {
+		id  string
+		num int32
+	}
+	refs := make([]ref, 0, len(g.index))
+	for id, n := range g.index {
+		refs = append(refs, ref{id, n})
+	}
+	slices.SortFunc(refs, func(a, b ref) int { return strings.Compare(a.id, b.id) })
+	o := nodeOrder{ids: make([]string, len(refs)), num: make([]int32, len(refs)), rank: make([]int32, len(g.nodes))}
+	for i := range o.rank {
+		o.rank[i] = -1
+	}
+	for i, r := range refs {
+		o.ids[i], o.num[i], o.rank[r.num] = r.id, r.num, sym32(i)
+	}
+	return o
+}
+
+// keyOrder returns the edges' positions sorted by their key strings
+// head+"|"+relation+"|"+tail (the order a map keyed by those strings
+// sorted to, which the .cosmo edge arrays and every export keep).
+//
+// The keys are not built. Two keys with different heads compare like
+// head+"|" does, because the first difference falls inside the head or
+// on the '|' after the shorter one; with equal heads they compare like
+// relation+"|", then like the tails. That holds when no head is another
+// head followed by '|' — when no node ID contains '|' — and likewise for
+// relations; a graph where one does, or whose edges touch a node the
+// index no longer names, sorts the built keys instead. Otherwise edges
+// are bucketed by the head's rank in ID+"|" order (pipeOrder) and each
+// head's row is sorted by (relation rank, tail rank). Keys are unique,
+// so the order is total.
+func (g *Graph) keyOrder(nodes nodeOrder) []int32 {
+	if g.pipe || len(nodes.ids) != len(g.nodes) {
+		return g.builtKeyOrder()
+	}
+	headRank := make([]int32, len(g.nodes))
+	for i, p := range pipeOrder(nodes.ids) {
+		headRank[nodes.num[p]] = sym32(i)
+	}
+	relRank := make([]int32, len(g.rels))
+	rels := slices.Clone(g.rels)
+	slices.Sort(rels)
+	for i, p := range pipeOrder(rels) {
+		relRank[g.relIndex[rels[p]]] = sym32(i)
+	}
+	rows := newCSR(len(g.nodes), len(g.triples), func(e int32) int32 { return headRank[g.triples[e].head] })
+	inRow := func(x, y int32) int {
+		a, b := g.triples[x], g.triples[y]
+		if c := cmp.Compare(relRank[a.rel], relRank[b.rel]); c != 0 {
+			return c
+		}
+		return cmp.Compare(nodes.rank[a.tail], nodes.rank[b.tail])
+	}
+	for r := range nodes.ids {
+		if row := rows.row(sym32(r)); len(row) > 1 {
+			slices.SortFunc(row, inRow)
+		}
+	}
+	return rows.idx
+}
+
+// builtKeyOrder is keyOrder by building and sorting the key strings.
+// Distinct triples can build the same key once IDs contain '|'; those
+// keep insertion order.
+func (g *Graph) builtKeyOrder() []int32 {
+	keys := make([]string, len(g.edges))
+	order := make([]int32, len(g.edges))
+	for i, e := range g.edges {
+		keys[i] = e.Head + "|" + string(e.Relation) + "|" + e.Tail
+		order[i] = sym32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	return order
+}
+
+// pipeOrder takes strings in ascending order and returns their positions
+// in the order of s+"|". The two orders differ only where a string is a
+// prefix of others: it then sorts after those extensions whose next byte
+// is below '|' (a space, a letter, a digit) and before the rest, so a
+// stack of pending prefixes reorders the sorted list in one pass.
+func pipeOrder[S ~string](sorted []S) []int32 {
+	out := make([]int32, 0, len(sorted))
+	var pending []int32
+	for i, s := range sorted {
+		for len(pending) > 0 {
+			p := sorted[pending[len(pending)-1]]
+			if len(s) > len(p) && s[:len(p)] == p && s[len(p)] < '|' {
+				break
+			}
+			out = append(out, pending[len(pending)-1])
+			pending = pending[:len(pending)-1]
+		}
+		pending = append(pending, sym32(i))
+	}
+	for i := len(pending) - 1; i >= 0; i-- {
+		out = append(out, pending[i])
 	}
 	return out
 }

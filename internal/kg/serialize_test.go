@@ -13,7 +13,8 @@ import (
 // danglingGraph builds a graph holding an edge whose head or tail node
 // is missing — a state AddEdge refuses but that corruption, partial
 // loads or future delete operations could produce. The test reaches into
-// the unexported maps deliberately.
+// the unexported node index deliberately: the node keeps its number, but
+// the graph no longer names it.
 func danglingGraph(t *testing.T, missing string) *Graph {
 	t.Helper()
 	g := New()
@@ -23,7 +24,7 @@ func danglingGraph(t *testing.T, missing string) *Graph {
 		Domain: catalog.Sports, Support: 1}); err != nil {
 		t.Fatal(err)
 	}
-	delete(g.nodes, missing)
+	delete(g.index, missing)
 	return g
 }
 
@@ -108,10 +109,7 @@ func TestCheckFreezeCapacity(t *testing.T) {
 func TestFreezeCheckedSupportOverflow(t *testing.T) {
 	g := buildTestGraph(t)
 	// Push one edge's merged support past int32 via the mutable store.
-	for k := range g.edges {
-		g.edges[k].Support = math.MaxInt32 + 1
-		break
-	}
+	g.edges[0].Support = math.MaxInt32 + 1
 	if _, err := g.FreezeChecked(); err == nil {
 		t.Fatal("FreezeChecked accepted an edge with support > MaxInt32")
 	} else if !strings.Contains(err.Error(), "support") {

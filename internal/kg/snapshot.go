@@ -164,46 +164,29 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 
-	// Edges in key-sorted order (the Graph.Edges() order). The same walk
-	// collects the relations and domains present, so the intern tables
-	// hold exactly the values some edge carries.
-	keys := make([]string, 0, len(g.edges))
-	for k := range g.edges {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	ne := len(keys)
-	edges := make([]*Edge, ne)
+	// The node IDs are sorted once: a node's rank in that order is its
+	// symbol, and the edge order is read off the same ranks.
+	nodes := g.sortedNodes()
+	order := g.keyOrder(nodes)
+	ne := len(order)
 	rawBeh := make([]know.BehaviorType, ne)
-	relSym := map[relations.Relation]int32{}
 	domSym := map[catalog.Category]int32{}
-	for i, k := range keys {
-		e := g.edges[k]
-		edges[i] = e
-		rawBeh[i] = e.Behavior
-		relSym[e.Relation] = 0
-		domSym[e.Domain] = 0
+	for i, e := range order {
+		rawBeh[i] = g.edges[e].Behavior
+		domSym[g.edges[e].Domain] = 0
 	}
-	if err := checkFreezeCapacity(len(g.nodes), ne, len(relSym), len(domSym)); err != nil {
+	if err := checkFreezeCapacity(len(nodes.ids), ne, len(g.rels), len(domSym)); err != nil {
 		return nil, err
 	}
 
-	s := &Snapshot{}
+	s := &Snapshot{ids: nodes.ids}
 
 	// Symbol table in ascending node-ID order.
-	s.ids = make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		s.ids = append(s.ids, id)
-	}
-	slices.Sort(s.ids)
 	s.labels = make([]string, len(s.ids))
 	rawTypes := make([]NodeType, len(s.ids))
-	sym := make(map[string]int32, len(s.ids)) // interning only; dropped on return
-	for i, id := range s.ids {
-		n := g.nodes[id]
-		s.labels[i] = n.Label
-		rawTypes[i] = n.Type
-		sym[id] = sym32(i)
+	for i, n := range nodes.num {
+		s.labels[i] = g.nodes[n].Label
+		rawTypes[i] = g.nodes[n].Type
 	}
 	var err error
 	if s.ntypeTable, s.ntypes, err = internSyms(rawTypes); err != nil {
@@ -211,11 +194,15 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	}
 
 	// Relation and domain intern tables, ascending order, so relation and
-	// domain symbols compare like the strings they stand for. Behaviors
-	// are interned too: with them every table bindDerived reads is in
-	// place, and the edge loop below interns through the symbol maps,
-	// which are dropped on return like sym.
-	s.rels = sortedSyms(relSym)
+	// domain symbols compare like the strings they stand for; every
+	// relation the graph numbered is carried by some edge. Behaviors are
+	// interned too: with them every table bindDerived reads is in place.
+	s.rels = slices.Clone(g.rels)
+	slices.Sort(s.rels)
+	relSym := make([]int32, len(g.rels)) // graph relation number -> symbol
+	for i, r := range s.rels {
+		relSym[g.relIndex[r]] = sym32(i)
+	}
 	s.doms = sortedSyms(domSym)
 	if s.behTable, s.eBeh, err = internSyms(rawBeh); err != nil {
 		return nil, err
@@ -228,15 +215,16 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 	s.ePla = make([]float64, ne)
 	s.eTyp = make([]float64, ne)
 	s.eSup = make([]int32, ne)
-	for i, e := range edges {
+	for i, pos := range order {
+		e, k := &g.edges[pos], g.triples[pos]
 		if e.Support < 0 || e.Support > math.MaxInt32 {
-			return nil, fmt.Errorf("kg: freeze: edge %q support %d outside the snapshot's int32 range", keys[i], e.Support)
+			return nil, fmt.Errorf("kg: freeze: edge %q support %d outside the snapshot's int32 range",
+				e.Head+"|"+string(e.Relation)+"|"+e.Tail, e.Support)
 		}
-		h, okHead := sym[e.Head]
-		t, okTail := sym[e.Tail]
-		if !okHead || !okTail {
+		h, t := nodes.rank[k.head], nodes.rank[k.tail]
+		if h < 0 || t < 0 {
 			end, id := "head", e.Head
-			if okHead {
+			if h >= 0 {
 				end, id = "tail", e.Tail
 			}
 			return nil, fmt.Errorf("kg: freeze: edge %s -[%s]-> %s references unknown %s node %q",
@@ -244,14 +232,21 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		}
 		s.eHead[i] = h
 		s.eTail[i] = t
-		s.eRel[i] = relSym[e.Relation]
+		s.eRel[i] = relSym[k.rel]
 		s.eDom[i] = domSym[e.Domain]
 		s.ePla[i] = e.PlausibleScore
 		s.eTyp[i] = e.TypicalScore
 		s.eSup[i] = int32(e.Support)
 	}
 
-	nn := len(s.ids)
+	s.indexRows()
+	return s, nil
+}
+
+// indexRows builds the byHead and byTail CSRs over the filled edge
+// arrays, each row pre-sorted in the order its queries read.
+func (s *Snapshot) indexRows() {
+	nn, ne := len(s.ids), len(s.eHead)
 	s.byHead = newCSR(nn, ne, func(e int32) int32 { return s.eHead[e] })
 	s.byTail = newCSR(nn, ne, func(e int32) int32 { return s.eTail[e] })
 
@@ -280,8 +275,6 @@ func (g *Graph) FreezeChecked() (*Snapshot, error) {
 		slices.SortFunc(s.byHead.row(r), intentionsOrder)
 		slices.SortFunc(s.byTail.row(r), backOrder)
 	}
-
-	return s, nil
 }
 
 // sortedSyms returns the keys of syms in ascending order and sets each
