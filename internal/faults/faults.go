@@ -128,7 +128,7 @@ func roll(seed int64, n uint64) float64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return float64(z>>11) / float64(1 << 53)
+	return float64(z>>11) / float64(1<<53)
 }
 
 // Inject performs one fault decision: it returns nil for passthrough,

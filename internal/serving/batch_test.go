@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"cosmo/internal/kg"
-	"cosmo/internal/wire"
 )
 
 // installTestSimilarity re-installs the deployment's snapshot as a
@@ -367,8 +366,8 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// TestSimilarEndpoint pins /similar: 503 without an index, then
-// JSON and binary answers that agree with the index.
+// TestSimilarEndpoint pins /similar: 503 without an index, then a
+// JSON answer that agrees with the index.
 func TestSimilarEndpoint(t *testing.T) {
 	d := batchDeployment(t)
 	srv := httptest.NewServer(NewHTTPHandler(d))
@@ -421,56 +420,64 @@ func TestSimilarEndpoint(t *testing.T) {
 	}
 }
 
-// TestBinaryNegotiation: an Accept header naming the binary content
-// type flips /intentions, /related, /kg and /similar to binary frames.
-func TestBinaryNegotiation(t *testing.T) {
+// TestHandlersAnswerJSON pins the one response format: every query
+// endpoint answers with its status, Content-Type application/json and
+// exactly its encoder's bytes plus the trailing newline, whatever the
+// Accept header asks for — including the retired binary media type.
+func TestHandlersAnswerJSON(t *testing.T) {
 	d := batchDeployment(t)
 	installTestSimilarity(t, d)
+	hit := Feature{Query: "tent", Intents: []string{"used for camping"}, Relations: []string{"USED_FOR_FUNC"}, SubCategory: "tent", StrongIntent: true}
+	d.Cache.PreloadYearly([]Feature{hit})
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
-	get := func(path string) []byte {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, srv.URL+path, nil)
-		req.Header.Set("Accept", wire.BinaryContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != wire.BinaryContentType {
-			t.Fatalf("GET %s Content-Type = %q", path, ct)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		return b
+	gen := d.Generation()
+	const batchBody = `[{"op":"intentions","id":"q:tent","k":1},{"op":"related","id":"p:P1"}]`
+	batchWant, status := d.AppendBatch(nil, []byte(batchBody))
+	if status != http.StatusOK {
+		t.Fatalf("AppendBatch status = %d", status)
 	}
-
-	wantTags := map[string]byte{
-		"/intentions?id=q:tent": wire.BinIntentions,
-		"/related?id=p:P1":      wire.BinRelated,
-		"/kg":                   wire.BinKG,
-		"/similar?q=camping":    wire.BinSimilar,
+	cases := []struct {
+		name, method, path, body string
+		status                   int
+		want                     []byte
+	}{
+		{"intent-hit", http.MethodGet, "/intent?q=tent", "", http.StatusOK, AppendFeatureJSON(nil, &hit)},
+		{"intent-queued", http.MethodGet, "/intent?q=never+cached", "", http.StatusAccepted, AppendQueuedJSON(nil, "never cached")},
+		{"intentions", http.MethodGet, "/intentions?id=q:tent", "", http.StatusOK, AppendIntentionsJSON(nil, gen.Snap, "q:tent", 10)},
+		{"related", http.MethodGet, "/related?id=p:P1&k=5", "", http.StatusOK, AppendRelatedJSON(nil, gen.Snap, "p:P1", 5)},
+		{"similar", http.MethodGet, "/similar?q=camping", "", http.StatusOK, AppendSimilarJSON(nil, "camping", gen.Sim.Lookup("camping", 10))},
+		{"kg", http.MethodGet, "/kg", "", http.StatusOK, AppendKGJSON(nil, gen.Snap)},
+		{"batch", http.MethodPost, "/batch", batchBody, http.StatusOK, batchWant},
 	}
-	for path, wantTag := range wantTags {
-		b := get(path)
-		r := wire.NewBinReader(b)
-		version, tag, err := r.ReadHeader()
-		if err != nil || version != wire.BinaryVersion || tag != wantTag {
-			t.Errorf("GET %s header = (%d, %d, %v), want tag %d", path, version, tag, err, wantTag)
-		}
-	}
-
-	// The /kg binary frame must agree with the JSON numbers.
-	b := get("/kg")
-	r := wire.NewBinReader(b)
-	if _, _, err := r.ReadHeader(); err != nil {
-		t.Fatal(err)
-	}
-	nodes, _ := r.ReadUvarint()
-	if int(nodes) != d.Generation().Snap.NumNodes() {
-		t.Errorf("binary /kg nodes = %d, want %d", nodes, d.Generation().Snap.NumNodes())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := append(tc.want, '\n')
+			for _, accept := range []string{"", "application/x-cosmo-bin", "*/*"} {
+				req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if accept != "" {
+					req.Header.Set("Accept", accept)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != tc.status {
+					t.Errorf("Accept %q: status = %d, want %d", accept, resp.StatusCode, tc.status)
+				}
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("Accept %q: Content-Type = %q, want application/json", accept, ct)
+				}
+				if !bytes.Equal(body, want) {
+					t.Errorf("Accept %q: body\n got %q\nwant %q", accept, body, want)
+				}
+			}
+		})
 	}
 }

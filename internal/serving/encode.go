@@ -5,18 +5,14 @@ import (
 	"cosmo/internal/wire"
 )
 
-// This file holds the hand-rolled response encoders for the hot serving
-// endpoints. Each JSON encoder appends into a caller-provided buffer
-// (pooled via wire.Get/Put in the handlers) and is byte-identical to
-// what encoding/json produced for the same response value — map keys in
-// sorted order, struct fields in declaration order, nil slices as null
-// — which encode_test.go pins with the stdlib as the oracle. The
-// handlers append the trailing '\n' themselves, matching
-// json.Encoder.Encode.
-//
-// The Bin variants emit the compact binary frames documented in
-// internal/wire/binary.go, negotiated by the handlers via the Accept
-// header.
+// This file holds the hand-rolled encoders for every query response;
+// JSON is the only response format. Each encoder appends into a
+// caller-provided buffer (pooled via wire.Get in the handlers) and is
+// byte-identical to what encoding/json produced for the same response
+// value — map keys in sorted order, struct fields in declaration order,
+// nil slices as null — which encode_test.go pins with the stdlib as the
+// oracle. writeJSON in http.go appends the trailing '\n', matching
+// json.Encoder.Encode, and sends the buffer.
 
 // AppendQueuedJSON appends the 202 queued-response body for query q:
 // {"query":q,"status":"queued"}.
@@ -214,76 +210,4 @@ func AppendSimilarJSON(dst []byte, q string, matches []kg.SimilarMatch) []byte {
 	dst = append(dst, `],"q":`...)
 	dst = wire.AppendString(dst, q)
 	return append(dst, '}')
-}
-
-// AppendIntentionsBin appends the BinIntentions frame (see
-// internal/wire/binary.go for the field order).
-//
-//cosmo:alloc-free
-func AppendIntentionsBin(dst []byte, snap *kg.Snapshot, id string, k int) []byte {
-	dst = wire.AppendBinHeader(dst, wire.BinIntentions)
-	dst = wire.AppendBinString(dst, id)
-	seq := snap.IntentionsFor(id)
-	n := seq.Len()
-	if n > k {
-		n = k
-	}
-	dst = wire.AppendBinUvarint(dst, uint64(n)) //cosmo:lint-ignore unchecked-narrowing n is a non-negative slice length
-	for i := 0; i < n; i++ {
-		e := seq.At(i)
-		tail, _ := snap.Node(e.Tail)
-		dst = wire.AppendBinString(dst, string(e.Relation))
-		dst = wire.AppendBinString(dst, tail.Label)
-		dst = wire.AppendBinFloat(dst, e.PlausibleScore)
-		dst = wire.AppendBinFloat(dst, e.TypicalScore)
-		dst = wire.AppendBinUvarint(dst, uint64(e.Support)) //cosmo:lint-ignore unchecked-narrowing Support is a non-negative edge count
-	}
-	return dst
-}
-
-// AppendRelatedBin appends the BinRelated frame.
-//
-//cosmo:alloc-free
-func AppendRelatedBin(dst []byte, snap *kg.Snapshot, id string, k int) []byte {
-	dst = wire.AppendBinHeader(dst, wire.BinRelated)
-	dst = wire.AppendBinString(dst, id)
-	seq := snap.RelatedSeqString(id, k)
-	dst = wire.AppendBinUvarint(dst, uint64(seq.Len())) //cosmo:lint-ignore unchecked-narrowing Len is a non-negative slice length
-	for i := 0; i < seq.Len(); i++ {
-		r := seq.At(i)
-		dst = wire.AppendBinString(dst, r.ProductID)
-		dst = wire.AppendBinString(dst, r.Label)
-		dst = wire.AppendBinFloat(dst, r.Score)
-		dst = wire.AppendBinUvarint(dst, uint64(len(r.Via))) //cosmo:lint-ignore unchecked-narrowing len is non-negative
-		for _, v := range r.Via {
-			dst = wire.AppendBinString(dst, v)
-		}
-	}
-	seq.Release()
-	return dst
-}
-
-// AppendKGBin appends the BinKG frame.
-//
-//cosmo:alloc-free
-func AppendKGBin(dst []byte, snap *kg.Snapshot) []byte {
-	dst = wire.AppendBinHeader(dst, wire.BinKG)
-	dst = wire.AppendBinUvarint(dst, uint64(snap.NumNodes())) //cosmo:lint-ignore unchecked-narrowing node count is non-negative
-	dst = wire.AppendBinUvarint(dst, uint64(snap.NumEdges())) //cosmo:lint-ignore unchecked-narrowing edge count is non-negative
-	return wire.AppendBinUvarint(dst, uint64(snap.NumRelations())) //cosmo:lint-ignore unchecked-narrowing relation count is non-negative
-}
-
-// AppendSimilarBin appends the BinSimilar frame.
-//
-//cosmo:alloc-free
-func AppendSimilarBin(dst []byte, q string, matches []kg.SimilarMatch) []byte {
-	dst = wire.AppendBinHeader(dst, wire.BinSimilar)
-	dst = wire.AppendBinString(dst, q)
-	dst = wire.AppendBinUvarint(dst, uint64(len(matches))) //cosmo:lint-ignore unchecked-narrowing len is non-negative
-	for i := range matches {
-		dst = wire.AppendBinString(dst, matches[i].ID)
-		dst = wire.AppendBinString(dst, matches[i].Label)
-		dst = wire.AppendBinFloat(dst, matches[i].Score)
-	}
-	return dst
 }

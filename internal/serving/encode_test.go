@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cosmo/internal/kg"
-	"cosmo/internal/wire"
 )
 
 // stdlibJSON is the oracle: what the handlers used to send, minus the
@@ -151,101 +150,6 @@ func TestEncodersGolden(t *testing.T) {
 	})
 }
 
-// TestBinaryEncodersRoundTrip decodes every binary frame with BinReader
-// and checks it carries exactly what the JSON response carries.
-func TestBinaryEncodersRoundTrip(t *testing.T) {
-	snap := testSnapshot(t)
-
-	t.Run("intentions", func(t *testing.T) {
-		b := AppendIntentionsBin(nil, snap, "q:tent", 10)
-		r := wire.NewBinReader(b)
-		version, tag, err := r.ReadHeader()
-		if err != nil || version != wire.BinaryVersion || tag != wire.BinIntentions {
-			t.Fatalf("header = (%d, %d, %v)", version, tag, err)
-		}
-		id, _ := r.ReadString()
-		count, _ := r.ReadUvarint()
-		if id != "q:tent" || count != 2 {
-			t.Fatalf("id=%q count=%d", id, count)
-		}
-		rel, _ := r.ReadString()
-		intent, _ := r.ReadString()
-		plausible, _ := r.ReadFloat()
-		typical, _ := r.ReadFloat()
-		support, err := r.ReadUvarint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if intent != "camping" || plausible != 0.9 || typical != 0.9 || support != 3 || rel == "" {
-			t.Fatalf("first edge = %q %q %g %g %d", rel, intent, plausible, typical, support)
-		}
-	})
-
-	t.Run("related", func(t *testing.T) {
-		b := AppendRelatedBin(nil, snap, "p:P1", 10)
-		r := wire.NewBinReader(b)
-		_, tag, err := r.ReadHeader()
-		if err != nil || tag != wire.BinRelated {
-			t.Fatalf("header tag = %d, %v", tag, err)
-		}
-		id, _ := r.ReadString()
-		count, _ := r.ReadUvarint()
-		if id != "p:P1" || count != 1 {
-			t.Fatalf("id=%q count=%d", id, count)
-		}
-		want := snap.RelatedProducts("p:P1", 10)[0]
-		pid, _ := r.ReadString()
-		label, _ := r.ReadString()
-		score, _ := r.ReadFloat()
-		viaCount, _ := r.ReadUvarint()
-		if pid != want.ProductID || label != want.Label || score != want.Score || int(viaCount) != len(want.Via) {
-			t.Fatalf("got %q %q %g %d, want %+v", pid, label, score, viaCount, want)
-		}
-		for _, v := range want.Via {
-			got, err := r.ReadString()
-			if err != nil || got != v {
-				t.Fatalf("via = %q, %v, want %q", got, err, v)
-			}
-		}
-		if r.Remaining() != 0 {
-			t.Fatalf("%d bytes left over", r.Remaining())
-		}
-	})
-
-	t.Run("kg", func(t *testing.T) {
-		b := AppendKGBin(nil, snap)
-		r := wire.NewBinReader(b)
-		_, tag, err := r.ReadHeader()
-		if err != nil || tag != wire.BinKG {
-			t.Fatalf("header tag = %d, %v", tag, err)
-		}
-		nodes, _ := r.ReadUvarint()
-		edges, _ := r.ReadUvarint()
-		rels, _ := r.ReadUvarint()
-		if int(nodes) != snap.NumNodes() || int(edges) != snap.NumEdges() || int(rels) != snap.NumRelations() {
-			t.Fatalf("got %d/%d/%d", nodes, edges, rels)
-		}
-	})
-
-	t.Run("similar", func(t *testing.T) {
-		matches := []kg.SimilarMatch{{ID: "i:a", Label: "camping", Score: 0.5}}
-		b := AppendSimilarBin(nil, "tent", matches)
-		r := wire.NewBinReader(b)
-		_, tag, err := r.ReadHeader()
-		if err != nil || tag != wire.BinSimilar {
-			t.Fatalf("header tag = %d, %v", tag, err)
-		}
-		q, _ := r.ReadString()
-		count, _ := r.ReadUvarint()
-		id, _ := r.ReadString()
-		label, _ := r.ReadString()
-		score, err := r.ReadFloat()
-		if err != nil || q != "tent" || count != 1 || id != "i:a" || label != "camping" || score != 0.5 {
-			t.Fatalf("decoded %q %d %q %q %g (%v)", q, count, id, label, score, err)
-		}
-	})
-}
-
 // TestEncodersAllocFree pins the steady-state allocation contract of
 // the hot encoders: with a pre-sized destination, encoding a response
 // allocates nothing. Skipped under -race (sync.Pool drops items there).
@@ -259,6 +163,8 @@ func TestEncodersAllocFree(t *testing.T) {
 		SubCategory: "tent", Version: 2, CreatedAt: time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC),
 	}
 	id := []byte("p:P1")
+	q := []byte("tent")
+	matches := []kg.SimilarMatch{{ID: "i:a", Label: "camping", Score: 0.5}}
 	dst := make([]byte, 0, 1<<16)
 	var sink []byte
 
@@ -270,12 +176,14 @@ func TestEncodersAllocFree(t *testing.T) {
 		fn   func() []byte
 	}{
 		{"queued", func() []byte { return AppendQueuedJSON(dst, "tent") }},
+		{"queued-bytes", func() []byte { return AppendQueuedJSONBytes(dst, q) }},
 		{"feature", func() []byte { return AppendFeatureJSON(dst, &f) }},
-		{"intentions", func() []byte { return AppendIntentionsJSONBytes(dst, snap, id, 10) }},
-		{"related", func() []byte { return AppendRelatedJSONBytes(dst, snap, id, 10) }},
+		{"intentions", func() []byte { return AppendIntentionsJSON(dst, snap, "q:tent", 10) }},
+		{"intentions-bytes", func() []byte { return AppendIntentionsJSONBytes(dst, snap, id, 10) }},
+		{"related", func() []byte { return AppendRelatedJSON(dst, snap, "p:P1", 10) }},
+		{"related-bytes", func() []byte { return AppendRelatedJSONBytes(dst, snap, id, 10) }},
+		{"similar", func() []byte { return AppendSimilarJSON(dst, "tent", matches) }},
 		{"kg", func() []byte { return AppendKGJSON(dst, snap) }},
-		{"intentions-bin", func() []byte { return AppendIntentionsBin(dst, snap, "q:tent", 10) }},
-		{"related-bin", func() []byte { return AppendRelatedBin(dst, snap, "p:P1", 10) }},
 	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(200, func() { sink = tc.fn() }); n != 0 {

@@ -8,7 +8,6 @@
 package serving
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -48,84 +47,41 @@ type Feature struct {
 const DefaultFeatureStoreCap = 1 << 17
 
 // FeatureStore stores structured features keyed by query; safe for
-// concurrent use. When built with a capacity, inserting past it evicts
-// the oldest-inserted entry (FIFO), keeping resident memory O(cap)
+// concurrent use. Inserting a new query past the capacity evicts the
+// oldest-inserted entry (FIFO), keeping resident memory O(cap)
 // regardless of how many distinct queries the deployment serves.
+// Nothing else removes an entry: a feature from an earlier model
+// version stays until evicted, so HandleQuery's stale fallback can
+// serve it.
 type FeatureStore struct {
 	mu       sync.RWMutex
 	features map[string]Feature
-	cap      int // 0 = unlimited
-	// order is the FIFO of live inserts. Entries whose seq no longer
-	// matches seq[key] are stale (the key was dropped and re-inserted)
-	// and are skipped lazily; compaction keeps the slice O(cap).
-	order   []fsEntry
-	seq     map[string]uint64
-	nextSeq uint64
+	cap      int
+	// order holds every stored query, oldest insert first; a re-put
+	// keeps its key's place.
+	order []string
 }
 
-type fsEntry struct {
-	key string
-	seq uint64
-}
-
-// NewFeatureStore returns an empty, unbounded store (pipeline and
-// experiment use, where the query universe is finite and known).
-func NewFeatureStore() *FeatureStore {
-	return NewFeatureStoreWithCap(0)
-}
-
-// NewFeatureStoreWithCap returns a store bounded to capacity entries
-// (0 = unlimited).
+// NewFeatureStoreWithCap returns an empty store bounded to capacity
+// entries; a capacity below 1 is raised to 1.
 func NewFeatureStoreWithCap(capacity int) *FeatureStore {
-	return &FeatureStore{
-		features: map[string]Feature{},
-		cap:      capacity,
-		seq:      map[string]uint64{},
-	}
+	return &FeatureStore{features: map[string]Feature{}, cap: max(capacity, 1)}
 }
 
 // Put inserts or replaces the feature for a query, evicting the
-// oldest-inserted entries when a capacity is set and exceeded.
+// oldest-inserted entry when a new query would exceed the capacity.
 func (s *FeatureStore) Put(f Feature) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.features[f.Query]; !exists {
-		if s.cap > 0 {
-			for len(s.features) >= s.cap && len(s.order) > 0 {
-				head := s.order[0]
-				s.order = s.order[1:]
-				if s.seq[head.key] != head.seq {
-					continue // stale: key was dropped and re-inserted later
-				}
-				delete(s.features, head.key)
-				delete(s.seq, head.key)
-			}
+		if len(s.order) == s.cap {
+			delete(s.features, s.order[0])
+			s.order[0] = "" // release the evicted key
+			s.order = s.order[1:]
 		}
-		s.nextSeq++
-		s.order = append(s.order, fsEntry{key: f.Query, seq: s.nextSeq})
-		s.seq[f.Query] = s.nextSeq
-		if len(s.order) > 2*len(s.features)+16 {
-			s.compactOrderLocked()
-		}
+		s.order = append(s.order, f.Query)
 	}
 	s.features[f.Query] = f
-}
-
-// compactOrderLocked drops stale FIFO entries (dropped or re-inserted
-// keys) so order stays proportional to the live set. Callers hold mu.
-func (s *FeatureStore) compactOrderLocked() {
-	live := s.order[:0]
-	for _, e := range s.order {
-		if s.seq[e.key] == e.seq {
-			live = append(live, e)
-		}
-	}
-	// Release the tail so evicted keys don't pin memory.
-	tail := s.order[len(live):]
-	for i := range tail {
-		tail[i] = fsEntry{}
-	}
-	s.order = live
 }
 
 // Get fetches the feature for a query.
@@ -141,37 +97,6 @@ func (s *FeatureStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.features)
-}
-
-// Queries returns the stored query keys, sorted.
-func (s *FeatureStore) Queries() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	qs := make([]string, 0, len(s.features))
-	for q := range s.features {
-		qs = append(qs, q)
-	}
-	sort.Strings(qs)
-	return qs
-}
-
-// DropVersionsBefore removes features older than version v (used by the
-// daily refresh to retire stale entries).
-func (s *FeatureStore) DropVersionsBefore(v int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dropped := 0
-	for q, f := range s.features {
-		if f.Version < v {
-			delete(s.features, q)
-			delete(s.seq, q)
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		s.compactOrderLocked()
-	}
-	return dropped
 }
 
 // Clock abstracts time for deterministic tests.

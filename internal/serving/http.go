@@ -38,13 +38,11 @@ import (
 // handler loads the served value once, so every request answers from a
 // single refresh: model version, snapshot and ANN index together.
 //
-// Hot responses are encoded by the hand-rolled appenders in encode.go
-// into pooled buffers (wire.Get/Put) — byte-identical to the
-// encoding/json output they replaced, including the trailing newline —
-// so the steady-state request path allocates nothing for encoding. The
-// KG read endpoints (/intentions, /related, /kg, /similar) also answer
-// in the compact binary frame format (internal/wire/binary.go) when the
-// Accept header asks for wire.BinaryContentType.
+// Every query response is JSON: an appender in encode.go builds it in a
+// pooled buffer (wire.Get) and writeJSON sends it, byte-identical to the
+// encoding/json output it replaced, trailing newline included, so the
+// steady-state request path allocates nothing for encoding. The Accept
+// header is not read.
 func NewHTTPHandler(d *Deployment) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/intent", func(w http.ResponseWriter, r *http.Request) {
@@ -54,17 +52,14 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			return
 		}
 		f, ok := d.HandleQuery(q)
-		w.Header().Set("Content-Type", "application/json")
 		buf := wire.Get()
 		if !ok {
-			w.WriteHeader(http.StatusAccepted)
 			buf.B = AppendQueuedJSON(buf.B[:0], q)
-		} else {
-			buf.B = AppendFeatureJSON(buf.B[:0], &f)
+			writeJSON(w, http.StatusAccepted, buf)
+			return
 		}
-		buf.B = append(buf.B, '\n')
-		_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(buf)
+		buf.B = AppendFeatureJSON(buf.B[:0], &f)
+		writeJSON(w, http.StatusOK, buf)
 	})
 	mux.HandleFunc("/intentions", func(w http.ResponseWriter, r *http.Request) {
 		id := QueryParam(r.URL.RawQuery, "id")
@@ -79,16 +74,8 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		}
 		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		buf := wire.Get()
-		if wantsBinary(r) {
-			w.Header().Set("Content-Type", wire.BinaryContentType)
-			buf.B = AppendIntentionsBin(buf.B[:0], snap, id, k)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			buf.B = AppendIntentionsJSON(buf.B[:0], snap, id, k)
-			buf.B = append(buf.B, '\n')
-		}
-		_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(buf)
+		buf.B = AppendIntentionsJSON(buf.B[:0], snap, id, k)
+		writeJSON(w, http.StatusOK, buf)
 	})
 	mux.HandleFunc("/related", func(w http.ResponseWriter, r *http.Request) {
 		id := QueryParam(r.URL.RawQuery, "id")
@@ -103,16 +90,8 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		}
 		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		buf := wire.Get()
-		if wantsBinary(r) {
-			w.Header().Set("Content-Type", wire.BinaryContentType)
-			buf.B = AppendRelatedBin(buf.B[:0], snap, id, k)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			buf.B = AppendRelatedJSON(buf.B[:0], snap, id, k)
-			buf.B = append(buf.B, '\n')
-		}
-		_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(buf)
+		buf.B = AppendRelatedJSON(buf.B[:0], snap, id, k)
+		writeJSON(w, http.StatusOK, buf)
 	})
 	mux.HandleFunc("/similar", func(w http.ResponseWriter, r *http.Request) {
 		q := QueryParam(r.URL.RawQuery, "q")
@@ -128,16 +107,8 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
 		matches := ix.Lookup(q, k)
 		buf := wire.Get()
-		if wantsBinary(r) {
-			w.Header().Set("Content-Type", wire.BinaryContentType)
-			buf.B = AppendSimilarBin(buf.B[:0], q, matches)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			buf.B = AppendSimilarJSON(buf.B[:0], q, matches)
-			buf.B = append(buf.B, '\n')
-		}
-		_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(buf)
+		buf.B = AppendSimilarJSON(buf.B[:0], q, matches)
+		writeJSON(w, http.StatusOK, buf)
 	})
 	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -171,10 +142,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			wire.Put(resp)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		resp.B = append(resp.B, '\n')
-		_, _ = w.Write(resp.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(resp)
+		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("/kg", func(w http.ResponseWriter, r *http.Request) {
 		snap := d.Generation().Snap
@@ -183,16 +151,8 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			return
 		}
 		buf := wire.Get()
-		if wantsBinary(r) {
-			w.Header().Set("Content-Type", wire.BinaryContentType)
-			buf.B = AppendKGBin(buf.B[:0], snap)
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			buf.B = AppendKGJSON(buf.B[:0], snap)
-			buf.B = append(buf.B, '\n')
-		}
-		_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
-		wire.Put(buf)
+		buf.B = AppendKGJSON(buf.B[:0], snap)
+		writeJSON(w, http.StatusOK, buf)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -326,10 +286,15 @@ func QueryParam(raw, name string) string {
 	return ""
 }
 
-// wantsBinary reports whether the request negotiates the compact binary
-// response format via the Accept header.
-func wantsBinary(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.BinaryContentType)
+// writeJSON sends one JSON value built in buf with the given status,
+// adds the trailing newline json.Encoder.Encode wrote, and returns buf
+// to the pool. It is the only response write of the query endpoints.
+func writeJSON(w http.ResponseWriter, status int, buf *wire.Buffer) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	buf.B = append(buf.B, '\n')
+	_, _ = w.Write(buf.B) //cosmo:lint-ignore dropped-error best-effort response write; a write failure means the client is gone
+	wire.Put(buf)
 }
 
 // readAllInto is io.ReadAll into a caller-owned (pooled) buffer: the

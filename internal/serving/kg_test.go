@@ -57,7 +57,7 @@ func TestKGEndpointsUnavailable(t *testing.T) {
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
-	for _, path := range []string{"/intentions?id=q:tent", "/related?id=p:P1", "/kg"} {
+	for _, path := range []string{"/intentions?id=q:tent", "/related?id=p:P1", "/similar?q=tent", "/kg"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

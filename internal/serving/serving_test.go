@@ -28,7 +28,7 @@ func echoResponder(version string) Responder {
 }
 
 func TestFeatureStoreBasics(t *testing.T) {
-	s := NewFeatureStore()
+	s := NewFeatureStoreWithCap(4)
 	s.Put(Feature{Query: "camping", Version: 1})
 	s.Put(Feature{Query: "hiking", Version: 2})
 	if s.Len() != 2 {
@@ -41,14 +41,13 @@ func TestFeatureStoreBasics(t *testing.T) {
 	if _, ok := s.Get("nope"); ok {
 		t.Error("missing key should miss")
 	}
-	if qs := s.Queries(); len(qs) != 2 || qs[0] != "camping" {
-		t.Errorf("queries = %v", qs)
-	}
-	if dropped := s.DropVersionsBefore(2); dropped != 1 {
-		t.Errorf("dropped = %d", dropped)
-	}
-	if s.Len() != 1 {
-		t.Errorf("len after drop = %d", s.Len())
+	// A capacity below 1 is raised to 1: the store always keeps the
+	// newest insert.
+	one := NewFeatureStoreWithCap(0)
+	one.Put(Feature{Query: "a"})
+	one.Put(Feature{Query: "b"})
+	if _, ok := one.Get("b"); !ok || one.Len() != 1 {
+		t.Errorf("cap-0 store: len = %d, newest present = %v; want 1, true", one.Len(), ok)
 	}
 }
 
@@ -75,24 +74,11 @@ func TestFeatureStoreCapEvictsOldest(t *testing.T) {
 			t.Errorf("entry %q should survive", q)
 		}
 	}
-	// A dropped-then-reinserted key gets a fresh FIFO position: after
-	// reinserting "b" it is newer than "c" and must outlive it.
-	if n := s.DropVersionsBefore(2); n != 1 { // drops b (version 1)
-		t.Fatalf("dropped = %d, want 1", n)
-	}
-	s.Put(Feature{Query: "b", Version: 5})
-	s.Put(Feature{Query: "e", Version: 6}) // evicts c, the oldest live insert
-	if _, ok := s.Get("c"); ok {
-		t.Error("c should have been evicted before the re-inserted b")
-	}
-	if _, ok := s.Get("b"); !ok {
-		t.Error("re-inserted b should survive")
-	}
 }
 
 func TestFeatureStoreCapManyInserts(t *testing.T) {
-	// Sustained distinct inserts stay at the cap and keep the FIFO
-	// bookkeeping compacted rather than growing with total inserts.
+	// Sustained distinct inserts stay at the cap, and the FIFO holds
+	// exactly the stored keys rather than growing with total inserts.
 	s := NewFeatureStoreWithCap(8)
 	for i := 0; i < 10000; i++ {
 		s.Put(Feature{Query: fmt.Sprintf("q%d", i), Version: i})
@@ -100,8 +86,8 @@ func TestFeatureStoreCapManyInserts(t *testing.T) {
 	if s.Len() != 8 {
 		t.Fatalf("len = %d, want 8", s.Len())
 	}
-	if n := len(s.order); n > 2*8+16 {
-		t.Errorf("order slice grew to %d entries; compaction is not bounding it", n)
+	if n := len(s.order); n != s.Len() {
+		t.Errorf("order holds %d keys for %d stored features", n, s.Len())
 	}
 	for i := 9992; i < 10000; i++ {
 		if _, ok := s.Get(fmt.Sprintf("q%d", i)); !ok {

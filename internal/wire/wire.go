@@ -141,9 +141,9 @@ func appendEscaped[T string | []byte](dst []byte, src T) []byte {
 			i += size
 			start = i
 			continue
+		}
 		// U+2028 and U+2029 are valid JSON but break JSONP; the stdlib
 		// escapes them unconditionally, so the wire encoder does too.
-		}
 		if c == '\u2028' || c == '\u2029' {
 			dst = append(dst, src[start:i]...)
 			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
@@ -162,13 +162,6 @@ func appendEscaped[T string | []byte](dst []byte, src T) []byte {
 //cosmo:alloc-free
 func AppendInt(dst []byte, v int64) []byte {
 	return strconv.AppendInt(dst, v, 10)
-}
-
-// AppendUint appends the base-10 representation of v.
-//
-//cosmo:alloc-free
-func AppendUint(dst []byte, v uint64) []byte {
-	return strconv.AppendUint(dst, v, 10)
 }
 
 // AppendBool appends "true" or "false".
