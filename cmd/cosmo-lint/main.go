@@ -17,10 +17,9 @@
 //	go run ./cmd/cosmo-lint ./...
 //	go run ./cmd/cosmo-lint -json -workers 8 ./internal/serving
 //	go run ./cmd/cosmo-lint -checks seeded-rand,wallclock ./...
-//	go run ./cmd/cosmo-lint -severity error ./...
 //
-// Exit status: 0 clean (no findings at or above -severity), 1
-// findings, 2 load or usage error.
+// Exit status: 0 clean, 1 findings (every check blocks), 2 load or
+// usage error.
 package main
 
 import (
@@ -43,22 +42,16 @@ func run() int {
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	chdir := flag.String("C", ".", "directory inside the module to lint from")
 	workers := flag.Int("workers", 0, "parallel load/check workers (<=0 means GOMAXPROCS)")
-	severity := flag.String("severity", string(lint.SeverityWarn), "minimum severity that fails the run (warn|error); all findings are still printed")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-checks c1,c2] [-C dir] [-workers n] [-severity warn|error] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-checks c1,c2] [-C dir] [-workers n] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Packages are ./... (the whole module, the default), a directory,\nor a dir/... prefix. Checks:\n")
 		for _, c := range lint.AllChecks() {
-			fmt.Fprintf(os.Stderr, "  %-19s [%s] %s\n", c.Name, c.Severity, c.Doc)
+			fmt.Fprintf(os.Stderr, "  %-19s %s\n", c.Name, c.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	gate, err := lint.ParseSeverity(*severity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
-		return 2
-	}
 	root, err := findModuleRoot(*chdir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
@@ -111,9 +104,9 @@ func run() int {
 			fmt.Println(f)
 		}
 	}
-	if gating := lint.CountAtLeast(findings, gate); gating > 0 {
+	if len(findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "cosmo-lint: %d finding(s) at severity >= %s\n", gating, gate)
+			fmt.Fprintf(os.Stderr, "cosmo-lint: %d finding(s)\n", len(findings))
 		}
 		return 1
 	}

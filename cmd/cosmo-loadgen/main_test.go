@@ -33,10 +33,10 @@ func TestReportNode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 16, CacheShards: 1, QueueCap: 2}, tc.responder)
 			d.HandleQuery("camping") // miss
-			d.RunBatch(10)
+			d.RunBatchContext(context.Background(), 10)
 			d.HandleQuery("camping") // hit
 			d.HandleQuery("flaky")
-			d.RunBatch(10) // fails and is re-queued
+			d.RunBatchContext(context.Background(), 10) // fails and is re-queued
 			d.HandleQuery("a")
 			d.HandleQuery("b") // the queue holds 2: the oldest is dropped
 			if err := d.Refresh(context.Background(), tc.responder, nil, 0); err != nil {
@@ -74,8 +74,8 @@ func TestReportCluster(t *testing.T) {
 	var specs []cluster.NodeSpec
 	var deps []*serving.Deployment
 	for i := 0; i < 3; i++ {
-		d := serving.NewDeployment(serving.DeployConfig{}, serving.ResponderFunc(func(q string) serving.Feature {
-			return serving.Feature{Query: q}
+		d := serving.NewDeploymentContext(serving.DeployConfig{}, serving.ContextResponderFunc(func(_ context.Context, q string) (serving.Feature, error) {
+			return serving.Feature{Query: q}, nil
 		}))
 		d.SetReady(true)
 		deps = append(deps, d)

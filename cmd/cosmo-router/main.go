@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"cosmo/internal/cluster"
+	"cosmo/internal/serving"
 )
 
 func main() {
@@ -79,18 +80,16 @@ func main() {
 	}
 
 	router, err := cluster.New(specs, cluster.Config{
-		Replication:      *replication,
-		VirtualNodes:     *vnodes,
-		AttemptTimeout:   *attemptTimeout,
-		HedgeQuantile:    *hedgeQuantile,
-		HedgeMin:         *hedgeMin,
-		HedgeMax:         *hedgeMax,
-		MinHedgeSamples:  *hedgeSamples,
-		BreakerThreshold: *brkThreshold,
-		BreakerCooldown:  *brkCooldown,
-		BreakerProbes:    *brkProbes,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
+		Replication:     *replication,
+		VirtualNodes:    *vnodes,
+		AttemptTimeout:  *attemptTimeout,
+		HedgeQuantile:   *hedgeQuantile,
+		HedgeMin:        *hedgeMin,
+		HedgeMax:        *hedgeMax,
+		MinHedgeSamples: *hedgeSamples,
+		Breaker:         serving.BreakerConfig{Threshold: *brkThreshold, Cooldown: *brkCooldown, Probes: *brkProbes},
+		ProbeInterval:   *probeInterval,
+		ProbeTimeout:    *probeTimeout,
 	})
 	if err != nil {
 		log.Fatal(err)

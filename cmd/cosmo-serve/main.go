@@ -102,27 +102,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	model := serving.ContextResponderFunc(func(ctx context.Context, q string) (serving.Feature, error) {
-		if err := ctx.Err(); err != nil {
-			return serving.Feature{}, err
-		}
-		gens := res.CosmoLM.Generate("search query: "+q, "", "", 3)
-		f := serving.Feature{Query: q}
-		for _, g := range gens {
-			f.Intents = append(f.Intents, g.Text)
-			f.Relations = append(f.Relations, string(g.Relation))
-		}
-		if len(gens) > 0 {
-			f.SubCategory = gens[0].Tail
-			f.StrongIntent = gens[0].Score > 1.0
-		}
-		return f, nil
-	})
 
 	// Chaos mode: interpose the deterministic fault injector between the
 	// resilience layer and the model so a live instance can be driven
 	// through outages reproducibly.
-	inner := serving.ContextResponder(model)
+	inner := serving.ModelResponder(res.CosmoLM)
 	if *faultRate > 0 || *faultHangRate > 0 || *faultPanicRate > 0 || *faultLatencyRate > 0 {
 		inj := faults.New(faults.Config{
 			Seed:        *faultSeed,

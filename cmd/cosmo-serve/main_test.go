@@ -34,7 +34,7 @@ func TestLoadVerifiedRejectsDamage(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dep := serving.NewDeployment(serving.DeployConfig{}, nil)
+	dep := serving.NewDeploymentContext(serving.DeployConfig{}, nil)
 	if gen, err := (&serving.Artifact{Path: path}).Load(dep); err == nil {
 		gen.Snap.Close()
 		t.Fatal("Artifact.Load accepted an artifact with a flipped body byte")

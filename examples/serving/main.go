@@ -22,16 +22,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	responder := serving.ResponderFunc(func(q string) serving.Feature {
-		gens := res.CosmoLM.Generate("search query: "+q, "", "", 3)
-		f := serving.Feature{Query: q}
-		for _, g := range gens {
-			f.Intents = append(f.Intents, g.Text)
-			f.Relations = append(f.Relations, string(g.Relation))
-		}
-		return f
-	})
-	dep := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 256}, responder)
+	ctx := context.Background()
+	responder := serving.ModelResponder(res.CosmoLM)
+	dep := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 256}, responder)
 	dep.Install(&serving.Generation{Snap: res.KG.Freeze()})
 
 	// Build a Zipf-ish traffic stream from the behavior log's queries.
@@ -45,10 +38,10 @@ func main() {
 			q := pool[int(rng.Float64()*rng.Float64()*float64(len(pool)))]
 			dep.HandleQuery(q)
 			if i%100 == 0 {
-				dep.RunBatch(64)
+				dep.RunBatchContext(ctx, 64)
 			}
 		}
-		dep.RunBatch(1 << 20)
+		dep.RunBatchContext(ctx, 1<<20)
 	}
 
 	fmt.Println("day 1 (cold caches)...")
@@ -57,7 +50,7 @@ func main() {
 	fmt.Printf("  hit rate %.1f%% (yearly %d / daily %d)\n", s1.HitRate()*100, s1.YearlyHits, s1.DailyHits)
 
 	fmt.Println("daily refresh: new model version + KG snapshot swap + yearly preload from feedback loop")
-	if err := dep.Refresh(context.Background(), serving.AdaptResponder(responder), &serving.Generation{Snap: res.KG.Freeze()}, 512); err != nil {
+	if err := dep.Refresh(ctx, responder, &serving.Generation{Snap: res.KG.Freeze()}, 512); err != nil {
 		log.Fatalf("daily refresh: %v", err)
 	}
 

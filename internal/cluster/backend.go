@@ -91,23 +91,19 @@ func (b *LocalBackend) Do(ctx context.Context, path, rawQuery string) (Result, e
 	}, nil
 }
 
-// Check mirrors the /readyz contract without a round trip: draining
-// beats everything (the node said so itself), then warmup/breaker
-// readiness.
+// Check answers from the rule /readyz answers from
+// (serving.Deployment.NotReady), without a round trip.
 func (b *LocalBackend) Check(ctx context.Context) Health {
 	if ctx.Err() != nil {
 		return HealthDown
 	}
-	if b.dep.Draining() {
+	switch b.dep.NotReady() {
+	case "":
+		return HealthReady
+	case "draining":
 		return HealthDraining
 	}
-	if !b.dep.Ready() {
-		return HealthDown
-	}
-	if rs, ok := b.dep.ResilienceStats(); ok && rs.BreakerState == serving.BreakerOpen {
-		return HealthDown
-	}
-	return HealthReady
+	return HealthDown
 }
 
 // recorder is a minimal in-process http.ResponseWriter (the stdlib's

@@ -226,7 +226,7 @@ func TestHTTPBackendBodyLimit(t *testing.T) {
 			}
 
 			r, err := New([]NodeSpec{{Name: "over", Backend: bOver}, {Name: "fits", Backend: bFits}},
-				Config{Replication: 2, HedgeMax: time.Hour, BreakerThreshold: 1000})
+				Config{Replication: 2, HedgeMax: time.Hour, Breaker: serving.BreakerConfig{Threshold: 1000}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,7 +253,7 @@ func TestHTTPBackendStaleKeepAliveRetry(t *testing.T) {
 	defer srv.Close()
 	b := NewHTTPBackend(srv.URL, nil)
 	defer b.Close()
-	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{BreakerThreshold: 1})
+	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{Breaker: serving.BreakerConfig{Threshold: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestHTTPBackendCancelMidRead(t *testing.T) {
 	defer srv.Close()
 	b := NewHTTPBackend(srv.URL, nil)
 	defer b.Close()
-	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{BreakerThreshold: 1})
+	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{Breaker: serving.BreakerConfig{Threshold: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestHTTPBackendAttemptTimeout(t *testing.T) {
 	defer srv.Close()
 	b := NewHTTPBackend(srv.URL, nil)
 	defer b.Close()
-	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{AttemptTimeout: 30 * time.Millisecond, BreakerThreshold: 1})
+	r, err := New([]NodeSpec{{Name: "n0", Backend: b}}, Config{AttemptTimeout: 30 * time.Millisecond, Breaker: serving.BreakerConfig{Threshold: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,18 +40,14 @@ type Config struct {
 	// histogram needs before it participates in hedge-delay derivation
 	// (default 32).
 	MinHedgeSamples int64
-	// BreakerThreshold / BreakerCooldown / BreakerProbes configure each
-	// node's circuit breaker (serving.Breaker semantics; defaults 5 /
-	// 2s / 1).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	BreakerProbes    int
+	// Breaker configures each node's circuit breaker (router defaults
+	// 2s cooldown / 1 probe; serving.NewBreaker fills in the rest, and
+	// tests swap a FakeClock into Breaker.Clock).
+	Breaker serving.BreakerConfig
 	// ProbeInterval / ProbeTimeout drive the active health loop
 	// (defaults 1s / 500ms).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// Clock feeds the breakers (FakeClock in tests; default RealClock).
-	Clock serving.Clock
 }
 
 func (c Config) withDefaults() Config {
@@ -79,23 +75,17 @@ func (c Config) withDefaults() Config {
 	if c.MinHedgeSamples <= 0 {
 		c.MinHedgeSamples = 32
 	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
+	if c.Breaker.Cooldown <= 0 {
+		c.Breaker.Cooldown = 2 * time.Second
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 1
+	if c.Breaker.Probes <= 0 {
+		c.Breaker.Probes = 1
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = serving.RealClock{}
 	}
 	return c
 }
@@ -169,13 +159,8 @@ func New(specs []NodeSpec, cfg Config) (*Router, error) {
 		nodes[i] = &node{
 			name:    s.Name,
 			backend: s.Backend,
-			brk: serving.NewBreaker(serving.BreakerConfig{
-				Threshold: cfg.BreakerThreshold,
-				Cooldown:  cfg.BreakerCooldown,
-				Probes:    cfg.BreakerProbes,
-				Clock:     cfg.Clock,
-			}),
-			hist: serving.NewHistogram(nil),
+			brk:     serving.NewBreaker(cfg.Breaker),
+			hist:    serving.NewHistogram(nil),
 		}
 	}
 	for i, a := range names {

@@ -98,7 +98,7 @@ func TestRouterRoutesToPrimary(t *testing.T) {
 func TestRouterFailoverDeterministic(t *testing.T) {
 	// High breaker threshold so the failing primary stays eligible: every
 	// request must re-attempt it and fail over the same way.
-	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMax: time.Hour, BreakerThreshold: 1000})
+	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMax: time.Hour, Breaker: serving.BreakerConfig{Threshold: 1000}})
 	key := keyWithPrimary(t, r, "n0")
 	rs := r.ReplicaSet(key)
 	backends[0].set(func(ctx context.Context) (Result, error) {
@@ -124,7 +124,7 @@ func TestRouterFailoverDeterministic(t *testing.T) {
 }
 
 func TestRouterFailoverOn5xx(t *testing.T) {
-	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMax: time.Hour, BreakerThreshold: 1000})
+	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMax: time.Hour, Breaker: serving.BreakerConfig{Threshold: 1000}})
 	key := keyWithPrimary(t, r, "n0")
 	backends[0].set(func(ctx context.Context) (Result, error) {
 		return Result{Status: 503}, nil
@@ -139,7 +139,7 @@ func TestRouterFailoverOn5xx(t *testing.T) {
 }
 
 func TestRouterAllReplicasFailed(t *testing.T) {
-	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMax: time.Hour, BreakerThreshold: 1000})
+	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMax: time.Hour, Breaker: serving.BreakerConfig{Threshold: 1000}})
 	for _, b := range backends {
 		b.set(func(ctx context.Context) (Result, error) {
 			return Result{}, errors.New("boom")
@@ -235,12 +235,9 @@ func TestRouterHedgeDelayDerivation(t *testing.T) {
 func TestRouterBreakerExclusionAndRecovery(t *testing.T) {
 	clock := serving.NewFakeClock(time.Unix(1_700_000_000, 0))
 	r, backends := newStubRouter(t, 3, Config{
-		Replication:      2,
-		HedgeMax:         time.Hour, // no hedging in this test
-		BreakerThreshold: 3,
-		BreakerCooldown:  5 * time.Second,
-		BreakerProbes:    1,
-		Clock:            clock,
+		Replication: 2,
+		HedgeMax:    time.Hour, // no hedging in this test
+		Breaker:     serving.BreakerConfig{Threshold: 3, Cooldown: 5 * time.Second, Probes: 1, Clock: clock},
 	})
 	key := keyWithPrimary(t, r, "n0")
 	backends[0].set(func(ctx context.Context) (Result, error) {
@@ -299,7 +296,7 @@ func TestRouterBreakerExclusionAndRecovery(t *testing.T) {
 }
 
 func TestRouterNoEligibleNodes(t *testing.T) {
-	dep := serving.NewDeployment(serving.DeployConfig{}, nil)
+	dep := serving.NewDeploymentContext(serving.DeployConfig{}, nil)
 	// Never marked ready: the lone node probes down.
 	r, err := New([]NodeSpec{{Name: "n0", Backend: NewLocalBackend(dep)}}, Config{})
 	if err != nil {
@@ -510,7 +507,7 @@ func nodeStats(t *testing.T, r *Router, name string) NodeStats {
 // breaker — and the hedge fires no sooner than the hedge delay.
 func TestRouterHedgeLoserAbandons(t *testing.T) {
 	const delay = 20 * time.Millisecond
-	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMin: delay, HedgeMax: delay, BreakerThreshold: 1})
+	r, backends := newStubRouter(t, 2, Config{Replication: 2, HedgeMin: delay, HedgeMax: delay, Breaker: serving.BreakerConfig{Threshold: 1}})
 	key := keyWithPrimary(t, r, "n0")
 	var primaryStart, hedgeStart atomic.Int64
 	backends[0].set(func(ctx context.Context) (Result, error) {
@@ -547,7 +544,7 @@ func TestRouterHedgePrimaryWinsCancelsHedge(t *testing.T) {
 	clock := serving.NewFakeClock(time.Unix(1_700_000_000, 0))
 	r, backends := newStubRouter(t, 2, Config{
 		Replication: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond,
-		BreakerThreshold: 1, BreakerCooldown: 5 * time.Second, BreakerProbes: 1, Clock: clock,
+		Breaker: serving.BreakerConfig{Threshold: 1, Cooldown: 5 * time.Second, Probes: 1, Clock: clock},
 	})
 	key := keyWithPrimary(t, r, "n0")
 	hedgeBrk := r.nodes[1].brk
@@ -572,11 +569,12 @@ func TestRouterHedgePrimaryWinsCancelsHedge(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for !hedgeBrk.CanServe() {
 		if time.Now().After(deadline) {
-			t.Fatalf("primary win did not end the hedge attempt (breaker %v, probe slot still held)", hedgeBrk.State())
+			st, _ := hedgeBrk.State()
+			t.Fatalf("primary win did not end the hedge attempt (breaker %v, probe slot still held)", st)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if st := hedgeBrk.State(); st != serving.BreakerHalfOpen {
+	if st, _ := hedgeBrk.State(); st != serving.BreakerHalfOpen {
 		t.Fatalf("hedge node's breaker = %v after its cancelled probe, want still half-open: a loser never votes", st)
 	}
 	if s := r.Stats(); s.Hedges != 1 || s.HedgeWins != 0 || nodeStats(t, r, "n1").Failures != 0 {
@@ -588,7 +586,7 @@ func TestRouterHedgePrimaryWinsCancelsHedge(t *testing.T) {
 // the hedge has fired; failover continues from the third node of the
 // preference order, the same way every time.
 func TestRouterHedgeBothFailFallsThrough(t *testing.T) {
-	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond, BreakerThreshold: 1000})
+	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond, Breaker: serving.BreakerConfig{Threshold: 1000}})
 	key := keyWithPrimary(t, r, "n0")
 	order := r.eligibleOrder(nil, key)
 	hedgeFailed := make(chan struct{}, 1)
@@ -619,7 +617,7 @@ func TestRouterHedgeBothFailFallsThrough(t *testing.T) {
 func TestRouterHedgeCallerCancel(t *testing.T) {
 	for name, hedgeDelay := range map[string]time.Duration{"before the hedge": time.Hour, "after the hedge": time.Millisecond} {
 		t.Run(name, func(t *testing.T) {
-			r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: hedgeDelay, HedgeMax: hedgeDelay, BreakerThreshold: 1})
+			r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: hedgeDelay, HedgeMax: hedgeDelay, Breaker: serving.BreakerConfig{Threshold: 1}})
 			var parked atomic.Int64
 			for _, b := range backends {
 				b.set(func(ctx context.Context) (Result, error) {
@@ -660,7 +658,7 @@ func TestRouterHedgeCallerCancel(t *testing.T) {
 // -race): stragglers, failures and clean answers mixed, so pooled races
 // are reused while fired ones are still in flight.
 func TestRouterHedgeConcurrent(t *testing.T) {
-	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: 200 * time.Microsecond, HedgeMax: 200 * time.Microsecond, BreakerThreshold: 1 << 30})
+	r, backends := newStubRouter(t, 3, Config{Replication: 2, HedgeMin: 200 * time.Microsecond, HedgeMax: 200 * time.Microsecond, Breaker: serving.BreakerConfig{Threshold: 1 << 30}})
 	var calls atomic.Int64
 	for i, b := range backends {
 		body := []byte(fmt.Sprintf("from-n%d", i))

@@ -71,11 +71,12 @@ func (r *Router) Stats() Stats {
 		if hb, ok := nd.backend.(interface{ HopStats() HopStats }); ok {
 			hop = hb.HopStats()
 		}
+		state, opens := nd.brk.State()
 		s.Nodes = append(s.Nodes, NodeStats{
 			Name:         nd.name,
 			Health:       Health(nd.health.Load()),
-			BreakerState: nd.brk.State(),
-			BreakerOpens: nd.brk.Opens(),
+			BreakerState: state,
+			BreakerOpens: opens,
 			Primaries:    nd.primaries.Load(),
 			Hedges:       nd.hedges.Load(),
 			HedgeWins:    nd.hedgeWins.Load(),

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -80,22 +81,25 @@ func (r *Runner) abtest() error {
 	return nil
 }
 
-// cosmoResponder adapts COSMO-LM to the serving Responder interface.
-func cosmoResponder(r *Runner) serving.Responder {
-	res := r.World()
-	return serving.ResponderFunc(func(q string) serving.Feature {
-		gens := res.CosmoLM.Generate("search query: "+q, "", "", 3)
-		f := serving.Feature{Query: q}
-		for _, g := range gens {
-			f.Intents = append(f.Intents, g.Text)
-			f.Relations = append(f.Relations, string(g.Relation))
+// yearlyLayer warms the yearly cache layer with the head of yesterday's
+// traffic: every query seen at least 20 times in its first quarter.
+func yearlyLayer(ctx context.Context, responder serving.ContextResponder, traffic []string) ([]serving.Feature, error) {
+	warm := map[string]int{}
+	for _, q := range traffic[:len(traffic)/4] {
+		warm[q]++
+	}
+	var yearly []serving.Feature
+	for q, c := range warm {
+		if c >= 20 {
+			f, err := responder.RespondContext(ctx, q)
+			if err != nil {
+				return nil, fmt.Errorf("yearly layer: %q: %w", q, err)
+			}
+			f.Query = q
+			yearly = append(yearly, f)
 		}
-		if len(gens) > 0 {
-			f.SubCategory = gens[0].Tail
-			f.StrongIntent = gens[0].Score > 1.0
-		}
-		return f
-	})
+	}
+	return yearly, nil
 }
 
 // trafficQueries builds a Zipf-like query stream from the behavior log.
@@ -117,30 +121,22 @@ func (r *Runner) trafficQueries(n int) []string {
 }
 
 func (r *Runner) serving() error {
-	responder := cosmoResponder(r)
-	dep := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 256}, responder)
+	ctx := context.Background()
+	responder := serving.ModelResponder(r.World().CosmoLM)
+	dep := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 256}, responder)
 	traffic := r.trafficQueries(max(20000, 100000/r.Scale))
-	// Warm the yearly layer with the head of yesterday's traffic.
-	warm := map[string]int{}
-	for _, q := range traffic[:len(traffic)/4] {
-		warm[q]++
-	}
-	var yearly []serving.Feature
-	for q, c := range warm {
-		if c >= 20 {
-			f := responder.Respond(q)
-			f.Query = q
-			yearly = append(yearly, f)
-		}
+	yearly, err := yearlyLayer(ctx, responder, traffic)
+	if err != nil {
+		return err
 	}
 	dep.Cache.PreloadYearly(yearly)
 	for i, q := range traffic {
 		dep.HandleQuery(q)
 		if i%200 == 0 {
-			dep.RunBatch(64)
+			dep.RunBatchContext(ctx, 64)
 		}
 	}
-	dep.RunBatch(1 << 20)
+	dep.RunBatchContext(ctx, 1<<20)
 	stats := dep.Cache.Stats()
 	p50, p99 := dep.LatencyPercentiles()
 	perCall := r.World().CosmoLM.Cost()
@@ -325,35 +321,26 @@ func (r *Runner) ablationTasks() error {
 }
 
 func (r *Runner) ablationCache() error {
-	responder := cosmoResponder(r)
+	ctx := context.Background()
+	responder := serving.ModelResponder(r.World().CosmoLM)
 	traffic := r.trafficQueries(max(20000, 100000/r.Scale))
-	run := func(preload bool) serving.CacheStats {
-		dep := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 256}, responder)
-		if preload {
-			warm := map[string]int{}
-			for _, q := range traffic[:len(traffic)/4] {
-				warm[q]++
-			}
-			var yearly []serving.Feature
-			for q, c := range warm {
-				if c >= 20 {
-					f := responder.Respond(q)
-					f.Query = q
-					yearly = append(yearly, f)
-				}
-			}
-			dep.Cache.PreloadYearly(yearly)
-		}
+	yearly, err := yearlyLayer(ctx, responder, traffic)
+	if err != nil {
+		return err
+	}
+	run := func(yearly []serving.Feature) serving.CacheStats {
+		dep := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 256}, responder)
+		dep.Cache.PreloadYearly(yearly)
 		for i, q := range traffic {
 			dep.HandleQuery(q)
 			if i%200 == 0 {
-				dep.RunBatch(64)
+				dep.RunBatchContext(ctx, 64)
 			}
 		}
 		return dep.Cache.Stats()
 	}
-	two := run(true)
-	one := run(false)
+	two := run(yearly)
+	one := run(nil)
 	fmt.Fprintf(r.Out, "%-26s %10s %12s\n", "variant", "hit rate", "misses")
 	fmt.Fprintf(r.Out, "%-26s %9.1f%% %12d\n", "two-layer (yearly+daily)", two.HitRate()*100, two.Misses)
 	fmt.Fprintf(r.Out, "%-26s %9.1f%% %12d\n", "one-layer (daily only)", one.HitRate()*100, one.Misses)

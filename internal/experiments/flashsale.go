@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"cosmo/internal/serving"
@@ -13,18 +14,18 @@ import (
 // recovers only as the asynchronous batch processor catches up — the
 // measured gap is exactly the "agility" the paper calls future work.
 func (r *Runner) flashSale() error {
-	responder := cosmoResponder(r)
-	dep := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 4096}, responder)
+	ctx := context.Background()
+	dep := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 4096}, serving.ModelResponder(r.World().CosmoLM))
 	normal := r.trafficQueries(max(12000, 60000/r.Scale))
 
 	// Phase 1: steady state. Serve normal traffic with periodic batches.
 	for i, q := range normal {
 		dep.HandleQuery(q)
 		if i%200 == 0 {
-			dep.RunBatch(64)
+			dep.RunBatchContext(ctx, 64)
 		}
 	}
-	dep.RunBatch(1 << 20)
+	dep.RunBatchContext(ctx, 1<<20)
 	steady := dep.Cache.Stats()
 
 	// Phase 2: flash sale. A burst of novel deal queries arrives; the
@@ -41,7 +42,7 @@ func (r *Runner) flashSale() error {
 			dep.HandleQuery(normal[i])
 		}
 		if i%200 == 0 {
-			dep.RunBatch(64)
+			dep.RunBatchContext(ctx, 64)
 		}
 	}
 	during := dep.Cache.Stats()
@@ -49,7 +50,7 @@ func (r *Runner) flashSale() error {
 
 	// Phase 3: after the batch processor catches up, the same flash
 	// traffic is served from the daily layer.
-	dep.RunBatch(1 << 20)
+	dep.RunBatchContext(ctx, 1<<20)
 	hitsBefore, missesBefore = during.Hits, during.Misses
 	// Drain remaining queue grown during phase 3's measurements too.
 	for i := 0; i < window; i++ {
@@ -59,7 +60,7 @@ func (r *Runner) flashSale() error {
 			dep.HandleQuery(normal[i])
 		}
 		if i%200 == 0 {
-			dep.RunBatch(64)
+			dep.RunBatchContext(ctx, 64)
 		}
 	}
 	after := dep.Cache.Stats()

@@ -37,14 +37,12 @@ func TestChaosServingSurvivesFaults(t *testing.T) {
 		Latency:     time.Millisecond,
 	})
 	res := serving.NewResilient(Wrap(okResponder(), inj), serving.ResilienceConfig{
-		CallTimeout:      5 * time.Millisecond,
-		MaxRetries:       1,
-		BackoffBase:      100 * time.Microsecond,
-		BackoffMax:       time.Millisecond,
-		Seed:             99,
-		BreakerThreshold: 10,
-		BreakerCooldown:  20 * time.Millisecond,
-		BreakerProbes:    1,
+		CallTimeout: 5 * time.Millisecond,
+		MaxRetries:  1,
+		BackoffBase: 100 * time.Microsecond,
+		BackoffMax:  time.Millisecond,
+		Seed:        99,
+		Breaker:     serving.BreakerConfig{Threshold: 10, Cooldown: 20 * time.Millisecond, Probes: 1},
 	})
 	d := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 256, QueueCap: 512}, res)
 	d.SetReady(true)
@@ -112,7 +110,7 @@ func TestChaosServingSurvivesFaults(t *testing.T) {
 			d.RunBatchContext(context.Background(), 64)
 		}
 	}
-	if got := res.BreakerState(); got != serving.BreakerClosed {
+	if got := res.ResilienceStats().BreakerState; got != serving.BreakerClosed {
 		t.Errorf("breaker = %v after recovery, want closed", got)
 	}
 
@@ -154,13 +152,10 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 	inj := New(Config{Seed: 5, ErrorRate: 1})
 	inj.SetEnabled(false) // healthy to start
 	res := serving.NewResilient(Wrap(okResponder(), inj), serving.ResilienceConfig{
-		CallTimeout:      50 * time.Millisecond,
-		MaxRetries:       -1,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Second,
-		BreakerProbes:    2,
-		Clock:            clock,
-		Seed:             5,
+		CallTimeout: 50 * time.Millisecond,
+		MaxRetries:  -1,
+		Breaker:     serving.BreakerConfig{Threshold: 3, Cooldown: time.Second, Probes: 2, Clock: clock},
+		Seed:        5,
 	})
 	call := func(q string) error {
 		_, err := res.RespondContext(context.Background(), q)
@@ -172,7 +167,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 			t.Fatalf("healthy call %d: %v", i, err)
 		}
 	}
-	if got := res.BreakerState(); got != serving.BreakerClosed {
+	if got := res.ResilienceStats().BreakerState; got != serving.BreakerClosed {
 		t.Fatalf("state = %v under healthy traffic", got)
 	}
 
@@ -183,7 +178,7 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 			t.Fatalf("outage call %d: %v", i, err)
 		}
 	}
-	if got := res.BreakerState(); got != serving.BreakerOpen {
+	if got := res.ResilienceStats().BreakerState; got != serving.BreakerOpen {
 		t.Fatalf("state = %v after threshold failures, want open", got)
 	}
 	if err := call("rejected"); !errors.Is(err, serving.ErrBreakerOpen) {
@@ -199,13 +194,13 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 	if err := call("probe1"); err != nil {
 		t.Fatalf("probe 1: %v", err)
 	}
-	if got := res.BreakerState(); got != serving.BreakerHalfOpen {
+	if got := res.ResilienceStats().BreakerState; got != serving.BreakerHalfOpen {
 		t.Fatalf("state = %v after first probe, want half-open (2 probes required)", got)
 	}
 	if err := call("probe2"); err != nil {
 		t.Fatalf("probe 2: %v", err)
 	}
-	if got := res.BreakerState(); got != serving.BreakerClosed {
+	if got := res.ResilienceStats().BreakerState; got != serving.BreakerClosed {
 		t.Fatalf("state = %v after probe quorum, want closed", got)
 	}
 	rs := res.ResilienceStats()
@@ -219,9 +214,9 @@ func TestChaosBreakerOpensAndRecloses(t *testing.T) {
 // previous model version, yearly layer and KG snapshot keep serving —
 // and the same refresh succeeds once the faults stop.
 func TestChaosRefreshAtomicUnderFaults(t *testing.T) {
-	d := serving.NewDeployment(serving.DeployConfig{DailyCacheCap: 64},
-		serving.ResponderFunc(func(q string) serving.Feature {
-			return serving.Feature{Query: q, Intents: []string{"v1"}}
+	d := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 64},
+		serving.ContextResponderFunc(func(_ context.Context, q string) (serving.Feature, error) {
+			return serving.Feature{Query: q, Intents: []string{"v1"}}, nil
 		}))
 	world := kg.New()
 	world.AddNode(kg.Node{ID: "p1", Label: "tent", Type: kg.NodeProduct})
@@ -232,9 +227,9 @@ func TestChaosRefreshAtomicUnderFaults(t *testing.T) {
 			d.HandleQuery(fmt.Sprintf("hot-%d", i))
 		}
 	}
-	if err := d.Refresh(context.Background(), serving.AdaptResponder(serving.ResponderFunc(func(q string) serving.Feature {
-		return serving.Feature{Query: q, Intents: []string{"v2"}}
-	})), nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), serving.ContextResponderFunc(func(_ context.Context, q string) (serving.Feature, error) {
+		return serving.Feature{Query: q, Intents: []string{"v2"}}, nil
+	}), nil, 4); err != nil {
 		t.Fatalf("baseline refresh: %v", err)
 	}
 

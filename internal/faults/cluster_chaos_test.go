@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cosmo/internal/cluster"
+	"cosmo/internal/serving"
 )
 
 func chaosKeys(n int) []string {
@@ -60,9 +61,8 @@ func TestClusterChaosNodeDeath(t *testing.T) {
 		Nodes: 3,
 		Keys:  keys,
 		Router: cluster.Config{
-			Replication:      2,
-			BreakerThreshold: 3,
-			BreakerCooldown:  time.Hour, // dead stays dead for this test
+			Replication: 2,
+			Breaker:     serving.BreakerConfig{Threshold: 3, Cooldown: time.Hour}, // dead stays dead for this test
 		},
 	})
 	if err != nil {

@@ -42,10 +42,9 @@ import (
 // what the compiler actually emits (escape analysis can both save and
 // betray you; the static check only sees the source).
 var allocFreeCheck = Check{
-	Name:     "alloc-free",
-	Doc:      "certify //cosmo:alloc-free annotated functions: no hidden or unbounded allocation constructs in the body",
-	Severity: SeverityError,
-	Run:      runAllocFree,
+	Name: "alloc-free",
+	Doc:  "certify //cosmo:alloc-free annotated functions: no hidden or unbounded allocation constructs in the body",
+	Run:  runAllocFree,
 }
 
 // AllocFreeDirective is the function annotation the alloc-free check

@@ -18,10 +18,9 @@ import (
 // delete(), or a wholesale reassignment (rebuild/reset). A method that
 // only ever adds is reported.
 var unboundedAppendCheck = Check{
-	Name:     "unbounded-append",
-	Doc:      "forbid growth of long-lived serving struct fields without cap logic in the same method",
-	Severity: SeverityError,
-	Run:      runUnboundedAppend,
+	Name: "unbounded-append",
+	Doc:  "forbid growth of long-lived serving struct fields without cap logic in the same method",
+	Run:  runUnboundedAppend,
 }
 
 func runUnboundedAppend(p *Pass) {

@@ -26,10 +26,9 @@ import (
 //     race detector only catches it on the schedules you happened to
 //     run.
 var atomicHygieneCheck = Check{
-	Name:     "atomic-hygiene",
-	Doc:      "forbid by-value copies of atomic-containing types and mixed plain/atomic access to the same word",
-	Severity: SeverityError,
-	Run:      runAtomicHygiene,
+	Name: "atomic-hygiene",
+	Doc:  "forbid by-value copies of atomic-containing types and mixed plain/atomic access to the same word",
+	Run:  runAtomicHygiene,
 }
 
 // atomicName reports which sync/atomic value type t transitively

@@ -5,9 +5,9 @@ import (
 	"go/types"
 )
 
-// ctxPropagationCheck enforces the PR 5 responder contract on
-// serving-path packages (Config.CtxPaths): cancellation must flow from
-// the caller to every callee that can honor it. Two rules:
+// ctxPropagationCheck enforces the responder contract on serving-path
+// packages (Config.CtxPaths): cancellation must flow from the caller to
+// every callee that can honor it. Two rules:
 //
 //  1. context.Background() and context.TODO() are banned outside
 //     package main — a library function that mints a root context has
@@ -15,19 +15,16 @@ import (
 //     loaded by the lint driver, so they stay free to use Background.
 //  2. A function that receives a context.Context must not call the
 //     context-less variant of a callee that has a Context sibling
-//     (Foo vs FooContext, m.Bar vs m.BarContext): calling RunBatch
-//     while holding a ctx silently re-roots the work at Background via
-//     the legacy bridge.
+//     (Foo vs FooContext, m.Bar vs m.BarContext): the context-less
+//     variant re-roots the work at Background.
 //
 // The sibling rule is a naming-convention heuristic — it cannot see
-// callees whose ctx-taking variant lives under an unrelated name — so
-// the check is warn severity; the module still holds itself to zero
-// findings at warn.
+// callees whose ctx-taking variant lives under an unrelated name — but
+// like every check it blocks: the module holds itself to zero findings.
 var ctxPropagationCheck = Check{
-	Name:     "ctx-propagation",
-	Doc:      "serving-path packages must thread ctx: no Background/TODO outside main, no ctx-less calls when a Context sibling exists",
-	Severity: SeverityWarn,
-	Run:      runCtxPropagation,
+	Name: "ctx-propagation",
+	Doc:  "serving-path packages must thread ctx: no Background/TODO outside main, no ctx-less calls when a Context sibling exists",
+	Run:  runCtxPropagation,
 }
 
 // isContextType reports whether t is context.Context.

@@ -16,10 +16,9 @@ import (
 // //cosmo:lint-ignore directive saying why the error is unactionable,
 // or appear in Config.ErrorAllowlist.
 var droppedErrorCheck = Check{
-	Name:     "dropped-error",
-	Doc:      "forbid error returns dropped as bare statements or assigned to _",
-	Severity: SeverityError,
-	Run:      runDroppedError,
+	Name: "dropped-error",
+	Doc:  "forbid error returns dropped as bare statements or assigned to _",
+	Run:  runDroppedError,
 }
 
 var errorType = types.Universe.Lookup("error").Type()

@@ -18,10 +18,9 @@ import (
 //     leaks the lock and deadlocks the serving layer under load —
 //     exactly the failure mode heavy-traffic code cannot afford.
 var mutexHygieneCheck = Check{
-	Name:     "mutex-hygiene",
-	Doc:      "forbid by-value mutex params/receivers and non-deferred unlocks on multi-return functions",
-	Severity: SeverityError,
-	Run:      runMutexHygiene,
+	Name: "mutex-hygiene",
+	Doc:  "forbid by-value mutex params/receivers and non-deferred unlocks on multi-return functions",
+	Run:  runMutexHygiene,
 }
 
 func runMutexHygiene(p *Pass) {

@@ -29,10 +29,9 @@ import (
 // bug violated. Same-width signedness flips (uint32(int32) two's-
 // complement round trips, hash folding) are deliberately out of scope.
 var uncheckedNarrowingCheck = Check{
-	Name:     "unchecked-narrowing",
-	Doc:      "forbid lossy integer conversions (int32(x)-style) without range-guard evidence in the same function",
-	Severity: SeverityError,
-	Run:      runUncheckedNarrowing,
+	Name: "unchecked-narrowing",
+	Doc:  "forbid lossy integer conversions (int32(x)-style) without range-guard evidence in the same function",
+	Run:  runUncheckedNarrowing,
 }
 
 // intWidth returns the bit width of a basic integer kind on 64-bit

@@ -14,10 +14,9 @@ import (
 // run unreproducible. Referencing such a function as a value is just as
 // bad as calling it, so uses are flagged, not only calls.
 var seededRandCheck = Check{
-	Name:     "seeded-rand",
-	Doc:      "forbid global math/rand functions; randomness must flow from a seeded *rand.Rand",
-	Severity: SeverityError,
-	Run:      runSeededRand,
+	Name: "seeded-rand",
+	Doc:  "forbid global math/rand functions; randomness must flow from a seeded *rand.Rand",
+	Run:  runSeededRand,
 }
 
 // seededRandAllowed are the math/rand package functions that construct

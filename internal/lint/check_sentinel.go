@@ -16,10 +16,9 @@ import (
 // package-internal sentinels (which never cross a wrap boundary the
 // package doesn't control) stay legal.
 var sentinelCompareCheck = Check{
-	Name:     "sentinel-compare",
-	Doc:      "require errors.Is instead of ==/!= against exported sentinel error variables",
-	Severity: SeverityError,
-	Run:      runSentinelCompare,
+	Name: "sentinel-compare",
+	Doc:  "require errors.Is instead of ==/!= against exported sentinel error variables",
+	Run:  runSentinelCompare,
 }
 
 // errorInterface is the universe error interface, for Implements tests.

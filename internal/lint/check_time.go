@@ -13,10 +13,9 @@ import (
 // via Config.WallclockAllow — everything else must take timestamps as
 // inputs or go through an injected Clock (see serving.Clock).
 var wallclockCheck = Check{
-	Name:     "wallclock",
-	Doc:      "forbid time.Now/Since/Until outside allowlisted serving/measurement packages",
-	Severity: SeverityError,
-	Run:      runWallclock,
+	Name: "wallclock",
+	Doc:  "forbid time.Now/Since/Until outside allowlisted serving/measurement packages",
+	Run:  runWallclock,
 }
 
 // wallclockForbidden are the time package functions that read the

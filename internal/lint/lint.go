@@ -28,41 +28,13 @@ import (
 	"cosmo/internal/parallel"
 )
 
-// Severity ranks a check's findings for gating: "error" findings are
-// invariant violations that must block a merge; "warn" findings are
-// advisory (heuristic checks whose evidence is circumstantial). The
-// module itself is held to zero findings at either level; the split
-// exists so downstream consumers (CI gates, editors) can choose.
-type Severity string
-
-// The two severity levels, ordered warn < error.
-const (
-	SeverityWarn  Severity = "warn"
-	SeverityError Severity = "error"
-)
-
-// AtLeast reports whether s meets the gate (error ≥ warn ≥ warn).
-func (s Severity) AtLeast(gate Severity) bool {
-	return s == SeverityError || gate == SeverityWarn
-}
-
-// ParseSeverity validates a severity name from a flag.
-func ParseSeverity(s string) (Severity, error) {
-	switch Severity(s) {
-	case SeverityWarn, SeverityError:
-		return Severity(s), nil
-	}
-	return "", fmt.Errorf("unknown severity %q (want %q or %q)", s, SeverityWarn, SeverityError)
-}
-
 // Finding is one analyzer diagnostic.
 type Finding struct {
-	File     string   `json:"file"` // module-root-relative path
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Check    string   `json:"check"`
-	Severity Severity `json:"severity"`
-	Message  string   `json:"message"`
+	File    string `json:"file"` // module-root-relative path
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Check   string `json:"check"`
+	Message string `json:"message"`
 }
 
 // String renders the canonical "file:line: [check] message" form.
@@ -132,10 +104,9 @@ func DefaultConfig() Config {
 
 // Check is a named analysis run over one type-checked package.
 type Check struct {
-	Name     string
-	Doc      string
-	Severity Severity
-	Run      func(*Pass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // AllChecks returns the registry in deterministic order. Adding check
@@ -164,10 +135,9 @@ type Pass struct {
 	Info   *types.Info
 	Config Config
 
-	severity Severity // of the check currently running
-	ignores  ignoreIndex
-	relPath  func(string) string
-	out      *[]Finding
+	ignores ignoreIndex
+	relPath func(string) string
+	out     *[]Finding
 }
 
 // Reportf records a finding at pos unless a matching
@@ -178,12 +148,11 @@ func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 		return
 	}
 	*p.out = append(*p.out, Finding{
-		File:     p.relPath(position.Filename),
-		Line:     position.Line,
-		Col:      position.Column,
-		Check:    check,
-		Severity: p.severity,
-		Message:  fmt.Sprintf(format, args...),
+		File:    p.relPath(position.Filename),
+		Line:    position.Line,
+		Col:     position.Column,
+		Check:   check,
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 
@@ -208,14 +177,12 @@ func runPackage(pkg *Package, cfg Config, enabled map[string]bool) []Finding {
 	// without a reason defeats the self-documentation it exists for.
 	for _, f := range bad {
 		f.File = pkg.relPath(f.File)
-		f.Severity = SeverityError
 		out = append(out, f)
 	}
 	for _, c := range AllChecks() {
 		if len(enabled) > 0 && !enabled[c.Name] {
 			continue
 		}
-		pass.severity = c.Severity
 		c.Run(pass)
 	}
 	return out
@@ -261,15 +228,4 @@ func RunParallel(pkgs []*Package, cfg Config, workers int) []Finding {
 		return a.Message < b.Message
 	})
 	return out
-}
-
-// CountAtLeast reports how many findings meet the severity gate.
-func CountAtLeast(findings []Finding, gate Severity) int {
-	n := 0
-	for _, f := range findings {
-		if f.Severity.AtLeast(gate) {
-			n++
-		}
-	}
-	return n
 }

@@ -275,18 +275,18 @@ func TestFindingString(t *testing.T) {
 
 // TestFindingJSON pins the machine-readable shape behind -json.
 func TestFindingJSON(t *testing.T) {
-	data, err := json.Marshal(Finding{File: "a.go", Line: 1, Col: 2, Check: "wallclock", Severity: SeverityError, Message: "m"})
+	data, err := json.Marshal(Finding{File: "a.go", Line: 1, Col: 2, Check: "wallclock", Message: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"file":"a.go","line":1,"col":2,"check":"wallclock","severity":"error","message":"m"}`
+	want := `{"file":"a.go","line":1,"col":2,"check":"wallclock","message":"m"}`
 	if string(data) != want {
 		t.Errorf("JSON = %s, want %s", data, want)
 	}
 }
 
 // TestCheckRegistry guards the shipped check set: ten invariant
-// checks, deterministic order, non-empty docs, valid severities.
+// checks, deterministic order, non-empty docs.
 func TestCheckRegistry(t *testing.T) {
 	want := []string{
 		"seeded-rand", "wallclock", "mutex-hygiene", "unbounded-append",
@@ -304,40 +304,6 @@ func TestCheckRegistry(t *testing.T) {
 		if c.Doc == "" || c.Run == nil {
 			t.Errorf("check %q missing doc or run func", c.Name)
 		}
-		if c.Severity != SeverityWarn && c.Severity != SeverityError {
-			t.Errorf("check %q has invalid severity %q", c.Name, c.Severity)
-		}
-	}
-}
-
-// TestSeverity pins the gating algebra the CLI's -severity flag and
-// CountAtLeast rely on.
-func TestSeverity(t *testing.T) {
-	if !SeverityError.AtLeast(SeverityWarn) || !SeverityError.AtLeast(SeverityError) {
-		t.Error("error findings must pass both gates")
-	}
-	if !SeverityWarn.AtLeast(SeverityWarn) {
-		t.Error("warn findings must pass the warn gate")
-	}
-	if SeverityWarn.AtLeast(SeverityError) {
-		t.Error("warn findings must not pass the error gate")
-	}
-	if _, err := ParseSeverity("warn"); err != nil {
-		t.Error(err)
-	}
-	if _, err := ParseSeverity("fatal"); err == nil {
-		t.Error("ParseSeverity accepted an unknown level")
-	}
-	findings := []Finding{
-		{Severity: SeverityWarn},
-		{Severity: SeverityError},
-		{Severity: SeverityWarn},
-	}
-	if n := CountAtLeast(findings, SeverityWarn); n != 3 {
-		t.Errorf("CountAtLeast(warn) = %d, want 3", n)
-	}
-	if n := CountAtLeast(findings, SeverityError); n != 1 {
-		t.Errorf("CountAtLeast(error) = %d, want 1", n)
 	}
 }
 

@@ -78,7 +78,7 @@ func TestArtifactStampsBeforeLoading(t *testing.T) {
 // ANN rebuild — and only a changed file yields a new one.
 func TestTickKeepsServingSnapshot(t *testing.T) {
 	newDep := func() *Deployment {
-		return NewDeployment(DeployConfig{}, echoResponder("v1"))
+		return NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
 	}
 
 	dep := newDep()
@@ -130,7 +130,7 @@ func TestRefreshRetriesRevisionAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer first.Snap.Close()
-	dep := NewDeployment(DeployConfig{}, echoResponder("v1"))
+	dep := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
 	dep.Install(first)
 	dep.HandleQuery("tent") // one interaction, so the refresh rebuilds it through the responder
 	publish(t, path, "p:P1", "p:P2")

@@ -73,7 +73,7 @@ func FuzzBatch(f *testing.F) {
 // a cache miss and every failure replayable on its own.
 func checkBatch(t *testing.T, snap *kg.Snapshot, body []byte) {
 	t.Helper()
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8, MaxBatchItems: fuzzBatchLimit}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8, MaxBatchItems: fuzzBatchLimit}, echoResponder("v1"))
 	d.Install(&Generation{Snap: snap})
 	prefix := []byte("prefix")
 	out, status := d.AppendBatch(prefix, body)

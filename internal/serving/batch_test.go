@@ -2,6 +2,7 @@ package serving
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -30,7 +31,7 @@ func installTestSimilarity(t *testing.T, d *Deployment) {
 // /batch traffic.
 func batchDeployment(t *testing.T) *Deployment {
 	t.Helper()
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	d.Install(&Generation{Snap: testSnapshot(t)})
 	return d
 }
@@ -88,7 +89,7 @@ func TestBatchIntentOp(t *testing.T) {
 		t.Fatalf("cold intent = %s (%v)", items[0], err)
 	}
 
-	d.RunBatch(10) // process the queued miss
+	d.RunBatchContext(context.Background(), 10) // process the queued miss
 	_, items = runBatch(t, d, `[{"op":"intent","q":"camping"}]`)
 	var f Feature
 	if err := json.Unmarshal(items[0], &f); err != nil || f.Query != "camping" {
@@ -145,7 +146,7 @@ func TestBatchReadsOneGeneration(t *testing.T) {
 	if bytes.Equal(answers[0], answers[1]) {
 		t.Fatal("the two snapshots must answer p:P2 differently")
 	}
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	d.Install(&Generation{Snap: snaps[0]})
 	h := NewHTTPHandler(d)
 	const items = 16
@@ -193,7 +194,7 @@ func TestBatchReadsOneGeneration(t *testing.T) {
 // TestBatchNoKG answers per-item 503-equivalents rather than failing
 // the request when no snapshot is installed.
 func TestBatchNoKG(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	status, items := runBatch(t, d, `[{"op":"intentions","id":"q:tent"}]`)
 	if status != http.StatusOK || string(items[0]) != `{"error":"knowledge graph not loaded"}` {
 		t.Fatalf("status=%d item=%s", status, items[0])
@@ -224,7 +225,7 @@ func TestBatchStructuralErrors(t *testing.T) {
 		}
 	}
 
-	small := NewDeployment(DeployConfig{DailyCacheCap: 8, MaxBatchItems: 2}, echoResponder("v1"))
+	small := NewDeploymentContext(DeployConfig{DailyCacheCap: 8, MaxBatchItems: 2}, echoResponder("v1"))
 	small.Install(&Generation{Snap: testSnapshot(t)})
 	var sb strings.Builder
 	sb.WriteString(`[`)

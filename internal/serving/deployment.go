@@ -10,21 +10,6 @@ import (
 	"cosmo/internal/kg"
 )
 
-// Responder runs model inference for one query — the expensive path that
-// the cache architecture keeps off the request critical path. COSMO-LM
-// is adapted to this interface by the caller (see cmd/cosmo-serve).
-// Responder is the legacy infallible interface; new serving code targets
-// ContextResponder (responder.go), and AdaptResponder bridges the two.
-type Responder interface {
-	Respond(query string) Feature
-}
-
-// ResponderFunc adapts a function to the Responder interface.
-type ResponderFunc func(query string) Feature
-
-// Respond calls f.
-func (f ResponderFunc) Respond(query string) Feature { return f(query) }
-
 // Simulated serving latencies (ms); the cached path is the latency the
 // deployment must meet ("Amazon's restricted search latency
 // requirements"), the model path is why inline inference is infeasible.
@@ -64,8 +49,8 @@ type Deployment struct {
 	// commit stores a new one RCU-style and never blocks readers.
 	cur atomic.Pointer[served]
 
-	// ready flips once warmup completes (SetReady); /readyz reports 503
-	// until then and again whenever the breaker is open.
+	// ready flips once warmup completes (SetReady); NotReady reports
+	// "warming up" until then.
 	ready atomic.Bool
 
 	// draining marks a deliberate shutdown in progress (BeginDrain):
@@ -73,8 +58,7 @@ type Deployment struct {
 	// the query endpoints keep serving in-flight and router-retry
 	// traffic until the grace period lapses. Exported on /metrics as
 	// cosmo_draining so a router can distinguish drain from death.
-	draining     atomic.Bool
-	drainStartNs atomic.Int64
+	draining atomic.Bool
 
 	latency *Histogram
 	// interactions is the feedback loop: query -> interaction count,
@@ -113,14 +97,8 @@ type DeployConfig struct {
 	MaxBatchItems int
 }
 
-// NewDeployment builds a deployment around the initial model, adapting
-// the legacy infallible responder.
-func NewDeployment(cfg DeployConfig, responder Responder) *Deployment {
-	return NewDeploymentContext(cfg, AdaptResponder(responder))
-}
-
-// NewDeploymentContext builds a deployment around a fallible responder
-// (typically a *Resilient wrapping the model backend).
+// NewDeploymentContext builds a deployment around the initial model
+// (typically a *Resilient wrapping ModelResponder).
 func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deployment {
 	if cfg.DailyCacheCap <= 0 {
 		cfg.DailyCacheCap = 1024
@@ -220,28 +198,32 @@ func (d *Deployment) Ready() bool { return d.ready.Load() }
 // tells load balancers and routers to take this node out of rotation)
 // and the deployment is marked draining. The query endpoints keep
 // serving — in-flight requests and router retries still get answers —
-// until the caller decides the grace period is over (DrainElapsed) and
-// shuts the listener down. Idempotent; the first call stamps the drain
-// start time from the deployment's Clock.
+// until the caller's grace period is over and it shuts the listener
+// down. Idempotent.
 func (d *Deployment) BeginDrain() {
 	d.SetReady(false)
-	if d.draining.CompareAndSwap(false, true) {
-		d.drainStartNs.Store(d.Clock.Now().UnixNano())
-	}
+	d.draining.Store(true)
 }
 
 // Draining reports whether a graceful drain is in progress.
 func (d *Deployment) Draining() bool { return d.draining.Load() }
 
-// DrainElapsed reports whether the drain grace period has lapsed: true
-// once BeginDrain was called at least grace ago on the deployment's
-// Clock (so tests drive it with a FakeClock). False when not draining.
-func (d *Deployment) DrainElapsed(grace time.Duration) bool {
-	if !d.draining.Load() {
-		return false
+// NotReady is the readiness rule that /readyz and cluster.LocalBackend
+// both answer from: "" when the deployment takes new keys, otherwise
+// why not — "draining" beats everything (the node said so itself, and
+// a router must tell a deliberate drain from warmup or death), then
+// "warming up", then "circuit breaker open".
+func (d *Deployment) NotReady() string {
+	if d.Draining() {
+		return "draining"
 	}
-	start := time.Unix(0, d.drainStartNs.Load())
-	return d.Clock.Now().Sub(start) >= grace
+	if !d.Ready() {
+		return "warming up"
+	}
+	if rs, ok := d.ResilienceStats(); ok && rs.BreakerState == BreakerOpen {
+		return "circuit breaker open"
+	}
+	return ""
 }
 
 // Version returns the current model version.
@@ -283,7 +265,7 @@ func (d *Deployment) HandleQuery(query string) (Feature, bool) {
 	return f, ok
 }
 
-// BatchResult reports one RunBatch pass. Every drained query is
+// BatchResult reports one RunBatchContext pass. Every drained query is
 // accounted for: Drained == Succeeded + Failed, and each failure was
 // either re-queued for a later batch or dropped because its shard's
 // bounded queue was full.
@@ -320,15 +302,6 @@ func (d *Deployment) BatchTotals() BatchTotals {
 		StaleServed:    d.staleServed.Load(),
 		RefreshFails:   d.refreshFailures.Load(),
 	}
-}
-
-// RunBatch drains up to n queued queries through the responder with a
-// background context; see RunBatchContext. It returns the number
-// successfully processed (for infallible responders this equals the
-// number drained, preserving the legacy contract).
-func (d *Deployment) RunBatch(n int) int {
-	//cosmo:lint-ignore ctx-propagation legacy infallible bridge: callers predate the ctx API and have no deadline to thread
-	return d.RunBatchContext(context.Background(), n).Succeeded
 }
 
 // RunBatchContext drains up to n queued queries, runs model inference
@@ -382,13 +355,13 @@ func (d *Deployment) respondSafe(ctx context.Context, r ContextResponder, q stri
 }
 
 // StartWorker launches the background batch-processing loop: every
-// interval it drains up to batchSize queued misses through RunBatch.
-// When ctx is cancelled the worker drains the whole remaining queue in
-// batchSize passes — not just one batch — so every query accepted before
-// shutdown is processed; the drain stops early only when a pass makes no
-// successful progress (responder fully down), leaving the re-queued
-// remainder accounted for in BatchTotals. The returned channel is closed
-// once the worker has stopped.
+// interval it drains up to batchSize queued misses through
+// RunBatchContext. When ctx is cancelled the worker drains the whole
+// remaining queue in batchSize passes — not just one batch — so every
+// query accepted before shutdown is processed; the drain stops early
+// only when a pass makes no successful progress (responder fully down),
+// leaving the re-queued remainder accounted for in BatchTotals. The
+// returned channel is closed once the worker has stopped.
 func (d *Deployment) StartWorker(ctx context.Context, interval time.Duration, batchSize int) <-chan struct{} {
 	if interval <= 0 {
 		interval = time.Second

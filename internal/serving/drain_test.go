@@ -9,12 +9,8 @@ import (
 )
 
 func TestDeploymentDrainLifecycle(t *testing.T) {
-	clock := NewFakeClock(time.Unix(1_700_000_000, 0))
-	dep := NewDeployment(DeployConfig{DailyCacheCap: 16}, ResponderFunc(func(q string) Feature {
-		return Feature{Query: q, Intents: []string{"i"}}
-	}))
-	dep.Clock = clock
-	dep.Cache.ReplaceYearly([]Feature{{Query: "camping", Intents: []string{"i"}, Version: 1, CreatedAt: clock.Now()}})
+	dep := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
+	dep.Cache.ReplaceYearly([]Feature{{Query: "camping", Intents: []string{"i"}, Version: 1, CreatedAt: time.Unix(1_700_000_000, 0)}})
 	dep.SetReady(true)
 	h := NewHTTPHandler(dep)
 
@@ -26,9 +22,6 @@ func TestDeploymentDrainLifecycle(t *testing.T) {
 
 	if dep.Draining() {
 		t.Fatal("fresh deployment reports draining")
-	}
-	if dep.DrainElapsed(time.Second) {
-		t.Fatal("DrainElapsed true before BeginDrain")
 	}
 	if rec := get("/metrics"); !strings.Contains(rec.Body.String(), "cosmo_draining 0") {
 		t.Fatalf("/metrics before drain missing cosmo_draining 0:\n%s", rec.Body.String())
@@ -58,23 +51,9 @@ func TestDeploymentDrainLifecycle(t *testing.T) {
 		t.Fatalf("/intent while draining = %d, want 200 (in-flight traffic keeps serving)", rec.Code)
 	}
 
-	// Grace accounting runs on the injected clock.
-	if dep.DrainElapsed(5 * time.Second) {
-		t.Fatal("DrainElapsed true immediately after BeginDrain")
-	}
-	clock.Advance(4 * time.Second)
-	if dep.DrainElapsed(5 * time.Second) {
-		t.Fatal("DrainElapsed true at 4s of a 5s grace")
-	}
-	clock.Advance(time.Second)
-	if !dep.DrainElapsed(5 * time.Second) {
-		t.Fatal("DrainElapsed false at 5s of a 5s grace")
-	}
-
-	// BeginDrain is idempotent: a second call must not restart the
-	// grace window.
+	// BeginDrain is idempotent.
 	dep.BeginDrain()
-	if !dep.DrainElapsed(5 * time.Second) {
-		t.Fatal("second BeginDrain restarted the grace window")
+	if !dep.Draining() || dep.Ready() {
+		t.Fatal("second BeginDrain changed the drain state")
 	}
 }

@@ -63,7 +63,7 @@ func snapshotYearly(t *testing.T, d *Deployment) map[string]Feature {
 // the model version, installed responder, yearly layer, and KG snapshot
 // exactly as they were, and surface the failure as an error + metric.
 func TestDailyRefreshFailureAtomicity(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
 	world := kg.New()
 	world.AddNode(kg.Node{ID: "p1", Label: "tent", Type: kg.NodeProduct})
 	snap := world.Freeze()
@@ -125,7 +125,7 @@ func TestDailyRefreshFailureAtomicity(t *testing.T) {
 	}
 
 	// The deployment still serves and a later healthy refresh succeeds.
-	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v3")), nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), echoResponder("v3"), nil, 4); err != nil {
 		t.Fatalf("recovery refresh: %v", err)
 	}
 	if got := d.Version(); got != 3 {
@@ -150,7 +150,7 @@ func TestRunBatchRequeuesFailures(t *testing.T) {
 	if got := d.Cache.Stats().BatchQueued; got != 10 {
 		t.Fatalf("queue depth = %d, want 10 after requeue", got)
 	}
-	// Responder recovers: the requeued queries process on the next run.
+	// The responder recovers: the requeued queries process on the next run.
 	flaky.n = 1 << 30
 	res = d.RunBatchContext(context.Background(), 64)
 	if res.Drained != 10 || res.Succeeded != 10 {
@@ -267,7 +267,7 @@ func TestDrainQueueRotatesShards(t *testing.T) {
 // test for shutdown: a backlog far larger than one batch, queued before
 // cancellation, must be fully processed by the final drain.
 func TestStartWorkerFinalDrainEmptiesBacklog(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 512, QueueCap: 1024}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 512, QueueCap: 1024}, echoResponder("v1"))
 	ctx, cancel := context.WithCancel(context.Background())
 	// Long interval: the ticker will not fire before cancellation, so
 	// everything rides on the final drain.
@@ -321,13 +321,10 @@ func TestReadyzLifecycle(t *testing.T) {
 	clock := NewFakeClock(time.Date(2026, 8, 6, 9, 0, 0, 0, time.UTC))
 	inner := &flakyResponder{failures: -1}
 	r := NewResilient(inner, ResilienceConfig{
-		CallTimeout:      100 * time.Millisecond,
-		MaxRetries:       -1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Second,
-		BreakerProbes:    1,
-		Clock:            clock,
-		Seed:             1,
+		CallTimeout: 100 * time.Millisecond,
+		MaxRetries:  -1,
+		Breaker:     BreakerConfig{Threshold: 2, Cooldown: time.Second, Probes: 1, Clock: clock},
+		Seed:        1,
 	})
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, r)
 	srv := httptest.NewServer(NewHTTPHandler(d))
@@ -365,8 +362,8 @@ func TestReadyzLifecycle(t *testing.T) {
 	// Trip the breaker: two failed calls through the batch path.
 	d.HandleQuery("a")
 	d.HandleQuery("b")
-	d.RunBatch(10)
-	if got := r.BreakerState(); got != BreakerOpen {
+	d.RunBatchContext(context.Background(), 10)
+	if got := r.ResilienceStats().BreakerState; got != BreakerOpen {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	if got := status(); got != http.StatusServiceUnavailable {
@@ -378,8 +375,8 @@ func TestReadyzLifecycle(t *testing.T) {
 	inner.failures = 0
 	inner.mu.Unlock()
 	clock.Advance(2 * time.Second)
-	d.RunBatch(10) // drains requeued queries; probe closes the breaker
-	if got := r.BreakerState(); got != BreakerClosed {
+	d.RunBatchContext(context.Background(), 10) // drains requeued queries; probe closes the breaker
+	if got := r.ResilienceStats().BreakerState; got != BreakerClosed {
 		t.Fatalf("breaker = %v after heal, want closed", got)
 	}
 	if got := status(); got != http.StatusOK {
@@ -395,7 +392,7 @@ func TestMetricsResilienceExport(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, r)
 	d.SetReady(true)
 	d.HandleQuery("camping")
-	d.RunBatch(10)
+	d.RunBatchContext(context.Background(), 10)
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")

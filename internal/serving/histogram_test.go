@@ -127,7 +127,7 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 // fixed histogram, so the latency structure must not grow with request
 // count (regression for the old unbounded latencies slice).
 func TestDeploymentMemoryBounded(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
 	for i := 0; i < 5000; i++ {
 		d.HandleQuery("same-query")
 	}

@@ -159,19 +159,8 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		_, _ = w.Write([]byte("ok")) //cosmo:lint-ignore dropped-error best-effort liveness response; a write failure means the client is gone
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if d.Draining() {
-			// Distinct body so a router's health probe can tell a
-			// deliberate drain (node still answers queries during the
-			// grace period) from warmup or death.
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		if !d.Ready() {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
-		}
-		if rs, ok := d.ResilienceStats(); ok && rs.BreakerState == BreakerOpen {
-			http.Error(w, "circuit breaker open", http.StatusServiceUnavailable)
+		if why := d.NotReady(); why != "" {
+			http.Error(w, why, http.StatusServiceUnavailable)
 			return
 		}
 		w.WriteHeader(http.StatusOK)

@@ -53,7 +53,7 @@ func testSnapshot(t testing.TB, extra ...string) *kg.Snapshot {
 
 // TestKGEndpointsUnavailable pins the 503 contract before Install.
 func TestKGEndpointsUnavailable(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
@@ -71,7 +71,7 @@ func TestKGEndpointsUnavailable(t *testing.T) {
 
 // TestKGEndpoints exercises the snapshot-backed read path end to end.
 func TestKGEndpoints(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	d.Install(&Generation{Snap: testSnapshot(t)})
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
@@ -171,18 +171,18 @@ func TestKGEndpoints(t *testing.T) {
 func TestDailyRefreshSwapsSnapshot(t *testing.T) {
 	ctx := context.Background()
 	simCfg := kg.SimilarityConfig{Seed: 1}
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	first := NewGeneration(testSnapshot(t), simCfg, kg.SnapshotStamp{})
 	d.Install(first)
 
-	if err := d.Refresh(ctx, AdaptResponder(echoResponder("v2")), nil, 4); err != nil {
+	if err := d.Refresh(ctx, echoResponder("v2"), nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if g := d.Generation(); g.Snap != first.Snap || g.Sim != first.Sim {
 		t.Fatal("a nil generation in Refresh must keep the current one")
 	}
 	second := NewGeneration(testSnapshot(t, "hiking"), simCfg, kg.SnapshotStamp{})
-	if err := d.Refresh(ctx, AdaptResponder(echoResponder("v3")), second, 4); err != nil {
+	if err := d.Refresh(ctx, echoResponder("v3"), second, 4); err != nil {
 		t.Fatal(err)
 	}
 	if g := d.Generation(); g.Snap != second.Snap || g.Sim != second.Sim || d.Version() != 3 {
@@ -201,13 +201,13 @@ func TestDailyRefreshSwapsSnapshot(t *testing.T) {
 		t.Fatal("SetSimilarity must install the index and keep the serving snapshot")
 	}
 	fourth := testSnapshot(t)
-	if err := d.DailyRefreshContext(ctx, AdaptResponder(echoResponder("v4")), fourth, 4); err != nil {
+	if err := d.DailyRefreshContext(ctx, echoResponder("v4"), fourth, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d.KG() != fourth || d.Similarity() != first.Sim || d.Version() != 4 {
 		t.Fatal("DailyRefreshContext must install the snapshot and keep the serving index")
 	}
-	if err := d.DailyRefreshContext(ctx, AdaptResponder(echoResponder("v5")), nil, 4); err != nil {
+	if err := d.DailyRefreshContext(ctx, echoResponder("v5"), nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d.KG() != fourth || d.Version() != 5 {
@@ -238,7 +238,7 @@ func TestKGSwapUnderLoad(t *testing.T) {
 	if intentions[gens[0].Snap] == intentions[gens[1].Snap] {
 		t.Fatal("the two snapshots must hold different intention sets")
 	}
-	d := NewDeployment(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
 	d.Install(gens[0])
 
 	const readers = 8
@@ -276,7 +276,7 @@ func TestKGSwapUnderLoad(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		responder := AdaptResponder(echoResponder(fmt.Sprintf("v%d", i+2)))
+		responder := echoResponder(fmt.Sprintf("v%d", i+2))
 		if err := d.Refresh(context.Background(), responder, gens[(i+1)%2], 4); err != nil {
 			t.Error(err)
 			break

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -61,13 +62,13 @@ func TestCacheHitAfterInstallProperty(t *testing.T) {
 // TestDeploymentBatchDrainsEverything: repeated RunBatch eventually
 // clears any backlog.
 func TestDeploymentBatchDrainsEverything(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 512}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 512}, echoResponder("v1"))
 	for i := 0; i < 300; i++ {
 		d.HandleQuery(fmt.Sprintf("cold-%d", i))
 	}
 	total := 0
 	for i := 0; i < 100; i++ {
-		n := d.RunBatch(16)
+		n := d.RunBatchContext(context.Background(), 16).Succeeded
 		total += n
 		if n == 0 {
 			break

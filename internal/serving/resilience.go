@@ -53,18 +53,9 @@ type ResilienceConfig struct {
 	// (Seed, call index, attempt) — see jitterFor — so a run is exactly
 	// reproducible per the seeded-rand contract.
 	Seed int64
-	// BreakerThreshold is how many consecutive failed calls trip the
-	// breaker open (default 5; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before
-	// admitting a half-open probe (default 5s).
-	BreakerCooldown time.Duration
-	// BreakerProbes is how many consecutive probe successes close a
-	// half-open breaker (default 2).
-	BreakerProbes int
-	// Clock times the breaker's open period; swap in a FakeClock for
-	// deterministic tests (default RealClock).
-	Clock Clock
+	// Breaker configures the circuit breaker in front of the responder
+	// (NewBreaker's defaults).
+	Breaker BreakerConfig
 }
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
@@ -81,18 +72,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = time.Second
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.BreakerProbes <= 0 {
-		c.BreakerProbes = 2
-	}
-	if c.Clock == nil {
-		c.Clock = RealClock{}
 	}
 	return c
 }
@@ -127,12 +106,32 @@ type resilienceReporter interface {
 	ResilienceStats() ResilienceStats
 }
 
-// breaker is a closed/open/half-open circuit breaker. Closed it counts
+// BreakerConfig configures a Breaker. Zero values select NewBreaker's
+// defaults.
+type BreakerConfig struct {
+	// Threshold is how many consecutive failures trip the breaker open
+	// (default 5; negative disables the breaker — it never opens).
+	Threshold int
+	// Cooldown is how long the breaker stays open before admitting a
+	// half-open probe (default 5s).
+	Cooldown time.Duration
+	// Probes is how many consecutive probe successes close a half-open
+	// breaker (default 2).
+	Probes int
+	// Clock times the open period; swap in a FakeClock for tests
+	// (default RealClock).
+	Clock Clock
+}
+
+// Breaker is a closed/open/half-open circuit breaker. Closed it counts
 // consecutive failures; at threshold it opens and fails calls fast for
 // the cooldown; then it admits one probe at a time (half-open), closing
 // after enough consecutive probe successes and re-opening on any probe
-// failure.
-type breaker struct {
+// failure. Resilient keeps one in front of its responder and the
+// cluster router keeps one per node, so breaker-open nodes drop out of
+// replica sets. Every call admitted by Allow must be concluded by
+// exactly one of Success, Failure or Abandon.
+type Breaker struct {
 	mu        sync.Mutex
 	clock     Clock
 	threshold int // <0: breaker disabled, never opens
@@ -147,10 +146,29 @@ type breaker struct {
 	opens          uint64
 }
 
-// allow reports whether a call may proceed. In the open state it flips
+// NewBreaker builds a closed breaker; it is the one place breaker
+// defaults are set.
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	if cfg.Threshold == 0 {
+		cfg.Threshold = 5
+	}
+	if cfg.Cooldown <= 0 {
+		cfg.Cooldown = 5 * time.Second
+	}
+	if cfg.Probes <= 0 {
+		cfg.Probes = 2
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = RealClock{}
+	}
+	return &Breaker{clock: cfg.Clock, threshold: cfg.Threshold, cooldown: cfg.Cooldown, probes: cfg.Probes}
+}
+
+// Allow reports whether a call may proceed. In the open state it flips
 // to half-open once the cooldown has elapsed, admitting the caller as
-// the probe; in half-open it admits one probe at a time.
-func (b *breaker) allow() bool {
+// the probe; in half-open it admits one probe at a time. A caller that
+// got true must later call Success, Failure or Abandon.
+func (b *Breaker) Allow() bool {
 	if b.threshold < 0 {
 		return true
 	}
@@ -175,8 +193,8 @@ func (b *breaker) allow() bool {
 	return true
 }
 
-// success records a successful call.
-func (b *breaker) success() {
+// Success concludes an admitted call that succeeded.
+func (b *Breaker) Success() {
 	if b.threshold < 0 {
 		return
 	}
@@ -195,9 +213,9 @@ func (b *breaker) success() {
 	}
 }
 
-// failure records a failed call (after the wrapper's retries were
-// exhausted).
-func (b *breaker) failure() {
+// Failure concludes an admitted call that failed (for Resilient, after
+// its retries were exhausted).
+func (b *Breaker) Failure() {
 	if b.threshold < 0 {
 		return
 	}
@@ -215,18 +233,18 @@ func (b *breaker) failure() {
 	}
 }
 
-func (b *breaker) openLocked() {
+func (b *Breaker) openLocked() {
 	b.state = BreakerOpen
 	b.openedAt = b.clock.Now()
 	b.opens++
 	b.consecFails = 0
 }
 
-// abandon releases an admitted call without counting it as success or
+// Abandon concludes an admitted call without counting it as success or
 // failure — the caller was cancelled (e.g. it lost a hedged race) so
 // its outcome says nothing about the backend's health. In half-open it
 // frees the probe slot for the next caller.
-func (b *breaker) abandon() {
+func (b *Breaker) Abandon() {
 	if b.threshold < 0 {
 		return
 	}
@@ -237,11 +255,11 @@ func (b *breaker) abandon() {
 	}
 }
 
-// canServe is the non-mutating view of allow: would a call be admitted
-// right now? Unlike allow it neither flips open->half-open nor claims
+// CanServe is the non-mutating view of Allow: would a call be admitted
+// right now? Unlike Allow it neither flips open->half-open nor claims
 // the probe slot, so eligibility scans (the cluster router's replica-set
 // derivation) can consult it without perturbing breaker state.
-func (b *breaker) canServe() bool {
+func (b *Breaker) CanServe() bool {
 	if b.threshold < 0 {
 		return true
 	}
@@ -256,7 +274,9 @@ func (b *breaker) canServe() bool {
 	return true
 }
 
-func (b *breaker) snapshot() (BreakerState, uint64) {
+// State returns the breaker's current position and how many times it
+// has opened.
+func (b *Breaker) State() (BreakerState, uint64) {
 	if b.threshold < 0 {
 		return BreakerClosed, 0
 	}
@@ -272,7 +292,7 @@ func (b *breaker) snapshot() (BreakerState, uint64) {
 type Resilient struct {
 	inner ContextResponder
 	cfg   ResilienceConfig
-	brk   breaker
+	brk   *Breaker
 
 	calls          atomic.Uint64
 	failures       atomic.Uint64
@@ -290,25 +310,12 @@ type Resilient struct {
 // NewResilient wraps inner with the resilience layer.
 func NewResilient(inner ContextResponder, cfg ResilienceConfig) *Resilient {
 	cfg = cfg.withDefaults()
-	r := &Resilient{inner: inner, cfg: cfg, sleep: sleepCtx}
-	r.brk = breaker{
-		clock:     cfg.Clock,
-		threshold: cfg.BreakerThreshold,
-		cooldown:  cfg.BreakerCooldown,
-		probes:    cfg.BreakerProbes,
-	}
-	return r
-}
-
-// BreakerState returns the circuit breaker's current position.
-func (r *Resilient) BreakerState() BreakerState {
-	s, _ := r.brk.snapshot()
-	return s
+	return &Resilient{inner: inner, cfg: cfg, brk: NewBreaker(cfg.Breaker), sleep: sleepCtx}
 }
 
 // ResilienceStats snapshots the wrapper's counters.
 func (r *Resilient) ResilienceStats() ResilienceStats {
-	state, opens := r.brk.snapshot()
+	state, opens := r.brk.State()
 	return ResilienceStats{
 		Calls:          r.calls.Load(),
 		Failures:       r.failures.Load(),
@@ -326,7 +333,7 @@ func (r *Resilient) ResilienceStats() ResilienceStats {
 // with exponential backoff and deterministic jitter between attempts.
 // The final outcome (not each attempt) feeds the breaker.
 func (r *Resilient) RespondContext(ctx context.Context, query string) (Feature, error) {
-	if !r.brk.allow() {
+	if !r.brk.Allow() {
 		r.breakerRejects.Add(1)
 		return Feature{}, ErrBreakerOpen
 	}
@@ -341,7 +348,7 @@ func (r *Resilient) RespondContext(ctx context.Context, query string) (Feature, 
 		}
 		f, err := r.attempt(ctx, query)
 		if err == nil {
-			r.brk.success()
+			r.brk.Success()
 			return f, nil
 		}
 		lastErr = err
@@ -350,7 +357,7 @@ func (r *Resilient) RespondContext(ctx context.Context, query string) (Feature, 
 			break // the caller's context is gone; retrying cannot help
 		}
 	}
-	r.brk.failure()
+	r.brk.Failure()
 	return Feature{}, lastErr
 }
 
@@ -412,87 +419,6 @@ func jitterFor(seed int64, call uint64, attempt int) float64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return 0.5 + float64(z>>11)/float64(1<<53)
-}
-
-// BreakerConfig configures a standalone Breaker. Zero values select the
-// same defaults as ResilienceConfig's breaker fields.
-type BreakerConfig struct {
-	// Threshold is how many consecutive failures trip the breaker open
-	// (default 5; negative disables the breaker — it never opens).
-	Threshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// half-open probe (default 5s).
-	Cooldown time.Duration
-	// Probes is how many consecutive probe successes close a half-open
-	// breaker (default 2).
-	Probes int
-	// Clock times the open period; swap in a FakeClock for tests
-	// (default RealClock).
-	Clock Clock
-}
-
-// Breaker is the resilience layer's circuit breaker as a standalone,
-// reusable component: the cluster router keeps one per node so
-// breaker-open nodes drop out of replica sets, exactly as Resilient
-// drops calls to a breaker-open responder. Every call admitted by Allow
-// must be concluded by exactly one of Success, Failure or Abandon.
-type Breaker struct {
-	b breaker
-}
-
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = 5
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 5 * time.Second
-	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 2
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock{}
-	}
-	return &Breaker{b: breaker{
-		clock:     cfg.Clock,
-		threshold: cfg.Threshold,
-		cooldown:  cfg.Cooldown,
-		probes:    cfg.Probes,
-	}}
-}
-
-// Allow reports whether a call may proceed, claiming the half-open
-// probe slot when it does. A caller that got true must later call
-// Success, Failure or Abandon.
-func (b *Breaker) Allow() bool { return b.b.allow() }
-
-// CanServe is the non-mutating form of Allow: would a call be admitted
-// right now? It neither transitions the breaker nor claims the probe
-// slot, so it is safe to call from eligibility scans.
-func (b *Breaker) CanServe() bool { return b.b.canServe() }
-
-// Success concludes an admitted call that succeeded.
-func (b *Breaker) Success() { b.b.success() }
-
-// Failure concludes an admitted call that failed.
-func (b *Breaker) Failure() { b.b.failure() }
-
-// Abandon concludes an admitted call whose outcome is unknown (the
-// caller was cancelled mid-flight); it frees the probe slot without
-// counting toward either quorum.
-func (b *Breaker) Abandon() { b.b.abandon() }
-
-// State returns the breaker's current position.
-func (b *Breaker) State() BreakerState {
-	s, _ := b.b.snapshot()
-	return s
-}
-
-// Opens returns how many times the breaker has opened.
-func (b *Breaker) Opens() uint64 {
-	_, n := b.b.snapshot()
-	return n
 }
 
 // sleepCtx blocks for d or until ctx is done, reporting whether the full

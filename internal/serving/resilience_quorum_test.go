@@ -28,12 +28,9 @@ func TestResilientHalfOpenProbeQuorumConcurrent(t *testing.T) {
 		<-release
 		return Feature{Query: q}, nil
 	}), ResilienceConfig{
-		CallTimeout:      -1, // probes block until released; no attempt timeout
-		MaxRetries:       -1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Second,
-		BreakerProbes:    2,
-		Clock:            clock,
+		CallTimeout: -1, // probes block until released; no attempt timeout
+		MaxRetries:  -1,
+		Breaker:     BreakerConfig{Threshold: 1, Cooldown: time.Second, Probes: 2, Clock: clock},
 	})
 
 	// Trip the breaker open with one failure.
@@ -41,7 +38,7 @@ func TestResilientHalfOpenProbeQuorumConcurrent(t *testing.T) {
 	if _, err := r.RespondContext(context.Background(), "q"); err == nil {
 		t.Fatal("tripping call succeeded")
 	}
-	if got := r.BreakerState(); got != BreakerOpen {
+	if got := r.ResilienceStats().BreakerState; got != BreakerOpen {
 		t.Fatalf("state after trip = %v, want open", got)
 	}
 	failMode.Store(false)
@@ -91,11 +88,11 @@ func TestResilientHalfOpenProbeQuorumConcurrent(t *testing.T) {
 	}
 
 	wave(1)
-	if got := r.BreakerState(); got != BreakerHalfOpen {
+	if got := r.ResilienceStats().BreakerState; got != BreakerHalfOpen {
 		t.Fatalf("state after probe 1/2 = %v, want still half-open", got)
 	}
 	wave(2)
-	if got := r.BreakerState(); got != BreakerClosed {
+	if got := r.ResilienceStats().BreakerState; got != BreakerClosed {
 		t.Fatalf("state after probe 2/2 = %v, want closed", got)
 	}
 

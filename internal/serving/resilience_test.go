@@ -198,13 +198,10 @@ func TestBreakerLifecycle(t *testing.T) {
 	clock := NewFakeClock(time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC))
 	inner := &flakyResponder{failures: -1}
 	cfg := ResilienceConfig{
-		CallTimeout:      100 * time.Millisecond,
-		MaxRetries:       -1, // isolate the breaker from retry effects
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Second,
-		BreakerProbes:    2,
-		Clock:            clock,
-		Seed:             1,
+		CallTimeout: 100 * time.Millisecond,
+		MaxRetries:  -1, // isolate the breaker from retry effects
+		Breaker:     BreakerConfig{Threshold: 3, Cooldown: time.Second, Probes: 2, Clock: clock},
+		Seed:        1,
 	}
 	r := NewResilient(inner, cfg)
 	ctx := context.Background()
@@ -215,7 +212,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatal("expected failure")
 		}
 	}
-	if got := r.BreakerState(); got != BreakerOpen {
+	if got := r.ResilienceStats().BreakerState; got != BreakerOpen {
 		t.Fatalf("state after threshold failures = %v, want open", got)
 	}
 
@@ -237,7 +234,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := r.RespondContext(ctx, "q"); err == nil || errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("probe should reach the responder and fail; err = %v", err)
 	}
-	if got := r.BreakerState(); got != BreakerOpen {
+	if got := r.ResilienceStats().BreakerState; got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 
@@ -249,13 +246,13 @@ func TestBreakerLifecycle(t *testing.T) {
 	if _, err := r.RespondContext(ctx, "q"); err != nil {
 		t.Fatalf("first probe: %v", err)
 	}
-	if got := r.BreakerState(); got != BreakerHalfOpen {
+	if got := r.ResilienceStats().BreakerState; got != BreakerHalfOpen {
 		t.Fatalf("state after first probe success = %v, want half-open", got)
 	}
 	if _, err := r.RespondContext(ctx, "q"); err != nil {
 		t.Fatalf("second probe: %v", err)
 	}
-	if got := r.BreakerState(); got != BreakerClosed {
+	if got := r.ResilienceStats().BreakerState; got != BreakerClosed {
 		t.Fatalf("state after probe quorum = %v, want closed", got)
 	}
 	if got := r.ResilienceStats().BreakerOpens; got != 2 {
@@ -286,13 +283,10 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		return Feature{}, nil
 	})
 	cfg := ResilienceConfig{
-		CallTimeout:      time.Minute,
-		MaxRetries:       -1,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Second,
-		BreakerProbes:    1,
-		Clock:            clock,
-		Seed:             1,
+		CallTimeout: time.Minute,
+		MaxRetries:  -1,
+		Breaker:     BreakerConfig{Threshold: 1, Cooldown: time.Second, Probes: 1, Clock: clock},
+		Seed:        1,
 	}
 	r := NewResilient(inner, cfg)
 	ctx := context.Background()
@@ -319,22 +313,8 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if err := <-probeDone; err != nil {
 		t.Fatalf("probe failed: %v", err)
 	}
-	if got := r.BreakerState(); got != BreakerClosed {
+	if got := r.ResilienceStats().BreakerState; got != BreakerClosed {
 		t.Errorf("state = %v, want closed after successful probe", got)
-	}
-}
-
-func TestAdaptResponder(t *testing.T) {
-	cr := AdaptResponder(echoResponder("v1"))
-	f, err := cr.RespondContext(context.Background(), "camping")
-	if err != nil || f.Query != "camping" {
-		t.Fatalf("adapted call = %+v, %v", f, err)
-	}
-	// A cancelled context short-circuits before the legacy responder.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := cr.RespondContext(ctx, "q"); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled adapter err = %v", err)
 	}
 }
 
@@ -349,7 +329,7 @@ func TestResilientConcurrent(t *testing.T) {
 		return Feature{Query: q}, nil
 	})
 	cfg := fastCfg()
-	cfg.BreakerThreshold = -1 // keep traffic flowing for the count check
+	cfg.Breaker.Threshold = -1 // keep traffic flowing for the count check
 	r := NewResilient(inner, cfg)
 	var wg sync.WaitGroup
 	var okCount, errCount struct {

@@ -3,14 +3,14 @@ package serving
 import (
 	"context"
 	"errors"
+
+	"cosmo/internal/cosmolm"
 )
 
-// ContextResponder is the fallible form of model inference: it honors
-// cancellation, may time out, and reports failure instead of fabricating
-// a feature. All new serving code targets this interface; the legacy
-// Responder is adapted through AdaptResponder and kept for callers whose
-// responders structurally cannot fail (echo fixtures, offline
-// experiments over an in-process COSMO-LM).
+// ContextResponder runs model inference for one query — the expensive
+// path the cache architecture keeps off the request critical path. It
+// honors cancellation, may time out, and reports failure instead of
+// fabricating a feature.
 type ContextResponder interface {
 	RespondContext(ctx context.Context, query string) (Feature, error)
 }
@@ -24,16 +24,27 @@ func (f ContextResponderFunc) RespondContext(ctx context.Context, query string) 
 	return f(ctx, query)
 }
 
-// AdaptResponder lifts a legacy infallible Responder into a
-// ContextResponder. The adapter checks for cancellation before invoking
-// the responder but cannot interrupt it mid-call: legacy responders are
-// synchronous by contract.
-func AdaptResponder(r Responder) ContextResponder {
-	return ContextResponderFunc(func(ctx context.Context, query string) (Feature, error) {
+// ModelResponder adapts COSMO-LM to serving: the top three generations
+// for "search query: <q>" become the feature's intents and relations,
+// and the best one names its sub-category and, scored above 1, marks a
+// strong intent. A call checks ctx before inference but cannot
+// interrupt it mid-call.
+func ModelResponder(lm *cosmolm.Model) ContextResponder {
+	return ContextResponderFunc(func(ctx context.Context, q string) (Feature, error) {
 		if err := ctx.Err(); err != nil {
 			return Feature{}, err
 		}
-		return r.Respond(query), nil
+		gens := lm.Generate("search query: "+q, "", "", 3)
+		f := Feature{Query: q}
+		for _, g := range gens {
+			f.Intents = append(f.Intents, g.Text)
+			f.Relations = append(f.Relations, string(g.Relation))
+		}
+		if len(gens) > 0 {
+			f.SubCategory = gens[0].Tail
+			f.StrongIntent = gens[0].Score > 1.0
+		}
+		return f, nil
 	})
 }
 

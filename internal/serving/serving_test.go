@@ -15,15 +15,18 @@ import (
 )
 
 // echoResponder fabricates a deterministic feature for any query.
-func echoResponder(version string) Responder {
-	return ResponderFunc(func(q string) Feature {
+func echoResponder(version string) ContextResponder {
+	return ContextResponderFunc(func(ctx context.Context, q string) (Feature, error) {
+		if err := ctx.Err(); err != nil {
+			return Feature{}, err
+		}
 		return Feature{
 			Query:        q,
 			Intents:      []string{"used for " + q, version},
 			Relations:    []string{"USED_FOR_FUNC"},
 			SubCategory:  q,
 			StrongIntent: true,
-		}
+		}, nil
 	})
 }
 
@@ -153,13 +156,13 @@ func TestAsyncCacheMissQueuesOnce(t *testing.T) {
 }
 
 func TestDeploymentRequestFlow(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
 	// Cold query: miss, queued.
 	if _, ok := d.HandleQuery("camping"); ok {
 		t.Fatal("cold query should miss")
 	}
 	// Batch processing installs the feature.
-	if n := d.RunBatch(10); n != 1 {
+	if n := d.RunBatchContext(context.Background(), 10).Succeeded; n != 1 {
 		t.Fatalf("batch processed %d", n)
 	}
 	f, ok := d.HandleQuery("camping")
@@ -175,14 +178,14 @@ func TestDeploymentRequestFlow(t *testing.T) {
 }
 
 func TestDailyRefreshRotatesModelAndCaches(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
 	// Generate traffic so the feedback loop knows what is frequent.
 	for i := 0; i < 10; i++ {
 		d.HandleQuery("hot")
 	}
 	d.HandleQuery("cold")
-	d.RunBatch(10)
-	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, 1); err != nil {
+	d.RunBatchContext(context.Background(), 10)
+	if err := d.Refresh(context.Background(), echoResponder("v2"), nil, 1); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	if d.Version() != 2 {
@@ -222,10 +225,10 @@ func TestDailyRefreshRotatesModelAndCaches(t *testing.T) {
 // TestDailyRefreshNegativeYearlyTop is a regression test: a negative
 // yearlyTop used to slice counts[:yearlyTop] and panic.
 func TestDailyRefreshNegativeYearlyTop(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
 	d.HandleQuery("camping")
-	d.RunBatch(10)
-	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, -5); err != nil { // must not panic
+	d.RunBatchContext(context.Background(), 10)
+	if err := d.Refresh(context.Background(), echoResponder("v2"), nil, -5); err != nil { // must not panic
 		t.Fatalf("refresh: %v", err)
 	}
 	if d.Version() != 2 {
@@ -332,12 +335,12 @@ func TestShardRouting(t *testing.T) {
 }
 
 func TestLatencyPercentiles(t *testing.T) {
-	d := NewDeployment(DeployConfig{}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
 	if p50, p99 := d.LatencyPercentiles(); p50 != 0 || p99 != 0 {
 		t.Error("empty latency should be 0")
 	}
 	d.HandleQuery("a")
-	d.RunBatch(10)
+	d.RunBatchContext(context.Background(), 10)
 	for i := 0; i < 99; i++ {
 		d.HandleQuery("a")
 	}
@@ -351,7 +354,7 @@ func TestLatencyPercentiles(t *testing.T) {
 }
 
 func TestTopInteractions(t *testing.T) {
-	d := NewDeployment(DeployConfig{}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
 	for i := 0; i < 3; i++ {
 		d.HandleQuery("x")
 	}
@@ -363,7 +366,7 @@ func TestTopInteractions(t *testing.T) {
 }
 
 func TestDeploymentConcurrent(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -374,7 +377,7 @@ func TestDeploymentConcurrent(t *testing.T) {
 				q := fmt.Sprintf("q%d", rng.Intn(50))
 				d.HandleQuery(q)
 				if i%20 == 0 {
-					d.RunBatch(8)
+					d.RunBatchContext(context.Background(), 8)
 				}
 			}
 		}(int64(w))
@@ -391,7 +394,7 @@ func TestDeploymentConcurrent(t *testing.T) {
 
 func TestHTTPHandler(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64},
-		NewResilient(AdaptResponder(echoResponder("v1")), ResilienceConfig{}))
+		NewResilient(echoResponder("v1"), ResilienceConfig{}))
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
 
@@ -415,7 +418,7 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("cold status = %d", resp.StatusCode)
 	}
 
-	d.RunBatch(10)
+	d.RunBatchContext(context.Background(), 10)
 
 	// Warm query: 200 with feature JSON.
 	resp, err = http.Get(srv.URL + "/intent?q=camping")
@@ -478,9 +481,9 @@ func TestFakeClock(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 64}, echoResponder("v1"))
 	d.HandleQuery("camping")
-	d.RunBatch(10)
+	d.RunBatchContext(context.Background(), 10)
 	d.HandleQuery("camping")
 	srv := httptest.NewServer(NewHTTPHandler(d))
 	defer srv.Close()
@@ -505,11 +508,11 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestFeatureTimestamps(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
 	clock := NewFakeClock(time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC))
 	d.Clock = clock
 	d.HandleQuery("camping")
-	d.RunBatch(10)
+	d.RunBatchContext(context.Background(), 10)
 	f, ok := d.Store.Get("camping")
 	if !ok {
 		t.Fatal("feature missing")
@@ -518,7 +521,7 @@ func TestFeatureTimestamps(t *testing.T) {
 		t.Errorf("CreatedAt = %v, want %v", f.CreatedAt, clock.Now())
 	}
 	clock.Advance(24 * time.Hour)
-	if err := d.Refresh(context.Background(), AdaptResponder(echoResponder("v2")), nil, 4); err != nil {
+	if err := d.Refresh(context.Background(), echoResponder("v2"), nil, 4); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
 	f2, _ := d.Store.Get("camping")

@@ -64,7 +64,7 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 // loop — HandleQuery traffic, the background batch worker, and daily
 // refreshes — concurrently, as cosmo-serve does in production.
 func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 256, QueueCap: 512}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 256, QueueCap: 512}, echoResponder("v1"))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := d.StartWorker(ctx, time.Millisecond, 64)
 
@@ -83,7 +83,7 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := d.Refresh(context.Background(), AdaptResponder(echoResponder(fmt.Sprintf("v%d", i+2))), nil, 16); err != nil {
+			if err := d.Refresh(context.Background(), echoResponder(fmt.Sprintf("v%d", i+2)), nil, 16); err != nil {
 				t.Errorf("refresh %d: %v", i, err)
 			}
 			d.LatencyPercentiles()
@@ -102,7 +102,7 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	}
 	// Drain any stragglers queued after the worker's final pass; the
 	// queue must empty, proving nothing leaked or wedged.
-	for i := 0; i < 100 && d.RunBatch(64) > 0; i++ {
+	for i := 0; i < 100 && d.RunBatchContext(context.Background(), 64).Succeeded > 0; i++ {
 	}
 	if got := d.Cache.Stats().BatchQueued; got != 0 {
 		t.Errorf("queue depth %d after full drain", got)
@@ -158,7 +158,7 @@ func TestBatchVersionMatchesResponder(t *testing.T) {
 // the worker without manual RunBatch calls, and cancellation performs a
 // final drain before the done channel closes.
 func TestStartWorkerDrainsBacklogAndStops(t *testing.T) {
-	d := NewDeployment(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
 	for i := 0; i < 50; i++ {
 		d.HandleQuery(fmt.Sprintf("cold-%d", i))
 	}
