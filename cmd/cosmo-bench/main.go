@@ -37,7 +37,7 @@ func main() {
 	scale := flag.Int("scale", 4, "workload scale divisor (1 = largest laptop-scale run)")
 	workers := flag.Int("workers", 0, "worker-pool size for the pipeline's parallel stages (0 = GOMAXPROCS); never changes results")
 	jsonOut := flag.String("json", "", "write the -mmapbench record to this path")
-	mmapBench := flag.Int("mmapbench", 0, "KG scale factor (e.g. 100): time Freeze and pack, then compare ReadSnapshot (heap read, verified up front) vs MapSnapshot (mmap, verified on touch) cold start and footprint instead of experiments")
+	mmapBench := flag.Int("mmapbench", 0, "KG scale factor (e.g. 100): time Freeze and pack, then compare cold start and footprint of ReadSnapshot (heap read) and MapSnapshot (mmap), both verified up front, instead of experiments")
 	flag.Parse()
 
 	if *jsonOut != "" && *mmapBench <= 0 {

@@ -42,14 +42,16 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cosmo/internal/cluster"
 	"cosmo/internal/faults"
+	"cosmo/internal/serving"
 )
 
 // queryPool is a representative broad-intent vocabulary; cosmo-serve
@@ -254,7 +256,7 @@ func main() {
 // counters (requeues, stale serves, and the breaker when the node's
 // responder has one).
 func reportNode(w io.Writer, target string) {
-	m, err := scrapeMetrics(target)
+	m, err := fetchMetrics(target)
 	if err != nil {
 		fmt.Fprintf(w, "server: counters n/a (post-run scrape failed: %v)\n", err)
 		return
@@ -269,8 +271,8 @@ func reportNode(w io.Writer, target string) {
 	fmt.Fprintf(w, "server: requeued %.0f, requeue-dropped %.0f, stale served %.0f",
 		m.get("", "cosmo_batch_requeued_total"), m.get("", "cosmo_batch_requeue_dropped_total"),
 		m.get("", "cosmo_stale_served_total"))
-	if state, ok := m.samples[""]["cosmo_breaker_state"]; ok {
-		fmt.Fprintf(w, ", breaker %s", breakerName(state))
+	if state, ok := m.lookup("", "cosmo_breaker_state"); ok {
+		fmt.Fprintf(w, ", breaker %s", serving.BreakerState(state).String())
 	}
 	fmt.Fprintln(w)
 	m.reportMissing(w, "server")
@@ -318,11 +320,11 @@ func countBatchItems(body []byte) (served, queued int64) {
 // read, missing metric — is a distinct error so the caller can report
 // why the allocs column is n/a instead of printing a silent zero.
 func scrapeMallocs(target string) (uint64, error) {
-	m, err := scrapeMetrics(target)
+	m, err := fetchMetrics(target)
 	if err != nil {
 		return 0, err
 	}
-	v, ok := m.samples[""]["cosmo_go_mallocs_total"]
+	v, ok := m.lookup("", "cosmo_go_mallocs_total")
 	if !ok {
 		return 0, fmt.Errorf("metrics scrape: cosmo_go_mallocs_total missing from %s/metrics", target)
 	}
@@ -333,7 +335,7 @@ func scrapeMallocs(target string) (uint64, error) {
 // cluster-mode report: router-level counters, hedge statistics, the
 // end-to-end routed latency quantiles, and one line per node.
 func reportCluster(w io.Writer, target string) {
-	m, err := scrapeMetrics(target)
+	m, err := fetchMetrics(target)
 	if err != nil {
 		fmt.Fprintf(w, "router: counters n/a (post-run scrape failed: %v)\n", err)
 		return
@@ -348,10 +350,10 @@ func reportCluster(w io.Writer, target string) {
 		r("cosmo_router_hedge_win_ratio"), r("cosmo_router_hedge_delay_ms"))
 	fmt.Fprintf(w, "router latency: p50=%.1fms p99=%.1fms p999=%.1fms\n",
 		r("cosmo_router_latency_ms@0.5"), r("cosmo_router_latency_ms@0.99"), r("cosmo_router_latency_ms@0.999"))
-	for _, n := range m.nodes {
+	for _, n := range m.nodes() {
 		g := func(key string) float64 { return m.get(n, key) }
 		fmt.Fprintf(w, "node %s: %s, breaker %s (opens %.0f), routes %.0f, hedges %.0f (wins %.0f), failovers %.0f, exclusions %.0f, ok %.0f, fail %.0f, p50=%.1fms p99=%.1fms p999=%.1fms\n",
-			n, healthName(g("cosmo_node_health")), breakerName(g("cosmo_node_breaker_state")),
+			n, cluster.Health(g("cosmo_node_health")).String(), serving.BreakerState(g("cosmo_node_breaker_state")).String(),
 			g("cosmo_node_breaker_opens_total"), g("cosmo_node_routes_total"),
 			g("cosmo_node_hedges_total"), g("cosmo_node_hedge_wins_total"),
 			g("cosmo_node_failovers_total"), g("cosmo_node_exclusions_total"),
@@ -361,24 +363,45 @@ func reportCluster(w io.Writer, target string) {
 	m.reportMissing(w, "router")
 }
 
-// metricSet is one parsed /metrics page. Samples are keyed by name —
-// name@q for a quantile-labelled one — and grouped by their node label
-// ("" for samples without one); nodes keeps the page's node order.
+// metricSet is one parsed /metrics page. A key is a sample name, or
+// name@q for its quantile="q" sample; node selects the node label (""
+// for a sample without one).
 type metricSet struct {
-	samples map[string]map[string]float64
-	nodes   []string
+	samples []serving.Sample
 	missing map[string]bool
+}
+
+// lookup finds one sample.
+func (m *metricSet) lookup(node, key string) (float64, bool) {
+	name, q, _ := strings.Cut(key, "@")
+	for _, s := range m.samples {
+		if s.Name == name && s.Labels["node"] == node && s.Labels["quantile"] == q {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }
 
 // get returns one sample. A key the page lacks reads as 0 and is
 // recorded, so reportMissing can name it: a renamed metric is reported,
 // never silently printed as 0.
 func (m *metricSet) get(node, key string) float64 {
-	v, ok := m.samples[node][key]
+	v, ok := m.lookup(node, key)
 	if !ok {
 		m.missing[key] = true
 	}
 	return v
+}
+
+// nodes lists the page's node labels in page order.
+func (m *metricSet) nodes() []string {
+	var nodes []string
+	for _, s := range m.samples {
+		if n := s.Labels["node"]; n != "" && !slices.Contains(nodes, n) {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
 }
 
 // reportMissing prints one line naming every key get did not find.
@@ -394,104 +417,20 @@ func (m *metricSet) reportMissing(w io.Writer, who string) {
 	fmt.Fprintf(w, "%s: metrics missing from /metrics, printed as 0: %s\n", who, strings.Join(keys, ", "))
 }
 
-// scrapeMetrics fetches and parses target's /metrics. Transport,
-// non-200 status and read failures are distinct errors.
-func scrapeMetrics(target string) (*metricSet, error) {
+// fetchMetrics fetches target's /metrics and parses it with
+// serving.ParseMetrics. Transport, non-200 status, read and parse
+// failures are distinct errors.
+func fetchMetrics(target string) (*metricSet, error) {
 	resp, err := http.Get(target + "/metrics")
 	if err != nil {
 		return nil, fmt.Errorf("metrics scrape: %w", err)
 	}
 	defer resp.Body.Close() //cosmo:lint-ignore dropped-error best-effort close after the body was read; failures surface on the read
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("metrics read: %w", err)
-	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("metrics scrape: %s/metrics answered %d", target, resp.StatusCode)
 	}
-	m := &metricSet{samples: map[string]map[string]float64{}, missing: map[string]bool{}}
-	for _, line := range strings.Split(string(body), "\n") {
-		name, labels, value, ok := parseMetricLine(line)
-		if !ok {
-			continue
-		}
-		if q := labels["quantile"]; q != "" {
-			name += "@" + q
-		}
-		node := labels["node"]
-		s := m.samples[node]
-		if s == nil {
-			s = map[string]float64{}
-			m.samples[node] = s
-			if node != "" {
-				m.nodes = append(m.nodes, node)
-			}
-		}
-		s[name] = value
-	}
-	return m, nil
-}
-
-// parseMetricLine parses one Prometheus-style plaintext line of the
-// shapes `name value`, `name{k="v"} value` and
-// `name{k="v",k2="v2"} value`.
-func parseMetricLine(line string) (name string, labels map[string]string, value float64, ok bool) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return "", nil, 0, false
-	}
-	labels = map[string]string{}
-	metric := line
-	if open := strings.IndexByte(line, '{'); open >= 0 {
-		closeIdx := strings.IndexByte(line, '}')
-		if closeIdx < open {
-			return "", nil, 0, false
-		}
-		metric = line[:open] + line[closeIdx+1:]
-		for _, pair := range strings.Split(line[open+1:closeIdx], ",") {
-			k, v, found := strings.Cut(pair, "=")
-			if !found {
-				continue
-			}
-			labels[strings.TrimSpace(k)] = strings.Trim(strings.TrimSpace(v), `"`)
-		}
-	}
-	fields := strings.Fields(metric)
-	if len(fields) != 2 {
-		return "", nil, 0, false
-	}
-	v, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
-		return "", nil, 0, false
-	}
-	return fields[0], labels, v, true
-}
-
-// healthName renders the cosmo_node_health enum (cluster.Health).
-func healthName(v float64) string {
-	switch int(v) {
-	case 0:
-		return "ready"
-	case 1:
-		return "draining"
-	case 2:
-		return "down"
-	}
-	return fmt.Sprintf("health(%d)", int(v))
-}
-
-// breakerName renders the cosmo_node_breaker_state enum
-// (serving.BreakerState).
-func breakerName(v float64) string {
-	switch int(v) {
-	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	}
-	return fmt.Sprintf("state(%d)", int(v))
+	samples, err := serving.ParseMetrics(resp.Body)
+	return &metricSet{samples: samples, missing: map[string]bool{}}, err
 }
 
 // waitReady polls the server's /readyz until it reports 200, the

@@ -43,7 +43,7 @@ func NewHTTPHandler(r *Router) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		r.WriteMetrics(w)
+		_ = r.WriteMetrics(w) //cosmo:lint-ignore dropped-error best-effort metrics response; a write failure means the client is gone
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
 		if r.EligibleNodes() == 0 {

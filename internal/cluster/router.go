@@ -269,7 +269,7 @@ func (r *Router) Do(ctx context.Context, req Request) (Result, error) {
 		r.errors.Add(1)
 		return res, err
 	}
-	r.e2e.Observe(float64(time.Since(start).Microseconds()) / 1000.0)
+	r.e2e.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return res, nil
 }
 
@@ -490,7 +490,7 @@ func (r *Router) attempt(actx context.Context, nd *node, req Request) (Result, e
 	}
 	nd.successes.Add(1)
 	nd.brk.Success()
-	nd.hist.Observe(float64(time.Since(start).Microseconds()) / 1000.0)
+	nd.hist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	return res, nil
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 
 	"cosmo/internal/serving"
@@ -93,40 +92,42 @@ func (r *Router) Stats() Stats {
 	return s
 }
 
-// WriteMetrics renders the router's Prometheus-style plaintext metrics
-// (the body of cosmo-router's /metrics, and the chaos smoke's artifact
-// dump).
-func (r *Router) WriteMetrics(w io.Writer) {
+// WriteMetrics writes the router's /metrics page (the body of
+// cosmo-router's /metrics, and the chaos smoke's artifact dump).
+func (r *Router) WriteMetrics(w io.Writer) error {
+	var e serving.Exposition
 	s := r.Stats()
-	fmt.Fprintf(w, "cosmo_router_nodes %d\n", len(s.Nodes))
-	fmt.Fprintf(w, "cosmo_router_eligible_nodes %d\n", r.EligibleNodes())
-	fmt.Fprintf(w, "cosmo_router_requests_total %d\n", s.Requests)
-	fmt.Fprintf(w, "cosmo_router_errors_total %d\n", s.Errors)
-	fmt.Fprintf(w, "cosmo_router_hedges_total %d\n", s.Hedges)
-	fmt.Fprintf(w, "cosmo_router_hedge_wins_total %d\n", s.HedgeWins)
-	fmt.Fprintf(w, "cosmo_router_hedge_win_ratio %g\n", s.HedgeWinRatio())
-	fmt.Fprintf(w, "cosmo_router_failovers_total %d\n", s.Failovers)
-	fmt.Fprintf(w, "cosmo_router_no_replica_total %d\n", s.NoReplica)
-	fmt.Fprintf(w, "cosmo_router_hedge_delay_ms %g\n", s.HedgeDelayMs)
-	fmt.Fprintf(w, "cosmo_router_latency_ms{quantile=\"0.5\"} %g\n", s.P50)
-	fmt.Fprintf(w, "cosmo_router_latency_ms{quantile=\"0.99\"} %g\n", s.P99)
-	fmt.Fprintf(w, "cosmo_router_latency_ms{quantile=\"0.999\"} %g\n", s.P999)
+	e.Int("cosmo_router_nodes", int64(len(s.Nodes)))
+	e.Int("cosmo_router_eligible_nodes", int64(r.EligibleNodes()))
+	e.Uint("cosmo_router_requests_total", s.Requests)
+	e.Uint("cosmo_router_errors_total", s.Errors)
+	e.Uint("cosmo_router_hedges_total", s.Hedges)
+	e.Uint("cosmo_router_hedge_wins_total", s.HedgeWins)
+	e.Float("cosmo_router_hedge_win_ratio", s.HedgeWinRatio())
+	e.Uint("cosmo_router_failovers_total", s.Failovers)
+	e.Uint("cosmo_router_no_replica_total", s.NoReplica)
+	e.Float("cosmo_router_hedge_delay_ms", s.HedgeDelayMs)
+	e.Float("cosmo_router_latency_ms", s.P50, "quantile", "0.5")
+	e.Float("cosmo_router_latency_ms", s.P99, "quantile", "0.99")
+	e.Float("cosmo_router_latency_ms", s.P999, "quantile", "0.999")
 	for _, n := range s.Nodes {
-		fmt.Fprintf(w, "cosmo_node_health{node=%q} %d\n", n.Name, n.Health)
-		fmt.Fprintf(w, "cosmo_node_breaker_state{node=%q} %d\n", n.Name, n.BreakerState)
-		fmt.Fprintf(w, "cosmo_node_breaker_opens_total{node=%q} %d\n", n.Name, n.BreakerOpens)
-		fmt.Fprintf(w, "cosmo_node_routes_total{node=%q} %d\n", n.Name, n.Primaries)
-		fmt.Fprintf(w, "cosmo_node_hedges_total{node=%q} %d\n", n.Name, n.Hedges)
-		fmt.Fprintf(w, "cosmo_node_hedge_wins_total{node=%q} %d\n", n.Name, n.HedgeWins)
-		fmt.Fprintf(w, "cosmo_node_failovers_total{node=%q} %d\n", n.Name, n.Failovers)
-		fmt.Fprintf(w, "cosmo_node_exclusions_total{node=%q} %d\n", n.Name, n.Exclusions)
-		fmt.Fprintf(w, "cosmo_node_successes_total{node=%q} %d\n", n.Name, n.Successes)
-		fmt.Fprintf(w, "cosmo_node_failures_total{node=%q} %d\n", n.Name, n.Failures)
-		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.5\"} %g\n", n.Name, n.P50)
-		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.99\"} %g\n", n.Name, n.P99)
-		fmt.Fprintf(w, "cosmo_node_latency_ms{node=%q,quantile=\"0.999\"} %g\n", n.Name, n.P999)
-		fmt.Fprintf(w, "cosmo_node_conns_idle{node=%q} %d\n", n.Name, n.Hop.Idle)
-		fmt.Fprintf(w, "cosmo_node_conn_dials_total{node=%q} %d\n", n.Name, n.Hop.Dials)
-		fmt.Fprintf(w, "cosmo_node_conn_stale_retries_total{node=%q} %d\n", n.Name, n.Hop.StaleRetries)
+		e.Int("cosmo_node_health", int64(n.Health), "node", n.Name)
+		e.Int("cosmo_node_breaker_state", int64(n.BreakerState), "node", n.Name)
+		e.Uint("cosmo_node_breaker_opens_total", n.BreakerOpens, "node", n.Name)
+		e.Uint("cosmo_node_routes_total", n.Primaries, "node", n.Name)
+		e.Uint("cosmo_node_hedges_total", n.Hedges, "node", n.Name)
+		e.Uint("cosmo_node_hedge_wins_total", n.HedgeWins, "node", n.Name)
+		e.Uint("cosmo_node_failovers_total", n.Failovers, "node", n.Name)
+		e.Uint("cosmo_node_exclusions_total", n.Exclusions, "node", n.Name)
+		e.Uint("cosmo_node_successes_total", n.Successes, "node", n.Name)
+		e.Uint("cosmo_node_failures_total", n.Failures, "node", n.Name)
+		e.Float("cosmo_node_latency_ms", n.P50, "node", n.Name, "quantile", "0.5")
+		e.Float("cosmo_node_latency_ms", n.P99, "node", n.Name, "quantile", "0.99")
+		e.Float("cosmo_node_latency_ms", n.P999, "node", n.Name, "quantile", "0.999")
+		e.Int("cosmo_node_conns_idle", int64(n.Hop.Idle), "node", n.Name)
+		e.Uint("cosmo_node_conn_dials_total", n.Hop.Dials, "node", n.Name)
+		e.Uint("cosmo_node_conn_stale_retries_total", n.Hop.StaleRetries, "node", n.Name)
 	}
+	_, err := e.WriteTo(w)
+	return err
 }

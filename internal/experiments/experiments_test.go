@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // sharedRunner caches the pipeline world across tests.
@@ -92,6 +93,33 @@ func TestServingShapeHolds(t *testing.T) {
 	}
 	if !strings.Contains(out, "cached latency ≪ inline inference = true") {
 		t.Errorf("serving latency shape failed:\n%s", out)
+	}
+}
+
+// stepClock advances 50ms on every Now: every request the Figure 5
+// handler times measures 50ms.
+type stepClock struct{ t time.Time }
+
+func (c *stepClock) Now() time.Time {
+	c.t = c.t.Add(50 * time.Millisecond)
+	return c.t
+}
+
+// TestServingLatencyCheckCanFail: Figure 5's latency check reads the
+// measured /intent handler time, so a node whose handler takes 50ms
+// fails it — the check is not pinned to a constant.
+func TestServingLatencyCheckCanFail(t *testing.T) {
+	r, buf := runner(t)
+	buf.Reset()
+	dep, err := r.servingOn(&stepClock{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p99 := dep.Latency("intent").Quantile(0.99); p99 < 48 {
+		t.Errorf("intent p99 = %vms under a 50ms step, want >= 48ms", p99)
+	}
+	if out := buf.String(); !strings.Contains(out, "cached latency ≪ inline inference = false") {
+		t.Errorf("a 50ms handler passed the latency check:\n%s", out)
 	}
 }
 

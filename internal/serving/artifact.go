@@ -23,12 +23,14 @@ type Artifact struct {
 const refreshYearlyTop = 2048
 
 // Load stamps the file, maps and verifies it, and builds its ANN index,
-// counting one snapshot reload on dep.
+// counting one snapshot reload on dep and stamping the generation with
+// dep's clock as LoadedAt.
 func (a *Artifact) Load(dep *Deployment) (*Generation, error) {
 	g, err := a.load(kg.MapSnapshotFile)
 	if err != nil {
 		return nil, err
 	}
+	g.LoadedAt = dep.Clock.Now()
 	dep.snapshotReloads.Add(1)
 	return g, nil
 }

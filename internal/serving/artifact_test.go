@@ -3,9 +3,12 @@ package serving
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"cosmo/internal/catalog"
 	"cosmo/internal/kg"
@@ -156,4 +159,72 @@ func TestRefreshRetriesRevisionAfterFailure(t *testing.T) {
 		t.Fatal("the tick after a failed refresh skipped the revision it had loaded")
 	}
 	now.Snap.Close()
+}
+
+// TestMetricsNameServedArtifact: /metrics identifies the artifact the
+// serving generation was loaded from — its table checksum as the
+// cosmo_kg_artifact_info label and its load time — and both move when
+// Artifact.Refresh swaps in the next revision.
+func TestMetricsNameServedArtifact(t *testing.T) {
+	identity := func(dep *Deployment) (crc string, loadedAt float64) {
+		t.Helper()
+		var page strings.Builder
+		if err := dep.WriteMetrics(&page); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseMetrics(strings.NewReader(page.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		crc, loadedAt = "none", -1
+		for _, s := range samples {
+			switch s.Name {
+			case "cosmo_kg_artifact_info":
+				crc = s.Labels["table_crc"]
+			case "cosmo_kg_loaded_at_seconds":
+				loadedAt = s.Value
+			}
+		}
+		return crc, loadedAt
+	}
+	start := time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
+	clock := NewFakeClock(start)
+	dep := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
+	dep.Clock = clock
+	dep.Install(&Generation{Snap: kg.New().Freeze()})
+	if crc, loadedAt := identity(dep); crc != "none" || loadedAt != -1 {
+		t.Fatalf("a snapshot frozen in process exports artifact %s loaded at %v", crc, loadedAt)
+	}
+
+	path := filepath.Join(t.TempDir(), "kg.cosmo")
+	publish(t, path, "p:P1")
+	a := &Artifact{Path: path}
+	first, err := a.Load(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Snap.Close()
+	dep.Install(first)
+	crc1, at1 := identity(dep)
+	if want := fmt.Sprintf("%016x", first.Stamp.TableCRC); crc1 != want || first.Stamp.TableCRC == 0 {
+		t.Fatalf("table_crc = %s, want %s", crc1, want)
+	}
+	if at1 != float64(start.Unix()) {
+		t.Fatalf("loaded at %v, want %d", at1, start.Unix())
+	}
+
+	clock.Advance(time.Hour)
+	publish(t, path, "p:P1", "p:P2")
+	next, err := a.Refresh(context.Background(), dep, echoResponder("v2"))
+	if err != nil || next == nil {
+		t.Fatalf("refresh loaded %v, err %v", next, err)
+	}
+	defer next.Snap.Close()
+	crc2, at2 := identity(dep)
+	if want := fmt.Sprintf("%016x", next.Stamp.TableCRC); crc2 != want || crc2 == crc1 {
+		t.Fatalf("after the swap table_crc = %s, want %s (was %s)", crc2, want, crc1)
+	}
+	if at2 != float64(start.Add(time.Hour).Unix()) {
+		t.Fatalf("after the swap loaded at %v, want %d", at2, start.Add(time.Hour).Unix())
+	}
 }

@@ -10,14 +10,6 @@ import (
 	"cosmo/internal/kg"
 )
 
-// Simulated serving latencies (ms); the cached path is the latency the
-// deployment must meet ("Amazon's restricted search latency
-// requirements"), the model path is why inline inference is infeasible.
-const (
-	CacheHitLatencyMs  = 2.0
-	CacheMissLatencyMs = 3.0 // lookup + enqueue; response degrades, never blocks
-)
-
 // interactionStripes is the lock-stripe count of the feedback-loop
 // counter; like the cache shard count it is fixed for determinism.
 const interactionStripes = 16
@@ -26,9 +18,10 @@ const interactionStripes = 16
 // loop together (Figure 5's operational flow).
 //
 // The request path (HandleQuery) is lock-striped end to end: the cache
-// shards on query hash, latency goes to a fixed-bucket atomic histogram,
-// and the interaction feedback loop is a striped counter. Memory is
-// O(cache capacity + distinct queries), not O(requests served).
+// shards on query hash and the interaction feedback loop is a striped
+// counter. NewHTTPHandler times each query endpoint on Clock into a
+// fixed-bucket atomic histogram per endpoint. Memory is O(cache
+// capacity + distinct queries), not O(requests served).
 //
 // The responder path is fallible: batch processing recovers responder
 // panics and re-queues failed queries, Refresh aborts atomically
@@ -38,7 +31,8 @@ const interactionStripes = 16
 type Deployment struct {
 	Cache *AsyncCache
 	Store *FeatureStore
-	// Clock stamps features; swap in a FakeClock for tests.
+	// Clock stamps features and times the query endpoints; swap in a
+	// FakeClock for tests.
 	Clock Clock
 
 	// refreshMu serializes commits: each one reads the served value and
@@ -60,7 +54,9 @@ type Deployment struct {
 	// cosmo_draining so a router can distinguish drain from death.
 	draining atomic.Bool
 
-	latency *Histogram
+	// latency is the measured handler time of each timedEndpoints entry;
+	// the map is read-only after construction.
+	latency map[string]*Histogram
 	// interactions is the feedback loop: query -> interaction count,
 	// feeding the next refresh's frequent-search selection.
 	interactions *stripedCounter
@@ -114,13 +110,20 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 		}),
 		Store:         NewFeatureStoreWithCap(DefaultFeatureStoreCap),
 		Clock:         RealClock{},
-		latency:       NewHistogram(nil),
+		latency:       map[string]*Histogram{},
 		interactions:  newStripedCounter(interactionStripes),
 		maxBatchItems: cfg.MaxBatchItems,
+	}
+	for _, e := range timedEndpoints {
+		d.latency[e] = NewHistogram(nil)
 	}
 	d.cur.Store(&served{responder: responder, version: 1})
 	return d
 }
+
+// timedEndpoints are the query endpoints NewHTTPHandler times, in
+// /metrics order.
+var timedEndpoints = []string{"intent", "intentions", "related", "similar", "batch"}
 
 // served is one committed refresh, read through Deployment.cur.
 type served struct {
@@ -131,11 +134,12 @@ type served struct {
 
 // Generation is the immutable KG half of a refresh: a frozen snapshot,
 // the ANN index built from it, and the stamp of the artifact it was
-// loaded from (zero for a snapshot frozen in process).
+// loaded from and when (both zero for a snapshot frozen in process).
 type Generation struct {
-	Snap  *kg.Snapshot
-	Sim   *kg.SimilarityIndex
-	Stamp kg.SnapshotStamp
+	Snap     *kg.Snapshot
+	Sim      *kg.SimilarityIndex
+	Stamp    kg.SnapshotStamp
+	LoadedAt time.Time
 }
 
 // NewGeneration builds snap's ANN index under simCfg and pairs the two.
@@ -247,14 +251,11 @@ func (s *served) resilienceStats() (ResilienceStats, bool) {
 // the feature store is served flagged Stale — the caller gets possibly
 // outdated intent features instead of none while the batch processor
 // catches up. No global lock is taken and the responder is never invoked
-// inline: the cache lookup, store fallback, latency observation and
-// feedback increment are all striped or atomic.
+// inline: the cache lookup, store fallback and feedback increment are
+// all striped or atomic.
 func (d *Deployment) HandleQuery(query string) (Feature, bool) {
 	f, ok := d.Cache.Lookup(query)
-	if ok {
-		d.latency.Observe(CacheHitLatencyMs)
-	} else {
-		d.latency.Observe(CacheMissLatencyMs)
+	if !ok {
 		if sf, found := d.Store.Get(query); found {
 			sf.Stale = true
 			d.staleServed.Add(1)
@@ -468,17 +469,14 @@ func (d *Deployment) refresh(ctx context.Context, responder ContextResponder, ne
 	return nil
 }
 
-// LatencyPercentiles returns the p50 and p99 of observed request
-// latencies (ms), estimated from the fixed-bucket histogram.
-func (d *Deployment) LatencyPercentiles() (p50, p99 float64) {
-	s := d.latency.Snapshot()
-	return s.Quantile(0.50), s.Quantile(0.99)
-}
-
-// LatencySnapshot exposes the latency histogram's buckets (for the
-// /metrics exporter).
-func (d *Deployment) LatencySnapshot() HistogramSnapshot {
-	return d.latency.Snapshot()
+// Latency snapshots the measured handler time (ms) of one query
+// endpoint: "intent", "intentions", "related", "similar" or "batch".
+// Any other name reads as an empty histogram.
+func (d *Deployment) Latency(endpoint string) HistogramSnapshot {
+	if h := d.latency[endpoint]; h != nil {
+		return h.Snapshot()
+	}
+	return HistogramSnapshot{}
 }
 
 // TopInteractions returns the feedback loop's most frequent queries.

@@ -1,17 +1,18 @@
 package serving
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 )
 
 // DefaultLatencyBucketsMs are the upper bounds (ms) of the serving
-// latency histogram. They include the simulated cache-hit (2ms) and
-// cache-miss (3ms) latencies as exact bounds so quantile estimates over
-// simulated traffic are exact, then widen roughly geometrically up to
-// the multi-second range where an online system has already failed its
-// latency budget.
+// latency histograms. They start at 2µs, where an in-process handler
+// answers from the cache, double up to 2ms, then widen roughly
+// geometrically up to the multi-second range where an online system has
+// already failed its latency budget.
 var DefaultLatencyBucketsMs = []float64{
+	0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.125,
 	0.25, 0.5, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64,
 	96, 128, 192, 256, 384, 512, 768, 1024,
 }
@@ -25,7 +26,7 @@ type Histogram struct {
 	bounds []float64      // ascending upper bounds; observations above the last go to overflow
 	counts []atomic.Int64 // len(bounds)+1; last slot is the overflow bucket
 	total  atomic.Int64
-	sumUs  atomic.Int64 // sum in integer microseconds (atomic float sums race)
+	sumNs  atomic.Int64 // sum in integer nanoseconds (atomic float sums race)
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram's state.
@@ -48,14 +49,16 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
 }
 
-// Observe records one latency observation in milliseconds.
+// Observe records one latency observation in milliseconds. The sum
+// keeps nanosecond resolution, so a microsecond handler time counts in
+// full.
 func (h *Histogram) Observe(ms float64) {
 	// Binary search for the first bound >= ms; everything above the last
 	// bound lands in the overflow bucket.
 	i := sort.SearchFloat64s(h.bounds, ms)
 	h.counts[i].Add(1)
 	h.total.Add(1)
-	h.sumUs.Add(int64(ms * 1000))
+	h.sumNs.Add(int64(math.Round(ms * 1e6)))
 }
 
 // Count returns the number of recorded observations.
@@ -72,7 +75,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = c
 		s.Total += c
 	}
-	s.SumMs = float64(h.sumUs.Load()) / 1000
+	s.SumMs = float64(h.sumNs.Load()) / 1e6
 	return s
 }
 

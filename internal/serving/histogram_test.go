@@ -2,6 +2,8 @@ package serving
 
 import (
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 )
@@ -123,15 +125,29 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestHistogramSumKeepsSubMicrosecond: the sum is kept in nanoseconds,
+// so handler times below a microsecond count in full; a sum in whole
+// microseconds read 0 here.
+func TestHistogramSumKeepsSubMicrosecond(t *testing.T) {
+	h := NewHistogram(nil)
+	for i := 0; i < 1000; i++ {
+		h.Observe(0.0004)
+	}
+	if got := h.Snapshot().SumMs; got != 0.4 {
+		t.Errorf("sum of 1000 × 0.0004ms = %vms, want 0.4ms", got)
+	}
+}
+
 // TestDeploymentMemoryBounded: the deployment's per-request state is a
 // fixed histogram, so the latency structure must not grow with request
 // count (regression for the old unbounded latencies slice).
 func TestDeploymentMemoryBounded(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 16}, echoResponder("v1"))
+	h := NewHTTPHandler(d)
 	for i := 0; i < 5000; i++ {
-		d.HandleQuery("same-query")
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/intent?q=same-query", nil))
 	}
-	s := d.LatencySnapshot()
+	s := d.Latency("intent")
 	if len(s.Counts) != len(DefaultLatencyBucketsMs)+1 {
 		t.Errorf("bucket count %d changed with traffic", len(s.Counts))
 	}

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"time"
 
 	"cosmo/internal/wire"
 )
@@ -26,13 +27,15 @@ import (
 //	POST /batch                 -> JSON array of lookups answered in one
 //	                               round trip (see AppendBatch)
 //	GET  /kg                    -> snapshot size summary (JSON)
-//	GET  /metrics               -> Prometheus-style plaintext metrics:
-//	                               cache, batch, resilience, latency and
-//	                               KG counters
+//	GET  /metrics               -> Prometheus text metrics (WriteMetrics)
 //	GET  /healthz               -> liveness (the process is up)
 //	GET  /readyz                -> readiness: 503 until warmup completes
 //	                               (SetReady) and again while the
 //	                               responder circuit breaker is open
+//
+// The five query endpoints are timed on d.Clock, once per request
+// around the whole handler, into their own latency histogram
+// (Deployment.Latency, cosmo_request_latency_ms{endpoint=...}).
 //
 // The KG endpoints answer 503 until Install commits a generation. Each
 // handler loads the served value once, so every request answers from a
@@ -45,7 +48,15 @@ import (
 // header is not read.
 func NewHTTPHandler(d *Deployment) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/intent", func(w http.ResponseWriter, r *http.Request) {
+	timed := func(endpoint string, h http.HandlerFunc) {
+		hist := d.latency[endpoint]
+		mux.HandleFunc("/"+endpoint, func(w http.ResponseWriter, r *http.Request) {
+			start := d.Clock.Now()
+			h(w, r)
+			hist.Observe(float64(d.Clock.Now().Sub(start)) / float64(time.Millisecond))
+		})
+	}
+	timed("intent", func(w http.ResponseWriter, r *http.Request) {
 		q := QueryParam(r.URL.RawQuery, "q")
 		if q == "" {
 			http.Error(w, "missing q parameter", http.StatusBadRequest)
@@ -61,7 +72,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		buf.B = AppendFeatureJSON(buf.B[:0], &f)
 		writeJSON(w, http.StatusOK, buf)
 	})
-	mux.HandleFunc("/intentions", func(w http.ResponseWriter, r *http.Request) {
+	timed("intentions", func(w http.ResponseWriter, r *http.Request) {
 		id := QueryParam(r.URL.RawQuery, "id")
 		if id == "" {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
@@ -77,7 +88,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		buf.B = AppendIntentionsJSON(buf.B[:0], snap, id, k)
 		writeJSON(w, http.StatusOK, buf)
 	})
-	mux.HandleFunc("/related", func(w http.ResponseWriter, r *http.Request) {
+	timed("related", func(w http.ResponseWriter, r *http.Request) {
 		id := QueryParam(r.URL.RawQuery, "id")
 		if id == "" {
 			http.Error(w, "missing id parameter", http.StatusBadRequest)
@@ -93,7 +104,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		buf.B = AppendRelatedJSON(buf.B[:0], snap, id, k)
 		writeJSON(w, http.StatusOK, buf)
 	})
-	mux.HandleFunc("/similar", func(w http.ResponseWriter, r *http.Request) {
+	timed("similar", func(w http.ResponseWriter, r *http.Request) {
 		q := QueryParam(r.URL.RawQuery, "q")
 		if q == "" {
 			http.Error(w, "missing q parameter", http.StatusBadRequest)
@@ -110,7 +121,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		buf.B = AppendSimilarJSON(buf.B[:0], q, matches)
 		writeJSON(w, http.StatusOK, buf)
 	})
-	mux.HandleFunc("/batch", func(w http.ResponseWriter, r *http.Request) {
+	timed("batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST required", http.StatusMethodNotAllowed)
 			return
@@ -167,88 +178,82 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 		_, _ = w.Write([]byte("ready")) //cosmo:lint-ignore dropped-error best-effort readiness response; a write failure means the client is gone
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		cur := d.cur.Load()
-		hist := d.LatencySnapshot()
-		stats := d.Cache.Stats()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprintf(w, "cosmo_cache_hits_total %d\n", stats.Hits)
-		fmt.Fprintf(w, "cosmo_cache_misses_total %d\n", stats.Misses)
-		fmt.Fprintf(w, "cosmo_cache_yearly_hits_total %d\n", stats.YearlyHits)
-		fmt.Fprintf(w, "cosmo_cache_daily_hits_total %d\n", stats.DailyHits)
-		fmt.Fprintf(w, "cosmo_cache_evictions_total %d\n", stats.Evictions)
-		fmt.Fprintf(w, "cosmo_cache_daily_size %d\n", stats.DailySize)
-		fmt.Fprintf(w, "cosmo_cache_yearly_size %d\n", stats.YearlySize)
-		fmt.Fprintf(w, "cosmo_cache_shards %d\n", d.Cache.NumShards())
-		fmt.Fprintf(w, "cosmo_batch_queue_depth %d\n", stats.BatchQueued)
-		fmt.Fprintf(w, "cosmo_batch_queue_dropped_total %d\n", stats.BatchDropped)
-		bt := d.BatchTotals()
-		fmt.Fprintf(w, "cosmo_batch_enqueued_total %d\n", stats.BatchEnqueued)
-		fmt.Fprintf(w, "cosmo_batch_processed_total %d\n", bt.Succeeded)
-		fmt.Fprintf(w, "cosmo_batch_requeued_total %d\n", bt.Requeued)
-		fmt.Fprintf(w, "cosmo_batch_requeue_dropped_total %d\n", bt.RequeueDropped)
-		fmt.Fprintf(w, "cosmo_responder_failures_total %d\n", bt.Failed)
-		// Panics recovered at the batch/refresh layer plus those the
-		// resilience wrapper converted to errors (disjoint events).
-		panics := bt.Panics
-		rs, hasResilience := cur.resilienceStats()
-		if hasResilience {
-			panics += rs.Panics
-		}
-		fmt.Fprintf(w, "cosmo_responder_panics_total %d\n", panics)
-		fmt.Fprintf(w, "cosmo_stale_served_total %d\n", bt.StaleServed)
-		fmt.Fprintf(w, "cosmo_refresh_failures_total %d\n", bt.RefreshFails)
-		if hasResilience {
-			fmt.Fprintf(w, "cosmo_responder_calls_total %d\n", rs.Calls)
-			fmt.Fprintf(w, "cosmo_responder_retries_total %d\n", rs.Retries)
-			fmt.Fprintf(w, "cosmo_responder_attempt_failures_total %d\n", rs.Failures)
-			fmt.Fprintf(w, "cosmo_responder_timeouts_total %d\n", rs.Timeouts)
-			fmt.Fprintf(w, "cosmo_breaker_state %d\n", rs.BreakerState)
-			fmt.Fprintf(w, "cosmo_breaker_opens_total %d\n", rs.BreakerOpens)
-			fmt.Fprintf(w, "cosmo_breaker_rejects_total %d\n", rs.BreakerRejects)
-		}
-		ready := 0
-		if d.Ready() {
-			ready = 1
-		}
-		fmt.Fprintf(w, "cosmo_ready %d\n", ready)
-		draining := 0
-		if d.Draining() {
-			draining = 1
-		}
-		fmt.Fprintf(w, "cosmo_draining %d\n", draining)
-		fmt.Fprintf(w, "cosmo_request_latency_ms{quantile=\"0.5\"} %g\n", hist.Quantile(0.50))
-		fmt.Fprintf(w, "cosmo_request_latency_ms{quantile=\"0.99\"} %g\n", hist.Quantile(0.99))
-		var cum int64
-		for i, bound := range hist.Bounds {
-			cum += hist.Counts[i]
-			fmt.Fprintf(w, "cosmo_request_latency_ms_bucket{le=\"%g\"} %d\n", bound, cum)
-		}
-		fmt.Fprintf(w, "cosmo_request_latency_ms_bucket{le=\"+Inf\"} %d\n", hist.Total)
-		fmt.Fprintf(w, "cosmo_request_latency_ms_sum %g\n", hist.SumMs)
-		fmt.Fprintf(w, "cosmo_request_latency_ms_count %d\n", hist.Total)
-		fmt.Fprintf(w, "cosmo_model_version %d\n", cur.version)
-		fmt.Fprintf(w, "cosmo_feature_store_size %d\n", d.Store.Len())
-		if snap := cur.gen.Snap; snap != nil {
-			fmt.Fprintf(w, "cosmo_kg_nodes %d\n", snap.NumNodes())
-			fmt.Fprintf(w, "cosmo_kg_edges %d\n", snap.NumEdges())
-			mapped := 0
-			if snap.Mapped() {
-				mapped = 1
-			}
-			fmt.Fprintf(w, "cosmo_kg_snapshot_mmap %d\n", mapped)
-		}
-		fmt.Fprintf(w, "cosmo_snapshot_reloads_total %d\n", d.snapshotReloads.Load())
-		fmt.Fprintf(w, "cosmo_snapshot_reload_skipped_total %d\n", d.snapshotReloadsSkipped.Load())
-		if ix := cur.gen.Sim; ix != nil {
-			fmt.Fprintf(w, "cosmo_similarity_indexed %d\n", ix.NumIndexed())
-		}
-		// Cumulative heap allocation count: cosmo-loadgen samples this
-		// before and after a run to report allocations per request.
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		fmt.Fprintf(w, "cosmo_go_mallocs_total %d\n", ms.Mallocs)
+		_ = d.WriteMetrics(w) //cosmo:lint-ignore dropped-error best-effort metrics response; a write failure means the client is gone
 	})
 	return mux
+}
+
+// WriteMetrics writes the node's /metrics page: cache, batch,
+// resilience and readiness counters, the per-endpoint handler latency
+// histograms, and the serving generation's KG and artifact identity.
+func (d *Deployment) WriteMetrics(w io.Writer) error {
+	var e Exposition
+	cur := d.cur.Load()
+	stats := d.Cache.Stats()
+	e.Int("cosmo_cache_hits_total", int64(stats.Hits))
+	e.Int("cosmo_cache_misses_total", int64(stats.Misses))
+	e.Int("cosmo_cache_yearly_hits_total", int64(stats.YearlyHits))
+	e.Int("cosmo_cache_daily_hits_total", int64(stats.DailyHits))
+	e.Int("cosmo_cache_evictions_total", int64(stats.Evictions))
+	e.Int("cosmo_cache_daily_size", int64(stats.DailySize))
+	e.Int("cosmo_cache_yearly_size", int64(stats.YearlySize))
+	e.Int("cosmo_cache_shards", int64(d.Cache.NumShards()))
+	e.Int("cosmo_batch_queue_depth", int64(stats.BatchQueued))
+	e.Int("cosmo_batch_queue_dropped_total", int64(stats.BatchDropped))
+	bt := d.BatchTotals()
+	e.Int("cosmo_batch_enqueued_total", int64(stats.BatchEnqueued))
+	e.Uint("cosmo_batch_processed_total", bt.Succeeded)
+	e.Uint("cosmo_batch_requeued_total", bt.Requeued)
+	e.Uint("cosmo_batch_requeue_dropped_total", bt.RequeueDropped)
+	e.Uint("cosmo_responder_failures_total", bt.Failed)
+	// Panics recovered at the batch/refresh layer plus those the
+	// resilience wrapper converted to errors (disjoint events).
+	panics := bt.Panics
+	rs, hasResilience := cur.resilienceStats()
+	if hasResilience {
+		panics += rs.Panics
+	}
+	e.Uint("cosmo_responder_panics_total", panics)
+	e.Uint("cosmo_stale_served_total", bt.StaleServed)
+	e.Uint("cosmo_refresh_failures_total", bt.RefreshFails)
+	if hasResilience {
+		e.Uint("cosmo_responder_calls_total", rs.Calls)
+		e.Uint("cosmo_responder_retries_total", rs.Retries)
+		e.Uint("cosmo_responder_attempt_failures_total", rs.Failures)
+		e.Uint("cosmo_responder_timeouts_total", rs.Timeouts)
+		e.Int("cosmo_breaker_state", int64(rs.BreakerState))
+		e.Uint("cosmo_breaker_opens_total", rs.BreakerOpens)
+		e.Uint("cosmo_breaker_rejects_total", rs.BreakerRejects)
+	}
+	e.Bool("cosmo_ready", d.Ready())
+	e.Bool("cosmo_draining", d.Draining())
+	for _, endpoint := range timedEndpoints {
+		e.Histogram("cosmo_request_latency_ms", d.latency[endpoint].Snapshot(), "endpoint", endpoint)
+	}
+	e.Int("cosmo_model_version", int64(cur.version))
+	e.Int("cosmo_feature_store_size", int64(d.Store.Len()))
+	if snap := cur.gen.Snap; snap != nil {
+		e.Int("cosmo_kg_nodes", int64(snap.NumNodes()))
+		e.Int("cosmo_kg_edges", int64(snap.NumEdges()))
+		e.Bool("cosmo_kg_snapshot_mmap", snap.Mapped())
+	}
+	if loaded := cur.gen.LoadedAt; !loaded.IsZero() {
+		e.Int("cosmo_kg_artifact_info", 1, "table_crc", fmt.Sprintf("%016x", cur.gen.Stamp.TableCRC))
+		e.Int("cosmo_kg_loaded_at_seconds", loaded.Unix())
+	}
+	e.Uint("cosmo_snapshot_reloads_total", d.snapshotReloads.Load())
+	e.Uint("cosmo_snapshot_reload_skipped_total", d.snapshotReloadsSkipped.Load())
+	if ix := cur.gen.Sim; ix != nil {
+		e.Int("cosmo_similarity_indexed", int64(ix.NumIndexed()))
+	}
+	// Cumulative heap allocation count: cosmo-loadgen samples this
+	// before and after a run to report allocations per request.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	e.Uint("cosmo_go_mallocs_total", ms.Mallocs)
+	_, err := e.WriteTo(w)
+	return err
 }
 
 // QueryParam returns the first value of name in a raw URL query — what

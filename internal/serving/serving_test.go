@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cosmo/internal/kg"
 )
 
 // echoResponder fabricates a deterministic feature for any query.
@@ -334,22 +336,66 @@ func TestShardRouting(t *testing.T) {
 	}
 }
 
+// stepClock advances by step on every Now, so a handler timed on it
+// measures exactly one step.
+type stepClock struct {
+	mu   sync.Mutex
+	t    time.Time
+	step time.Duration
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(c.step)
+	return c.t
+}
+
+// TestLatencyPercentiles: NewHTTPHandler times each query endpoint on
+// the deployment's clock into that endpoint's own histogram — a 3ms
+// step reads as 3ms on every request — while HandleQuery itself and
+// the untimed endpoints record nothing.
 func TestLatencyPercentiles(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
-	if p50, p99 := d.LatencyPercentiles(); p50 != 0 || p99 != 0 {
-		t.Error("empty latency should be 0")
+	d.Install(NewGeneration(testSnapshot(t), kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{}))
+	d.Clock = &stepClock{step: 3 * time.Millisecond}
+	for _, e := range timedEndpoints {
+		if s := d.Latency(e); s.Total != 0 || s.Quantile(0.99) != 0 {
+			t.Errorf("%s: empty latency = %+v, want 0", e, s)
+		}
 	}
 	d.HandleQuery("a")
-	d.RunBatchContext(context.Background(), 10)
-	for i := 0; i < 99; i++ {
-		d.HandleQuery("a")
+	h := NewHTTPHandler(d)
+	send := func(method, target, body string) {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, target, strings.NewReader(body)))
 	}
-	p50, p99 := d.LatencyPercentiles()
-	if p50 != CacheHitLatencyMs {
-		t.Errorf("p50 = %v", p50)
+	sent := map[string]int{"intent": 4, "intentions": 1, "related": 2, "similar": 3, "batch": 1}
+	for i := 0; i < sent["intent"]; i++ {
+		send(http.MethodGet, "/intent?q=a", "")
 	}
-	if p99 < p50 {
-		t.Errorf("p99 %v < p50 %v", p99, p50)
+	send(http.MethodGet, "/intentions?id=q:tent", "")
+	send(http.MethodGet, "/related?id=p:P1", "")
+	send(http.MethodGet, "/related?id=missing", "")
+	for i := 0; i < sent["similar"]; i++ {
+		send(http.MethodGet, "/similar?q=camping", "")
+	}
+	send(http.MethodPost, "/batch", `[{"op":"intent","q":"a"}]`)
+	send(http.MethodGet, "/kg", "")
+	send(http.MethodGet, "/metrics", "")
+	for _, e := range timedEndpoints {
+		s := d.Latency(e)
+		if s.Total != int64(sent[e]) {
+			t.Errorf("%s: %d observations, want %d", e, s.Total, sent[e])
+		}
+		if p50, p99 := s.Quantile(0.50), s.Quantile(0.99); p50 != 3 || p99 != 3 {
+			t.Errorf("%s: p50 %v p99 %v, want the 3ms step", e, p50, p99)
+		}
+		if want := 3 * float64(sent[e]); s.SumMs != want {
+			t.Errorf("%s: sum %vms, want %vms", e, s.SumMs, want)
+		}
+	}
+	if s := d.Latency("kg"); s.Total != 0 {
+		t.Errorf("untimed /kg reads %d observations", s.Total)
 	}
 }
 
@@ -491,15 +537,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := make([]byte, 4096)
-	n, _ := resp.Body.Read(body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	text := string(body[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
 	for _, want := range []string{
 		"cosmo_cache_hits_total 1",
 		"cosmo_cache_misses_total 1",
 		"cosmo_model_version 1",
-		"cosmo_request_latency_ms{quantile=\"0.5\"}",
+		"cosmo_request_latency_ms{endpoint=\"intent\",quantile=\"0.5\"}",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)

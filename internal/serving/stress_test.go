@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
@@ -61,10 +63,12 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 }
 
 // TestDeploymentConcurrentWithWorkerAndRefresh runs the full serving
-// loop — HandleQuery traffic, the background batch worker, and daily
-// refreshes — concurrently, as cosmo-serve does in production.
+// loop — /intent traffic through the HTTP handler, the background
+// batch worker, and daily refreshes — concurrently, as cosmo-serve does
+// in production.
 func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 256, QueueCap: 512}, echoResponder("v1"))
+	h := NewHTTPHandler(d)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := d.StartWorker(ctx, time.Millisecond, 64)
 
@@ -75,7 +79,8 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 1000; i++ {
-				d.HandleQuery(fmt.Sprintf("q%d", rng.Intn(100)))
+				h.ServeHTTP(httptest.NewRecorder(),
+					httptest.NewRequest(http.MethodGet, fmt.Sprintf("/intent?q=q%d", rng.Intn(100)), nil))
 			}
 		}(int64(w))
 	}
@@ -86,7 +91,7 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 			if err := d.Refresh(context.Background(), echoResponder(fmt.Sprintf("v%d", i+2)), nil, 16); err != nil {
 				t.Errorf("refresh %d: %v", i, err)
 			}
-			d.LatencyPercentiles()
+			d.Latency("intent").Quantile(0.99)
 			d.TopInteractions(5)
 		}
 	}()
@@ -97,7 +102,7 @@ func TestDeploymentConcurrentWithWorkerAndRefresh(t *testing.T) {
 	if d.Version() != 11 {
 		t.Errorf("version = %d, want 11 after 10 refreshes", d.Version())
 	}
-	if got := d.latency.Count(); got != 8000 {
+	if got := d.Latency("intent").Total; got != 8000 {
 		t.Errorf("latency observations = %d, want 8000", got)
 	}
 	// Drain any stragglers queued after the worker's final pass; the
