@@ -39,6 +39,16 @@ func String64(h uint64, s string) uint64 {
 	return h
 }
 
+// Bytes64 is String64 over a byte slice: the same state for the same
+// bytes, without converting them to a string.
+func Bytes64(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
+
 // Byte64 folds one byte into the 64-bit state h.
 func Byte64(h uint64, c byte) uint64 {
 	h ^= uint64(c)

@@ -30,5 +30,12 @@ func TestMatchesHashFNV(t *testing.T) {
 		if s64 != h64.Sum64() {
 			t.Errorf("64-bit state of %q = %#x, hash/fnv %#x", parts, s64, h64.Sum64())
 		}
+		joined := []byte{}
+		for _, p := range parts {
+			joined = append(joined, p...)
+		}
+		if b64 := Bytes64(Offset64, joined); b64 != h64.Sum64() {
+			t.Errorf("Bytes64 of %q = %#x, hash/fnv %#x", joined, b64, h64.Sum64())
+		}
 	}
 }

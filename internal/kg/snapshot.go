@@ -470,6 +470,16 @@ func (es EdgeSeq) Len() int { return len(es.idx) }
 // At materializes the i-th edge of the sequence.
 func (es EdgeSeq) At(i int) Edge { return es.s.edgeAt(es.idx[i]) }
 
+// Intention reads the i-th edge's served fields straight off the
+// columns: relation, tail label, plausible, typical and support. It
+// builds no Edge and resolves no node ID.
+//
+//cosmo:alloc-free
+func (es EdgeSeq) Intention(i int) (rel relations.Relation, tailLabel string, plausible, typical float64, support int) {
+	s, e := es.s, es.idx[i]
+	return s.rels[s.eRel[e]], s.labels[s.eTail[e]], s.ePla[e], s.eTyp[e], int(s.eSup[e])
+}
+
 // Edges materializes the whole sequence (allocates; hot paths should
 // iterate with Len/At instead).
 func (es EdgeSeq) Edges() []Edge {

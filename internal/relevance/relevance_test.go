@@ -1,6 +1,7 @@
 package relevance
 
 import (
+	"sync"
 	"testing"
 
 	"cosmo/internal/catalog"
@@ -13,6 +14,21 @@ func world() *catalog.Catalog {
 func smallLocale() Locale {
 	return Locale{Name: "test", TrainPairs: 2000, TestPairs: 700, Seed: 11}
 }
+
+// oracleDataset is smallLocale generated with oracle knowledge, and
+// trainableCrossMacro the trainable cross-encoder's macro F1 on it. Both
+// are computed once and shared by the tests that compare against them;
+// training never modifies the dataset.
+var (
+	oracleDataset = sync.OnceValue(func() Dataset {
+		cat := world()
+		return NewGenerator(cat, OracleKnowledge(cat)).Generate(smallLocale())
+	})
+	trainableCrossMacro = sync.OnceValue(func() float64 {
+		macro, _ := TrainAndEvaluate(DefaultModelConfig(CrossEncoder, true), oracleDataset())
+		return macro
+	})
+)
 
 func TestGenerateDatasetShape(t *testing.T) {
 	cat := world()
@@ -94,9 +110,7 @@ func TestOracleKnowledgeSignal(t *testing.T) {
 func TestIntentKnowledgeBoostsFixedEncoder(t *testing.T) {
 	// The Table 6 headline: with a fixed encoder, the intent-augmented
 	// cross-encoder beats the plain cross-encoder by a wide margin.
-	cat := world()
-	g := NewGenerator(cat, OracleKnowledge(cat))
-	ds := g.Generate(smallLocale())
+	ds := oracleDataset()
 
 	cross := DefaultModelConfig(CrossEncoder, false)
 	intent := DefaultModelConfig(CrossEncoderIntent, false)
@@ -113,11 +127,8 @@ func TestIntentKnowledgeBoostsFixedEncoder(t *testing.T) {
 }
 
 func TestCrossBeatsBiWithTrainableEncoder(t *testing.T) {
-	cat := world()
-	g := NewGenerator(cat, OracleKnowledge(cat))
-	ds := g.Generate(smallLocale())
-	biMacro, _ := TrainAndEvaluate(DefaultModelConfig(BiEncoder, true), ds)
-	crossMacro, _ := TrainAndEvaluate(DefaultModelConfig(CrossEncoder, true), ds)
+	biMacro, _ := TrainAndEvaluate(DefaultModelConfig(BiEncoder, true), oracleDataset())
+	crossMacro := trainableCrossMacro()
 	t.Logf("trainable: bi macro=%.3f cross macro=%.3f", biMacro, crossMacro)
 	if crossMacro <= biMacro {
 		t.Errorf("cross-encoder %.3f should beat bi-encoder %.3f", crossMacro, biMacro)
@@ -125,11 +136,8 @@ func TestCrossBeatsBiWithTrainableEncoder(t *testing.T) {
 }
 
 func TestTrainableBeatsFixed(t *testing.T) {
-	cat := world()
-	g := NewGenerator(cat, OracleKnowledge(cat))
-	ds := g.Generate(smallLocale())
-	fixedMacro, _ := TrainAndEvaluate(DefaultModelConfig(CrossEncoder, false), ds)
-	trainMacro, _ := TrainAndEvaluate(DefaultModelConfig(CrossEncoder, true), ds)
+	fixedMacro, _ := TrainAndEvaluate(DefaultModelConfig(CrossEncoder, false), oracleDataset())
+	trainMacro := trainableCrossMacro()
 	t.Logf("cross: fixed=%.3f trainable=%.3f", fixedMacro, trainMacro)
 	if trainMacro <= fixedMacro {
 		t.Errorf("trainable %.3f should beat fixed %.3f", trainMacro, fixedMacro)

@@ -48,8 +48,10 @@ import (
 // once, unescaping the few fields it cares about ("op", "id", "q",
 // "k") into a pooled scratch arena that is resliced to [:0] per item,
 // and skips everything else in place. Ids reach the snapshot as byte
-// slices (IntentionsForBytes / RelatedSeq), so a batch of M KG lookups
-// costs a small constant number of allocations independent of M.
+// slices (IntentionsForBytes / RelatedSeq) and an intent query reaches
+// the cache as one (handleQueryBytes), so a batch of M KG lookups and
+// cache hits costs a small constant number of allocations independent
+// of M. An intent miss copies its query into a string to queue it.
 
 // DefaultMaxBatchItems bounds one POST /batch request when
 // DeployConfig.MaxBatchItems is 0. 256 items keeps the worst-case
@@ -240,10 +242,9 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 		if !hasQ {
 			return append(dst, batchErrMissingQ...), true
 		}
-		// The intent path goes through the cache/store tiers and may
-		// allocate (query interning, feedback counting) — it is not on
-		// the zero-alloc guarantee, only the KG lookups are.
-		f, ok := d.HandleQuery(string(sc.q))
+		// A cache hit allocates nothing; a miss copies the query to
+		// queue it (see handleQueryBytes).
+		f, ok := d.handleQueryBytes(sc.q)
 		if !ok {
 			return AppendQueuedJSONBytes(dst, sc.q), true
 		}

@@ -6,12 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unicode/utf8"
 
 	"cosmo/internal/kg"
 )
@@ -278,41 +284,248 @@ func TestBatchParsingEdges(t *testing.T) {
 	}
 }
 
-// TestBatchAllocFree pins the tentpole contract: a KG-only batch of M
-// lookups costs a small constant number of allocations independent of
-// M — steady-state zero with warmed pools and a pre-sized destination.
+// Intent queries longer than the 32 bytes Go converts on the stack, so
+// a copy of one on the hit path shows up as a heap allocation.
+const (
+	yearlyIntentQ = "yearly frequent search: lightweight two person tent"
+	dailyIntentQ  = "daily batch search: schlafsack für kinder, winter"
+)
+
+// warmIntentLayers puts yearlyIntentQ in the yearly layer and
+// dailyIntentQ in the daily layer through the deployment's own paths.
+func warmIntentLayers(t *testing.T, d *Deployment) {
+	t.Helper()
+	d.Cache.PreloadYearly([]Feature{{Query: yearlyIntentQ, Intents: []string{"used for camping"}, Version: 1}})
+	if _, ok := d.HandleQuery(dailyIntentQ); ok {
+		t.Fatal("daily query hit before its batch ran")
+	}
+	if r := d.RunBatchContext(context.Background(), 16); r.Succeeded != 1 {
+		t.Fatalf("batch pass = %+v, want 1 success", r)
+	}
+}
+
+// TestBatchAllocFree pins the tentpole contract: a batch of M KG
+// lookups and cached intent lookups costs a small constant number of
+// allocations independent of M — steady-state zero with warmed pools
+// and a pre-sized destination.
 func TestBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool deliberately drops items under -race")
 	}
 	d := batchDeployment(t)
-	var sb strings.Builder
-	sb.WriteString(`[`)
-	for i := 0; i < 64; i++ {
-		if i > 0 {
-			sb.WriteString(",")
+	warmIntentLayers(t, d)
+	batch := func(item func(sb *strings.Builder, i int)) []byte {
+		var sb strings.Builder
+		sb.WriteString(`[`)
+		for i := 0; i < 64; i++ {
+			if i > 0 {
+				sb.WriteString(",")
+			}
+			item(&sb, i)
 		}
+		sb.WriteString(`]`)
+		return []byte(sb.String())
+	}
+	kgItem := func(sb *strings.Builder, i int) {
 		if i%2 == 0 {
-			fmt.Fprintf(&sb, `{"op":"intentions","id":"q:tent","k":%d}`, i%7+1)
+			fmt.Fprintf(sb, `{"op":"intentions","id":"q:tent","k":%d}`, i%7+1)
 		} else {
 			sb.WriteString(`{"op":"related","id":"p:P1"}`)
 		}
 	}
-	sb.WriteString(`]`)
-	body := []byte(sb.String())
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"KG", batch(kgItem)},
+		{"KG and cached intent", batch(func(sb *strings.Builder, i int) {
+			switch i % 4 {
+			case 2:
+				fmt.Fprintf(sb, `{"op":"intent","q":%q}`, yearlyIntentQ)
+			case 3:
+				fmt.Fprintf(sb, `{"op":"intent","q":%q}`, dailyIntentQ)
+			default:
+				kgItem(sb, i)
+			}
+		})},
+	}
 	dst := make([]byte, 0, 1<<20)
+	for _, tc := range cases {
+		// Warm the batch and snapshot scratch pools.
+		before := d.Cache.Stats()
+		if _, status := d.AppendBatch(dst, tc.body); status != http.StatusOK {
+			t.Fatalf("%s: warmup status = %d", tc.name, status)
+		}
+		if after := d.Cache.Stats(); after.Misses != before.Misses {
+			t.Fatalf("%s: %d intent items missed the cache", tc.name, after.Misses-before.Misses)
+		}
+		var sink []byte
+		if n := testing.AllocsPerRun(100, func() {
+			sink, _ = d.AppendBatch(dst, tc.body)
+		}); n != 0 {
+			t.Errorf("64-item %s batch: %.1f allocs/op, want 0", tc.name, n)
+		}
+		_ = sink
+	}
+	if st := d.Cache.Stats(); st.YearlyHits == 0 || st.DailyHits == 0 {
+		t.Fatalf("cache stats %+v: want hits on both layers", st)
+	}
+}
 
-	// Warm the batch and snapshot scratch pools.
-	if _, status := d.AppendBatch(dst, body); status != http.StatusOK {
-		t.Fatalf("warmup status = %d", status)
+// TestBatchIntentAccountingMatchesGET holds a /batch intent item to
+// GET /intent for the same query: on a yearly hit, a daily hit, a miss
+// and a miss served stale from the store, the two leave the same
+// answer bytes, cache counters, stale count and feedback ranking.
+func TestBatchIntentAccountingMatchesGET(t *testing.T) {
+	const (
+		missQ  = "never asked: zelt für 2 — ultraleicht"
+		staleQ = "evicted then asked: schlafsack 😀"
+	)
+	// deployment rebuilds the same state each time: staleQ processed,
+	// then the daily layer reset, so only the store still holds it.
+	deployment := func(t *testing.T) *Deployment {
+		d := batchDeployment(t)
+		d.Clock = NewFakeClock(time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC))
+		d.HandleQuery(staleQ)
+		d.RunBatchContext(context.Background(), 16)
+		d.Cache.ResetDaily()
+		warmIntentLayers(t, d)
+		return d
 	}
-	var sink []byte
-	if n := testing.AllocsPerRun(100, func() {
-		sink, _ = d.AppendBatch(dst, body)
-	}); n != 0 {
-		t.Errorf("64-item KG batch: %.1f allocs/op, want 0", n)
+	cases := []struct {
+		name, q string
+		want    func(CacheStats, BatchTotals) bool
+	}{
+		{"yearly hit", yearlyIntentQ, func(s CacheStats, _ BatchTotals) bool { return s.YearlyHits == 1 }},
+		{"daily hit", dailyIntentQ, func(s CacheStats, _ BatchTotals) bool { return s.DailyHits == 1 }},
+		{"miss", missQ, func(s CacheStats, b BatchTotals) bool { return s.Misses == 3 && b.StaleServed == 0 }},
+		{"stale miss", staleQ, func(s CacheStats, b BatchTotals) bool { return s.Misses == 3 && b.StaleServed == 1 }},
 	}
-	_ = sink
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			viaBatch, viaGET := deployment(t), deployment(t)
+			item, err := json.Marshal(map[string]string{"op": "intent", "q": tc.q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, status := viaBatch.AppendBatch(nil, []byte("["+string(item)+"]"))
+			if status != http.StatusOK {
+				t.Fatalf("batch status = %d", status)
+			}
+			rec := httptest.NewRecorder()
+			NewHTTPHandler(viaGET).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/intent?q="+url.QueryEscape(tc.q), nil))
+			if got, want := out[1:len(out)-1], bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
+				t.Errorf("batch item %s, GET /intent %s", got, want)
+			}
+			bs, gs := viaBatch.Cache.Stats(), viaGET.Cache.Stats()
+			bt, gt := viaBatch.BatchTotals(), viaGET.BatchTotals()
+			if bs != gs {
+				t.Errorf("cache stats: batch %+v, GET %+v", bs, gs)
+			}
+			if bt.StaleServed != gt.StaleServed {
+				t.Errorf("stale_served: batch %d, GET %d", bt.StaleServed, gt.StaleServed)
+			}
+			if b, g := viaBatch.TopInteractions(10), viaGET.TopInteractions(10); !slices.Equal(b, g) {
+				t.Errorf("top interactions: batch %q, GET %q", b, g)
+			}
+			if !tc.want(gs, gt) {
+				t.Errorf("case did not exercise %s: stats %+v, totals %+v", tc.name, gs, gt)
+			}
+		})
+	}
+}
+
+// TestShardBytesMatchesString: the byte path must route a query to the
+// shard the string path uses, or a hit would be looked for in the wrong
+// stripe.
+func TestShardBytesMatchesString(t *testing.T) {
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 1024, Shards: 64})
+	rng := rand.New(rand.NewSource(32))
+	alphabet := []rune("az Zé—日本😀\x00\"\uFFFD")
+	for i := 0; i < 5000; i++ {
+		b := make([]byte, 0, 64)
+		for n := rng.Intn(24); n > 0; n-- {
+			if rng.Intn(8) == 0 {
+				b = append(b, byte(rng.Intn(256))) // not always valid UTF-8
+			} else {
+				b = utf8.AppendRune(b, alphabet[rng.Intn(len(alphabet))])
+			}
+		}
+		if c.shardBytes(b) != c.shard(string(b)) {
+			t.Fatalf("query %q: byte and string hashes pick different shards", b)
+		}
+	}
+}
+
+// TestBatchIntentHitsUnderDailyChurn sends /batch intent hits from
+// several goroutines while batch passes install and evict daily
+// entries in a two-entry daily layer. Run under -race it checks the
+// byte hit path's locking; every run checks that each item answers its
+// own query and that every lookup is counted once.
+func TestBatchIntentHitsUnderDailyChurn(t *testing.T) {
+	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 2, CacheShards: 2}, echoResponder("v1"))
+	queries := []string{yearlyIntentQ, dailyIntentQ, "zelt", "schlafsack", "stirnlampe für läufer", "kocher", "isomatte", "tarp"}
+	d.Cache.PreloadYearly([]Feature{{Query: yearlyIntentQ, Version: 1}})
+	var sb strings.Builder
+	sb.WriteString("[")
+	for i, q := range queries {
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		fmt.Fprintf(&sb, `{"op":"intent","q":%q}`, q)
+	}
+	sb.WriteString("]")
+	body := []byte(sb.String())
+
+	const readers, minBatches, churn = 4, 20, 300
+	var (
+		wg      sync.WaitGroup
+		stop    atomic.Bool
+		batches atomic.Int64
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < minBatches || !stop.Load(); n++ {
+				out, status := d.AppendBatch(nil, body)
+				batches.Add(1)
+				var items []struct{ Query, Status string }
+				if status != http.StatusOK || json.Unmarshal(out, &items) != nil || len(items) != len(queries) {
+					t.Errorf("POST /batch = %d %s", status, out)
+					return
+				}
+				for i, it := range items {
+					if it.Query != queries[i] {
+						t.Errorf("item %d answered %q, want %q", i, it.Query, queries[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < churn; i++ {
+		d.HandleQuery(queries[i%len(queries)])
+		d.RunBatchContext(context.Background(), 4)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	lookups := int(batches.Load())*len(queries) + churn
+	st := d.Cache.Stats()
+	if st.Hits+st.Misses != lookups {
+		t.Errorf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, lookups)
+	}
+	if st.Evictions == 0 || st.DailyHits == 0 {
+		t.Errorf("stats %+v: want daily hits and evictions", st)
+	}
+	counted := 0
+	for _, qc := range d.interactions.sorted() {
+		counted += qc.c
+	}
+	if counted != lookups {
+		t.Errorf("feedback loop counted %d lookups, want %d", counted, lookups)
+	}
 }
 
 // TestBatchEndpoint exercises POST /batch over HTTP, including the

@@ -156,6 +156,11 @@ func (c *AsyncCache) shard(query string) *cacheShard {
 	return c.shards[fnv1a.String64(fnv1a.Offset64, query)&c.mask]
 }
 
+// shardBytes is shard for a query in a byte buffer: same bytes, same shard.
+func (c *AsyncCache) shardBytes(query []byte) *cacheShard {
+	return c.shards[fnv1a.Bytes64(fnv1a.Offset64, query)&c.mask]
+}
+
 // NumShards returns the number of lock stripes.
 func (c *AsyncCache) NumShards() int { return len(c.shards) }
 
@@ -172,7 +177,13 @@ func (c *AsyncCache) PreloadYearly(features []Feature) {
 // model inference. When the bounded miss queue is full, the oldest
 // queued query is dropped to admit this one.
 func (c *AsyncCache) Lookup(query string) (Feature, bool) {
-	return c.shard(query).lookup(query)
+	return lookup(c.shard(query), query, true)
+}
+
+// lookupHit is Lookup's hit half for a query in a byte buffer: a miss
+// counts nothing and queues nothing, so the caller follows it with Lookup.
+func (c *AsyncCache) lookupHit(query []byte) (Feature, bool) {
+	return lookup(c.shardBytes(query), query, false)
 }
 
 // InstallDaily inserts a batch-processed feature into the daily layer of

@@ -266,6 +266,18 @@ func (d *Deployment) HandleQuery(query string) (Feature, bool) {
 	return f, ok
 }
 
+// handleQueryBytes is HandleQuery for a query in the batch parser's
+// arena. A hit copies nothing: the feedback count is keyed by the hit's
+// Feature.Query, the cache map's own key. A miss copies the query, which
+// queuing needs, and runs HandleQuery, so its accounting is unchanged.
+func (d *Deployment) handleQueryBytes(q []byte) (Feature, bool) {
+	if f, ok := d.Cache.lookupHit(q); ok {
+		d.interactions.inc(f.Query)
+		return f, true
+	}
+	return d.HandleQuery(string(q))
+}
+
 // BatchResult reports one RunBatchContext pass. Every drained query is
 // accounted for: Drained == Succeeded + Failed, and each failure was
 // either re-queued for a later batch or dropped because its shard's

@@ -84,7 +84,7 @@ func appendStringSliceJSON(dst []byte, ss []string) []byte {
 func AppendIntentionsJSON(dst []byte, snap *kg.Snapshot, id string, k int) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = wire.AppendString(dst, id)
-	return appendIntentionsTail(dst, snap, snap.IntentionsFor(id), k)
+	return appendIntentionsTail(dst, snap.IntentionsFor(id), k)
 }
 
 // AppendIntentionsJSONBytes is AppendIntentionsJSON for an id still in
@@ -94,11 +94,13 @@ func AppendIntentionsJSON(dst []byte, snap *kg.Snapshot, id string, k int) []byt
 func AppendIntentionsJSONBytes(dst []byte, snap *kg.Snapshot, id []byte, k int) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = wire.AppendStringBytes(dst, id)
-	return appendIntentionsTail(dst, snap, snap.IntentionsForBytes(id), k)
+	return appendIntentionsTail(dst, snap.IntentionsForBytes(id), k)
 }
 
+// appendIntentionsTail encodes up to k edges of seq off the columns.
+//
 //cosmo:alloc-free
-func appendIntentionsTail(dst []byte, snap *kg.Snapshot, seq kg.EdgeSeq, k int) []byte {
+func appendIntentionsTail(dst []byte, seq kg.EdgeSeq, k int) []byte {
 	dst = append(dst, `,"intentions":[`...)
 	n := seq.Len()
 	if n > k {
@@ -108,18 +110,17 @@ func appendIntentionsTail(dst []byte, snap *kg.Snapshot, seq kg.EdgeSeq, k int) 
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		e := seq.At(i)
-		tail, _ := snap.Node(e.Tail)
+		rel, label, plausible, typical, support := seq.Intention(i)
 		dst = append(dst, `{"relation":`...)
-		dst = wire.AppendString(dst, string(e.Relation))
+		dst = wire.AppendString(dst, string(rel))
 		dst = append(dst, `,"intention":`...)
-		dst = wire.AppendString(dst, tail.Label)
+		dst = wire.AppendString(dst, label)
 		dst = append(dst, `,"plausible":`...)
-		dst = wire.AppendFloat(dst, e.PlausibleScore)
+		dst = wire.AppendFloat(dst, plausible)
 		dst = append(dst, `,"typical":`...)
-		dst = wire.AppendFloat(dst, e.TypicalScore)
+		dst = wire.AppendFloat(dst, typical)
 		dst = append(dst, `,"support":`...)
-		dst = wire.AppendInt(dst, int64(e.Support))
+		dst = wire.AppendInt(dst, int64(support))
 		dst = append(dst, '}')
 	}
 	return append(dst, "]}"...)

@@ -3,11 +3,18 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"cosmo/internal/catalog"
 	"cosmo/internal/kg"
+	"cosmo/internal/know"
+	"cosmo/internal/relations"
+	"cosmo/internal/wire"
 )
 
 // stdlibJSON is the oracle: what the handlers used to send, minus the
@@ -148,6 +155,100 @@ func TestEncodersGolden(t *testing.T) {
 			}
 		}
 	})
+}
+
+// appendIntentionsTailReference is the /intentions encoder that
+// appendIntentionsTail replaced: it materializes each edge with At and
+// resolves its tail's label with a Node lookup.
+func appendIntentionsTailReference(dst []byte, snap *kg.Snapshot, seq kg.EdgeSeq, k int) []byte {
+	dst = append(dst, `,"intentions":[`...)
+	n := seq.Len()
+	if n > k {
+		n = k
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		e := seq.At(i)
+		tail, _ := snap.Node(e.Tail)
+		dst = append(dst, `{"relation":`...)
+		dst = wire.AppendString(dst, string(e.Relation))
+		dst = append(dst, `,"intention":`...)
+		dst = wire.AppendString(dst, tail.Label)
+		dst = append(dst, `,"plausible":`...)
+		dst = wire.AppendFloat(dst, e.PlausibleScore)
+		dst = append(dst, `,"typical":`...)
+		dst = wire.AppendFloat(dst, e.TypicalScore)
+		dst = append(dst, `,"support":`...)
+		dst = wire.AppendInt(dst, int64(e.Support))
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...)
+}
+
+// randomIntentionsGraph builds a graph whose intention tails share a
+// few labels (escapes and non-ASCII among them), with tied scores and
+// rows of varied length, so the column encoder must pick each edge's
+// own tail, not the first node with its label.
+func randomIntentionsGraph(t *testing.T, rng *rand.Rand) *kg.Graph {
+	t.Helper()
+	g := kg.New()
+	labels := []string{"camping", "camping", "winter <camping>", `quo"te`, "zelt für 2", "camping"}
+	rels := []relations.Relation{relations.UsedForEve, relations.CapableOf, relations.UsedBy, relations.IsA}
+	scores := []float64{0, 0.2, 0.5, 0.5, 0.8, 1, math.Sqrt(2) / 3}
+	nTails := 3 + rng.Intn(12)
+	for i := 0; i < nTails; i++ {
+		g.AddNode(kg.Node{ID: fmt.Sprintf("i:t%02d", i), Type: kg.NodeIntention, Label: labels[rng.Intn(len(labels))]})
+	}
+	for h := 0; h < 6; h++ {
+		head := fmt.Sprintf("p:P%d", h)
+		g.AddNode(kg.Node{ID: head, Type: kg.NodeProduct, Label: "product " + head})
+		for j := rng.Intn(2 * nTails); j > 0; j-- {
+			if err := g.AddEdge(kg.Edge{
+				Head: head, Relation: rels[rng.Intn(len(rels))], Tail: fmt.Sprintf("i:t%02d", rng.Intn(nTails)),
+				Behavior: know.CoBuy, Domain: catalog.Category("outdoor"),
+				PlausibleScore: scores[rng.Intn(len(scores))], TypicalScore: scores[rng.Intn(len(scores))],
+				Support: 1 + rng.Intn(5),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return g
+}
+
+// TestIntentionsEncoderMatchesReference holds the column encoder to the
+// At + Node reference, byte for byte, on random graphs both frozen in
+// process and mapped from a written artifact, for k below, at and above
+// every row's length.
+func TestIntentionsEncoderMatchesReference(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		frozen := randomIntentionsGraph(t, rng).Freeze()
+		path := filepath.Join(t.TempDir(), "kg.cosmo")
+		if err := kg.WriteSnapshotFile(path, frozen); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := kg.MapSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, snap := range []*kg.Snapshot{frozen, mapped} {
+			for _, n := range snap.Nodes() {
+				seq := snap.IntentionsFor(n.ID)
+				for _, k := range []int{1, seq.Len() - 1, seq.Len(), seq.Len() + 1} {
+					want := appendIntentionsTailReference(nil, snap, seq, k)
+					if got := appendIntentionsTail(nil, seq, k); !bytes.Equal(got, want) {
+						t.Fatalf("trial %d, %s, k=%d:\n got %s\nwant %s", trial, n.ID, k, got, want)
+					}
+				}
+			}
+		}
+		if err := mapped.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestEncodersAllocFree pins the steady-state allocation contract of

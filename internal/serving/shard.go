@@ -90,22 +90,29 @@ func (s *cacheShard) requeue(query string) bool {
 	return true
 }
 
-func (s *cacheShard) lookup(query string) (Feature, bool) {
+// lookup serves q from the yearly layer, then the daily LRU, and counts
+// the hit. On a miss it counts the miss and queues q when queue is set,
+// and counts and queues nothing when it is not. It is generic so a
+// byte-slice query indexes the maps with m[string(q)], which Go does not
+// copy; only queuing copies it.
+func lookup[Q string | []byte](s *cacheShard, q Q, queue bool) (Feature, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if f, ok := s.yearly[query]; ok {
+	if f, ok := s.yearly[string(q)]; ok {
 		s.stats.Hits++
 		s.stats.YearlyHits++
 		return f, true
 	}
-	if el, ok := s.daily[query]; ok {
+	if el, ok := s.daily[string(q)]; ok {
 		s.lru.MoveToFront(el)
 		s.stats.Hits++
 		s.stats.DailyHits++
 		return el.Value.(dailyEntry).f, true
 	}
-	s.stats.Misses++
-	s.enqueueLocked(query)
+	if queue {
+		s.stats.Misses++
+		s.enqueueLocked(string(q))
+	}
 	return Feature{}, false
 }
 
