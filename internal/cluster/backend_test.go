@@ -71,3 +71,31 @@ func TestReadinessAgreesAcrossTransports(t *testing.T) {
 		})
 	}
 }
+
+// TestHTTPBackendCheckRefusesUnusableBase: a node behind an https://
+// base answers /readyz, but every Do fails on the scheme, so Check must
+// report it down and a router over it must count no eligible node.
+func TestHTTPBackendCheckRefusesUnusableBase(t *testing.T) {
+	dep := serving.NewDeploymentContext(serving.DeployConfig{}, serving.ContextResponderFunc(func(_ context.Context, q string) (serving.Feature, error) {
+		return serving.Feature{Query: q}, nil
+	}))
+	dep.SetReady(true)
+	srv := httptest.NewTLSServer(serving.NewHTTPHandler(dep))
+	defer srv.Close()
+	hb := NewHTTPBackend(srv.URL, srv.Client())
+	defer hb.Close()
+	if _, err := hb.Do(context.Background(), "/intent", "q=tent"); err == nil {
+		t.Fatal("Do over an https:// base succeeded")
+	}
+	if h := hb.Check(context.Background()); h != HealthDown {
+		t.Errorf("Check = %v, want %v", h, HealthDown)
+	}
+	r, err := New([]NodeSpec{{Name: "tls", Backend: hb}}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.CheckHealth(context.Background())
+	if n := r.EligibleNodes(); n != 0 {
+		t.Errorf("EligibleNodes = %d, want 0", n)
+	}
+}

@@ -446,8 +446,13 @@ func (hc *hopConn) readChunked(scratch *wire.Buffer, maxBody int64) ([]byte, err
 
 // Check probes the node's /readyz. A 200 is ready; a non-200 whose body
 // says "draining" is a graceful drain (the cosmo-serve -drain-grace
-// protocol); anything else — including transport failure — is down.
+// protocol); anything else — including transport failure — is down. A
+// base every Do refuses (not http://) is down without a probe, so the
+// router never counts a node it cannot reach.
 func (b *HTTPBackend) Check(ctx context.Context) Health {
+	if b.baseErr != nil {
+		return HealthDown
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
 	if err != nil {
 		return HealthDown

@@ -30,20 +30,11 @@ func Byte32(h uint32, c byte) uint32 {
 	return h
 }
 
-// String64 folds s into the 64-bit state h.
-func String64(h uint64, s string) uint64 {
+// String64 folds s into the 64-bit state h: the same state for the same
+// bytes, whether they arrive as a string or a byte slice.
+func String64[S string | []byte](h uint64, s S) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
-// Bytes64 is String64 over a byte slice: the same state for the same
-// bytes, without converting them to a string.
-func Bytes64(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
 		h *= prime64
 	}
 	return h

@@ -34,8 +34,8 @@ func TestMatchesHashFNV(t *testing.T) {
 		for _, p := range parts {
 			joined = append(joined, p...)
 		}
-		if b64 := Bytes64(Offset64, joined); b64 != h64.Sum64() {
-			t.Errorf("Bytes64 of %q = %#x, hash/fnv %#x", joined, b64, h64.Sum64())
+		if b64 := String64(Offset64, joined); b64 != h64.Sum64() {
+			t.Errorf("String64 of bytes %q = %#x, hash/fnv %#x", joined, b64, h64.Sum64())
 		}
 	}
 }

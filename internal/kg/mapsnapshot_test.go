@@ -248,38 +248,38 @@ func TestMapSnapshotZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var intHead string
-	var relHead []byte
+	var intHead, relHead string
 	bestInt, bestRel := 0, 0
 	for _, n := range s.Nodes() {
 		if l := s.IntentionsFor(n.ID).Len(); l > bestInt {
 			bestInt, intHead = l, n.ID
 		}
 		if l := len(s.RelatedProducts(n.ID, 1<<20)); l > bestRel {
-			bestRel, relHead = l, []byte(n.ID)
+			bestRel, relHead = l, n.ID
 		}
 	}
 	if bestInt == 0 || bestRel == 0 {
 		t.Fatal("no head with intentions and related products")
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		seq := s.IntentionsFor(intHead)
-		for i := 0; i < seq.Len(); i++ {
-			allocSink += seq.At(i).TypicalScore
+	intBytes, relBytes := []byte(intHead), []byte(relHead)
+	RelatedOf(s, relHead, 10).Release() // warm the pool
+	for name, lookup := range map[string]func() (EdgeSeq, RelatedSeq){
+		"string": func() (EdgeSeq, RelatedSeq) { return IntentionsOf(s, intHead), RelatedOf(s, relHead, 10) },
+		"bytes":  func() (EdgeSeq, RelatedSeq) { return IntentionsOf(s, intBytes), RelatedOf(s, relBytes, 10) },
+	} {
+		if allocs := testing.AllocsPerRun(200, func() {
+			seq, rel := lookup()
+			for i := 0; i < seq.Len(); i++ {
+				allocSink += seq.At(i).TypicalScore
+			}
+			for i := 0; i < rel.Len(); i++ {
+				r := rel.At(i)
+				allocSink += r.Score + float64(len(r.Via))
+			}
+			rel.Release()
+		}); allocs != 0 {
+			t.Fatalf("mapped lookups with a %s key allocate %v per run, want 0", name, allocs)
 		}
-	}); allocs != 0 {
-		t.Fatalf("mapped IntentionsFor allocates %v per run, want 0", allocs)
-	}
-	s.RelatedSeq(relHead, 10).Release() // warm the pool
-	if allocs := testing.AllocsPerRun(200, func() {
-		seq := s.RelatedSeq(relHead, 10)
-		for i := 0; i < seq.Len(); i++ {
-			r := seq.At(i)
-			allocSink += r.Score + float64(len(r.Via))
-		}
-		seq.Release()
-	}); allocs != 0 {
-		t.Fatalf("mapped RelatedSeq lookup allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestMapSnapshotRetirementRace(t *testing.T) {
 					for i := 0; i < seq.Len(); i++ {
 						_ = seq.At(i)
 					}
-					s.RelatedSeqString(id, 5).Release()
+					RelatedOf(s, id, 5).Release()
 				}
 				_ = s.ComputeStats()
 			}

@@ -354,72 +354,39 @@ func (s *Snapshot) edgeAt(i int32) Edge {
 	}
 }
 
+// Key is a node ID or query as a string or as a byte slice. Every
+// lookup takes either: GET handlers hold strings, the /batch parser
+// hands ids straight out of its request arena, and both resolve the
+// same node.
+type Key interface{ string | []byte }
+
 // symOf resolves a node ID to its dense symbol. No snapshot carries a
 // node hash map: the ID table is strictly ascending (sorted by Freeze,
 // validated by the decoder), so the table itself is the index and a
-// binary search answers in O(log n) with zero start-up cost.
+// binary search answers in O(log n) with zero start-up cost. A byte
+// key is not copied: a conversion that is only a comparison operand
+// materializes no string.
 //
 //cosmo:alloc-free
-func (s *Snapshot) symOf(id string) (int32, bool) {
+func symOf[K Key](s *Snapshot, id K) (int32, bool) {
 	lo, hi := 0, len(s.ids)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.ids[mid] < id {
+		if s.ids[mid] < string(id) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo == len(s.ids) || s.ids[lo] != id {
+	if lo == len(s.ids) || s.ids[lo] != string(id) {
 		return 0, false
 	}
 	return int32(lo), true //cosmo:lint-ignore unchecked-narrowing the loaders cap the node count at MaxInt32
-}
-
-// symOfBytes is symOf keyed by a byte slice, allocation-free: the
-// compare is byte-wise, no string is materialized.
-//
-//cosmo:alloc-free
-func (s *Snapshot) symOfBytes(id []byte) (int32, bool) {
-	lo, hi := 0, len(s.ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cmpStringBytes(s.ids[mid], id) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(s.ids) || cmpStringBytes(s.ids[lo], id) != 0 {
-		return 0, false
-	}
-	return int32(lo), true //cosmo:lint-ignore unchecked-narrowing the loaders cap the node count at MaxInt32
-}
-
-// cmpStringBytes is strings.Compare(a, string(b)) without the
-// conversion allocation.
-func cmpStringBytes(a string, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // Node returns a node by ID.
 func (s *Snapshot) Node(id string) (Node, bool) {
-	i, ok := s.symOf(id)
+	i, ok := symOf(s, id)
 	if !ok {
 		return Node{}, false
 	}
@@ -490,41 +457,26 @@ func (es EdgeSeq) Edges() []Edge {
 	return out
 }
 
-// IntentionsFor returns the intentions reachable from a head, sorted by
+// IntentionsOf returns the intentions reachable from a head, sorted by
 // descending typicality (ties: tail ID, then relation). The returned
 // view is a slice into the frozen index: no locks, no sorting, no
 // allocation.
 //
 //cosmo:alloc-free
-func (s *Snapshot) IntentionsFor(head string) EdgeSeq {
-	h, ok := s.symOf(head)
+func IntentionsOf[K Key](s *Snapshot, head K) EdgeSeq {
+	h, ok := symOf(s, head)
 	if !ok {
 		return EdgeSeq{}
 	}
 	return EdgeSeq{s: s, idx: s.byHead.row(h)}
 }
 
-// IntentionsForBytes is IntentionsFor keyed by a byte-slice head: the
-// batch parser hands ids straight out of the request buffer without
-// materializing strings.
-//
-//cosmo:alloc-free
-func (s *Snapshot) IntentionsForBytes(head []byte) EdgeSeq {
-	h, ok := s.symOfBytes(head)
-	if !ok {
-		return EdgeSeq{}
-	}
-	return EdgeSeq{s: s, idx: s.byHead.row(h)}
-}
+// IntentionsFor is IntentionsOf for a string head.
+func (s *Snapshot) IntentionsFor(head string) EdgeSeq { return IntentionsOf(s, head) }
 
 // ContainsBytes reports whether a node with the given byte-slice ID
-// exists, without materializing a string key.
-//
-//cosmo:alloc-free
-func (s *Snapshot) ContainsBytes(id []byte) bool {
-	_, ok := s.symOfBytes(id)
-	return ok
-}
+// exists. Kept only for the bench/ harness.
+func (s *Snapshot) ContainsBytes(id []byte) bool { _, ok := symOf(s, id); return ok }
 
 // Related is one product reached through shared intentions.
 type Related struct {
@@ -574,10 +526,6 @@ func relCmp(a, b relEntry) int {
 	}
 	return cmp.Compare(a.cand, b.cand)
 }
-
-// emptyRelated is the canonical empty result, hoisted so the unknown-
-// head path stays allocation-free.
-var emptyRelated = []Related{}
 
 // relatedCollect runs the two-hop walk for head symbol h entirely on
 // pooled scratch and leaves up to k result entries — with their via
@@ -677,27 +625,17 @@ func (sc *relatedScratch) release() {
 // builds no maps. The only allocations are the sized result and
 // per-candidate via slices; everything else runs on pooled scratch.
 // Callers that can consume the result before the next lookup avoid even
-// those with RelatedSeq.
+// those with RelatedOf.
 //
 //cosmo:alloc-free
 func (s *Snapshot) RelatedProducts(head string, k int) []Related {
-	h, ok := s.symOf(head)
-	if !ok {
-		return emptyRelated
+	seq := RelatedOf(s, head, k)
+	out := make([]Related, seq.Len())
+	for i := range out {
+		out[i] = seq.At(i)
+		out[i].Via = slices.Clone(out[i].Via)
 	}
-	sc := s.relatedCollect(h, k)
-	out := make([]Related, 0, len(sc.ents))
-	for _, en := range sc.ents {
-		via := make([]string, 0, en.viaEnd-en.viaStart)
-		via = append(via, sc.via[en.viaStart:en.viaEnd]...)
-		out = append(out, Related{
-			ProductID: s.ids[en.cand],
-			Label:     s.labels[en.cand],
-			Score:     en.score,
-			Via:       via,
-		})
-	}
-	sc.release()
+	seq.Release()
 	return out
 }
 
@@ -711,30 +649,21 @@ type RelatedSeq struct {
 	sc *relatedScratch
 }
 
-// RelatedSeq runs the RelatedProducts walk for a byte-slice head
-// (the batch parser hands ids through without materializing strings)
-// and returns the pooled view. The caller must call Release.
+// RelatedOf runs the RelatedProducts walk for a head and returns the
+// pooled view. The caller must call Release.
 //
 //cosmo:alloc-free
-func (s *Snapshot) RelatedSeq(head []byte, k int) RelatedSeq {
-	h, ok := s.symOfBytes(head)
+func RelatedOf[K Key](s *Snapshot, head K, k int) RelatedSeq {
+	h, ok := symOf(s, head)
 	if !ok {
 		return RelatedSeq{}
 	}
 	return RelatedSeq{sc: s.relatedCollect(h, k)}
 }
 
-// RelatedSeqString is RelatedSeq for a string head (the single-endpoint
-// handler already holds one). The caller must call Release.
-//
-//cosmo:alloc-free
-func (s *Snapshot) RelatedSeqString(head string, k int) RelatedSeq {
-	h, ok := s.symOf(head)
-	if !ok {
-		return RelatedSeq{}
-	}
-	return RelatedSeq{sc: s.relatedCollect(h, k)}
-}
+// RelatedSeqString is RelatedOf for a string head. Kept only for the
+// bench/ harness.
+func (s *Snapshot) RelatedSeqString(head string, k int) RelatedSeq { return RelatedOf(s, head, k) }
 
 // Len returns the number of result entries.
 func (rs RelatedSeq) Len() int {

@@ -150,7 +150,7 @@ func fanOutWorld(b *testing.B) (*Snapshot, []string, []int) {
 		fanOutSnap = s
 		for i := 0; i < 256; i++ {
 			head := ProductID(fmt.Sprintf("P%04d", rng.Intn(products)))
-			h, _ := s.symOf(head)
+			h, _ := symOf(s, head)
 			pairs := 0
 			for _, ei := range s.byHead.row(h) {
 				for _, bi := range s.byTail.row(s.eTail[ei]) {
@@ -178,7 +178,7 @@ func BenchmarkSnapshotRelatedFanOut(b *testing.B) {
 			pairs, kept := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				seq := s.RelatedSeqString(heads[i%len(heads)], k)
+				seq := RelatedOf(s, heads[i%len(heads)], k)
 				kept += seq.Len()
 				seq.Release()
 				pairs += viaPairs[i%len(heads)]

@@ -203,7 +203,7 @@ func (o *oracle) hierarchy(minSupport int) []*HierarchyNode {
 // no query in between. An unknown id has an empty row.
 func rowEdges(s *Snapshot, c csr, id string) []Edge {
 	out := []Edge{}
-	sym, ok := s.symOf(id)
+	sym, ok := symOf(s, id)
 	if !ok {
 		return out
 	}
@@ -272,6 +272,9 @@ func checkOracle(t *testing.T, g *Graph, o *oracle, s *Snapshot) {
 		if got := s.IntentionsFor(n.ID).Edges(); !reflect.DeepEqual(got, wantFrom) {
 			t.Fatalf("IntentionsFor(%q) differ:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
 		}
+		if got := IntentionsOf(s, []byte(n.ID)).Edges(); !reflect.DeepEqual(got, wantFrom) || !s.ContainsBytes([]byte(n.ID)) {
+			t.Fatalf("byte key %q: IntentionsOf differs or ContainsBytes is false:\nsnapshot %+v\noracle   %+v", n.ID, got, wantFrom)
+		}
 		if got, want := rowEdges(s, s.byTail, n.ID), o.edgesTo(n.ID); !reflect.DeepEqual(got, want) {
 			t.Fatalf("byTail row of %q differs:\nsnapshot %+v\noracle   %+v", n.ID, got, want)
 		}
@@ -294,6 +297,9 @@ func checkOracle(t *testing.T, g *Graph, o *oracle, s *Snapshot) {
 	}
 	if n := s.IntentionsFor("p:NOPE").Len(); n != 0 {
 		t.Fatalf("unknown head has %d intentions", n)
+	}
+	if s.ContainsBytes([]byte("p:NOPE")) || IntentionsOf(s, []byte("p:NOPE")).Len() != 0 {
+		t.Fatal("unknown byte key found in snapshot")
 	}
 	if n := len(s.RelatedProducts("p:NOPE", 5)); n != 0 {
 		t.Fatalf("unknown head has %d related products", n)
@@ -331,14 +337,20 @@ func TestSnapshotIntentionsForZeroAlloc(t *testing.T) {
 	if best == 0 {
 		t.Fatal("no head with intentions")
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		seq := s.IntentionsFor(head)
-		for i := 0; i < seq.Len(); i++ {
-			allocSink += seq.At(i).TypicalScore
+	headBytes := []byte(head)
+	for name, lookup := range map[string]func() EdgeSeq{
+		"string": func() EdgeSeq { return IntentionsOf(s, head) },
+		"bytes":  func() EdgeSeq { return IntentionsOf(s, headBytes) },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			seq := lookup()
+			for i := 0; i < seq.Len(); i++ {
+				allocSink += seq.At(i).TypicalScore
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("IntentionsOf with a %s key allocates %v per run, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Snapshot.IntentionsFor allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -353,22 +365,22 @@ func TestRelatedSeqEquivalence(t *testing.T) {
 		for _, n := range s.Nodes() {
 			for _, k := range []int{1, 3, 1 << 20} {
 				want := s.RelatedProducts(n.ID, k)
-				seq := s.RelatedSeq([]byte(n.ID), k)
+				seq := RelatedOf(s, []byte(n.ID), k)
 				if seq.Len() != len(want) {
-					t.Fatalf("RelatedSeq(%q, %d).Len() = %d, want %d", n.ID, k, seq.Len(), len(want))
+					t.Fatalf("RelatedOf(%q, %d).Len() = %d, want %d", n.ID, k, seq.Len(), len(want))
 				}
 				for i := range want {
 					got := seq.At(i)
 					if got.ProductID != want[i].ProductID || got.Label != want[i].Label ||
 						got.Score != want[i].Score || !reflect.DeepEqual(got.Via, want[i].Via) {
-						t.Fatalf("RelatedSeq(%q, %d) entry %d = %+v, want %+v", n.ID, k, i, got, want[i])
+						t.Fatalf("RelatedOf(%q, %d) entry %d = %+v, want %+v", n.ID, k, i, got, want[i])
 					}
 				}
 				seq.Release()
 			}
 		}
 		// Unknown heads yield the zero view; Release on it is a no-op.
-		seq := s.RelatedSeq([]byte("p:NOPE"), 5)
+		seq := RelatedOf(s, []byte("p:NOPE"), 5)
 		if seq.Len() != 0 {
 			t.Fatalf("unknown head has %d related entries", seq.Len())
 		}
@@ -478,34 +490,6 @@ func TestRelatedTopKBoundary(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesLookups: the byte-keyed entry points agree with the
-// string-keyed ones.
-func TestSnapshotBytesLookups(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := randomGraph(t, rng, 200).Freeze()
-	for _, n := range s.Nodes() {
-		if !s.ContainsBytes([]byte(n.ID)) {
-			t.Fatalf("ContainsBytes(%q) = false for an existing node", n.ID)
-		}
-		want := s.IntentionsFor(n.ID)
-		got := s.IntentionsForBytes([]byte(n.ID))
-		if want.Len() != got.Len() {
-			t.Fatalf("IntentionsForBytes(%q).Len() = %d, want %d", n.ID, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if !reflect.DeepEqual(want.At(i), got.At(i)) {
-				t.Fatalf("IntentionsForBytes(%q) edge %d differs", n.ID, i)
-			}
-		}
-	}
-	if s.ContainsBytes([]byte("p:NOPE")) {
-		t.Fatal("ContainsBytes true for unknown id")
-	}
-	if s.IntentionsForBytes([]byte("p:NOPE")).Len() != 0 {
-		t.Fatal("IntentionsForBytes non-empty for unknown id")
-	}
-}
-
 // TestRelatedSeqZeroAlloc: a full related lookup through the view —
 // walk, sort, iterate, release — touches the heap zero times at steady
 // state. This is the property the /batch path builds on.
@@ -515,28 +499,34 @@ func TestRelatedSeqZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	s := randomGraph(t, rng, 300).Freeze()
-	var head []byte
+	var head string
 	best := 0
 	for _, n := range s.Nodes() {
 		if l := len(s.RelatedProducts(n.ID, 1<<20)); l > best {
-			best, head = l, []byte(n.ID)
+			best, head = l, n.ID
 		}
 	}
 	if best == 0 {
 		t.Fatal("no head with related products")
 	}
 	// Warm the pool so the score array and arenas are sized.
-	s.RelatedSeq(head, 10).Release()
-	allocs := testing.AllocsPerRun(200, func() {
-		seq := s.RelatedSeq(head, 10)
-		for i := 0; i < seq.Len(); i++ {
-			r := seq.At(i)
-			allocSink += r.Score + float64(len(r.Via))
+	RelatedOf(s, head, 10).Release()
+	headBytes := []byte(head)
+	for name, lookup := range map[string]func() RelatedSeq{
+		"string": func() RelatedSeq { return RelatedOf(s, head, 10) },
+		"bytes":  func() RelatedSeq { return RelatedOf(s, headBytes, 10) },
+	} {
+		allocs := testing.AllocsPerRun(200, func() {
+			seq := lookup()
+			for i := 0; i < seq.Len(); i++ {
+				r := seq.At(i)
+				allocSink += r.Score + float64(len(r.Via))
+			}
+			seq.Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("RelatedOf with a %s key allocates %v per run, want 0", name, allocs)
 		}
-		seq.Release()
-	})
-	if allocs != 0 {
-		t.Fatalf("RelatedSeq lookup allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -27,7 +28,11 @@ import (
 //     strconv.Append* idiom: the capacity budget lives with the
 //     caller, as internal/wire's encoders rely on);
 //   - no non-constant string concatenation, and no string<->[]byte/
-//     []rune conversions;
+//     []rune conversions. A type parameter counts as every type in its
+//     constraint's type set, so string(q) on a q of type K string |
+//     []byte copies; such a conversion is exempt only as the index of a
+//     map read or an operand of a comparison, where gc does not copy
+//     (a map write stores the key, so m[string(q)] = v is reported);
 //   - no map or channel make, no map/slice composite literals, no new;
 //   - no function literals that capture variables (captured vars
 //     escape);
@@ -179,6 +184,68 @@ func isStringy(t types.Type) bool {
 	return ok && b.Info()&types.IsString != 0
 }
 
+// admits reports whether t is a type parameter whose type set holds
+// one of ts.
+func admits(t types.Type, ts ...types.Type) bool {
+	tp, ok := t.(*types.TypeParam)
+	if !ok {
+		return false
+	}
+	c := tp.Constraint().Underlying().(*types.Interface)
+	return slices.ContainsFunc(ts, func(u types.Type) bool { return types.Satisfies(u, c) })
+}
+
+// The string and slice types a string conversion copies between.
+var (
+	stringType = types.Typ[types.String]
+	sliceTypes = []types.Type{types.NewSlice(types.Typ[types.Byte]), types.NewSlice(types.Typ[types.Rune])}
+)
+
+// convCopies reports whether converting from to to copies the contents:
+// string <-> []byte/[]rune, a type parameter counting as every type in
+// its type set.
+func convCopies(to, from types.Type) bool {
+	stringy := func(t types.Type) bool { return isStringy(t) || admits(t, stringType) }
+	slice := func(t types.Type) bool { return isByteOrRuneSlice(t) || admits(t, sliceTypes...) }
+	return stringy(to) && slice(from) || slice(to) && stringy(from)
+}
+
+// freeConversionSites collects the expressions where gc does not copy
+// a string conversion: the index of a map read and an operand of a
+// comparison. The index of a map write is not one: the map keeps it.
+func freeConversionSites(info *types.Info, body *ast.BlockStmt) map[ast.Expr]bool {
+	free := map[ast.Expr]bool{}
+	writes := map[*ast.IndexExpr]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range e.Lhs {
+				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+					writes[ix] = true
+				}
+			}
+		case *ast.IncDecStmt:
+			if ix, ok := ast.Unparen(e.X).(*ast.IndexExpr); ok {
+				writes[ix] = true
+			}
+		case *ast.IndexExpr:
+			if tv, ok := info.Types[e.X]; ok && !writes[e] {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					free[ast.Unparen(e.Index)] = true
+				}
+			}
+		case *ast.BinaryExpr:
+			switch e.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				free[ast.Unparen(e.X)] = true
+				free[ast.Unparen(e.Y)] = true
+			}
+		}
+		return true
+	})
+	return free
+}
+
 // isByteOrRuneSlice reports whether t is []byte or []rune.
 func isByteOrRuneSlice(t types.Type) bool {
 	sl, ok := t.Underlying().(*types.Slice)
@@ -222,6 +289,7 @@ func capturesOuter(info *types.Info, lit *ast.FuncLit) bool {
 // construct outside the contract.
 func checkAllocFreeBody(p *Pass, name string, params *ast.FieldList, body *ast.BlockStmt) {
 	capped := collectCapEvidence(p.Info, params, body)
+	free := freeConversionSites(p.Info, body)
 	report := func(pos token.Pos, construct string) {
 		p.Reportf(pos, "alloc-free",
 			"%s in %s, which is annotated %s; hoist it, pool it, or drop the annotation",
@@ -261,7 +329,7 @@ func checkAllocFreeBody(p *Pass, name string, params *ast.FieldList, body *ast.B
 			}
 			return true
 		case *ast.CallExpr:
-			checkAllocFreeCall(p, e, capped, report)
+			checkAllocFreeCall(p, e, capped, free, report)
 			return true
 		}
 		return true
@@ -269,8 +337,9 @@ func checkAllocFreeBody(p *Pass, name string, params *ast.FieldList, body *ast.B
 }
 
 // checkAllocFreeCall applies the per-call rules: builtins, string
-// conversions, fmt, and interface boxing.
-func checkAllocFreeCall(p *Pass, call *ast.CallExpr, capped map[string]bool, report func(token.Pos, string)) {
+// conversions, fmt, and interface boxing. free holds the sites where a
+// conversion involving a type parameter does not copy.
+func checkAllocFreeCall(p *Pass, call *ast.CallExpr, capped map[string]bool, free map[ast.Expr]bool, report func(token.Pos, string)) {
 	switch builtinName(p.Info, call) {
 	case "append":
 		if len(call.Args) == 0 {
@@ -310,10 +379,10 @@ func checkAllocFreeCall(p *Pass, call *ast.CallExpr, capped map[string]bool, rep
 	// interface type.
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		argTV := p.Info.Types[call.Args[0]]
-		if argTV.Value == nil { // constant conversions fold away
-			switch {
-			case isStringy(tv.Type) && isByteOrRuneSlice(argTV.Type),
-				isByteOrRuneSlice(tv.Type) && isStringy(argTV.Type):
+		if argTV.Value == nil && convCopies(tv.Type, argTV.Type) { // constant conversions fold away
+			_, toTP := tv.Type.(*types.TypeParam)
+			_, fromTP := argTV.Type.(*types.TypeParam)
+			if !free[call] || !toTP && !fromTP {
 				report(call.Pos(), "string/slice conversion (copies the contents)")
 			}
 		}

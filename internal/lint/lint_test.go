@@ -214,6 +214,14 @@ func TestFixtures(t *testing.T) {
 				"bad.go:19:alloc-free",
 				"bad.go:20:alloc-free",
 				"bad.go:21:alloc-free",
+				"bad.go:35:alloc-free",
+				"bad.go:36:alloc-free",
+				"bad.go:37:alloc-free",
+				"bad.go:37:alloc-free",
+				"bad.go:38:alloc-free",
+				"bad.go:39:alloc-free",
+				"bad.go:40:alloc-free",
+				"bad.go:41:alloc-free",
 			},
 		},
 		{

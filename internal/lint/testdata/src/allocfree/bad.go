@@ -24,3 +24,19 @@ func leaky(xs []int, s string) int {
 }
 
 func consume(v any) {}
+
+// Type parameters: each conversion copies for one instantiation, a map
+// write keeps its key, and a concrete operand keeps the rule above.
+
+type key interface{ string | []byte }
+
+//cosmo:alloc-free
+func leakyKey[K key](m map[string]int, q K, s string, b []byte) bool {
+	str := string(q)  // line 35: finding (copies for K = []byte)
+	bs := []byte(q)   // line 36: finding (copies for K = string)
+	k := K(s)         // line 37: two findings (a copy for K = []byte; the boxing rule reads K as its constraint interface)
+	m[string(q)] = 1  // line 38: finding (map write)
+	m[string(q)]++    // line 39: finding (map write)
+	m[string(q)] += 2 // line 40: finding (map write)
+	return len(str)+len(bs)+len(k) > 0 && string(b) == s // line 41: finding (concrete operand)
+}

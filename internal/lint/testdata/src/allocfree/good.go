@@ -73,3 +73,15 @@ func aliased(p *int32, n int) int32 {
 func unannotated(s string) string {
 	return s + "!" // not annotated: the check does not apply
 }
+
+// keyLookup converts a type-parameter key only where gc does not copy:
+// as a map read's index and as a comparison operand.
+//
+//cosmo:alloc-free
+func keyLookup[K key](m map[string]int, id string, q K) bool {
+	v, ok := m[string(q)]
+	return ok && v == m[(string(q))] && (id < string(q) || string(q) == id)
+}
+
+//cosmo:alloc-free
+func stringOnly[S ~string](q S) string { return string(q) } // no []byte in the type set

@@ -47,11 +47,13 @@ import (
 // The parser is hand-rolled and streaming: it walks the body bytes
 // once, unescaping the few fields it cares about ("op", "id", "q",
 // "k") into a pooled scratch arena that is resliced to [:0] per item,
-// and skips everything else in place. Ids reach the snapshot as byte
-// slices (IntentionsForBytes / RelatedSeq) and an intent query reaches
-// the cache as one (handleQueryBytes), so a batch of M KG lookups and
-// cache hits costs a small constant number of allocations independent
-// of M. An intent miss copies its query into a string to queue it.
+// and skips everything else in place. Ids and intent queries stay byte
+// slices all the way down: the encoders, the snapshot lookups and the
+// cache path (handleQuery) take a kg.Key, string or bytes, through one
+// generic function per layer. So a batch of M KG lookups and cache hits
+// costs a small constant number of allocations independent of M; an
+// intent miss takes one cache lookup and copies its query into the
+// string it queues.
 
 // DefaultMaxBatchItems bounds one POST /batch request when
 // DeployConfig.MaxBatchItems is 0. 256 items keeps the worst-case
@@ -195,7 +197,7 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 				if !isInt {
 					bad |= badK // a fractional k fails the item, not the batch
 				} else {
-					k, bad = clampBatchK(v), bad&^badK
+					k, bad = clampK(v), bad&^badK
 				}
 			default:
 				// Unknown key, or a known key with the wrong value type:
@@ -229,7 +231,7 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 		if snap == nil {
 			return append(dst, batchErrNoKG...), true
 		}
-		return AppendIntentionsJSONBytes(dst, snap, sc.id, k), true
+		return AppendIntentionsJSON(dst, snap, sc.id, k), true
 	case string(sc.op) == "related":
 		if !hasID {
 			return append(dst, batchErrMissingID...), true
@@ -237,16 +239,16 @@ func (d *Deployment) appendBatchItem(dst []byte, p *batchParser, sc *batchScratc
 		if snap == nil {
 			return append(dst, batchErrNoKG...), true
 		}
-		return AppendRelatedJSONBytes(dst, snap, sc.id, k), true
+		return AppendRelatedJSON(dst, snap, sc.id, k), true
 	case string(sc.op) == "intent":
 		if !hasQ {
 			return append(dst, batchErrMissingQ...), true
 		}
 		// A cache hit allocates nothing; a miss copies the query to
-		// queue it (see handleQueryBytes).
-		f, ok := d.handleQueryBytes(sc.q)
+		// queue it (see handleQuery).
+		f, ok := handleQuery(d, sc.q)
 		if !ok {
-			return AppendQueuedJSONBytes(dst, sc.q), true
+			return AppendQueuedJSON(dst, sc.q), true
 		}
 		return AppendFeatureJSON(dst, &f), true
 	default:
@@ -275,17 +277,6 @@ func badKeyBit(key []byte) uint8 {
 		return badK
 	}
 	return 0
-}
-
-// clampBatchK mirrors parseK's bounds for in-batch k values.
-func clampBatchK(v int) int {
-	if v <= 0 {
-		return 10
-	}
-	if v > 1000 {
-		return 1000
-	}
-	return v
 }
 
 // batchParser is a single-pass cursor over the request body.

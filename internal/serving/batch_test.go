@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"cosmo/internal/kg"
 )
@@ -250,6 +248,45 @@ func TestBatchStructuralErrors(t *testing.T) {
 	}
 }
 
+// TestKClampMatchesGET holds GET /intentions and a /batch intentions
+// item to one k bound: for each k both return the same bytes and the
+// expected number of entries from a 30-intention head, a k beyond
+// int's range included.
+func TestKClampMatchesGET(t *testing.T) {
+	extra := make([]string, 29)
+	for i := range extra {
+		extra[i] = fmt.Sprintf("use %02d", i)
+	}
+	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
+	d.Install(&Generation{Snap: testSnapshot(t, extra...)})
+	h := NewHTTPHandler(d)
+	for _, tc := range []struct {
+		k    string
+		want int
+	}{
+		{"0", 10}, {"-1", 10}, {"5", 5}, {"1000", 30}, {"1001", 30},
+		{"99999999999999999999", 30}, {"-99999999999999999999", 10},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/intentions?id=p:P2&k="+tc.k, nil))
+		get := bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n"))
+		out, status := d.AppendBatch(nil, []byte(`[{"op":"intentions","id":"p:P2","k":`+tc.k+`}]`))
+		if rec.Code != http.StatusOK || status != http.StatusOK {
+			t.Fatalf("k=%s: GET %d, batch %d", tc.k, rec.Code, status)
+		}
+		if item := out[1 : len(out)-1]; !bytes.Equal(item, get) {
+			t.Errorf("k=%s: batch item %s, GET %s", tc.k, item, get)
+		}
+		var resp struct{ Intentions []json.RawMessage }
+		if err := json.Unmarshal(get, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Intentions) != tc.want {
+			t.Errorf("k=%s: %d entries, want %d", tc.k, len(resp.Intentions), tc.want)
+		}
+	}
+}
+
 // TestBatchParsingEdges pins the parser niceties: escapes resolve
 // before the snapshot lookup, unknown keys are skipped, k is clamped,
 // and an empty batch answers an empty array.
@@ -432,28 +469,6 @@ func TestBatchIntentAccountingMatchesGET(t *testing.T) {
 				t.Errorf("case did not exercise %s: stats %+v, totals %+v", tc.name, gs, gt)
 			}
 		})
-	}
-}
-
-// TestShardBytesMatchesString: the byte path must route a query to the
-// shard the string path uses, or a hit would be looked for in the wrong
-// stripe.
-func TestShardBytesMatchesString(t *testing.T) {
-	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 1024, Shards: 64})
-	rng := rand.New(rand.NewSource(32))
-	alphabet := []rune("az Zé—日本😀\x00\"\uFFFD")
-	for i := 0; i < 5000; i++ {
-		b := make([]byte, 0, 64)
-		for n := rng.Intn(24); n > 0; n-- {
-			if rng.Intn(8) == 0 {
-				b = append(b, byte(rng.Intn(256))) // not always valid UTF-8
-			} else {
-				b = utf8.AppendRune(b, alphabet[rng.Intn(len(alphabet))])
-			}
-		}
-		if c.shardBytes(b) != c.shard(string(b)) {
-			t.Fatalf("query %q: byte and string hashes pick different shards", b)
-		}
 	}
 }
 

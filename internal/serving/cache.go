@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"cosmo/internal/fnv1a"
+	"cosmo/internal/kg"
 )
 
 // CacheStats reports cache behavior.
@@ -150,15 +151,11 @@ func NewAsyncCacheWithConfig(cfg CacheConfig) *AsyncCache {
 	return c
 }
 
-// shard routes a query to its lock stripe by 64-bit FNV-1a, which
-// allocates nothing on the hot path.
-func (c *AsyncCache) shard(query string) *cacheShard {
+// shardOf routes a query to its lock stripe by 64-bit FNV-1a, which
+// allocates nothing on the hot path: same bytes, same shard, whether
+// they come as a string or a byte slice.
+func shardOf[K kg.Key](c *AsyncCache, query K) *cacheShard {
 	return c.shards[fnv1a.String64(fnv1a.Offset64, query)&c.mask]
-}
-
-// shardBytes is shard for a query in a byte buffer: same bytes, same shard.
-func (c *AsyncCache) shardBytes(query []byte) *cacheShard {
-	return c.shards[fnv1a.Bytes64(fnv1a.Offset64, query)&c.mask]
 }
 
 // NumShards returns the number of lock stripes.
@@ -167,7 +164,7 @@ func (c *AsyncCache) NumShards() int { return len(c.shards) }
 // PreloadYearly installs the yearly frequent-search layer.
 func (c *AsyncCache) PreloadYearly(features []Feature) {
 	for _, f := range features {
-		c.shard(f.Query).preloadYearly(f)
+		shardOf(c, f.Query).preloadYearly(f)
 	}
 }
 
@@ -177,19 +174,14 @@ func (c *AsyncCache) PreloadYearly(features []Feature) {
 // model inference. When the bounded miss queue is full, the oldest
 // queued query is dropped to admit this one.
 func (c *AsyncCache) Lookup(query string) (Feature, bool) {
-	return lookup(c.shard(query), query, true)
-}
-
-// lookupHit is Lookup's hit half for a query in a byte buffer: a miss
-// counts nothing and queues nothing, so the caller follows it with Lookup.
-func (c *AsyncCache) lookupHit(query []byte) (Feature, bool) {
-	return lookup(c.shardBytes(query), query, false)
+	f, _, ok := lookup(shardOf(c, query), query)
+	return f, ok
 }
 
 // InstallDaily inserts a batch-processed feature into the daily layer of
 // its shard, evicting that shard's least recently used entry when full.
 func (c *AsyncCache) InstallDaily(f Feature) {
-	c.shard(f.Query).installDaily(f)
+	shardOf(c, f.Query).installDaily(f)
 }
 
 // DrainQueue removes and returns up to n queued queries for the batch
@@ -216,7 +208,7 @@ func (c *AsyncCache) DrainQueue(n int) []string {
 // requeued query is dropped and false is returned so the caller can
 // account for it — fresh traffic keeps priority over retries.
 func (c *AsyncCache) Requeue(query string) bool {
-	return c.shard(query).requeue(query)
+	return shardOf(c, query).requeue(query)
 }
 
 // ResetDaily clears the daily layer (the daily refresh boundary).
@@ -235,7 +227,7 @@ func (c *AsyncCache) ReplaceYearly(features []Feature) {
 		s.resetYearly()
 	}
 	for _, f := range features {
-		c.shard(f.Query).preloadYearly(f)
+		shardOf(c, f.Query).preloadYearly(f)
 	}
 }
 

@@ -170,7 +170,10 @@ func (d *Deployment) editGeneration(f func(*Generation)) {
 // SetKG, SetSimilarity, KG, Similarity and DailyRefreshContext are kept
 // only for the bench/ harness, which assembles its nodes itself until
 // it drives Refresh (ROADMAP item 2(f)). Everything else commits whole
-// generations through Install and Refresh.
+// generations through Install and Refresh. kg's string and byte
+// forwards Snapshot.RelatedSeqString and Snapshot.ContainsBytes are
+// bench-only shims for the same reason: everything else calls the
+// generic kg.RelatedOf and the snapshot lookups behind it.
 func (d *Deployment) SetKG(s *kg.Snapshot) {
 	if s != nil {
 		d.editGeneration(func(g *Generation) { *g = Generation{Snap: s, Sim: g.Sim} })
@@ -253,29 +256,25 @@ func (s *served) resilienceStats() (ResilienceStats, bool) {
 // catches up. No global lock is taken and the responder is never invoked
 // inline: the cache lookup, store fallback and feedback increment are
 // all striped or atomic.
-func (d *Deployment) HandleQuery(query string) (Feature, bool) {
-	f, ok := d.Cache.Lookup(query)
+func (d *Deployment) HandleQuery(query string) (Feature, bool) { return handleQuery(d, query) }
+
+// handleQuery is HandleQuery for a query of either key type; /batch
+// passes its intent queries as bytes out of the request arena. One
+// cache lookup decides: a hit copies nothing, since the feedback count
+// is keyed by the hit's Feature.Query, the cache map's own key; a miss
+// converts the query once, and that string is what the queue keeps,
+// the store fallback reads and the feedback counter counts.
+func handleQuery[K kg.Key](d *Deployment, query K) (Feature, bool) {
+	f, key, ok := lookup(shardOf(d.Cache, query), query)
 	if !ok {
-		if sf, found := d.Store.Get(query); found {
+		if sf, found := d.Store.Get(key); found {
 			sf.Stale = true
 			d.staleServed.Add(1)
 			f, ok = sf, true
 		}
 	}
-	d.interactions.inc(query)
+	d.interactions.inc(key)
 	return f, ok
-}
-
-// handleQueryBytes is HandleQuery for a query in the batch parser's
-// arena. A hit copies nothing: the feedback count is keyed by the hit's
-// Feature.Query, the cache map's own key. A miss copies the query, which
-// queuing needs, and runs HandleQuery, so its accounting is unchanged.
-func (d *Deployment) handleQueryBytes(q []byte) (Feature, bool) {
-	if f, ok := d.Cache.lookupHit(q); ok {
-		d.interactions.inc(f.Query)
-		return f, true
-	}
-	return d.HandleQuery(string(q))
 }
 
 // BatchResult reports one RunBatchContext pass. Every drained query is

@@ -12,25 +12,17 @@ import (
 // value — map keys in sorted order, struct fields in declaration order,
 // nil slices as null — which encode_test.go pins with the stdlib as the
 // oracle. writeJSON in http.go appends the trailing '\n', matching
-// json.Encoder.Encode, and sends the buffer.
+// json.Encoder.Encode, and sends the buffer. An id or query is a
+// kg.Key: the GET handlers pass strings, /batch passes bytes straight
+// out of its request arena, and both encode to the same bytes.
 
 // AppendQueuedJSON appends the 202 queued-response body for query q:
 // {"query":q,"status":"queued"}.
 //
 //cosmo:alloc-free
-func AppendQueuedJSON(dst []byte, q string) []byte {
+func AppendQueuedJSON[K kg.Key](dst []byte, q K) []byte {
 	dst = append(dst, `{"query":`...)
 	dst = wire.AppendString(dst, q)
-	return append(dst, `,"status":"queued"}`...)
-}
-
-// AppendQueuedJSONBytes is AppendQueuedJSON for a query still in the
-// batch parser's byte arena.
-//
-//cosmo:alloc-free
-func AppendQueuedJSONBytes(dst []byte, q []byte) []byte {
-	dst = append(dst, `{"query":`...)
-	dst = wire.AppendStringBytes(dst, q)
 	return append(dst, `,"status":"queued"}`...)
 }
 
@@ -81,20 +73,10 @@ func appendStringSliceJSON(dst []byte, ss []string) []byte {
 // "plausible":...,"typical":...,"support":...},...]}.
 //
 //cosmo:alloc-free
-func AppendIntentionsJSON(dst []byte, snap *kg.Snapshot, id string, k int) []byte {
+func AppendIntentionsJSON[K kg.Key](dst []byte, snap *kg.Snapshot, id K, k int) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = wire.AppendString(dst, id)
-	return appendIntentionsTail(dst, snap.IntentionsFor(id), k)
-}
-
-// AppendIntentionsJSONBytes is AppendIntentionsJSON for an id still in
-// the batch parser's byte arena.
-//
-//cosmo:alloc-free
-func AppendIntentionsJSONBytes(dst []byte, snap *kg.Snapshot, id []byte, k int) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = wire.AppendStringBytes(dst, id)
-	return appendIntentionsTail(dst, snap.IntentionsForBytes(id), k)
+	return appendIntentionsTail(dst, kg.IntentionsOf(snap, id), k)
 }
 
 // appendIntentionsTail encodes up to k edges of seq off the columns.
@@ -131,31 +113,11 @@ func appendIntentionsTail(dst []byte, seq kg.EdgeSeq, k int) []byte {
 // "Via":[...]},...]} (untagged kg.Related fields, declaration order).
 //
 //cosmo:alloc-free
-func AppendRelatedJSON(dst []byte, snap *kg.Snapshot, id string, k int) []byte {
+func AppendRelatedJSON[K kg.Key](dst []byte, snap *kg.Snapshot, id K, k int) []byte {
 	dst = append(dst, `{"id":`...)
 	dst = wire.AppendString(dst, id)
-	seq := snap.RelatedSeqString(id, k)
-	dst = appendRelatedTail(dst, seq)
-	seq.Release()
-	return dst
-}
-
-// AppendRelatedJSONBytes is AppendRelatedJSON for an id still in the
-// batch parser's byte arena.
-//
-//cosmo:alloc-free
-func AppendRelatedJSONBytes(dst []byte, snap *kg.Snapshot, id []byte, k int) []byte {
-	dst = append(dst, `{"id":`...)
-	dst = wire.AppendStringBytes(dst, id)
-	seq := snap.RelatedSeq(id, k)
-	dst = appendRelatedTail(dst, seq)
-	seq.Release()
-	return dst
-}
-
-//cosmo:alloc-free
-func appendRelatedTail(dst []byte, seq kg.RelatedSeq) []byte {
 	dst = append(dst, `,"related":[`...)
+	seq := kg.RelatedOf(snap, id, k)
 	for i := 0; i < seq.Len(); i++ {
 		if i > 0 {
 			dst = append(dst, ',')
@@ -171,6 +133,7 @@ func appendRelatedTail(dst []byte, seq kg.RelatedSeq) []byte {
 		dst = appendStringSliceJSON(dst, r.Via)
 		dst = append(dst, '}')
 	}
+	seq.Release()
 	return append(dst, "]}"...)
 }
 

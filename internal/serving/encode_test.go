@@ -72,9 +72,6 @@ func TestEncodersGolden(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("AppendQueuedJSON(%q):\n got %s\nwant %s", q, got, want)
 			}
-			if got2 := AppendQueuedJSONBytes(nil, []byte(q)); !bytes.Equal(got2, want) {
-				t.Errorf("AppendQueuedJSONBytes(%q):\n got %s\nwant %s", q, got2, want)
-			}
 		}
 	})
 
@@ -110,9 +107,6 @@ func TestEncodersGolden(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Errorf("AppendIntentionsJSON(%q, %d):\n got %s\nwant %s", id, k, got, want)
 				}
-				if got2 := AppendIntentionsJSONBytes(nil, snap, []byte(id), k); !bytes.Equal(got2, want) {
-					t.Errorf("AppendIntentionsJSONBytes(%q, %d):\n got %s\nwant %s", id, k, got2, want)
-				}
 			}
 		}
 	})
@@ -124,9 +118,6 @@ func TestEncodersGolden(t *testing.T) {
 				got := AppendRelatedJSON(nil, snap, id, k)
 				if !bytes.Equal(got, want) {
 					t.Errorf("AppendRelatedJSON(%q, %d):\n got %s\nwant %s", id, k, got, want)
-				}
-				if got2 := AppendRelatedJSONBytes(nil, snap, []byte(id), k); !bytes.Equal(got2, want) {
-					t.Errorf("AppendRelatedJSONBytes(%q, %d):\n got %s\nwant %s", id, k, got2, want)
 				}
 			}
 		}
@@ -270,19 +261,19 @@ func TestEncodersAllocFree(t *testing.T) {
 	var sink []byte
 
 	// Warm the snapshot's scratch pool.
-	sink = AppendRelatedJSONBytes(dst, snap, id, 10)
+	sink = AppendRelatedJSON(dst, snap, id, 10)
 
 	cases := []struct {
 		name string
 		fn   func() []byte
 	}{
 		{"queued", func() []byte { return AppendQueuedJSON(dst, "tent") }},
-		{"queued-bytes", func() []byte { return AppendQueuedJSONBytes(dst, q) }},
+		{"queued-bytes", func() []byte { return AppendQueuedJSON(dst, q) }},
 		{"feature", func() []byte { return AppendFeatureJSON(dst, &f) }},
 		{"intentions", func() []byte { return AppendIntentionsJSON(dst, snap, "q:tent", 10) }},
-		{"intentions-bytes", func() []byte { return AppendIntentionsJSONBytes(dst, snap, id, 10) }},
+		{"intentions-bytes", func() []byte { return AppendIntentionsJSON(dst, snap, id, 10) }},
 		{"related", func() []byte { return AppendRelatedJSON(dst, snap, "p:P1", 10) }},
-		{"related-bytes", func() []byte { return AppendRelatedJSONBytes(dst, snap, id, 10) }},
+		{"related-bytes", func() []byte { return AppendRelatedJSON(dst, snap, id, 10) }},
 		{"similar", func() []byte { return AppendSimilarJSON(dst, "tent", matches) }},
 		{"kg", func() []byte { return AppendKGJSON(dst, snap) }},
 	}

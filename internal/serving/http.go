@@ -83,7 +83,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"))
 		buf := wire.Get()
 		buf.B = AppendIntentionsJSON(buf.B[:0], snap, id, k)
 		writeJSON(w, http.StatusOK, buf)
@@ -99,7 +99,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "knowledge graph not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"))
 		buf := wire.Get()
 		buf.B = AppendRelatedJSON(buf.B[:0], snap, id, k)
 		writeJSON(w, http.StatusOK, buf)
@@ -115,7 +115,7 @@ func NewHTTPHandler(d *Deployment) http.Handler {
 			http.Error(w, "similarity index not loaded", http.StatusServiceUnavailable)
 			return
 		}
-		k := parseK(QueryParam(r.URL.RawQuery, "k"), 10)
+		k := parseK(QueryParam(r.URL.RawQuery, "k"))
 		matches := ix.Lookup(q, k)
 		buf := wire.Get()
 		buf.B = AppendSimilarJSON(buf.B[:0], q, matches)
@@ -310,19 +310,23 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// parseK parses a positive result-count parameter, falling back to def
-// on absent or malformed input and capping at 1000 so a hostile k
-// cannot force an unbounded response.
-func parseK(s string, def int) int {
-	if s == "" {
-		return def
+// parseK parses the k parameter of GET /intentions, /related and
+// /similar. An absent or malformed value counts as 0, and one beyond
+// int's range saturates, as /batch's parser saturates (Atoi returns the
+// saturated value with ErrRange); clampK then bounds it.
+func parseK(s string) int {
+	if k, err := strconv.Atoi(s); err == nil || errors.Is(err, strconv.ErrRange) {
+		return clampK(k)
 	}
-	k, err := strconv.Atoi(s)
-	if err != nil || k <= 0 {
-		return def
+	return clampK(0)
+}
+
+// clampK is the one bound on a requested result count, for GET and
+// /batch alike: 0 or below means 10, and above 1000 means 1000, so a
+// hostile k cannot force an unbounded response.
+func clampK(k int) int {
+	if k <= 0 {
+		return 10
 	}
-	if k > 1000 {
-		return 1000
-	}
-	return k
+	return min(k, 1000)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cosmo/internal/fnv1a"
+	"cosmo/internal/kg"
 )
 
 // cacheShard is one lock stripe of the AsyncCache: a slice of the yearly
@@ -91,29 +92,29 @@ func (s *cacheShard) requeue(query string) bool {
 }
 
 // lookup serves q from the yearly layer, then the daily LRU, and counts
-// the hit. On a miss it counts the miss and queues q when queue is set,
-// and counts and queues nothing when it is not. It is generic so a
-// byte-slice query indexes the maps with m[string(q)], which Go does not
-// copy; only queuing copies it.
-func lookup[Q string | []byte](s *cacheShard, q Q, queue bool) (Feature, bool) {
+// the hit; key is then the hit's Feature.Query, the map's own key. On a
+// miss it counts the miss, converts q once into the owned string key
+// and queues that. The maps are indexed with m[string(q)], which Go
+// does not copy, so a byte query that hits copies nothing.
+func lookup[K kg.Key](s *cacheShard, q K) (f Feature, key string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.yearly[string(q)]; ok {
 		s.stats.Hits++
 		s.stats.YearlyHits++
-		return f, true
+		return f, f.Query, true
 	}
 	if el, ok := s.daily[string(q)]; ok {
 		s.lru.MoveToFront(el)
 		s.stats.Hits++
 		s.stats.DailyHits++
-		return el.Value.(dailyEntry).f, true
+		f := el.Value.(dailyEntry).f
+		return f, f.Query, true
 	}
-	if queue {
-		s.stats.Misses++
-		s.enqueueLocked(string(q))
-	}
-	return Feature{}, false
+	s.stats.Misses++
+	key = string(q)
+	s.enqueueLocked(key)
+	return Feature{}, key, false
 }
 
 func (s *cacheShard) installDaily(f Feature) {

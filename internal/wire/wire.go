@@ -75,29 +75,17 @@ func init() {
 	}
 }
 
-// AppendString appends s as a JSON string, byte-identical to
+// AppendString appends src as a JSON string, byte-identical to
 // encoding/json with its default HTML escaping: quotes, backslashes and
 // control characters are escaped (\b \f \n \r \t get their short
-// forms, the rest \u00XX), <, > and & become </>/&,
-// invalid UTF-8 bytes become �, and U+2028/U+2029 are escaped for
-// JSONP safety.
+// forms, the rest \u00XX), <, > and & become \u003c/\u003e/\u0026,
+// invalid UTF-8 bytes become \ufffd, and U+2028/U+2029 are escaped for
+// JSONP safety. src is a string or a byte slice (the batch request
+// parser hands ids through without materializing strings); both give
+// the same bytes.
 //
 //cosmo:alloc-free
-func AppendString(dst []byte, s string) []byte {
-	return appendEscaped(dst, s)
-}
-
-// AppendStringBytes is AppendString for a byte-slice source (the batch
-// request parser hands ids through without materializing strings).
-//
-//cosmo:alloc-free
-func AppendStringBytes(dst []byte, s []byte) []byte {
-	return appendEscaped(dst, s)
-}
-
-// appendEscaped is the shared escaping core; it mirrors the stdlib's
-// appendString over either source type.
-func appendEscaped[T string | []byte](dst []byte, src T) []byte {
+func AppendString[T string | []byte](dst []byte, src T) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(src); {
@@ -128,13 +116,10 @@ func appendEscaped[T string | []byte](dst []byte, src T) []byte {
 			start = i
 			continue
 		}
-		// Decode at most UTFMax bytes through a small string conversion
-		// that stays on the stack (the stdlib's own idiom).
-		n := len(src) - i
-		if n > utf8.UTFMax {
-			n = utf8.UTFMax
-		}
-		c, size := utf8.DecodeRuneInString(string(src[i : i+n]))
+		// Decode at most UTFMax bytes out of a stack copy, which reads
+		// the same for either source type.
+		var r [utf8.UTFMax]byte
+		c, size := utf8.DecodeRune(r[:copy(r[:], src[i:])])
 		if c == utf8.RuneError && size == 1 {
 			dst = append(dst, src[start:i]...)
 			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')

@@ -52,8 +52,8 @@ func TestAppendStringGolden(t *testing.T) {
 		if got := string(AppendString(nil, s)); got != want {
 			t.Errorf("AppendString(%q) = %s, want %s", s, got, want)
 		}
-		if got := string(AppendStringBytes(nil, []byte(s))); got != want {
-			t.Errorf("AppendStringBytes(%q) = %s, want %s", s, got, want)
+		if got := string(AppendString(nil, []byte(s))); got != want {
+			t.Errorf("AppendString([]byte(%q)) = %s, want %s", s, got, want)
 		}
 	}
 }
@@ -125,7 +125,7 @@ func TestAppendAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		b := dst[:0]
 		b = AppendString(b, s)
-		b = AppendStringBytes(b, bs)
+		b = AppendString(b, bs)
 		b = AppendFloat(b, 0.123456789)
 		b = AppendFloat(b, 2.5e-9)
 		b = AppendInt(b, -987654321)
