@@ -1,8 +1,8 @@
 package kg
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"cosmo/internal/embedding"
@@ -19,17 +19,18 @@ import (
 // freely across goroutines with no locking.
 //
 // Scheme: each of Tables hash tables projects an embedding onto Bits
-// seeded random hyperplanes; the sign pattern is the bucket signature.
-// Nearby vectors agree on most signs, so they collide in some table
-// with high probability. Lookup gathers bucket candidates with
-// multiprobing (widening from the exact signature to 1-bit and 2-bit
-// flips until the candidate floor is met), then rescores candidates
-// exactly by cosine, so returned scores are identical to the exact
-// scan's — only the candidate set is approximate.
+// seeded random hyperplanes; the sign pattern is the signature. Nearby
+// vectors agree on most signs, so their signatures are within a small
+// Hamming distance in some table with high probability. Lookup gathers
+// the positions within the smallest Hamming ring (0, 1 or 2 bits) that
+// holds the candidate floor — what multiprobing each table's buckets at
+// 1-bit and 2-bit flips would gather, found by one popcount pass over
+// flat signature columns — then rescores candidates exactly by cosine,
+// so returned scores are identical to the exact scan's; only the
+// candidate set is approximate.
 
-// Default LSH shape: chosen so that on harness-scale graphs the probe
-// sequence (17 signatures per table per width step across 16 tables)
-// reaches the candidate floor within the 1-bit ring for clustered
+// Default LSH shape: chosen so that on harness-scale graphs the 1-bit
+// ring across 16 tables reaches the candidate floor for clustered
 // queries while the 2-bit ring keeps recall@k >= 0.9 even for queries
 // whose true neighbors are only weakly similar.
 const (
@@ -38,8 +39,8 @@ const (
 	DefaultSimilarityBits   = 10
 )
 
-// similarityCandidateFloor is the minimum distinct-candidate count
-// Lookup tries to gather (scaled by k) before it stops widening probes.
+// similarityCandidateFloor is the minimum candidate count Lookup tries
+// to gather (scaled by k) before it stops widening rings.
 const similarityCandidateFloor = 64
 
 // SimilarityConfig shapes a SimilarityIndex. The zero value gets the
@@ -90,28 +91,38 @@ type SimilarityIndex struct {
 	// vecs holds the matching L2-normalized embeddings, flattened.
 	nodes []int32
 	vecs  []float64
-	// tables[t] maps a signature to the index positions in its bucket.
-	tables []map[uint32][]int32
+	// sigs holds each table's signatures as one column:
+	// sigs[t*len(nodes)+p] is position p's signature in table t.
+	sigs []uint32
 
 	scratch sync.Pool
 }
 
 // simScratch pools the per-lookup accumulators: the per-table query
-// signatures, the gathered candidate positions with their dedupe marks,
-// and the rescored matches.
+// signatures, each position's ring distance, the gathered candidate
+// positions and the top-k heap.
 type simScratch struct {
-	sigs    []uint32
-	cand    []int32
-	mark    []bool
-	matches []SimilarMatch
+	qsigs []uint32
+	dist  []int
+	cand  []int32
+	heap  simHeap
 }
+
+// similarityRings is the number of probe rings (Hamming widths 0, 1 and
+// 2) Lookup widens through before it takes every position; a ring
+// distance of similarityRings stands for "beyond the last ring".
+const similarityRings = 3
 
 // BuildSimilarityIndex embeds every intention label in the snapshot and
 // indexes the non-zero embeddings under cfg's LSH shape. Deterministic
 // for equal (snapshot, config).
 func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
 	cfg = cfg.withDefaults()
-	ix := &SimilarityIndex{snap: s, model: embedding.New(cfg.Dim), cfg: cfg}
+	ix := &SimilarityIndex{snap: s, model: embedding.New(cfg.Dim)}
+	// The model raises a small dimension to its minimum; every layout
+	// below follows the dimension it actually embeds in.
+	cfg.Dim = ix.model.Dim()
+	ix.cfg = cfg
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ix.planes = make([]float64, cfg.Tables*cfg.Bits*cfg.Dim)
@@ -124,14 +135,7 @@ func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
 			continue
 		}
 		vec := ix.model.Embed(s.labels[i])
-		zero := true
-		for _, x := range vec {
-			if x != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
+		if isZero(vec) {
 			// Blank labels embed to the zero vector; it is equidistant
 			// from everything, so indexing it would only add noise.
 			continue
@@ -140,196 +144,279 @@ func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
 		ix.vecs = append(ix.vecs, vec...)
 	}
 
-	ix.tables = make([]map[uint32][]int32, cfg.Tables)
-	for t := range ix.tables {
-		ix.tables[t] = map[uint32][]int32{}
-	}
-	for p := 0; p < len(ix.nodes); p++ {
-		vec := ix.vecs[p*cfg.Dim : (p+1)*cfg.Dim]
-		for t := 0; t < cfg.Tables; t++ {
-			sig := ix.signature(t, vec)
-			ix.tables[t][sig] = append(ix.tables[t][sig], sym32(p))
+	n := len(ix.nodes)
+	ix.sigs = make([]uint32, cfg.Tables*n)
+	sig := make([]uint32, cfg.Tables)
+	for p := 0; p < n; p++ {
+		ix.signatures(ix.vecs[p*cfg.Dim:(p+1)*cfg.Dim], sig)
+		for t, v := range sig {
+			ix.sigs[t*n+p] = v
 		}
 	}
 
-	ix.scratch.New = func() any { return &simScratch{} }
+	ix.scratch.New = func() any {
+		return &simScratch{
+			qsigs: make([]uint32, cfg.Tables),
+			dist:  make([]int, n),
+			cand:  make([]int32, 0, n),
+		}
+	}
 	return ix
 }
 
-// Config returns the resolved (defaulted) configuration.
+// Config returns the resolved configuration: defaults filled in, and
+// Dim the dimension the index embeds in.
 func (ix *SimilarityIndex) Config() SimilarityConfig { return ix.cfg }
 
 // NumIndexed returns how many intentions the index holds.
 func (ix *SimilarityIndex) NumIndexed() int { return len(ix.nodes) }
 
-// signature projects vec onto table t's hyperplanes and packs the signs.
-func (ix *SimilarityIndex) signature(t int, vec []float64) uint32 {
-	var sig uint32
-	base := t * ix.cfg.Bits * ix.cfg.Dim
-	for b := 0; b < ix.cfg.Bits; b++ {
-		plane := ix.planes[base+b*ix.cfg.Dim : base+(b+1)*ix.cfg.Dim]
-		dot := 0.0
-		for i, x := range vec {
-			dot += plane[i] * x
-		}
-		if dot >= 0 {
-			sig |= 1 << b
+func isZero(vec []float64) bool {
+	for _, x := range vec {
+		if x != 0 {
+			return false
 		}
 	}
-	return sig
+	return true
 }
 
-// probe appends table t's bucket for sig to the candidate set,
-// deduplicating across tables and probes.
-func (ix *SimilarityIndex) probe(t int, sig uint32, sc *simScratch) {
-	for _, p := range ix.tables[t][sig] {
-		if sc.mark[p] {
-			continue
+// signatures projects vec onto every table's hyperplanes, four planes
+// at a time, and packs the signs: bit b of sigs[t] is set when plane b
+// of table t has a non-negative dot product with vec.
+func (ix *SimilarityIndex) signatures(vec []float64, sigs []uint32) {
+	clear(sigs)
+	dim, nb := ix.cfg.Dim, ix.cfg.Bits
+	set := func(j int, dot float64) {
+		if dot >= 0 {
+			sigs[j/nb] |= 1 << (j % nb)
 		}
-		sc.mark[p] = true
-		sc.cand = append(sc.cand, p)
 	}
+	plane := func(j int) []float64 { return ix.planes[j*dim : (j+1)*dim] }
+	j, planes := 0, len(sigs)*nb
+	for ; j+4 <= planes; j += 4 {
+		d0, d1, d2, d3 := dot4(vec, plane(j), plane(j+1), plane(j+2), plane(j+3))
+		set(j, d0)
+		set(j+1, d1)
+		set(j+2, d2)
+		set(j+3, d3)
+	}
+	for ; j < planes; j++ {
+		set(j, dot(vec, plane(j)))
+	}
+}
+
+// dot returns the dot product of q with the first len(q) floats of a,
+// summed in index order.
+func dot(q, a []float64) float64 {
+	a = a[:len(q)]
+	s := 0.0
+	for i, x := range q {
+		s += a[i] * x
+	}
+	return s
+}
+
+// dot4 is dot for four vectors in one pass over q. Each product keeps
+// its own accumulator, summed in index order, so every result is
+// bit-identical to dot's.
+func dot4(q, a, b, c, d []float64) (s0, s1, s2, s3 float64) {
+	a, b, c, d = a[:len(q)], b[:len(q)], c[:len(q)], d[:len(q)]
+	for i, x := range q {
+		s0 += a[i] * x
+		s1 += b[i] * x
+		s2 += c[i] * x
+		s3 += d[i] * x
+	}
+	return s0, s1, s2, s3
 }
 
 // emptySimilar is the canonical empty result for blank queries.
 var emptySimilar = []SimilarMatch{}
 
 // Lookup returns up to k intentions most similar to q, gathered through
-// the LSH tables and rescored by exact cosine (score descending, ID
+// the LSH signatures and rescored by exact cosine (score descending, ID
 // ascending on ties — the same order as Exact, so equal candidate sets
-// produce byte-equal results). Probing widens from the exact signatures
-// through 1-bit and 2-bit flips per table until the candidate floor
-// (max(8k, 64) distinct candidates) is met, which keeps recall high on
-// sparse harness-scale indexes without giving up sublinear rescoring on
-// dense ones.
+// produce byte-equal results). The candidates are the positions within
+// Hamming distance w of the query's signature in some table, for the
+// smallest ring w in {0, 1, 2} that holds the candidate floor (max(8k,
+// 64) positions), or every position when no ring does: probing each
+// table's bucket at the exact signature and then at every 1-bit and
+// 2-bit flip gathers the same set, and a small index never trades
+// recall for nothing.
 func (ix *SimilarityIndex) Lookup(q string, k int) []SimilarMatch {
-	qvec := ix.model.Embed(q)
-	zero := true
-	for _, x := range qvec {
-		if x != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero || k <= 0 {
+	return ix.search(q, k, true)
+}
+
+// Exact returns up to k intentions most similar to q by rescoring every
+// indexed embedding — the recall baseline and the path the index makes
+// obsolete on the hot path.
+func (ix *SimilarityIndex) Exact(q string, k int) []SimilarMatch {
+	return ix.search(q, k, false)
+}
+
+// search embeds q, gathers candidates (through the rings when lsh is
+// set, every position otherwise) and ranks them.
+func (ix *SimilarityIndex) search(q string, k int, lsh bool) []SimilarMatch {
+	if k <= 0 {
 		return emptySimilar
 	}
-
+	qvec := ix.model.Embed(q)
+	if isZero(qvec) {
+		return emptySimilar
+	}
 	sc := ix.scratch.Get().(*simScratch)
-	if len(sc.mark) < len(ix.nodes) {
-		sc.mark = make([]bool, len(ix.nodes))
-	}
-	if len(sc.sigs) < ix.cfg.Tables {
-		sc.sigs = make([]uint32, ix.cfg.Tables)
-	}
-	for t := 0; t < ix.cfg.Tables; t++ {
-		sc.sigs[t] = ix.signature(t, qvec)
-	}
-
-	floor := 8 * k
-	if floor < similarityCandidateFloor {
-		floor = similarityCandidateFloor
-	}
-	// Width 0: exact signatures.
-	for t := 0; t < ix.cfg.Tables; t++ {
-		ix.probe(t, sc.sigs[t], sc)
-	}
-	// Width 1: single-bit flips.
-	if len(sc.cand) < floor {
-		for t := 0; t < ix.cfg.Tables; t++ {
-			for b := 0; b < ix.cfg.Bits; b++ {
-				ix.probe(t, sc.sigs[t]^(1<<b), sc)
-			}
-		}
-	}
-	// Width 2: double-bit flips.
-	if len(sc.cand) < floor {
-		for t := 0; t < ix.cfg.Tables; t++ {
-			for b1 := 0; b1 < ix.cfg.Bits; b1++ {
-				for b2 := b1 + 1; b2 < ix.cfg.Bits; b2++ {
-					ix.probe(t, sc.sigs[t]^(1<<b1)^(1<<b2), sc)
-				}
-			}
-		}
-	}
-	// Probe exhaustion below the floor means the index is sparser than
-	// the probe sequence (harness-scale graphs): scan the remainder so a
-	// small index never trades recall for nothing. Dense indexes meet
-	// the floor within the rings and never take this branch.
-	if len(sc.cand) < floor && len(sc.cand) < len(ix.nodes) {
+	if lsh {
+		ix.gather(qvec, k, sc)
+	} else {
 		for p := range ix.nodes {
-			if !sc.mark[p] {
-				sc.mark[p] = true
-				sc.cand = append(sc.cand, sym32(p))
-			}
+			sc.cand = append(sc.cand, sym32(p))
 		}
 	}
-
-	sc.matches = sc.matches[:0]
-	for _, p := range sc.cand {
-		sc.matches = append(sc.matches, ix.match(p, qvec))
-	}
-	out := topKMatches(sc.matches, k)
-
-	for _, p := range sc.cand {
-		sc.mark[p] = false
-	}
+	out := ix.rank(qvec, k, sc)
 	sc.cand = sc.cand[:0]
-	sc.matches = sc.matches[:0]
 	ix.scratch.Put(sc)
 	return out
 }
 
-// Exact returns up to k intentions most similar to q by scanning every
-// indexed embedding — the recall baseline and the path the index makes
-// obsolete on the hot path.
-func (ix *SimilarityIndex) Exact(q string, k int) []SimilarMatch {
-	qvec := ix.model.Embed(q)
-	zero := true
-	for _, x := range qvec {
-		if x != 0 {
-			zero = false
-			break
+// gather appends Lookup's candidate positions to sc.cand, at Tables
+// popcounts per position: d(p) = min over tables of the Hamming distance
+// between the query's and p's signatures, capped at similarityRings,
+// and the ring cut read off the per-distance counts.
+func (ix *SimilarityIndex) gather(qvec []float64, k int, sc *simScratch) {
+	n := len(ix.nodes)
+	ix.signatures(qvec, sc.qsigs)
+	dist := sc.dist[:n]
+	for p := range dist {
+		dist[p] = similarityRings
+	}
+	// Table-major: each pass reads one column front to back. Reslicing
+	// the column to len(dist) drops the bounds check on dist[p].
+	for t, qs := range sc.qsigs {
+		col := ix.sigs[t*n : (t+1)*n]
+		col = col[:len(dist)]
+		for p, s := range col {
+			dist[p] = min(dist[p], bits.OnesCount32(qs^s))
 		}
 	}
-	if zero || k <= 0 {
-		return emptySimilar
+	var count [similarityRings + 1]int
+	for _, d := range dist {
+		count[d]++
 	}
-	matches := make([]SimilarMatch, 0, len(ix.nodes))
-	for p := range ix.nodes {
-		matches = append(matches, ix.match(sym32(p), qvec))
+	floor := 8 * k
+	if floor < similarityCandidateFloor {
+		floor = similarityCandidateFloor
 	}
-	return topKMatches(matches, k)
-}
-
-// match rescores index position p against the query vector. Indexed
-// vectors and query embeddings are L2-normalized, so the dot product is
-// the cosine.
-func (ix *SimilarityIndex) match(p int32, qvec []float64) SimilarMatch {
-	vec := ix.vecs[int(p)*ix.cfg.Dim : (int(p)+1)*ix.cfg.Dim]
-	dot := 0.0
-	for i, x := range vec {
-		dot += x * qvec[i]
+	// Widen while the rings so far hold fewer than floor positions;
+	// w == similarityRings takes every position.
+	w := 0
+	for have := count[0]; have < floor && w < similarityRings; have += count[w] {
+		w++
 	}
-	sym := ix.nodes[p]
-	return SimilarMatch{ID: ix.snap.ids[sym], Label: ix.snap.labels[sym], Score: dot}
-}
-
-// topKMatches sorts matches best-first (score descending, ID ascending)
-// and returns an owned copy of the top k.
-func topKMatches(matches []SimilarMatch, k int) []SimilarMatch {
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
+	for p, d := range dist {
+		if d <= w {
+			sc.cand = append(sc.cand, sym32(p))
 		}
-		return matches[i].ID < matches[j].ID
-	})
-	if k > len(matches) {
-		k = len(matches)
 	}
-	out := make([]SimilarMatch, k)
-	copy(out, matches[:k])
+}
+
+// rank rescores sc.cand by exact cosine, four vectors at a time, keeps
+// the best k in a bounded heap and returns them best first as an owned
+// slice.
+func (ix *SimilarityIndex) rank(qvec []float64, k int, sc *simScratch) []SimilarMatch {
+	dim := ix.cfg.Dim
+	vec := func(p int32) []float64 { return ix.vecs[int(p)*dim:] }
+	h, c := sc.heap[:0], sc.cand
+	i := 0
+	for ; i+4 <= len(c); i += 4 {
+		d0, d1, d2, d3 := dot4(qvec, vec(c[i]), vec(c[i+1]), vec(c[i+2]), vec(c[i+3]))
+		h = h.offer(k, simCand{d0, c[i]})
+		h = h.offer(k, simCand{d1, c[i+1]})
+		h = h.offer(k, simCand{d2, c[i+2]})
+		h = h.offer(k, simCand{d3, c[i+3]})
+	}
+	for ; i < len(c); i++ {
+		h = h.offer(k, simCand{dot(qvec, vec(c[i])), c[i]})
+	}
+	out := make([]SimilarMatch, len(h))
+	for i := len(out) - 1; i >= 0; i-- {
+		var last simCand
+		h, last = h.pop()
+		sym := ix.nodes[last.p]
+		out[i] = SimilarMatch{ID: ix.snap.ids[sym], Label: ix.snap.labels[sym], Score: last.score}
+	}
+	sc.heap = h
 	return out
+}
+
+// simCand is one rescored candidate: its cosine and index position.
+type simCand struct {
+	score float64
+	p     int32
+}
+
+// after reports whether a ranks after b: lower score, or an equal score
+// and a later position. nodes holds ascending symbols and symbols follow
+// ID order, so position order is ID order. Positions are distinct, so
+// the order is total.
+func (a simCand) after(b simCand) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.p > b.p
+}
+
+// simHeap holds the best candidates seen so far with the one that ranks
+// last at the root, so a newcomer is compared against one entry.
+type simHeap []simCand
+
+// offer adds c if fewer than k are kept or c ranks before the root.
+func (h simHeap) offer(k int, c simCand) simHeap {
+	if len(h) < k {
+		h = append(h, c)
+		for i := len(h) - 1; i > 0; {
+			up := (i - 1) / 2
+			if !h[i].after(h[up]) {
+				break
+			}
+			h[i], h[up] = h[up], h[i]
+			i = up
+		}
+		return h
+	}
+	if h[0].after(c) {
+		h[0] = c
+		h.down(0)
+	}
+	return h
+}
+
+// pop removes and returns the candidate that ranks last.
+func (h simHeap) pop() (simHeap, simCand) {
+	last := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	h.down(0)
+	return h, last
+}
+
+// down sifts h[i] toward the leaves until it ranks after neither child.
+func (h simHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		c := l
+		if r := l + 1; r < len(h) && h[r].after(h[l]) {
+			c = r
+		}
+		if !h[c].after(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // RecallAt measures Lookup's recall against Exact: the mean over

@@ -650,12 +650,13 @@ type RelatedSeq struct {
 }
 
 // RelatedOf runs the RelatedProducts walk for a head and returns the
-// pooled view. The caller must call Release.
+// pooled view. The caller must call Release. An unknown head or a k <= 0
+// answers the zero view without walking.
 //
 //cosmo:alloc-free
 func RelatedOf[K Key](s *Snapshot, head K, k int) RelatedSeq {
 	h, ok := symOf(s, head)
-	if !ok {
+	if !ok || k <= 0 {
 		return RelatedSeq{}
 	}
 	return RelatedSeq{sc: s.relatedCollect(h, k)}

@@ -385,6 +385,31 @@ func TestRelatedSeqEquivalence(t *testing.T) {
 			t.Fatalf("unknown head has %d related entries", seq.Len())
 		}
 		seq.Release()
+		// Every k <= 0 answers empty, on both entry points, and allocates
+		// nothing.
+		var head string
+		for _, n := range s.Nodes() {
+			if len(s.RelatedProducts(n.ID, 1)) > 0 {
+				head = n.ID
+				break
+			}
+		}
+		for _, k := range []int{0, -1, -1 << 40} {
+			if seq := RelatedOf(s, head, k); seq.Len() != 0 {
+				t.Fatalf("RelatedOf(%q, %d) has %d entries, want 0", head, k, seq.Len())
+			}
+			if got := s.RelatedProducts(head, k); len(got) != 0 {
+				t.Fatalf("RelatedProducts(%q, %d) = %+v, want empty", head, k, got)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				seq := RelatedOf(s, head, k)
+				allocSink += float64(seq.Len() + len(s.RelatedProducts(head, k)))
+				seq.Release()
+			})
+			if allocs != 0 {
+				t.Fatalf("k=%d allocates %v per run, want 0", k, allocs)
+			}
+		}
 	}
 }
 
