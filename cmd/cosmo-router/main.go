@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -59,24 +60,10 @@ func main() {
 	probeTimeout := flag.Duration("probe-timeout", 500*time.Millisecond, "per-node /readyz probe timeout")
 	flag.Parse()
 
-	bases := strings.Split(*nodeList, ",")
-	specs := make([]cluster.NodeSpec, 0, len(bases))
-	backends := make([]*cluster.HTTPBackend, 0, len(bases))
 	client := &http.Client{} // the /readyz probes; queries ride the backends' own keep-alive hop
-	for _, b := range bases {
-		b = strings.TrimSpace(b)
-		if b == "" {
-			continue
-		}
-		if !strings.HasPrefix(b, "http://") {
-			log.Fatalf("-nodes: %q: the router-to-node hop is plain HTTP, want http://host:port", b)
-		}
-		be := cluster.NewHTTPBackend(b, client)
-		backends = append(backends, be)
-		specs = append(specs, cluster.NodeSpec{Name: b, Backend: be})
-	}
-	if len(specs) == 0 {
-		log.Fatal("-nodes is required: pass a comma-separated list of cosmo-serve base URLs")
+	specs, backends, err := parseNodes(*nodeList, client)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	router, err := cluster.New(specs, cluster.Config{
@@ -132,4 +119,30 @@ func main() {
 		be.Close() // the idle keep-alive connections to the nodes
 	}
 	log.Print("bye")
+}
+
+// parseNodes turns the -nodes list into ring members. Each node is named
+// by the base its backend dials (the entry without surrounding space or
+// trailing slashes), so two spellings of one URL get one name and
+// cluster.New refuses the second instead of placing one process on the
+// ring twice.
+func parseNodes(list string, client *http.Client) ([]cluster.NodeSpec, []*cluster.HTTPBackend, error) {
+	var specs []cluster.NodeSpec
+	var backends []*cluster.HTTPBackend
+	for _, b := range strings.Split(list, ",") {
+		b = strings.TrimRight(strings.TrimSpace(b), "/")
+		if b == "" {
+			continue
+		}
+		if !strings.HasPrefix(b, "http://") {
+			return nil, nil, fmt.Errorf("-nodes: %q: the router-to-node hop is plain HTTP, want http://host:port", b)
+		}
+		be := cluster.NewHTTPBackend(b, client)
+		backends = append(backends, be)
+		specs = append(specs, cluster.NodeSpec{Name: b, Backend: be})
+	}
+	if len(specs) == 0 {
+		return nil, nil, errors.New("-nodes is required: pass a comma-separated list of cosmo-serve base URLs")
+	}
+	return specs, backends, nil
 }

@@ -408,50 +408,6 @@ func SimulateSessions(c *catalog.Catalog, cfg SessionConfig) []Session {
 	return sessions
 }
 
-// Stats summarizes a behavior log per category, matching the layout of
-// paper Table 3 (behavior pairs per category per behavior type).
-type Stats struct {
-	Category        catalog.Category
-	CoBuyPairs      int
-	SearchBuyPairs  int
-	IntentionalRate float64
-}
-
-// PerCategoryStats computes per-category pair counts.
-func (l *Log) PerCategoryStats() []Stats {
-	idx := map[catalog.Category]*Stats{}
-	for _, cat := range catalog.Categories() {
-		idx[cat] = &Stats{Category: cat}
-	}
-	intentional := map[catalog.Category]int{}
-	totals := map[catalog.Category]int{}
-	for _, e := range l.CoBuys {
-		p, _ := l.Catalog.ByID(e.A)
-		idx[p.Category].CoBuyPairs++
-		totals[p.Category]++
-		if e.Intentional {
-			intentional[p.Category]++
-		}
-	}
-	for _, e := range l.SearchBuys {
-		p, _ := l.Catalog.ByID(e.ProductID)
-		idx[p.Category].SearchBuyPairs++
-		totals[p.Category]++
-		if e.Intentional {
-			intentional[p.Category]++
-		}
-	}
-	out := make([]Stats, 0, len(idx))
-	for _, cat := range catalog.Categories() {
-		s := idx[cat]
-		if totals[cat] > 0 {
-			s.IntentionalRate = float64(intentional[cat]) / float64(totals[cat])
-		}
-		out = append(out, *s)
-	}
-	return out
-}
-
 // String renders a behavior pair for debugging.
 func (p CoBuyPair) String() string {
 	return fmt.Sprintf("co-buy(%s,%s)x%d intentional=%v", p.A, p.B, p.Count, p.Intentional)

@@ -178,28 +178,6 @@ func TestDegrees(t *testing.T) {
 	}
 }
 
-func TestPerCategoryStats(t *testing.T) {
-	_, l := testWorld(t)
-	stats := l.PerCategoryStats()
-	if len(stats) != 18 {
-		t.Fatalf("got %d categories, want 18", len(stats))
-	}
-	totalCo, totalSearch := 0, 0
-	for _, s := range stats {
-		totalCo += s.CoBuyPairs
-		totalSearch += s.SearchBuyPairs
-		if s.IntentionalRate < 0 || s.IntentionalRate > 1 {
-			t.Errorf("category %s intentional rate %v out of range", s.Category, s.IntentionalRate)
-		}
-	}
-	if totalCo != len(l.CoBuys) {
-		t.Errorf("co-buy totals mismatch: %d vs %d", totalCo, len(l.CoBuys))
-	}
-	if totalSearch != len(l.SearchBuys) {
-		t.Errorf("search totals mismatch: %d vs %d", totalSearch, len(l.SearchBuys))
-	}
-}
-
 func TestSimulateSessions(t *testing.T) {
 	c := catalog.Generate(catalog.Config{ProductsPerType: 4, Seed: 1})
 	sessions := SimulateSessions(c, SessionConfig{

@@ -32,8 +32,8 @@ func ringHash(s string) uint64 {
 	return mix64(fnv1a.String64(fnv1a.Offset64, s))
 }
 
-// mix64 is the splitmix64 finalizer: full avalanche, so every input bit
-// disturbs every output bit.
+// mix64 is MurmurHash3's 64-bit finalizer (fmix64): full avalanche, so
+// every input bit disturbs every output bit.
 func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd

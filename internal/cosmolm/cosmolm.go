@@ -200,7 +200,7 @@ func buildPostings(inverted map[string]map[int]int, docFreq map[string]int, numD
 		idf := math.Log(1 + float64(numDocs)/float64(1+docFreq[tok]))
 		ps := make([]posting, 0, len(counts))
 		for id, cnt := range counts {
-			//cosmo:lint-ignore unchecked-narrowing Train counts instances and ReadGob rejects a tail ID or count outside int32 before building postings
+			//cosmo:lint-ignore unchecked-narrowing Train counts instances of tails it holds, so a tail ID or count fits int32
 			ps = append(ps, posting{tail: int32(id), count: int32(cnt), weight: idf * math.Log(1+float64(cnt))})
 		}
 		slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.tail, b.tail) })
@@ -480,9 +480,4 @@ func (m *Model) ResetCost() { m.cost.Reset() }
 // SearchContext builds the canonical search-buy context string.
 func SearchContext(query, productTitle string) string {
 	return "search query: " + query + " | purchased: " + productTitle
-}
-
-// CoBuyContext builds the canonical co-buy context string.
-func CoBuyContext(titleA, titleB string) string {
-	return "co-purchased products: " + titleA + " and " + titleB
 }

@@ -233,9 +233,6 @@ func TestContextHelpers(t *testing.T) {
 	if got := SearchContext("camping", "Acme Tent"); got != "search query: camping | purchased: Acme Tent" {
 		t.Errorf("SearchContext = %q", got)
 	}
-	if got := CoBuyContext("A", "B"); got != "co-purchased products: A and B" {
-		t.Errorf("CoBuyContext = %q", got)
-	}
 }
 
 func BenchmarkCosmoLMGenerate(b *testing.B) {

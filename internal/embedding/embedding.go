@@ -166,22 +166,3 @@ func (m *Model) SimilarityTokens(a []string, b string) float64 {
 	m.pairs.Put(pair)
 	return dot
 }
-
-// Average returns the element-wise mean of the vectors, normalized;
-// used to pool token or knowledge embeddings into a context vector.
-func Average(vecs [][]float64) []float64 {
-	if len(vecs) == 0 {
-		return nil
-	}
-	out := make([]float64, len(vecs[0]))
-	for _, v := range vecs {
-		for i := range v {
-			out[i] += v[i]
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(vecs))
-	}
-	normalize(out)
-	return out
-}

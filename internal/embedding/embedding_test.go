@@ -113,21 +113,6 @@ func TestCosineBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestAverage(t *testing.T) {
-	vecs := [][]float64{{1, 0}, {0, 1}}
-	avg := Average(vecs)
-	if math.Abs(avg[0]-avg[1]) > 1e-12 {
-		t.Errorf("average not symmetric: %v", avg)
-	}
-	n := avg[0]*avg[0] + avg[1]*avg[1]
-	if math.Abs(n-1) > 1e-9 {
-		t.Errorf("average not normalized: %v", n)
-	}
-	if Average(nil) != nil {
-		t.Error("empty average should be nil")
-	}
-}
-
 func TestMinDim(t *testing.T) {
 	m := New(1)
 	if m.Dim() != 8 {

@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"cosmo/internal/catalog"
@@ -148,17 +147,6 @@ func (r *Runner) Run(name string) error {
 	return fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, Names())
 }
 
-// RunAll executes every registered experiment.
-func (r *Runner) RunAll() error {
-	for _, e := range registry {
-		if err := r.Run(e.Name); err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		fmt.Fprintln(r.Out)
-	}
-	return nil
-}
-
 // cosmoLMRelevanceKnowledge adapts the pipeline's COSMO-LM to the
 // relevance experiment's knowledge interface. It mirrors what the
 // deployed feature store emits: generations for the pair, the
@@ -227,10 +215,3 @@ func (r *Runner) localeScale() int { return r.Scale * 55 }
 
 // sortedCategories returns the 18 categories in Table 3 order.
 func sortedCategories() []catalog.Category { return catalog.Categories() }
-
-// sortStrings sorts a copy.
-func sortStrings(xs []string) []string {
-	out := append([]string{}, xs...)
-	sort.Strings(out)
-	return out
-}

@@ -379,14 +379,17 @@ func checkAllocFreeCall(p *Pass, call *ast.CallExpr, capped map[string]bool, fre
 	// interface type.
 	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		argTV := p.Info.Types[call.Args[0]]
+		_, toTP := tv.Type.(*types.TypeParam)
 		if argTV.Value == nil && convCopies(tv.Type, argTV.Type) { // constant conversions fold away
-			_, toTP := tv.Type.(*types.TypeParam)
 			_, fromTP := argTV.Type.(*types.TypeParam)
 			if !free[call] || !toTP && !fromTP {
 				report(call.Pos(), "string/slice conversion (copies the contents)")
 			}
 		}
-		if _, ok := tv.Type.Underlying().(*types.Interface); ok && !pointerShaped(argTV.Type) {
+		// A type parameter's underlying type is its constraint interface,
+		// but a conversion to it yields a value of the type argument and
+		// never boxes.
+		if _, ok := tv.Type.Underlying().(*types.Interface); ok && !toTP && !pointerShaped(argTV.Type) {
 			report(call.Pos(), "interface conversion of a non-pointer value (boxes it on the heap)")
 		}
 		return

@@ -217,7 +217,6 @@ func TestFixtures(t *testing.T) {
 				"bad.go:35:alloc-free",
 				"bad.go:36:alloc-free",
 				"bad.go:37:alloc-free",
-				"bad.go:37:alloc-free",
 				"bad.go:38:alloc-free",
 				"bad.go:39:alloc-free",
 				"bad.go:40:alloc-free",

@@ -34,7 +34,7 @@ type key interface{ string | []byte }
 func leakyKey[K key](m map[string]int, q K, s string, b []byte) bool {
 	str := string(q)  // line 35: finding (copies for K = []byte)
 	bs := []byte(q)   // line 36: finding (copies for K = string)
-	k := K(s)         // line 37: two findings (a copy for K = []byte; the boxing rule reads K as its constraint interface)
+	k := K(s)         // line 37: finding (copies for K = []byte)
 	m[string(q)] = 1  // line 38: finding (map write)
 	m[string(q)]++    // line 39: finding (map write)
 	m[string(q)] += 2 // line 40: finding (map write)

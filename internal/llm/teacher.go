@@ -18,13 +18,11 @@
 package llm
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 
 	"cosmo/internal/catalog"
-	"cosmo/internal/relations"
 	"cosmo/internal/textproc"
 )
 
@@ -335,56 +333,5 @@ func paraphrase(rng *rand.Rand, context string) string {
 		return "is a " + strings.Join(toks, " ")
 	default:
 		return "used with " + strings.Join(toks, " ")
-	}
-}
-
-// Prompt renders the QA-style prompts of Figure 3.
-type Prompt struct {
-	BehaviorType string // "search-buy" or "co-buy"
-	Domain       catalog.Category
-	Relation     relations.Relation
-	Context      string // verbalized behavior
-}
-
-// Render produces the full prompt text, ending with the "1." list trick
-// the paper describes.
-func (p Prompt) Render() string {
-	var b strings.Builder
-	switch p.BehaviorType {
-	case "search-buy":
-		b.WriteString("The following search query caused the following product purchases in the ")
-		b.WriteString(string(p.Domain))
-		b.WriteString(" domain.\n")
-	default:
-		b.WriteString("The following two products were bought together in the ")
-		b.WriteString(string(p.Domain))
-		b.WriteString(" domain.\n")
-	}
-	b.WriteString(p.Context)
-	b.WriteString("\nQuestion: why did the customer make this purchase?\nAnswer: because the product is ")
-	if info, ok := relations.Lookup(p.Relation); ok {
-		b.WriteString(fmt.Sprintf(info.Pattern, "..."))
-	}
-	b.WriteString("\n1.")
-	return b.String()
-}
-
-// CoBuyPrompt builds the co-buy prompt for a pair.
-func CoBuyPrompt(a, b catalog.Product, rel relations.Relation) Prompt {
-	return Prompt{
-		BehaviorType: "co-buy",
-		Domain:       a.Category,
-		Relation:     rel,
-		Context:      fmt.Sprintf("Product 1: %s\nProduct 2: %s", a.Title, b.Title),
-	}
-}
-
-// SearchBuyPrompt builds the search-buy prompt.
-func SearchBuyPrompt(query string, p catalog.Product, rel relations.Relation) Prompt {
-	return Prompt{
-		BehaviorType: "search-buy",
-		Domain:       p.Category,
-		Relation:     rel,
-		Context:      fmt.Sprintf("Search query: %s\nPurchased product: %s", query, p.Title),
 	}
 }

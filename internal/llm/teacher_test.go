@@ -1,11 +1,9 @@
 package llm
 
 import (
-	"strings"
 	"testing"
 
 	"cosmo/internal/catalog"
-	"cosmo/internal/relations"
 )
 
 func testTeacher(t testing.TB) (*catalog.Catalog, *Teacher) {
@@ -137,28 +135,6 @@ func TestCostMeterCustomAndReset(t *testing.T) {
 	m.Reset()
 	if m.Snapshot() != (CostSnapshot{}) {
 		t.Error("reset failed")
-	}
-}
-
-func TestPromptRender(t *testing.T) {
-	c, _ := testTeacher(t)
-	p := c.OfType("air mattress")[0]
-	prompt := SearchBuyPrompt("camping", p, relations.CapableOf)
-	text := prompt.Render()
-	for _, want := range []string{
-		"search query caused the following product purchases",
-		"camping", p.Title, "capable of", "1.",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prompt missing %q:\n%s", want, text)
-		}
-	}
-	a := c.OfType("tent")[0]
-	cp := CoBuyPrompt(a, p, relations.UsedForEve).Render()
-	for _, want := range []string{"bought together", a.Title, p.Title} {
-		if !strings.Contains(cp, want) {
-			t.Errorf("co-buy prompt missing %q", want)
-		}
 	}
 }
 

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -160,29 +159,6 @@ func RankOf(scores []float64, target int) int {
 		}
 	}
 	return 0
-}
-
-// BootstrapCI estimates a (1-alpha) confidence interval for the mean of
-// xs using nboot resamples with the given rng.
-func BootstrapCI(rng *rand.Rand, xs []float64, nboot int, alpha float64) (lo, hi float64) {
-	if len(xs) == 0 || nboot <= 0 {
-		return 0, 0
-	}
-	means := make([]float64, nboot)
-	for b := 0; b < nboot; b++ {
-		s := 0.0
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[b] = s / float64(len(xs))
-	}
-	sort.Float64s(means)
-	loIdx := int(alpha / 2 * float64(nboot))
-	hiIdx := int((1 - alpha/2) * float64(nboot))
-	if hiIdx >= nboot {
-		hiIdx = nboot - 1
-	}
-	return means[loIdx], means[hiIdx]
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).

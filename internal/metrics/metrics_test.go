@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -152,33 +151,6 @@ func TestHitsMonotoneInKProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() + 10
-	}
-	lo, hi := BootstrapCI(rng, xs, 1000, 0.05)
-	if lo >= hi {
-		t.Fatalf("lo %v >= hi %v", lo, hi)
-	}
-	m := Mean(xs)
-	if m < lo || m > hi {
-		t.Errorf("mean %v outside CI [%v,%v]", m, lo, hi)
-	}
-	if hi-lo > 0.5 {
-		t.Errorf("CI too wide: %v", hi-lo)
-	}
-}
-
-func TestBootstrapCIEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	lo, hi := BootstrapCI(rng, nil, 100, 0.05)
-	if lo != 0 || hi != 0 {
-		t.Error("empty input should give zero CI")
 	}
 }
 

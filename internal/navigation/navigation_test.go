@@ -94,6 +94,30 @@ func TestMultiTurnSession(t *testing.T) {
 	}
 }
 
+func TestThreeLayerNavigationFlow(t *testing.T) {
+	// The Figure 9 flow: broad query → intent refinement → product
+	// discovery.
+	cat := catalog.Generate(catalog.Config{ProductsPerType: 8, Seed: 1})
+	g := oracleKG(t, cat)
+	nav := NewNavigator(g.Freeze(), 1)
+
+	sess := nav.StartSession("camping")
+	opts := sess.Options(5)
+	if len(opts) == 0 {
+		t.Fatal("layer 1: no broad-concept refinements")
+	}
+	sess.Select(opts[0].Label)
+	if len(opts[0].Products) == 0 {
+		t.Fatal("layer 2: no products for refinement")
+	}
+	// In the oracle KG product labels are the product IDs.
+	for _, id := range opts[0].Products {
+		if _, ok := cat.ByID(id); !ok {
+			t.Fatalf("layer 3: product %q not in the catalog", id)
+		}
+	}
+}
+
 func TestSuggestionsOrderedBySupport(t *testing.T) {
 	_, nav := navWorld(t)
 	sugs := nav.Refine("camping", 10)

@@ -237,23 +237,6 @@ func TestAdamLearnsQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDLearns(t *testing.T) {
-	var set Set
-	p := set.Add(NewParam("x", 1, 1))
-	opt := &SGD{LR: 0.1}
-	for step := 0; step < 200; step++ {
-		tape := NewTape()
-		x := tape.Use(p)
-		diff := tape.Sub(x, tape.Const([]float64{3}))
-		l := tape.Dot(diff, diff)
-		tape.Backward(l)
-		opt.Step(&set)
-	}
-	if math.Abs(p.V[0]-3) > 1e-3 {
-		t.Fatalf("x = %v, want 3", p.V[0])
-	}
-}
-
 func TestMLPLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	var set Set

@@ -59,18 +59,3 @@ func (a *Adam) Step(set *Set) {
 	}
 	set.ZeroGrad()
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer.
-type SGD struct {
-	LR float64
-}
-
-// Step applies one SGD update and zeroes gradients.
-func (s *SGD) Step(set *Set) {
-	for _, p := range set.All() {
-		for i, g := range p.G {
-			p.V[i] -= s.LR * g
-		}
-	}
-	set.ZeroGrad()
-}
