@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"sort"
 
 	"cosmo/internal/catalog"
@@ -98,21 +97,13 @@ func main() {
 	}
 }
 
-// exportTo writes one export format to path (no-op when path is empty),
-// surfacing write and close errors.
+// exportTo publishes one export format to path (no-op when path is
+// empty) through kg.PublishFile.
 func exportTo(path string, write func(io.Writer) error) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close() //cosmo:lint-ignore dropped-error already on the fatal path; the write error is the root cause
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := kg.PublishFile(path, write); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote", path)

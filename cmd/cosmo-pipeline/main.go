@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 
 	"cosmo/internal/core"
 	"cosmo/internal/instruction"
@@ -69,15 +68,7 @@ func main() {
 		if path == "" {
 			return
 		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			f.Close() //cosmo:lint-ignore dropped-error already on the fatal path; the write error is the root cause
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := kg.PublishFile(path, fn); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", path)

@@ -16,26 +16,26 @@
 // chaos-testing a live instance.
 //
 // The knowledge graph is served as one serving.Generation: a frozen
-// kg.Snapshot, the LSH similarity index (kg.SimilarityIndex) built over
-// its intention labels for /similar, and the stamp of the file it came
-// from. The index is built before the commit, and a refresh swaps model,
-// version, snapshot and index in as one value, RCU-style, so no request
-// sees a mix of two refreshes. Without -snapshot the pipeline's graph is
-// frozen once at start-up and every refresh keeps it. With -snapshot the
-// KG is a packed .cosmo file (cosmo-pipeline -out), memory-mapped and
-// verified section by section (a heap read on the cosmo_nommap build).
-// serving.Artifact follows that file: a tick reloads it only when it
-// changed on disk (cosmo_snapshot_reloads_total /
-// cosmo_snapshot_reload_skipped_total), a damaged file is a logged
+// kg.Snapshot, the similarity index (kg.SimilarityIndex: the intention
+// labels' embeddings, scanned exactly by /similar), and the stamp of the
+// file it came from. The index is built before the commit, and a refresh
+// swaps model, version, snapshot and index in as one value, RCU-style,
+// so no request sees a mix of two refreshes. Without -snapshot the
+// pipeline's graph is frozen once at start-up and every refresh keeps
+// it. With -snapshot the KG is a packed .cosmo file (cosmo-pipeline
+// -out), memory-mapped and verified section by section (a heap read on
+// the cosmo_nommap build). serving.Artifact follows that file: a tick
+// reloads it only when it changed on disk (cosmo_snapshot_reloads_total
+// / cosmo_snapshot_reload_skipped_total), a damaged file is a logged
 // reload failure with the current generation still serving, and a
 // retired mapping is released only after its last in-flight reader.
-// -ann-tables and -ann-bits tune the index's recall/speed shape.
+// Publish a new build by rename (cosmo-pipeline -out does); a cp onto
+// the served path rewrites the mapped file under the node.
 //
 // Usage:
 //
 //	cosmo-serve [-addr :8080] [-events N] [-refresh 24h] [-shards 8] [-queue-cap 4096]
-//	            [-snapshot kg.cosmo] [-ann-tables 16] [-ann-bits 10]
-//	            [-drain-grace 15s]
+//	            [-snapshot kg.cosmo] [-drain-grace 15s]
 //	            [-fault-rate 0.2 -fault-seed 1 -fault-hang-rate 0.05 -fault-panic-rate 0.05]
 //
 // With -drain-grace, SIGINT/SIGTERM starts a graceful drain instead of
@@ -86,9 +86,6 @@ func main() {
 	faultPanicRate := flag.Float64("fault-panic-rate", 0, "injected panic rate [0,1]")
 	faultLatencyRate := flag.Float64("fault-latency-rate", 0, "injected latency-spike rate [0,1]")
 	faultLatency := flag.Duration("fault-latency", 50*time.Millisecond, "injected latency-spike duration")
-	annTables := flag.Int("ann-tables", kg.DefaultSimilarityTables, "LSH hash tables for the /similar index")
-	annBits := flag.Int("ann-bits", kg.DefaultSimilarityBits, "LSH signature bits per table for the /similar index")
-	annSeed := flag.Int64("ann-seed", 1, "LSH hyperplane seed")
 	maxBatch := flag.Int("max-batch", serving.DefaultMaxBatchItems, "max items per POST /batch request")
 	drainGrace := flag.Duration("drain-grace", 0, "on SIGINT/SIGTERM, announce a drain (/readyz 503 \"draining\", cosmo_draining 1) and keep serving for this long before shutting down; 0 shuts down immediately")
 	flag.Parse()
@@ -134,10 +131,7 @@ func main() {
 	}, responder)
 	// KG source: a packed binary snapshot is mapped with zero
 	// re-indexing; otherwise the pipeline's graph is frozen in-process.
-	art := &serving.Artifact{
-		Path:       *snapshotPath,
-		Similarity: kg.SimilarityConfig{Tables: *annTables, Bits: *annBits, Seed: *annSeed},
-	}
+	art := &serving.Artifact{Path: *snapshotPath}
 	var gen *serving.Generation
 	if *snapshotPath != "" {
 		start := time.Now()
@@ -152,7 +146,7 @@ func main() {
 		log.Printf("loaded snapshot %s in %v: %d nodes / %d edges (%s)",
 			*snapshotPath, time.Since(start), gen.Snap.NumNodes(), gen.Snap.NumEdges(), how)
 	} else {
-		gen = serving.NewGeneration(res.KG.Freeze(), art.Similarity, kg.SnapshotStamp{})
+		gen = serving.NewGeneration(res.KG.Freeze(), kg.SnapshotStamp{})
 	}
 	dep.Install(gen)
 	log.Printf("pipeline ready: frozen KG snapshot %d nodes / %d edges, similarity index: %d intentions indexed, COSMO-LM %d tails",

@@ -20,7 +20,7 @@ import (
 // state is its own) and /batch is not routed.
 func TestRouterAnswersMatchSingleNode(t *testing.T) {
 	snap := hopSnapshot(t)
-	gen := serving.NewGeneration(snap, kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{})
+	gen := serving.NewGeneration(snap, kg.SnapshotStamp{})
 	newNode := func() *serving.Deployment {
 		dep := newLocalDeployment(t)
 		dep.Install(gen)

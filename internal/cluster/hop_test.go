@@ -62,7 +62,7 @@ func hopDeployment(t *testing.T, withKG bool) *serving.Deployment {
 	t.Helper()
 	dep := newLocalDeployment(t, "camping")
 	if withKG {
-		dep.Install(serving.NewGeneration(hopSnapshot(t), kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{}))
+		dep.Install(serving.NewGeneration(hopSnapshot(t), kg.SnapshotStamp{}))
 	}
 	return dep
 }

@@ -55,7 +55,7 @@ func seriesNames(page, body string) []string {
 
 // TestMetricNamesGolden pins every series name and its label keys on
 // the two /metrics pages — a node with a resilient responder serving a
-// generation loaded from an artifact (snapshot and ANN index), and a
+// generation loaded from an artifact (snapshot and similarity index), and a
 // router over three nodes — against testdata/metric_names.golden.
 // Values are not pinned. go test -run MetricNamesGolden -update
 // rewrites the golden after a deliberate change.

@@ -6,55 +6,17 @@ import (
 	"cosmo/internal/kg"
 )
 
-// TestSimilarityRecallScaled is the acceptance harness for the LSH
-// index: on a scaled graph, Lookup must recover at least 90% of the
-// exact scan's top-k, querying with every indexed intention label (the
-// realistic workload: "intentions like this text").
-func TestSimilarityRecallScaled(t *testing.T) {
-	r, _ := runner(t)
-	g, err := r.ScaledKG(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := g.FreezeChecked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 1})
-	if ix.NumIndexed() == 0 {
-		t.Fatal("similarity index holds no intentions")
-	}
-
-	var queries []string
-	for _, n := range snap.Nodes() {
-		if n.Type == kg.NodeIntention && n.Label != "" {
-			queries = append(queries, n.Label)
-		}
-	}
-	if len(queries) < 10 {
-		t.Fatalf("only %d intention labels to query with", len(queries))
-	}
-	for _, k := range []int{1, 5, 10} {
-		rec := ix.RecallAt(queries, k)
-		t.Logf("recall@%d over %d queries, %d indexed = %.4f", k, len(queries), ix.NumIndexed(), rec)
-		if rec < 0.9 {
-			t.Fatalf("recall@%d = %.4f, want >= 0.9", k, rec)
-		}
-	}
-}
-
-// TestSimilarityDeterministic: equal (snapshot, config) builds must
-// answer identically — the property that makes the ANN benchmarks and
-// the RCU swap (old and new index serving side by side briefly)
-// well-behaved.
+// TestSimilarityDeterministic: builds over equal snapshots must answer
+// identically — the property that makes the /similar benchmarks and the
+// RCU swap (old and new index serving side by side briefly) well-behaved.
 func TestSimilarityDeterministic(t *testing.T) {
 	r, _ := runner(t)
 	snap, err := r.World().KG.FreezeChecked()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 7})
-	b := kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 7})
+	a := kg.NewSimilarityIndex(snap)
+	b := kg.NewSimilarityIndex(snap)
 	for _, q := range []string{"camping", "tent for winter", "waterproof boots"} {
 		am, bm := a.Lookup(q, 5), b.Lookup(q, 5)
 		if len(am) != len(bm) {

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cosmo/internal/llm"
 	"cosmo/internal/serving"
 )
 
@@ -121,14 +122,10 @@ func (i *Injector) Stats() Stats {
 	}
 }
 
-// roll derives a uniform value in [0, 1) for call index n — splitmix64
-// finalization, matching the resilience layer's jitter derivation.
+// roll derives a uniform value in [0, 1) for call index n from
+// llm.DeriveSeed's splitmix64 mix, as the resilience layer's jitter does.
 func roll(seed int64, n uint64) float64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(n+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11) / float64(1<<53)
+	return float64(uint64(llm.DeriveSeed(seed, n))>>11) / float64(1<<53)
 }
 
 // Inject performs one fault decision: it returns nil for passthrough,

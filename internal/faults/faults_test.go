@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -150,5 +151,25 @@ func TestSequenceDeterministicRate(t *testing.T) {
 	rate := float64(fires) / n
 	if rate < 0.25 || rate > 0.35 {
 		t.Errorf("fire rate %.3f, want ~0.3", rate)
+	}
+}
+
+// TestRollMatchesInlineMix holds roll, which reads llm.DeriveSeed, to
+// the inline splitmix64 it replaced, over extreme seeds and call
+// indexes.
+func TestRollMatchesInlineMix(t *testing.T) {
+	inline := func(seed int64, n uint64) float64 {
+		z := uint64(seed) + 0x9e3779b97f4a7c15*(n+1)
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		return float64(z>>11) / float64(1<<53)
+	}
+	for _, seed := range []int64{0, 1, -1, 42, -987654321, math.MaxInt64, math.MinInt64} {
+		for _, n := range []uint64{0, 1, 2, 1000, 1 << 32, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+			if got, want := roll(seed, n), inline(seed, n); got != want {
+				t.Fatalf("roll(%d, %d) = %v, inline mix %v", seed, n, got, want)
+			}
+		}
 	}
 }

@@ -1,73 +1,27 @@
 package kg
 
 import (
-	"math/bits"
-	"math/rand"
 	"sync"
 
 	"cosmo/internal/embedding"
 )
 
-// This file implements the approximate-nearest-neighbor retrieval layer
-// over the snapshot's intention space: a bit-sampled LSH (SimHash)
-// index on the hashed n-gram embeddings of intention labels. The
-// salience-ranking and similarity-filter paths need "intentions like
-// this text" lookups; before this index that was a linear scan over
-// every intention embedding per query. The index is built once per
-// snapshot (at load/refresh time) and swapped RCU-style alongside it —
-// like the Snapshot, a built SimilarityIndex is immutable and is shared
-// freely across goroutines with no locking.
-//
-// Scheme: each of Tables hash tables projects an embedding onto Bits
-// seeded random hyperplanes; the sign pattern is the signature. Nearby
-// vectors agree on most signs, so their signatures are within a small
-// Hamming distance in some table with high probability. Lookup gathers
-// the positions within the smallest Hamming ring (0, 1 or 2 bits) that
-// holds the candidate floor — what multiprobing each table's buckets at
-// 1-bit and 2-bit flips would gather, found by one popcount pass over
-// flat signature columns — then rescores candidates exactly by cosine,
-// so returned scores are identical to the exact scan's; only the
-// candidate set is approximate.
+// This file implements the /similar retrieval layer over the snapshot's
+// intention space: an exact cosine scan over the hashed n-gram
+// embeddings of intention labels. The embeddings are computed once per
+// snapshot (at load/refresh time) into one flat L2-normalized column and
+// swapped RCU-style alongside it — like the Snapshot, a built
+// SimilarityIndex is immutable and is shared freely across goroutines
+// with no locking. A lookup scores every position, four vectors per
+// pass over the query, into a bounded heap, so its answer is the true
+// top-k.
 
-// Default LSH shape: chosen so that on harness-scale graphs the 1-bit
-// ring across 16 tables reaches the candidate floor for clustered
-// queries while the 2-bit ring keeps recall@k >= 0.9 even for queries
-// whose true neighbors are only weakly similar.
-const (
-	DefaultSimilarityDim    = 64
-	DefaultSimilarityTables = 16
-	DefaultSimilarityBits   = 10
-)
+// DefaultSimilarityDim is the embedding dimension the index embeds in.
+const DefaultSimilarityDim = 64
 
-// similarityCandidateFloor is the minimum candidate count Lookup tries
-// to gather (scaled by k) before it stops widening rings.
-const similarityCandidateFloor = 64
-
-// SimilarityConfig shapes a SimilarityIndex. The zero value gets the
-// defaults above; Seed fixes the hyperplane sample, so equal
-// (snapshot, config) pairs build identical indexes.
-type SimilarityConfig struct {
-	Dim    int   // embedding dimension
-	Tables int   // number of hash tables
-	Bits   int   // hyperplanes (signature bits) per table, max 32
-	Seed   int64 // hyperplane sample seed
-}
-
-func (c SimilarityConfig) withDefaults() SimilarityConfig {
-	if c.Dim <= 0 {
-		c.Dim = DefaultSimilarityDim
-	}
-	if c.Tables <= 0 {
-		c.Tables = DefaultSimilarityTables
-	}
-	if c.Bits <= 0 {
-		c.Bits = DefaultSimilarityBits
-	}
-	if c.Bits > 32 {
-		c.Bits = 32
-	}
-	return c
-}
+// SimilarityConfig is kept only for bench/, which passes one to
+// BuildSimilarityIndex; Seed is ignored.
+type SimilarityConfig struct{ Seed int64 }
 
 // SimilarMatch is one retrieved intention with its exact cosine score
 // against the query.
@@ -77,59 +31,27 @@ type SimilarMatch struct {
 	Score float64
 }
 
-// SimilarityIndex is the immutable LSH index over a snapshot's
-// intention embeddings. Build once, share freely; pair it with its
-// snapshot behind the same atomic swap.
+// SimilarityIndex is the immutable embedding column over a snapshot's
+// intentions. Build once, share freely; pair it with its snapshot behind
+// the same atomic swap.
 type SimilarityIndex struct {
 	snap  *Snapshot
 	model *embedding.Model
-	cfg   SimilarityConfig
 
-	// planes holds Tables*Bits hyperplanes of Dim floats, flattened.
-	planes []float64
 	// nodes[p] is the intention symbol at index position p, ascending;
 	// vecs holds the matching L2-normalized embeddings, flattened.
 	nodes []int32
 	vecs  []float64
-	// sigs holds each table's signatures as one column:
-	// sigs[t*len(nodes)+p] is position p's signature in table t.
-	sigs []uint32
 
-	scratch sync.Pool
+	// heaps pools the per-lookup top-k heap (*simHeap).
+	heaps sync.Pool
 }
 
-// simScratch pools the per-lookup accumulators: the per-table query
-// signatures, each position's ring distance, the gathered candidate
-// positions and the top-k heap.
-type simScratch struct {
-	qsigs []uint32
-	dist  []int
-	cand  []int32
-	heap  simHeap
-}
-
-// similarityRings is the number of probe rings (Hamming widths 0, 1 and
-// 2) Lookup widens through before it takes every position; a ring
-// distance of similarityRings stands for "beyond the last ring".
-const similarityRings = 3
-
-// BuildSimilarityIndex embeds every intention label in the snapshot and
-// indexes the non-zero embeddings under cfg's LSH shape. Deterministic
-// for equal (snapshot, config).
-func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
-	cfg = cfg.withDefaults()
-	ix := &SimilarityIndex{snap: s, model: embedding.New(cfg.Dim)}
-	// The model raises a small dimension to its minimum; every layout
-	// below follows the dimension it actually embeds in.
-	cfg.Dim = ix.model.Dim()
-	ix.cfg = cfg
-
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ix.planes = make([]float64, cfg.Tables*cfg.Bits*cfg.Dim)
-	for i := range ix.planes {
-		ix.planes[i] = rng.NormFloat64()
-	}
-
+// NewSimilarityIndex embeds every intention label in the snapshot and
+// indexes the non-zero embeddings. Deterministic for equal snapshots.
+func NewSimilarityIndex(s *Snapshot) *SimilarityIndex {
+	ix := &SimilarityIndex{snap: s, model: embedding.New(DefaultSimilarityDim)}
+	ix.heaps.New = func() any { return new(simHeap) }
 	for i := range s.ntypes {
 		if s.nodeType(sym32(i)) != NodeIntention {
 			continue
@@ -143,30 +65,14 @@ func BuildSimilarityIndex(s *Snapshot, cfg SimilarityConfig) *SimilarityIndex {
 		ix.nodes = append(ix.nodes, sym32(i))
 		ix.vecs = append(ix.vecs, vec...)
 	}
-
-	n := len(ix.nodes)
-	ix.sigs = make([]uint32, cfg.Tables*n)
-	sig := make([]uint32, cfg.Tables)
-	for p := 0; p < n; p++ {
-		ix.signatures(ix.vecs[p*cfg.Dim:(p+1)*cfg.Dim], sig)
-		for t, v := range sig {
-			ix.sigs[t*n+p] = v
-		}
-	}
-
-	ix.scratch.New = func() any {
-		return &simScratch{
-			qsigs: make([]uint32, cfg.Tables),
-			dist:  make([]int, n),
-			cand:  make([]int32, 0, n),
-		}
-	}
 	return ix
 }
 
-// Config returns the resolved configuration: defaults filled in, and
-// Dim the dimension the index embeds in.
-func (ix *SimilarityIndex) Config() SimilarityConfig { return ix.cfg }
+// BuildSimilarityIndex is NewSimilarityIndex, kept only for bench/
+// (see serving.Deployment.SetKG).
+func BuildSimilarityIndex(s *Snapshot, _ SimilarityConfig) *SimilarityIndex {
+	return NewSimilarityIndex(s)
+}
 
 // NumIndexed returns how many intentions the index holds.
 func (ix *SimilarityIndex) NumIndexed() int { return len(ix.nodes) }
@@ -178,31 +84,6 @@ func isZero(vec []float64) bool {
 		}
 	}
 	return true
-}
-
-// signatures projects vec onto every table's hyperplanes, four planes
-// at a time, and packs the signs: bit b of sigs[t] is set when plane b
-// of table t has a non-negative dot product with vec.
-func (ix *SimilarityIndex) signatures(vec []float64, sigs []uint32) {
-	clear(sigs)
-	dim, nb := ix.cfg.Dim, ix.cfg.Bits
-	set := func(j int, dot float64) {
-		if dot >= 0 {
-			sigs[j/nb] |= 1 << (j % nb)
-		}
-	}
-	plane := func(j int) []float64 { return ix.planes[j*dim : (j+1)*dim] }
-	j, planes := 0, len(sigs)*nb
-	for ; j+4 <= planes; j += 4 {
-		d0, d1, d2, d3 := dot4(vec, plane(j), plane(j+1), plane(j+2), plane(j+3))
-		set(j, d0)
-		set(j+1, d1)
-		set(j+2, d2)
-		set(j+3, d3)
-	}
-	for ; j < planes; j++ {
-		set(j, dot(vec, plane(j)))
-	}
 }
 
 // dot returns the dot product of q with the first len(q) floats of a,
@@ -233,30 +114,10 @@ func dot4(q, a, b, c, d []float64) (s0, s1, s2, s3 float64) {
 // emptySimilar is the canonical empty result for blank queries.
 var emptySimilar = []SimilarMatch{}
 
-// Lookup returns up to k intentions most similar to q, gathered through
-// the LSH signatures and rescored by exact cosine (score descending, ID
-// ascending on ties — the same order as Exact, so equal candidate sets
-// produce byte-equal results). The candidates are the positions within
-// Hamming distance w of the query's signature in some table, for the
-// smallest ring w in {0, 1, 2} that holds the candidate floor (max(8k,
-// 64) positions), or every position when no ring does: probing each
-// table's bucket at the exact signature and then at every 1-bit and
-// 2-bit flip gathers the same set, and a small index never trades
-// recall for nothing.
+// Lookup returns up to k intentions most similar to q by exact cosine,
+// score descending and ID ascending on ties, as an owned slice. Blank
+// queries (zero embedding) and k <= 0 answer empty.
 func (ix *SimilarityIndex) Lookup(q string, k int) []SimilarMatch {
-	return ix.search(q, k, true)
-}
-
-// Exact returns up to k intentions most similar to q by rescoring every
-// indexed embedding — the recall baseline and the path the index makes
-// obsolete on the hot path.
-func (ix *SimilarityIndex) Exact(q string, k int) []SimilarMatch {
-	return ix.search(q, k, false)
-}
-
-// search embeds q, gathers candidates (through the rings when lsh is
-// set, every position otherwise) and ranks them.
-func (ix *SimilarityIndex) search(q string, k int, lsh bool) []SimilarMatch {
 	if k <= 0 {
 		return emptySimilar
 	}
@@ -264,78 +125,28 @@ func (ix *SimilarityIndex) search(q string, k int, lsh bool) []SimilarMatch {
 	if isZero(qvec) {
 		return emptySimilar
 	}
-	sc := ix.scratch.Get().(*simScratch)
-	if lsh {
-		ix.gather(qvec, k, sc)
-	} else {
-		for p := range ix.nodes {
-			sc.cand = append(sc.cand, sym32(p))
-		}
-	}
-	out := ix.rank(qvec, k, sc)
-	sc.cand = sc.cand[:0]
-	ix.scratch.Put(sc)
+	hp := ix.heaps.Get().(*simHeap)
+	out := ix.rank(qvec, k, hp)
+	ix.heaps.Put(hp)
 	return out
 }
 
-// gather appends Lookup's candidate positions to sc.cand, at Tables
-// popcounts per position: d(p) = min over tables of the Hamming distance
-// between the query's and p's signatures, capped at similarityRings,
-// and the ring cut read off the per-distance counts.
-func (ix *SimilarityIndex) gather(qvec []float64, k int, sc *simScratch) {
-	n := len(ix.nodes)
-	ix.signatures(qvec, sc.qsigs)
-	dist := sc.dist[:n]
-	for p := range dist {
-		dist[p] = similarityRings
+// rank scores every position, four vectors at a time, keeps the best k
+// in the bounded heap *hp and returns them best first.
+func (ix *SimilarityIndex) rank(qvec []float64, k int, hp *simHeap) []SimilarMatch {
+	dim := len(qvec)
+	vec := func(p int) []float64 { return ix.vecs[p*dim:] }
+	h, n := (*hp)[:0], len(ix.nodes)
+	p := 0
+	for ; p+4 <= n; p += 4 {
+		d0, d1, d2, d3 := dot4(qvec, vec(p), vec(p+1), vec(p+2), vec(p+3))
+		h = h.offer(k, simCand{d0, p})
+		h = h.offer(k, simCand{d1, p + 1})
+		h = h.offer(k, simCand{d2, p + 2})
+		h = h.offer(k, simCand{d3, p + 3})
 	}
-	// Table-major: each pass reads one column front to back. Reslicing
-	// the column to len(dist) drops the bounds check on dist[p].
-	for t, qs := range sc.qsigs {
-		col := ix.sigs[t*n : (t+1)*n]
-		col = col[:len(dist)]
-		for p, s := range col {
-			dist[p] = min(dist[p], bits.OnesCount32(qs^s))
-		}
-	}
-	var count [similarityRings + 1]int
-	for _, d := range dist {
-		count[d]++
-	}
-	floor := 8 * k
-	if floor < similarityCandidateFloor {
-		floor = similarityCandidateFloor
-	}
-	// Widen while the rings so far hold fewer than floor positions;
-	// w == similarityRings takes every position.
-	w := 0
-	for have := count[0]; have < floor && w < similarityRings; have += count[w] {
-		w++
-	}
-	for p, d := range dist {
-		if d <= w {
-			sc.cand = append(sc.cand, sym32(p))
-		}
-	}
-}
-
-// rank rescores sc.cand by exact cosine, four vectors at a time, keeps
-// the best k in a bounded heap and returns them best first as an owned
-// slice.
-func (ix *SimilarityIndex) rank(qvec []float64, k int, sc *simScratch) []SimilarMatch {
-	dim := ix.cfg.Dim
-	vec := func(p int32) []float64 { return ix.vecs[int(p)*dim:] }
-	h, c := sc.heap[:0], sc.cand
-	i := 0
-	for ; i+4 <= len(c); i += 4 {
-		d0, d1, d2, d3 := dot4(qvec, vec(c[i]), vec(c[i+1]), vec(c[i+2]), vec(c[i+3]))
-		h = h.offer(k, simCand{d0, c[i]})
-		h = h.offer(k, simCand{d1, c[i+1]})
-		h = h.offer(k, simCand{d2, c[i+2]})
-		h = h.offer(k, simCand{d3, c[i+3]})
-	}
-	for ; i < len(c); i++ {
-		h = h.offer(k, simCand{dot(qvec, vec(c[i])), c[i]})
+	for ; p < n; p++ {
+		h = h.offer(k, simCand{dot(qvec, vec(p)), p})
 	}
 	out := make([]SimilarMatch, len(h))
 	for i := len(out) - 1; i >= 0; i-- {
@@ -344,14 +155,14 @@ func (ix *SimilarityIndex) rank(qvec []float64, k int, sc *simScratch) []Similar
 		sym := ix.nodes[last.p]
 		out[i] = SimilarMatch{ID: ix.snap.ids[sym], Label: ix.snap.labels[sym], Score: last.score}
 	}
-	sc.heap = h
+	*hp = h
 	return out
 }
 
-// simCand is one rescored candidate: its cosine and index position.
+// simCand is one scored position: its cosine and index position.
 type simCand struct {
 	score float64
-	p     int32
+	p     int
 }
 
 // after reports whether a ranks after b: lower score, or an equal score
@@ -417,35 +228,4 @@ func (h simHeap) down(i int) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-// RecallAt measures Lookup's recall against Exact: the mean over
-// queries of |ANN ∩ exact| / |exact| at depth k (queries with no exact
-// matches are skipped). The experiments harness reports this for the
-// scaled graphs; acceptance is >= 0.9.
-func (ix *SimilarityIndex) RecallAt(queries []string, k int) float64 {
-	sum, n := 0.0, 0
-	for _, q := range queries {
-		exact := ix.Exact(q, k)
-		if len(exact) == 0 {
-			continue
-		}
-		ann := ix.Lookup(q, k)
-		inAnn := make(map[string]bool, len(ann))
-		for _, m := range ann {
-			inAnn[m.ID] = true
-		}
-		hit := 0
-		for _, m := range exact {
-			if inAnn[m.ID] {
-				hit++
-			}
-		}
-		sum += float64(hit) / float64(len(exact))
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -46,7 +46,7 @@ func scaledIndexWorld(tb testing.TB) (*kg.Snapshot, []string) {
 
 // TestSimilarityMatchesReferenceScaled runs TestSimilarityMatchesReference's
 // check on the serving-shaped index: every intention label and every
-// search query, at the serving shape and a narrow one.
+// search query.
 func TestSimilarityMatchesReferenceScaled(t *testing.T) {
 	snap, searches := scaledIndexWorld(t)
 	queries := []string{"", "zzqx unknownword", "露营 camping", "café crème"}
@@ -56,18 +56,16 @@ func TestSimilarityMatchesReferenceScaled(t *testing.T) {
 		}
 	}
 	queries = append(queries, searches...)
-	for _, cfg := range []kg.SimilarityConfig{{Seed: 1}, {Tables: 2, Bits: 3, Seed: 7}} {
-		ix := kg.BuildSimilarityIndex(snap, cfg)
-		t.Logf("%+v: %d indexed, %d queries", ix.Config(), ix.NumIndexed(), len(queries))
-		kg.CheckSimilarityReference(t, ix, queries, []int{1, 5, 10, 80, 1000})
-	}
+	ix := kg.NewSimilarityIndex(snap)
+	t.Logf("%d indexed, %d queries", ix.NumIndexed(), len(queries))
+	kg.CheckSimilarityReference(t, ix, queries, []int{1, 5, 10, 80, 1000, 0, -1})
 }
 
 // BenchmarkSimilarityLookup prices one /similar lookup (k=10) on the
 // serving-shaped index, over search queries in a seeded Zipf order.
 func BenchmarkSimilarityLookup(b *testing.B) {
 	snap, searches := scaledIndexWorld(b)
-	ix := kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 1})
+	ix := kg.NewSimilarityIndex(snap)
 	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(searches)-1))
 	queries := make([]string, 4096)
 	for i := range queries {
@@ -91,7 +89,7 @@ func BenchmarkSimilarityBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if kg.BuildSimilarityIndex(snap, kg.SimilarityConfig{Seed: 1}).NumIndexed() == 0 {
+		if kg.NewSimilarityIndex(snap).NumIndexed() == 0 {
 			b.Fatal("nothing indexed")
 		}
 	}

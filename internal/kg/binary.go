@@ -47,6 +47,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"unsafe"
 )
@@ -573,19 +574,44 @@ func validateStructure(s *Snapshot) error {
 	return nil
 }
 
-// WriteSnapshotFile packs the snapshot to path, fsync-free but with
-// every write and close error surfaced.
+// WriteSnapshotFile packs the snapshot to path through PublishFile.
 func WriteSnapshotFile(path string, s *Snapshot) error {
-	f, err := os.Create(path)
+	return PublishFile(path, s.WriteSnapshot)
+}
+
+// PublishFile replaces path with what write produces, atomically: it
+// writes a temporary file in path's directory, fsyncs and closes it,
+// sets mode 0644, renames it over path and fsyncs the directory. A
+// reader that mapped or opened the old file keeps reading the old
+// bytes; a reader that opens path sees the old file or the whole new
+// one. On an error before the rename the temporary file is removed and
+// path is left as it was.
+func PublishFile(path string, write func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".*")
 	if err != nil {
-		return fmt.Errorf("kg: write snapshot: %w", err)
+		return fmt.Errorf("kg: publish %s: %w", path, err)
 	}
-	if err := s.WriteSnapshot(f); err != nil {
-		f.Close() //cosmo:lint-ignore dropped-error already on the error path; the write error is the root cause
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("kg: close snapshot %s: %w", path, err)
+	err = errors.Join(err, f.Close())
+	if err == nil {
+		err = os.Chmod(f.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		return fmt.Errorf("kg: publish %s: %w", path, errors.Join(err, os.Remove(f.Name())))
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("kg: publish %s: %w", path, err)
+	}
+	if err := errors.Join(d.Sync(), d.Close()); err != nil {
+		return fmt.Errorf("kg: publish %s: sync directory: %w", path, err)
 	}
 	return nil
 }

@@ -15,16 +15,15 @@ import (
 // (mtime+size) or the same table checksum skips the reload. An empty
 // Path means there is no file to follow.
 type Artifact struct {
-	Path       string
-	Similarity kg.SimilarityConfig
+	Path string
 }
 
 // refreshYearlyTop is the yearly cache layer size a refresh tick rebuilds.
 const refreshYearlyTop = 2048
 
-// Load stamps the file, maps and verifies it, and builds its ANN index,
-// counting one snapshot reload on dep and stamping the generation with
-// dep's clock as LoadedAt.
+// Load stamps the file, maps and verifies it, and builds its
+// similarity index, counting one snapshot reload on dep and stamping the
+// generation with dep's clock as LoadedAt.
 func (a *Artifact) Load(dep *Deployment) (*Generation, error) {
 	g, err := a.load(kg.MapSnapshotFile)
 	if err != nil {
@@ -48,7 +47,7 @@ func (a *Artifact) load(mapFile func(path string) (*kg.Snapshot, error)) (*Gener
 	if stampErr != nil {
 		log.Printf("snapshot stamp failed (next tick will reload): %v", stampErr)
 	}
-	return NewGeneration(snap, a.Similarity, stamp), nil
+	return NewGeneration(snap, stamp), nil
 }
 
 // changed reports whether the file differs from the revision stamped

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,8 +15,8 @@ import (
 )
 
 // publish atomically replaces path with an artifact holding one edge
-// from each of the given product IDs (write temp + rename, the way a
-// rebuilt artifact reaches a serving node).
+// from each of the given product IDs (kg.WriteSnapshotFile publishes by
+// rename, the way a rebuilt artifact reaches a serving node).
 func publish(t *testing.T, path string, products ...string) {
 	t.Helper()
 	g := kg.New()
@@ -29,11 +28,7 @@ func publish(t *testing.T, path string, products ...string) {
 			t.Fatal(err)
 		}
 	}
-	tmp := path + ".tmp"
-	if err := kg.WriteSnapshotFile(tmp, g.Freeze()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := kg.WriteSnapshotFile(path, g.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -78,7 +73,7 @@ func TestArtifactStampsBeforeLoading(t *testing.T) {
 // TestTickKeepsServingSnapshot pins that a refresh tick redoes no work
 // for an unchanged KG: with no artifact, or an artifact unchanged on
 // disk, it keeps the generation already serving — no re-freeze and no
-// ANN rebuild — and only a changed file yields a new one.
+// index rebuild — and only a changed file yields a new one.
 func TestTickKeepsServingSnapshot(t *testing.T) {
 	newDep := func() *Deployment {
 		return NewDeploymentContext(DeployConfig{}, echoResponder("v1"))

@@ -21,10 +21,10 @@ import (
 )
 
 // installTestSimilarity re-installs the deployment's snapshot as a
-// generation with its ANN index.
+// generation with its similarity index.
 func installTestSimilarity(t *testing.T, d *Deployment) {
 	t.Helper()
-	g := NewGeneration(d.Generation().Snap, kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{})
+	g := NewGeneration(d.Generation().Snap, kg.SnapshotStamp{})
 	if g.Sim.NumIndexed() == 0 {
 		t.Fatal("test snapshot indexed no intentions")
 	}

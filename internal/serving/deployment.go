@@ -133,7 +133,7 @@ type served struct {
 }
 
 // Generation is the immutable KG half of a refresh: a frozen snapshot,
-// the ANN index built from it, and the stamp of the artifact it was
+// the similarity index built from it, and the stamp of the artifact it was
 // loaded from and when (both zero for a snapshot frozen in process).
 type Generation struct {
 	Snap     *kg.Snapshot
@@ -142,9 +142,9 @@ type Generation struct {
 	LoadedAt time.Time
 }
 
-// NewGeneration builds snap's ANN index under simCfg and pairs the two.
-func NewGeneration(snap *kg.Snapshot, simCfg kg.SimilarityConfig, stamp kg.SnapshotStamp) *Generation {
-	return &Generation{Snap: snap, Sim: kg.BuildSimilarityIndex(snap, simCfg), Stamp: stamp}
+// NewGeneration builds snap's similarity index and pairs the two.
+func NewGeneration(snap *kg.Snapshot, stamp kg.SnapshotStamp) *Generation {
+	return &Generation{Snap: snap, Sim: kg.NewSimilarityIndex(snap), Stamp: stamp}
 }
 
 // Generation returns the serving generation (empty until Install). The
@@ -173,7 +173,9 @@ func (d *Deployment) editGeneration(f func(*Generation)) {
 // generations through Install and Refresh. kg's string and byte
 // forwards Snapshot.RelatedSeqString and Snapshot.ContainsBytes are
 // bench-only shims for the same reason: everything else calls the
-// generic kg.RelatedOf and the snapshot lookups behind it.
+// generic kg.RelatedOf and the snapshot lookups behind it. So are
+// kg.SimilarityConfig and kg.BuildSimilarityIndex: everything else
+// builds the index through NewGeneration (kg.NewSimilarityIndex).
 func (d *Deployment) SetKG(s *kg.Snapshot) {
 	if s != nil {
 		d.editGeneration(func(g *Generation) { *g = Generation{Snap: s, Sim: g.Sim} })

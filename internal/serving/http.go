@@ -23,7 +23,7 @@ import (
 //	GET  /related?id=<node>     -> products sharing intentions with the
 //	                               node (two-hop frozen-snapshot walk)
 //	GET  /similar?q=<text>      -> intentions similar to free text via
-//	                               the generation's LSH ANN index
+//	                               an exact scan of the generation's index
 //	POST /batch                 -> JSON array of lookups answered in one
 //	                               round trip (see AppendBatch)
 //	GET  /kg                    -> snapshot size summary (JSON)
@@ -39,7 +39,7 @@ import (
 //
 // The KG endpoints answer 503 until Install commits a generation. Each
 // handler loads the served value once, so every request answers from a
-// single refresh: model version, snapshot and ANN index together.
+// single refresh: model version, snapshot and similarity index together.
 //
 // Every query response is JSON: an appender in encode.go builds it in a
 // pooled buffer (wire.Get) and writeJSON sends it, byte-identical to the

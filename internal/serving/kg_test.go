@@ -170,9 +170,8 @@ func TestKGEndpoints(t *testing.T) {
 // serving one, and each shim kept for bench/ replaces only its half.
 func TestDailyRefreshSwapsSnapshot(t *testing.T) {
 	ctx := context.Background()
-	simCfg := kg.SimilarityConfig{Seed: 1}
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 8}, echoResponder("v1"))
-	first := NewGeneration(testSnapshot(t), simCfg, kg.SnapshotStamp{})
+	first := NewGeneration(testSnapshot(t), kg.SnapshotStamp{})
 	d.Install(first)
 
 	if err := d.Refresh(ctx, echoResponder("v2"), nil, 4); err != nil {
@@ -181,7 +180,7 @@ func TestDailyRefreshSwapsSnapshot(t *testing.T) {
 	if g := d.Generation(); g.Snap != first.Snap || g.Sim != first.Sim {
 		t.Fatal("a nil generation in Refresh must keep the current one")
 	}
-	second := NewGeneration(testSnapshot(t, "hiking"), simCfg, kg.SnapshotStamp{})
+	second := NewGeneration(testSnapshot(t, "hiking"), kg.SnapshotStamp{})
 	if err := d.Refresh(ctx, echoResponder("v3"), second, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +217,13 @@ func TestDailyRefreshSwapsSnapshot(t *testing.T) {
 // TestKGSwapUnderLoad hammers the read path while refreshes swap
 // generations, under -race: readers must always observe a complete
 // generation (old or new), never a torn or nil view mid-flight, and
-// never a snapshot paired with another snapshot's ANN index. The two
-// snapshots index different intention sets, so a mixed pair shows as an
-// index size that does not match the snapshot.
+// never a snapshot paired with another snapshot's similarity index. The
+// two snapshots index different intention sets, so a mixed pair shows as
+// an index size that does not match the snapshot.
 func TestKGSwapUnderLoad(t *testing.T) {
-	simCfg := kg.SimilarityConfig{Seed: 1}
 	gens := []*Generation{
-		NewGeneration(testSnapshot(t), simCfg, kg.SnapshotStamp{}),
-		NewGeneration(testSnapshot(t, "hiking"), simCfg, kg.SnapshotStamp{}),
+		NewGeneration(testSnapshot(t), kg.SnapshotStamp{}),
+		NewGeneration(testSnapshot(t, "hiking"), kg.SnapshotStamp{}),
 	}
 	intentions := map[*kg.Snapshot]int{}
 	for _, g := range gens {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cosmo/internal/llm"
 )
 
 // BreakerState is the circuit breaker's position.
@@ -409,15 +411,12 @@ func (r *Resilient) backoff(call uint64, attempt int) time.Duration {
 }
 
 // jitterFor derives the backoff jitter factor in [0.5, 1.5) as a pure
-// function of (seed, call index, attempt) via splitmix64 finalization —
-// the same per-index derivation the pipeline uses (llm.DeriveSeed), so
-// retry schedules are reproducible without sharing a *rand.Rand across
-// goroutines.
+// function of (seed, call index, attempt) through the pipeline's
+// per-index splitmix64 mix (llm.DeriveSeed), the attempt folded into the
+// master seed, so retry schedules are reproducible without sharing a
+// *rand.Rand across goroutines.
 func jitterFor(seed int64, call uint64, attempt int) float64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*(call+1) + 0x6a09e667f3bcc909*uint64(attempt)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := uint64(llm.DeriveSeed(seed+int64(0x6a09e667f3bcc909*uint64(attempt)), call))
 	return 0.5 + float64(z>>11)/float64(1<<53)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +192,28 @@ func TestJitterForRange(t *testing.T) {
 	}
 	if jitterFor(1, 0, 1) == jitterFor(1, 1, 1) {
 		t.Error("distinct calls should draw distinct jitter")
+	}
+}
+
+// TestJitterForMatchesInlineMix holds jitterFor, which folds the
+// attempt into llm.DeriveSeed's master seed, to the inline splitmix64
+// it replaced, over extreme seeds, call indexes and attempts.
+func TestJitterForMatchesInlineMix(t *testing.T) {
+	inline := func(seed int64, call uint64, attempt int) float64 {
+		z := uint64(seed) + 0x9e3779b97f4a7c15*(call+1) + 0x6a09e667f3bcc909*uint64(attempt)
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		return 0.5 + float64(z>>11)/float64(1<<53)
+	}
+	for _, seed := range []int64{0, 1, -1, 42, -987654321, math.MaxInt64, math.MinInt64} {
+		for _, call := range []uint64{0, 1, 2, 1000, 1 << 32, 1<<63 - 1, 1 << 63} {
+			for attempt := 0; attempt <= 8; attempt++ {
+				if got, want := jitterFor(seed, call, attempt), inline(seed, call, attempt); got != want {
+					t.Fatalf("jitterFor(%d, %d, %d) = %v, inline mix %v", seed, call, attempt, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -357,7 +357,7 @@ func (c *stepClock) Now() time.Time {
 // the untimed endpoints record nothing.
 func TestLatencyPercentiles(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
-	d.Install(NewGeneration(testSnapshot(t), kg.SimilarityConfig{Seed: 1}, kg.SnapshotStamp{}))
+	d.Install(NewGeneration(testSnapshot(t), kg.SnapshotStamp{}))
 	d.Clock = &stepClock{step: 3 * time.Millisecond}
 	for _, e := range timedEndpoints {
 		if s := d.Latency(e); s.Total != 0 || s.Quantile(0.99) != 0 {
