@@ -43,7 +43,7 @@ type SimilarityIndex struct {
 	nodes []int32
 	vecs  []float64
 
-	// heaps pools the per-lookup top-k heap (*simHeap).
+	// heaps pools the per-lookup top-k heap (*topK).
 	heaps sync.Pool
 }
 
@@ -51,7 +51,7 @@ type SimilarityIndex struct {
 // indexes the non-zero embeddings. Deterministic for equal snapshots.
 func NewSimilarityIndex(s *Snapshot) *SimilarityIndex {
 	ix := &SimilarityIndex{snap: s, model: embedding.New(DefaultSimilarityDim)}
-	ix.heaps.New = func() any { return new(simHeap) }
+	ix.heaps.New = func() any { return new(topK) }
 	for i := range s.ntypes {
 		if s.nodeType(sym32(i)) != NodeIntention {
 			continue
@@ -125,7 +125,7 @@ func (ix *SimilarityIndex) Lookup(q string, k int) []SimilarMatch {
 	if isZero(qvec) {
 		return emptySimilar
 	}
-	hp := ix.heaps.Get().(*simHeap)
+	hp := ix.heaps.Get().(*topK)
 	out := ix.rank(qvec, k, hp)
 	ix.heaps.Put(hp)
 	return out
@@ -133,99 +133,28 @@ func (ix *SimilarityIndex) Lookup(q string, k int) []SimilarMatch {
 
 // rank scores every position, four vectors at a time, keeps the best k
 // in the bounded heap *hp and returns them best first.
-func (ix *SimilarityIndex) rank(qvec []float64, k int, hp *simHeap) []SimilarMatch {
+func (ix *SimilarityIndex) rank(qvec []float64, k int, hp *topK) []SimilarMatch {
 	dim := len(qvec)
 	vec := func(p int) []float64 { return ix.vecs[p*dim:] }
 	h, n := (*hp)[:0], len(ix.nodes)
 	p := 0
 	for ; p+4 <= n; p += 4 {
 		d0, d1, d2, d3 := dot4(qvec, vec(p), vec(p+1), vec(p+2), vec(p+3))
-		h = h.offer(k, simCand{d0, p})
-		h = h.offer(k, simCand{d1, p + 1})
-		h = h.offer(k, simCand{d2, p + 2})
-		h = h.offer(k, simCand{d3, p + 3})
+		h = h.offer(k, scored{d0, p})
+		h = h.offer(k, scored{d1, p + 1})
+		h = h.offer(k, scored{d2, p + 2})
+		h = h.offer(k, scored{d3, p + 3})
 	}
 	for ; p < n; p++ {
-		h = h.offer(k, simCand{dot(qvec, vec(p)), p})
+		h = h.offer(k, scored{dot(qvec, vec(p)), p})
 	}
 	out := make([]SimilarMatch, len(h))
 	for i := len(out) - 1; i >= 0; i-- {
-		var last simCand
+		var last scored
 		h, last = h.pop()
 		sym := ix.nodes[last.p]
 		out[i] = SimilarMatch{ID: ix.snap.ids[sym], Label: ix.snap.labels[sym], Score: last.score}
 	}
 	*hp = h
 	return out
-}
-
-// simCand is one scored position: its cosine and index position.
-type simCand struct {
-	score float64
-	p     int
-}
-
-// after reports whether a ranks after b: lower score, or an equal score
-// and a later position. nodes holds ascending symbols and symbols follow
-// ID order, so position order is ID order. Positions are distinct, so
-// the order is total.
-func (a simCand) after(b simCand) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.p > b.p
-}
-
-// simHeap holds the best candidates seen so far with the one that ranks
-// last at the root, so a newcomer is compared against one entry.
-type simHeap []simCand
-
-// offer adds c if fewer than k are kept or c ranks before the root.
-func (h simHeap) offer(k int, c simCand) simHeap {
-	if len(h) < k {
-		h = append(h, c)
-		for i := len(h) - 1; i > 0; {
-			up := (i - 1) / 2
-			if !h[i].after(h[up]) {
-				break
-			}
-			h[i], h[up] = h[up], h[i]
-			i = up
-		}
-		return h
-	}
-	if h[0].after(c) {
-		h[0] = c
-		h.down(0)
-	}
-	return h
-}
-
-// pop removes and returns the candidate that ranks last.
-func (h simHeap) pop() (simHeap, simCand) {
-	last := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	h.down(0)
-	return h, last
-}
-
-// down sifts h[i] toward the leaves until it ranks after neither child.
-func (h simHeap) down(i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		c := l
-		if r := l + 1; r < len(h) && h[r].after(h[l]) {
-			c = r
-		}
-		if !h[c].after(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }

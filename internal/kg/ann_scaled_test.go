@@ -11,11 +11,12 @@ import (
 	"cosmo/internal/kg"
 )
 
-// The serving-shaped index: the KG the bench harness serves
-// (experiments.ScaledKG(6) over a scale-4 world, 57k edges). ScaledKG
-// replicates behavior heads but shares the intention tails, so the index
-// holds the base world's intentions at every factor. Built once per test
-// binary.
+// The serving-shaped KG: the one the bench harness serves
+// (experiments.ScaledKG(6) over a scale-4 world, 57k edges), which the
+// /similar and /related timers below share. ScaledKG replicates
+// behavior heads but shares the intention tails, so the similarity
+// index holds the base world's intentions at every factor. Built once
+// per test binary.
 var (
 	scaledOnce    sync.Once
 	scaledSnap    *kg.Snapshot
@@ -92,5 +93,37 @@ func BenchmarkSimilarityBuild(b *testing.B) {
 		if kg.NewSimilarityIndex(snap).NumIndexed() == 0 {
 			b.Fatal("nothing indexed")
 		}
+	}
+}
+
+// BenchmarkSnapshotRelatedScaled prices one /related lookup (k=10) on
+// the KG the related-heavy workload serves: the non-intention heads
+// shuffled once with a fixed seed, then drawn in a seeded Zipf(1.1)
+// order, as the bench harness draws its keys.
+func BenchmarkSnapshotRelatedScaled(b *testing.B) {
+	snap, _ := scaledIndexWorld(b)
+	var heads []string
+	for _, n := range snap.Nodes() {
+		if n.Type != kg.NodeIntention {
+			heads = append(heads, n.ID)
+		}
+	}
+	rng := rand.New(rand.NewSource(20240611))
+	rng.Shuffle(len(heads), func(i, j int) { heads[i], heads[j] = heads[j], heads[i] })
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(heads)-1))
+	order := make([]string, 4096)
+	for i := range order {
+		order[i] = heads[zipf.Uint64()]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		seq := kg.RelatedOf(snap, order[i%len(order)], 10)
+		n += seq.Len()
+		seq.Release()
+	}
+	if n == 0 {
+		b.Fatal("no lookup found anything")
 	}
 }

@@ -460,9 +460,8 @@ func parseTable(tbl []byte) ([]sect, error) {
 
 // validateCSR checks one CSR index: offsets are monotone, cover exactly
 // [0, edges), every index is in range, appears exactly once across all
-// rows, and lands in the row the edge array rowOf assigns it.
-// Row-internal sort order is not re-derived here — it is covered by the
-// checksum.
+// rows, and lands in the row the edge array rowOf assigns it. The order
+// within each row is rowsOrdered's to check.
 func validateCSR(name string, c csr, rows int, rowOf []int32, mark []bool) error {
 	edges := len(rowOf)
 	if len(c.off) != rows+1 {
@@ -504,6 +503,24 @@ func validateCSR(name string, c csr, rows int, rowOf []int32, mark []bool) error
 	return nil
 }
 
+// rowsOrdered checks that every row of c is strictly ascending under
+// order, the comparator indexRows sorts that CSR's rows by. The queries
+// rely on it: IntentionsFor hands a byHead row out as is, and the
+// related walk stops a byTail row at its first non-product head. Run
+// after validateCSR, so every index is in range.
+func rowsOrdered(name string, c csr, order func(x, y int32) int) error {
+	for r := 0; r+1 < len(c.off); r++ {
+		row := c.idx[c.off[r]:c.off[r+1]]
+		for i := 1; i < len(row); i++ {
+			if order(row[i-1], row[i]) >= 0 {
+				return fmt.Errorf("%s: row %d out of order at entry %d (edge %d before edge %d)",
+					name, r, i, row[i-1], row[i])
+			}
+		}
+	}
+	return nil
+}
+
 // ascending verifies a symbol table is strictly ascending — the
 // invariant the snapshot's symbol-order-is-ID-order comparisons and the
 // binary-search node lookup depend on.
@@ -518,7 +535,8 @@ func ascending(name string, xs []string) error {
 
 // validateStructure runs the full cross-section validation over an
 // assembled snapshot: every symbol in range, supports non-negative,
-// and both CSR indexes exact permutations filed under the right rows.
+// and both CSR indexes exact permutations filed under the right rows,
+// each row in the order indexRows sorts it by.
 // It is decodeSnapshot's last step and the second half of
 // Snapshot.Verify; errors are attributed to the section that owns the
 // violated invariant, at its file offset (0 for a Freeze snapshot,
@@ -568,6 +586,12 @@ func validateStructure(s *Snapshot) error {
 		return secErr(secHeadIdx, off(secHeadIdx), err)
 	}
 	if err := validateCSR("byTail", s.byTail, nn, s.eTail, mark); err != nil {
+		return secErr(secTailIdx, off(secTailIdx), err)
+	}
+	if err := rowsOrdered("byHead", s.byHead, s.intentionsOrder); err != nil {
+		return secErr(secHeadIdx, off(secHeadIdx), err)
+	}
+	if err := rowsOrdered("byTail", s.byTail, s.backOrder); err != nil {
 		return secErr(secTailIdx, off(secTailIdx), err)
 	}
 	runtime.KeepAlive(s)

@@ -32,7 +32,8 @@
 //  3. Every section's CRC-64 against the sealed table.
 //  4. The full structural validation (validateStructure): every symbol
 //     in range, both CSR indexes exact permutations filed under the
-//     right rows.
+//     right rows, every row strictly in its query order (byHead by
+//     intentionsOrder, byTail by backOrder, products first).
 //
 // Every failure is a returned error, attributed to its section where
 // one owns it (*SectionError); decodeSnapshot never panics, whatever

@@ -235,6 +235,64 @@ func TestMapSnapshotEagerRejections(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsMisorderedRows: an artifact whose CSR rows are out
+// of their query order, written with fresh checksums so only the
+// structural check can notice, fails both loaders with a *SectionError
+// for that CSR's index section. Without the check a query head filed
+// ahead of a product would end the related walk early, and a byHead row
+// would be served in the wrong order.
+func TestSnapshotRejectsMisorderedRows(t *testing.T) {
+	camping := IntentionID(relations.UsedForEve, "camping")
+	for _, c := range []struct {
+		name     string
+		sec      uint32
+		byHead   bool
+		row      string // the row's node
+		from, to string // the other ends of the two entries swapped
+	}{
+		{"query ahead of product", secTailIdx, false, camping, ProductID("P2"), QueryID("camping")},
+		{"two products", secTailIdx, false, camping, ProductID("P1"), ProductID("P2")},
+		{"two intentions", secHeadIdx, true, ProductID("P1"), camping, IntentionID(relations.UsedForEve, "winter camping")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := buildTestGraph(t).Freeze()
+			index, end := s.byTail, s.eHead
+			if c.byHead {
+				index, end = s.byHead, s.eTail
+			}
+			sym, ok := symOf(s, c.row)
+			if !ok {
+				t.Fatalf("no node %q", c.row)
+			}
+			row := index.row(sym)
+			at := func(id string) int {
+				for i, e := range row {
+					if s.ids[end[e]] == id {
+						return i
+					}
+				}
+				t.Fatalf("row of %q has no entry for %q", c.row, id)
+				return -1
+			}
+			i, j := at(c.from), at(c.to)
+			row[i], row[j] = row[j], row[i]
+			path := writeFile(t, s)
+			read, err := ReadSnapshotFile(path)
+			var se *SectionError
+			if !errors.As(err, &se) || se.Section != c.sec {
+				t.Fatalf("ReadSnapshotFile: snapshot %v, err = %v; want *SectionError for %s", read != nil, err, SectionName(c.sec))
+			}
+			mapped, err := MapSnapshotFile(path)
+			if !errors.As(err, &se) || se.Section != c.sec {
+				if err == nil {
+					mapped.Close()
+				}
+				t.Fatalf("MapSnapshotFile: err = %v; want *SectionError for %s", err, SectionName(c.sec))
+			}
+		})
+	}
+}
+
 // TestMapSnapshotZeroAlloc extends the hot-path guarantee to mapped
 // memory: IntentionsFor iteration and the pooled RelatedSeq walk stay
 // allocation-free when every array they read aliases the mmap region.

@@ -29,9 +29,10 @@ import (
 // offset+index arrays. Per-head adjacency is pre-sorted in the
 // IntentionsFor order (descending typicality, then tail ID, then
 // relation), so IntentionsFor is a zero-alloc slice view. Per-tail
-// adjacency is pre-sorted by (head ID, relation), which fixes the
-// accumulation order of RelatedProducts, so its float scores are
-// reproducible bit for bit.
+// adjacency is pre-sorted product heads first, then by (head ID,
+// relation): RelatedProducts stops each back row at its first
+// non-product head, and the fixed order makes its float scores
+// reproducible bit for bit. Both row orders are validated on load.
 type Snapshot struct {
 	// Symbol table: sym -> ID / label / type, ascending-ID order. Node
 	// types are interned: ntypes[i] indexes ntypeTable, a tiny sorted
@@ -66,8 +67,8 @@ type Snapshot struct {
 	rels []relations.Relation
 	doms []catalog.Category
 
-	byHead csr // rows: node syms, pre-sorted in IntentionsFor order
-	byTail csr // rows: node syms, pre-sorted by (head sym, rel sym)
+	byHead csr // rows: node syms, pre-sorted by intentionsOrder
+	byTail csr // rows: node syms, pre-sorted by backOrder (products first)
 
 	// scratch pools RelatedProducts accumulators so the two-hop walk
 	// allocates only its result. Bounded by the pool's GC semantics.
@@ -250,31 +251,45 @@ func (s *Snapshot) indexRows() {
 	s.byHead = newCSR(nn, ne, func(e int32) int32 { return s.eHead[e] })
 	s.byTail = newCSR(nn, ne, func(e int32) int32 { return s.eTail[e] })
 
-	// Pre-sort per-head rows in the IntentionsFor order and per-tail
-	// rows in the canonical back-walk order. Symbol comparisons stand in
-	// for the string comparisons because symbols are assigned in sorted
-	// order. Each comparator is a total order within its row — a head
-	// row's (tail, relation) and a tail row's (head, relation) are unique
-	// — so the rows do not depend on the sort algorithm.
-	intentionsOrder := func(x, y int32) int {
-		if c := cmp.Compare(s.eTyp[y], s.eTyp[x]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(s.eTail[x], s.eTail[y]); c != 0 {
-			return c
-		}
-		return cmp.Compare(s.eRel[x], s.eRel[y])
-	}
-	backOrder := func(x, y int32) int {
-		if c := cmp.Compare(s.eHead[x], s.eHead[y]); c != 0 {
-			return c
-		}
-		return cmp.Compare(s.eRel[x], s.eRel[y])
-	}
+	// Each comparator is a total order within its row — a head row's
+	// (tail, relation) and a tail row's (head, relation) are unique — so
+	// the rows do not depend on the sort algorithm.
+	byHead, byTail := s.intentionsOrder, s.backOrder
 	for r, nn32 := int32(0), sym32(nn); r < nn32; r++ {
-		slices.SortFunc(s.byHead.row(r), intentionsOrder)
-		slices.SortFunc(s.byTail.row(r), backOrder)
+		slices.SortFunc(s.byHead.row(r), byHead)
+		slices.SortFunc(s.byTail.row(r), byTail)
 	}
+}
+
+// intentionsOrder is the byHead row order, the IntentionsFor order:
+// descending typicality, then tail, then relation. Symbol comparisons
+// stand in for the string comparisons because symbols are assigned in
+// sorted order.
+func (s *Snapshot) intentionsOrder(x, y int32) int {
+	if c := cmp.Compare(s.eTyp[y], s.eTyp[x]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(s.eTail[x], s.eTail[y]); c != 0 {
+		return c
+	}
+	return cmp.Compare(s.eRel[x], s.eRel[y])
+}
+
+// backOrder is the byTail row order the related walk reads: product
+// heads first, then by (head, relation). Graphs built by AddAssertion
+// give products "p:" IDs, which sort before every "q:" query, so for
+// them the first key changes nothing.
+func (s *Snapshot) backOrder(x, y int32) int {
+	if px, py := s.isProduct(s.eHead[x]), s.isProduct(s.eHead[y]); px != py {
+		if px {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(s.eHead[x], s.eHead[y]); c != 0 {
+		return c
+	}
+	return cmp.Compare(s.eRel[x], s.eRel[y])
 }
 
 // sortedSyms returns the keys of syms in ascending order and sets each
@@ -338,6 +353,9 @@ func (s *Snapshot) bindDerived() {
 
 // nodeType resolves node i's type through the intern table.
 func (s *Snapshot) nodeType(i int32) NodeType { return s.ntypeTable[s.ntypes[i]] }
+
+// isProduct reports whether node i is a product, comparing one byte.
+func (s *Snapshot) isProduct(i int32) bool { return int32(s.ntypes[i]) == s.prodIx }
 
 // edgeAt materializes edge i. Strings come from the symbol table, so
 // this copies headers, never bytes.
@@ -491,15 +509,17 @@ type Related struct {
 
 // relatedScratch is the reusable accumulator for the two-hop
 // RelatedProducts walk: a dense per-node score array, the touched set,
-// a per-node mark for the head's own tails, and the post-walk result —
-// an entry per kept candidate whose via labels live in the shared
-// arena. Pooled on the snapshot so steady-state walks allocate only
-// what they return (and nothing at all on the RelatedSeq view path).
+// a per-node mark for the head's own tails, the top-k heap, and the
+// post-walk result — an entry per kept candidate whose via labels live
+// in the shared arena. Pooled on the snapshot so steady-state walks
+// allocate only what they return (and nothing at all on the RelatedSeq
+// view path).
 type relatedScratch struct {
 	snap   *Snapshot
 	score  []float64
 	isTail []bool // per node: set for the head's tails while a walk runs
 	seen   []int32
+	best   topK       // the k best candidates while they are selected
 	via    []string   // arena of deduped via labels, grouped per entry
 	ents   []relEntry // the up-to-k result entries, best first
 }
@@ -513,27 +533,16 @@ type relEntry struct {
 	score    float64
 }
 
-// relCmp is the result order: score descending, then product ID
-// ascending — symbols are assigned in ascending ID order, so the symbol
-// comparison stands in for the string comparison. Candidates are
-// distinct symbols, so the order is total.
-func relCmp(a, b relEntry) int {
-	switch {
-	case a.score > b.score:
-		return -1
-	case a.score < b.score:
-		return 1
-	}
-	return cmp.Compare(a.cand, b.cand)
-}
-
 // relatedCollect runs the two-hop walk for head symbol h entirely on
 // pooled scratch and leaves up to k result entries — with their via
-// labels in the scratch arena — in the returned scratch, sorted best
-// first. It accumulates every candidate's score, selects the k best,
-// and only then gathers via labels, for those k alone: a head reaches
-// thousands of (candidate, tail) pairs, of which a small k keeps a few
-// dozen. The caller owns the scratch until it materializes the entries
+// labels in the scratch arena — in the returned scratch, best first:
+// score descending, then product ID ascending. It accumulates every
+// candidate's score, reading each of the head's back rows only up to
+// its first non-product head (backOrder files products first), keeps
+// the k best in the topK heap /similar also ranks with, and only then
+// gathers via labels, for those k alone: a head reaches thousands of
+// (candidate, tail) pairs, of which a small k keeps a few dozen. The
+// caller owns the scratch until it materializes the entries
 // (RelatedProducts) or releases the view (RelatedSeq.Release); the
 // walk-only fields are reset here, the result fields on release.
 //
@@ -548,14 +557,17 @@ func (s *Snapshot) relatedCollect(h int32, k int) *relatedScratch {
 		sc.isTail = make([]bool, len(s.ids))
 	}
 	for _, ei := range s.byHead.row(h) {
-		t := s.eTail[ei]
+		t, typ, sup := s.eTail[ei], s.eTyp[ei], s.eSup[ei]
 		sc.isTail[t] = true
 		for _, bi := range s.byTail.row(t) {
 			bh := s.eHead[bi]
-			if bh == h || int32(s.ntypes[bh]) != s.prodIx {
+			if !s.isProduct(bh) {
+				break // the rest of the row is query heads
+			}
+			if bh == h {
 				continue
 			}
-			w := s.eTyp[ei] * s.eTyp[bi] * float64(min(s.eSup[ei], s.eSup[bi]))
+			w := typ * s.eTyp[bi] * float64(min(sup, s.eSup[bi]))
 			if w <= 0 {
 				w = 0.01
 			}
@@ -565,29 +577,24 @@ func (s *Snapshot) relatedCollect(h int32, k int) *relatedScratch {
 			sc.score[bh] += w
 		}
 	}
-	// Select the k best candidates in one pass: ents buffers up to 2k,
-	// is cut back to its best k whenever it fills, and from then on
-	// turns away anything that ranks after the k-th. With k >= len(seen)
-	// nothing is cut and this is a plain sort of seen.
-	var kth relEntry // score 0, which no candidate has, until the first cut
+	// Select the k best candidates in one pass over seen: once the heap
+	// holds k, one compare against its root turns most candidates away.
+	best := sc.best[:0]
 	for _, c := range sc.seen {
-		en := relEntry{cand: c, score: sc.score[c]}
+		score := sc.score[c]
 		sc.score[c] = 0
-		if kth.score > 0 && relCmp(en, kth) > 0 {
-			continue
-		}
-		sc.ents = append(sc.ents, en)
-		if len(sc.ents) == 2*k {
-			slices.SortFunc(sc.ents, relCmp)
-			sc.ents = sc.ents[:k]
-			kth = sc.ents[k-1]
+		if !best.rejects(k, score) {
+			best = best.offer(k, scored{score, int(c)})
 		}
 	}
 	sc.seen = sc.seen[:0]
-	slices.SortFunc(sc.ents, relCmp)
-	if k < len(sc.ents) {
-		sc.ents = sc.ents[:k]
+	for len(best) > 0 {
+		var last scored
+		best, last = best.pop()
+		sc.ents = append(sc.ents, relEntry{cand: sym32(last.p), score: last.score})
 	}
+	sc.best = best
+	slices.Reverse(sc.ents)
 	// A kept candidate's via labels are those of its own tails that the
 	// head also reaches, sorted and deduped: the legacy label-set
 	// semantics (distinct tails can share a label).
@@ -619,9 +626,10 @@ func (sc *relatedScratch) release() {
 
 // RelatedProducts walks head → intention → product two-hop paths over
 // interned int IDs and returns up to k products sharing intentions with
-// the head, best first. Path weights accumulate in a fixed order (first
-// hop in IntentionsFor order, back edges by head, then relation), so
-// scores are reproducible bit for bit; the CSR walk takes no locks and
+// the head, best first (score descending, then product ID). Path
+// weights accumulate in a fixed order (first hop in IntentionsFor
+// order, back edges by product head, then relation), so scores are
+// reproducible bit for bit; the CSR walk takes no locks and
 // builds no maps. The only allocations are the sized result and
 // per-candidate via slices; everything else runs on pooled scratch.
 // Callers that can consume the result before the next lookup avoid even
@@ -755,7 +763,7 @@ func (s *Snapshot) BuildHierarchy(minSupport int) []*HierarchyNode {
 			byTail[tailID] = in
 		}
 		in.count += int(s.eSup[i])
-		if h := s.eHead[i]; int32(s.ntypes[h]) == s.prodIx {
+		if h := s.eHead[i]; s.isProduct(h) {
 			in.products[s.labels[h]] = true
 		}
 	}

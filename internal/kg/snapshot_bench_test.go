@@ -118,15 +118,18 @@ func BenchmarkSnapshotFreeze(b *testing.B) {
 // replica of a head points at the same tails. 900 products hold 10 of
 // 30 tails each, so a head reaches about 3,000 (candidate, tail) via
 // pairs over at most 899 candidates. fanOutViaPairs[i] is that count
-// for fanOutHeads[i], read off the frozen arrays.
+// for fanOutHeads[i], and fanOutVisited[i] the back-edge entries its
+// walk reads (each row up to and including the first query head), both
+// read off the frozen arrays.
 var (
 	fanOutOnce     sync.Once
 	fanOutSnap     *Snapshot
 	fanOutHeads    []string
 	fanOutViaPairs []int
+	fanOutVisited  []int
 )
 
-func fanOutWorld(b *testing.B) (*Snapshot, []string, []int) {
+func fanOutWorld(b *testing.B) (*Snapshot, []string, []int, []int) {
 	b.Helper()
 	fanOutOnce.Do(func() {
 		rng := rand.New(rand.NewSource(43))
@@ -151,39 +154,48 @@ func fanOutWorld(b *testing.B) (*Snapshot, []string, []int) {
 		for i := 0; i < 256; i++ {
 			head := ProductID(fmt.Sprintf("P%04d", rng.Intn(products)))
 			h, _ := symOf(s, head)
-			pairs := 0
+			pairs, visited := 0, 0
 			for _, ei := range s.byHead.row(h) {
 				for _, bi := range s.byTail.row(s.eTail[ei]) {
-					if bh := s.eHead[bi]; bh != h && int32(s.ntypes[bh]) == s.prodIx {
+					visited++
+					bh := s.eHead[bi]
+					if !s.isProduct(bh) {
+						break
+					}
+					if bh != h {
 						pairs++
 					}
 				}
 			}
 			fanOutHeads = append(fanOutHeads, head)
 			fanOutViaPairs = append(fanOutViaPairs, pairs)
+			fanOutVisited = append(fanOutVisited, visited)
 		}
 	})
-	return fanOutSnap, fanOutHeads, fanOutViaPairs
+	return fanOutSnap, fanOutHeads, fanOutViaPairs, fanOutVisited
 }
 
 // BenchmarkSnapshotRelatedFanOut runs the pooled related view on the
 // high-fan-out world. k=1 and k=10 are serving-sized; k=1000 exceeds
 // the candidate count, so every candidate is kept and sorted. pairs/op
-// is the walk's size, so ns/op ÷ pairs/op is the cost per via pair.
+// is the walk's size, so ns/op ÷ pairs/op is the cost per via pair;
+// visited/op counts the back-edge entries the walk reads to find them.
 func BenchmarkSnapshotRelatedFanOut(b *testing.B) {
-	s, heads, viaPairs := fanOutWorld(b)
+	s, heads, viaPairs, visitedEntries := fanOutWorld(b)
 	for _, k := range []int{1, 10, 1000} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
-			pairs, kept := 0, 0
+			pairs, visited, kept := 0, 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				seq := RelatedOf(s, heads[i%len(heads)], k)
 				kept += seq.Len()
 				seq.Release()
 				pairs += viaPairs[i%len(heads)]
+				visited += visitedEntries[i%len(heads)]
 			}
 			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
 			b.ReportMetric(float64(kept)/float64(b.N), "kept/op")
 		})
 	}

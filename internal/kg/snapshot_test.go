@@ -57,6 +57,79 @@ func randomGraph(t testing.TB, rng *rand.Rand, nCands int) *Graph {
 	return g
 }
 
+// interleavedGraph is randomGraph's shape built through AddNode and
+// AddEdge, with IDs whose sort order interleaves the head types:
+// products "m:…" and "z:…" around queries "n:…". A back row that holds
+// a "z:" product and a query is where the byTail order, products
+// first, differs from plain head-ID order; AddAssertion's "p:"/"q:" IDs
+// never produce one.
+func interleavedGraph(t testing.TB, rng *rand.Rand, nEdges int) *Graph {
+	t.Helper()
+	g := New()
+	rels := []relations.Relation{relations.UsedForEve, relations.CapableOf, relations.UsedBy}
+	domains := []catalog.Category{catalog.Sports, catalog.HomeKitchen}
+	tails := []string{"camping", "winter camping", "holding snacks", "office work", "camping"}
+	scores := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.8, 1.0}
+	for i := 0; i < nEdges; i++ {
+		head := Node{ID: fmt.Sprintf("n:q%02d", rng.Intn(10)), Type: NodeQuery}
+		behavior := know.SearchBuy
+		if rng.Intn(3) > 0 {
+			head = Node{ID: fmt.Sprintf("%c:P%02d", "mz"[rng.Intn(2)], rng.Intn(12)), Type: NodeProduct}
+			behavior = know.CoBuy
+		}
+		head.Label = "label of " + head.ID
+		rel, label := rels[rng.Intn(len(rels))], tails[rng.Intn(len(tails))]
+		tail := Node{ID: IntentionID(rel, label), Type: NodeIntention, Label: label}
+		g.AddNode(head)
+		g.AddNode(tail)
+		err := g.AddEdge(Edge{Head: head.ID, Relation: rel, Tail: tail.ID, Behavior: behavior,
+			Domain: domains[rng.Intn(len(domains))], PlausibleScore: scores[rng.Intn(len(scores))],
+			TypicalScore: scores[rng.Intn(len(scores))], Support: 1 + rng.Intn(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// reordersBackRows reports whether some byTail row of s is not in
+// head-ID order, that is, whether the product-first key moved an entry.
+func reordersBackRows(s *Snapshot) bool {
+	for r := int32(0); r < int32(len(s.ids)); r++ {
+		row := s.byTail.row(r)
+		for i := 1; i < len(row); i++ {
+			if s.eHead[row[i-1]] > s.eHead[row[i]] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mapFrozen writes s to a file and maps it back; the mapping is closed
+// when the test ends.
+func mapFrozen(t *testing.T, s *Snapshot) *Snapshot {
+	t.Helper()
+	mapped, err := MapSnapshotFile(writeFile(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mapped.Close() })
+	return mapped
+}
+
+// relatedKs are the k values the related oracle checks for a head with
+// n candidates: serving sizes, both sides of n, and unbounded.
+func relatedKs(n int) []int {
+	ks := []int{}
+	for _, k := range []int{1, 3, 10, n - 1, n, n + 1, 1 << 20} {
+		if k >= 1 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
 // oracle answers every snapshot query the naive way, from g.Edges()
 // and g.Nodes() alone: filter the key-sorted edge list, aggregate in
 // maps, sort once. It shares no interning, CSR row, pooled scratch,
@@ -104,10 +177,14 @@ func (o *oracle) intentionsFor(head string) []Edge {
 }
 
 // edgesTo is the byTail row RelatedProducts walks back: the tail's
-// edges by head ID, then relation.
+// edges with product heads first, then by head ID, then relation.
 func (o *oracle) edgesTo(tail string) []Edge {
 	es := o.filter(func(e Edge) bool { return e.Tail == tail })
 	sort.Slice(es, func(i, j int) bool {
+		pi, pj := o.nodes[es[i].Head].Type == NodeProduct, o.nodes[es[j].Head].Type == NodeProduct
+		if pi != pj {
+			return pi
+		}
 		if es[i].Head != es[j].Head {
 			return es[i].Head < es[j].Head
 		}
@@ -218,28 +295,39 @@ func rowEdges(s *Snapshot, c csr, id string) []Edge {
 // both CSR indexes row by row — including tie-break ordering for every
 // order-specified row and bitwise score equality for RelatedProducts —
 // on a Freeze snapshot and on the same snapshot read and mapped back.
+// The interleaved trials use interleavedGraph, where products and
+// queries interleave in ID order, and require some back row it
+// reorders.
 func TestSnapshotEquivalence(t *testing.T) {
-	for trial := 0; trial < 20; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000 + trial)))
-			g := randomGraph(t, rng, 40+rng.Intn(260))
-			frozen := g.Freeze()
-			path := writeFile(t, frozen)
-			read, err := ReadSnapshotFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mapped, err := MapSnapshotFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mapped.Close()
-			o := newOracle(g)
-			for name, s := range map[string]*Snapshot{"freeze": frozen, "read": read, "map": mapped} {
-				t.Run(name, func(t *testing.T) { checkOracle(t, g, o, s) })
-			}
-		})
+	for _, c := range []struct {
+		name   string
+		trials int
+		build  func(testing.TB, *rand.Rand, int) *Graph
+	}{{"trial", 20, randomGraph}, {"interleaved", 10, interleavedGraph}} {
+		for trial := 0; trial < c.trials; trial++ {
+			t.Run(fmt.Sprintf("%s%02d", c.name, trial), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1000 + trial)))
+				g := c.build(t, rng, 40+rng.Intn(260))
+				frozen := g.Freeze()
+				if c.name == "interleaved" && !reordersBackRows(frozen) {
+					t.Fatal("no byTail row puts a product ahead of a query with a lower ID")
+				}
+				path := writeFile(t, frozen)
+				read, err := ReadSnapshotFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mapped, err := MapSnapshotFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mapped.Close()
+				o := newOracle(g)
+				for name, s := range map[string]*Snapshot{"freeze": frozen, "read": read, "map": mapped} {
+					t.Run(name, func(t *testing.T) { checkOracle(t, g, o, s) })
+				}
+			})
+		}
 	}
 }
 
@@ -278,7 +366,7 @@ func checkOracle(t *testing.T, g *Graph, o *oracle, s *Snapshot) {
 		if got, want := rowEdges(s, s.byTail, n.ID), o.edgesTo(n.ID); !reflect.DeepEqual(got, want) {
 			t.Fatalf("byTail row of %q differs:\nsnapshot %+v\noracle   %+v", n.ID, got, want)
 		}
-		for _, k := range []int{1, 3, 1 << 20} {
+		for _, k := range relatedKs(len(o.related(n.ID, 1<<20))) {
 			if got, want := s.RelatedProducts(n.ID, k), o.related(n.ID, k); !reflect.DeepEqual(got, want) {
 				t.Fatalf("RelatedProducts(%q, %d) differ:\nsnapshot %+v\noracle   %+v", n.ID, k, got, want)
 			}
@@ -357,58 +445,68 @@ func TestSnapshotIntentionsForZeroAlloc(t *testing.T) {
 // TestRelatedSeqEquivalence: the pooled zero-copy view answers exactly
 // what RelatedProducts materializes — same entries, same order, same
 // scores, same via labels — and releasing it between lookups keeps the
-// pool coherent.
+// pool coherent, on prefixed and interleaved graphs, heap and mapped.
 func TestRelatedSeqEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
+	irng := rand.New(rand.NewSource(2027))
 	for trial := 0; trial < 5; trial++ {
-		s := randomGraph(t, rng, 60+rng.Intn(240)).Freeze()
-		for _, n := range s.Nodes() {
-			for _, k := range []int{1, 3, 1 << 20} {
-				want := s.RelatedProducts(n.ID, k)
-				seq := RelatedOf(s, []byte(n.ID), k)
-				if seq.Len() != len(want) {
-					t.Fatalf("RelatedOf(%q, %d).Len() = %d, want %d", n.ID, k, seq.Len(), len(want))
+		prefixed := randomGraph(t, rng, 60+rng.Intn(240)).Freeze()
+		interleaved := interleavedGraph(t, irng, 60+irng.Intn(240)).Freeze()
+		for _, s := range []*Snapshot{prefixed, mapFrozen(t, prefixed), interleaved, mapFrozen(t, interleaved)} {
+			checkRelatedSeq(t, s)
+		}
+	}
+}
+
+// checkRelatedSeq holds s's RelatedOf view to its RelatedProducts.
+func checkRelatedSeq(t *testing.T, s *Snapshot) {
+	t.Helper()
+	for _, n := range s.Nodes() {
+		for _, k := range relatedKs(len(s.RelatedProducts(n.ID, 1<<20))) {
+			want := s.RelatedProducts(n.ID, k)
+			seq := RelatedOf(s, []byte(n.ID), k)
+			if seq.Len() != len(want) {
+				t.Fatalf("RelatedOf(%q, %d).Len() = %d, want %d", n.ID, k, seq.Len(), len(want))
+			}
+			for i := range want {
+				got := seq.At(i)
+				if got.ProductID != want[i].ProductID || got.Label != want[i].Label ||
+					got.Score != want[i].Score || !reflect.DeepEqual(got.Via, want[i].Via) {
+					t.Fatalf("RelatedOf(%q, %d) entry %d = %+v, want %+v", n.ID, k, i, got, want[i])
 				}
-				for i := range want {
-					got := seq.At(i)
-					if got.ProductID != want[i].ProductID || got.Label != want[i].Label ||
-						got.Score != want[i].Score || !reflect.DeepEqual(got.Via, want[i].Via) {
-						t.Fatalf("RelatedOf(%q, %d) entry %d = %+v, want %+v", n.ID, k, i, got, want[i])
-					}
-				}
-				seq.Release()
 			}
+			seq.Release()
 		}
-		// Unknown heads yield the zero view; Release on it is a no-op.
-		seq := RelatedOf(s, []byte("p:NOPE"), 5)
-		if seq.Len() != 0 {
-			t.Fatalf("unknown head has %d related entries", seq.Len())
+	}
+	// Unknown heads yield the zero view; Release on it is a no-op.
+	seq := RelatedOf(s, []byte("p:NOPE"), 5)
+	if seq.Len() != 0 {
+		t.Fatalf("unknown head has %d related entries", seq.Len())
+	}
+	seq.Release()
+	// Every k <= 0 answers empty, on both entry points, and allocates
+	// nothing.
+	var head string
+	for _, n := range s.Nodes() {
+		if len(s.RelatedProducts(n.ID, 1)) > 0 {
+			head = n.ID
+			break
 		}
-		seq.Release()
-		// Every k <= 0 answers empty, on both entry points, and allocates
-		// nothing.
-		var head string
-		for _, n := range s.Nodes() {
-			if len(s.RelatedProducts(n.ID, 1)) > 0 {
-				head = n.ID
-				break
-			}
+	}
+	for _, k := range []int{0, -1, -1 << 40} {
+		if seq := RelatedOf(s, head, k); seq.Len() != 0 {
+			t.Fatalf("RelatedOf(%q, %d) has %d entries, want 0", head, k, seq.Len())
 		}
-		for _, k := range []int{0, -1, -1 << 40} {
-			if seq := RelatedOf(s, head, k); seq.Len() != 0 {
-				t.Fatalf("RelatedOf(%q, %d) has %d entries, want 0", head, k, seq.Len())
-			}
-			if got := s.RelatedProducts(head, k); len(got) != 0 {
-				t.Fatalf("RelatedProducts(%q, %d) = %+v, want empty", head, k, got)
-			}
-			allocs := testing.AllocsPerRun(50, func() {
-				seq := RelatedOf(s, head, k)
-				allocSink += float64(seq.Len() + len(s.RelatedProducts(head, k)))
-				seq.Release()
-			})
-			if allocs != 0 {
-				t.Fatalf("k=%d allocates %v per run, want 0", k, allocs)
-			}
+		if got := s.RelatedProducts(head, k); len(got) != 0 {
+			t.Fatalf("RelatedProducts(%q, %d) = %+v, want empty", head, k, got)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			seq := RelatedOf(s, head, k)
+			allocSink += float64(seq.Len() + len(s.RelatedProducts(head, k)))
+			seq.Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d allocates %v per run, want 0", k, allocs)
 		}
 	}
 }
@@ -469,7 +567,8 @@ func tieGraph(t *testing.T) *Graph {
 // candidates with exactly equal scores on both sides of the cut. For
 // every head and every k around the candidate count, the snapshot's
 // answer is the first k entries of its own untruncated answer and
-// equals the naive oracle, on a heap and on a mapped snapshot.
+// equals the naive oracle, on a heap and on a mapped snapshot, and then
+// on interleaved graphs.
 func TestRelatedTopKBoundary(t *testing.T) {
 	g := tieGraph(t)
 	o := newOracle(g)
@@ -509,6 +608,25 @@ func TestRelatedTopKBoundary(t *testing.T) {
 				if want := o.related(node.ID, k); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: RelatedProducts(%q, %d) differs from the oracle:\ngot  %+v\nwant %+v",
 						name, node.ID, k, got, want)
+				}
+			}
+		}
+	}
+
+	// The same oracle on graphs whose product and query IDs interleave,
+	// so the back rows the walk cuts short are in product-first order.
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 4; trial++ {
+		g := interleavedGraph(t, rng, 80+rng.Intn(200))
+		o := newOracle(g)
+		heap := g.Freeze()
+		for name, s := range map[string]*Snapshot{"heap": heap, "mapped": mapFrozen(t, heap)} {
+			for _, node := range g.Nodes() {
+				for _, k := range relatedKs(len(o.related(node.ID, 1<<20))) {
+					if got, want := s.RelatedProducts(node.ID, k), o.related(node.ID, k); !reflect.DeepEqual(got, want) {
+						t.Fatalf("interleaved %d, %s: RelatedProducts(%q, %d) differs from the oracle:\ngot  %+v\nwant %+v",
+							trial, name, node.ID, k, got, want)
+					}
 				}
 			}
 		}
