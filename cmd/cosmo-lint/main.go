@@ -9,13 +9,13 @@
 // internal/lint for the checks and DESIGN.md for the invariants they
 // encode.
 //
-// Loading and checking fan out across a worker pool; the finding order
-// is deterministic and identical for every -workers value.
+// Each package is parsed and type-checked once, on first import, and
+// findings are printed sorted by file, line, column and check.
 //
 // Usage:
 //
 //	go run ./cmd/cosmo-lint ./...
-//	go run ./cmd/cosmo-lint -json -workers 8 ./internal/serving
+//	go run ./cmd/cosmo-lint -json ./internal/serving
 //	go run ./cmd/cosmo-lint -checks seeded-rand,wallclock ./...
 //
 // Exit status: 0 clean, 1 findings (every check blocks), 2 load or
@@ -41,9 +41,8 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	chdir := flag.String("C", ".", "directory inside the module to lint from")
-	workers := flag.Int("workers", 0, "parallel load/check workers (<=0 means GOMAXPROCS)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-checks c1,c2] [-C dir] [-workers n] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-checks c1,c2] [-C dir] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Packages are ./... (the whole module, the default), a directory,\nor a dir/... prefix. Checks:\n")
 		for _, c := range lint.AllChecks() {
 			fmt.Fprintf(os.Stderr, "  %-19s %s\n", c.Name, c.Doc)
@@ -62,7 +61,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
 		return 2
 	}
-	pkgs, err := loader.LoadAll(*workers)
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
 		return 2
@@ -88,7 +87,7 @@ func run() int {
 		}
 	}
 
-	findings := lint.RunParallel(pkgs, cfg, *workers)
+	findings := lint.Run(pkgs, cfg)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

@@ -14,6 +14,7 @@ import (
 	"net/url"
 
 	"cosmo/internal/core"
+	"cosmo/internal/kg"
 	"cosmo/internal/serving"
 )
 
@@ -29,7 +30,7 @@ func main() {
 	ctx := context.Background()
 	responder := serving.ModelResponder(res.CosmoLM)
 	dep := serving.NewDeploymentContext(serving.DeployConfig{DailyCacheCap: 256}, responder)
-	dep.Install(&serving.Generation{Snap: res.KG.Freeze()})
+	dep.Install(serving.NewGeneration(res.KG.Freeze(), kg.SnapshotStamp{}))
 
 	// Build a Zipf-ish traffic stream from the behavior log's queries.
 	var pool []string
@@ -58,7 +59,7 @@ func main() {
 	fmt.Printf("  hit rate %.1f%% (yearly %d / daily %d)\n", s1.HitRate()*100, s1.YearlyHits, s1.DailyHits)
 
 	fmt.Println("daily refresh: new model version + KG snapshot swap + yearly preload from feedback loop")
-	if err := dep.Refresh(ctx, responder, &serving.Generation{Snap: res.KG.Freeze()}, 512); err != nil {
+	if err := dep.Refresh(ctx, responder, serving.NewGeneration(res.KG.Freeze(), kg.SnapshotStamp{}), 512); err != nil {
 		log.Fatalf("daily refresh: %v", err)
 	}
 

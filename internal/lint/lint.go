@@ -24,8 +24,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-
-	"cosmo/internal/parallel"
 )
 
 // Finding is one analyzer diagnostic.
@@ -156,60 +154,38 @@ func (p *Pass) Reportf(pos token.Pos, check, format string, args ...any) {
 	})
 }
 
-// runPackage executes the enabled checks over one package and returns
-// its findings, unsorted. It touches no shared state: packages are
-// immutable after loading, so the parallel driver fans packages out
-// across the worker pool and each invocation appends to its own slice.
-func runPackage(pkg *Package, cfg Config, enabled map[string]bool) []Finding {
-	var out []Finding
-	ignores, bad := buildIgnoreIndex(pkg.Fset, pkg.Files)
-	pass := &Pass{
-		Fset:    pkg.Fset,
-		Files:   pkg.Files,
-		Pkg:     pkg.Types,
-		Info:    pkg.Info,
-		Config:  cfg,
-		ignores: ignores,
-		relPath: pkg.relPath,
-		out:     &out,
-	}
-	// Malformed directives are findings themselves: a suppression
-	// without a reason defeats the self-documentation it exists for.
-	for _, f := range bad {
-		f.File = pkg.relPath(f.File)
-		out = append(out, f)
-	}
-	for _, c := range AllChecks() {
-		if len(enabled) > 0 && !enabled[c.Name] {
-			continue
-		}
-		c.Run(pass)
-	}
-	return out
-}
-
 // Run executes the configured checks over the loaded packages and
 // returns all findings sorted by file, line, column, check.
 func Run(pkgs []*Package, cfg Config) []Finding {
-	return RunParallel(pkgs, cfg, 1)
-}
-
-// RunParallel is Run with the per-package analysis fanned out across
-// workers goroutines (<= 0 means GOMAXPROCS) on the internal/parallel
-// pool. The finding order is deterministic and identical for every
-// worker count: the pool preserves package order, per-package findings
-// are independent, and the final total sort breaks every tie.
-func RunParallel(pkgs []*Package, cfg Config, workers int) []Finding {
 	enabled := map[string]bool{}
 	for _, name := range cfg.Checks {
 		enabled[name] = true
 	}
-	perPkg := parallel.Map(workers, pkgs, func(i int, pkg *Package) []Finding {
-		return runPackage(pkg, cfg, enabled)
-	})
 	var out []Finding
-	for _, fs := range perPkg {
-		out = append(out, fs...)
+	for _, pkg := range pkgs {
+		ignores, bad := buildIgnoreIndex(pkg.Fset, pkg.Files)
+		// Malformed directives are findings themselves: a suppression
+		// without a reason defeats the self-documentation it exists for.
+		for _, f := range bad {
+			f.File = pkg.relPath(f.File)
+			out = append(out, f)
+		}
+		pass := &Pass{
+			Fset:    pkg.Fset,
+			Files:   pkg.Files,
+			Pkg:     pkg.Types,
+			Info:    pkg.Info,
+			Config:  cfg,
+			ignores: ignores,
+			relPath: pkg.relPath,
+			out:     &out,
+		}
+		for _, c := range AllChecks() {
+			if len(enabled) > 0 && !enabled[c.Name] {
+				continue
+			}
+			c.Run(pass)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

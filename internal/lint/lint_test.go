@@ -6,6 +6,7 @@ import (
 	"path"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -22,7 +23,6 @@ func moduleRoot(t *testing.T) string {
 
 var (
 	loaderOnce sync.Once
-	loaderMu   sync.Mutex
 	sharedLdr  *Loader
 	loaderErr  error
 )
@@ -45,8 +45,6 @@ func fixtureLoader(t *testing.T) *Loader {
 func loadFixture(t *testing.T, name string) *Package {
 	t.Helper()
 	l := fixtureLoader(t)
-	loaderMu.Lock()
-	defer loaderMu.Unlock()
 	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", name))
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", name, err)
@@ -271,6 +269,50 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// TestLoadDirLoadsModuleImports: a package outside the module walk
+// loads on a fresh Loader, with no LoadAll first, and the module
+// package it imports is loaded on demand and memoized.
+func TestLoadDirLoadsModuleImports(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", "modimport"))
+	if err != nil {
+		t.Fatalf("LoadDir(modimport): %v", err)
+	}
+	imports := pkg.Types.Imports()
+	if len(imports) != 1 || imports[0].Path() != "cosmo/internal/fnv1a" {
+		t.Fatalf("modimport imports %v, want [cosmo/internal/fnv1a]", imports)
+	}
+	dep, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "fnv1a"))
+	if err != nil {
+		t.Fatalf("LoadDir(fnv1a): %v", err)
+	}
+	if dep.Types != imports[0] {
+		t.Error("LoadDir(fnv1a) type-checked the package again instead of returning the imported one")
+	}
+}
+
+// TestLoadDirImportCycle: two packages importing each other fail with
+// an error that names the cycle, from either end, instead of recursing.
+func TestLoadDirImportCycle(t *testing.T) {
+	l, err := NewLoader(moduleRoot(t))
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	const a, b = "cosmo/internal/lint/testdata/src/cycle/a", "cosmo/internal/lint/testdata/src/cycle/b"
+	for _, tc := range []struct{ dir, want string }{
+		{"a", "import cycle: " + a + " -> " + b + " -> " + a},
+		{"b", "import cycle: " + b + " -> " + a + " -> " + b},
+	} {
+		_, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", "cycle", tc.dir))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("LoadDir(cycle/%s) error = %v, want it to contain %q", tc.dir, err, tc.want)
+		}
+	}
+}
+
 // TestFindingString pins the canonical rendering the CI log greps for.
 func TestFindingString(t *testing.T) {
 	f := Finding{File: "internal/serving/cache.go", Line: 42, Col: 3, Check: "unbounded-append", Message: "grows"}
@@ -322,9 +364,7 @@ func TestModuleLintClean(t *testing.T) {
 		t.Skip("full-module type-check is slow; run without -short")
 	}
 	l := fixtureLoader(t)
-	loaderMu.Lock()
-	pkgs, err := l.LoadAll(0)
-	loaderMu.Unlock()
+	pkgs, err := l.LoadAll()
 	if err != nil {
 		t.Fatalf("LoadAll: %v", err)
 	}

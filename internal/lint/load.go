@@ -3,14 +3,16 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -35,40 +37,24 @@ func (p *Package) relPath(filename string) string {
 }
 
 // Loader parses and type-checks module packages using only the
-// standard library. There is one type-check path: LoadAll runs it over
-// the module in dependency waves, and LoadDir runs it for one more
-// directory (a lint fixture under testdata) once LoadAll has loaded the
-// module packages it may import. Imports inside the module resolve to
-// already-loaded packages; everything else (the stdlib) resolves
-// through go/importer's source importer. Test files are not loaded: the
-// invariants guard production code, and tests legitimately use fixed
-// ad-hoc seeds and wall clocks.
+// standard library. Each package is loaded once, on first use:
+// LoadDir type-checks a directory, and an import of a module package
+// loads that package's directory through LoadDir first. Everything
+// else (the stdlib) resolves through go/importer's source importer.
+// Files are selected by build.Default, the build context the source
+// importer uses too, so module and stdlib see the same GOOS/GOARCH and
+// tags. Test files are not loaded: the invariants guard production
+// code, and tests legitimately use fixed ad-hoc seeds and wall clocks.
 //
-// LoadAll is safe to run with many workers (token.FileSet is
-// internally locked, finished *types.Package values are immutable, and
-// the two shared mutable structures — the package memo and the stdlib
-// source importer — sit behind mutexes). Two concurrent LoadDir calls
-// for the same directory both type-check it; callers who share a
-// Loader serialize LoadDir to load each fixture once.
+// A Loader is not safe for concurrent use.
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	fset  *token.FileSet
-	std   types.Importer
-	stdMu sync.Mutex          // go/importer's source importer memoizes without locking
-	mu    sync.Mutex          // guards pkgs
-	pkgs  map[string]*Package // memoized by absolute dir
-}
-
-// stdImport resolves a non-module import through the stdlib source
-// importer, serialized: the importer memoizes into an unlocked map.
-// Each stdlib package is type-checked once and then served from the
-// memo, so the critical section is cold exactly once per package.
-func (l *Loader) stdImport(path string) (*types.Package, error) {
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	return l.std.Import(path)
+	fset    *token.FileSet
+	std     types.Importer
+	pkgs    map[string]*Package // memoized by absolute dir
+	loading []string            // dirs being type-checked, outermost first
 }
 
 // NewLoader builds a loader for the module rooted at moduleRoot
@@ -111,11 +97,9 @@ func readModulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
-// LoadAll loads every package in the module in deterministic directory
-// order, skipping testdata, hidden, and VCS directories, with parsing
-// and type-checking fanned out across workers goroutines (<= 0 means
-// GOMAXPROCS). The returned slice is identical for every worker count.
-func (l *Loader) LoadAll(workers int) ([]*Package, error) {
+// LoadAll loads every package in the module in sorted directory order,
+// skipping testdata, hidden, and VCS directories.
+func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -128,7 +112,11 @@ func (l *Loader) LoadAll(workers int) ([]*Package, error) {
 		if path != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		if hasGoFiles(path) {
+		names, err := goFiles(path)
+		if err != nil {
+			return err
+		}
+		if len(names) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -137,43 +125,119 @@ func (l *Loader) LoadAll(workers int) ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	return l.loadAllParallel(dirs, workers)
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
-func hasGoFiles(dir string) bool {
+// goFiles lists the non-test .go files in dir that build.Default
+// builds, in directory order.
+func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, err
 	}
+	var names []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") &&
-			fileMatchesBuild(filepath.Join(dir, e.Name())) {
-			return true
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, name)
 		}
 	}
-	return false
+	return names, nil
 }
 
-// LoadDir parses and type-checks the package in dir (memoized) through
-// the same parse and type-check steps as one LoadAll wave. Its
-// module-internal imports must already be loaded by LoadAll.
+// LoadDir parses and type-checks the package in dir, loading the
+// module packages it imports first. Results are memoized by directory;
+// an import that leads back to a package still being loaded is an
+// import cycle and fails with the cycle's import paths.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	if pkg := l.memoized(abs); pkg != nil {
+	if pkg := l.pkgs[abs]; pkg != nil {
 		return pkg, nil
 	}
-	pd, err := l.parseDir(abs, nil)
+	path := l.importPathFor(abs)
+	if i := slices.Index(l.loading, abs); i >= 0 {
+		cycle := make([]string, 0, len(l.loading)-i+1)
+		for _, d := range l.loading[i:] {
+			cycle = append(cycle, l.importPathFor(d))
+		}
+		return nil, fmt.Errorf("import cycle: %s", strings.Join(append(cycle, path), " -> "))
+	}
+	l.loading = append(l.loading, abs)
+	defer func() { l.loading = l.loading[:len(l.loading)-1] }()
+
+	names, err := goFiles(abs)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.typeCheckParsed(pd); err != nil {
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", abs)
+	}
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: importerFunc(l.importPkg)}
+	tpkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-check %s: %w", path, err)
+	}
+	pkg := &Package{
+		Path:       path,
+		Dir:        abs,
+		Fset:       l.fset,
+		Files:      files,
+		Types:      tpkg,
+		Info:       info,
+		moduleRoot: l.ModuleRoot,
+	}
+	l.pkgs[abs] = pkg
+	return pkg, nil
+}
+
+// importPkg resolves one import during a type-check: module packages
+// through LoadDir, everything else through the stdlib source importer.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
+	if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
+		return l.std.Import(path)
+	}
+	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath))))
+	if err != nil {
 		return nil, err
 	}
-	return l.memoized(abs), nil
+	return pkg.Types, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // importPathFor maps an absolute directory under the module root to
 // its import path.

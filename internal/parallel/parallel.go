@@ -6,8 +6,9 @@
 //     items[i]) regardless of worker count or scheduling, so a parallel
 //     stage produces byte-identical output to its sequential form as
 //     long as fn itself is deterministic per index.
-//   - Bounded concurrency: at most Workers goroutines run fn at a time;
-//     items are dispatched in contiguous chunks to amortize scheduling.
+//   - Bounded concurrency: at most workers goroutines run fn at a time;
+//     items are dispatched in contiguous chunks, about four per worker,
+//     to amortize scheduling.
 //   - Panic propagation: a panic inside fn is captured (first one wins,
 //     by lowest chunk index) and re-raised on the calling goroutine with
 //     the worker's stack appended, after all workers have drained.
@@ -24,39 +25,6 @@ import (
 	"sync"
 )
 
-// Config tunes a pool invocation. The zero value is valid: Workers
-// defaults to GOMAXPROCS and ChunkSize to an automatic split that gives
-// each worker several chunks for load balancing.
-type Config struct {
-	// Workers is the maximum number of concurrent goroutines; values
-	// <= 0 normalize to runtime.GOMAXPROCS(0).
-	Workers int
-	// ChunkSize is the number of consecutive items dispatched to a
-	// worker at a time; values <= 0 pick an automatic size.
-	ChunkSize int
-}
-
-// Normalize resolves defaulted fields against n pending items.
-func (c Config) Normalize(n int) Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Workers > n {
-		c.Workers = n
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	if c.ChunkSize <= 0 {
-		// ~4 chunks per worker balances load without excessive handoffs.
-		c.ChunkSize = (n + c.Workers*4 - 1) / (c.Workers * 4)
-		if c.ChunkSize < 1 {
-			c.ChunkSize = 1
-		}
-	}
-	return c
-}
-
 // panicValue records a captured worker panic plus its stack.
 type panicValue struct {
 	chunk int
@@ -65,30 +33,30 @@ type panicValue struct {
 }
 
 // Map applies fn to every item across at most workers goroutines and
-// returns the results in input order. workers <= 0 means GOMAXPROCS.
-// fn receives the item's index and value; it must not assume anything
+// returns the results in input order. workers <= 0 means GOMAXPROCS,
+// and more workers than items run as many as there are items. fn
+// receives the item's index and value; it must not assume anything
 // about execution order. A panic in fn propagates to the caller.
 func Map[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	return MapConfig(Config{Workers: workers}, items, fn)
-}
-
-// MapConfig is Map with explicit chunking control.
-func MapConfig[T, R any](cfg Config, items []T, fn func(i int, item T) R) []R {
 	n := len(items)
 	out := make([]R, n)
 	if n == 0 {
 		return out
 	}
-	cfg = cfg.Normalize(n)
-	if cfg.Workers == 1 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	if workers == 1 {
 		// Fast path: no goroutines, no channels; identical semantics.
 		for i := range items {
 			out[i] = fn(i, items[i])
 		}
 		return out
 	}
-
-	numChunks := (n + cfg.ChunkSize - 1) / cfg.ChunkSize
+	// ~4 chunks per worker balances load without excessive handoffs.
+	chunkSize := (n + workers*4 - 1) / (workers * 4)
+	numChunks := (n + chunkSize - 1) / chunkSize
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -104,13 +72,13 @@ func MapConfig[T, R any](cfg Config, items []T, fn func(i int, item T) R) []R {
 		}
 		mu.Unlock()
 	}
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for chunk := range next {
-				lo := chunk * cfg.ChunkSize
-				hi := lo + cfg.ChunkSize
+				lo := chunk * chunkSize
+				hi := lo + chunkSize
 				if hi > n {
 					hi = n
 				}
@@ -142,7 +110,7 @@ func MapConfig[T, R any](cfg Config, items []T, fn func(i int, item T) R) []R {
 // ForEach applies fn to every item for its side effects, preserving the
 // pool's bounded-concurrency and panic-propagation contract.
 func ForEach[T any](workers int, items []T, fn func(i int, item T)) {
-	MapConfig(Config{Workers: workers}, items, func(i int, item T) struct{} {
+	Map(workers, items, func(i int, item T) struct{} {
 		fn(i, item)
 		return struct{}{}
 	})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderPreserved(t *testing.T) {
@@ -42,44 +43,54 @@ func TestMapWorkersNormalization(t *testing.T) {
 			t.Fatalf("workers=%d: wrong results %v", workers, out)
 		}
 	}
-	cfg := Config{Workers: -1}.Normalize(100)
-	if cfg.Workers != runtime.GOMAXPROCS(0) && cfg.Workers != 100 {
-		t.Errorf("Workers normalized to %d, want GOMAXPROCS or n", cfg.Workers)
-	}
-	if cfg.Workers < 1 {
-		t.Errorf("Workers normalized to %d < 1", cfg.Workers)
-	}
-	cfg = Config{Workers: 8}.Normalize(3)
-	if cfg.Workers != 3 {
-		t.Errorf("Workers should clamp to item count: got %d", cfg.Workers)
-	}
-	cfg = Config{Workers: 4}.Normalize(0)
-	if cfg.Workers != 1 {
-		t.Errorf("Workers on empty input should floor at 1: got %d", cfg.Workers)
+	// More workers than items run at most one goroutine per item, and a
+	// non-positive count never exceeds GOMAXPROCS.
+	for _, tc := range []struct{ workers, n, limit int }{
+		{8, 3, 3},
+		{64, 5, 5},
+		{-1, 100, runtime.GOMAXPROCS(0)},
+	} {
+		var running, peak atomic.Int64
+		Map(tc.workers, make([]int, tc.n), func(i int, v int) int {
+			cur := running.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+			return v
+		})
+		if got := int(peak.Load()); got < 1 || got > tc.limit {
+			t.Errorf("workers=%d n=%d: %d goroutines ran fn at once, want 1..%d", tc.workers, tc.n, got, tc.limit)
+		}
 	}
 }
 
-// TestMapChunkBoundaries sweeps sizes around every chunk boundary so an
-// off-by-one in chunk math (dropping the last partial chunk, double
-// processing an edge index) cannot hide.
+// TestMapChunkBoundaries sweeps item counts across several chunks of
+// every chunk size the worker counts produce (about four chunks per
+// worker), so an off-by-one in chunk math (dropping the last partial
+// chunk, double processing an edge index) cannot hide.
 func TestMapChunkBoundaries(t *testing.T) {
-	for _, chunk := range []int{1, 2, 3, 7} {
-		for n := 0; n <= 4*chunk+1; n++ {
+	for _, workers := range []int{2, 3, 4, 7} {
+		for n := 0; n <= 4*workers*4+1; n++ {
 			items := make([]int, n)
 			for i := range items {
 				items[i] = i
 			}
 			var calls atomic.Int64
-			out := MapConfig(Config{Workers: 4, ChunkSize: chunk}, items, func(i int, v int) int {
+			out := Map(workers, items, func(i int, v int) int {
 				calls.Add(1)
 				return v + 1
 			})
 			if int(calls.Load()) != n {
-				t.Fatalf("chunk=%d n=%d: fn called %d times", chunk, n, calls.Load())
+				t.Fatalf("workers=%d n=%d: fn called %d times", workers, n, calls.Load())
 			}
 			for i, v := range out {
 				if v != i+1 {
-					t.Fatalf("chunk=%d n=%d: out[%d] = %d", chunk, n, i, v)
+					t.Fatalf("workers=%d n=%d: out[%d] = %d", workers, n, i, v)
 				}
 			}
 		}
@@ -125,7 +136,9 @@ func TestMapPanicFirstChunkWins(t *testing.T) {
 			t.Errorf("want lowest-index panic boom-03, got %q", r)
 		}
 	}()
-	MapConfig(Config{Workers: 4, ChunkSize: 1}, items, func(i int, v int) int {
+	// 4 workers over 64 items dispatch chunks of 4: the panics sit in
+	// chunks 0, 10 and 15.
+	Map(4, items, func(i int, v int) int {
 		if i == 3 || i == 40 || i == 63 {
 			panic("boom-" + string(rune('0'+i/10)) + string(rune('0'+i%10)))
 		}
