@@ -9,14 +9,16 @@
 // internal/lint for the checks and DESIGN.md for the invariants they
 // encode.
 //
-// Each package is parsed and type-checked once, on first import, and
-// findings are printed sorted by file, line, column and check.
+// The packages named on the command line are parsed and type-checked,
+// each once, after the module packages they import; only the named
+// ones are linted. Findings are printed sorted by file, line, column
+// and check.
 //
 // Usage:
 //
 //	go run ./cmd/cosmo-lint ./...
 //	go run ./cmd/cosmo-lint -json ./internal/serving
-//	go run ./cmd/cosmo-lint -checks seeded-rand,wallclock ./...
+//	go run ./cmd/cosmo-lint ./internal/... ./cmd/cosmo-serve
 //
 // Exit status: 0 clean, 1 findings (every check blocks), 2 load or
 // usage error.
@@ -39,10 +41,9 @@ func main() {
 
 func run() int {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	chdir := flag.String("C", ".", "directory inside the module to lint from")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-checks c1,c2] [-C dir] [packages]\n\n")
+		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-C dir] [packages]\n\n")
 		fmt.Fprintf(os.Stderr, "Packages are ./... (the whole module, the default), a directory,\nor a dir/... prefix. Checks:\n")
 		for _, c := range lint.AllChecks() {
 			fmt.Fprintf(os.Stderr, "  %-19s %s\n", c.Name, c.Doc)
@@ -51,43 +52,12 @@ func run() int {
 	}
 	flag.Parse()
 
-	root, err := findModuleRoot(*chdir)
+	pkgs, err := load(*chdir, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
 		return 2
 	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
-		return 2
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
-		return 2
-	}
-	pkgs, err = filterPackages(loader, pkgs, flag.Args(), root, *chdir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
-		return 2
-	}
-
-	cfg := lint.DefaultConfig()
-	if *checks != "" {
-		known := map[string]bool{}
-		for _, c := range lint.AllChecks() {
-			known[c.Name] = true
-		}
-		for _, name := range strings.Split(*checks, ",") {
-			if !known[name] {
-				fmt.Fprintf(os.Stderr, "cosmo-lint: unknown check %q\n", name)
-				return 2
-			}
-			cfg.Checks = append(cfg.Checks, name)
-		}
-	}
-
-	findings := lint.Run(pkgs, cfg)
+	findings := lint.Run(pkgs, lint.DefaultConfig())
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -112,6 +82,32 @@ func run() int {
 	return 0
 }
 
+// load type-checks the packages the patterns name, resolved against
+// chdir, in resolve's order.
+func load(chdir string, patterns []string) ([]*lint.Package, error) {
+	root, err := findModuleRoot(chdir)
+	if err != nil {
+		return nil, err
+	}
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	dirs, err := resolve(loader, chdir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*lint.Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
+}
+
 // findModuleRoot walks up from dir to the nearest go.mod.
 func findModuleRoot(dir string) (string, error) {
 	abs, err := filepath.Abs(dir)
@@ -130,67 +126,52 @@ func findModuleRoot(dir string) (string, error) {
 	}
 }
 
-// filterPackages keeps the packages matching the argument patterns:
-// "./..." (everything), "dir/..." (a subtree), or a plain directory. A
-// plain directory outside the walked set (e.g. a testdata fixture
-// package) is loaded explicitly.
-func filterPackages(loader *lint.Loader, pkgs []*lint.Package, patterns []string, root, chdir string) ([]*lint.Package, error) {
+// resolve maps the patterns, relative to chdir, to package directories
+// without loading any: "./..." (or no pattern) is every module
+// package, "dir/..." the module packages under dir, and a plain
+// directory that directory, even outside the module walk (a testdata
+// fixture package). Each directory is listed once, in pattern order.
+func resolve(loader *lint.Loader, chdir string, patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
-		return pkgs, nil
+		patterns = []string{"./..."}
 	}
 	base, err := filepath.Abs(chdir)
 	if err != nil {
 		return nil, err
 	}
-	var out []*lint.Package
+	var moduleDirs []string
+	var out []string
 	seen := map[string]bool{}
 	for _, pat := range patterns {
-		subtree := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			subtree = true
-			pat = rest
-			if pat == "." || pat == "" {
-				for _, p := range pkgs {
-					if !seen[p.Dir] {
-						seen[p.Dir] = true
-						out = append(out, p)
-					}
-				}
-				continue
-			}
-		}
-		dir := pat
+		var dirs []string
+		dir, subtree := strings.CutSuffix(pat, "/...")
 		if !filepath.IsAbs(dir) {
 			dir = filepath.Join(base, dir)
 		}
-		matched := false
-		for _, p := range pkgs {
-			ok := p.Dir == dir
-			if subtree && !ok {
-				ok = strings.HasPrefix(p.Dir+string(filepath.Separator), dir+string(filepath.Separator))
+		if subtree {
+			if moduleDirs == nil {
+				if moduleDirs, err = loader.ModuleDirs(); err != nil {
+					return nil, err
+				}
 			}
-			if ok && !seen[p.Dir] {
-				seen[p.Dir] = true
-				out = append(out, p)
-				matched = true
-			} else if ok {
-				matched = true
+			for _, d := range moduleDirs {
+				if pat == "./..." || d == dir || strings.HasPrefix(d, dir+string(filepath.Separator)) {
+					dirs = append(dirs, d)
+				}
 			}
+		} else if names, err := lint.GoFiles(dir); err != nil {
+			return nil, fmt.Errorf("pattern %q matches no packages (module root %s): %v", pat, loader.ModuleRoot, err)
+		} else if len(names) > 0 {
+			dirs = []string{dir}
 		}
-		if !matched && !subtree {
-			// Not in the module walk (testdata and friends): load directly.
-			pkg, err := loader.LoadDir(dir)
-			if err != nil {
-				return nil, fmt.Errorf("pattern %q matches no packages (module root %s): %v", pat, root, err)
-			}
-			if !seen[pkg.Dir] {
-				seen[pkg.Dir] = true
-				out = append(out, pkg)
-			}
-			matched = true
+		if len(dirs) == 0 {
+			return nil, fmt.Errorf("pattern %q matches no packages (module root %s)", pat, loader.ModuleRoot)
 		}
-		if !matched {
-			return nil, fmt.Errorf("pattern %q matches no packages (module root %s)", pat, root)
+		for _, d := range dirs {
+			if !seen[d] {
+				seen[d] = true
+				out = append(out, d)
+			}
 		}
 	}
 	return out, nil

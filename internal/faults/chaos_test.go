@@ -98,10 +98,24 @@ func TestChaosServingSurvivesFaults(t *testing.T) {
 		t.Errorf("served %d lookups, want %d", got, workers*perW)
 	}
 
+	// Top up until every fault kind has fired. How many responder calls
+	// the traffic made depends on the schedule (an open breaker cuts
+	// them), but each roll is a pure function of (seed, call index), so
+	// the seed fixes how many calls the top-up takes.
+	deadline := time.After(30 * time.Second)
+	for s := inj.Stats(); s.Panics == 0 || s.Hangs == 0 || s.Errors == 0; s = inj.Stats() {
+		select {
+		case <-deadline:
+			t.Fatalf("fault kinds still missing after top-up: %+v", s)
+		default:
+			_, _ = res.RespondContext(context.Background(), "top-up")
+		}
+	}
+
 	// Quiesce: stop injecting and drain until the queue empties (the
 	// breaker may need a cooldown to re-close along the way).
 	inj.SetEnabled(false)
-	deadline := time.After(30 * time.Second)
+	deadline = time.After(30 * time.Second)
 	for d.Cache.Stats().BatchQueued > 0 {
 		select {
 		case <-deadline:

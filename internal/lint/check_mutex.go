@@ -1,71 +1,18 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// mutexHygieneCheck guards the two lock mistakes that survive go vet
-// and code review alike:
-//
-//  1. A type containing a sync.Mutex/RWMutex passed or received by
-//     value. The copy has its own lock state, so the "critical
-//     section" silently stops excluding anything. (go vet's copylocks
-//     catches assignments, but a by-value receiver or parameter on
-//     your own type is legal and compiles clean.)
-//  2. A Lock()/RLock() in a function with several return paths and no
-//     matching defer Unlock()/RUnlock(). One early return added later
-//     leaks the lock and deadlocks the serving layer under load —
-//     exactly the failure mode heavy-traffic code cannot afford.
+// mutexHygieneCheck guards the lock mistake that survives go vet and
+// code review alike: a Lock()/RLock() in a function with several
+// return paths and no matching defer Unlock()/RUnlock(). One early
+// return added later leaks the lock and deadlocks the serving layer
+// under load — exactly the failure mode heavy-traffic code cannot
+// afford. A mutex copied by value (receiver, parameter, assignment,
+// range variable) is go vet's copylocks finding, not this check's.
 var mutexHygieneCheck = Check{
 	Name: "mutex-hygiene",
-	Doc:  "forbid by-value mutex params/receivers and non-deferred unlocks on multi-return functions",
-	Run:  runMutexHygiene,
-}
-
-func runMutexHygiene(p *Pass) {
-	byValueMutexes(p)
-	leakedLocks(p)
-}
-
-// byValueMutexes flags receivers and parameters whose non-pointer type
-// transitively contains a mutex.
-func byValueMutexes(p *Pass) {
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			var fields []*ast.Field
-			if fd.Recv != nil {
-				fields = append(fields, fd.Recv.List...)
-			}
-			if fd.Type.Params != nil {
-				fields = append(fields, fd.Type.Params.List...)
-			}
-			for _, field := range fields {
-				tv, ok := p.Info.Types[field.Type]
-				if !ok {
-					continue
-				}
-				if _, isPtr := tv.Type.(*types.Pointer); isPtr {
-					continue
-				}
-				locker := lockerName(tv.Type)
-				if locker == "" {
-					continue
-				}
-				kind := "parameter"
-				if fd.Recv != nil && len(fd.Recv.List) > 0 && field == fd.Recv.List[0] {
-					kind = "receiver"
-				}
-				p.Reportf(field.Type.Pos(), "mutex-hygiene",
-					"%s %s of %s contains %s and is passed by value; the copy locks nothing — use a pointer",
-					kind, exprText(field.Type), fd.Name.Name, locker)
-			}
-		}
-	}
+	Doc:  "forbid non-deferred unlocks on multi-return functions",
+	Run:  leakedLocks,
 }
 
 // lockSite is one Lock/RLock call found in a function body.

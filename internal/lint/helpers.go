@@ -148,44 +148,6 @@ func countReturns(body *ast.BlockStmt) int {
 	return n
 }
 
-// lockerName reports which sync lock type t transitively contains
-// ("sync.Mutex" or "sync.RWMutex"), or "" if none. It looks through
-// named types, struct fields (including embedded ones), and arrays —
-// the shapes a copy would silently duplicate.
-func lockerName(t types.Type) string {
-	return lockerNameRec(t, map[types.Type]bool{})
-}
-
-func lockerNameRec(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex":
-				return "sync.Mutex"
-			case "RWMutex":
-				return "sync.RWMutex"
-			}
-		}
-		return lockerNameRec(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockerNameRec(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockerNameRec(u.Elem(), seen)
-	}
-	return ""
-}
-
 // syncLockMethod resolves a call like x.Lock() / x.RLock() to the sync
 // method name if the callee is a method of sync.Mutex or sync.RWMutex
 // (including promoted calls through embedding). It returns the method

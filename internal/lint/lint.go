@@ -1,13 +1,13 @@
 // Package lint is cosmo's project-specific static analyzer. It encodes
 // the invariants that keep the reproduction correct but that go vet
 // cannot see: all randomness flows from a seeded *rand.Rand, no
-// wall-clock reads in deterministic pipeline code, mutexes are never
-// copied and lock/unlock pairs survive every return path, long-lived
-// serving state never grows without bound, and errors are never
-// silently dropped.
+// wall-clock reads in deterministic pipeline code, lock/unlock pairs
+// survive every return path, long-lived serving state never grows
+// without bound, and errors are never silently dropped. Locks and
+// atomics copied by value are go vet's copylocks, not a check here.
 //
-// The driver loads every package in the module with go/parser and
-// go/types (stdlib only — the repo stays dependency-free), runs a
+// The driver loads the named packages and their imports with go/parser
+// and go/types (stdlib only — the repo stays dependency-free), runs a
 // registry of named checks over each, and emits findings as
 //
 //	file:line: [check-name] message

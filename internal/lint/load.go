@@ -97,9 +97,10 @@ func readModulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
-// LoadAll loads every package in the module in sorted directory order,
-// skipping testdata, hidden, and VCS directories.
-func (l *Loader) LoadAll() ([]*Package, error) {
+// ModuleDirs lists the module's package directories (those with
+// GoFiles) in sorted order, skipping testdata, hidden, and VCS
+// directories: the packages ./... names.
+func (l *Loader) ModuleDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.ModuleRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -112,7 +113,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		if path != l.ModuleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
 		}
-		names, err := goFiles(path)
+		names, err := GoFiles(path)
 		if err != nil {
 			return err
 		}
@@ -125,20 +126,12 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 		return nil, err
 	}
 	sort.Strings(dirs)
-	pkgs := make([]*Package, 0, len(dirs))
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
+	return dirs, nil
 }
 
-// goFiles lists the non-test .go files in dir that build.Default
-// builds, in directory order.
-func goFiles(dir string) ([]string, error) {
+// GoFiles lists the non-test .go files in dir that build.Default
+// builds, in directory order: the files LoadDir type-checks.
+func GoFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -183,7 +176,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	l.loading = append(l.loading, abs)
 	defer func() { l.loading = l.loading[:len(l.loading)-1] }()
 
-	names, err := goFiles(abs)
+	names, err := GoFiles(abs)
 	if err != nil {
 		return nil, err
 	}

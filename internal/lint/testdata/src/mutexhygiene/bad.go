@@ -2,29 +2,8 @@ package mutexhygiene
 
 import "sync"
 
-// Known-bad: by-value mutex copies and non-deferred unlocks on
-// multi-return functions.
-
-type Counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c Counter) Get() int { // line 13: finding (receiver by value)
-	return c.n
-}
-
-func readBoth(a Counter, b *Counter) int { // line 17: finding (param a by value)
-	return a.n + b.n
-}
-
-type wrapped struct {
-	inner Counter // embeds the mutex transitively
-}
-
-func consume(w wrapped) int { // line 25: finding (transitive mutex by value)
-	return w.inner.n
-}
+// Known-bad: non-deferred unlocks on multi-return functions. Mutexes
+// copied by value are go vet's (testdata/copylocks/mutexhygiene).
 
 type Registry struct {
 	mu    sync.RWMutex
@@ -32,7 +11,7 @@ type Registry struct {
 }
 
 func (r *Registry) Lookup(k string) (int, bool) {
-	r.mu.RLock() // line 35: finding (2 returns, no defer r.mu.RUnlock())
+	r.mu.RLock() // line 14: finding (2 returns, no defer r.mu.RUnlock())
 	v, ok := r.items[k]
 	if !ok {
 		r.mu.RUnlock()

@@ -21,7 +21,8 @@ const interactionStripes = 16
 // shards on query hash and the interaction feedback loop is a striped
 // counter. NewHTTPHandler times each query endpoint on Clock into a
 // fixed-bucket atomic histogram per endpoint. Memory is O(cache
-// capacity + distinct queries), not O(requests served).
+// capacity + DefaultFeatureStoreCap), not O(distinct queries or
+// requests served).
 //
 // The responder path is fallible: batch processing recovers responder
 // panics and re-queues failed queries, Refresh aborts atomically
@@ -58,7 +59,8 @@ type Deployment struct {
 	// the map is read-only after construction.
 	latency map[string]*Histogram
 	// interactions is the feedback loop: query -> interaction count,
-	// feeding the next refresh's frequent-search selection.
+	// feeding the next refresh's frequent-search selection. It holds at
+	// most DefaultFeatureStoreCap queries.
 	interactions *stripedCounter
 
 	// Batch and degradation accounting (see BatchTotals).
@@ -111,7 +113,7 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 		Store:         NewFeatureStoreWithCap(DefaultFeatureStoreCap),
 		Clock:         RealClock{},
 		latency:       map[string]*Histogram{},
-		interactions:  newStripedCounter(interactionStripes),
+		interactions:  newStripedCounter(interactionStripes, DefaultFeatureStoreCap),
 		maxBatchItems: cfg.MaxBatchItems,
 	}
 	for _, e := range timedEndpoints {

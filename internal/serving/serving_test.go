@@ -411,6 +411,52 @@ func TestTopInteractions(t *testing.T) {
 	}
 }
 
+// TestInteractionCounterBounded: the feedback counter holds at most
+// DefaultFeatureStoreCap queries however many distinct ones arrive.
+// Once it is full a query not yet counted is not admitted, and a hot
+// query counted earlier keeps counting and still leads TopInteractions.
+func TestInteractionCounterBounded(t *testing.T) {
+	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
+	for i := 0; i < 3; i++ {
+		d.HandleQuery("hot")
+	}
+	const workers, extra = 4, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < DefaultFeatureStoreCap+extra; i += workers {
+				d.HandleQuery(fmt.Sprintf("q%d", i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	d.HandleQuery("hot")
+	d.HandleQuery("late")
+
+	held := 0
+	for i := range d.interactions.stripes {
+		held += len(d.interactions.stripes[i].counts)
+	}
+	if held != DefaultFeatureStoreCap || d.interactions.size.Load() != DefaultFeatureStoreCap {
+		t.Errorf("counter holds %d queries (size %d), want the cap %d",
+			held, d.interactions.size.Load(), DefaultFeatureStoreCap)
+	}
+	counts := d.interactions.sorted()
+	if counts[0] != (queryCount{"hot", 4}) {
+		t.Errorf("top count = %+v, want hot counted 4 times", counts[0])
+	}
+	if top := d.TopInteractions(1); len(top) != 1 || top[0] != "hot" {
+		t.Errorf("TopInteractions(1) = %v, want [hot]", top)
+	}
+	for _, qc := range counts {
+		if qc.q == "late" {
+			t.Error("a query first seen after the cap was admitted")
+		}
+	}
+}
+
 func TestDeploymentConcurrent(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
 	var wg sync.WaitGroup

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cosmo/internal/fnv1a"
 	"cosmo/internal/kg"
@@ -189,9 +190,13 @@ func (s *cacheShard) snapshot() CacheStats {
 // stripedCounter is a lock-striped string->count map for the interaction
 // feedback loop: increments hash to one of a fixed set of stripes so
 // concurrent HandleQuery calls touching different queries do not
-// serialize on a single mutex.
+// serialize on a single mutex. It holds at most limit queries: once full,
+// a query not yet counted is not admitted, while the counted ones keep
+// counting, so a stream of distinct one-off queries cannot grow it.
 type stripedCounter struct {
 	stripes []counterStripe
+	limit   int64
+	size    atomic.Int64 // queries held, over all stripes
 }
 
 type counterStripe struct {
@@ -199,11 +204,11 @@ type counterStripe struct {
 	counts map[string]int
 }
 
-func newStripedCounter(n int) *stripedCounter {
+func newStripedCounter(n, limit int) *stripedCounter {
 	if n < 1 {
 		n = 1
 	}
-	c := &stripedCounter{stripes: make([]counterStripe, n)}
+	c := &stripedCounter{stripes: make([]counterStripe, n), limit: int64(limit)}
 	for i := range c.stripes {
 		c.stripes[i].counts = map[string]int{}
 	}
@@ -213,8 +218,16 @@ func newStripedCounter(n int) *stripedCounter {
 func (c *stripedCounter) inc(q string) {
 	s := &c.stripes[fnv1a.String64(fnv1a.Offset64, q)%uint64(len(c.stripes))]
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.counts[q]; !ok {
+		// Claim a slot first, so stripes admitting at once cannot
+		// overshoot the cap together.
+		if c.size.Add(1) > c.limit {
+			c.size.Add(-1)
+			return
+		}
+	}
 	s.counts[q]++
-	s.mu.Unlock()
 }
 
 // queryCount is a (query, count) pair from the interaction counter.
