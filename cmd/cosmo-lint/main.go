@@ -9,10 +9,12 @@
 // internal/lint for the checks and DESIGN.md for the invariants they
 // encode.
 //
-// The packages named on the command line are parsed and type-checked,
-// each once, after the module packages they import; only the named
-// ones are linted. Findings are printed sorted by file, line, column
-// and check.
+// The patterns are the go tool's, resolved in the -C directory: the
+// named packages are type-checked from source against the export data
+// of their imports, which one `go list -export -deps` run compiles, and
+// only the named ones are linted. GOOS, GOARCH and GOFLAGS tags select
+// files as they do for go vet. Findings are printed sorted by file,
+// line, column and check, paths relative to the module root.
 //
 // Usage:
 //
@@ -29,30 +31,31 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"cosmo/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	chdir := flag.String("C", ".", "directory inside the module to lint from")
-	flag.Usage = func() {
+func run(args []string) int {
+	fs := flag.NewFlagSet("cosmo-lint", flag.ExitOnError)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
+	chdir := fs.String("C", ".", "directory to run the go tool in; patterns are relative to it")
+	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: cosmo-lint [-json] [-C dir] [packages]\n\n")
-		fmt.Fprintf(os.Stderr, "Packages are ./... (the whole module, the default), a directory,\nor a dir/... prefix. Checks:\n")
+		fmt.Fprintf(os.Stderr, "Packages are go tool patterns, relative to -C (default ./...).\nChecks:\n")
 		for _, c := range lint.AllChecks() {
 			fmt.Fprintf(os.Stderr, "  %-19s %s\n", c.Name, c.Doc)
 		}
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
-	pkgs, err := load(*chdir, flag.Args())
+	pkgs, err := lint.Load(*chdir, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cosmo-lint:", err)
 		return 2
@@ -80,99 +83,4 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// load type-checks the packages the patterns name, resolved against
-// chdir, in resolve's order.
-func load(chdir string, patterns []string) ([]*lint.Package, error) {
-	root, err := findModuleRoot(chdir)
-	if err != nil {
-		return nil, err
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := resolve(loader, chdir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make([]*lint.Package, 0, len(dirs))
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// findModuleRoot walks up from dir to the nearest go.mod.
-func findModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for d := abs; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod found above %s", abs)
-		}
-		d = parent
-	}
-}
-
-// resolve maps the patterns, relative to chdir, to package directories
-// without loading any: "./..." (or no pattern) is every module
-// package, "dir/..." the module packages under dir, and a plain
-// directory that directory, even outside the module walk (a testdata
-// fixture package). Each directory is listed once, in pattern order.
-func resolve(loader *lint.Loader, chdir string, patterns []string) ([]string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	base, err := filepath.Abs(chdir)
-	if err != nil {
-		return nil, err
-	}
-	var moduleDirs []string
-	var out []string
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		var dirs []string
-		dir, subtree := strings.CutSuffix(pat, "/...")
-		if !filepath.IsAbs(dir) {
-			dir = filepath.Join(base, dir)
-		}
-		if subtree {
-			if moduleDirs == nil {
-				if moduleDirs, err = loader.ModuleDirs(); err != nil {
-					return nil, err
-				}
-			}
-			for _, d := range moduleDirs {
-				if pat == "./..." || d == dir || strings.HasPrefix(d, dir+string(filepath.Separator)) {
-					dirs = append(dirs, d)
-				}
-			}
-		} else if names, err := lint.GoFiles(dir); err != nil {
-			return nil, fmt.Errorf("pattern %q matches no packages (module root %s): %v", pat, loader.ModuleRoot, err)
-		} else if len(names) > 0 {
-			dirs = []string{dir}
-		}
-		if len(dirs) == 0 {
-			return nil, fmt.Errorf("pattern %q matches no packages (module root %s)", pat, loader.ModuleRoot)
-		}
-		for _, d := range dirs {
-			if !seen[d] {
-				seen[d] = true
-				out = append(out, d)
-			}
-		}
-	}
-	return out, nil
 }

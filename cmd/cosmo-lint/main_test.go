@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -9,31 +10,47 @@ import (
 	"cosmo/internal/lint"
 )
 
-// TestResolve: each pattern form maps to the directories it names,
-// relative to -C, without loading a package.
+// root is the module root, two levels above this package.
+const root = "../.."
+
+// paths lists the loaded packages' import paths, sorted.
+func paths(pkgs []*lint.Package) []string {
+	out := make([]string, len(pkgs))
+	for i, pkg := range pkgs {
+		out[i] = pkg.Path
+	}
+	slices.Sort(out)
+	return out
+}
+
+// goList is the go tool's own list of the packages ./... names in dir,
+// sorted.
+func goList(t *testing.T, dir string) []string {
+	t.Helper()
+	cmd := exec.Command("go", "list", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list ./... in %s: %v", dir, err)
+	}
+	list := strings.Fields(string(out))
+	slices.Sort(list)
+	return list
+}
+
+// TestResolve: each pattern form, relative to -C, loads the packages
+// the go tool lists for it.
 func TestResolve(t *testing.T) {
-	root, err := findModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all, err := loader.ModuleDirs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var internal []string
-	for _, d := range all {
-		if strings.HasPrefix(d, filepath.Join(root, "internal")+string(filepath.Separator)) {
-			internal = append(internal, d)
+	all := goList(t, root)
+	internal := goList(t, filepath.Join(root, "internal"))
+	const fnv = "cosmo/internal/fnv1a"
+	for _, p := range all {
+		if strings.HasPrefix(p, "cosmo/bench") || strings.Contains(p, "/testdata/") {
+			t.Errorf("./... names %s: the nested bench module and testdata are not part of it", p)
 		}
 	}
-	fnv := filepath.Join(root, "internal", "fnv1a")
-	fixture := filepath.Join(root, "internal", "lint", "testdata", "src", "wallclock")
 	if !slices.Contains(internal, fnv) || len(internal) == len(all) {
-		t.Fatalf("module walk %v: want internal/fnv1a among its dirs, and dirs outside internal/", all)
+		t.Fatalf("./... = %v: want %s among its packages, and packages outside internal/", all, fnv)
 	}
 	for _, tc := range []struct {
 		name     string
@@ -46,28 +63,28 @@ func TestResolve(t *testing.T) {
 		{name: "module", chdir: ".", patterns: []string{"./..."}, want: all},
 		{name: "subtree", chdir: ".", patterns: []string{"./internal/..."}, want: internal},
 		{name: "one dir", chdir: ".", patterns: []string{"./internal/fnv1a"}, want: []string{fnv}},
-		{name: "fixture outside the walk", chdir: ".", patterns: []string{"./internal/lint/testdata/src/wallclock"}, want: []string{fixture}},
+		{name: "fixture outside the walk", chdir: ".", patterns: []string{"./internal/lint/testdata/src/wallclock"}, want: []string{"cosmo/internal/lint/testdata/src/wallclock"}},
 		{name: "-C subdir", chdir: "internal", patterns: []string{"./fnv1a"}, want: []string{fnv}},
-		{name: "-C subdir, module", chdir: "internal", patterns: []string{"./..."}, want: all},
+		{name: "-C subdir, module", chdir: "internal", patterns: []string{"./..."}, want: internal},
 		{name: "deduplicated", chdir: ".", patterns: []string{"./internal/fnv1a", "./internal/fnv1a/..."}, want: []string{fnv}},
-		{name: "unknown dir", chdir: ".", patterns: []string{"./nonexistent"}, err: `pattern "./nonexistent" matches no packages`},
-		{name: "dir without Go files", chdir: ".", patterns: []string{"./internal/lint/testdata/src/cycle"}, err: "matches no packages"},
-		{name: "empty subtree", chdir: ".", patterns: []string{"./internal/lint/testdata/..."}, err: `pattern "./internal/lint/testdata/..." matches no packages`},
-		{name: "unknown subtree", chdir: ".", patterns: []string{"./nonexistent/..."}, err: "matches no packages"},
+		{name: "unknown dir", chdir: ".", patterns: []string{"./nonexistent"}, err: "nonexistent: directory not found"},
+		{name: "dir without Go files", chdir: ".", patterns: []string{"./internal/lint/testdata/src/cycle"}, err: "no Go files"},
+		{name: "empty subtree", chdir: ".", patterns: []string{"./internal/lint/testdata/..."}, err: "./internal/lint/testdata/... matches no packages"},
+		{name: "unknown subtree", chdir: ".", patterns: []string{"./nonexistent/..."}, err: "pattern ./nonexistent/..."},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dirs, err := resolve(loader, filepath.Join(root, tc.chdir), tc.patterns)
+			pkgs, err := lint.Load(filepath.Join(root, tc.chdir), tc.patterns...)
 			if tc.err != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.err) {
-					t.Fatalf("resolve(%q) = %v, %v; want error containing %q", tc.patterns, dirs, err, tc.err)
+					t.Fatalf("Load(%q) = %v, %v; want error containing %q", tc.patterns, paths(pkgs), err, tc.err)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !slices.Equal(dirs, tc.want) {
-				t.Errorf("resolve(%q)\n got: %v\nwant: %v", tc.patterns, dirs, tc.want)
+			if got := paths(pkgs); !slices.Equal(got, tc.want) {
+				t.Errorf("Load(%q)\n got: %v\nwant: %v", tc.patterns, got, tc.want)
 			}
 		})
 	}
@@ -75,11 +92,27 @@ func TestResolve(t *testing.T) {
 
 // TestLoadOnePackage: linting one package returns that package alone.
 func TestLoadOnePackage(t *testing.T) {
-	pkgs, err := load("../..", []string{"./internal/fnv1a"})
+	pkgs, err := lint.Load(root, "./internal/fnv1a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 || pkgs[0].Path != "cosmo/internal/fnv1a" {
-		t.Fatalf("load(./internal/fnv1a) = %d packages, want cosmo/internal/fnv1a alone", len(pkgs))
+		t.Fatalf("Load(./internal/fnv1a) = %v, want cosmo/internal/fnv1a alone", paths(pkgs))
+	}
+}
+
+// TestExitStatus: a clean package exits 0 and a package that cannot be
+// loaded (an import cycle) exits 2.
+func TestExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		pattern string
+		want    int
+	}{
+		{"./internal/fnv1a", 0},
+		{"./internal/lint/testdata/src/cycle/a", 2},
+	} {
+		if got := run([]string{"-C", root, tc.pattern}); got != tc.want {
+			t.Errorf("cosmo-lint %s exited %d, want %d", tc.pattern, got, tc.want)
+		}
 	}
 }

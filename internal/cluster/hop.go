@@ -33,6 +33,13 @@ import (
 // again. The only goroutine besides the caller is the node's own
 // connection goroutine. The node side is the stock net/http server and
 // the wire is what any HTTP/1.1 client would send.
+//
+// A reply reads as http.ReadResponse reads it (FuzzHopResponse), but
+// for these divergences, each an error here: a status line other than
+// "HTTP/1.x NNN[ reason]", a 1xx status, no Content-Length or chunked
+// framing (no read-until-close), a line over the 4 KiB read buffer, a
+// folded header line, over maxHopHeaderLines header or trailer lines,
+// and a body over maxBody. cosmo-serve sends none of them.
 type HTTPBackend struct {
 	base   string
 	client *http.Client // the once-a-second /readyz probe
@@ -318,7 +325,7 @@ func (hc *hopConn) readResponse(scratch *wire.Buffer, maxBody int64) (res Result
 		return Result{}, false, err
 	}
 	// "HTTP/1.x NNN" and then a space and the reason, or nothing.
-	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[8] != ' ' || (len(line) > 12 && line[12] != ' ') {
+	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[7] < '0' || line[7] > '9' || line[8] != ' ' || (len(line) > 12 && line[12] != ' ') {
 		return Result{}, false, malformed("status line", line)
 	}
 	for _, d := range line[9:12] {
@@ -327,9 +334,9 @@ func (hc *hopConn) readResponse(scratch *wire.Buffer, maxBody int64) (res Result
 		}
 		res.Status = res.Status*10 + int(d-'0')
 	}
-	reusable = line[7] == '1'
+	reusable, http10 := line[7] == '1', line[7] == '0'
 
-	contentLength, chunked := int64(-1), false
+	contentLength, lengthDigits, chunked, typed := int64(-1), 0, false, false
 	for n := 0; ; n++ {
 		if line, err = hc.readLine(); err != nil {
 			return Result{}, false, err
@@ -338,23 +345,25 @@ func (hc *hopConn) readResponse(scratch *wire.Buffer, maxBody int64) (res Result
 			break
 		}
 		name, value, ok := bytes.Cut(line, []byte(":"))
-		if !ok || n == maxHopHeaderLines {
+		value = bytes.Trim(value, " \t\r")
+		if !ok || n == maxHopHeaderLines || !validField(name, value) {
 			return Result{}, false, malformed("header", line)
 		}
-		value = bytes.TrimSpace(value)
 		switch {
 		case bytes.EqualFold(name, []byte("content-length")):
+			// A repeat must be the same digits: same value, same length.
 			cl, err := strconv.ParseUint(string(value), 10, 63)
-			if err != nil || (contentLength >= 0 && int64(cl) != contentLength) {
+			if err != nil || (contentLength >= 0 && (int64(cl) != contentLength || len(value) != lengthDigits)) {
 				return Result{}, false, malformed("header", line)
 			}
-			contentLength = int64(cl)
-		case bytes.EqualFold(name, []byte("transfer-encoding")):
-			if !bytes.EqualFold(value, []byte("chunked")) {
+			contentLength, lengthDigits = int64(cl), len(value)
+		case bytes.EqualFold(name, []byte("transfer-encoding")) && !http10:
+			if chunked || !bytes.EqualFold(value, []byte("chunked")) {
 				return Result{}, false, malformed("header", line)
 			}
 			chunked = true
-		case bytes.EqualFold(name, []byte("content-type")):
+		case bytes.EqualFold(name, []byte("content-type")) && !typed: // the first counts
+			typed = true
 			if string(value) != hc.contentType {
 				hc.contentType = string(value)
 			}
@@ -419,16 +428,14 @@ func (hc *hopConn) readChunked(scratch *wire.Buffer, maxBody int64) ([]byte, err
 			return nil, errHopTooLarge
 		}
 		n := len(buf)
-		buf = slices.Grow(buf, int(size))[:n+int(size)]
+		buf = slices.Grow(buf, int(size)+2)[:n+int(size)+2]
 		if _, err := io.ReadFull(hc.br, buf[n:]); err != nil {
 			return nil, err
 		}
-		if line, err = hc.readLine(); err != nil {
-			return nil, err
-		}
-		if len(line) != 0 {
+		if string(buf[len(buf)-2:]) != "\r\n" {
 			return nil, fmt.Errorf("%w: chunk not followed by CRLF", errHopMalformed)
 		}
+		buf = buf[:len(buf)-2]
 	}
 	for n := 0; ; n++ { // trailers
 		line, err := hc.readLine()
@@ -438,10 +445,28 @@ func (hc *hopConn) readChunked(scratch *wire.Buffer, maxBody int64) ([]byte, err
 		if len(line) == 0 {
 			return bytes.Clone(buf), nil
 		}
-		if n == maxHopHeaderLines {
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok || n == maxHopHeaderLines || !validField(name, bytes.Trim(value, " \t\r")) {
 			return nil, malformed("trailer", line)
 		}
 	}
+}
+
+// validField reports whether net/http's header reader accepts a header
+// or trailer line: a token name (inner spaces allowed) and no control
+// byte but HTAB in the value.
+func validField(name, value []byte) bool {
+	for _, c := range name {
+		if !(c == ' ' || 'a' <= c|0x20 && c|0x20 <= 'z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	for _, c := range value {
+		if c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return len(name) > 0 && name[0] != ' '
 }
 
 // Check probes the node's /readyz. A 200 is ready; a non-200 whose body

@@ -416,6 +416,15 @@ func TestHTTPBackendBrokenResponses(t *testing.T) {
 		"no framing":         "HTTP/1.1 200 OK\r\n\r\nbody until close",
 		"two content-length": "HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
 		"informational":      "HTTP/1.1 100 Continue\r\n\r\n",
+		// Replies the hop once accepted and net/http refuses.
+		"version not a digit":     "HTTP/1.A 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"length spelled two ways": "HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 01\r\n\r\na",
+		"two transfer-encodings":  "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"http/1.0 chunked":        "HTTP/1.0 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"header name not a token": "HTTP/1.1 200 OK\r\nX(y): 1\r\nContent-Length: 0\r\n\r\n",
+		"control byte in a value": "HTTP/1.1 200 OK\r\nX-Note: a\x01b\r\nContent-Length: 0\r\n\r\n",
+		"trailer without a colon": "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nnot a trailer\r\n\r\n",
+		"chunk ends in a bare LF": "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\n0\r\n\r\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			b := NewHTTPBackend(rawServer(t, func(c net.Conn) { _, _ = io.WriteString(c, response) }), nil)
@@ -448,6 +457,7 @@ func TestHTTPBackendFramingVariants(t *testing.T) {
 		"http/1.0":                      {"HTTP/1.0 200 OK\r\nContent-Length: 2\r\nContent-Type: text/plain\r\n\r\nok", "ok", false},
 		"no reason phrase":              {"HTTP/1.1 200\r\nContent-Length: 2\r\nContent-Type: text/plain\r\n\r\nok", "ok", true},
 		"empty body":                    {"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nContent-Type: text/plain\r\n\r\n", "", true},
+		"two content types":             {"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Type: text/html\r\nContent-Length: 2\r\n\r\nok", "ok", true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			hold := make(chan struct{})

@@ -6,9 +6,11 @@
 // without bound, and errors are never silently dropped. Locks and
 // atomics copied by value are go vet's copylocks, not a check here.
 //
-// The driver loads the named packages and their imports with go/parser
-// and go/types (stdlib only — the repo stays dependency-free), runs a
-// registry of named checks over each, and emits findings as
+// The driver runs the go tool (go list -export) for the named packages'
+// files and their imports' export data, type-checks the named ones with
+// go/parser, go/types and go/importer (stdlib only — the repo stays
+// dependency-free), runs a registry of named checks over each, and
+// emits findings as
 //
 //	file:line: [check-name] message
 //

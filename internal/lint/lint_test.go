@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -25,35 +25,9 @@ func moduleRoot(t *testing.T) string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-var (
-	loaderOnce sync.Once
-	sharedLdr  *Loader
-	loaderErr  error
-)
-
-// fixtureLoader shares one Loader across tests so the stdlib is
-// type-checked once.
-func fixtureLoader(t *testing.T) *Loader {
-	t.Helper()
-	root := moduleRoot(t)
-	loaderOnce.Do(func() {
-		sharedLdr, loaderErr = NewLoader(root)
-	})
-	if loaderErr != nil {
-		t.Fatalf("NewLoader: %v", loaderErr)
-	}
-	return sharedLdr
-}
-
-// loadFixture loads internal/lint/testdata/src/<name>.
-func loadFixture(t *testing.T, name string) *Package {
-	t.Helper()
-	l := fixtureLoader(t)
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", name))
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", name, err)
-	}
-	return pkg
+// fixturePath is the directory pattern of internal/lint/testdata/src/<name>.
+func fixturePath(name string) string {
+	return "./internal/lint/testdata/src/" + name
 }
 
 // got renders findings as "base.go:line:check" for exact comparison.
@@ -63,18 +37,6 @@ func got(findings []Finding) []string {
 		out = append(out, fmt.Sprintf("%s:%d:%s", path.Base(f.File), f.Line, f.Check))
 	}
 	return out
-}
-
-func equal(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestFixtures is the per-check contract: each fixture package contains
@@ -243,9 +205,26 @@ func TestFixtures(t *testing.T) {
 			},
 		},
 	}
+	var patterns []string
+	for _, tc := range cases {
+		if !slices.Contains(patterns, fixturePath(tc.fixture)) {
+			patterns = append(patterns, fixturePath(tc.fixture))
+		}
+	}
+	pkgs, err := Load(moduleRoot(t), patterns...)
+	if err != nil {
+		t.Fatalf("Load(fixtures): %v", err)
+	}
+	byName := map[string]*Package{}
+	for _, pkg := range pkgs {
+		byName[path.Base(pkg.Path)] = pkg
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pkg := loadFixture(t, tc.fixture)
+			pkg := byName[tc.fixture]
+			if pkg == nil {
+				t.Fatalf("Load(fixtures) did not return %s", tc.fixture)
+			}
 			cfg := DefaultConfig()
 			if tc.config != nil {
 				tc.config(&cfg)
@@ -259,7 +238,7 @@ func TestFixtures(t *testing.T) {
 				}
 			}
 			findings := Run([]*Package{pkg}, cfg)
-			if g := got(findings); !equal(g, tc.want) {
+			if g := got(findings); !slices.Equal(g, tc.want) {
 				t.Errorf("findings mismatch\n got: %v\nwant: %v", g, tc.want)
 			}
 		})
@@ -313,52 +292,37 @@ func TestVetCatchesByValueCopies(t *testing.T) {
 		"mutexhygiene/bad.go:17",
 		"mutexhygiene/bad.go:25",
 	}
-	if !equal(gotLines, want) {
+	if !slices.Equal(gotLines, want) {
 		t.Errorf("copylocks findings\n got: %v\nwant: %v\ngo vet output:\n%s", gotLines, want, out)
 	}
 }
 
-// TestLoadDirLoadsModuleImports: a package outside the module walk
-// loads on a fresh Loader, with no other package loaded first, and the module
-// package it imports is loaded on demand and memoized.
+// TestLoadDirLoadsModuleImports: a testdata package named alone loads
+// alone, and the module package it imports is read from the go
+// tool's export data rather than type-checked from source.
 func TestLoadDirLoadsModuleImports(t *testing.T) {
-	l, err := NewLoader(moduleRoot(t))
+	pkgs, err := Load(moduleRoot(t), fixturePath("modimport"))
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		t.Fatalf("Load(modimport): %v", err)
 	}
-	pkg, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", "modimport"))
-	if err != nil {
-		t.Fatalf("LoadDir(modimport): %v", err)
+	if len(pkgs) != 1 {
+		t.Fatalf("Load(modimport) = %d packages, want modimport alone", len(pkgs))
 	}
-	imports := pkg.Types.Imports()
+	imports := pkgs[0].Types.Imports()
 	if len(imports) != 1 || imports[0].Path() != "cosmo/internal/fnv1a" {
 		t.Fatalf("modimport imports %v, want [cosmo/internal/fnv1a]", imports)
 	}
-	dep, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "fnv1a"))
-	if err != nil {
-		t.Fatalf("LoadDir(fnv1a): %v", err)
-	}
-	if dep.Types != imports[0] {
-		t.Error("LoadDir(fnv1a) type-checked the package again instead of returning the imported one")
+	if !imports[0].Complete() || imports[0].Scope().Lookup("String64") == nil {
+		t.Errorf("cosmo/internal/fnv1a imported without its String64 declaration")
 	}
 }
 
 // TestLoadDirImportCycle: two packages importing each other fail with
-// an error that names the cycle, from either end, instead of recursing.
+// the go tool's import cycle error instead of recursing.
 func TestLoadDirImportCycle(t *testing.T) {
-	l, err := NewLoader(moduleRoot(t))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	const a, b = "cosmo/internal/lint/testdata/src/cycle/a", "cosmo/internal/lint/testdata/src/cycle/b"
-	for _, tc := range []struct{ dir, want string }{
-		{"a", "import cycle: " + a + " -> " + b + " -> " + a},
-		{"b", "import cycle: " + b + " -> " + a + " -> " + b},
-	} {
-		_, err := l.LoadDir(filepath.Join(l.ModuleRoot, "internal", "lint", "testdata", "src", "cycle", tc.dir))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("LoadDir(cycle/%s) error = %v, want it to contain %q", tc.dir, err, tc.want)
-		}
+	_, err := Load(moduleRoot(t), fixturePath("cycle/a"))
+	if err == nil || !strings.Contains(err.Error(), "import cycle not allowed") {
+		t.Errorf("Load(cycle/a) error = %v, want the go tool's import cycle error", err)
 	}
 }
 
@@ -409,24 +373,11 @@ func TestCheckRegistry(t *testing.T) {
 // analyzer must exit clean over every package in the module. This is
 // the same gate CI runs via `go run ./cmd/cosmo-lint ./...`.
 func TestModuleLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module type-check is slow; run without -short")
-	}
-	l := fixtureLoader(t)
-	dirs, err := l.ModuleDirs()
+	pkgs, err := Load(moduleRoot(t), "./...")
 	if err != nil {
-		t.Fatalf("ModuleDirs: %v", err)
+		t.Fatalf("Load(./...): %v", err)
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("LoadDir: %v", err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	findings := Run(pkgs, DefaultConfig())
-	for _, f := range findings {
+	for _, f := range Run(pkgs, DefaultConfig()) {
 		t.Errorf("%s", f)
 	}
 }

@@ -1,5 +1,5 @@
-// Package modimport imports a module package, so loading it on a fresh
-// Loader has to load cosmo/internal/fnv1a on demand.
+// Package modimport imports a module package, so loading it alone has
+// to read cosmo/internal/fnv1a from the go tool's export data.
 package modimport
 
 import "cosmo/internal/fnv1a"
