@@ -1,8 +1,9 @@
 // Command cosmo-serve runs the COSMO online serving stack of Figure 5:
 // it builds the world, trains COSMO-LM through the offline pipeline,
 // then serves structured intent features over HTTP through the feature
-// store and asynchronous sharded two-layer cache, with a background
-// batch worker and a periodic model-refresh loop. SIGINT/SIGTERM shut
+// store and asynchronous two-layer cache, sharded together so one
+// shard owns each query's state, with a background batch worker and a
+// periodic model-refresh loop. SIGINT/SIGTERM shut
 // the server down gracefully: in-flight requests finish and the batch
 // worker drains the whole remaining queue before exit.
 //

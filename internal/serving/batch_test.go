@@ -535,7 +535,7 @@ func TestBatchIntentHitsUnderDailyChurn(t *testing.T) {
 		t.Errorf("stats %+v: want daily hits and evictions", st)
 	}
 	counted := 0
-	for _, qc := range d.interactions.sorted() {
+	for _, qc := range d.Cache.interactions() {
 		counted += qc.c
 	}
 	if counted != lookups {

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"sort"
 	"sync/atomic"
 
 	"cosmo/internal/fnv1a"
@@ -29,6 +30,14 @@ type CacheStats struct {
 	// BatchDropped counts misses evicted from the bounded batch queue
 	// before they could be processed (drop-oldest policy).
 	BatchDropped int
+	// RequeueDropped counts failed queries the batch processor could
+	// not push back because their shard's queue was full.
+	RequeueDropped int
+	// StaleServed counts misses answered from the feature store,
+	// flagged Stale.
+	StaleServed int
+	// StoreSize is the number of features in the feature store.
+	StoreSize int
 }
 
 // HitRate returns hits / (hits + misses).
@@ -52,6 +61,9 @@ func (s *CacheStats) add(o CacheStats) {
 	s.BatchEnqueued += o.BatchEnqueued
 	s.BatchRequeued += o.BatchRequeued
 	s.BatchDropped += o.BatchDropped
+	s.RequeueDropped += o.RequeueDropped
+	s.StaleServed += o.StaleServed
+	s.StoreSize += o.StoreSize
 }
 
 // Defaults for the sharded cache. Shard count is fixed (not NumCPU) so
@@ -86,10 +98,12 @@ type CacheConfig struct {
 // computed inline, which is what keeps serving latency flat.
 //
 // The cache is lock-striped: queries hash to one of N independent
-// shards, each with its own mutex, daily LRU slice and bounded miss
-// queue, so concurrent lookups on different keys do not serialize. LRU
-// eviction and queue bounds are therefore per-shard properties; the
-// total daily capacity and queue capacity are split across shards.
+// shards, each with its own mutex, daily LRU slice, bounded miss queue,
+// feature-store slice and interaction-counter slice, so concurrent
+// lookups on different keys do not serialize. LRU eviction, queue,
+// store and counter bounds are therefore per-shard properties; the
+// daily, queue and DefaultFeatureStoreCap totals are split across
+// shards.
 type AsyncCache struct {
 	shards []*cacheShard
 	mask   uint64 // len(shards)-1; shard count is a power of two
@@ -102,12 +116,6 @@ type AsyncCache struct {
 type dailyEntry struct {
 	key string
 	f   Feature
-}
-
-// NewAsyncCache builds a sharded cache whose daily layer holds up to
-// dailyCap entries in total, with default shard and queue settings.
-func NewAsyncCache(dailyCap int) *AsyncCache {
-	return NewAsyncCacheWithConfig(CacheConfig{DailyCap: dailyCap})
 }
 
 // NewAsyncCacheWithConfig builds a cache with explicit shard count and
@@ -136,17 +144,15 @@ func NewAsyncCacheWithConfig(cfg CacheConfig) *AsyncCache {
 	}
 	c := &AsyncCache{shards: make([]*cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		// Split capacity, spreading the remainder over the low shards so
-		// the totals match the configured caps exactly.
-		dcap := cfg.DailyCap / n
-		if i < cfg.DailyCap%n {
-			dcap++
+		// Split each capacity, spreading the remainder over the low
+		// shards so the totals match the configured caps exactly.
+		share := func(total int) int {
+			if i < total%n {
+				return total/n + 1
+			}
+			return total / n
 		}
-		qcap := cfg.QueueCap / n
-		if i < cfg.QueueCap%n {
-			qcap++
-		}
-		c.shards[i] = newCacheShard(dcap, qcap)
+		c.shards[i] = newCacheShard(share(cfg.DailyCap), share(cfg.QueueCap), share(DefaultFeatureStoreCap))
 	}
 	return c
 }
@@ -164,7 +170,7 @@ func (c *AsyncCache) NumShards() int { return len(c.shards) }
 // PreloadYearly installs the yearly frequent-search layer.
 func (c *AsyncCache) PreloadYearly(features []Feature) {
 	for _, f := range features {
-		shardOf(c, f.Query).preloadYearly(f)
+		shardOf(c, f.Query).preloadYearly(f, false)
 	}
 }
 
@@ -174,12 +180,16 @@ func (c *AsyncCache) PreloadYearly(features []Feature) {
 // model inference. When the bounded miss queue is full, the oldest
 // queued query is dropped to admit this one.
 func (c *AsyncCache) Lookup(query string) (Feature, bool) {
-	f, _, ok := lookup(shardOf(c, query), query)
+	s := shardOf(c, query)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, _, ok := lookupLocked(s, query)
 	return f, ok
 }
 
-// InstallDaily inserts a batch-processed feature into the daily layer of
-// its shard, evicting that shard's least recently used entry when full.
+// InstallDaily records a batch-processed feature in its shard's feature
+// store and daily layer, evicting that shard's least recently used
+// entry when full.
 func (c *AsyncCache) InstallDaily(f Feature) {
 	shardOf(c, f.Query).installDaily(f)
 }
@@ -205,8 +215,8 @@ func (c *AsyncCache) DrainQueue(n int) []string {
 // Requeue pushes a query whose batch processing failed back onto its
 // shard's bounded queue for a later attempt. Unlike fresh misses, a
 // requeue never evicts queued work: when the shard's queue is full the
-// requeued query is dropped and false is returned so the caller can
-// account for it — fresh traffic keeps priority over retries.
+// requeued query is dropped (counted in CacheStats.RequeueDropped) and
+// false is returned — fresh traffic keeps priority over retries.
 func (c *AsyncCache) Requeue(query string) bool {
 	return shardOf(c, query).requeue(query)
 }
@@ -221,13 +231,14 @@ func (c *AsyncCache) ResetDaily() {
 	}
 }
 
-// ReplaceYearly swaps in a new yearly layer (the yearly refresh).
+// ReplaceYearly swaps in a new yearly layer (the yearly refresh) and
+// records its features in the feature store.
 func (c *AsyncCache) ReplaceYearly(features []Feature) {
 	for _, s := range c.shards {
 		s.resetYearly()
 	}
 	for _, f := range features {
-		shardOf(c, f.Query).preloadYearly(f)
+		shardOf(c, f.Query).preloadYearly(f, true)
 	}
 }
 
@@ -238,4 +249,24 @@ func (c *AsyncCache) Stats() CacheStats {
 		total.add(s.snapshot())
 	}
 	return total
+}
+
+// interactions returns every shard's (query, count) pairs ordered by
+// count descending, ties broken by query for determinism.
+func (c *AsyncCache) interactions() []queryCount {
+	var out []queryCount
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for q, n := range s.counts {
+			out = append(out, queryCount{q, n})
+		}
+		s.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].c != out[j].c {
+			return out[i].c > out[j].c
+		}
+		return out[i].q < out[j].q
+	})
+	return out
 }

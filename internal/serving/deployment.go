@@ -10,19 +10,15 @@ import (
 	"cosmo/internal/kg"
 )
 
-// interactionStripes is the lock-stripe count of the feedback-loop
-// counter; like the cache shard count it is fixed for determinism.
-const interactionStripes = 16
-
 // Deployment wires the cache store, feature store, responder and refresh
 // loop together (Figure 5's operational flow).
 //
-// The request path (HandleQuery) is lock-striped end to end: the cache
-// shards on query hash and the interaction feedback loop is a striped
-// counter. NewHTTPHandler times each query endpoint on Clock into a
-// fixed-bucket atomic histogram per endpoint. Memory is O(cache
-// capacity + DefaultFeatureStoreCap), not O(distinct queries or
-// requests served).
+// The request path (HandleQuery) takes one lock: the query's cache
+// shard, which holds its slices of the cache layers, the miss queue,
+// the feature store and the interaction feedback loop.
+// NewHTTPHandler times each query endpoint on Clock into a fixed-bucket
+// atomic histogram per endpoint. Memory is O(cache capacity +
+// DefaultFeatureStoreCap), not O(distinct queries or requests served).
 //
 // The responder path is fallible: batch processing recovers responder
 // panics and re-queues failed queries, Refresh aborts atomically
@@ -31,7 +27,6 @@ const interactionStripes = 16
 // cache tiers miss.
 type Deployment struct {
 	Cache *AsyncCache
-	Store *FeatureStore
 	// Clock stamps features and times the query endpoints; swap in a
 	// FakeClock for tests.
 	Clock Clock
@@ -58,19 +53,13 @@ type Deployment struct {
 	// latency is the measured handler time of each timedEndpoints entry;
 	// the map is read-only after construction.
 	latency map[string]*Histogram
-	// interactions is the feedback loop: query -> interaction count,
-	// feeding the next refresh's frequent-search selection. It holds at
-	// most DefaultFeatureStoreCap queries.
-	interactions *stripedCounter
 
-	// Batch and degradation accounting (see BatchTotals).
-	batchSucceeded      atomic.Uint64
-	batchFailed         atomic.Uint64
-	batchRequeued       atomic.Uint64
-	batchRequeueDropped atomic.Uint64
-	batchPanics         atomic.Uint64
-	staleServed         atomic.Uint64
-	refreshFailures     atomic.Uint64
+	// Batch accounting (see BatchTotals; the cache shards count the
+	// rest).
+	batchSucceeded  atomic.Uint64
+	batchFailed     atomic.Uint64
+	batchPanics     atomic.Uint64
+	refreshFailures atomic.Uint64
 
 	// Artifact accounting, counted by Artifact: loads of the KG artifact
 	// vs refresh ticks that skipped it as unchanged (same stat identity
@@ -110,10 +99,8 @@ func NewDeploymentContext(cfg DeployConfig, responder ContextResponder) *Deploym
 			Shards:   cfg.CacheShards,
 			QueueCap: cfg.QueueCap,
 		}),
-		Store:         NewFeatureStoreWithCap(DefaultFeatureStoreCap),
 		Clock:         RealClock{},
 		latency:       map[string]*Histogram{},
-		interactions:  newStripedCounter(interactionStripes, DefaultFeatureStoreCap),
 		maxBatchItems: cfg.MaxBatchItems,
 	}
 	for _, e := range timedEndpoints {
@@ -257,9 +244,10 @@ func (s *served) resilienceStats() (ResilienceStats, bool) {
 // processing and, as graceful degradation, any prior feature still in
 // the feature store is served flagged Stale — the caller gets possibly
 // outdated intent features instead of none while the batch processor
-// catches up. No global lock is taken and the responder is never invoked
-// inline: the cache lookup, store fallback and feedback increment are
-// all striped or atomic.
+// catches up. The responder is never invoked inline: the query is
+// hashed once, and the cache lookup, store fallback and feedback
+// increment run in one critical section of its shard's mutex, the only
+// lock taken.
 func (d *Deployment) HandleQuery(query string) (Feature, bool) { return handleQuery(d, query) }
 
 // handleQuery is HandleQuery for a query of either key type; /batch
@@ -269,16 +257,7 @@ func (d *Deployment) HandleQuery(query string) (Feature, bool) { return handleQu
 // converts the query once, and that string is what the queue keeps,
 // the store fallback reads and the feedback counter counts.
 func handleQuery[K kg.Key](d *Deployment, query K) (Feature, bool) {
-	f, key, ok := lookup(shardOf(d.Cache, query), query)
-	if !ok {
-		if sf, found := d.Store.Get(key); found {
-			sf.Stale = true
-			d.staleServed.Add(1)
-			f, ok = sf, true
-		}
-	}
-	d.interactions.inc(key)
-	return f, ok
+	return serve(shardOf(d.Cache, query), query)
 }
 
 // BatchResult reports one RunBatchContext pass. Every drained query is
@@ -295,7 +274,8 @@ type BatchResult struct {
 
 // BatchTotals aggregates batch accounting across the deployment's
 // lifetime (the serving-side half of the no-query-silently-lost ledger;
-// the enqueue-side half lives in CacheStats).
+// the enqueue-side half lives in CacheStats). Requeued, RequeueDropped
+// and StaleServed are the cache shards' counts, read from Cache.Stats.
 type BatchTotals struct {
 	Succeeded      uint64
 	Failed         uint64
@@ -309,13 +289,14 @@ type BatchTotals struct {
 // BatchTotals snapshots the deployment's batch and degradation
 // counters.
 func (d *Deployment) BatchTotals() BatchTotals {
+	st := d.Cache.Stats()
 	return BatchTotals{
 		Succeeded:      d.batchSucceeded.Load(),
 		Failed:         d.batchFailed.Load(),
-		Requeued:       d.batchRequeued.Load(),
-		RequeueDropped: d.batchRequeueDropped.Load(),
+		Requeued:       uint64(st.BatchRequeued),
+		RequeueDropped: uint64(st.RequeueDropped),
 		Panics:         d.batchPanics.Load(),
-		StaleServed:    d.staleServed.Load(),
+		StaleServed:    uint64(st.StaleServed),
 		RefreshFails:   d.refreshFailures.Load(),
 	}
 }
@@ -340,17 +321,14 @@ func (d *Deployment) RunBatchContext(ctx context.Context, n int) BatchResult {
 			d.batchFailed.Add(1)
 			if d.Cache.Requeue(q) {
 				res.Requeued++
-				d.batchRequeued.Add(1)
 			} else {
 				res.Dropped++
-				d.batchRequeueDropped.Add(1)
 			}
 			continue
 		}
 		f.Query = q
 		f.Version = cur.version
 		f.CreatedAt = d.Clock.Now()
-		d.Store.Put(f)
 		d.Cache.InstallDaily(f)
 		res.Succeeded++
 		d.batchSucceeded.Add(1)
@@ -449,7 +427,7 @@ func (d *Deployment) Refresh(ctx context.Context, responder ContextResponder, ne
 func (d *Deployment) refresh(ctx context.Context, responder ContextResponder, next *Generation, yearlyTop int) error {
 	cur := d.cur.Load()
 	version := cur.version + 1
-	counts := d.interactions.sorted()
+	counts := d.Cache.interactions()
 	if yearlyTop < 0 {
 		yearlyTop = 0
 	}
@@ -476,9 +454,6 @@ func (d *Deployment) refresh(ctx context.Context, responder ContextResponder, ne
 		gen = *next
 	}
 	d.cur.Store(&served{responder: responder, version: version, gen: gen})
-	for _, f := range features {
-		d.Store.Put(f)
-	}
 	d.Cache.ReplaceYearly(features)
 	d.Cache.ResetDaily()
 	return nil
@@ -496,7 +471,7 @@ func (d *Deployment) Latency(endpoint string) HistogramSnapshot {
 
 // TopInteractions returns the feedback loop's most frequent queries.
 func (d *Deployment) TopInteractions(n int) []string {
-	counts := d.interactions.sorted()
+	counts := d.Cache.interactions()
 	if n > len(counts) {
 		n = len(counts)
 	}

@@ -224,7 +224,7 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 	if got := d.BatchTotals().Panics; got != 1 {
 		t.Errorf("panics = %d, want 1", got)
 	}
-	if _, ok := d.Store.Get("fine"); !ok {
+	if _, ok := storeGet(d, "fine"); !ok {
 		t.Error("healthy query was not processed alongside the poisoned one")
 	}
 }
@@ -284,7 +284,7 @@ func TestStartWorkerFinalDrainEmptiesBacklog(t *testing.T) {
 	if got := d.Cache.Stats().BatchQueued; got != 0 {
 		t.Errorf("queue depth = %d after final drain, want 0", got)
 	}
-	if got := d.Store.Len(); got != 300 {
+	if got := d.Cache.Stats().StoreSize; got != 300 {
 		t.Errorf("store = %d features, want 300", got)
 	}
 }

@@ -4,7 +4,10 @@
 // two-layer cache store (pre-loaded yearly frequent searches plus
 // batch-processed daily requests), the batch processor, the daily model
 // refresh loop, and request handling that meets the latency budget by
-// serving cached features for the bulk of traffic.
+// serving cached features for the bulk of traffic. One cache shard owns
+// a query's node state — its cache entries, its queued miss, its
+// feature-store entry and its interaction count — so a request hashes
+// the query once and takes that shard's mutex only.
 package serving
 
 import (
@@ -41,63 +44,12 @@ type Feature struct {
 	Stale bool
 }
 
-// DefaultFeatureStoreCap bounds the deployment's feature store. A
-// long-running server sees an unbounded stream of distinct queries;
-// without a cap the store is a slow memory leak (the PR 1 bug class).
+// DefaultFeatureStoreCap bounds the deployment's feature store and,
+// separately, its interaction counter. Both are split across the cache
+// shards like the daily and queue capacities, so the bound is the sum
+// of per-shard bounds. A long-running server sees an unbounded stream
+// of distinct queries; without a cap either is a slow memory leak.
 const DefaultFeatureStoreCap = 1 << 17
-
-// FeatureStore stores structured features keyed by query; safe for
-// concurrent use. Inserting a new query past the capacity evicts the
-// oldest-inserted entry (FIFO), keeping resident memory O(cap)
-// regardless of how many distinct queries the deployment serves.
-// Nothing else removes an entry: a feature from an earlier model
-// version stays until evicted, so HandleQuery's stale fallback can
-// serve it.
-type FeatureStore struct {
-	mu       sync.RWMutex
-	features map[string]Feature
-	cap      int
-	// order holds every stored query, oldest insert first; a re-put
-	// keeps its key's place.
-	order []string
-}
-
-// NewFeatureStoreWithCap returns an empty store bounded to capacity
-// entries; a capacity below 1 is raised to 1.
-func NewFeatureStoreWithCap(capacity int) *FeatureStore {
-	return &FeatureStore{features: map[string]Feature{}, cap: max(capacity, 1)}
-}
-
-// Put inserts or replaces the feature for a query, evicting the
-// oldest-inserted entry when a new query would exceed the capacity.
-func (s *FeatureStore) Put(f Feature) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, exists := s.features[f.Query]; !exists {
-		if len(s.order) == s.cap {
-			delete(s.features, s.order[0])
-			s.order[0] = "" // release the evicted key
-			s.order = s.order[1:]
-		}
-		s.order = append(s.order, f.Query)
-	}
-	s.features[f.Query] = f
-}
-
-// Get fetches the feature for a query.
-func (s *FeatureStore) Get(query string) (Feature, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	f, ok := s.features[query]
-	return f, ok
-}
-
-// Len returns the number of stored features.
-func (s *FeatureStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.features)
-}
 
 // Clock abstracts time for deterministic tests.
 type Clock interface {

@@ -201,22 +201,21 @@ func (d *Deployment) WriteMetrics(w io.Writer) error {
 	e.Int("cosmo_cache_shards", int64(d.Cache.NumShards()))
 	e.Int("cosmo_batch_queue_depth", int64(stats.BatchQueued))
 	e.Int("cosmo_batch_queue_dropped_total", int64(stats.BatchDropped))
-	bt := d.BatchTotals()
 	e.Int("cosmo_batch_enqueued_total", int64(stats.BatchEnqueued))
-	e.Uint("cosmo_batch_processed_total", bt.Succeeded)
-	e.Uint("cosmo_batch_requeued_total", bt.Requeued)
-	e.Uint("cosmo_batch_requeue_dropped_total", bt.RequeueDropped)
-	e.Uint("cosmo_responder_failures_total", bt.Failed)
+	e.Uint("cosmo_batch_processed_total", d.batchSucceeded.Load())
+	e.Int("cosmo_batch_requeued_total", int64(stats.BatchRequeued))
+	e.Int("cosmo_batch_requeue_dropped_total", int64(stats.RequeueDropped))
+	e.Uint("cosmo_responder_failures_total", d.batchFailed.Load())
 	// Panics recovered at the batch/refresh layer plus those the
 	// resilience wrapper converted to errors (disjoint events).
-	panics := bt.Panics
+	panics := d.batchPanics.Load()
 	rs, hasResilience := cur.resilienceStats()
 	if hasResilience {
 		panics += rs.Panics
 	}
 	e.Uint("cosmo_responder_panics_total", panics)
-	e.Uint("cosmo_stale_served_total", bt.StaleServed)
-	e.Uint("cosmo_refresh_failures_total", bt.RefreshFails)
+	e.Int("cosmo_stale_served_total", int64(stats.StaleServed))
+	e.Uint("cosmo_refresh_failures_total", d.refreshFailures.Load())
 	if hasResilience {
 		e.Uint("cosmo_responder_calls_total", rs.Calls)
 		e.Uint("cosmo_responder_retries_total", rs.Retries)
@@ -232,7 +231,7 @@ func (d *Deployment) WriteMetrics(w io.Writer) error {
 		e.Histogram("cosmo_request_latency_ms", d.latency[endpoint].Snapshot(), "endpoint", endpoint)
 	}
 	e.Int("cosmo_model_version", int64(cur.version))
-	e.Int("cosmo_feature_store_size", int64(d.Store.Len()))
+	e.Int("cosmo_feature_store_size", int64(stats.StoreSize))
 	if snap := cur.gen.Snap; snap != nil {
 		e.Int("cosmo_kg_nodes", int64(snap.NumNodes()))
 		e.Int("cosmo_kg_edges", int64(snap.NumEdges()))

@@ -13,7 +13,7 @@ import (
 func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	const cap = 8
-	c := NewAsyncCache(cap)
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: cap})
 	c.PreloadYearly([]Feature{{Query: "y1"}, {Query: "y2"}})
 	queries := make([]string, 40)
 	for i := range queries {
@@ -49,7 +49,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 // TestCacheHitAfterInstallProperty: any installed query hits until at
 // least cap further distinct installs occur.
 func TestCacheHitAfterInstallProperty(t *testing.T) {
-	c := NewAsyncCache(16)
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 16})
 	for i := 0; i < 200; i++ {
 		q := fmt.Sprintf("install-%d", i)
 		c.InstallDaily(Feature{Query: q})

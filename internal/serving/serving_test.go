@@ -32,50 +32,71 @@ func echoResponder(version string) ContextResponder {
 	})
 }
 
+// put records f in the shard's feature store.
+func (s *cacheShard) put(f Feature) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.storeLocked(f)
+}
+
+// get reads query's feature-store entry.
+func (s *cacheShard) get(query string) (Feature, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.store[query]
+	return f, ok
+}
+
+// storeLen returns the number of features in the shard's store.
+func (s *cacheShard) storeLen() int { return s.snapshot().StoreSize }
+
+// storeGet reads query's feature-store entry from its shard.
+func storeGet(d *Deployment, query string) (Feature, bool) { return shardOf(d.Cache, query).get(query) }
+
 func TestFeatureStoreBasics(t *testing.T) {
-	s := NewFeatureStoreWithCap(4)
-	s.Put(Feature{Query: "camping", Version: 1})
-	s.Put(Feature{Query: "hiking", Version: 2})
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
+	s := newCacheShard(1, 1, 4)
+	s.put(Feature{Query: "camping", Version: 1})
+	s.put(Feature{Query: "hiking", Version: 2})
+	if s.storeLen() != 2 {
+		t.Fatalf("len = %d", s.storeLen())
 	}
-	f, ok := s.Get("camping")
+	f, ok := s.get("camping")
 	if !ok || f.Version != 1 {
 		t.Fatalf("get = %+v %v", f, ok)
 	}
-	if _, ok := s.Get("nope"); ok {
+	if _, ok := s.get("nope"); ok {
 		t.Error("missing key should miss")
 	}
 	// A capacity below 1 is raised to 1: the store always keeps the
 	// newest insert.
-	one := NewFeatureStoreWithCap(0)
-	one.Put(Feature{Query: "a"})
-	one.Put(Feature{Query: "b"})
-	if _, ok := one.Get("b"); !ok || one.Len() != 1 {
-		t.Errorf("cap-0 store: len = %d, newest present = %v; want 1, true", one.Len(), ok)
+	one := newCacheShard(1, 1, 0)
+	one.put(Feature{Query: "a"})
+	one.put(Feature{Query: "b"})
+	if _, ok := one.get("b"); !ok || one.storeLen() != 1 {
+		t.Errorf("cap-0 store: len = %d, newest present = %v; want 1, true", one.storeLen(), ok)
 	}
 }
 
 func TestFeatureStoreCapEvictsOldest(t *testing.T) {
-	s := NewFeatureStoreWithCap(3)
+	s := newCacheShard(1, 1, 3)
 	for i, q := range []string{"a", "b", "c"} {
-		s.Put(Feature{Query: q, Version: i})
+		s.put(Feature{Query: q, Version: i})
 	}
 	// Re-putting an existing key must not evict anything.
-	s.Put(Feature{Query: "a", Version: 10})
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
+	s.put(Feature{Query: "a", Version: 10})
+	if s.storeLen() != 3 {
+		t.Fatalf("len = %d, want 3", s.storeLen())
 	}
 	// Inserting a fourth key evicts the oldest insert ("a").
-	s.Put(Feature{Query: "d", Version: 4})
-	if s.Len() != 3 {
-		t.Fatalf("len after overflow = %d, want 3", s.Len())
+	s.put(Feature{Query: "d", Version: 4})
+	if s.storeLen() != 3 {
+		t.Fatalf("len after overflow = %d, want 3", s.storeLen())
 	}
-	if _, ok := s.Get("a"); ok {
+	if _, ok := s.get("a"); ok {
 		t.Error("oldest entry should have been evicted")
 	}
 	for _, q := range []string{"b", "c", "d"} {
-		if _, ok := s.Get(q); !ok {
+		if _, ok := s.get(q); !ok {
 			t.Errorf("entry %q should survive", q)
 		}
 	}
@@ -84,25 +105,25 @@ func TestFeatureStoreCapEvictsOldest(t *testing.T) {
 func TestFeatureStoreCapManyInserts(t *testing.T) {
 	// Sustained distinct inserts stay at the cap, and the FIFO holds
 	// exactly the stored keys rather than growing with total inserts.
-	s := NewFeatureStoreWithCap(8)
+	s := newCacheShard(1, 1, 8)
 	for i := 0; i < 10000; i++ {
-		s.Put(Feature{Query: fmt.Sprintf("q%d", i), Version: i})
+		s.put(Feature{Query: fmt.Sprintf("q%d", i), Version: i})
 	}
-	if s.Len() != 8 {
-		t.Fatalf("len = %d, want 8", s.Len())
+	if s.storeLen() != 8 {
+		t.Fatalf("len = %d, want 8", s.storeLen())
 	}
-	if n := len(s.order); n != s.Len() {
-		t.Errorf("order holds %d keys for %d stored features", n, s.Len())
+	if n := len(s.storeOrder); n != s.storeLen() {
+		t.Errorf("order holds %d keys for %d stored features", n, s.storeLen())
 	}
 	for i := 9992; i < 10000; i++ {
-		if _, ok := s.Get(fmt.Sprintf("q%d", i)); !ok {
+		if _, ok := s.get(fmt.Sprintf("q%d", i)); !ok {
 			t.Errorf("newest entry q%d missing", i)
 		}
 	}
 }
 
 func TestAsyncCacheTwoLayers(t *testing.T) {
-	c := NewAsyncCache(2)
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 2})
 	c.PreloadYearly([]Feature{{Query: "yearly-hot"}})
 	if _, ok := c.Lookup("yearly-hot"); !ok {
 		t.Fatal("yearly layer miss")
@@ -148,7 +169,7 @@ func TestAsyncCacheLRUEviction(t *testing.T) {
 }
 
 func TestAsyncCacheMissQueuesOnce(t *testing.T) {
-	c := NewAsyncCache(4)
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 4})
 	for i := 0; i < 5; i++ {
 		c.Lookup("same")
 	}
@@ -174,7 +195,7 @@ func TestDeploymentRequestFlow(t *testing.T) {
 	if f.Version != 1 || len(f.Intents) == 0 {
 		t.Errorf("feature = %+v", f)
 	}
-	if got := d.Store.Len(); got != 1 {
+	if got := d.Cache.Stats().StoreSize; got != 1 {
 		t.Errorf("feature store len = %d", got)
 	}
 }
@@ -310,12 +331,12 @@ func TestQueuedMapStaysInSync(t *testing.T) {
 }
 
 func TestShardRouting(t *testing.T) {
-	c := NewAsyncCache(1024)
+	c := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 1024})
 	if c.NumShards() != DefaultCacheShards {
 		t.Fatalf("shards = %d, want %d", c.NumShards(), DefaultCacheShards)
 	}
 	// Tiny caches clamp the stripe count so per-shard capacity stays >= 1.
-	if got := NewAsyncCache(2).NumShards(); got > 2 {
+	if got := NewAsyncCacheWithConfig(CacheConfig{DailyCap: 2}).NumShards(); got > 2 {
 		t.Errorf("tiny cache shards = %d", got)
 	}
 	// All installed keys are findable regardless of which shard they hash to.
@@ -415,12 +436,14 @@ func TestTopInteractions(t *testing.T) {
 // DefaultFeatureStoreCap queries however many distinct ones arrive.
 // Once it is full a query not yet counted is not admitted, and a hot
 // query counted earlier keeps counting and still leads TopInteractions.
+// The cap is split across the cache shards, so the extra queries must
+// take every shard past its share.
 func TestInteractionCounterBounded(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{}, echoResponder("v1"))
 	for i := 0; i < 3; i++ {
 		d.HandleQuery("hot")
 	}
-	const workers, extra = 4, 1000
+	const workers, extra = 4, 20000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -435,15 +458,10 @@ func TestInteractionCounterBounded(t *testing.T) {
 	d.HandleQuery("hot")
 	d.HandleQuery("late")
 
-	held := 0
-	for i := range d.interactions.stripes {
-		held += len(d.interactions.stripes[i].counts)
+	counts := d.Cache.interactions()
+	if len(counts) != DefaultFeatureStoreCap {
+		t.Errorf("counter holds %d queries, want the cap %d", len(counts), DefaultFeatureStoreCap)
 	}
-	if held != DefaultFeatureStoreCap || d.interactions.size.Load() != DefaultFeatureStoreCap {
-		t.Errorf("counter holds %d queries (size %d), want the cap %d",
-			held, d.interactions.size.Load(), DefaultFeatureStoreCap)
-	}
-	counts := d.interactions.sorted()
 	if counts[0] != (queryCount{"hot", 4}) {
 		t.Errorf("top count = %+v, want hot counted 4 times", counts[0])
 	}
@@ -457,16 +475,30 @@ func TestInteractionCounterBounded(t *testing.T) {
 	}
 }
 
+// TestDeploymentConcurrent drives the request path's one critical
+// section under churn: hot queries, queries only the feature store
+// holds (their daily entries cleared), batch passes and refreshes all
+// run at once, and every lookup is counted exactly once — as a hit or
+// a miss, and in the feedback loop.
 func TestDeploymentConcurrent(t *testing.T) {
 	d := NewDeploymentContext(DeployConfig{DailyCacheCap: 128}, echoResponder("v1"))
+	for i := 0; i < 20; i++ {
+		d.HandleQuery(fmt.Sprintf("s%d", i))
+	}
+	d.RunBatchContext(context.Background(), 20)
+	d.Cache.ResetDaily()
+	const workers, perWorker = 8, 500
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
+			for i := 0; i < perWorker; i++ {
 				q := fmt.Sprintf("q%d", rng.Intn(50))
+				if i%4 == 0 {
+					q = fmt.Sprintf("s%d", rng.Intn(20))
+				}
 				d.HandleQuery(q)
 				if i%20 == 0 {
 					d.RunBatchContext(context.Background(), 8)
@@ -474,13 +506,33 @@ func TestDeploymentConcurrent(t *testing.T) {
 			}
 		}(int64(w))
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if err := d.Refresh(context.Background(), echoResponder(fmt.Sprintf("v%d", i+2)), nil, 8); err != nil {
+				t.Errorf("refresh %d: %v", i, err)
+			}
+		}
+	}()
 	wg.Wait()
+	const lookups = 20 + workers*perWorker
 	stats := d.Cache.Stats()
-	if stats.Hits == 0 {
-		t.Error("no hits under concurrent load")
+	if stats.Hits+stats.Misses != lookups {
+		t.Errorf("hits %d + misses %d != %d lookups", stats.Hits, stats.Misses, lookups)
+	}
+	counted := 0
+	for _, qc := range d.Cache.interactions() {
+		counted += qc.c
+	}
+	if counted != lookups {
+		t.Errorf("feedback loop counted %d lookups, want %d", counted, lookups)
+	}
+	if stats.StaleServed == 0 || stats.StaleServed > stats.Misses {
+		t.Errorf("stale served %d, want 1..misses (%d)", stats.StaleServed, stats.Misses)
 	}
 	if stats.HitRate() < 0.5 {
-		t.Errorf("hit rate %.2f too low for 50 hot queries", stats.HitRate())
+		t.Errorf("hit rate %.2f too low for 70 hot queries", stats.HitRate())
 	}
 }
 
@@ -607,7 +659,7 @@ func TestFeatureTimestamps(t *testing.T) {
 	d.Clock = clock
 	d.HandleQuery("camping")
 	d.RunBatchContext(context.Background(), 10)
-	f, ok := d.Store.Get("camping")
+	f, ok := storeGet(d, "camping")
 	if !ok {
 		t.Fatal("feature missing")
 	}
@@ -618,7 +670,7 @@ func TestFeatureTimestamps(t *testing.T) {
 	if err := d.Refresh(context.Background(), echoResponder("v2"), nil, 4); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
-	f2, _ := d.Store.Get("camping")
+	f2, _ := storeGet(d, "camping")
 	if !f2.CreatedAt.After(f.CreatedAt) {
 		t.Error("refresh should restamp the feature")
 	}

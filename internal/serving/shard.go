@@ -2,19 +2,17 @@ package serving
 
 import (
 	"container/list"
-	"sort"
 	"sync"
-	"sync/atomic"
 
-	"cosmo/internal/fnv1a"
 	"cosmo/internal/kg"
 )
 
-// cacheShard is one lock stripe of the AsyncCache: a slice of the yearly
-// layer, a slice of the daily LRU, and a bounded ring buffer of queued
-// misses. Queries are routed to shards by hash, so each shard only ever
-// sees its own key space and the per-shard mutex replaces the old global
-// one.
+// cacheShard is one lock stripe of the AsyncCache and the one owner of
+// its queries' node state: a slice of the yearly layer, a slice of the
+// daily LRU, a bounded ring buffer of queued misses, a slice of the
+// feature store and a slice of the interaction counter. Queries are
+// routed to shards by hash, so each shard only ever sees its own key
+// space, and a request takes one hash and this one mutex.
 type cacheShard struct {
 	mu     sync.Mutex
 	yearly map[string]Feature
@@ -32,23 +30,36 @@ type cacheShard struct {
 	qLen     int
 	queued   map[string]bool
 	queueCap int
+
+	// store is the shard's slice of the feature store: the last feature
+	// batch-processed or rebuilt by a refresh, per query. Inserting a
+	// new query past featureCap evicts the oldest insert (storeOrder,
+	// where a re-put keeps its key's place). Nothing else removes an
+	// entry: a feature from an earlier model version stays until
+	// evicted, so the stale fallback can serve it.
+	store      map[string]Feature
+	storeOrder []string
+	// counts is the shard's slice of the interaction feedback loop
+	// (query -> count), feeding the next refresh's frequent-search
+	// selection. Once it holds featureCap queries a query not yet
+	// counted is not admitted, while the counted ones keep counting.
+	counts     map[string]int
+	featureCap int
 }
 
-func newCacheShard(dailyCap, queueCap int) *cacheShard {
-	if dailyCap < 1 {
-		dailyCap = 1
-	}
-	if queueCap < 1 {
-		queueCap = 1
-	}
+func newCacheShard(dailyCap, queueCap, featureCap int) *cacheShard {
+	queueCap = max(queueCap, 1)
 	return &cacheShard{
-		yearly:   map[string]Feature{},
-		daily:    map[string]*list.Element{},
-		lru:      list.New(),
-		cap:      dailyCap,
-		queue:    make([]string, queueCap),
-		queued:   map[string]bool{},
-		queueCap: queueCap,
+		yearly:     map[string]Feature{},
+		daily:      map[string]*list.Element{},
+		lru:        list.New(),
+		cap:        max(dailyCap, 1),
+		queue:      make([]string, queueCap),
+		queued:     map[string]bool{},
+		queueCap:   queueCap,
+		store:      map[string]Feature{},
+		counts:     map[string]int{},
+		featureCap: max(featureCap, 1),
 	}
 }
 
@@ -75,14 +86,15 @@ func (s *cacheShard) enqueueLocked(query string) {
 // caller must have obtained the query from drain: its queued-map entry
 // is still set (the in-flight de-dup claim) but it is no longer in the
 // ring, so it is pushed unconditionally. Overflow is drop-newest: when
-// the ring is full the retry (not queued fresh work) is sacrificed, its
-// de-dup claim is released so a future miss can re-enqueue the query,
-// and false is returned so the caller can account for the drop.
+// the ring is full the retry (not queued fresh work) is sacrificed and
+// counted, its de-dup claim is released so a future miss can re-enqueue
+// the query, and false is returned.
 func (s *cacheShard) requeue(query string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.qLen == s.queueCap {
 		delete(s.queued, query)
+		s.stats.RequeueDropped++
 		return false
 	}
 	s.queue[(s.qHead+s.qLen)%s.queueCap] = query
@@ -92,14 +104,13 @@ func (s *cacheShard) requeue(query string) bool {
 	return true
 }
 
-// lookup serves q from the yearly layer, then the daily LRU, and counts
-// the hit; key is then the hit's Feature.Query, the map's own key. On a
-// miss it counts the miss, converts q once into the owned string key
-// and queues that. The maps are indexed with m[string(q)], which Go
-// does not copy, so a byte query that hits copies nothing.
-func lookup[K kg.Key](s *cacheShard, q K) (f Feature, key string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// lookupLocked serves q from the yearly layer, then the daily LRU, and
+// counts the hit; key is then the hit's Feature.Query, the map's own
+// key. On a miss it counts the miss, converts q once into the owned
+// string key and queues that. The maps are indexed with m[string(q)],
+// which Go does not copy, so a byte query that hits copies nothing.
+// Caller holds s.mu.
+func lookupLocked[K kg.Key](s *cacheShard, q K) (f Feature, key string, ok bool) {
 	if f, ok := s.yearly[string(q)]; ok {
 		s.stats.Hits++
 		s.stats.YearlyHits++
@@ -118,10 +129,53 @@ func lookup[K kg.Key](s *cacheShard, q K) (f Feature, key string, ok bool) {
 	return Feature{}, key, false
 }
 
+// serve is the request path's one critical section: the cache lookup,
+// on a miss the stale fallback to the store (flagged Stale), and the
+// interaction count, keyed by the string lookupLocked returns.
+func serve[K kg.Key](s *cacheShard, q K) (Feature, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, key, ok := lookupLocked(s, q)
+	if !ok {
+		if f, ok = s.store[key]; ok {
+			f.Stale = true
+			s.stats.StaleServed++
+		}
+	}
+	s.countLocked(key)
+	return f, ok
+}
+
+// countLocked adds one interaction for query, admitting a new query
+// only below featureCap. Caller holds s.mu.
+func (s *cacheShard) countLocked(query string) {
+	if _, counted := s.counts[query]; counted || len(s.counts) < s.featureCap {
+		s.counts[query]++
+	}
+}
+
+// storeLocked records f in the shard's feature store, evicting the
+// oldest insert when a new query would exceed featureCap. Caller holds
+// s.mu.
+func (s *cacheShard) storeLocked(f Feature) {
+	if _, exists := s.store[f.Query]; !exists {
+		if len(s.storeOrder) == s.featureCap {
+			delete(s.store, s.storeOrder[0])
+			s.storeOrder[0] = "" // release the evicted key
+			s.storeOrder = s.storeOrder[1:]
+		}
+		s.storeOrder = append(s.storeOrder, f.Query)
+	}
+	s.store[f.Query] = f
+}
+
+// installDaily records a batch-processed feature in the store and the
+// daily LRU, evicting the least recently used entry when full.
 func (s *cacheShard) installDaily(f Feature) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.queued, f.Query)
+	s.storeLocked(f)
 	if el, ok := s.daily[f.Query]; ok {
 		el.Value = dailyEntry{f.Query, f}
 		s.lru.MoveToFront(el)
@@ -157,11 +211,16 @@ func (s *cacheShard) drain(n int) []string {
 	return out
 }
 
-func (s *cacheShard) preloadYearly(f Feature) {
+// preloadYearly installs f in the yearly layer and, for a feature a
+// refresh rebuilt, in the store too.
+func (s *cacheShard) preloadYearly(f Feature, refreshed bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	//cosmo:lint-ignore unbounded-append yearly layer is bounded by the refresh preload set and rebuilt wholesale by resetYearly
 	s.yearly[f.Query] = f
-	s.mu.Unlock()
+	if refreshed {
+		s.storeLocked(f)
+	}
 }
 
 func (s *cacheShard) resetDaily() {
@@ -184,75 +243,12 @@ func (s *cacheShard) snapshot() CacheStats {
 	st.DailySize = s.lru.Len()
 	st.YearlySize = len(s.yearly)
 	st.BatchQueued = s.qLen
+	st.StoreSize = len(s.store)
 	return st
-}
-
-// stripedCounter is a lock-striped string->count map for the interaction
-// feedback loop: increments hash to one of a fixed set of stripes so
-// concurrent HandleQuery calls touching different queries do not
-// serialize on a single mutex. It holds at most limit queries: once full,
-// a query not yet counted is not admitted, while the counted ones keep
-// counting, so a stream of distinct one-off queries cannot grow it.
-type stripedCounter struct {
-	stripes []counterStripe
-	limit   int64
-	size    atomic.Int64 // queries held, over all stripes
-}
-
-type counterStripe struct {
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func newStripedCounter(n, limit int) *stripedCounter {
-	if n < 1 {
-		n = 1
-	}
-	c := &stripedCounter{stripes: make([]counterStripe, n), limit: int64(limit)}
-	for i := range c.stripes {
-		c.stripes[i].counts = map[string]int{}
-	}
-	return c
-}
-
-func (c *stripedCounter) inc(q string) {
-	s := &c.stripes[fnv1a.String64(fnv1a.Offset64, q)%uint64(len(c.stripes))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.counts[q]; !ok {
-		// Claim a slot first, so stripes admitting at once cannot
-		// overshoot the cap together.
-		if c.size.Add(1) > c.limit {
-			c.size.Add(-1)
-			return
-		}
-	}
-	s.counts[q]++
 }
 
 // queryCount is a (query, count) pair from the interaction counter.
 type queryCount struct {
 	q string
 	c int
-}
-
-// sorted returns every (query, count) pair ordered by count descending,
-// ties broken by query for determinism.
-func (c *stripedCounter) sorted() []queryCount {
-	var out []queryCount
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		for q, n := range s.counts {
-			out = append(out, queryCount{q, n})
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].c != out[j].c {
-			return out[i].c > out[j].c
-		}
-		return out[i].q < out[j].q
-	})
-	return out
 }

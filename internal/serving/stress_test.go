@@ -146,7 +146,7 @@ func TestBatchVersionMatchesResponder(t *testing.T) {
 				q := fmt.Sprintf("q%d-%d", w, i%16)
 				d.HandleQuery(q)
 				d.RunBatchContext(context.Background(), 8)
-				if f, ok := d.Store.Get(q); ok && (len(f.Intents) != 1 || f.Intents[0] != strconv.Itoa(f.Version)) {
+				if f, ok := storeGet(d, q); ok && (len(f.Intents) != 1 || f.Intents[0] != strconv.Itoa(f.Version)) {
 					t.Errorf("feature %q has version %d but model tag %v", q, f.Version, f.Intents)
 					return
 				}
@@ -170,10 +170,10 @@ func TestStartWorkerDrainsBacklogAndStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := d.StartWorker(ctx, time.Millisecond, 16)
 	deadline := time.After(5 * time.Second)
-	for d.Store.Len() < 50 {
+	for d.Cache.Stats().StoreSize < 50 {
 		select {
 		case <-deadline:
-			t.Fatalf("worker drained only %d/50 before deadline", d.Store.Len())
+			t.Fatalf("worker drained only %d/50 before deadline", d.Cache.Stats().StoreSize)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -186,7 +186,7 @@ func TestStartWorkerDrainsBacklogAndStops(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker did not stop")
 	}
-	if _, ok := d.Store.Get("last-call"); !ok {
+	if _, ok := storeGet(d, "last-call"); !ok {
 		t.Error("final drain skipped the last queued query")
 	}
 }
