@@ -46,6 +46,7 @@ type Result struct {
 // Backend is one serving node as the router sees it: a query transport
 // plus a health probe. Implementations must be safe for concurrent use
 // and honor ctx cancellation in Do (a hedged race cancels the loser).
+// The router reuses the ctx it passes to Do: keep none of it past Do.
 type Backend interface {
 	// Do proxies one GET query (path like "/intent", rawQuery like
 	// "q=camping") and returns the node's response. A transport-level

@@ -77,7 +77,8 @@ const (
 // (e.g. "http://10.0.0.3:8080"; the hop is plain HTTP, so any other
 // scheme makes every Do fail). client serves the /readyz probe and may
 // be nil for a default with no global timeout — query attempts are
-// bounded per call by the router's attempt context.
+// bounded per call by the router's attempt context, whose deadline Do
+// arms on the connection.
 func NewHTTPBackend(base string, client *http.Client) *HTTPBackend {
 	if client == nil {
 		client = &http.Client{}
@@ -120,8 +121,10 @@ type hopConn struct {
 	answered bool
 }
 
-// interrupt unblocks the owner's parked read or write. It runs on
-// context.AfterFunc's goroutine when the call's context ends; the owner
+// interrupt unblocks the owner's parked read or write. It runs when the
+// call ends early, on the goroutine that ended it (the hedge winner, the
+// router's caller-cancel callback, the attempt's deadline timer) or, for
+// a ctx that is not a router attempt, on context.AfterFunc's; the owner
 // still closes the connection.
 func (hc *hopConn) interrupt() {
 	_ = hc.c.SetDeadline(time.Unix(1, 0)) //cosmo:lint-ignore dropped-error it fails only on a connection the owner already closed
@@ -244,13 +247,36 @@ func (b *HTTPBackend) HopStats() HopStats {
 }
 
 // exchange runs one request and response on hc, then parks hc if the
-// exchange left it clean and closes it otherwise.
+// exchange left it clean and closes it otherwise. ctx's deadline is
+// armed on the connection, once per exchange (no deadline clears the
+// last exchange's), so only an early end — a hedge won elsewhere, the
+// caller left — needs the interrupt: a router attempt takes it
+// directly, any other ctx through context.AfterFunc.
 func (b *HTTPBackend) exchange(ctx context.Context, hc *hopConn, path, rawQuery string) (Result, error) {
-	stop := context.AfterFunc(ctx, hc.abort)
+	deadline, _ := ctx.Deadline()
+	_ = hc.c.SetDeadline(deadline) //cosmo:lint-ignore dropped-error it fails only on a closed connection, whose write then fails
+	a, routed := ctx.(*attempt)
+	var stop func() bool
+	switch {
+	case routed:
+		a.armAbort(hc.abort)
+	case ctx.Done() != nil:
+		stop = context.AfterFunc(ctx, hc.abort)
+	}
 	res, reusable, err := hc.roundTrip(b, path, rawQuery)
-	// A false stop means interrupt ran or is about to: the deadline it
-	// sets must not land on the next call's exchange.
-	if !stop() || !reusable || err != nil {
+	// The past deadline an interrupt sets is harmless on a parked
+	// connection, since the next exchange re-arms it, unless the
+	// interrupt can still run: context.AfterFunc's can, after stop
+	// reports false; the attempt's runs under its lock, so not after
+	// disarmAbort.
+	interrupted := false
+	switch {
+	case routed:
+		a.disarmAbort()
+	case stop != nil:
+		interrupted = !stop()
+	}
+	if interrupted || !reusable || err != nil {
 		hc.close()
 	} else {
 		b.park(hc)

@@ -527,3 +527,218 @@ func TestHTTPBackendConcurrent(t *testing.T) {
 		t.Fatalf("a closed backend parked a connection: %+v", hs)
 	}
 }
+
+// gateServer holds every request until open is closed, signalling each
+// arrival, and answers "ok" after.
+type gateServer struct {
+	*httptest.Server
+	arrived chan struct{}
+	open    chan struct{}
+}
+
+func newGateServer(t *testing.T) *gateServer {
+	t.Helper()
+	g := &gateServer{arrived: make(chan struct{}, 16), open: make(chan struct{})}
+	g.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		g.arrived <- struct{}{}
+		<-g.open
+		w.Header().Set("Content-Type", "text/plain")
+		_, _ = io.WriteString(w, "from-loser")
+	}))
+	t.Cleanup(func() {
+		select {
+		case <-g.open:
+		default:
+			close(g.open)
+		}
+		g.Server.Close()
+	})
+	return g
+}
+
+// TestHedgeWinInterruptsHTTPLoser: over two real hops, the hedge's win
+// interrupts the primary's parked read at once — the attempt timeout
+// is an hour, so nothing else could end it. The loser closes its
+// connection instead of parking it and abandons its half-open probe
+// without a vote, and the next call on its backend succeeds on a clean
+// connection: neither the interrupt's deadline nor an expired attempt
+// deadline leaks into a later exchange.
+func TestHedgeWinInterruptsHTTPLoser(t *testing.T) {
+	loser := newGateServer(t)
+	winner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-loser.arrived // answer only once the primary waits on its node
+		w.Header().Set("Content-Type", "text/plain")
+		_, _ = io.WriteString(w, "from-winner")
+	}))
+	defer winner.Close()
+	bLoser, bWinner := NewHTTPBackend(loser.URL, nil), NewHTTPBackend(winner.URL, nil)
+	defer bLoser.Close()
+	defer bWinner.Close()
+	clock := serving.NewFakeClock(time.Unix(1_700_000_000, 0))
+	r, err := New([]NodeSpec{{Name: "loser", Backend: bLoser}, {Name: "winner", Backend: bWinner}}, Config{
+		Replication: 2, AttemptTimeout: time.Hour, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond,
+		Breaker: serving.BreakerConfig{Threshold: 1, Cooldown: 5 * time.Second, Probes: 1, Clock: clock},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keyWithPrimary(t, r, "loser")
+	brk := r.nodes[0].brk
+	brk.Allow()
+	brk.Failure()
+	clock.Advance(6 * time.Second) // the primary attempt is the half-open probe
+
+	res, err := r.Do(context.Background(), Request{Key: key, Path: "/intent", RawQuery: "q=k"})
+	if err != nil || string(res.Body) != "from-winner" {
+		t.Fatalf("Do = %q, %v; want the hedge's answer", res.Body, err)
+	}
+	if st, _ := brk.State(); !brk.CanServe() || st != serving.BreakerHalfOpen {
+		t.Fatalf("loser breaker %v, probe slot free %v: want the probe abandoned, no vote", st, brk.CanServe())
+	}
+	n := nodeStats(t, r, "loser")
+	if n.Failures != 0 || n.Hop.Idle != 0 || n.Hop.Dials != 1 {
+		t.Fatalf("loser: failures=%d hop %+v; want no failure and its one connection closed", n.Failures, n.Hop)
+	}
+	if s := r.Stats(); s.Hedges != 1 || s.HedgeWins != 1 {
+		t.Fatalf("hedges=%d wins=%d, want 1/1", s.Hedges, s.HedgeWins)
+	}
+
+	// The loser answers again: its probe succeeds on a fresh connection.
+	close(loser.open)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	res, err = r.Do(ctx, Request{Key: key, Path: "/intent", RawQuery: "q=k"})
+	if err != nil || string(res.Body) != "from-loser" {
+		t.Fatalf("next call = %q, %v; want the loser's own answer", res.Body, err)
+	}
+	// That exchange's deadline was the caller's; once it has passed,
+	// the parked connection must still serve a call without one.
+	<-ctx.Done()
+	if res, err := bLoser.Do(context.Background(), "/intent", "q=k"); err != nil || string(res.Body) != "from-loser" {
+		t.Fatalf("call after the deadline passed = %q, %v", res.Body, err)
+	}
+	if hs := bLoser.HopStats(); hs.Dials != 2 || hs.StaleRetries != 0 || hs.Idle != 1 {
+		t.Fatalf("loser hop %+v; want one fresh dial after the interrupt, then reuse with no stale retry", hs)
+	}
+	if st, _ := brk.State(); st != serving.BreakerClosed {
+		t.Fatalf("loser breaker %v after its probe succeeded, want closed", st)
+	}
+}
+
+// TestHedgedHTTPAttemptsTimeOut: neither node answers. The primary and
+// the hedge (or, on a host too slow to fire it first, the failover)
+// each run out their own attempt timeout, armed only on the
+// hop connection, and each is a failure vote that opens its node's
+// threshold-1 breaker.
+func TestHedgedHTTPAttemptsTimeOut(t *testing.T) {
+	var specs []NodeSpec
+	for _, name := range []string{"a", "b"} {
+		b := NewHTTPBackend(newGateServer(t).URL, nil)
+		defer b.Close()
+		specs = append(specs, NodeSpec{Name: name, Backend: b})
+	}
+	r, err := New(specs, Config{
+		Replication: 2, AttemptTimeout: 30 * time.Millisecond, HedgeMin: time.Millisecond, HedgeMax: time.Millisecond,
+		Breaker: serving.BreakerConfig{Threshold: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Do(context.Background(), Request{Key: "k", Path: "/intent", RawQuery: "q=k"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the attempts' deadline", err)
+	}
+	for _, n := range r.Stats().Nodes {
+		if n.Failures != 1 || n.BreakerState != serving.BreakerOpen || n.Hop.Idle != 0 {
+			t.Fatalf("node %s: failures=%d breaker=%v idle=%d; want a failure vote that opens the breaker", n.Name, n.Failures, n.BreakerState, n.Hop.Idle)
+		}
+	}
+	if s := r.Stats(); s.Hedges+s.Failovers != 1 {
+		t.Fatalf("hedges=%d failovers=%d, want node b tried once", s.Hedges, s.Failovers)
+	}
+}
+
+// cannedServer answers every request on every connection with reply.
+// It reads with ReadSlice and writes one fixed slice, so it allocates
+// nothing per request and an allocation count sees only the client.
+func cannedServer(t *testing.T, reply string) (base string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []byte(reply)
+	var conns sync.WaitGroup
+	t.Cleanup(func() {
+		ln.Close()
+		conns.Wait()
+	})
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					line, err := br.ReadSlice('\n')
+					if err != nil {
+						return
+					}
+					if len(line) == 2 { // the blank line ending a request head
+						if _, err := c.Write(out); err != nil {
+							return
+						}
+					}
+				}
+			}()
+		}
+	}()
+	return "http://" + ln.Addr().String()
+}
+
+// TestRoutedLookupAllocBudget pins what a routed request allocates in
+// the router and the hop together, over real HTTPBackends with the
+// hedge armed but never firing: the response body and the caller-cancel
+// registration (context.AfterFunc on a long-lived caller ctx, as a load
+// generator or server passes).
+func TestRoutedLookupAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const reply = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}"
+	var specs []NodeSpec
+	for _, name := range []string{"n0", "n1", "n2"} {
+		b := NewHTTPBackend(cannedServer(t, reply), nil)
+		defer b.Close()
+		specs = append(specs, NodeSpec{Name: name, Backend: b})
+	}
+	r, err := New(specs, Config{Replication: 2, HedgeMin: time.Hour, HedgeMax: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := Request{Key: "camping", Path: "/intent", RawQuery: "q=camping"}
+	for i := 0; i < 10; i++ { // dial, park, learn the content type
+		if _, err := r.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if res, err := r.Do(ctx, req); err != nil || string(res.Body) != "{}" {
+			t.Fatalf("Do = %q, %v", res.Body, err)
+		}
+	})
+	if s := r.Stats(); s.Hedges != 0 || s.Nodes[0].Hop.Dials+s.Nodes[1].Hop.Dials+s.Nodes[2].Hop.Dials != 1 {
+		t.Fatalf("%d hedges, hop stats %+v: the budget is for one parked connection and no hedge", s.Hedges, s.Nodes)
+	}
+	if allocs > 3 {
+		t.Fatalf("routed request allocates %v times in router and hop, budget is 3", allocs)
+	}
+	t.Logf("Router.Do over HTTPBackend: %v allocs/op", allocs)
+}

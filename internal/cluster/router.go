@@ -136,7 +136,7 @@ type Router struct {
 	failovers atomic.Uint64
 	noReplica atomic.Uint64
 	e2e       *serving.Histogram // end-to-end routed latency (ms)
-	races     sync.Pool          // *hedgeRace, each with its stopped timer
+	calls     sync.Pool          // *call, each with its stopped hedge timer
 }
 
 // New builds a router over the named backends. Node names are the ring
@@ -176,7 +176,7 @@ func New(specs []NodeSpec, cfg Config) (*Router, error) {
 		ring:  NewRing(names, cfg.VirtualNodes),
 		e2e:   serving.NewHistogram(nil),
 	}
-	r.races.New = func() any { return r.newHedgeRace() }
+	r.calls.New = func() any { return r.newCall() }
 	return r, nil
 }
 
@@ -280,6 +280,8 @@ func (r *Router) route(ctx context.Context, req Request) (Result, error) {
 		r.noReplica.Add(1)
 		return Result{}, ErrNoEligibleNodes
 	}
+	c := r.startCall(ctx, req)
+	defer r.endCall(c)
 
 	// Primary phase, on this goroutine; with a second replica, raced
 	// against a hedge once the hedge delay has passed.
@@ -291,11 +293,9 @@ func (r *Router) route(ctx context.Context, req Request) (Result, error) {
 		hedged bool
 	)
 	if r.cfg.Replication > 1 && len(order) > 1 {
-		res, hedged, err = r.hedgedAttempt(ctx, primary, r.nodes[order[1]], req)
+		res, hedged, err = c.hedgedAttempt(primary, r.nodes[order[1]])
 	} else {
-		actx, cancel := r.attemptContext(ctx)
-		res, err = r.attempt(actx, primary, req)
-		cancel()
+		res, err = r.attempt(&c.primary, primary)
 	}
 	if err == nil {
 		return res, nil
@@ -314,9 +314,7 @@ func (r *Router) route(ctx context.Context, req Request) (Result, error) {
 		nd := r.nodes[idx]
 		nd.failovers.Add(1)
 		r.failovers.Add(1)
-		actx, cancel := r.attemptContext(ctx)
-		res, aerr := r.attempt(actx, nd, req)
-		cancel()
+		res, aerr := r.attempt(&c.primary, nd)
 		if aerr == nil {
 			return res, nil
 		}
@@ -329,153 +327,364 @@ func (r *Router) route(ctx context.Context, req Request) (Result, error) {
 		len(order), req.Key, err)
 }
 
-// hedgeRace is what the calling goroutine, which runs the primary
-// attempt itself, shares with the hedge: a timer armed for the hedge
-// delay whose function — on the timer's own goroutine, which exists
-// only if the timer fires — is the hedge attempt. Races are pooled with
-// their timers; one goes back to the pool only if its timer was stopped
-// before firing, so a pooled race has no goroutine that can touch it.
-type hedgeRace struct {
+// call is one routed request: its two attempts and the hedge race
+// between them. The calling goroutine runs the primary attempt and any
+// failover in primary; the hedge runs in hedge, as the function of a
+// timer armed for the hedge delay, on the timer's own goroutine — which
+// exists only if the timer fires. Calls are pooled with their timers
+// and attempts; one goes back to the pool only when no goroutine but
+// the caller's can still touch it: the hedge timer was stopped unfired
+// and the caller-cancel callback was unregistered before it ran.
+type call struct {
 	r     *Router
-	timer *time.Timer // runs run
+	timer *time.Timer // runs runHedge
+	leave func()      // callerLeft, bound once for context.AfterFunc
 
-	// Set by the caller before the timer is armed.
-	ctx           context.Context
-	node          *node // the hedge target
-	req           Request
-	cancelPrimary context.CancelFunc
+	// Set by startCall for one request.
+	ctx   context.Context // the caller's
+	req   Request
+	stop  func() bool // unregisters leave; nil when ctx cannot end
+	hnode *node       // the hedge target
+	held  bool        // a goroutine besides the caller's may hold the call
 
-	mu          sync.Mutex
-	settled     bool               // a winner exists; whoever finishes later lost
-	cancelHedge context.CancelFunc // the running hedge attempt's
-	done        sync.WaitGroup     // run returned
-	res         Result             // run's outcome, read after done
-	err         error
+	mu      sync.Mutex // guards the fields below and both attempts
+	left    error      // the caller's ctx.Err() once it ended
+	settled bool       // a winner exists; whoever finishes later lost
+	primary attempt
+	hedge   attempt
+	done    sync.WaitGroup // runHedge returned
+	res     Result         // runHedge's outcome, read after done
+	err     error
 }
 
-func (r *Router) newHedgeRace() *hedgeRace {
-	h := &hedgeRace{r: r}
-	h.timer = time.AfterFunc(time.Hour, h.run)
-	h.timer.Stop()
-	return h
+func (r *Router) newCall() *call {
+	c := &call{r: r}
+	c.primary.c, c.hedge.c = c, c
+	c.leave = c.callerLeft
+	c.timer = time.AfterFunc(time.Hour, c.runHedge)
+	c.timer.Stop()
+	return c
+}
+
+// startCall takes a call from the pool for one request. The caller's
+// cancellation is observed here, once per request: when ctx ends,
+// callerLeft ends whichever attempt is live and every attempt started
+// after.
+func (r *Router) startCall(ctx context.Context, req Request) *call {
+	c := r.calls.Get().(*call)
+	c.ctx, c.req = ctx, req
+	if ctx.Done() != nil {
+		c.stop = context.AfterFunc(ctx, c.leave)
+	}
+	return c
+}
+
+func (r *Router) endCall(c *call) {
+	if c.stop != nil && !c.stop() {
+		c.held = true // callerLeft ran or is running
+	}
+	if c.held {
+		return
+	}
+	c.ctx, c.req, c.stop, c.hnode = nil, Request{}, nil, nil
+	r.calls.Put(c)
+}
+
+// callerLeft runs on context.AfterFunc's goroutine when the caller's
+// ctx ends.
+func (c *call) callerLeft() {
+	err := c.ctx.Err()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.left = err
+	c.primary.cancelLocked(err)
+	c.hedge.cancelLocked(err)
 }
 
 // hedgedAttempt runs the primary attempt with a hedge armed at
 // hedgeDelay() from now. First success wins and cancels the other
 // attempt. hedged reports whether the hedge node was tried, so the
 // caller's failover skips it.
-func (r *Router) hedgedAttempt(ctx context.Context, primary, hedge *node, req Request) (res Result, hedged bool, err error) {
-	pctx, pcancel := r.attemptContext(ctx)
-	defer pcancel()
-	h := r.races.Get().(*hedgeRace)
-	h.ctx, h.node, h.req, h.cancelPrimary = ctx, hedge, req, pcancel
-	h.done.Add(1)
-	h.timer.Reset(r.hedgeDelay())
+func (c *call) hedgedAttempt(primary, hedge *node) (res Result, hedged bool, err error) {
+	c.hnode = hedge
+	c.done.Add(1)
+	c.timer.Reset(c.r.hedgeDelay())
 
-	res, err = r.attempt(pctx, primary, req)
-	if h.timer.Stop() {
+	res, err = c.r.attempt(&c.primary, primary)
+	if c.timer.Stop() {
 		// The common case: the hedge never started.
-		h.done.Done()
-		h.ctx, h.node, h.req, h.cancelPrimary = nil, nil, Request{}, nil
-		r.races.Put(h)
+		c.done.Done()
 		return res, false, err
 	}
-
-	if err == nil && h.primaryWon() {
+	c.held = true
+	if err == nil && c.primaryWon() {
 		return res, true, nil
 	}
 	// The primary failed, or the hedge won first and cancelled it: the
-	// hedge's outcome is the race's. Its context ends with the caller's.
-	h.done.Wait()
-	return h.res, true, h.err
+	// hedge's outcome is the race's. Its attempt ends with the caller's.
+	c.done.Wait()
+	return c.res, true, c.err
 }
 
-// run is the hedge attempt, on the fired timer's goroutine.
-func (h *hedgeRace) run() {
-	defer h.done.Done()
-	hctx, cancel := h.r.attemptContext(h.ctx)
-	defer cancel()
-	if !h.hedgeStarts(cancel) {
+// runHedge is the hedge attempt, on the fired timer's goroutine.
+func (c *call) runHedge() {
+	defer c.done.Done()
+	if !c.hedgeStarts() {
 		return // the primary answered between the timer firing and now
 	}
-	h.node.hedges.Add(1)
-	h.r.hedges.Add(1)
-	res, err := h.r.attempt(hctx, h.node, h.req)
-	h.hedgeDone(res, err)
+	c.hnode.hedges.Add(1)
+	c.r.hedges.Add(1)
+	res, err := c.r.attempt(&c.hedge, c.hnode)
+	c.hedgeDone(res, err)
 }
 
 // primaryWon settles the race for the primary's answer and stops a
 // running hedge; false means the hedge had already won.
-func (h *hedgeRace) primaryWon() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.settled {
+func (c *call) primaryWon() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.settled {
 		return false
 	}
-	h.settled = true
-	if h.cancelHedge != nil {
-		h.cancelHedge()
-	}
+	c.settled = true
+	c.hedge.cancelLocked(context.Canceled)
 	return true
 }
 
-// hedgeStarts registers the hedge attempt's cancel func; false means
-// the primary had already won.
-func (h *hedgeRace) hedgeStarts(cancel context.CancelFunc) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.settled {
-		return false
-	}
-	h.cancelHedge = cancel
-	return true
+// hedgeStarts reports whether the race is still open. A hedge attempt
+// that starts after the primary settles it begins cancelled (start).
+func (c *call) hedgeStarts() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return !c.settled
 }
 
 // hedgeDone records the hedge's outcome and, if it is the first
 // success, settles the race for it and stops the primary.
-func (h *hedgeRace) hedgeDone(res Result, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.res, h.err = res, err
-	if err == nil && !h.settled {
-		h.settled = true
-		h.r.hedgeWins.Add(1)
-		h.node.hedgeWins.Add(1)
-		h.cancelPrimary()
+func (c *call) hedgeDone(res Result, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.res, c.err = res, err
+	if err == nil && !c.settled {
+		c.settled = true
+		c.r.hedgeWins.Add(1)
+		c.hnode.hedgeWins.Add(1)
+		c.primary.cancelLocked(context.Canceled)
 	}
 }
 
-// errAttemptTimeout is the cancellation cause of an attempt that ran
-// out its own AttemptTimeout — the one way an attempt's context ends
-// that is the node's fault.
+// errAttemptTimeout is the cause of an attempt that ran out its own
+// AttemptTimeout — the one way an attempt ends early that is the node's
+// fault.
 var errAttemptTimeout = errors.New("cluster: attempt timed out")
 
-// attemptContext derives the one context an attempt runs under: its
-// deadline is the AttemptTimeout, and its cancel func is what a hedge
-// win calls to stop the loser.
-func (r *Router) attemptContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.cfg.AttemptTimeout > 0 {
-		return context.WithTimeoutCause(ctx, r.cfg.AttemptTimeout, errAttemptTimeout)
-	}
-	return context.WithCancel(ctx)
+// attempt is the context.Context one node attempt runs under: the ctx
+// its backend's Do receives. It lives in its call, so it costs no
+// allocation. Its deadline is the caller's or start + AttemptTimeout,
+// whichever is earlier; a Done channel and the timer that closes it at
+// that deadline are made only for a backend that calls Done
+// (HTTPBackend arms the deadline on its connection instead, and
+// registers its interrupt through armAbort). It ends early — Err turns
+// non-nil, Done closes, the armed interrupt runs — when its own timeout
+// passes (cause errAttemptTimeout: a failure vote), or from above: the
+// race it was in is won by the other attempt, the caller leaves, or the
+// caller's deadline passes (abandon). A backend must not keep it past
+// its Do.
+type attempt struct {
+	c *call
+	// Guarded by c.mu.
+	deadline time.Time     // zero: none
+	own      bool          // deadline is the attempt's own AttemptTimeout
+	live     bool          // between start and end
+	cause    error         // what ended it early; nil while it may run
+	done     chan struct{} // made by the first Done
+	timer    *time.Timer   // runs expire; made by the first Done with a deadline
+	abort    func()        // armed by the backend while it waits on the node
 }
 
-// attempt runs one call against a node under actx (see attemptContext),
-// feeding the outcome to the node's breaker and (on success) its
-// latency histogram. A call cancelled from above — the hedged race was
-// already won, or the client left or ran out its own deadline — is
-// abandoned: it says nothing about node health, so it feeds neither
-// breaker quorum.
-func (r *Router) attempt(actx context.Context, nd *node, req Request) (Result, error) {
+var _ context.Context = (*attempt)(nil)
+
+// start begins the attempt at now. It begins already ended if the
+// caller has left or the race it would join is settled.
+func (a *attempt) start(now time.Time, timeout time.Duration) {
+	c := a.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a.live, a.deadline, a.own = true, time.Time{}, false
+	if timeout > 0 {
+		a.deadline, a.own = now.Add(timeout), true
+	}
+	if d, ok := c.ctx.Deadline(); ok && (a.deadline.IsZero() || d.Before(a.deadline)) {
+		a.deadline, a.own = d, false
+	}
+	switch {
+	case c.left != nil:
+		a.cancelLocked(c.left)
+	case c.settled:
+		a.cancelLocked(context.Canceled)
+	}
+}
+
+// end closes the attempt and returns its cause: nil unless it ended
+// early. For a failed call (failed) it also settles a deadline that
+// passed unobserved and a caller that left before callerLeft ran.
+func (a *attempt) end(failed bool) (cause error) {
+	c := a.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if failed && a.passed() {
+		a.cancelLocked(a.timeoutCause())
+	}
+	cause = a.cause
+	if a.timer != nil {
+		a.timer.Stop()
+	}
+	if a.done != nil && cause == nil {
+		close(a.done) // release anything still waiting on it
+	}
+	a.live, a.cause, a.done, a.abort = false, nil, nil, nil
+	if failed && cause == nil {
+		select {
+		case <-c.ctx.Done():
+			cause = c.ctx.Err()
+		default:
+		}
+	}
+	return cause
+}
+
+// cancelLocked ends the attempt early, if it is running and has not
+// ended yet. The caller holds c.mu.
+func (a *attempt) cancelLocked(cause error) {
+	if !a.live || a.cause != nil {
+		return
+	}
+	a.cause = cause
+	if a.done != nil {
+		close(a.done)
+	}
+	if a.abort != nil {
+		a.abort()
+		a.abort = nil
+	}
+}
+
+// passed reports whether the deadline has passed. The caller holds c.mu.
+func (a *attempt) passed() bool {
+	return !a.deadline.IsZero() && !time.Now().Before(a.deadline)
+}
+
+func (a *attempt) timeoutCause() error {
+	if a.own {
+		return errAttemptTimeout
+	}
+	return context.DeadlineExceeded
+}
+
+// expire is the deadline timer's function. A timer left over from an
+// earlier attempt in the same call finds the deadline not yet passed.
+func (a *attempt) expire() {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	if a.passed() {
+		a.cancelLocked(a.timeoutCause())
+	}
+}
+
+// armAbort registers f to run when the attempt ends early, at once if
+// it already has.
+func (a *attempt) armAbort(f func()) {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	if a.cause != nil {
+		f()
+		return
+	}
+	a.abort = f
+}
+
+// disarmAbort unregisters armAbort's f; once it returns, f has run or
+// never will.
+func (a *attempt) disarmAbort() {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	a.abort = nil
+}
+
+// Deadline implements context.Context.
+func (a *attempt) Deadline() (time.Time, bool) {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	return a.deadline, !a.deadline.IsZero()
+}
+
+// Done implements context.Context; the channel and, with a deadline,
+// its timer are made on the first call.
+func (a *attempt) Done() <-chan struct{} {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	if a.done == nil {
+		a.done = make(chan struct{})
+		switch {
+		case a.cause != nil:
+			close(a.done)
+		case a.deadline.IsZero():
+		case a.timer == nil:
+			a.timer = time.AfterFunc(time.Until(a.deadline), a.expire)
+		default:
+			a.timer.Reset(time.Until(a.deadline))
+		}
+	}
+	return a.done
+}
+
+// Err implements context.Context.
+func (a *attempt) Err() error {
+	switch cause := a.settle(); {
+	case errors.Is(cause, errAttemptTimeout):
+		return context.DeadlineExceeded
+	case cause != nil:
+		return cause
+	}
+	select {
+	case <-a.c.ctx.Done(): // callerLeft has yet to run
+		return a.c.ctx.Err()
+	default:
+		return nil
+	}
+}
+
+// settle ends the attempt if its deadline has passed and returns its
+// cause.
+func (a *attempt) settle() error {
+	a.c.mu.Lock()
+	defer a.c.mu.Unlock()
+	if a.passed() {
+		a.cancelLocked(a.timeoutCause())
+	}
+	return a.cause
+}
+
+// Value implements context.Context with the caller's values.
+func (a *attempt) Value(key any) any { return a.c.ctx.Value(key) }
+
+// attempt runs one call against a node under a, feeding the outcome to
+// the node's breaker and (on success) its latency histogram. A call
+// ended from above — the hedged race was already won, or the client
+// left or ran out its own deadline — is abandoned: it says nothing
+// about node health, so it feeds neither breaker quorum.
+func (r *Router) attempt(a *attempt, nd *node) (Result, error) {
 	if !nd.brk.Allow() {
 		// Lost a probe-slot race since the eligibility scan; treat as a
 		// routing miss, not a node failure.
 		return Result{}, fmt.Errorf("cluster: node %s breaker rejected the call", nd.name)
 	}
 	start := time.Now()
-	res, err := nd.backend.Do(actx, req.Path, req.RawQuery)
+	a.start(start, r.cfg.AttemptTimeout)
+	res, err := nd.backend.Do(a, a.c.req.Path, a.c.req.RawQuery)
+	cause := a.end(err != nil)
 	if err != nil {
-		if actx.Err() != nil && !errors.Is(context.Cause(actx), errAttemptTimeout) {
+		if cause != nil && !errors.Is(cause, errAttemptTimeout) {
 			nd.brk.Abandon()
 			return Result{}, err
 		}

@@ -696,8 +696,8 @@ func TestRouterHedgeConcurrent(t *testing.T) {
 }
 
 // TestRouterDoAllocBudget pins the inline path: with a second replica
-// and the hedge armed but never firing, a routed request allocates
-// little besides its attempt context.
+// and the hedge armed but never firing, a routed request allocates only
+// its caller-cancel registration (context.AfterFunc: 2).
 func TestRouterDoAllocBudget(t *testing.T) {
 	r, _ := newStubRouter(t, 3, Config{Replication: 2})
 	for _, nd := range r.nodes {
@@ -722,8 +722,14 @@ func TestRouterDoAllocBudget(t *testing.T) {
 	if s := r.Stats(); s.Hedges != 0 {
 		t.Fatalf("%d hedges fired; the budget is for the armed-but-idle path", s.Hedges)
 	}
-	if allocs > 6 {
-		t.Fatalf("Router.Do allocates %v times per request, budget is 6", allocs)
+	budget := 2.0
+	if raceEnabled {
+		// sync.Pool drops a quarter of its Puts under the race detector,
+		// and each drop costs the next request a new call (4 allocations).
+		budget = 3
+	}
+	if allocs > budget {
+		t.Fatalf("Router.Do allocates %v times per request, budget is %v", allocs, budget)
 	}
 	t.Logf("Router.Do: %v allocs/op", allocs)
 }

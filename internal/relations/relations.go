@@ -5,7 +5,7 @@
 // into 15 e-commerce commonsense relations with typed tails.
 package relations
 
-import "fmt"
+import "strings"
 
 // Relation is one of the 15 mined COSMO relation types.
 type Relation string
@@ -51,7 +51,7 @@ const (
 type Info struct {
 	Relation Relation
 	Tail     TailType
-	// Pattern is the predicate surface form with %s as the tail slot.
+	// Pattern is the predicate surface form ending in %s, the tail slot.
 	Pattern string
 	Example string
 	// Seed reports whether this was one of the four seed relations
@@ -122,7 +122,7 @@ func Verbalize(r Relation, tail string) string {
 	if !ok {
 		return tail
 	}
-	return fmt.Sprintf(info.Pattern, tail)
+	return strings.TrimSuffix(info.Pattern, "%s") + tail
 }
 
 // Count returns the number of relation types (15 in the paper).

@@ -1,6 +1,7 @@
 package relations
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -198,6 +199,24 @@ func TestVerbalizeParseRoundTrip(t *testing.T) {
 		}
 		if TailTypeOf(rel) == "" {
 			t.Errorf("parsed relation %s has no tail type", rel)
+		}
+	}
+}
+
+// TestVerbalizeMatchesSprintf holds Verbalize to what it was before it
+// concatenated: fmt.Sprintf of the pattern, for every relation and for
+// tails that would be verbs or escapes to fmt.
+func TestVerbalizeMatchesSprintf(t *testing.T) {
+	tails := []string{"", "holding snacks", "100% cotton", "%s", "%d %v", "日本 tea", "a\nb"}
+	for _, r := range append(All(), Relation("NOT_A_RELATION")) {
+		for _, tail := range tails {
+			want := tail
+			if info, ok := Lookup(r); ok {
+				want = fmt.Sprintf(info.Pattern, tail)
+			}
+			if got := Verbalize(r, tail); got != want {
+				t.Errorf("Verbalize(%s, %q) = %q, Sprintf gives %q", r, tail, got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package textproc
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+)
 
 // abbreviations that should not terminate a sentence when followed by '.'.
 var abbreviations = map[string]bool{
@@ -66,13 +69,55 @@ func isBoundaryFollow(runes []rune, i int) bool {
 
 func isDigit(r rune) bool { return r >= '0' && r <= '9' }
 
-// FirstSentence returns the first sentence of text, or "" if text is blank.
+// FirstSentence returns the first sentence of text, or "" if text is
+// blank: SplitSentences(text)[0], found without building the others.
+// For valid UTF-8 it is a substring of text; SplitSentences decodes an
+// invalid byte to U+FFFD, so such a text takes that path.
 func FirstSentence(text string) string {
-	ss := SplitSentences(text)
-	if len(ss) == 0 {
+	if !utf8.ValidString(text) {
+		if ss := SplitSentences(text); len(ss) > 0 {
+			return ss[0]
+		}
 		return ""
 	}
-	return ss[0]
+	// '.', '!' and '?' are single bytes that no multi-byte rune contains,
+	// and SplitSentences' look-arounds are ASCII, so a byte scan takes
+	// the same decisions as its rune scan.
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c != '.' && c != '!' && c != '?' {
+			continue
+		}
+		end := i + 1
+		if c == '.' {
+			if endsWithAbbreviation(text[:end]) {
+				continue
+			}
+			if i > 0 && end < len(text) && isDigit(rune(text[i-1])) && isDigit(rune(text[end])) {
+				continue
+			}
+		}
+		if end == len(text) || boundaryFollows(text[end:]) {
+			return strings.TrimSpace(text[:end])
+		}
+	}
+	return strings.TrimSpace(text)
+}
+
+// endsWithAbbreviation is SplitSentences' abbreviation test on the text
+// up to and including a '.': the last word before it, lower-cased.
+func endsWithAbbreviation(s string) bool {
+	word := strings.TrimSuffix(strings.TrimSpace(s), ".")
+	if j := strings.LastIndexAny(word, " \t"); j >= 0 {
+		word = word[j+1:]
+	}
+	return abbreviations[strings.ToLower(word)]
+}
+
+// boundaryFollows is isBoundaryFollow on the text after a terminator.
+func boundaryFollows(s string) bool {
+	s = strings.TrimLeft(s, "\"')")
+	return s == "" || s[0] == ' ' || s[0] == '\n' || s[0] == '\t'
 }
 
 // LooksComplete applies the linguistic completeness heuristics from the

@@ -116,7 +116,26 @@ func Join(tokens []string) string { return strings.Join(tokens, " ") }
 
 // NormalizeSpace collapses runs of whitespace into single spaces and trims.
 func NormalizeSpace(s string) string {
+	if isNormalSpace(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// isNormalSpace reports whether NormalizeSpace would return s unchanged:
+// its only whitespace is single ' ' bytes between non-space runes.
+func isNormalSpace(s string) bool {
+	for i, r := range s {
+		switch {
+		case r == ' ':
+			if i == 0 || i == len(s)-1 || s[i-1] == ' ' {
+				return false
+			}
+		case unicode.IsSpace(r):
+			return false
+		}
+	}
+	return true
 }
 
 // stopwords is a small English stopword list tuned for e-commerce
