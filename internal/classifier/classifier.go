@@ -10,7 +10,10 @@ package classifier
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"cosmo/internal/fnv1a"
 	"cosmo/internal/know"
@@ -18,9 +21,24 @@ import (
 	"cosmo/internal/textproc"
 )
 
-// Featurizer maps candidates to sparse hashed feature indices.
+// Featurizer maps candidates to sparse hashed feature indices. It is
+// safe for concurrent use: each AppendFeatures call borrows its token
+// and stem lists from a pool the featurizer owns, so a warm call
+// allocates only what tokenizing needs beyond them (a lowered copy of
+// mixed-case text) and the stems whose suffix rule appends a
+// replacement.
 type Featurizer struct {
 	dim int
+	// scratch pools *featScratch.
+	scratch sync.Pool
+}
+
+// featScratch is the working memory of one AppendFeatures call.
+type featScratch struct {
+	raw     []string // Tokenize(c.Text)
+	toks    []string // the stem of each raw token
+	content []string // the stems of raw's non-stopword tokens
+	context []string // ContentStems(c.ContextText)
 }
 
 // NewFeaturizer returns a featurizer with the given hash dimension.
@@ -56,11 +74,28 @@ func (f *Featurizer) slot(h uint32) int {
 
 // Features extracts sparse feature indices for a candidate. Duplicate
 // indices are allowed (they act as feature counts).
-func (f *Featurizer) Features(c know.Candidate) []int {
-	raw := textproc.Tokenize(c.Text)
-	toks := textproc.StemAll(raw)
+func (f *Featurizer) Features(c know.Candidate) []int { return f.AppendFeatures(nil, c) }
+
+// AppendFeatures appends Features(c) to dst, growing it at most once.
+func (f *Featurizer) AppendFeatures(dst []int, c know.Candidate) []int {
+	sc, _ := f.scratch.Get().(*featScratch)
+	if sc == nil {
+		sc = new(featScratch)
+	}
+	defer f.scratch.Put(sc)
+	raw := textproc.AppendTokens(sc.raw[:0], c.Text)
+	toks, content := sc.toks[:0], sc.content[:0]
+	for _, t := range raw {
+		st := textproc.Stem(t)
+		toks = append(toks, st)
+		if !textproc.IsStopword(t) {
+			content = append(content, st)
+		}
+	}
+	context := textproc.AppendContentStems(sc.context[:0], c.ContextText)
+	sc.raw, sc.toks, sc.content, sc.context = raw, toks, content, context
 	// Two features per token, then 4 + 1 + up to 8 + 1 below.
-	idx := make([]int, 0, 2*len(toks)+14)
+	idx := slices.Grow(dst, 2*len(toks)+14)
 	for i, t := range toks {
 		idx = append(idx, f.slot(fnv1a.String32(wordPrefix, t)))
 		if i+1 < len(toks) {
@@ -76,13 +111,7 @@ func (f *Featurizer) Features(c know.Candidate) []int {
 	// Overlap between the knowledge text and the behavior context: high
 	// overlap signals paraphrase, low overlap signals new information.
 	// The text's content stems are the stems of its non-stopword tokens.
-	content := make([]string, 0, len(raw))
-	for i, t := range raw {
-		if !textproc.IsStopword(t) {
-			content = append(content, toks[i])
-		}
-	}
-	overlap := textproc.StemOverlap(content, textproc.ContentStems(c.ContextText))
+	overlap := textproc.StemOverlap(content, context)
 	idx = append(idx, f.slot(fnv1a.String32(overlapPrefix, overlapBucket(overlap))))
 	// Cross features between the knowledge content and the product-type
 	// labels let the model memorize which intents belong to which types —
@@ -256,14 +285,28 @@ func (c *Critic) Score(cands []know.Candidate) []know.Candidate {
 // ScoreParallel scores across the given worker count (<= 0 means
 // GOMAXPROCS). Scoring is pure per candidate — featurization and the
 // logistic heads only read trained state — so the output is identical
-// to Score for every worker count.
+// to Score for every worker count. The candidates are cut into about
+// four spans per worker, and each span reuses one feature buffer.
 func (c *Critic) ScoreParallel(cands []know.Candidate, workers int) []know.Candidate {
-	return parallel.Map(workers, cands, func(i int, cd know.Candidate) know.Candidate {
-		x := c.Feat.Features(cd)
-		cd.PlausibleScore = c.Plausible.Prob(x)
-		cd.TypicalScore = c.Typical.Prob(x)
-		return cd
+	out := append(make([]know.Candidate, 0, len(cands)), cands...)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	size := max(1, (len(out)+4*workers-1)/(4*workers))
+	spans := make([][]know.Candidate, 0, (len(out)+size-1)/size)
+	for rest := out; len(rest) > 0; rest = rest[min(size, len(rest)):] {
+		spans = append(spans, rest[:min(size, len(rest))])
+	}
+	parallel.ForEach(workers, spans, func(_ int, span []know.Candidate) {
+		var x []int
+		for i := range span {
+			cd := &span[i]
+			x = c.Feat.AppendFeatures(x[:0], *cd)
+			cd.PlausibleScore = c.Plausible.Prob(x)
+			cd.TypicalScore = c.Typical.Prob(x)
+		}
 	})
+	return out
 }
 
 // Evaluate measures head accuracy and AUC on labeled data.
@@ -274,8 +317,9 @@ func (c *Critic) Evaluate(data []Labeled) (plauAcc, typAcc, plauAUC, typAUC floa
 	var pScores, tScores []float64
 	var pLabels, tLabels []bool
 	pCorrect, tCorrect := 0, 0
+	var x []int
 	for _, d := range data {
-		x := c.Feat.Features(d.Candidate)
+		x = c.Feat.AppendFeatures(x[:0], d.Candidate)
 		pp := c.Plausible.Prob(x)
 		tp := c.Typical.Prob(x)
 		if (pp >= 0.5) == d.Plausible {

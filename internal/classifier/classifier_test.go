@@ -308,3 +308,57 @@ func TestFeaturesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendFeaturesAllocBudget: with the featurizer's scratch warm and
+// room in dst, featurizing a candidate allocates nothing when its
+// context is lower-case, and only the lowered copy of a mixed-case one.
+// The words take no stem rule that appends a replacement.
+func TestAppendFeaturesAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	f := NewFeaturizer(1 << 10)
+	c := know.Candidate{
+		Text:     "capable of holding snacks for the long hikes",
+		Relation: relations.CapableOf, Behavior: know.CoBuy, Domain: catalog.Sports,
+		TypeA: "snack box", TypeB: "backpack",
+	}
+	dst := make([]int, 0, 64)
+	for _, tc := range []struct {
+		context string
+		want    float64
+	}{
+		{"trail snack box and hiking backpack", 0},
+		{"Trail Snack Box and Hiking Backpack", 1},
+	} {
+		c.ContextText = tc.context
+		f.AppendFeatures(dst, c)
+		if got := testing.AllocsPerRun(100, func() { f.AppendFeatures(dst[:0], c) }); got != tc.want {
+			t.Errorf("context %q: %v allocs, want %v", tc.context, got, tc.want)
+		}
+	}
+}
+
+// TestScoreParallelMatchesSerial: every worker count scores each
+// candidate with the two heads over Features, the sequential definition.
+func TestScoreParallelMatchesSerial(t *testing.T) {
+	data := corpus(t, 600)
+	critic := TrainCritic(1<<10, data, DefaultTrainConfig())
+	cands := make([]know.Candidate, len(data))
+	for i, d := range data {
+		cands[i] = d.Candidate
+	}
+	want := make([]know.Candidate, len(cands))
+	for i, cd := range cands {
+		x := critic.Feat.Features(cd)
+		cd.PlausibleScore, cd.TypicalScore = critic.Plausible.Prob(x), critic.Typical.Prob(x)
+		want[i] = cd
+	}
+	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
+		for _, n := range []int{0, 1, 7, len(cands)} {
+			if got := critic.ScoreParallel(cands[:n], workers); !reflect.DeepEqual(got, want[:n]) {
+				t.Fatalf("workers %d, %d candidates: scores differ from Features + Prob", workers, n)
+			}
+		}
+	}
+}

@@ -121,6 +121,18 @@ type Result struct {
 
 // Run executes the full offline pipeline.
 func Run(cfg Config) (*Result, error) {
+	res, _, err := RunExpanded(cfg)
+	return res, err
+}
+
+// RunExpanded is Run that also hands back Stage 8's expansion: one group
+// of admitted COSMO-LM candidates per sampled search behavior, in
+// behavior order (nil when cfg.ExpandWithCosmoLM is off). A caller that
+// admits the expansion again, as experiments.ScaledKG does per replica,
+// takes it from here instead of asking COSMO-LM a second time. The
+// groups are not kept on the Result, so a Result holds no more memory
+// than Run's.
+func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -185,13 +197,13 @@ func Run(cfg Config) (*Result, error) {
 			res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
 			res.CosmoLM = cosmolm.Train(res.Instruction, cfg.CosmoLM)
 			if cfg.ExpandWithCosmoLM {
-				expansion = ExpandCandidates(res, cfg)
+				expansion = expandCandidates(res, cfg)
 			}
 		},
 	}
 	parallel.ForEach(cfg.Workers, branches, func(_ int, branch func()) { branch() })
 	if kgErr != nil {
-		return nil, kgErr
+		return nil, nil, kgErr
 	}
 	logf("kg: admitted %d assertions -> %d nodes, %d edges",
 		admitted, res.KG.NumNodes(), res.KG.NumEdges())
@@ -226,7 +238,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res.TeacherCost = teacher.Cost()
 	res.CosmoLMCost = res.CosmoLM.Cost()
-	return res, nil
+	return res, expansion, nil
 }
 
 // generate runs the teacher over every sampled behavior across workers.
@@ -243,11 +255,12 @@ func generate(res *Result, teacher *llm.Teacher, perBehavior, workers int) []kno
 		pb, _ := res.Catalog.ByID(e.B)
 		gens := teacher.GenerateCoBuyAt(uint64(i), pa, pb, perBehavior)
 		out := make([]know.Candidate, 0, len(gens))
+		context := pa.Title + " and " + pb.Title // one string for the behavior's candidates
 		for _, g := range gens {
 			out = append(out, know.Candidate{
 				Behavior: know.CoBuy, Domain: pa.Category,
 				ProductA: e.A, ProductB: e.B, TypeA: pa.Type, TypeB: pb.Type,
-				ContextText:     pa.Title + " and " + pb.Title,
+				ContextText:     context,
 				Text:            g.Text,
 				Truth:           g.Truth,
 				PairIntentional: e.Intentional,
@@ -260,11 +273,12 @@ func generate(res *Result, teacher *llm.Teacher, perBehavior, workers int) []kno
 		p, _ := res.Catalog.ByID(e.ProductID)
 		gens := teacher.GenerateSearchBuyAt(base+uint64(i), e.Query, p, perBehavior)
 		out := make([]know.Candidate, 0, len(gens))
+		context := e.Query + " " + p.Title
 		for _, g := range gens {
 			out = append(out, know.Candidate{
 				Behavior: know.SearchBuy, Domain: p.Category,
 				Query: e.Query, ProductA: e.ProductID, TypeA: p.Type,
-				ContextText:     e.Query + " " + p.Title,
+				ContextText:     context,
 				Text:            g.Text,
 				Truth:           g.Truth,
 				PairIntentional: e.Intentional,
@@ -272,7 +286,13 @@ func generate(res *Result, teacher *llm.Teacher, perBehavior, workers int) []kno
 		}
 		return out
 	})
-	var cands []know.Candidate
+	n := 0
+	for _, groups := range [][][]know.Candidate{coGroups, sbGroups} {
+		for _, group := range groups {
+			n += len(group)
+		}
+	}
+	cands := make([]know.Candidate, 0, n)
 	id := 0
 	for _, groups := range [][][]know.Candidate{coGroups, sbGroups} {
 		for _, group := range groups {
@@ -342,14 +362,14 @@ func criticAndAssemble(res *Result, kept, annCands []know.Candidate, anns []anno
 	return admitted, nil
 }
 
-// ExpandCandidates is Stage 8's admission rule: COSMO-LM generates
+// expandCandidates is Stage 8's admission rule: COSMO-LM generates
 // cfg.ExpandTopK assertions for every sampled search behavior of res and
 // those whose predicted plausibility passes cfg.PlausibilityThreshold
 // are kept, per behavior in behavior order. Generation and the two
 // prediction heads fan out across cfg.Workers (the trained model is
 // read-only); admission is order-sensitive (the graph dedupes edges), so
 // admitExpansion runs it sequentially over the order-preserved groups.
-func ExpandCandidates(res *Result, cfg Config) [][]know.Candidate {
+func expandCandidates(res *Result, cfg Config) [][]know.Candidate {
 	return parallel.Map(cfg.Workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) []know.Candidate {
 		p, _ := res.Catalog.ByID(e.ProductID)
 		ctx := cosmolm.SearchContext(e.Query, p.Title)

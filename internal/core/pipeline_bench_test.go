@@ -64,7 +64,7 @@ func BenchmarkPipelineExpand(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups := ExpandCandidates(res, cfg)
+		groups := expandCandidates(res, cfg)
 		if len(groups) != len(res.SampledSearchBuys) {
 			b.Fatal("expansion group count mismatch")
 		}

@@ -141,6 +141,7 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 	headX := map[instruction.Task][][]int{}
 	headY := map[instruction.Task][]bool{}
 	var toks []string
+	seenTok := map[string]bool{}
 	for _, in := range data {
 		switch in.Task {
 		case instruction.TaskGenerate:
@@ -160,7 +161,7 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 			m.tails[id].count++
 			m.tails[id].domains[in.Domain]++
 			m.numDocs++
-			seenTok := map[string]bool{}
+			clear(seenTok)
 			toks, _ = appendEncoded(toks[:0], in.Input)
 			for _, tok := range toks {
 				mm := inverted[tok]
@@ -179,7 +180,8 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 		default:
 			var split int
 			toks, split = appendEncoded(toks[:0], in.Input)
-			x := append(m.appendFeatures(nil, toks, split), m.taskFeature(in.Task))
+			x := make([]int, 0, numFeatures(len(toks), split)+1)
+			x = append(m.appendFeatures(x, toks, split), m.taskFeature(in.Task))
 			headX[in.Task] = append(headX[in.Task], x)
 			headY[in.Task] = append(headY[in.Task], in.Output == "yes")
 		}
@@ -286,6 +288,16 @@ func (m *Model) appendFeatures(idx []int, toks []string, split int) []int {
 		}
 	}
 	return idx
+}
+
+// numFeatures is how many features appendFeatures appends for n encoded
+// tokens split at split.
+func numFeatures(n, split int) int {
+	f := max(2*n-1, 0)
+	if split >= 0 {
+		f += min(split, 4) * (min(n, split+6) - split)
+	}
+	return f
 }
 
 // taskFeature is the feature that closes every head input, "task:"+task.

@@ -404,3 +404,15 @@ func TestGenerateScoredAllocBudget(t *testing.T) {
 		t.Errorf("GenerateScored: %v allocs, budget %d", n, budget)
 	}
 }
+
+// TestNumFeaturesExact: a head row sized by numFeatures is filled to
+// exactly its length, so Train allocates each row once.
+func TestNumFeaturesExact(t *testing.T) {
+	m := getFixture(t).model
+	for _, input := range probeInputs {
+		toks, split := appendEncoded(nil, input)
+		if got, want := numFeatures(len(toks), split), len(m.appendFeatures(nil, toks, split)); got != want {
+			t.Errorf("numFeatures for %q (%d tokens, split %d) = %d, appendFeatures appends %d", input, len(toks), split, got, want)
+		}
+	}
+}

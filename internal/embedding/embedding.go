@@ -18,8 +18,8 @@ import (
 // Model embeds strings into a fixed-dimension space.
 type Model struct {
 	dim int
-	// pairs pools the two vectors of one Similarity call (*[]float64 of
-	// 2·dim), which never leave it.
+	// pairs pools the two vectors of one Context (*[]float64 of 2·dim),
+	// which never leave it.
 	pairs sync.Pool
 }
 
@@ -78,19 +78,26 @@ func (m *Model) Embed(s string) []float64 {
 }
 
 // embedInto writes the embedding of tokens (textproc.Tokenize of the
-// string, left unmodified) into the zeroed vec. Beyond
-// the stems it allocates nothing: hashing runs inline over the stem
-// bytes (PR 3), and the annotation below holds the hot path to that
+// string, left unmodified) into the zeroed vec. Each token is stemmed
+// once, as the loop reaches it, and hashing runs inline over the stem
+// bytes, so the only allocations are textproc.Stem's: a stem whose
+// suffix rule appends a replacement ("ations" -> "ate") is a new string.
+// The annotation below holds the rest of the hot path to that
 // discipline statically.
 //
 //cosmo:alloc-free
 func (m *Model) embedInto(vec []float64, tokens []string) {
-	toks := textproc.StemAll(tokens)
-	for i, t := range toks {
+	var next string // the stem of tokens[i+1], worked out for the bigram
+	if len(tokens) > 0 {
+		next = textproc.Stem(tokens[0])
+	}
+	for i := range tokens {
+		t := next
 		idx, sign := m.slot(fnv1a.String64(wordPrefix, t))
 		vec[idx] += sign * 1.0
-		if i+1 < len(toks) {
-			idx, sign = m.slot(fnv1a.String64(fnv1a.Byte64(fnv1a.String64(bigramPrefix, t), '_'), toks[i+1]))
+		if i+1 < len(tokens) {
+			next = textproc.Stem(tokens[i+1])
+			idx, sign = m.slot(fnv1a.String64(fnv1a.Byte64(fnv1a.String64(bigramPrefix, t), '_'), next))
 			vec[idx] += sign * 0.5
 		}
 		// Character trigrams of the padded token ("^" + t + "$") for
@@ -144,25 +151,59 @@ func Cosine(a, b []float64) float64 {
 // (and returns the zero vector for blank input), so a plain dot product
 // is the cosine and the per-vector norm recomputation is skipped.
 func (m *Model) Similarity(a, b string) float64 {
-	return m.SimilarityTokens(textproc.Tokenize(a), b)
+	c := m.Context(b)
+	d := c.SimilarityTokens(textproc.Tokenize(a))
+	c.Release()
+	return d
 }
 
-// SimilarityTokens is Similarity for a caller that already holds
-// textproc.Tokenize(a).
-func (m *Model) SimilarityTokens(a []string, b string) float64 {
-	pair, _ := m.pairs.Get().(*[]float64)
-	if pair == nil {
-		buf := make([]float64, 2*m.dim)
-		pair = &buf
+// Context scores token lists against one context string: Eq. 1's
+// d(k, c) for every candidate k of one behavior. The context is embedded
+// at most once, at the first SimilarityTokens call, so a context no
+// candidate reaches is never embedded. Release hands the two vectors
+// back to the model's pool.
+type Context struct {
+	m     *Model
+	text  string
+	pair  *[]float64 // the candidate's vector, then the context's
+	ready bool       // the context's half of pair holds its embedding
+}
+
+// Context returns a scorer against text; it holds no vectors until its
+// first SimilarityTokens call.
+func (m *Model) Context(text string) Context { return Context{m: m, text: text} }
+
+// SimilarityTokens is m.Similarity(a, text) for a caller that already
+// holds textproc.Tokenize(a).
+func (c *Context) SimilarityTokens(a []string) float64 {
+	m := c.m
+	if c.pair == nil {
+		c.pair, _ = m.pairs.Get().(*[]float64)
+		if c.pair == nil {
+			buf := make([]float64, 2*m.dim)
+			c.pair = &buf
+		}
 	}
-	clear(*pair)
-	va, vb := (*pair)[:m.dim], (*pair)[m.dim:]
+	va, vc := (*c.pair)[:m.dim], (*c.pair)[m.dim:]
+	if !c.ready {
+		clear(vc)
+		m.embedInto(vc, textproc.Tokenize(c.text))
+		c.ready = true
+	}
+	clear(va)
 	m.embedInto(va, a)
-	m.embedInto(vb, textproc.Tokenize(b))
 	dot := 0.0
 	for i := range va {
-		dot += va[i] * vb[i]
+		dot += va[i] * vc[i]
 	}
-	m.pairs.Put(pair)
 	return dot
+}
+
+// Release returns the context's vectors to the model; a later
+// SimilarityTokens call takes a fresh pair and embeds the context again.
+func (c *Context) Release() {
+	if c.pair != nil {
+		c.m.pairs.Put(c.pair)
+		c.pair, c.ready = nil, false
+	}
 }

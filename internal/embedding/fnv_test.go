@@ -3,8 +3,11 @@ package embedding
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
+	"cosmo/internal/fnv1a"
 	"cosmo/internal/textproc"
 )
 
@@ -67,6 +70,60 @@ func TestHashCompat(t *testing.T) {
 	}
 }
 
+// embedIntoStemAll is embedInto as it was before it stemmed inline: the
+// whole token list stemmed up front by textproc.StemAll.
+func embedIntoStemAll(m *Model, vec []float64, tokens []string) {
+	toks := textproc.StemAll(tokens)
+	for i, t := range toks {
+		idx, sign := m.slot(fnv1a.String64(wordPrefix, t))
+		vec[idx] += sign * 1.0
+		if i+1 < len(toks) {
+			idx, sign = m.slot(fnv1a.String64(fnv1a.Byte64(fnv1a.String64(bigramPrefix, t), '_'), toks[i+1]))
+			vec[idx] += sign * 0.5
+		}
+		for j := 0; j+3 <= len(t)+2; j++ {
+			h := charPrefix
+			h = fnv1a.Byte64(h, padByte(t, j))
+			h = fnv1a.Byte64(h, padByte(t, j+1))
+			h = fnv1a.Byte64(h, padByte(t, j+2))
+			idx, sign = m.slot(h)
+			vec[idx] += sign * 0.25
+		}
+	}
+	normalize(vec)
+}
+
+// TestInlineStemMatchesStemAll: stemming each token as embedInto reaches
+// it gives vectors bit for bit equal to stemming the list up front, over
+// words that hit every suffix rule of textproc.Stem, in random order.
+func TestInlineStemMatchesStemAll(t *testing.T) {
+	words := []string{
+		"creations", "creation", "happinesses", "statements", "trainings",
+		"hiking", "berries", "carried", "repeatedly", "neededs", "camped",
+		"boxes", "tents", "dog's", "dogs'", "a", "ox", "ring", "lamp", "é",
+		"Walking", "CAMPING", "co-buy", "2-person",
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, dim := range []int{8, 128, 256} {
+		m := New(dim)
+		for n := 0; n < 2000; n++ {
+			toks := make([]string, rng.Intn(9))
+			for i := range toks {
+				toks[i] = words[rng.Intn(len(words))]
+			}
+			toks = textproc.Tokenize(strings.Join(toks, " "))
+			got, want := make([]float64, dim), make([]float64, dim)
+			m.embedInto(got, toks)
+			embedIntoStemAll(m, want, toks)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dim %d, tokens %q: [%d] = %v, StemAll version %v", dim, toks, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestSimilarityMatchesCosine(t *testing.T) {
 	m := New(128)
 	pairs := [][2]string{
@@ -109,5 +166,24 @@ func BenchmarkSimilarity(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Similarity("camping air mattress for two", "air mattress used for camping trips")
+	}
+}
+
+// TestContextReuseMatchesSimilarity: one Context scoring a run of texts,
+// its context embedded once, gives every text Similarity's answer bit
+// for bit, before and after a Release.
+func TestContextReuseMatchesSimilarity(t *testing.T) {
+	m := New(128)
+	const context = "Acme Camping Air Mattress and Trail Tent"
+	texts := []string{"used for camping trips", "", "air mattress for camping", "capable of holding snacks"}
+	ctx := m.Context(context)
+	for round := 0; round < 2; round++ {
+		for _, s := range texts {
+			got, want := ctx.SimilarityTokens(textproc.Tokenize(s)), m.Similarity(s, context)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d, %q: Context gives %v, Similarity %v", round, s, got, want)
+			}
+		}
+		ctx.Release()
 	}
 }

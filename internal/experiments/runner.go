@@ -16,6 +16,7 @@ import (
 	"cosmo/internal/cosmolm"
 	"cosmo/internal/instruction"
 	"cosmo/internal/kg"
+	"cosmo/internal/know"
 	"cosmo/internal/relevance"
 	"cosmo/internal/session"
 )
@@ -34,6 +35,9 @@ type Runner struct {
 	mu   sync.Mutex
 	res  *core.Result
 	snap *kg.Snapshot
+	// expansion is the world's Stage 8 expansion, as core.RunExpanded
+	// handed it over; ScaledKG admits it per replica.
+	expansion [][]know.Candidate
 }
 
 // NewRunner builds a runner writing reports to out.
@@ -46,10 +50,16 @@ func NewRunner(out io.Writer, scale int) *Runner {
 
 // World lazily runs the offline pipeline once and caches the result.
 func (r *Runner) World() *core.Result {
+	res, _ := r.world()
+	return res
+}
+
+// world is World plus the world's Stage 8 expansion groups.
+func (r *Runner) world() (*core.Result, [][]know.Candidate) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.res != nil {
-		return r.res
+		return r.res, r.expansion
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = r.Seed
@@ -64,23 +74,24 @@ func (r *Runner) World() *core.Result {
 	cfg.Behavior.SearchEvents = max(8000, 40000/r.Scale)
 	cfg.AnnotationBudget = max(1500, 6000/r.Scale)
 	cfg.Workers = r.Workers
-	res, err := core.Run(cfg)
+	res, expansion, err := core.RunExpanded(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: pipeline failed: %v", err))
 	}
-	r.res = res
-	return res
+	r.res, r.expansion = res, expansion
+	return res, expansion
 }
 
-// DropWorld releases the cached pipeline world and frozen snapshot so
-// memory-sensitive harnesses (cosmo-bench -mmapbench) can measure
-// loaders against a quiet heap after deriving their artifacts. The
-// next World call rebuilds from scratch.
+// DropWorld releases the cached pipeline world, its Stage 8 expansion
+// and the frozen snapshot so memory-sensitive harnesses (cosmo-bench
+// -mmapbench) can measure loaders against a quiet heap after deriving
+// their artifacts. The next World call rebuilds from scratch.
 func (r *Runner) DropWorld() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.res = nil
 	r.snap = nil
+	r.expansion = nil
 }
 
 // KGSnapshot lazily freezes the world's knowledge graph once and

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cosmo/internal/core"
 	"cosmo/internal/kg"
 )
 
@@ -25,10 +24,10 @@ import (
 //     machinery as the pipeline's own expansion stage.
 //
 // The model input carries no suffix, so every replica would ask COSMO-LM
-// the same questions: the expansion is computed once per sampled search
-// behavior (core.ExpandCandidates, fanned out over r.Workers) and only
-// admitted per replica. The COSMO-LM cost meter is therefore charged
-// once per behavior, not once per replica.
+// the same questions the world's own Stage 8 asked: the expansion groups
+// are the ones core.RunExpanded computed for the world, kept by the
+// Runner until DropWorld, and only admitted per replica. ScaledKG
+// therefore asks COSMO-LM nothing and charges its cost meter nothing.
 //
 // The result is deterministic for a given (world seed, factor) at any
 // worker count and reuses the cached world, so successive factors differ
@@ -37,7 +36,7 @@ func (r *Runner) ScaledKG(factor int) (*kg.Graph, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("experiments: scale factor %d < 1", factor)
 	}
-	res := r.World()
+	res, expansion := r.world()
 	base := res.KG
 
 	g := kg.New()
@@ -54,9 +53,6 @@ func (r *Runner) ScaledKG(factor int) (*kg.Graph, error) {
 		return g, nil
 	}
 
-	cfg := core.DefaultConfig()
-	cfg.Workers = r.Workers
-	expansion := core.ExpandCandidates(res, cfg)
 	for k := 1; k < factor; k++ {
 		suffix := fmt.Sprintf("#%d", k)
 		// Stage 8 expansion under the replica's suffix, in behavior order.

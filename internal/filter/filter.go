@@ -180,9 +180,17 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	}
 	report.PerplexityThreshold = pplThreshold
 
-	// Per-candidate rule checks: pure reads of the fitted models.
-	verdicts := parallel.Map(f.cfg.Workers, cands, func(i int, c know.Candidate) verdict {
-		return f.check(c, views[i], co, scored[i], pplThreshold)
+	// Per-candidate rule checks: pure reads of the fitted models. A
+	// behavior's candidates are consecutive and share its context, so the
+	// checks fan out over runs of equal ContextText, and each run embeds
+	// its context for Eq. 1 at most once.
+	verdicts := make([]verdict, len(cands))
+	parallel.ForEach(f.cfg.Workers, contextRuns(cands), func(_ int, r run) {
+		ctx := f.emb.Context(cands[r.lo].ContextText)
+		for i := r.lo; i < r.hi; i++ {
+			verdicts[i] = f.check(cands[i], views[i], co, scored[i], pplThreshold, &ctx)
+		}
+		ctx.Release()
 	})
 
 	// Order-preserving merge: duplicate detection and the report counts
@@ -210,10 +218,29 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	return kept, results, report
 }
 
+// run is the half-open range [lo, hi) of consecutive candidates with one
+// ContextText.
+type run struct{ lo, hi int }
+
+// contextRuns cuts cands into maximal runs of equal ContextText.
+func contextRuns(cands []know.Candidate) []run {
+	var runs []run
+	for lo := 0; lo < len(cands); {
+		hi := lo + 1
+		for hi < len(cands) && cands[hi].ContextText == cands[lo].ContextText {
+			hi++
+		}
+		runs = append(runs, run{lo, hi})
+		lo = hi
+	}
+	return runs
+}
+
 // check applies the order-independent rules to one candidate; ppl is its
-// first sentence's perplexity under the fitted LM.
+// first sentence's perplexity under the fitted LM, and ctx scores
+// against c.ContextText.
 func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
-	ppl, pplThreshold float64) verdict {
+	ppl, pplThreshold float64, ctx *embedding.Context) verdict {
 	first := v.first
 	if first == "" {
 		return verdict{reason: DropEmpty}
@@ -246,7 +273,7 @@ func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
 	}
 	// Similarity filter (Eq. 1): paraphrases of the behavior context.
 	if c.ContextText != "" {
-		if f.emb.SimilarityTokens(v.toks, c.ContextText) > f.cfg.MaxContextSimilarity {
+		if ctx.SimilarityTokens(v.toks) > f.cfg.MaxContextSimilarity {
 			return verdict{reason: DropParaphrase}
 		}
 	}

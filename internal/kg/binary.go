@@ -177,11 +177,15 @@ func hasSnapshotMagic(b []byte) bool {
 }
 
 // crcWriter tees everything written through a CRC-64 so checksums
-// cover the exact bytes on the wire.
+// cover the exact bytes on the wire. Counts, numeric arrays and the
+// entries of string lists are encoded into scratch, a staging buffer the
+// writer owns, so writing a section allocates nothing per element and
+// copies no string to a fresh slice.
 type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash64
-	err error
+	w       io.Writer
+	crc     hash.Hash64
+	err     error
+	scratch [chunkElems * 8]byte
 }
 
 func (cw *crcWriter) write(p []byte) {
@@ -196,15 +200,13 @@ func (cw *crcWriter) write(p []byte) {
 }
 
 func (cw *crcWriter) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	cw.write(b[:])
+	binary.LittleEndian.PutUint32(cw.scratch[:4], v)
+	cw.write(cw.scratch[:4])
 }
 
 func (cw *crcWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	cw.write(b[:])
+	binary.LittleEndian.PutUint64(cw.scratch[:8], v)
+	cw.write(cw.scratch[:8])
 }
 
 // u32n writes a non-negative int count as u32, failing the stream if
@@ -219,43 +221,59 @@ func (cw *crcWriter) u32n(n int) {
 	cw.u32(uint32(n))
 }
 
-// chunk is the staging buffer for numeric array sections: elements are
-// encoded into it and flushed in blocks so the writer never
-// materializes a whole section in memory.
+// chunkElems sizes the staging buffer: numeric array sections are
+// encoded into it and flushed in blocks of this many elements, so the
+// writer never materializes a whole section in memory.
 const chunkElems = 8192
 
 func (cw *crcWriter) i32s(xs []int32) {
-	var buf [chunkElems * 4]byte
 	for len(xs) > 0 {
 		n := min(len(xs), chunkElems)
 		for i, v := range xs[:n] {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(v))
+			binary.LittleEndian.PutUint32(cw.scratch[i*4:], uint32(v))
 		}
-		cw.write(buf[:n*4])
+		cw.write(cw.scratch[:n*4])
 		xs = xs[n:]
 	}
 }
 
 func (cw *crcWriter) f64s(xs []float64) {
-	var buf [chunkElems * 8]byte
 	for len(xs) > 0 {
 		n := min(len(xs), chunkElems)
 		for i, v := range xs[:n] {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(cw.scratch[i*8:], math.Float64bits(v))
 		}
-		cw.write(buf[:n*8])
+		cw.write(cw.scratch[:n*8])
 		xs = xs[n:]
 	}
 }
 
 // writeStringList encodes a string-list section from any of the
-// snapshot's string-typed tables.
+// snapshot's string-typed tables. Entries (a u32 length, then the bytes)
+// are packed into the staging buffer and flushed when the next one does
+// not fit; a string longer than the buffer goes through it in pieces.
 func writeStringList[T ~string](cw *crcWriter, xs []T) {
 	cw.u32n(len(xs))
-	for _, s := range xs {
-		cw.u32n(len(s))
-		cw.write([]byte(s))
+	buf := cw.scratch[:0]
+	for _, x := range xs {
+		s := string(x)
+		if uint64(len(s)) > math.MaxUint32 {
+			cw.u32n(len(s)) // fails the stream
+			return
+		}
+		if len(buf)+4+len(s) > len(cw.scratch) {
+			cw.write(buf)
+			buf = cw.scratch[:0]
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		for len(s) > len(cw.scratch)-len(buf) {
+			n := copy(cw.scratch[len(buf):], s)
+			cw.write(cw.scratch[:len(buf)+n])
+			buf, s = cw.scratch[:0], s[n:]
+		}
+		buf = append(buf, s...)
 	}
+	cw.write(buf)
 }
 
 // stringListLen is the encoded size of a string-list section.
@@ -356,17 +374,19 @@ func (s *Snapshot) WriteSnapshot(w io.Writer) error {
 	}
 
 	crcs := make(map[uint32]uint64, len(sectionOrder))
+	cw := &crcWriter{w: io.Discard, crc: crc64.New(crcTable)}
 	for _, id := range sectionOrder {
-		cc := &crcWriter{w: io.Discard, crc: crc64.New(crcTable)}
-		s.writeSectionBody(cc, id)
-		if cc.err != nil {
-			return fmt.Errorf("kg: write snapshot (checksum pass): %w", cc.err)
+		cw.crc.Reset()
+		s.writeSectionBody(cw, id)
+		if cw.err != nil {
+			return fmt.Errorf("kg: write snapshot (checksum pass): %w", cw.err)
 		}
-		crcs[id] = cc.crc.Sum64()
+		crcs[id] = cw.crc.Sum64()
 	}
 
 	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw, crc: crc64.New(crcTable)}
+	cw.w = bw
+	cw.crc.Reset()
 	cw.write([]byte(snapshotMagic))
 	cw.u32(snapshotVersion)
 	cw.u32n(len(sectionOrder))

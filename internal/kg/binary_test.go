@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -435,4 +436,68 @@ func FuzzReadSnapshot(f *testing.F) {
 			queryAll(s)
 		}
 	})
+}
+
+// sizedGraph has n nodes: n/2 products, each asserting one of n-n/2
+// intentions.
+func sizedGraph(t *testing.T, n int) *Graph {
+	t.Helper()
+	g := New()
+	tails := n - n/2
+	for i := 0; i < tails; i++ {
+		g.AddNode(Node{ID: IntentionID(relations.UsedForEve, fmt.Sprintf("tail %d", i)), Type: NodeIntention, Label: fmt.Sprintf("tail %d", i)})
+	}
+	for i := 0; i < n/2; i++ {
+		p := ProductID(fmt.Sprintf("P%06d", i))
+		g.AddNode(Node{ID: p, Type: NodeProduct, Label: fmt.Sprintf("Product %d", i)})
+		e := Edge{Head: p, Relation: relations.UsedForEve, Tail: IntentionID(relations.UsedForEve, fmt.Sprintf("tail %d", i%tails)),
+			Domain: catalog.Sports, PlausibleScore: 0.9, TypicalScore: 0.8}
+		if err := g.AddEdge(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.NumNodes() != n {
+		t.Fatalf("%d nodes, want %d", g.NumNodes(), n)
+	}
+	return g
+}
+
+// TestWriteSnapshotAllocBudget: the writer encodes every string and count
+// through its own staging buffer, so packing a 10,000-node graph
+// allocates exactly what packing a 100-node graph does.
+func TestWriteSnapshotAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	allocs := map[int]float64{}
+	for _, n := range []int{100, 10000} {
+		s := sizedGraph(t, n).Freeze()
+		allocs[n] = testing.AllocsPerRun(5, func() {
+			if err := s.WriteSnapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[100] != allocs[10000] {
+		t.Errorf("WriteSnapshot: %v allocs for 100 nodes, %v for 10,000", allocs[100], allocs[10000])
+	}
+}
+
+// TestSnapshotRoundTripLongStrings: a string list entry longer than the
+// writer's staging buffer goes through it in pieces and reads back whole.
+func TestSnapshotRoundTripLongStrings(t *testing.T) {
+	g := sizedGraph(t, 10)
+	long := strings.Repeat("long label ", 20000) // 220,000 bytes
+	g.AddNode(Node{ID: ProductID(strings.Repeat("P", 70000)), Type: NodeProduct, Label: long})
+	g.AddNode(Node{ID: ProductID("P000000"), Type: NodeProduct, Label: long + "!"})
+	want := g.Freeze()
+	var buf bytes.Buffer
+	if err := want.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsEqual(t, want, got)
 }

@@ -83,6 +83,9 @@ type Graph struct {
 	// pipe records that some node ID or relation contains '|', so the
 	// key order cannot be read off per-part ranks.
 	pipe bool
+	// idBuf is AddAssertion's scratch: it spells a node ID there to look
+	// it up, and makes a string of it only for a new node.
+	idBuf []byte
 }
 
 // triple is an edge's identity in interned numbers.
@@ -178,36 +181,52 @@ func (g *Graph) addEdge(h, t int32, e Edge) {
 // AddAssertion is the high-level insert used by the pipeline: it creates
 // the head, relation and intention nodes as needed and adds the edge.
 // It holds the write lock throughout, so Freeze never sees half an
-// assertion.
+// assertion. A node ID is spelled in the graph's scratch buffer and
+// becomes a string only for a new node; the edges carry the graph's own
+// ID strings, so re-adding an assertion allocates nothing.
 func (g *Graph) AddAssertion(c know.Candidate) error {
 	if c.Relation == "" || c.Tail == "" {
 		return fmt.Errorf("kg: candidate %d has no parsed triple", c.ID)
 	}
-	tail := Node{ID: IntentionID(c.Relation, c.Tail), Type: NodeIntention, Label: c.Tail}
-	var a, b Node
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	t := g.assertNode(NodeIntention, c.Tail, "i:", string(c.Relation), ":", c.Tail)
+	var ia, ib int32
 	switch c.Behavior {
 	case know.SearchBuy:
-		a = Node{ID: QueryID(c.Query), Type: NodeQuery, Label: c.Query}
-		b = Node{ID: ProductID(c.ProductA), Type: NodeProduct, Label: c.ProductA}
+		ia = g.assertNode(NodeQuery, c.Query, "q:", c.Query)
+		ib = g.assertNode(NodeProduct, c.ProductA, "p:", c.ProductA)
 	default:
-		a = Node{ID: ProductID(c.ProductA), Type: NodeProduct, Label: c.ProductA}
-		b = Node{ID: ProductID(c.ProductB), Type: NodeProduct, Label: c.ProductB}
+		ia = g.assertNode(NodeProduct, c.ProductA, "p:", c.ProductA)
+		ib = g.assertNode(NodeProduct, c.ProductB, "p:", c.ProductB)
 	}
 	e := Edge{
-		Relation: c.Relation, Tail: tail.ID,
+		Relation: c.Relation, Tail: g.nodes[t].ID,
 		Behavior: c.Behavior, Domain: c.Domain,
 		PlausibleScore: c.PlausibleScore, TypicalScore: c.TypicalScore,
 		Support: 1,
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	t := g.addNode(tail)
-	ia, ib := g.addNode(a), g.addNode(b)
-	e.Head = a.ID
+	e.Head = g.nodes[ia].ID
 	g.addEdge(ia, t, e)
-	e.Head = b.ID
+	e.Head = g.nodes[ib].ID
 	g.addEdge(ib, t, e)
 	return nil
+}
+
+// assertNode is addNode for the node whose ID is the concatenation of
+// idParts (the spelling IntentionID, QueryID and ProductID use), under
+// the write lock.
+func (g *Graph) assertNode(typ NodeType, label string, idParts ...string) int32 {
+	id := g.idBuf[:0]
+	for _, p := range idParts {
+		id = append(id, p...)
+	}
+	g.idBuf = id
+	if i, ok := g.index[string(id)]; ok {
+		g.nodes[i].Type, g.nodes[i].Label = typ, label
+		return i
+	}
+	return g.addNode(Node{ID: string(id), Type: typ, Label: label})
 }
 
 // Node returns a node by ID.

@@ -282,3 +282,35 @@ func BenchmarkAddAssertion(b *testing.B) {
 		}
 	}
 }
+
+// TestAddAssertionAllocBudget: an assertion whose nodes and edges the
+// graph already holds is looked up through the graph's scratch ID buffer
+// and merged in place, allocating nothing, for either behavior.
+func TestAddAssertionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocation")
+	}
+	g := New()
+	cands := []know.Candidate{
+		searchCand(1, "camping", "P000001", "camping in the mountains", relations.UsedForEve),
+		coBuyCand(2, "P000001", "P000002", "camping in the mountains", relations.UsedForEve),
+	}
+	for _, c := range cands {
+		if err := g.AddAssertion(c); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := g.AddAssertion(c); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("re-adding %s assertion %d: %v allocs, want 0", c.Behavior, c.ID, allocs)
+		}
+	}
+	for _, e := range g.Edges() {
+		// p:P000001 heads both behaviors' edge to the tail.
+		if want := map[string]int{"q:camping": 102, "p:P000001": 204, "p:P000002": 102}[e.Head]; e.Support != want {
+			t.Errorf("edge %s -> %s support %d, want %d", e.Head, e.Tail, e.Support, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package textproc
 
-import "unicode/utf8"
+import (
+	"slices"
+	"unicode/utf8"
+)
 
 // EditDistance returns the Levenshtein distance between a and b, computed
 // over runes with O(min(|a|,|b|)) memory. It backs the paper's rule that
@@ -63,27 +66,29 @@ func NormalizedEditDistance(a, b string) float64 {
 func TokenOverlap(a, b string) float64 { return StemOverlap(ContentStems(a), ContentStems(b)) }
 
 // StemOverlap is TokenOverlap for a caller that already holds both
-// strings' ContentStems.
+// strings' ContentStems: the distinct stems the two lists share over the
+// distinct stems in either. It compares the stems pairwise in place, so
+// it builds no set; the cost is quadratic in the list lengths, which for
+// content stems (a knowledge text, a behavior context) are a handful.
 func StemOverlap(a, b []string) float64 {
-	sa := map[string]bool{}
-	for _, t := range a {
-		sa[t] = true
-	}
-	sb := map[string]bool{}
-	for _, t := range b {
-		sb[t] = true
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range sa {
-		if sb[t] {
-			inter++
+	var na, nb, shared int
+	for i, t := range a {
+		if !slices.Contains(a[:i], t) {
+			na++
+			if slices.Contains(b, t) {
+				shared++
+			}
 		}
 	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
+	for j, t := range b {
+		if !slices.Contains(b[:j], t) {
+			nb++
+		}
+	}
+	if na == 0 && nb == 0 {
+		return 0
+	}
+	return float64(shared) / float64(na+nb-shared)
 }
 
 // WithinEditRatio reports whether NormalizedEditDistance(a, b) <= r

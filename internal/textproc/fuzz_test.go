@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -30,6 +31,27 @@ func FuzzTokenize(f *testing.F) {
 		again := Tokenize(Join(toks))
 		if len(again) != len(toks) {
 			t.Fatalf("not idempotent: %v vs %v", toks, again)
+		}
+	})
+}
+
+// FuzzStemOverlap holds StemOverlap to the two-set reference. The lists
+// are the space-separated fields of each input, so stems repeat within
+// and across lists.
+func FuzzStemOverlap(f *testing.F) {
+	long := strings.Repeat("tent lamp stove tent ", 12)
+	for _, seed := range [][2]string{
+		{"", ""}, {"a", ""}, {"", "b"}, {"walk dog", "walk dog"},
+		{"walk walk dog", "dog dog"}, {"tent tent tent", "tent"},
+		{"camp hike camp", "hike lamp lamp hike"}, {"x y z", "a b c"},
+		{long, "tent stove"}, {long, long}, {long + "boot", "lamp boot boot"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, x, y string) {
+		a, b := strings.Fields(x), strings.Fields(y)
+		if got, want := StemOverlap(a, b), stemOverlapReference(a, b); got != want {
+			t.Fatalf("StemOverlap(%q, %q) = %v, reference %v", a, b, got, want)
 		}
 	})
 }

@@ -75,3 +75,27 @@ func TestTextHelpersAllocBudget(t *testing.T) {
 		t.Errorf("NormalizeSpace of normalized text allocates %v times, want 0", a)
 	}
 }
+
+// stemOverlapReference is StemOverlap as it was before it counted in
+// place: one set per list, then the shared keys.
+func stemOverlapReference(a, b []string) float64 {
+	sa := map[string]bool{}
+	for _, t := range a {
+		sa[t] = true
+	}
+	sb := map[string]bool{}
+	for _, t := range b {
+		sb[t] = true
+	}
+	if len(sa) == 0 && len(sb) == 0 {
+		return 0
+	}
+	inter := 0
+	for t := range sa {
+		if sb[t] {
+			inter++
+		}
+	}
+	union := len(sa) + len(sb) - inter
+	return float64(inter) / float64(union)
+}

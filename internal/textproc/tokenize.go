@@ -15,10 +15,12 @@ import (
 // are preserved ("cat's", "co-buy"). It is one pass over one lower-cased
 // copy of s: the tokens are substrings of that copy (of s itself when s
 // is already lower-case ASCII) in a slice sized by a counting pass.
-func Tokenize(s string) []string { return appendTokens(nil, s) }
+func Tokenize(s string) []string { return AppendTokens(nil, s) }
 
-// appendTokens appends Tokenize(s) to dst, growing it at most once.
-func appendTokens(dst []string, s string) []string {
+// AppendTokens appends Tokenize(s) to dst, growing it at most once. Into
+// a dst with room it allocates only the lowered copy of s, and nothing
+// when s is already lower-case ASCII.
+func AppendTokens(dst []string, s string) []string {
 	lower := lowered(s)
 	n := 0
 	for _, end := nextToken(lower, 0); end >= 0; _, end = nextToken(lower, end) {
@@ -174,7 +176,7 @@ func ContentStems(s string) []string { return AppendContentStems(nil, s) }
 // encodes several strings into one reused buffer.
 func AppendContentStems(dst []string, s string) []string {
 	base := len(dst)
-	dst = appendTokens(dst, s)
+	dst = AppendTokens(dst, s)
 	out := dst[:base]
 	for _, t := range dst[base:] {
 		if !stopwords[t] {
