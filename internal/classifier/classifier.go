@@ -22,11 +22,10 @@ import (
 )
 
 // Featurizer maps candidates to sparse hashed feature indices. It is
-// safe for concurrent use: each AppendFeatures call borrows its token
-// and stem lists from a pool the featurizer owns, so a warm call
-// allocates only what tokenizing needs beyond them (a lowered copy of
-// mixed-case text) and the stems whose suffix rule appends a
-// replacement.
+// safe for concurrent use: each AppendFeatures call reads the tokens and
+// stems of a candidate's texts from a vocabulary and borrows its stem
+// lists from a pool the featurizer owns, so a warm call allocates
+// nothing.
 type Featurizer struct {
 	dim int
 	// scratch pools *featScratch.
@@ -35,10 +34,8 @@ type Featurizer struct {
 
 // featScratch is the working memory of one AppendFeatures call.
 type featScratch struct {
-	raw     []string // Tokenize(c.Text)
-	toks    []string // the stem of each raw token
-	content []string // the stems of raw's non-stopword tokens
-	context []string // ContentStems(c.ContextText)
+	content []int32 // the stem IDs of the text's non-stopword tokens
+	context []int32 // the content stem IDs of the context
 }
 
 // NewFeaturizer returns a featurizer with the given hash dimension.
@@ -72,34 +69,48 @@ func (f *Featurizer) slot(h uint32) int {
 	return int(h % uint32(f.dim))
 }
 
+// AddTexts adds to v the texts AppendFeatures reads of each candidate:
+// its Text and its ContextText.
+func AddTexts(v *textproc.Vocab, cands []know.Candidate) {
+	for _, c := range cands {
+		v.Add(c.Text, c.ContextText)
+	}
+}
+
 // Features extracts sparse feature indices for a candidate. Duplicate
 // indices are allowed (they act as feature counts).
-func (f *Featurizer) Features(c know.Candidate) []int { return f.AppendFeatures(nil, c) }
+func (f *Featurizer) Features(c know.Candidate) []int {
+	v := textproc.NewVocab()
+	v.Add(c.Text, c.ContextText)
+	return f.AppendFeatures(nil, v, c)
+}
 
 // AppendFeatures appends Features(c) to dst, growing it at most once.
-func (f *Featurizer) AppendFeatures(dst []int, c know.Candidate) []int {
+// c's Text and ContextText must be in v.
+func (f *Featurizer) AppendFeatures(dst []int, v *textproc.Vocab, c know.Candidate) []int {
 	sc, _ := f.scratch.Get().(*featScratch)
 	if sc == nil {
 		sc = new(featScratch)
 	}
 	defer f.scratch.Put(sc)
-	raw := textproc.AppendTokens(sc.raw[:0], c.Text)
-	toks, content := sc.toks[:0], sc.content[:0]
-	for _, t := range raw {
-		st := textproc.Stem(t)
-		toks = append(toks, st)
-		if !textproc.IsStopword(t) {
-			content = append(content, st)
+	toks := v.Tokens(c.Text)
+	content := sc.content[:0]
+	for _, t := range toks {
+		if !v.IsStopword(t) {
+			content = append(content, v.Stem(t))
 		}
 	}
-	context := textproc.AppendContentStems(sc.context[:0], c.ContextText)
-	sc.raw, sc.toks, sc.content, sc.context = raw, toks, content, context
-	// Two features per token, then 4 + 1 + up to 8 + 1 below.
+	context := v.AppendContentStems(sc.context[:0], c.ContextText)
+	sc.content, sc.context = content, context
+	// Every feature hashes the token's stem. Two features per token,
+	// then 4 + 1 + up to 8 + 1 below.
 	idx := slices.Grow(dst, 2*len(toks)+14)
 	for i, t := range toks {
-		idx = append(idx, f.slot(fnv1a.String32(wordPrefix, t)))
+		st := v.StemText(v.Stem(t))
+		idx = append(idx, f.slot(fnv1a.String32(wordPrefix, st)))
 		if i+1 < len(toks) {
-			idx = append(idx, f.slot(fnv1a.String32(fnv1a.Byte32(fnv1a.String32(bigramPrefix, t), '_'), toks[i+1])))
+			next := v.StemText(v.Stem(toks[i+1]))
+			idx = append(idx, f.slot(fnv1a.String32(fnv1a.Byte32(fnv1a.String32(bigramPrefix, st), '_'), next)))
 		}
 	}
 	idx = append(idx,
@@ -116,12 +127,14 @@ func (f *Featurizer) AppendFeatures(dst []int, c know.Candidate) []int {
 	// Cross features between the knowledge content and the product-type
 	// labels let the model memorize which intents belong to which types —
 	// the world knowledge a fine-tuned LM encodes. For co-buy this is
-	// what separates a shared reason from a one-sided one.
+	// what separates a shared reason from a one-sided one. A stem is
+	// skipped when it is a stopword, as the reference did on stems.
 	for _, t := range toks[:min(len(toks), 4)] {
-		if textproc.IsStopword(t) {
+		st := v.StemText(v.Stem(t))
+		if textproc.IsStopword(st) {
 			continue
 		}
-		h := fnv1a.Byte32(fnv1a.String32(crossPrefix, t), '|')
+		h := fnv1a.Byte32(fnv1a.String32(crossPrefix, st), '|')
 		if c.TypeA != "" {
 			idx = append(idx, f.slot(fnv1a.String32(h, c.TypeA)))
 		}
@@ -143,7 +156,7 @@ func (f *Featurizer) AppendFeatures(dst []int, c know.Candidate) []int {
 		if i > 0 {
 			h = fnv1a.Byte32(h, ' ')
 		}
-		h = fnv1a.String32(h, t)
+		h = fnv1a.String32(h, v.StemText(v.Stem(t)))
 	}
 	h = fnv1a.String32(fnv1a.Byte32(fnv1a.String32(fnv1a.Byte32(h, '|'), ta), '|'), tb)
 	return append(idx, f.slot(h))
@@ -257,14 +270,15 @@ type Labeled struct {
 	Typical   bool
 }
 
-// TrainCritic fits both heads on the annotated sample.
-func TrainCritic(dim int, data []Labeled, cfg TrainConfig) *Critic {
+// TrainCritic fits both heads on the annotated sample, whose texts
+// (AddTexts) must be in v.
+func TrainCritic(dim int, v *textproc.Vocab, data []Labeled, cfg TrainConfig) *Critic {
 	feat := NewFeaturizer(dim)
 	X := make([][]int, len(data))
 	yp := make([]bool, len(data))
 	yt := make([]bool, len(data))
 	for i, d := range data {
-		X[i] = feat.Features(d.Candidate)
+		X[i] = feat.AppendFeatures(nil, v, d.Candidate)
 		yp[i] = d.Plausible
 		yt[i] = d.Typical
 	}
@@ -279,15 +293,18 @@ func TrainCritic(dim int, data []Labeled, cfg TrainConfig) *Critic {
 
 // Score fills PlausibleScore and TypicalScore on each candidate.
 func (c *Critic) Score(cands []know.Candidate) []know.Candidate {
-	return c.ScoreParallel(cands, 1)
+	v := textproc.NewVocab()
+	AddTexts(v, cands)
+	return c.ScoreParallel(v, cands, 1)
 }
 
-// ScoreParallel scores across the given worker count (<= 0 means
-// GOMAXPROCS). Scoring is pure per candidate — featurization and the
-// logistic heads only read trained state — so the output is identical
-// to Score for every worker count. The candidates are cut into about
-// four spans per worker, and each span reuses one feature buffer.
-func (c *Critic) ScoreParallel(cands []know.Candidate, workers int) []know.Candidate {
+// ScoreParallel is Score across the given worker count (<= 0 means
+// GOMAXPROCS) for candidates whose texts (AddTexts) are in v. Scoring is
+// pure per candidate — featurization and the logistic heads only read
+// trained state and v — so the output is identical to Score for every
+// worker count. The candidates are cut into about four spans per worker,
+// and each span reuses one feature buffer.
+func (c *Critic) ScoreParallel(v *textproc.Vocab, cands []know.Candidate, workers int) []know.Candidate {
 	out := append(make([]know.Candidate, 0, len(cands)), cands...)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -301,7 +318,7 @@ func (c *Critic) ScoreParallel(cands []know.Candidate, workers int) []know.Candi
 		var x []int
 		for i := range span {
 			cd := &span[i]
-			x = c.Feat.AppendFeatures(x[:0], *cd)
+			x = c.Feat.AppendFeatures(x[:0], v, *cd)
 			cd.PlausibleScore = c.Plausible.Prob(x)
 			cd.TypicalScore = c.Typical.Prob(x)
 		}
@@ -314,12 +331,16 @@ func (c *Critic) Evaluate(data []Labeled) (plauAcc, typAcc, plauAUC, typAUC floa
 	if len(data) == 0 {
 		return
 	}
+	v := textproc.NewVocab()
+	for _, d := range data {
+		v.Add(d.Candidate.Text, d.Candidate.ContextText)
+	}
 	var pScores, tScores []float64
 	var pLabels, tLabels []bool
 	pCorrect, tCorrect := 0, 0
 	var x []int
 	for _, d := range data {
-		x = c.Feat.AppendFeatures(x[:0], d.Candidate)
+		x = c.Feat.AppendFeatures(x[:0], v, d.Candidate)
 		pp := c.Plausible.Prob(x)
 		tp := c.Typical.Prob(x)
 		if (pp >= 0.5) == d.Plausible {

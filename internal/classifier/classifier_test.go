@@ -16,6 +16,24 @@ import (
 	"cosmo/internal/textproc"
 )
 
+// vocabOf returns a vocabulary holding the texts of data.
+func vocabOf(data []Labeled) *textproc.Vocab {
+	v := textproc.NewVocab()
+	for _, d := range data {
+		v.Add(d.Candidate.Text, d.Candidate.ContextText)
+	}
+	return v
+}
+
+// stemAll stems every token.
+func stemAll(tokens []string) []string {
+	out := make([]string, len(tokens))
+	for i, t := range tokens {
+		out[i] = textproc.Stem(t)
+	}
+	return out
+}
+
 // corpus builds a mixed candidate corpus with ground-truth labels.
 func corpus(tb testing.TB, n int) []Labeled {
 	tb.Helper()
@@ -54,7 +72,7 @@ func corpus(tb testing.TB, n int) []Labeled {
 func TestCriticSeparatesTypicality(t *testing.T) {
 	data := corpus(t, 4000)
 	split := len(data) * 4 / 5
-	critic := TrainCritic(1<<15, data[:split], DefaultTrainConfig())
+	critic := TrainCritic(1<<15, vocabOf(data[:split]), data[:split], DefaultTrainConfig())
 	plauAcc, typAcc, plauAUC, typAUC := critic.Evaluate(data[split:])
 	if typAcc < 0.90 {
 		t.Errorf("typicality accuracy %.3f too low", typAcc)
@@ -76,7 +94,7 @@ func TestCriticHighScorePrecision(t *testing.T) {
 	// often than the base rate.
 	data := corpus(t, 4000)
 	split := len(data) * 4 / 5
-	critic := TrainCritic(1<<15, data[:split], DefaultTrainConfig())
+	critic := TrainCritic(1<<15, vocabOf(data[:split]), data[:split], DefaultTrainConfig())
 	test := data[split:]
 	type scored struct {
 		s float64
@@ -107,7 +125,7 @@ func TestCriticHighScorePrecision(t *testing.T) {
 
 func TestScoreFillsFields(t *testing.T) {
 	data := corpus(t, 1000)
-	critic := TrainCritic(1<<12, data, DefaultTrainConfig())
+	critic := TrainCritic(1<<12, vocabOf(data), data, DefaultTrainConfig())
 	cands := make([]know.Candidate, len(data))
 	for i, d := range data {
 		cands[i] = d.Candidate
@@ -207,8 +225,8 @@ func TestFeaturizerMinDim(t *testing.T) {
 
 func TestCriticDeterministic(t *testing.T) {
 	data := corpus(t, 600)
-	c1 := TrainCritic(1<<10, data, DefaultTrainConfig())
-	c2 := TrainCritic(1<<10, data, DefaultTrainConfig())
+	c1 := TrainCritic(1<<10, vocabOf(data), data, DefaultTrainConfig())
+	c2 := TrainCritic(1<<10, vocabOf(data), data, DefaultTrainConfig())
 	for i := range c1.Plausible.W {
 		if c1.Plausible.W[i] != c2.Plausible.W[i] {
 			t.Fatal("training not deterministic")
@@ -218,7 +236,7 @@ func TestCriticDeterministic(t *testing.T) {
 
 func BenchmarkCriticScore(b *testing.B) {
 	data := corpus(b, 1000)
-	critic := TrainCritic(1<<12, data, DefaultTrainConfig())
+	critic := TrainCritic(1<<12, vocabOf(data), data, DefaultTrainConfig())
 	cands := make([]know.Candidate, len(data))
 	for i, d := range data {
 		cands[i] = d.Candidate
@@ -243,7 +261,7 @@ func refHash(f *Featurizer, s string) int {
 // for its n-grams and again, with ContextText, inside TokenOverlap.
 func refFeatures(f *Featurizer, c know.Candidate) []int {
 	var idx []int
-	toks := textproc.StemAll(textproc.Tokenize(c.Text))
+	toks := stemAll(textproc.Tokenize(c.Text))
 	for i, t := range toks {
 		idx = append(idx, refHash(f, "w:"+t))
 		if i+1 < len(toks) {
@@ -310,9 +328,9 @@ func TestFeaturesMatchReference(t *testing.T) {
 }
 
 // TestAppendFeaturesAllocBudget: with the featurizer's scratch warm and
-// room in dst, featurizing a candidate allocates nothing when its
-// context is lower-case, and only the lowered copy of a mixed-case one.
-// The words take no stem rule that appends a replacement.
+// room in dst, featurizing a candidate allocates nothing, whatever the
+// case of its context: the vocabulary lowered and stemmed its texts
+// once, when they were added.
 func TestAppendFeaturesAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -324,17 +342,13 @@ func TestAppendFeaturesAllocBudget(t *testing.T) {
 		TypeA: "snack box", TypeB: "backpack",
 	}
 	dst := make([]int, 0, 64)
-	for _, tc := range []struct {
-		context string
-		want    float64
-	}{
-		{"trail snack box and hiking backpack", 0},
-		{"Trail Snack Box and Hiking Backpack", 1},
-	} {
-		c.ContextText = tc.context
-		f.AppendFeatures(dst, c)
-		if got := testing.AllocsPerRun(100, func() { f.AppendFeatures(dst[:0], c) }); got != tc.want {
-			t.Errorf("context %q: %v allocs, want %v", tc.context, got, tc.want)
+	for _, context := range []string{"trail snack box and hiking backpack", "Trail Snack Box and Hiking Backpack"} {
+		c.ContextText = context
+		v := textproc.NewVocab()
+		v.Add(c.Text, c.ContextText)
+		f.AppendFeatures(dst, v, c)
+		if got := testing.AllocsPerRun(100, func() { f.AppendFeatures(dst[:0], v, c) }); got != 0 {
+			t.Errorf("context %q: %v allocs, want 0", context, got)
 		}
 	}
 }
@@ -343,7 +357,8 @@ func TestAppendFeaturesAllocBudget(t *testing.T) {
 // candidate with the two heads over Features, the sequential definition.
 func TestScoreParallelMatchesSerial(t *testing.T) {
 	data := corpus(t, 600)
-	critic := TrainCritic(1<<10, data, DefaultTrainConfig())
+	v := vocabOf(data)
+	critic := TrainCritic(1<<10, v, data, DefaultTrainConfig())
 	cands := make([]know.Candidate, len(data))
 	for i, d := range data {
 		cands[i] = d.Candidate
@@ -356,7 +371,7 @@ func TestScoreParallelMatchesSerial(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 7, len(cands)} {
-			if got := critic.ScoreParallel(cands[:n], workers); !reflect.DeepEqual(got, want[:n]) {
+			if got := critic.ScoreParallel(v, cands[:n], workers); !reflect.DeepEqual(got, want[:n]) {
 				t.Fatalf("workers %d, %d candidates: scores differ from Features + Prob", workers, n)
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"cosmo/internal/llm"
 	"cosmo/internal/parallel"
 	"cosmo/internal/sampling"
+	"cosmo/internal/textproc"
 )
 
 // Config assembles the per-stage configurations.
@@ -161,13 +162,17 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 	logf("generated %d knowledge candidates", len(cands))
 
 	// Stage 3: coarse-grained filtering (§3.3.1); per-candidate checks
-	// run across workers against the read-only fitted models.
+	// run across workers against the read-only fitted models. The run's
+	// one vocabulary starts here: the filter adds every candidate's first
+	// sentence and context to it before its checks fan out, and Stages
+	// 5–7 read the kept candidates' texts from it (see DESIGN.md, "One
+	// vocabulary per build").
 	fcfg := cfg.Filter
 	if fcfg.Workers == 0 {
 		fcfg.Workers = cfg.Workers
 	}
-	flt := filter.New(fcfg)
-	kept, _, report := flt.Run(cands)
+	vocab := textproc.NewVocab()
+	kept, _, report := filter.New(fcfg).RunVocab(vocab, cands)
 	res.Kept = kept
 	res.FilterReport = report
 	logf("filter kept %d of %d", report.Kept, report.Input)
@@ -181,21 +186,26 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 	res.AuditAccuracy = oracle.Audit(annCands, anns, 0.05).Accuracy()
 	logf("annotated %d candidates (audit accuracy %.3f)", len(anns), res.AuditAccuracy)
 
-	// Stages 5–6 (critic, KG assembly) and Stages 7–8a (instruction data,
-	// COSMO-LM, expansion candidates) read only the filtered and annotated
-	// candidates and write disjoint Result fields, so the two branches run
-	// side by side; at Workers == 1 they run in this order on this
-	// goroutine. Progress lines stay here, after the join, in stage order.
+	// Stage 7's instruction data is built here, so that its inputs join
+	// the vocabulary before the branches below read it.
+	res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
+	cosmolm.AddInputs(vocab, res.Instruction)
+
+	// Stages 5–6 (critic, KG assembly) and Stages 7–8a (COSMO-LM,
+	// expansion candidates) read only the filtered and annotated
+	// candidates, the instruction data and the vocabulary, and write
+	// disjoint Result fields, so the two branches run side by side; at
+	// Workers == 1 they run in this order on this goroutine. Progress
+	// lines stay here, after the join, in stage order.
 	admitted := 0
 	var kgErr error
 	var expansion [][]know.Candidate
 	branches := []func(){
 		func() { // Stages 5–6
-			admitted, kgErr = criticAndAssemble(res, kept, annCands, anns, cfg)
+			admitted, kgErr = criticAndAssemble(res, vocab, kept, annCands, anns, cfg)
 		},
 		func() { // Stages 7–8a
-			res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
-			res.CosmoLM = cosmolm.Train(res.Instruction, cfg.CosmoLM)
+			res.CosmoLM = cosmolm.TrainVocab(vocab, res.Instruction, cfg.CosmoLM)
 			if cfg.ExpandWithCosmoLM {
 				expansion = expandCandidates(res, cfg)
 			}
@@ -335,8 +345,9 @@ func selectForAnnotation(res *Result, kept []know.Candidate, cfg Config) []know.
 // criticAndAssemble is Stages 5–6: it trains the critic on the annotated
 // sample (§3.3.2), scores every kept candidate, and assembles the KG
 // from those whose plausibility passes the threshold. It returns how many
-// assertions it admitted.
-func criticAndAssemble(res *Result, kept, annCands []know.Candidate, anns []annotation.Annotation, cfg Config) (int, error) {
+// assertions it admitted. The texts of kept, and so of annCands, are in
+// v.
+func criticAndAssemble(res *Result, v *textproc.Vocab, kept, annCands []know.Candidate, anns []annotation.Annotation, cfg Config) (int, error) {
 	labeled := make([]classifier.Labeled, len(annCands))
 	for i := range annCands {
 		labeled[i] = classifier.Labeled{
@@ -345,8 +356,8 @@ func criticAndAssemble(res *Result, kept, annCands []know.Candidate, anns []anno
 			Typical:   anns[i].Typical(),
 		}
 	}
-	res.Critic = classifier.TrainCritic(cfg.CriticDim, labeled, cfg.CriticTrain)
-	scored := res.Critic.ScoreParallel(kept, cfg.Workers)
+	res.Critic = classifier.TrainCritic(cfg.CriticDim, v, labeled, cfg.CriticTrain)
+	scored := res.Critic.ScoreParallel(v, kept, cfg.Workers)
 
 	res.KG = kg.New()
 	admitted := 0

@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"cosmo/internal/classifier"
 	"cosmo/internal/filter"
 	"cosmo/internal/llm"
+	"cosmo/internal/textproc"
 )
 
 // Per-stage pipeline benchmarks. Each exercises one embarrassingly
@@ -48,10 +50,12 @@ func BenchmarkPipelineFilter(b *testing.B) {
 
 func BenchmarkPipelineScore(b *testing.B) {
 	res := run(b)
+	v := textproc.NewVocab()
+	classifier.AddTexts(v, res.Kept)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scored := res.Critic.ScoreParallel(res.Kept, 0)
+		scored := res.Critic.ScoreParallel(v, res.Kept, 0)
 		if len(scored) != len(res.Kept) {
 			b.Fatal("score count mismatch")
 		}

@@ -128,20 +128,42 @@ func (m *Model) getScratch() *scratch {
 
 // Train fits COSMO-LM on instruction data.
 func Train(data []instruction.Instance, cfg Config) *Model {
+	v := textproc.NewVocab()
+	AddInputs(v, data)
+	return TrainVocab(v, data, cfg)
+}
+
+// AddInputs adds to v the texts TrainVocab reads of each instance: the
+// two sides of its input's first '|'.
+func AddInputs(v *textproc.Vocab, data []instruction.Instance) {
+	for _, in := range data {
+		left, right, ok := strings.Cut(in.Input, "|")
+		v.Add(left)
+		if ok {
+			v.Add(right)
+		}
+	}
+}
+
+// TrainVocab is Train for data whose inputs (AddInputs) are in v. It
+// encodes each input from v's stem IDs and counts the inverted index by
+// stem ID; the trained model holds copies of the stems it keys on, not v.
+func TrainVocab(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
 	if cfg.HeadDim <= 0 {
 		cfg = DefaultConfig()
 	}
 	m := &Model{
-		docFreq: map[string]int{},
 		headDim: cfg.HeadDim,
 		heads:   map[instruction.Task]*classifier.LogReg{},
 	}
-	inverted := map[string]map[int]int{}
-	tailID := map[string]int{}
+	inverted := make([]map[int]int, v.NumStems()) // stem ID -> tail ID -> count
+	docFreq := make([]int, v.NumStems())
+	lastDoc := make([]int, v.NumStems()) // the last document, numbered from 1, that counted the stem
+	tailID := map[tailKey]int{}
 	headX := map[instruction.Task][][]int{}
 	headY := map[instruction.Task][]bool{}
+	var ids []int32
 	var toks []string
-	seenTok := map[string]bool{}
 	for _, in := range data {
 		switch in.Task {
 		case instruction.TaskGenerate:
@@ -149,11 +171,10 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 			if !ok {
 				continue
 			}
-			key := string(rel) + "|" + tail
-			id, seen := tailID[key]
+			id, seen := tailID[tailKey{rel, tail}]
 			if !seen {
 				id = len(m.tails)
-				tailID[key] = id
+				tailID[tailKey{rel, tail}] = id
 				m.tails = append(m.tails, tailEntry{
 					relation: rel, tail: tail, domains: map[catalog.Category]int{},
 				})
@@ -161,32 +182,33 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 			m.tails[id].count++
 			m.tails[id].domains[in.Domain]++
 			m.numDocs++
-			clear(seenTok)
-			toks, _ = appendEncoded(toks[:0], in.Input)
-			for _, tok := range toks {
-				mm := inverted[tok]
+			ids, _ = encodeVocab(ids[:0], v, in.Input)
+			for _, st := range ids {
+				mm := inverted[st]
 				if mm == nil {
-					// The key outlives the input it was cut from.
-					tok = strings.Clone(tok)
 					mm = map[int]int{}
-					inverted[tok] = mm
+					inverted[st] = mm
 				}
 				mm[id]++
-				if !seenTok[tok] {
-					m.docFreq[tok]++
-					seenTok[tok] = true
+				if lastDoc[st] != m.numDocs {
+					docFreq[st]++
+					lastDoc[st] = m.numDocs
 				}
 			}
 		default:
 			var split int
-			toks, split = appendEncoded(toks[:0], in.Input)
+			ids, split = encodeVocab(ids[:0], v, in.Input)
+			toks = toks[:0]
+			for _, st := range ids {
+				toks = append(toks, v.StemText(st))
+			}
 			x := make([]int, 0, numFeatures(len(toks), split)+1)
 			x = append(m.appendFeatures(x, toks, split), m.taskFeature(in.Task))
 			headX[in.Task] = append(headX[in.Task], x)
 			headY[in.Task] = append(headY[in.Task], in.Output == "yes")
 		}
 	}
-	m.postings = buildPostings(inverted, m.docFreq, m.numDocs)
+	m.buildPostings(v, inverted, docFreq)
 	m.prior = buildPrior(m.tails)
 	for task, X := range headX {
 		m.heads[task] = classifier.TrainLogReg(m.headDim, X, headY[task], cfg.Train)
@@ -194,21 +216,32 @@ func Train(data []instruction.Instance, cfg Config) *Model {
 	return m
 }
 
-// buildPostings turns the token -> tail -> count index into the form
-// Generate reads, with each posting's weight worked out once.
-func buildPostings(inverted map[string]map[int]int, docFreq map[string]int, numDocs int) map[string][]posting {
-	postings := make(map[string][]posting, len(inverted))
-	for tok, counts := range inverted {
-		idf := math.Log(1 + float64(numDocs)/float64(1+docFreq[tok]))
+// tailKey identifies a learned tail: its relation and text.
+type tailKey struct {
+	rel  relations.Relation
+	tail string
+}
+
+// buildPostings turns the stem ID -> tail -> count index and the
+// per-stem document frequencies into the maps Generate reads, keyed by
+// one copy of each stem, with each posting's weight worked out once.
+func (m *Model) buildPostings(v *textproc.Vocab, inverted []map[int]int, docFreq []int) {
+	m.postings, m.docFreq = map[string][]posting{}, map[string]int{}
+	for st, counts := range inverted {
+		if counts == nil {
+			continue
+		}
+		idf := math.Log(1 + float64(m.numDocs)/float64(1+docFreq[st]))
 		ps := make([]posting, 0, len(counts))
 		for id, cnt := range counts {
 			//cosmo:lint-ignore unchecked-narrowing Train counts instances of tails it holds, so a tail ID or count fits int32
 			ps = append(ps, posting{tail: int32(id), count: int32(cnt), weight: idf * math.Log(1+float64(cnt))})
 		}
 		slices.SortFunc(ps, func(a, b posting) int { return cmp.Compare(a.tail, b.tail) })
-		postings[tok] = ps
+		//cosmo:lint-ignore unchecked-narrowing st indexes v's stems, which number far fewer than 2^31
+		key := strings.Clone(v.StemText(int32(st)))
+		m.postings[key], m.docFreq[key] = ps, docFreq[st]
 	}
-	return postings
 }
 
 // buildPrior works out the domain prior generate adds to every tail it
@@ -249,6 +282,19 @@ func appendEncoded(dst []string, input string) ([]string, int) {
 	dst = textproc.AppendContentStems(dst, input[:bar])
 	split := len(dst) - base
 	return textproc.AppendContentStems(dst, input[bar+1:]), split
+}
+
+// encodeVocab is appendEncoded for an input whose sides (AddInputs) are
+// in v: it appends their content stem IDs.
+func encodeVocab(dst []int32, v *textproc.Vocab, input string) ([]int32, int) {
+	left, right, ok := strings.Cut(input, "|")
+	base := len(dst)
+	dst = v.AppendContentStems(dst, left)
+	if !ok {
+		return dst, -1
+	}
+	split := len(dst) - base
+	return v.AppendContentStems(dst, right), split
 }
 
 // FNV-1a states after the feature-kind prefixes; a feature continues

@@ -23,7 +23,11 @@ import (
 
 func refContextTokens(input string) []string {
 	input = strings.NewReplacer("|", " ", ":", " ").Replace(input)
-	return textproc.StemAll(textproc.ContentTokens(input))
+	toks := textproc.ContentTokens(input)
+	for i, t := range toks {
+		toks[i] = textproc.Stem(t)
+	}
+	return toks
 }
 
 func refFeatures(m *Model, task, input string) []int {
@@ -298,12 +302,13 @@ func tieModel() *Model {
 			{relation: "CAPABLE_OF", tail: "walking the dog", count: 1, domains: map[catalog.Category]int{}},
 			{relation: "USED_FOR", tail: "hiking", count: 1, domains: map[catalog.Category]int{}},
 		},
-		docFreq: map[string]int{"leash": 3},
 		numDocs: 3,
 		headDim: 16,
 		heads:   map[instruction.Task]*classifier.LogReg{},
 	}
-	m.postings = buildPostings(map[string]map[int]int{"leash": {0: 1, 1: 1, 2: 1}}, m.docFreq, m.numDocs)
+	v := textproc.NewVocab()
+	v.Add("leash") // the one stem, ID 0
+	m.buildPostings(v, []map[int]int{{0: 1, 1: 1, 2: 1}}, []int{3})
 	m.prior = buildPrior(m.tails)
 	return m
 }

@@ -151,31 +151,63 @@ func Cosine(a, b []float64) float64 {
 // (and returns the zero vector for blank input), so a plain dot product
 // is the cosine and the per-vector norm recomputation is skipped.
 func (m *Model) Similarity(a, b string) float64 {
-	c := m.Context(b)
-	d := c.SimilarityTokens(textproc.Tokenize(a))
+	v := textproc.NewVocab()
+	v.Add(a, b)
+	c := m.Context(v, v.Tokens(b))
+	d := c.Similarity(v.Tokens(a))
 	c.Release()
 	return d
 }
 
-// Context scores token lists against one context string: Eq. 1's
-// d(k, c) for every candidate k of one behavior. The context is embedded
-// at most once, at the first SimilarityTokens call, so a context no
-// candidate reaches is never embedded. Release hands the two vectors
-// back to the model's pool.
+// embedTokens is embedInto for a text given as token IDs of v: the
+// stems come from v, so no token is stemmed here, and the features and
+// their order are embedInto's, bit for bit.
+//
+//cosmo:alloc-free
+func (m *Model) embedTokens(vec []float64, v *textproc.Vocab, toks []int32) {
+	for i, id := range toks {
+		t := v.StemText(v.Stem(id))
+		idx, sign := m.slot(fnv1a.String64(wordPrefix, t))
+		vec[idx] += sign * 1.0
+		if i+1 < len(toks) {
+			next := v.StemText(v.Stem(toks[i+1]))
+			idx, sign = m.slot(fnv1a.String64(fnv1a.Byte64(fnv1a.String64(bigramPrefix, t), '_'), next))
+			vec[idx] += sign * 0.5
+		}
+		for j := 0; j+3 <= len(t)+2; j++ {
+			h := charPrefix
+			h = fnv1a.Byte64(h, padByte(t, j))
+			h = fnv1a.Byte64(h, padByte(t, j+1))
+			h = fnv1a.Byte64(h, padByte(t, j+2))
+			idx, sign = m.slot(h)
+			vec[idx] += sign * 0.25
+		}
+	}
+	normalize(vec)
+}
+
+// Context scores texts against one context: Eq. 1's d(k, c) for every
+// candidate k of one behavior, all given as token IDs of one vocabulary.
+// The context is embedded at most once, at the first Similarity call, so
+// a context no candidate reaches is never embedded. Release hands the
+// two vectors back to the model's pool.
 type Context struct {
 	m     *Model
-	text  string
+	v     *textproc.Vocab
+	text  []int32
 	pair  *[]float64 // the candidate's vector, then the context's
 	ready bool       // the context's half of pair holds its embedding
 }
 
-// Context returns a scorer against text; it holds no vectors until its
-// first SimilarityTokens call.
-func (m *Model) Context(text string) Context { return Context{m: m, text: text} }
+// Context returns a scorer against the text whose token IDs in v are
+// text; it holds no vectors until its first Similarity call.
+func (m *Model) Context(v *textproc.Vocab, text []int32) Context {
+	return Context{m: m, v: v, text: text}
+}
 
-// SimilarityTokens is m.Similarity(a, text) for a caller that already
-// holds textproc.Tokenize(a).
-func (c *Context) SimilarityTokens(a []string) float64 {
+// Similarity is m.Similarity(a, context) for the text a whose token IDs
+// in the context's vocabulary are toks.
+func (c *Context) Similarity(toks []int32) float64 {
 	m := c.m
 	if c.pair == nil {
 		c.pair, _ = m.pairs.Get().(*[]float64)
@@ -187,11 +219,11 @@ func (c *Context) SimilarityTokens(a []string) float64 {
 	va, vc := (*c.pair)[:m.dim], (*c.pair)[m.dim:]
 	if !c.ready {
 		clear(vc)
-		m.embedInto(vc, textproc.Tokenize(c.text))
+		m.embedTokens(vc, c.v, c.text)
 		c.ready = true
 	}
 	clear(va)
-	m.embedInto(va, a)
+	m.embedTokens(va, c.v, toks)
 	dot := 0.0
 	for i := range va {
 		dot += va[i] * vc[i]
@@ -200,7 +232,7 @@ func (c *Context) SimilarityTokens(a []string) float64 {
 }
 
 // Release returns the context's vectors to the model; a later
-// SimilarityTokens call takes a fresh pair and embeds the context again.
+// Similarity call takes a fresh pair and embeds the context again.
 func (c *Context) Release() {
 	if c.pair != nil {
 		c.m.pairs.Put(c.pair)

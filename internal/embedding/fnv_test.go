@@ -30,7 +30,7 @@ func refHash(dim int, f string) (int, float64) {
 // calibrated downstream thresholds (the Eq. 1 similarity filter) move.
 func refEmbed(m *Model, s string) []float64 {
 	vec := make([]float64, m.dim)
-	toks := textproc.StemAll(textproc.Tokenize(s))
+	toks := stemAll(textproc.Tokenize(s))
 	for i, t := range toks {
 		idx, sign := refHash(m.dim, "w:"+t)
 		vec[idx] += sign * 1.0
@@ -70,10 +70,19 @@ func TestHashCompat(t *testing.T) {
 	}
 }
 
+// stemAll stems every token.
+func stemAll(tokens []string) []string {
+	out := make([]string, len(tokens))
+	for i, t := range tokens {
+		out[i] = textproc.Stem(t)
+	}
+	return out
+}
+
 // embedIntoStemAll is embedInto as it was before it stemmed inline: the
-// whole token list stemmed up front by textproc.StemAll.
+// whole token list stemmed up front by stemAll.
 func embedIntoStemAll(m *Model, vec []float64, tokens []string) {
-	toks := textproc.StemAll(tokens)
+	toks := stemAll(tokens)
 	for i, t := range toks {
 		idx, sign := m.slot(fnv1a.String64(wordPrefix, t))
 		vec[idx] += sign * 1.0
@@ -170,20 +179,57 @@ func BenchmarkSimilarity(b *testing.B) {
 }
 
 // TestContextReuseMatchesSimilarity: one Context scoring a run of texts,
-// its context embedded once, gives every text Similarity's answer bit
-// for bit, before and after a Release.
+// its context embedded once from a vocabulary's IDs, gives every text
+// Similarity's answer bit for bit, before and after a Release.
 func TestContextReuseMatchesSimilarity(t *testing.T) {
 	m := New(128)
 	const context = "Acme Camping Air Mattress and Trail Tent"
 	texts := []string{"used for camping trips", "", "air mattress for camping", "capable of holding snacks"}
-	ctx := m.Context(context)
+	v := textproc.NewVocab()
+	v.Add(context)
+	v.Add(texts...)
+	ctx := m.Context(v, v.Tokens(context))
 	for round := 0; round < 2; round++ {
 		for _, s := range texts {
-			got, want := ctx.SimilarityTokens(textproc.Tokenize(s)), m.Similarity(s, context)
+			got, want := ctx.Similarity(v.Tokens(s)), m.Similarity(s, context)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("round %d, %q: Context gives %v, Similarity %v", round, s, got, want)
 			}
 		}
 		ctx.Release()
+	}
+}
+
+// TestEmbedTokensMatchesEmbedInto: embedding a text from a vocabulary's
+// stems gives embedInto's vector bit for bit, over words that hit every
+// suffix rule of textproc.Stem, share stems and repeat, in random order,
+// with the vocabulary shared by every text.
+func TestEmbedTokensMatchesEmbedInto(t *testing.T) {
+	words := []string{
+		"creations", "creation", "happinesses", "statements", "trainings",
+		"hiking", "hikes", "berries", "carried", "repeatedly", "camped",
+		"boxes", "tents", "dog's", "dogs'", "a", "ox", "the", "lamp", "é",
+		"Walking", "CAMPING", "co-buy", "2-person", "İstanbul",
+	}
+	rng := rand.New(rand.NewSource(11))
+	v := textproc.NewVocab()
+	for _, dim := range []int{8, 128, 256} {
+		m := New(dim)
+		for n := 0; n < 2000; n++ {
+			toks := make([]string, rng.Intn(9))
+			for i := range toks {
+				toks[i] = words[rng.Intn(len(words))]
+			}
+			s := strings.Join(toks, " ")
+			v.Add(s)
+			got, want := make([]float64, dim), make([]float64, dim)
+			m.embedTokens(got, v, v.Tokens(s))
+			m.embedInto(want, textproc.Tokenize(s))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dim %d, %q: [%d] = %v, embedInto %v", dim, s, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

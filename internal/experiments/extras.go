@@ -19,6 +19,7 @@ import (
 	"cosmo/internal/navigation"
 	"cosmo/internal/sampling"
 	"cosmo/internal/serving"
+	"cosmo/internal/textproc"
 )
 
 // Experiment RNG seeds. Each ancillary study draws from its own named,
@@ -272,6 +273,8 @@ func (r *Runner) ablationSampling() error {
 	}
 	rng := rand.New(rand.NewSource(samplingAblationSeed))
 	oracle := annotation.NewOracle(annotation.DefaultConfig())
+	v := textproc.NewVocab()
+	classifier.AddTexts(v, kept)
 	trainCritic := func(ws []float64) *classifier.Critic {
 		idxs := sampling.WeightedSample(rng, ws, budget)
 		var labeled []classifier.Labeled
@@ -281,15 +284,17 @@ func (r *Runner) ablationSampling() error {
 				Candidate: pool[i], Plausible: a.Plausible(), Typical: a.Typical(),
 			})
 		}
-		return classifier.TrainCritic(1<<15, labeled, classifier.DefaultTrainConfig())
+		return classifier.TrainCritic(1<<15, v, labeled, classifier.DefaultTrainConfig())
 	}
 	accOn := func(c *classifier.Critic, test []know.Candidate) float64 {
 		if len(test) == 0 {
 			return 0
 		}
 		correct := 0
+		var x []int
 		for _, cd := range test {
-			p := c.Typical.Prob(c.Feat.Features(cd))
+			x = c.Feat.AppendFeatures(x[:0], v, cd)
+			p := c.Typical.Prob(x)
 			if (p >= 0.5) == cd.Truth.Typical {
 				correct++
 			}

@@ -104,9 +104,9 @@ func New(cfg Config) *Filter {
 // and reused by every later stage (LM training, co-occurrence, checks,
 // and the kept-candidate parse).
 type view struct {
-	first string   // first sentence of the raw text
-	norm  string   // NormalizeSpace of the raw text
-	toks  []string // Tokenize(first)
+	first string  // first sentence of the raw text
+	norm  string  // NormalizeSpace of the raw text
+	toks  []int32 // the token IDs of first in the run's vocabulary
 }
 
 // verdict is the order-independent part of a candidate's outcome; the
@@ -117,27 +117,47 @@ type verdict struct {
 	tail   string
 }
 
-// Run applies all coarse-grained stages in the paper's order and returns
-// kept candidates (with Relation/Tail parsed) plus a per-candidate trace
-// and a summary report. Model fitting (perplexity LM, co-occurrence
-// stats, threshold tuning) is sequential; the per-candidate checks then
-// fan out across cfg.Workers since the fitted models are read-only. The
-// output is identical for every worker count: results merge in input
-// order, and the one order-sensitive rule (duplicate detection) runs in
-// that sequential merge.
+// typePair is the co-occurrence context of a candidate: its product
+// types.
+type typePair struct{ a, b string }
+
+// dupKey identifies a kept candidate's head and text, the fields of
+// know.Candidate.Key.
+type dupKey struct {
+	behavior            know.BehaviorType
+	query, prodA, prodB string
+	text                string
+}
+
+// Run is RunVocab over a vocabulary of its own.
 func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report) {
+	return f.RunVocab(textproc.NewVocab(), cands)
+}
+
+// RunVocab applies all coarse-grained stages in the paper's order and
+// returns kept candidates (with Relation/Tail parsed) plus a
+// per-candidate trace and a summary report. It first adds each
+// candidate's first sentence and context to v, on the caller's
+// goroutine, and reads every token from there on; a kept candidate's
+// Text and ContextText are in v when it returns. Model fitting
+// (perplexity LM, co-occurrence stats, threshold tuning) is sequential;
+// the per-candidate checks then fan out across cfg.Workers since the
+// fitted models are read-only. The output is identical for every worker
+// count: results merge in input order, and the one order-sensitive rule
+// (duplicate detection) runs in that sequential merge.
+func (f *Filter) RunVocab(v *textproc.Vocab, cands []know.Candidate) ([]know.Candidate, []Result, Report) {
 	report := Report{Input: len(cands), Dropped: map[DropReason]int{}}
 	results := make([]Result, len(cands))
 
-	// First-sentence and tokenize each candidate exactly once, in parallel.
+	// First-sentence each candidate exactly once, in parallel, then
+	// tokenize each distinct sentence and context once, in order.
 	views := parallel.Map(f.cfg.Workers, cands, func(i int, c know.Candidate) view {
-		first := textproc.FirstSentence(c.Text)
-		return view{
-			first: first,
-			norm:  textproc.NormalizeSpace(c.Text),
-			toks:  textproc.Tokenize(first),
-		}
+		return view{first: textproc.FirstSentence(c.Text), norm: textproc.NormalizeSpace(c.Text)}
 	})
+	for i, c := range cands {
+		v.Add(views[i].first, c.ContextText)
+		views[i].toks = v.Tokens(views[i].first)
+	}
 
 	// Train the perplexity LM on all first-sentences; well-formed text
 	// dominates, so malformed candidates land in the high-perplexity tail.
@@ -149,19 +169,22 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	// Generic detection needs corpus-level co-occurrence statistics. The
 	// context is the product-type pair, not the raw head: typical
 	// knowledge legitimately repeats across many products of the same
-	// types, while generic knowledge spreads across unrelated types.
-	co := textproc.NewCooccurrenceStats()
+	// types, while generic knowledge spreads across unrelated types. The
+	// counts are final after this pass, so each frequent string's
+	// entropy is worked out once, here.
+	co := textproc.NewCooccurrenceStats[typePair]()
 	for i, c := range cands {
-		co.Observe(views[i].norm, typeContext(c))
+		co.Observe(views[i].norm, typePair{c.TypeA, c.TypeB})
 	}
+	g := generic{co: co, entropy: co.ContextEntropies(f.cfg.GenericMinFreq)}
 
 	// Tune the perplexity threshold at the configured quantile. The LM is
 	// frozen now, so scoring fans out.
-	scored := parallel.Map(f.cfg.Workers, views, func(i int, v view) float64 {
-		if v.first == "" {
+	scored := parallel.Map(f.cfg.Workers, views, func(i int, cv view) float64 {
+		if cv.first == "" {
 			return -1
 		}
-		return f.lm.PerplexityTokens(v.toks)
+		return f.lm.PerplexityTokens(cv.toks)
 	})
 	ppls := make([]float64, 0, len(cands))
 	for _, p := range scored {
@@ -186,20 +209,21 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 	// its context for Eq. 1 at most once.
 	verdicts := make([]verdict, len(cands))
 	parallel.ForEach(f.cfg.Workers, contextRuns(cands), func(_ int, r run) {
-		ctx := f.emb.Context(cands[r.lo].ContextText)
+		ctx := f.emb.Context(v, v.Tokens(cands[r.lo].ContextText))
 		for i := r.lo; i < r.hi; i++ {
-			verdicts[i] = f.check(cands[i], views[i], co, scored[i], pplThreshold, &ctx)
+			verdicts[i] = f.check(v, cands[i], views[i], g, scored[i], pplThreshold, &ctx)
 		}
 		ctx.Release()
 	})
 
 	// Order-preserving merge: duplicate detection and the report counts
 	// depend on input order, so they stay sequential.
-	seen := map[string]bool{}
+	seen := map[dupKey]bool{}
 	var kept []know.Candidate
 	for i, c := range cands {
 		reason := verdicts[i].reason
-		if reason == DropNone && seen[keyWith(c, views[i].first)] {
+		key := dupKey{c.Behavior, c.Query, c.ProductA, c.ProductB, views[i].first}
+		if reason == DropNone && seen[key] {
 			reason = DropDuplicate
 		}
 		results[i] = Result{Candidate: c, Kept: reason == DropNone, Reason: reason}
@@ -211,11 +235,19 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 		c.Text = views[i].first
 		c.Relation = verdicts[i].rel
 		c.Tail = verdicts[i].tail
-		seen[c.Key()] = true
+		seen[key] = true
 		kept = append(kept, c)
 		report.Kept++
 	}
 	return kept, results, report
+}
+
+// generic is the fitted frequency+entropy test: the co-occurrence
+// counts and the context entropy of every string generated at least
+// GenericMinFreq times.
+type generic struct {
+	co      *textproc.CooccurrenceStats[typePair]
+	entropy map[string]float64
 }
 
 // run is the half-open range [lo, hi) of consecutive candidates with one
@@ -236,19 +268,19 @@ func contextRuns(cands []know.Candidate) []run {
 	return runs
 }
 
-// check applies the order-independent rules to one candidate; ppl is its
-// first sentence's perplexity under the fitted LM, and ctx scores
-// against c.ContextText.
-func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
+// check applies the order-independent rules to one candidate whose
+// derivations are cv; ppl is its first sentence's perplexity under the
+// fitted LM, and ctx scores against c.ContextText.
+func (f *Filter) check(v *textproc.Vocab, c know.Candidate, cv view, g generic,
 	ppl, pplThreshold float64, ctx *embedding.Context) verdict {
-	first := v.first
+	first := cv.first
 	if first == "" {
 		return verdict{reason: DropEmpty}
 	}
-	if len(v.toks) < 2 {
+	if len(cv.toks) < 2 {
 		return verdict{reason: DropShortContent}
 	}
-	if !textproc.LooksCompleteTokens(first, v.toks) {
+	if !v.LooksComplete(first, cv.toks) {
 		return verdict{reason: DropIncomplete}
 	}
 	// Copy detection against query, product types, and context title.
@@ -267,25 +299,18 @@ func (f *Filter) check(c know.Candidate, v view, co *textproc.CooccurrenceStats,
 	if pplThreshold > 0 && ppl > pplThreshold {
 		return verdict{reason: DropPerplexity}
 	}
-	if co.IsGeneric(v.norm, f.cfg.GenericMinFreq, f.cfg.GenericMinEntropy) &&
-		co.DistinctContexts(v.norm) >= f.cfg.GenericMinContexts {
+	if h, ok := g.entropy[cv.norm]; ok && h >= f.cfg.GenericMinEntropy &&
+		g.co.DistinctContexts(cv.norm) >= f.cfg.GenericMinContexts {
 		return verdict{reason: DropGeneric}
 	}
 	// Similarity filter (Eq. 1): paraphrases of the behavior context.
 	if c.ContextText != "" {
-		if ctx.SimilarityTokens(v.toks) > f.cfg.MaxContextSimilarity {
+		if ctx.Similarity(cv.toks) > f.cfg.MaxContextSimilarity {
 			return verdict{reason: DropParaphrase}
 		}
 	}
 	return verdict{rel: rel, tail: tail}
 }
-
-func keyWith(c know.Candidate, text string) string {
-	c.Text = text
-	return c.Key()
-}
-
-func typeContext(c know.Candidate) string { return c.TypeA + "|" + c.TypeB }
 
 // Embedding exposes the filter's embedding model so downstream stages
 // (e.g. COSMO-GNN knowledge vectorization) reuse the same space.

@@ -22,7 +22,7 @@ func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Rep
 	firsts := make([]string, len(cands))
 	norms := make([]string, len(cands))
 	lm := textproc.NewNgramLM()
-	co := textproc.NewCooccurrenceStats()
+	co := textproc.NewCooccurrenceStats[string]()
 	for i, c := range cands {
 		firsts[i] = textproc.FirstSentence(c.Text)
 		norms[i] = textproc.NormalizeSpace(c.Text)
@@ -94,6 +94,16 @@ func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Rep
 	}
 	return kept, results, report
 }
+
+// keyWith is c.Key() with c's text replaced.
+func keyWith(c know.Candidate, text string) string {
+	c.Text = text
+	return c.Key()
+}
+
+// typeContext is the reference's co-occurrence context: the product
+// types joined by '|'.
+func typeContext(c know.Candidate) string { return c.TypeA + "|" + c.TypeB }
 
 // TestFilterReferenceEquivalence: reusing each candidate's tokens and
 // perplexity and bounding the copy check changes no verdict, no drop

@@ -24,6 +24,7 @@ import (
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
 	"cosmo/internal/sampling"
+	"cosmo/internal/textproc"
 )
 
 // Config parameterizes the baseline run.
@@ -116,7 +117,8 @@ func Run(cat *catalog.Catalog, cfg Config) (*Result, error) {
 	}
 	res.RawCandidates = len(cands)
 
-	kept, _, _ := filter.New(cfg.Filter).Run(cands)
+	v := textproc.NewVocab()
+	kept, _, _ := filter.New(cfg.Filter).RunVocab(v, cands)
 	res.Kept = len(kept)
 
 	// FolkScope's fine-grained two-step annotation (plausibility then
@@ -137,10 +139,10 @@ func Run(cat *catalog.Catalog, cfg Config) (*Result, error) {
 			Typical:   anns[i].Typical(),
 		}
 	}
-	res.Critic = classifier.TrainCritic(cfg.CriticDim, labeled, cfg.Train)
+	res.Critic = classifier.TrainCritic(cfg.CriticDim, v, labeled, cfg.Train)
 
 	res.KG = kg.New()
-	for _, c := range res.Critic.Score(kept) {
+	for _, c := range res.Critic.ScoreParallel(v, kept, 1) {
 		if c.PlausibleScore <= cfg.PlausibilityThreshold {
 			continue
 		}

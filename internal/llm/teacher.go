@@ -222,7 +222,7 @@ func (t *Teacher) generateCoBuy(rng *rand.Rand, a, b catalog.Product, k int) []C
 			c = t.noiseCandidate(rng, a.Title+" and "+b.Title)
 		}
 		out = append(out, c)
-		t.cost.Charge(t.cfg.Size, len(textproc.Tokenize(c.Text)))
+		t.cost.Charge(t.cfg.Size, textproc.CountTokens(c.Text))
 	}
 	return out
 }
@@ -257,7 +257,7 @@ func (t *Teacher) generateSearchBuy(rng *rand.Rand, query string, p catalog.Prod
 			c = t.noiseCandidate(rng, query+" "+p.Title)
 		}
 		out = append(out, c)
-		t.cost.Charge(t.cfg.Size, len(textproc.Tokenize(c.Text)))
+		t.cost.Charge(t.cfg.Size, textproc.CountTokens(c.Text))
 	}
 	return out
 }

@@ -132,8 +132,7 @@ func (s *Sampler) SampleCoBuyPairs(selected map[string]bool) []behavior.CoBuyPai
 // are long and concentrated. The score combines token count and the
 // inverse of the query's interaction degree.
 func (s *Sampler) Specificity(query string) float64 {
-	toks := textproc.Tokenize(query)
-	lenScore := float64(len(toks)) / 4.0
+	lenScore := float64(textproc.CountTokens(query)) / 4.0
 	if lenScore > 1 {
 		lenScore = 1
 	}

@@ -66,11 +66,12 @@ func NormalizedEditDistance(a, b string) float64 {
 func TokenOverlap(a, b string) float64 { return StemOverlap(ContentStems(a), ContentStems(b)) }
 
 // StemOverlap is TokenOverlap for a caller that already holds both
-// strings' ContentStems: the distinct stems the two lists share over the
-// distinct stems in either. It compares the stems pairwise in place, so
-// it builds no set; the cost is quadratic in the list lengths, which for
-// content stems (a knowledge text, a behavior context) are a handful.
-func StemOverlap(a, b []string) float64 {
+// strings' ContentStems, as strings or as one Vocab's stem IDs: the
+// distinct stems the two lists share over the distinct stems in either.
+// It compares the stems pairwise in place, so it builds no set; the cost
+// is quadratic in the list lengths, which for content stems (a knowledge
+// text, a behavior context) are a handful.
+func StemOverlap[T comparable](a, b []T) float64 {
 	var na, nb, shared int
 	for i, t := range a {
 		if !slices.Contains(a[:i], t) {

@@ -26,29 +26,29 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// CooccurrenceStats tracks, for each knowledge string, the set of distinct
-// contexts (products or queries) it was generated for. The paper identifies
-// generic knowledge ("used for the same reason") by combining frequency and
-// entropy: generic strings co-occur with many distinct contexts rather than
-// specific ones.
-type CooccurrenceStats struct {
-	counts map[string]map[string]int
+// CooccurrenceStats tracks, for each knowledge string, the distinct
+// contexts (products, queries or product-type pairs: any comparable C) it
+// was generated for. The paper identifies generic knowledge ("used for
+// the same reason") by combining frequency and entropy: generic strings
+// co-occur with many distinct contexts rather than specific ones.
+type CooccurrenceStats[C comparable] struct {
+	counts map[string]map[C]int
 	total  map[string]int
 }
 
 // NewCooccurrenceStats returns an empty tracker.
-func NewCooccurrenceStats() *CooccurrenceStats {
-	return &CooccurrenceStats{
-		counts: map[string]map[string]int{},
+func NewCooccurrenceStats[C comparable]() *CooccurrenceStats[C] {
+	return &CooccurrenceStats[C]{
+		counts: map[string]map[C]int{},
 		total:  map[string]int{},
 	}
 }
 
 // Observe records one generation of knowledge string k for context c.
-func (s *CooccurrenceStats) Observe(k, c string) {
+func (s *CooccurrenceStats[C]) Observe(k string, c C) {
 	m := s.counts[k]
 	if m == nil {
-		m = map[string]int{}
+		m = map[C]int{}
 		s.counts[k] = m
 	}
 	m[c]++
@@ -56,39 +56,60 @@ func (s *CooccurrenceStats) Observe(k, c string) {
 }
 
 // Frequency returns how many times k was generated (over all contexts).
-func (s *CooccurrenceStats) Frequency(k string) int { return s.total[k] }
+func (s *CooccurrenceStats[C]) Frequency(k string) int { return s.total[k] }
 
 // ContextEntropy returns the entropy (bits) of the context distribution
 // for k. High entropy means k spreads evenly over many contexts — a
 // hallmark of generic knowledge. The counts are summed in ascending
 // order: map order would change the float's last bits from run to run.
-func (s *CooccurrenceStats) ContextEntropy(k string) float64 {
-	m := s.counts[k]
+func (s *CooccurrenceStats[C]) ContextEntropy(k string) float64 {
+	h, _ := contextEntropy(s.counts[k], nil)
+	return h
+}
+
+// ContextEntropies returns ContextEntropy(k) for every k generated at
+// least minFreq times, each worked out once and sorted in one reused
+// buffer: the memo of a caller that tests many generations of the same
+// strings once every Observe is done.
+func (s *CooccurrenceStats[C]) ContextEntropies(minFreq int) map[string]float64 {
+	out := map[string]float64{}
+	var buf []int
+	for k, m := range s.counts {
+		if s.total[k] >= minFreq {
+			out[k], buf = contextEntropy(m, buf)
+		}
+	}
+	return out
+}
+
+// contextEntropy is the entropy of the counts in m, summed in ascending
+// order, sorted in buf; it returns buf for reuse.
+func contextEntropy[C comparable](m map[C]int, buf []int) (float64, []int) {
 	if len(m) == 0 {
-		return 0
+		return 0, buf
 	}
-	counts := make([]int, 0, len(m))
+	buf = buf[:0]
 	for _, c := range m {
-		counts = append(counts, c)
+		buf = append(buf, c)
 	}
-	sort.Ints(counts)
-	return Entropy(counts)
+	sort.Ints(buf)
+	return Entropy(buf), buf
 }
 
 // DistinctContexts returns the number of distinct contexts k appeared with.
-func (s *CooccurrenceStats) DistinctContexts(k string) int {
+func (s *CooccurrenceStats[C]) DistinctContexts(k string) int {
 	return len(s.counts[k])
 }
 
 // IsGeneric applies the paper's frequency+entropy test: k is generic if it
 // was generated at least minFreq times AND its context entropy is at least
 // minEntropy bits (it appears broadly rather than with specific contexts).
-func (s *CooccurrenceStats) IsGeneric(k string, minFreq int, minEntropy float64) bool {
+func (s *CooccurrenceStats[C]) IsGeneric(k string, minFreq int, minEntropy float64) bool {
 	return s.Frequency(k) >= minFreq && s.ContextEntropy(k) >= minEntropy
 }
 
 // Keys returns all observed knowledge strings (order unspecified).
-func (s *CooccurrenceStats) Keys() []string {
+func (s *CooccurrenceStats[C]) Keys() []string {
 	out := make([]string, 0, len(s.counts))
 	for k := range s.counts {
 		out = append(out, k)

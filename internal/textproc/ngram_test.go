@@ -130,7 +130,7 @@ func TestEntropy(t *testing.T) {
 }
 
 func TestCooccurrenceGenericDetection(t *testing.T) {
-	s := NewCooccurrenceStats()
+	s := NewCooccurrenceStats[string]()
 	// Generic knowledge appears with many distinct contexts.
 	for _, ctx := range []string{"p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"} {
 		s.Observe("used for the same reason", ctx)
@@ -170,7 +170,7 @@ func TestContextEntropyOrderIndependent(t *testing.T) {
 		t.Fatal("the count multiset no longer exercises order: pick one whose entropy sum depends on it")
 	}
 	for run := 0; run < 200; run++ {
-		s := NewCooccurrenceStats()
+		s := NewCooccurrenceStats[string]()
 		for i := range counts {
 			j := (i + run) % len(counts)
 			for n := 0; n < counts[j]; n++ {
@@ -201,6 +201,8 @@ type refNgramLM struct {
 	total, vocab int
 }
 
+const refBOS, refEOS = "<s>", "</s>"
+
 func newRefNgramLM() *refNgramLM {
 	return &refNgramLM{uni: map[string]int{}, bi: map[string]int{}, tri: map[string]int{}}
 }
@@ -211,9 +213,9 @@ func (m *refNgramLM) train(sentence string) {
 		return
 	}
 	seq := make([]string, 0, len(toks)+3)
-	seq = append(seq, bosToken, bosToken)
+	seq = append(seq, refBOS, refBOS)
 	seq = append(seq, toks...)
-	seq = append(seq, eosToken)
+	seq = append(seq, refEOS)
 	for i := 2; i < len(seq); i++ {
 		w := seq[i]
 		if m.uni[w] == 0 {
@@ -250,9 +252,9 @@ func (m *refNgramLM) prob(w2, w1, w string) float64 {
 func (m *refNgramLM) logProb(sentence string) float64 {
 	toks := refTokenize(sentence)
 	seq := make([]string, 0, len(toks)+3)
-	seq = append(seq, bosToken, bosToken)
+	seq = append(seq, refBOS, refBOS)
 	seq = append(seq, toks...)
-	seq = append(seq, eosToken)
+	seq = append(seq, refEOS)
 	lp := 0.0
 	for i := 2; i < len(seq); i++ {
 		lp += math.Log(m.prob(seq[i-2], seq[i-1], seq[i]))
@@ -268,12 +270,13 @@ func (m *refNgramLM) perplexity(sentence string) float64 {
 	return math.Exp(-m.logProb(sentence) / float64(len(toks)+1))
 }
 
-// TestNgramMatchesReference: the token-slice entry points and the
-// struct-keyed model without the zero-count keys score bitwise like the
-// previous code, on a corpus whose tokens repeat in many contexts.
+// TestNgramMatchesReference: the string entry points and the token-ID
+// entry points over a Vocab's IDs, on the struct-keyed model without the
+// zero-count keys, score bitwise like the previous code, on a corpus
+// whose tokens repeat in many contexts.
 func TestNgramMatchesReference(t *testing.T) {
 	ref := newRefNgramLM()
-	m := NewNgramLM()
+	m, mv, v := NewNgramLM(), NewNgramLM(), NewVocab()
 	corpus := append([]string{
 		"used for walking the dog in the park with the dog",
 		"the the the dog", "dog dog walking the", "a b a b a b c",
@@ -281,23 +284,28 @@ func TestNgramMatchesReference(t *testing.T) {
 	for _, s := range corpus {
 		ref.train(s)
 		m.Train(s)
+		v.Add(s)
+		mv.TrainTokens(v.Tokens(s))
 	}
-	if m.VocabSize() != ref.vocab || m.total != ref.total {
-		t.Fatalf("vocab/total %d/%d, reference %d/%d", m.VocabSize(), m.total, ref.vocab, ref.total)
-	}
-	if len(m.bi) != len(ref.bi) || len(m.tri) != len(ref.tri) {
-		t.Fatalf("bigram/trigram types %d/%d, reference %d/%d", len(m.bi), len(m.tri), len(ref.bi), len(ref.tri))
+	for name, lm := range map[string]*NgramLM{"strings": m, "vocab": mv} {
+		if lm.VocabSize() != ref.vocab || lm.total != ref.total {
+			t.Fatalf("%s: vocab/total %d/%d, reference %d/%d", name, lm.VocabSize(), lm.total, ref.vocab, ref.total)
+		}
+		if len(lm.bi) != len(ref.bi) || len(lm.tri) != len(ref.tri) {
+			t.Fatalf("%s: bigram/trigram types %d/%d, reference %d/%d", name, len(lm.bi), len(lm.tri), len(ref.bi), len(ref.tri))
+		}
 	}
 	probes := append([]string{
 		"", "s", "<s>", "</s>", "<s> </s>", "dog the walking for used", "zzyzx qwrk flrm",
 		"capable of providing protection for the", "Used For Walking The DOG!",
-		"a b c", "b a b", "the dog dog the",
+		"a b c", "b a b", "the dog dog the", "zzyzx dog qwrk walking",
 	}, corpus...)
 	for _, s := range probes {
-		toks := Tokenize(s)
+		v.Add(s) // tokens no training sentence held get IDs the model never counted
+		toks := v.Tokens(s)
 		for name, got := range map[string]float64{
 			"Perplexity":       m.Perplexity(s),
-			"PerplexityTokens": m.PerplexityTokens(toks),
+			"PerplexityTokens": mv.PerplexityTokens(toks),
 		} {
 			if want := ref.perplexity(s); got != want {
 				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
@@ -305,7 +313,7 @@ func TestNgramMatchesReference(t *testing.T) {
 		}
 		for name, got := range map[string]float64{
 			"LogProb":       m.LogProb(s),
-			"LogProbTokens": m.LogProbTokens(toks),
+			"LogProbTokens": mv.LogProbTokens(toks),
 		} {
 			if want := ref.logProb(s); got != want {
 				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)

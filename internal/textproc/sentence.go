@@ -124,28 +124,8 @@ func boundaryFollows(s string) bool {
 // paper's coarse-grained rule filter: a knowledge string must contain at
 // least two tokens, must not end mid-word (trailing comma, conjunction,
 // preposition, or article), and must contain at least one non-stopword.
-func LooksComplete(s string) bool { return LooksCompleteTokens(s, Tokenize(s)) }
-
-// LooksCompleteTokens is LooksComplete for a caller that already holds
-// toks = Tokenize(s).
-func LooksCompleteTokens(s string, toks []string) bool {
-	if len(toks) < 2 {
-		return false
-	}
-	last := toks[len(toks)-1]
-	switch last {
-	case "and", "or", "but", "the", "a", "an", "of", "to", "for", "with",
-		"in", "on", "at", "by", "because", "is", "are", "that", "which":
-		return false
-	}
-	if strings.HasSuffix(strings.TrimSpace(s), ",") {
-		return false
-	}
-	content := 0
-	for _, t := range toks {
-		if !stopwords[t] {
-			content++
-		}
-	}
-	return content >= 1
+func LooksComplete(s string) bool {
+	v := NewVocab()
+	v.Add(s)
+	return v.LooksComplete(s, v.Tokens(s))
 }

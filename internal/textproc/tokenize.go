@@ -36,6 +36,39 @@ func AppendTokens(dst []string, s string) []string {
 	return dst
 }
 
+// CountTokens returns len(Tokenize(s)) without building the tokens or a
+// lowered copy: a token is a run of letters and digits, joined across a
+// single apostrophe or hyphen that a letter or digit follows. Lower-casing
+// maps letters to letters, so it moves no token boundary.
+func CountTokens(s string) int {
+	n := 0
+	inWord, joined := false, false // the last rune is a word's; it is a joiner after one
+	for _, r := range s {
+		switch {
+		case isWordRune(r):
+			if !inWord && !joined {
+				n++
+			}
+			inWord, joined = true, false
+		case (r == '\'' || r == '-') && inWord:
+			inWord, joined = false, true
+		default:
+			inWord, joined = false, false
+		}
+	}
+	return n
+}
+
+// isWordRune reports whether lowered keeps r as part of a word: a letter
+// or a digit.
+func isWordRune(r rune) bool {
+	if r < 0x80 {
+		c := byte(r) | 0x20 // lower-cases an ASCII letter
+		return 'a' <= c && c <= 'z' || '0' <= r && r <= '9'
+	}
+	return unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
 // tokenByte marks the bytes of a lowered string that belong to a word:
 // ASCII lower-case letters and digits, and every byte of a multi-byte
 // rune (lowered leaves only letters and digits above 0x7f).
@@ -206,13 +239,4 @@ func Stem(tok string) string {
 		}
 	}
 	return t
-}
-
-// StemAll stems every token.
-func StemAll(tokens []string) []string {
-	out := make([]string, len(tokens))
-	for i, t := range tokens {
-		out[i] = Stem(t)
-	}
-	return out
 }
