@@ -77,16 +77,9 @@ func AddTexts(v *textproc.Vocab, cands []know.Candidate) {
 	}
 }
 
-// Features extracts sparse feature indices for a candidate. Duplicate
-// indices are allowed (they act as feature counts).
-func (f *Featurizer) Features(c know.Candidate) []int {
-	v := textproc.NewVocab()
-	v.Add(c.Text, c.ContextText)
-	return f.AppendFeatures(nil, v, c)
-}
-
-// AppendFeatures appends Features(c) to dst, growing it at most once.
-// c's Text and ContextText must be in v.
+// AppendFeatures appends the sparse feature indices of a candidate whose
+// Text and ContextText are in v to dst, growing it at most once.
+// Duplicate indices are allowed (they act as feature counts).
 func (f *Featurizer) AppendFeatures(dst []int, v *textproc.Vocab, c know.Candidate) []int {
 	sc, _ := f.scratch.Get().(*featScratch)
 	if sc == nil {
@@ -291,20 +284,13 @@ func TrainCritic(dim int, v *textproc.Vocab, data []Labeled, cfg TrainConfig) *C
 	}
 }
 
-// Score fills PlausibleScore and TypicalScore on each candidate.
-func (c *Critic) Score(cands []know.Candidate) []know.Candidate {
-	v := textproc.NewVocab()
-	AddTexts(v, cands)
-	return c.ScoreParallel(v, cands, 1)
-}
-
-// ScoreParallel is Score across the given worker count (<= 0 means
-// GOMAXPROCS) for candidates whose texts (AddTexts) are in v. Scoring is
-// pure per candidate — featurization and the logistic heads only read
-// trained state and v — so the output is identical to Score for every
-// worker count. The candidates are cut into about four spans per worker,
-// and each span reuses one feature buffer.
-func (c *Critic) ScoreParallel(v *textproc.Vocab, cands []know.Candidate, workers int) []know.Candidate {
+// Score fills PlausibleScore and TypicalScore on a copy of cands, whose
+// texts (AddTexts) are in v, across the given worker count (<= 0 means
+// GOMAXPROCS). Scoring is pure per candidate — featurization and the
+// logistic heads only read trained state and v — so the output is the
+// same for every worker count. The candidates are cut into about four
+// spans per worker, and each span reuses one feature buffer.
+func (c *Critic) Score(v *textproc.Vocab, cands []know.Candidate, workers int) []know.Candidate {
 	out := append(make([]know.Candidate, 0, len(cands)), cands...)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -326,14 +312,11 @@ func (c *Critic) ScoreParallel(v *textproc.Vocab, cands []know.Candidate, worker
 	return out
 }
 
-// Evaluate measures head accuracy and AUC on labeled data.
-func (c *Critic) Evaluate(data []Labeled) (plauAcc, typAcc, plauAUC, typAUC float64) {
+// Evaluate measures head accuracy and AUC on labeled data, whose texts
+// are in v.
+func (c *Critic) Evaluate(v *textproc.Vocab, data []Labeled) (plauAcc, typAcc, plauAUC, typAUC float64) {
 	if len(data) == 0 {
 		return
-	}
-	v := textproc.NewVocab()
-	for _, d := range data {
-		v.Add(d.Candidate.Text, d.Candidate.ContextText)
 	}
 	var pScores, tScores []float64
 	var pLabels, tLabels []bool

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cosmo/internal/behavior"
@@ -23,6 +24,13 @@ func vocabOf(data []Labeled) *textproc.Vocab {
 		v.Add(d.Candidate.Text, d.Candidate.ContextText)
 	}
 	return v
+}
+
+// features is AppendFeatures over a vocabulary of c's texts alone.
+func features(f *Featurizer, c know.Candidate) []int {
+	v := textproc.NewVocab()
+	v.Add(c.Text, c.ContextText)
+	return f.AppendFeatures(nil, v, c)
 }
 
 // stemAll stems every token.
@@ -73,7 +81,7 @@ func TestCriticSeparatesTypicality(t *testing.T) {
 	data := corpus(t, 4000)
 	split := len(data) * 4 / 5
 	critic := TrainCritic(1<<15, vocabOf(data[:split]), data[:split], DefaultTrainConfig())
-	plauAcc, typAcc, plauAUC, typAUC := critic.Evaluate(data[split:])
+	plauAcc, typAcc, plauAUC, typAUC := critic.Evaluate(vocabOf(data[split:]), data[split:])
 	if typAcc < 0.90 {
 		t.Errorf("typicality accuracy %.3f too low", typAcc)
 	}
@@ -103,7 +111,7 @@ func TestCriticHighScorePrecision(t *testing.T) {
 	ss := make([]scored, len(test))
 	base := 0
 	for i, d := range test {
-		ss[i] = scored{critic.Typical.Prob(critic.Feat.Features(d.Candidate)), d.Typical}
+		ss[i] = scored{critic.Typical.Prob(features(critic.Feat, d.Candidate)), d.Typical}
 		if d.Typical {
 			base++
 		}
@@ -130,7 +138,7 @@ func TestScoreFillsFields(t *testing.T) {
 	for i, d := range data {
 		cands[i] = d.Candidate
 	}
-	scored := critic.Score(cands)
+	scored := critic.Score(vocabOf(data), cands, 1)
 	if len(scored) != len(cands) {
 		t.Fatalf("scored %d of %d", len(scored), len(cands))
 	}
@@ -199,8 +207,8 @@ func TestAUCPerfectAndRandom(t *testing.T) {
 func TestFeaturizerDeterministic(t *testing.T) {
 	f := NewFeaturizer(1 << 10)
 	c := know.Candidate{Text: "capable of holding snacks", Behavior: know.CoBuy}
-	a := f.Features(c)
-	b := f.Features(c)
+	a := features(f, c)
+	b := features(f, c)
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -241,10 +249,11 @@ func BenchmarkCriticScore(b *testing.B) {
 	for i, d := range data {
 		cands[i] = d.Candidate
 	}
+	v := vocabOf(data)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		critic.Score(cands)
+		critic.Score(v, cands, 1)
 	}
 }
 
@@ -295,7 +304,7 @@ func refFeatures(f *Featurizer, c know.Candidate) []int {
 	if ta > tb {
 		ta, tb = tb, ta
 	}
-	idx = append(idx, refHash(f, "t3:"+textproc.Join(toks)+"|"+ta+"|"+tb))
+	idx = append(idx, refHash(f, "t3:"+strings.Join(toks, " ")+"|"+ta+"|"+tb))
 	return idx
 }
 
@@ -320,7 +329,7 @@ func TestFeaturesMatchReference(t *testing.T) {
 	for _, dim := range []int{1 << 15, 1000} {
 		f := NewFeaturizer(dim)
 		for _, c := range cands {
-			if got, want := f.Features(c), refFeatures(f, c); !reflect.DeepEqual(got, want) {
+			if got, want := features(f, c), refFeatures(f, c); !reflect.DeepEqual(got, want) {
 				t.Fatalf("dim %d: Features(%q | %q) = %v, reference %v", dim, c.Text, c.ContextText, got, want)
 			}
 		}
@@ -354,7 +363,8 @@ func TestAppendFeaturesAllocBudget(t *testing.T) {
 }
 
 // TestScoreParallelMatchesSerial: every worker count scores each
-// candidate with the two heads over Features, the sequential definition.
+// candidate with the two heads over its features, the sequential
+// definition.
 func TestScoreParallelMatchesSerial(t *testing.T) {
 	data := corpus(t, 600)
 	v := vocabOf(data)
@@ -365,14 +375,14 @@ func TestScoreParallelMatchesSerial(t *testing.T) {
 	}
 	want := make([]know.Candidate, len(cands))
 	for i, cd := range cands {
-		x := critic.Feat.Features(cd)
+		x := features(critic.Feat, cd)
 		cd.PlausibleScore, cd.TypicalScore = critic.Plausible.Prob(x), critic.Typical.Prob(x)
 		want[i] = cd
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8, 64} {
 		for _, n := range []int{0, 1, 7, len(cands)} {
-			if got := critic.ScoreParallel(v, cands[:n], workers); !reflect.DeepEqual(got, want[:n]) {
-				t.Fatalf("workers %d, %d candidates: scores differ from Features + Prob", workers, n)
+			if got := critic.Score(v, cands[:n], workers); !reflect.DeepEqual(got, want[:n]) {
+				t.Fatalf("workers %d, %d candidates: scores differ from features + Prob", workers, n)
 			}
 		}
 	}

@@ -172,7 +172,7 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 		fcfg.Workers = cfg.Workers
 	}
 	vocab := textproc.NewVocab()
-	kept, _, report := filter.New(fcfg).RunVocab(vocab, cands)
+	kept, _, report := filter.New(fcfg).Run(vocab, cands)
 	res.Kept = kept
 	res.FilterReport = report
 	logf("filter kept %d of %d", report.Kept, report.Input)
@@ -205,7 +205,7 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 			admitted, kgErr = criticAndAssemble(res, vocab, kept, annCands, anns, cfg)
 		},
 		func() { // Stages 7–8a
-			res.CosmoLM = cosmolm.TrainVocab(vocab, res.Instruction, cfg.CosmoLM)
+			res.CosmoLM = cosmolm.Train(vocab, res.Instruction, cfg.CosmoLM)
 			if cfg.ExpandWithCosmoLM {
 				expansion = expandCandidates(res, cfg)
 			}
@@ -357,7 +357,7 @@ func criticAndAssemble(res *Result, v *textproc.Vocab, kept, annCands []know.Can
 		}
 	}
 	res.Critic = classifier.TrainCritic(cfg.CriticDim, v, labeled, cfg.CriticTrain)
-	scored := res.Critic.ScoreParallel(v, kept, cfg.Workers)
+	scored := res.Critic.Score(v, kept, cfg.Workers)
 
 	res.KG = kg.New()
 	admitted := 0

@@ -41,7 +41,7 @@ func BenchmarkPipelineFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kept, _, _ := filter.New(fcfg).Run(cands)
+		kept, _, _ := filter.New(fcfg).Run(textproc.NewVocab(), cands)
 		if len(kept) == 0 {
 			b.Fatal("filter kept nothing")
 		}
@@ -55,7 +55,7 @@ func BenchmarkPipelineScore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scored := res.Critic.ScoreParallel(v, res.Kept, 0)
+		scored := res.Critic.Score(v, res.Kept, 0)
 		if len(scored) != len(res.Kept) {
 			b.Fatal("score count mismatch")
 		}

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"cosmo/internal/catalog"
+	"cosmo/internal/classifier"
 	"cosmo/internal/know"
+	"cosmo/internal/textproc"
 )
 
 // runOnce caches one pipeline run across tests (it is the expensive
@@ -64,7 +66,9 @@ func TestPipelineKGPrecision(t *testing.T) {
 	// must be well above the raw generation plausible rate. Measured on
 	// the scored candidates the pipeline admitted (teacher provenance).
 	res := run(t)
-	scored := res.Critic.Score(res.Kept)
+	v := textproc.NewVocab()
+	classifier.AddTexts(v, res.Kept)
+	scored := res.Critic.Score(v, res.Kept, 1)
 	rawPlausible, admittedPlausible, admitted := 0, 0, 0
 	for _, c := range scored {
 		if c.Truth.Plausible {

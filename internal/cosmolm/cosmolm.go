@@ -126,15 +126,8 @@ func (m *Model) getScratch() *scratch {
 	return sc
 }
 
-// Train fits COSMO-LM on instruction data.
-func Train(data []instruction.Instance, cfg Config) *Model {
-	v := textproc.NewVocab()
-	AddInputs(v, data)
-	return TrainVocab(v, data, cfg)
-}
-
-// AddInputs adds to v the texts TrainVocab reads of each instance: the
-// two sides of its input's first '|'.
+// AddInputs adds to v the texts Train reads of each instance: the two
+// sides of its input's first '|'.
 func AddInputs(v *textproc.Vocab, data []instruction.Instance) {
 	for _, in := range data {
 		left, right, ok := strings.Cut(in.Input, "|")
@@ -145,10 +138,11 @@ func AddInputs(v *textproc.Vocab, data []instruction.Instance) {
 	}
 }
 
-// TrainVocab is Train for data whose inputs (AddInputs) are in v. It
-// encodes each input from v's stem IDs and counts the inverted index by
-// stem ID; the trained model holds copies of the stems it keys on, not v.
-func TrainVocab(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
+// Train fits COSMO-LM on instruction data whose inputs (AddInputs) are
+// in v. It encodes each input from v's stem IDs and counts the inverted
+// index by stem ID; the trained model holds copies of the stems it keys
+// on, not v.
+func Train(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
 	if cfg.HeadDim <= 0 {
 		cfg = DefaultConfig()
 	}

@@ -11,6 +11,7 @@ import (
 	"cosmo/internal/instruction"
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
+	"cosmo/internal/textproc"
 )
 
 // fixture holds the trained model plus the world it was trained on.
@@ -63,12 +64,19 @@ func buildFixtureAt(tb testing.TB, seed int64, events int) *fixture {
 			})
 		}
 	}
-	kept, _, _ := filter.New(filter.DefaultConfig()).Run(cands)
+	kept, _, _ := filter.New(filter.DefaultConfig()).Run(textproc.NewVocab(), cands)
 	oracle := annotation.NewOracle(annotation.DefaultConfig())
 	anns := oracle.AnnotateAll(kept)
 	data := instruction.NewBuilder(instruction.DefaultConfig()).Build(kept, anns)
-	model := Train(data, DefaultConfig())
+	model := train(data, DefaultConfig())
 	return &fixture{cat: cat, log: log, teach: teach, model: model}
+}
+
+// train is Train over a vocabulary of data's inputs alone.
+func train(data []instruction.Instance, cfg Config) *Model {
+	v := textproc.NewVocab()
+	AddInputs(v, data)
+	return Train(v, data, cfg)
 }
 
 var shared *fixture

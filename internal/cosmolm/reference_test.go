@@ -244,7 +244,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 func TestGenerateScoredEquivalence(t *testing.T) {
 	for _, f := range []*fixture{getFixture(t), buildFixtureAt(t, 7, 3000)} {
 		noTypicality := *f
-		noTypicality.model = Train(nil, DefaultConfig())
+		noTypicality.model = train(nil, DefaultConfig())
 		*noTypicality.model = Model{
 			tails: f.model.tails, postings: f.model.postings, docFreq: f.model.docFreq,
 			numDocs: f.model.numDocs, prior: f.model.prior, headDim: f.model.headDim,

@@ -151,12 +151,12 @@ func Cosine(a, b []float64) float64 {
 // (and returns the zero vector for blank input), so a plain dot product
 // is the cosine and the per-vector norm recomputation is skipped.
 func (m *Model) Similarity(a, b string) float64 {
-	v := textproc.NewVocab()
-	v.Add(a, b)
-	c := m.Context(v, v.Tokens(b))
-	d := c.Similarity(v.Tokens(a))
-	c.Release()
-	return d
+	va, vb := m.Embed(a), m.Embed(b)
+	dot := 0.0
+	for i := range va {
+		dot += va[i] * vb[i]
+	}
+	return dot
 }
 
 // embedTokens is embedInto for a text given as token IDs of v: the

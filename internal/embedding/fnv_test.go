@@ -180,7 +180,8 @@ func BenchmarkSimilarity(b *testing.B) {
 
 // TestContextReuseMatchesSimilarity: one Context scoring a run of texts,
 // its context embedded once from a vocabulary's IDs, gives every text
-// Similarity's answer bit for bit, before and after a Release.
+// the answer of Similarity's string path bit for bit, before and after a
+// Release.
 func TestContextReuseMatchesSimilarity(t *testing.T) {
 	m := New(128)
 	const context = "Acme Camping Air Mattress and Trail Tent"

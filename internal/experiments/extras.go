@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 
 	"cosmo/internal/annotation"
 	"cosmo/internal/classifier"
@@ -199,10 +200,11 @@ func (r *Runner) ablationFilter() error {
 		{"no copy rule", func(c *filter.Config) { c.MaxEditDistanceRatio = -1 }},
 	}
 	fmt.Fprintf(r.Out, "%-14s %8s %10s %12s\n", "variant", "kept", "plausible", "typical-rate")
+	vocab := textproc.NewVocab() // every variant reads the same texts
 	for _, v := range variants {
 		cfg := filter.DefaultConfig()
 		v.mod(&cfg)
-		kept, _, _ := filter.New(cfg).Run(raw)
+		kept, _, _ := filter.New(cfg).Run(vocab, raw)
 		plaus, typ := 0, 0
 		for _, c := range kept {
 			if c.Truth.Plausible {
@@ -263,7 +265,7 @@ func (r *Runner) ablationSampling() error {
 		pops[i] = popOf(c)
 	}
 	sorted := append([]int{}, pops...)
-	sortInts(sorted)
+	slices.Sort(sorted)
 	median := sorted[len(sorted)/2]
 	var tail []know.Candidate
 	for i, c := range heldOut {
@@ -312,24 +314,17 @@ func (r *Runner) ablationSampling() error {
 	return nil
 }
 
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 func (r *Runner) ablationTasks() error {
 	res := r.World()
 	// Full 5-task instruction data vs generation-only.
 	full := res.CosmoLM
-	genOnly := cosmolm.Train(
-		instruction.NewBuilder(instruction.Config{
-			Seed:         generationOnlySeed,
-			IncludeTasks: []instruction.Task{instruction.TaskGenerate},
-		}).Build(res.AnnotatedCandidates, res.Annotations),
-		cosmolm.DefaultConfig())
+	data := instruction.NewBuilder(instruction.Config{
+		Seed:         generationOnlySeed,
+		IncludeTasks: []instruction.Task{instruction.TaskGenerate},
+	}).Build(res.AnnotatedCandidates, res.Annotations)
+	v := textproc.NewVocab()
+	cosmolm.AddInputs(v, data)
+	genOnly := cosmolm.Train(v, data, cosmolm.DefaultConfig())
 	fmt.Fprintf(r.Out, "%-18s %8s %12s\n", "variant", "tails", "pred. tasks")
 	fmt.Fprintf(r.Out, "%-18s %8d %12d\n", "all 5 tasks", full.KnownTails(), len(full.Tasks()))
 	fmt.Fprintf(r.Out, "%-18s %8d %12d\n", "generation only", genOnly.KnownTails(), len(genOnly.Tasks()))

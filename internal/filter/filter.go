@@ -129,12 +129,7 @@ type dupKey struct {
 	text                string
 }
 
-// Run is RunVocab over a vocabulary of its own.
-func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report) {
-	return f.RunVocab(textproc.NewVocab(), cands)
-}
-
-// RunVocab applies all coarse-grained stages in the paper's order and
+// Run applies all coarse-grained stages in the paper's order and
 // returns kept candidates (with Relation/Tail parsed) plus a
 // per-candidate trace and a summary report. It first adds each
 // candidate's first sentence and context to v, on the caller's
@@ -145,7 +140,7 @@ func (f *Filter) Run(cands []know.Candidate) ([]know.Candidate, []Result, Report
 // fitted models are read-only. The output is identical for every worker
 // count: results merge in input order, and the one order-sensitive rule
 // (duplicate detection) runs in that sequential merge.
-func (f *Filter) RunVocab(v *textproc.Vocab, cands []know.Candidate) ([]know.Candidate, []Result, Report) {
+func (f *Filter) Run(v *textproc.Vocab, cands []know.Candidate) ([]know.Candidate, []Result, Report) {
 	report := Report{Input: len(cands), Dropped: map[DropReason]int{}}
 	results := make([]Result, len(cands))
 
@@ -163,7 +158,7 @@ func (f *Filter) RunVocab(v *textproc.Vocab, cands []know.Candidate) ([]know.Can
 	// dominates, so malformed candidates land in the high-perplexity tail.
 	f.lm = textproc.NewNgramLM()
 	for i := range cands {
-		f.lm.TrainTokens(views[i].toks)
+		f.lm.Train(views[i].toks)
 	}
 
 	// Generic detection needs corpus-level co-occurrence statistics. The
@@ -184,7 +179,7 @@ func (f *Filter) RunVocab(v *textproc.Vocab, cands []know.Candidate) ([]know.Can
 		if cv.first == "" {
 			return -1
 		}
-		return f.lm.PerplexityTokens(cv.toks)
+		return f.lm.Perplexity(cv.toks)
 	})
 	ppls := make([]float64, 0, len(cands))
 	for _, p := range scored {

@@ -7,6 +7,7 @@ import (
 	"cosmo/internal/catalog"
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
+	"cosmo/internal/textproc"
 )
 
 // buildCandidates generates a realistic candidate corpus from the teacher
@@ -60,7 +61,7 @@ func buildCandidates(t *testing.T, n int) []know.Candidate {
 func TestFilterImprovesPrecision(t *testing.T) {
 	cands := buildCandidates(t, 4000)
 	f := New(DefaultConfig())
-	kept, results, report := f.Run(cands)
+	kept, results, report := f.Run(textproc.NewVocab(), cands)
 	if report.Input != len(cands) {
 		t.Fatalf("report input %d != %d", report.Input, len(cands))
 	}
@@ -92,7 +93,7 @@ func TestFilterImprovesPrecision(t *testing.T) {
 func TestFilterDropsMostIncomplete(t *testing.T) {
 	cands := buildCandidates(t, 3000)
 	f := New(DefaultConfig())
-	kept, _, _ := f.Run(cands)
+	kept, _, _ := f.Run(textproc.NewVocab(), cands)
 	in, out := 0, 0
 	for _, c := range cands {
 		if c.Truth.Mode == llm.ModeIncomplete {
@@ -118,7 +119,7 @@ func TestFilterDropsMostIncomplete(t *testing.T) {
 func TestFilterParsesKept(t *testing.T) {
 	cands := buildCandidates(t, 3000)
 	f := New(DefaultConfig())
-	kept, _, _ := f.Run(cands)
+	kept, _, _ := f.Run(textproc.NewVocab(), cands)
 	for _, c := range kept {
 		if c.Relation == "" || c.Tail == "" {
 			t.Errorf("kept candidate missing triple: %+v", c)
@@ -129,7 +130,7 @@ func TestFilterParsesKept(t *testing.T) {
 func TestFilterDropsMostParaphrases(t *testing.T) {
 	cands := buildCandidates(t, 4000)
 	f := New(DefaultConfig())
-	kept, _, _ := f.Run(cands)
+	kept, _, _ := f.Run(textproc.NewVocab(), cands)
 	para := 0
 	for _, c := range kept {
 		if c.Truth.Mode == llm.ModeParaphrase {
@@ -153,7 +154,7 @@ func TestFilterDropsMostParaphrases(t *testing.T) {
 func TestFilterKeepsMostTypical(t *testing.T) {
 	cands := buildCandidates(t, 4000)
 	f := New(DefaultConfig())
-	kept, _, _ := f.Run(cands)
+	kept, _, _ := f.Run(textproc.NewVocab(), cands)
 	typIn, typKept := 0, 0
 	for _, c := range cands {
 		if c.Truth.Mode == llm.ModeTypical {
@@ -188,7 +189,7 @@ func TestFilterDropsDuplicates(t *testing.T) {
 	// Duplicate the whole corpus: every kept candidate appears twice.
 	dup := append(append([]know.Candidate{}, cands...), cands...)
 	f := New(DefaultConfig())
-	kept, _, _ := f.Run(dup)
+	kept, _, _ := f.Run(textproc.NewVocab(), dup)
 	seen := map[string]bool{}
 	for _, c := range kept {
 		if seen[c.Key()] {
@@ -201,7 +202,7 @@ func TestFilterDropsDuplicates(t *testing.T) {
 func TestReportAccountsForEveryCandidate(t *testing.T) {
 	cands := buildCandidates(t, 2500)
 	f := New(DefaultConfig())
-	_, _, report := f.Run(cands)
+	_, _, report := f.Run(textproc.NewVocab(), cands)
 	dropped := 0
 	for _, n := range report.Dropped {
 		dropped += n
@@ -213,7 +214,7 @@ func TestReportAccountsForEveryCandidate(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	f := New(DefaultConfig())
-	kept, results, report := f.Run(nil)
+	kept, results, report := f.Run(textproc.NewVocab(), nil)
 	if len(kept) != 0 || len(results) != 0 || report.Input != 0 {
 		t.Error("empty input should produce empty output")
 	}
@@ -237,6 +238,6 @@ func BenchmarkFilterRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := New(DefaultConfig())
-		f.Run(cands)
+		f.Run(textproc.NewVocab(), cands)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cosmo/internal/know"
+	"cosmo/internal/textproc"
 )
 
 // TestFilterWorkersEquivalence: the filter's output — kept candidates,
@@ -30,7 +31,7 @@ func TestFilterWorkersEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			cfg := DefaultConfig()
 			cfg.Workers = workers
-			kept, results, report := New(cfg).Run(cands)
+			kept, results, report := New(cfg).Run(textproc.NewVocab(), cands)
 			if !reflect.DeepEqual(refKept, kept) {
 				t.Fatalf("%s, workers=%d: kept candidates differ from the reference", name, workers)
 			}

@@ -3,6 +3,7 @@ package filter
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cosmo/internal/embedding"
@@ -11,28 +12,29 @@ import (
 	"cosmo/internal/textproc"
 )
 
-// refRun is the previous Run, kept as the oracle: every stage goes back
-// to the strings (tokenizing the first sentence again for the LM, the
-// threshold, the completeness rule, the check and the embedding),
-// scores each perplexity twice and computes the whole edit-distance
-// table for every reference.
+// refRun is the previous Run, kept as the oracle: every stage but the
+// LM goes back to the strings (tokenizing the first sentence again for
+// the check, the completeness rule and the embedding), the LM reads a
+// vocabulary of its own, each perplexity is scored twice, and the whole
+// edit-distance table is computed for every reference.
 func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Report) {
 	report := Report{Input: len(cands), Dropped: map[DropReason]int{}}
 	results := make([]Result, len(cands))
 	firsts := make([]string, len(cands))
 	norms := make([]string, len(cands))
-	lm := textproc.NewNgramLM()
+	lm, v := textproc.NewNgramLM(), textproc.NewVocab()
 	co := textproc.NewCooccurrenceStats[string]()
 	for i, c := range cands {
 		firsts[i] = textproc.FirstSentence(c.Text)
 		norms[i] = textproc.NormalizeSpace(c.Text)
-		lm.Train(firsts[i])
+		v.Add(firsts[i])
+		lm.Train(v.Tokens(firsts[i]))
 		co.Observe(norms[i], typeContext(c))
 	}
 	var ppls []float64
 	for _, first := range firsts {
 		if first != "" {
-			ppls = append(ppls, lm.Perplexity(first))
+			ppls = append(ppls, lm.Perplexity(v.Tokens(first)))
 		}
 	}
 	sort.Float64s(ppls)
@@ -51,7 +53,7 @@ func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Rep
 		if len(textproc.Tokenize(first)) < 2 {
 			return verdict{reason: DropShortContent}
 		}
-		if !textproc.LooksComplete(first) {
+		if !looksComplete(first) {
 			return verdict{reason: DropIncomplete}
 		}
 		for _, ref := range []string{c.Query, c.TypeA, c.TypeB, c.ContextText} {
@@ -63,7 +65,7 @@ func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Rep
 		if !ok {
 			return verdict{reason: DropNoRelation}
 		}
-		if report.PerplexityThreshold > 0 && lm.Perplexity(first) > report.PerplexityThreshold {
+		if report.PerplexityThreshold > 0 && lm.Perplexity(v.Tokens(first)) > report.PerplexityThreshold {
 			return verdict{reason: DropPerplexity}
 		}
 		if co.IsGeneric(norm, cfg.GenericMinFreq, cfg.GenericMinEntropy) &&
@@ -95,6 +97,27 @@ func refRun(cfg Config, cands []know.Candidate) ([]know.Candidate, []Result, Rep
 	return kept, results, report
 }
 
+// looksComplete is the completeness rule over Tokenize's strings: at
+// least two tokens, no unfinished last token or trailing comma, and one
+// token that is not a stopword.
+func looksComplete(s string) bool {
+	toks := textproc.Tokenize(s)
+	if len(toks) < 2 || strings.HasSuffix(strings.TrimSpace(s), ",") {
+		return false
+	}
+	switch toks[len(toks)-1] {
+	case "and", "or", "but", "the", "a", "an", "of", "to", "for", "with",
+		"in", "on", "at", "by", "because", "is", "are", "that", "which":
+		return false
+	}
+	for _, t := range toks {
+		if !textproc.IsStopword(t) {
+			return true
+		}
+	}
+	return false
+}
+
 // keyWith is c.Key() with c's text replaced.
 func keyWith(c know.Candidate, text string) string {
 	c.Text = text
@@ -121,7 +144,7 @@ func TestFilterReferenceEquivalence(t *testing.T) {
 	for _, ratio := range []float64{DefaultConfig().MaxEditDistanceRatio, 0.6} {
 		cfg := DefaultConfig()
 		cfg.MaxEditDistanceRatio = ratio
-		kept, results, report := New(cfg).Run(cands)
+		kept, results, report := New(cfg).Run(textproc.NewVocab(), cands)
 		refKept, refResults, refReport := refRun(cfg, cands)
 		if !reflect.DeepEqual(report, refReport) {
 			t.Errorf("ratio %v: report %+v, reference %+v", ratio, report, refReport)

@@ -7,6 +7,7 @@ import (
 
 	"cosmo/internal/know"
 	"cosmo/internal/llm"
+	"cosmo/internal/textproc"
 )
 
 // TestFilterNeverPanicsOnArbitraryText injects arbitrary (including
@@ -22,7 +23,7 @@ func TestFilterNeverPanicsOnArbitraryText(t *testing.T) {
 			}
 		}
 		flt := New(DefaultConfig())
-		kept, results, report := flt.Run(cands)
+		kept, results, report := flt.Run(textproc.NewVocab(), cands)
 		dropped := 0
 		for _, n := range report.Dropped {
 			dropped += n
@@ -47,7 +48,7 @@ func TestFilterHandlesAdversarialCandidates(t *testing.T) {
 		{ID: 8, Query: "q", Text: "q"}, // exact copy of the query
 	}
 	flt := New(DefaultConfig())
-	kept, results, report := flt.Run(adversarial)
+	kept, results, report := flt.Run(textproc.NewVocab(), adversarial)
 	if len(results) != len(adversarial) {
 		t.Fatalf("results %d", len(results))
 	}
@@ -65,7 +66,7 @@ func TestFilterHandlesAdversarialCandidates(t *testing.T) {
 
 func TestFilterSingleCandidate(t *testing.T) {
 	flt := New(DefaultConfig())
-	kept, _, _ := flt.Run([]know.Candidate{{
+	kept, _, _ := flt.Run(textproc.NewVocab(), []know.Candidate{{
 		ID: 1, Behavior: know.SearchBuy, Query: "camping",
 		ProductA: "P1", TypeA: "tent", ContextText: "camping Acme tent",
 		Text:  "capable of sheltering four people",

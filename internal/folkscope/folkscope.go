@@ -118,7 +118,7 @@ func Run(cat *catalog.Catalog, cfg Config) (*Result, error) {
 	res.RawCandidates = len(cands)
 
 	v := textproc.NewVocab()
-	kept, _, _ := filter.New(cfg.Filter).RunVocab(v, cands)
+	kept, _, _ := filter.New(cfg.Filter).Run(v, cands)
 	res.Kept = len(kept)
 
 	// FolkScope's fine-grained two-step annotation (plausibility then
@@ -142,7 +142,7 @@ func Run(cat *catalog.Catalog, cfg Config) (*Result, error) {
 	res.Critic = classifier.TrainCritic(cfg.CriticDim, v, labeled, cfg.Train)
 
 	res.KG = kg.New()
-	for _, c := range res.Critic.ScoreParallel(v, kept, 1) {
+	for _, c := range res.Critic.Score(v, kept, 1) {
 		if c.PlausibleScore <= cfg.PlausibilityThreshold {
 			continue
 		}
@@ -169,7 +169,9 @@ func (r *Result) ServeNewBehavior(a, b catalog.Product, k int) []know.Candidate 
 			Text:        g.Text, Truth: g.Truth,
 		})
 	}
-	scored := r.Critic.Score(cands)
+	v := textproc.NewVocab()
+	classifier.AddTexts(v, cands)
+	scored := r.Critic.Score(v, cands, 1)
 	out := scored[:0]
 	for _, c := range scored {
 		if c.PlausibleScore > 0.5 {

@@ -8,6 +8,7 @@ import (
 
 	"cosmo/internal/cosmolm"
 	"cosmo/internal/instruction"
+	"cosmo/internal/textproc"
 )
 
 // referenceModelResponder is the COSMO-LM adapter cmd/cosmo-serve
@@ -50,7 +51,9 @@ func smallModel() *cosmolm.Model {
 	add("hiking boots", "used for hiking", 4)
 	add("winter coat", "used for keeping warm", 2)
 	add("rain jacket", "used for staying dry", 1)
-	return cosmolm.Train(data, cosmolm.DefaultConfig())
+	v := textproc.NewVocab()
+	cosmolm.AddInputs(v, data)
+	return cosmolm.Train(v, data, cosmolm.DefaultConfig())
 }
 
 // TestModelResponderMatchesReference holds ModelResponder to the

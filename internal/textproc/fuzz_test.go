@@ -28,7 +28,7 @@ func FuzzTokenize(f *testing.F) {
 			}
 		}
 		// Idempotence: tokenizing the joined tokens is stable.
-		again := Tokenize(Join(toks))
+		again := Tokenize(strings.Join(toks, " "))
 		if len(again) != len(toks) {
 			t.Fatalf("not idempotent: %v vs %v", toks, again)
 		}
@@ -109,8 +109,8 @@ func FuzzPerplexity(f *testing.F) {
 	f.Add("")
 	f.Add("\x00 control")
 	f.Fuzz(func(t *testing.T, s string) {
-		m := trainedLM()
-		p := m.Perplexity(s)
+		m, v := trainedLM()
+		p := m.Perplexity(ids(v, s))
 		if p < 0 {
 			t.Fatalf("negative perplexity %v", p)
 		}

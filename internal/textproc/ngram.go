@@ -1,9 +1,6 @@
 package textproc
 
-import (
-	"math"
-	"strings"
-)
+import "math"
 
 // NgramLM is a trigram language model with stupid-backoff smoothing. It is
 // the reproduction's substitute for the GPT-2 perplexity filter in the
@@ -11,10 +8,8 @@ import (
 // strings, it assigns markedly higher perplexity to truncated or malformed
 // generations, and a tuned threshold removes them.
 //
-// The model counts token IDs. A caller that holds a Vocab trains and
-// scores with its token IDs (TrainTokens, PerplexityTokens); the string
-// methods number the tokens of their sentences themselves. One model
-// takes its IDs from one of the two, never both.
+// The model counts token IDs: every sentence it trains on or scores is
+// given as its token IDs in the caller's Vocab, the same for both.
 type NgramLM struct {
 	// uni counts tokens; bi and tri count token tuples keyed by the
 	// tuple itself, so neither training nor scoring builds a key.
@@ -26,17 +21,12 @@ type NgramLM struct {
 	// backoff is the stupid-backoff discount (0.4 in the original paper
 	// by Brants et al.; kept configurable for tests).
 	backoff float64
-	// words numbers the tokens the string methods meet in training.
-	words map[string]int32
 }
 
-// The sentence markers and the ID the string methods give a token no
-// training sentence held; Vocab IDs are never negative. Every count of
-// an unseen token is 0, whichever ID it has, so one ID serves them all.
+// The sentence markers; Vocab IDs are never negative.
 const (
 	bosToken int32 = -1
 	eosToken int32 = -2
-	oovToken int32 = -3
 )
 
 // NewNgramLM returns an empty model with the standard 0.4 backoff factor.
@@ -46,36 +36,11 @@ func NewNgramLM() *NgramLM {
 		bi:      map[[2]int32]int{},
 		tri:     map[[3]int32]int{},
 		backoff: 0.4,
-		words:   map[string]int32{},
 	}
 }
 
-// Train adds one sentence to the model.
-func (m *NgramLM) Train(sentence string) { m.TrainTokens(m.wordIDs(sentence, true)) }
-
-// wordIDs numbers the tokens of sentence. A token training has not met
-// gets a new ID when train is set, and oovToken otherwise.
-func (m *NgramLM) wordIDs(sentence string, train bool) []int32 {
-	toks := Tokenize(sentence)
-	ids := make([]int32, len(toks))
-	for i, t := range toks {
-		id, ok := m.words[t]
-		switch {
-		case ok:
-		case train:
-			//cosmo:lint-ignore unchecked-narrowing a model meets far fewer than 2^31 distinct tokens
-			id = int32(len(m.words))
-			m.words[t] = id
-		default:
-			id = oovToken
-		}
-		ids[i] = id
-	}
-	return ids
-}
-
-// TrainTokens adds one sentence, given as its token IDs, to the model.
-func (m *NgramLM) TrainTokens(toks []int32) {
+// Train adds one sentence, given as its token IDs, to the model.
+func (m *NgramLM) Train(toks []int32) {
 	if len(toks) == 0 {
 		return
 	}
@@ -93,13 +58,6 @@ func (m *NgramLM) TrainTokens(toks []int32) {
 		m.bi[[2]int32{w1, w}]++
 		m.tri[[3]int32{w2, w1, w}]++
 		w2, w1 = w1, w
-	}
-}
-
-// TrainAll trains on every sentence.
-func (m *NgramLM) TrainAll(sentences []string) {
-	for _, s := range sentences {
-		m.Train(s)
 	}
 }
 
@@ -124,13 +82,9 @@ func (m *NgramLM) prob(w2, w1, w int32) float64 {
 	return m.backoff * m.backoff / float64(m.total+m.vocab+1)
 }
 
-// LogProb returns the total natural-log score of the sentence.
-func (m *NgramLM) LogProb(sentence string) float64 {
-	return m.LogProbTokens(m.wordIDs(sentence, false))
-}
-
-// LogProbTokens is LogProb for a sentence given as its token IDs.
-func (m *NgramLM) LogProbTokens(toks []int32) float64 {
+// LogProb returns the total natural-log score of the sentence whose
+// token IDs are toks.
+func (m *NgramLM) LogProb(toks []int32) float64 {
 	lp := 0.0
 	w2, w1 := bosToken, bosToken
 	for _, w := range toks {
@@ -142,43 +96,12 @@ func (m *NgramLM) LogProbTokens(toks []int32) float64 {
 
 // Perplexity returns exp(-LogProb/N) where N counts the scored tokens
 // (words plus the end marker). Lower is better. Empty input returns +Inf.
-func (m *NgramLM) Perplexity(sentence string) float64 {
-	return m.PerplexityTokens(m.wordIDs(sentence, false))
-}
-
-// PerplexityTokens is Perplexity for a sentence given as its token IDs.
-func (m *NgramLM) PerplexityTokens(toks []int32) float64 {
+func (m *NgramLM) Perplexity(toks []int32) float64 {
 	if len(toks) == 0 {
 		return math.Inf(1)
 	}
-	return math.Exp(-m.LogProbTokens(toks) / float64(len(toks)+1))
+	return math.Exp(-m.LogProb(toks) / float64(len(toks)+1))
 }
 
 // VocabSize returns the number of distinct trained unigram types.
 func (m *NgramLM) VocabSize() int { return m.vocab }
-
-// KnownFraction returns the fraction of tokens in sentence that are in
-// the model vocabulary; a cheap well-formedness signal used in tests.
-func (m *NgramLM) KnownFraction(sentence string) float64 {
-	toks := m.wordIDs(sentence, false)
-	if len(toks) == 0 {
-		return 0
-	}
-	known := 0
-	for _, t := range toks {
-		if m.uni[t] > 0 {
-			known++
-		}
-	}
-	return float64(known) / float64(len(toks))
-}
-
-// TruncateWords returns the first n words of s joined by spaces; used by
-// the teacher-LLM noise model to fabricate incomplete generations.
-func TruncateWords(s string, n int) string {
-	f := strings.Fields(s)
-	if n >= len(f) {
-		return s
-	}
-	return strings.Join(f[:n], " ")
-}

@@ -27,90 +27,78 @@ var trainingSentences = []string{
 	"used for the dog to play",
 }
 
-func trainedLM() *NgramLM {
-	m := NewNgramLM()
-	m.TrainAll(trainingSentences)
-	return m
+// trainedLM returns a model trained on trainingSentences and the
+// vocabulary that numbers its tokens.
+func trainedLM() (*NgramLM, *Vocab) {
+	m, v := NewNgramLM(), NewVocab()
+	for _, s := range trainingSentences {
+		v.Add(s)
+		m.Train(v.Tokens(s))
+	}
+	return m, v
+}
+
+// ids returns the token IDs of s in v, adding s first.
+func ids(v *Vocab, s string) []int32 {
+	v.Add(s)
+	return v.Tokens(s)
 }
 
 func TestPerplexityOrdersWellFormedFirst(t *testing.T) {
-	m := trainedLM()
-	good := m.Perplexity("used for walking the dog")
-	garbled := m.Perplexity("dog the walking for used")
+	m, v := trainedLM()
+	good := m.Perplexity(ids(v, "used for walking the dog"))
+	garbled := m.Perplexity(ids(v, "dog the walking for used"))
 	if good >= garbled {
 		t.Errorf("good=%v should beat garbled=%v", good, garbled)
 	}
-	oov := m.Perplexity("zzyzx qwrk flrm")
+	oov := m.Perplexity(ids(v, "zzyzx qwrk flrm"))
 	if good >= oov {
 		t.Errorf("good=%v should beat OOV=%v", good, oov)
 	}
 }
 
 func TestPerplexityPenalizesTruncation(t *testing.T) {
-	m := trainedLM()
-	full := m.Perplexity("capable of providing protection for the camera")
-	// Truncated mid-phrase: "capable of providing protection for the".
-	trunc := m.Perplexity(TruncateWords("capable of providing protection for the camera", 6))
+	m, v := trainedLM()
+	full := m.Perplexity(ids(v, "capable of providing protection for the camera"))
+	trunc := m.Perplexity(ids(v, "capable of providing protection for the"))
 	if full >= trunc {
 		t.Errorf("full=%v should beat truncated=%v", full, trunc)
 	}
 }
 
 func TestPerplexityEmptyIsInf(t *testing.T) {
-	m := trainedLM()
-	if p := m.Perplexity(""); !math.IsInf(p, 1) {
+	m, v := trainedLM()
+	if p := m.Perplexity(ids(v, "")); !math.IsInf(p, 1) {
 		t.Errorf("empty perplexity = %v, want +Inf", p)
 	}
 }
 
 func TestPerplexityPositive(t *testing.T) {
-	m := trainedLM()
+	m, v := trainedLM()
 	for _, s := range trainingSentences {
-		if p := m.Perplexity(s); p <= 0 || math.IsNaN(p) {
+		if p := m.Perplexity(v.Tokens(s)); p <= 0 || math.IsNaN(p) {
 			t.Errorf("Perplexity(%q) = %v", s, p)
 		}
 	}
 }
 
 func TestLogProbMonotoneInLength(t *testing.T) {
-	m := trainedLM()
+	m, v := trainedLM()
 	// Adding tokens can only decrease total log-prob (probs < 1... scores <= 1).
-	short := m.LogProb("used for walking")
-	long := m.LogProb("used for walking the dog in the park every day")
+	short := m.LogProb(ids(v, "used for walking"))
+	long := m.LogProb(ids(v, "used for walking the dog in the park every day"))
 	if long > short {
 		t.Errorf("longer sequence should not have higher logprob: %v > %v", long, short)
 	}
 }
 
-func TestKnownFraction(t *testing.T) {
-	m := trainedLM()
-	if f := m.KnownFraction("used for walking the dog"); f != 1.0 {
-		t.Errorf("all-known = %v", f)
-	}
-	if f := m.KnownFraction("zzyzx qwrk"); f != 0.0 {
-		t.Errorf("all-unknown = %v", f)
-	}
-	if f := m.KnownFraction(""); f != 0 {
-		t.Errorf("empty = %v", f)
-	}
-}
-
 func TestVocabSize(t *testing.T) {
-	m := NewNgramLM()
-	m.Train("a b c")
-	m.Train("a b d")
+	m, v := NewNgramLM(), NewVocab()
+	m.Train(ids(v, "a b c"))
+	m.Train(ids(v, "a b d"))
 	// vocab: a b c d </s>
 	if got := m.VocabSize(); got != 5 {
 		t.Errorf("vocab = %d, want 5", got)
-	}
-}
-
-func TestTruncateWords(t *testing.T) {
-	if got := TruncateWords("a b c d", 2); got != "a b" {
-		t.Errorf("got %q", got)
-	}
-	if got := TruncateWords("a b", 5); got != "a b" {
-		t.Errorf("got %q", got)
 	}
 }
 
@@ -185,10 +173,11 @@ func TestContextEntropyOrderIndependent(t *testing.T) {
 }
 
 func BenchmarkPerplexity(b *testing.B) {
-	m := trainedLM()
+	m, v := trainedLM()
+	toks := ids(v, "capable of providing protection for the camera")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Perplexity("capable of providing protection for the camera")
+		m.Perplexity(toks)
 	}
 }
 
@@ -270,30 +259,26 @@ func (m *refNgramLM) perplexity(sentence string) float64 {
 	return math.Exp(-m.logProb(sentence) / float64(len(toks)+1))
 }
 
-// TestNgramMatchesReference: the string entry points and the token-ID
-// entry points over a Vocab's IDs, on the struct-keyed model without the
-// zero-count keys, score bitwise like the previous code, on a corpus
-// whose tokens repeat in many contexts.
+// TestNgramMatchesReference: the model over a Vocab's token IDs, on
+// struct keys without the zero-count keys, scores bitwise like the
+// previous code, on a corpus whose tokens repeat in many contexts.
 func TestNgramMatchesReference(t *testing.T) {
 	ref := newRefNgramLM()
-	m, mv, v := NewNgramLM(), NewNgramLM(), NewVocab()
+	m, v := NewNgramLM(), NewVocab()
 	corpus := append([]string{
 		"used for walking the dog in the park with the dog",
 		"the the the dog", "dog dog walking the", "a b a b a b c",
 	}, trainingSentences...)
 	for _, s := range corpus {
 		ref.train(s)
-		m.Train(s)
 		v.Add(s)
-		mv.TrainTokens(v.Tokens(s))
+		m.Train(v.Tokens(s))
 	}
-	for name, lm := range map[string]*NgramLM{"strings": m, "vocab": mv} {
-		if lm.VocabSize() != ref.vocab || lm.total != ref.total {
-			t.Fatalf("%s: vocab/total %d/%d, reference %d/%d", name, lm.VocabSize(), lm.total, ref.vocab, ref.total)
-		}
-		if len(lm.bi) != len(ref.bi) || len(lm.tri) != len(ref.tri) {
-			t.Fatalf("%s: bigram/trigram types %d/%d, reference %d/%d", name, len(lm.bi), len(lm.tri), len(ref.bi), len(ref.tri))
-		}
+	if m.VocabSize() != ref.vocab || m.total != ref.total {
+		t.Fatalf("vocab/total %d/%d, reference %d/%d", m.VocabSize(), m.total, ref.vocab, ref.total)
+	}
+	if len(m.bi) != len(ref.bi) || len(m.tri) != len(ref.tri) {
+		t.Fatalf("bigram/trigram types %d/%d, reference %d/%d", len(m.bi), len(m.tri), len(ref.bi), len(ref.tri))
 	}
 	probes := append([]string{
 		"", "s", "<s>", "</s>", "<s> </s>", "dog the walking for used", "zzyzx qwrk flrm",
@@ -303,21 +288,11 @@ func TestNgramMatchesReference(t *testing.T) {
 	for _, s := range probes {
 		v.Add(s) // tokens no training sentence held get IDs the model never counted
 		toks := v.Tokens(s)
-		for name, got := range map[string]float64{
-			"Perplexity":       m.Perplexity(s),
-			"PerplexityTokens": mv.PerplexityTokens(toks),
-		} {
-			if want := ref.perplexity(s); got != want {
-				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
-			}
+		if got, want := m.Perplexity(toks), ref.perplexity(s); got != want {
+			t.Errorf("Perplexity(%q) = %v, reference %v", s, got, want)
 		}
-		for name, got := range map[string]float64{
-			"LogProb":       m.LogProb(s),
-			"LogProbTokens": mv.LogProbTokens(toks),
-		} {
-			if want := ref.logProb(s); got != want {
-				t.Errorf("%s(%q) = %v, reference %v", name, s, got, want)
-			}
+		if got, want := m.LogProb(toks), ref.logProb(s); got != want {
+			t.Errorf("LogProb(%q) = %v, reference %v", s, got, want)
 		}
 	}
 }

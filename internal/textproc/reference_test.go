@@ -99,3 +99,36 @@ func stemOverlapReference(a, b []string) float64 {
 	union := len(sa) + len(sb) - inter
 	return float64(inter) / float64(union)
 }
+
+// incompleteEndings are the last tokens after which the completeness
+// rule calls a string unfinished.
+var incompleteEndings = []string{
+	"and", "or", "but", "the", "a", "an", "of", "to", "for", "with",
+	"in", "on", "at", "by", "because", "is", "are", "that", "which",
+}
+
+// looksCompleteReference is the completeness rule as it stood over
+// Tokenize's strings, before the vocabulary: at least two tokens, no
+// trailing comma or unfinished ending, and one non-stopword.
+func looksCompleteReference(s string) bool {
+	toks := Tokenize(s)
+	if len(toks) < 2 {
+		return false
+	}
+	last := toks[len(toks)-1]
+	for _, w := range incompleteEndings {
+		if last == w {
+			return false
+		}
+	}
+	if strings.HasSuffix(strings.TrimSpace(s), ",") {
+		return false
+	}
+	content := 0
+	for _, t := range toks {
+		if !stopwords[t] {
+			content++
+		}
+	}
+	return content >= 1
+}

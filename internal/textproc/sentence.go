@@ -119,13 +119,3 @@ func boundaryFollows(s string) bool {
 	s = strings.TrimLeft(s, "\"')")
 	return s == "" || s[0] == ' ' || s[0] == '\n' || s[0] == '\t'
 }
-
-// LooksComplete applies the linguistic completeness heuristics from the
-// paper's coarse-grained rule filter: a knowledge string must contain at
-// least two tokens, must not end mid-word (trailing comma, conjunction,
-// preposition, or article), and must contain at least one non-stopword.
-func LooksComplete(s string) bool {
-	v := NewVocab()
-	v.Add(s)
-	return v.LooksComplete(s, v.Tokens(s))
-}

@@ -55,16 +55,13 @@ func TestFirstSentence(t *testing.T) {
 	}
 }
 
+// TestLooksComplete holds the vocabulary's rule and the reference rule
+// to hand-picked verdicts, an unfinished ending of each kind included.
 func TestLooksComplete(t *testing.T) {
 	complete := []string{
 		"used for walking the dog",
 		"capable of holding snacks",
 		"they keep the baby's feet dry",
-	}
-	for _, s := range complete {
-		if !LooksComplete(s) {
-			t.Errorf("%q should look complete", s)
-		}
 	}
 	incomplete := []string{
 		"used for the",
@@ -76,9 +73,20 @@ func TestLooksComplete(t *testing.T) {
 		"",
 		"they can be used with,",
 	}
-	for _, s := range incomplete {
-		if LooksComplete(s) {
-			t.Errorf("%q should look incomplete", s)
+	for _, w := range incompleteEndings {
+		incomplete = append(incomplete, "used for walking the dog "+w)
+	}
+	v := NewVocab()
+	v.Add(complete...)
+	v.Add(incomplete...)
+	for want, texts := range map[bool][]string{true: complete, false: incomplete} {
+		for _, s := range texts {
+			if got := v.LooksComplete(s, v.Tokens(s)); got != want {
+				t.Errorf("Vocab LooksComplete(%q) = %v, want %v", s, got, want)
+			}
+			if got := looksCompleteReference(s); got != want {
+				t.Errorf("reference LooksComplete(%q) = %v, want %v", s, got, want)
+			}
 		}
 	}
 }

@@ -146,9 +146,6 @@ func loweredRunes(s string) string {
 	return b.String()
 }
 
-// Join is the inverse-ish of Tokenize: join tokens with single spaces.
-func Join(tokens []string) string { return strings.Join(tokens, " ") }
-
 // NormalizeSpace collapses runs of whitespace into single spaces and trims.
 func NormalizeSpace(s string) string {
 	if isNormalSpace(s) {

@@ -111,8 +111,11 @@ func (v *Vocab) AppendContentStems(dst []int32, s string) []int32 {
 	return dst
 }
 
-// LooksComplete is LooksComplete(s) for an added s whose token IDs are
-// toks.
+// LooksComplete applies the linguistic completeness heuristics from the
+// paper's coarse-grained rule filter to an added s whose token IDs are
+// toks: a knowledge string must contain at least two tokens, must not
+// end mid-word (trailing comma, conjunction, preposition, or article),
+// and must contain at least one non-stopword.
 func (v *Vocab) LooksComplete(s string, toks []int32) bool {
 	if len(toks) < 2 {
 		return false
