@@ -12,12 +12,15 @@
 package behavior
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"cosmo/internal/catalog"
+	"cosmo/internal/textproc"
 )
 
 // CoBuyPair is one co-purchase edge (p1, p2) with its event count.
@@ -141,7 +144,7 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 	all := c.Products()
 	allPop := popularity(all)
 	type key struct{ a, b string }
-	agg := map[key]*CoBuyPair{}
+	at := map[key]int{} // pair -> its index in l.CoBuys
 	for i := 0; i < cfg.CoBuyEvents; i++ {
 		a := pickProduct(rng, all, allPop)
 		var b catalog.Product
@@ -155,8 +158,8 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 				comp := pt.Complements[rng.Intn(len(pt.Complements))]
 				comps := c.OfType(comp)
 				b = pickProduct(rng, comps, popularity(comps))
-				shared := c.SharedIntents(a, b)
-				if len(shared) > 0 {
+				var buf [8]catalog.Intent
+				if shared := c.AppendSharedIntents(buf[:0], a, b); len(shared) > 0 {
 					intent = shared[rng.Intn(len(shared))]
 				} else {
 					// Complements without a literal shared intent use the
@@ -176,7 +179,8 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 			ka, kb = kb, ka
 		}
 		k := key{ka, kb}
-		if e, ok := agg[k]; ok {
+		if j, ok := at[k]; ok {
+			e := &l.CoBuys[j]
 			e.Count++
 			// An edge observed both ways keeps its intentional label if
 			// any observation was intentional.
@@ -185,22 +189,15 @@ func (l *Log) simulateCoBuys(rng *rand.Rand, cfg Config) {
 				e.Intent = intent
 			}
 		} else {
-			agg[k] = &CoBuyPair{A: ka, B: kb, Count: 1, Intentional: intentional, Intent: intent}
+			at[k] = len(l.CoBuys)
+			l.CoBuys = append(l.CoBuys, CoBuyPair{A: ka, B: kb, Count: 1, Intentional: intentional, Intent: intent})
 		}
 	}
-	keys := make([]key, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
+	slices.SortFunc(l.CoBuys, func(x, y CoBuyPair) int {
+		return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B))
 	})
-	for _, k := range keys {
-		e := agg[k]
-		l.CoBuys = append(l.CoBuys, *e)
+	for i := range l.CoBuys {
+		e := &l.CoBuys[i]
 		l.coBuyDegree[e.A]++
 		l.coBuyDegree[e.B]++
 	}
@@ -227,18 +224,19 @@ func usedWithIntent(c *catalog.Catalog, a, b catalog.Product) catalog.Intent {
 
 // BroadQuery derives the broad/ambiguous query form of an intent, e.g.
 // "camping in the mountains" → "camping". The paper samples broad queries
-// because generating knowledge for them is most valuable.
+// because generating knowledge for them is most valuable. It reads the
+// tail's words in place.
 func BroadQuery(in catalog.Intent) string {
-	words := strings.Fields(in.Tail)
-	for _, w := range words {
+	first, rest := textproc.CutField(in.Tail)
+	for w := first; w != ""; w, rest = textproc.CutField(rest) {
 		switch w {
 		case "a", "an", "the", "in", "on", "at", "of", "for", "to", "with", "before", "while":
 			continue
 		}
 		return w
 	}
-	if len(words) > 0 {
-		return words[0]
+	if first != "" {
+		return first
 	}
 	return in.Tail
 }
@@ -257,7 +255,7 @@ func (l *Log) simulateSearchBuys(rng *rand.Rand, cfg Config) {
 	all := c.Products()
 	allPop := popularity(all)
 	type key struct{ q, p string }
-	agg := map[key]*SearchBuyPair{}
+	at := map[key]int{} // pair -> its index in l.SearchBuys
 	for i := 0; i < cfg.SearchEvents; i++ {
 		p := pickProduct(rng, all, allPop)
 		intents := c.IntentsOf(p)
@@ -287,7 +285,8 @@ func (l *Log) simulateSearchBuys(rng *rand.Rand, cfg Config) {
 		if rng.Float64() < 0.6 || intentional {
 			purchased = 1
 		}
-		if e, ok := agg[k]; ok {
+		if j, ok := at[k]; ok {
+			e := &l.SearchBuys[j]
 			e.Clicks += clicks
 			e.Purchases += purchased
 			if intentional && !e.Intentional {
@@ -296,25 +295,18 @@ func (l *Log) simulateSearchBuys(rng *rand.Rand, cfg Config) {
 				e.Broad = broad
 			}
 		} else {
-			agg[k] = &SearchBuyPair{
+			at[k] = len(l.SearchBuys)
+			l.SearchBuys = append(l.SearchBuys, SearchBuyPair{
 				Query: q, ProductID: p.ID, Clicks: clicks, Purchases: purchased,
 				Broad: broad, Intent: intent, Intentional: intentional,
-			}
+			})
 		}
 	}
-	keys := make([]key, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].q != keys[j].q {
-			return keys[i].q < keys[j].q
-		}
-		return keys[i].p < keys[j].p
+	slices.SortFunc(l.SearchBuys, func(x, y SearchBuyPair) int {
+		return cmp.Or(strings.Compare(x.Query, y.Query), strings.Compare(x.ProductID, y.ProductID))
 	})
-	for _, k := range keys {
-		e := agg[k]
-		l.SearchBuys = append(l.SearchBuys, *e)
+	for i := range l.SearchBuys {
+		e := &l.SearchBuys[i]
 		l.queryDegree[e.Query]++
 		l.prodQDegree[e.ProductID]++
 	}

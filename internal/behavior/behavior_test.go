@@ -71,7 +71,7 @@ func TestIntentionalCoBuysHaveGroundTruthReason(t *testing.T) {
 		}
 		a, _ := c.ByID(e.A)
 		b, _ := c.ByID(e.B)
-		if !c.AreComplements(a.Type, b.Type) && len(c.SharedIntents(a, b)) == 0 {
+		if !c.AreComplements(a.Type, b.Type) && len(c.AppendSharedIntents(nil, a, b)) == 0 {
 			t.Fatalf("intentional pair %s/%s is neither complements nor intent-sharing", a.Type, b.Type)
 		}
 	}

@@ -58,8 +58,25 @@ type Intent struct {
 	Tail     string
 }
 
-// Surface returns the verbalized knowledge string for the intent.
-func (it Intent) Surface() string { return relations.Verbalize(it.Relation, it.Tail) }
+// Surface returns the verbalized knowledge string for the intent. The
+// world's intents read theirs from a table made once.
+func (it Intent) Surface() string {
+	if s, ok := worldSurfaces[it]; ok {
+		return s
+	}
+	return relations.Verbalize(it.Relation, it.Tail)
+}
+
+// worldSurfaces holds the Surface of every intent in worldData.
+var worldSurfaces = func() map[Intent]string {
+	m := map[Intent]string{}
+	for _, pt := range worldData {
+		for _, in := range pt.Intents {
+			m[in] = relations.Verbalize(in.Relation, in.Tail)
+		}
+	}
+	return m
+}()
 
 // ProductType describes what a product essentially is ("umbrella",
 // "chair"); the paper uses >1000 such labels for sampling. Each carries
@@ -89,12 +106,15 @@ type Product struct {
 type Catalog struct {
 	products    []Product
 	byID        map[string]int
-	byType      map[string][]int
+	byType      map[string]span // a type's products are contiguous
 	byCategory  map[Category][]int
 	types       map[string]ProductType
 	typeOrder   []string
 	catTypeName map[Category][]string
 }
+
+// span is the half-open range [lo, hi) of products that holds one type.
+type span struct{ lo, hi int }
 
 // Config controls catalog generation.
 type Config struct {
@@ -116,7 +136,7 @@ func Generate(cfg Config) *Catalog {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := &Catalog{
 		byID:        map[string]int{},
-		byType:      map[string][]int{},
+		byType:      map[string]span{},
 		byCategory:  map[Category][]int{},
 		types:       map[string]ProductType{},
 		catTypeName: map[Category][]string{},
@@ -130,6 +150,7 @@ func Generate(cfg Config) *Catalog {
 	id := 0
 	for _, name := range c.typeOrder {
 		pt := c.types[name]
+		c.byType[name] = span{len(c.products), len(c.products) + cfg.ProductsPerType}
 		for i := 0; i < cfg.ProductsPerType; i++ {
 			id++
 			p := Product{
@@ -144,7 +165,6 @@ func Generate(cfg Config) *Catalog {
 			idx := len(c.products)
 			c.products = append(c.products, p)
 			c.byID[p.ID] = idx
-			c.byType[pt.Name] = append(c.byType[pt.Name], idx)
 			c.byCategory[pt.Category] = append(c.byCategory[pt.Category], idx)
 		}
 	}
@@ -171,11 +191,10 @@ var brands = []string{
 func makeTitle(rng *rand.Rand, brand, typeName string) string {
 	adj := titleAdjectives[rng.Intn(len(titleAdjectives))]
 	suf := titleSuffixes[rng.Intn(len(titleSuffixes))]
-	t := fmt.Sprintf("%s %s %s", brand, adj, typeName)
 	if suf != "" {
-		t += " " + suf
+		return brand + " " + adj + " " + typeName + " " + suf
 	}
-	return t
+	return brand + " " + adj + " " + typeName
 }
 
 // Products returns all products (do not mutate).
@@ -193,14 +212,11 @@ func (c *Catalog) ByID(id string) (Product, bool) {
 	return c.products[i], true
 }
 
-// OfType returns all products of the given product type.
+// OfType returns all products of the given product type, in ID order
+// (do not mutate: it is a view of the catalog, like Products).
 func (c *Catalog) OfType(typeName string) []Product {
-	idxs := c.byType[typeName]
-	out := make([]Product, len(idxs))
-	for i, idx := range idxs {
-		out[i] = c.products[idx]
-	}
-	return out
+	sp := c.byType[typeName]
+	return c.products[sp.lo:sp.hi:sp.hi]
 }
 
 // InCategory returns all products in the category.
@@ -232,20 +248,19 @@ func (c *Catalog) IntentsOf(p Product) []Intent {
 	return c.types[p.Type].Intents
 }
 
-// SharedIntents returns intents common to both products' types, the
-// ground truth for why they might be co-purchased intentionally.
-func (c *Catalog) SharedIntents(a, b Product) []Intent {
-	ta := c.types[a.Type]
-	tb := c.types[b.Type]
-	var shared []Intent
-	for _, ia := range ta.Intents {
-		for _, ib := range tb.Intents {
+// AppendSharedIntents appends to dst the intents common to both
+// products' types, the ground truth for why they might be co-purchased
+// intentionally. Into a dst with room it allocates nothing.
+func (c *Catalog) AppendSharedIntents(dst []Intent, a, b Product) []Intent {
+	tb := c.types[b.Type].Intents
+	for _, ia := range c.types[a.Type].Intents {
+		for _, ib := range tb {
 			if ia == ib {
-				shared = append(shared, ia)
+				dst = append(dst, ia)
 			}
 		}
 	}
-	return shared
+	return dst
 }
 
 // AreComplements reports whether the two product types are declared

@@ -98,7 +98,7 @@ func TestComplementsShareIntent(t *testing.T) {
 		for _, comp := range pt.Complements {
 			a := c.OfType(tn)[0]
 			b := c.OfType(comp)[0]
-			shared := c.SharedIntents(a, b)
+			shared := c.AppendSharedIntents(nil, a, b)
 			hasComplementIntent := false
 			// A USED_WITH intent pointing at the partner type also
 			// counts as a reason.
@@ -160,10 +160,10 @@ func TestSharedIntentsSymmetric(t *testing.T) {
 	c := Generate(Config{ProductsPerType: 1, Seed: 1})
 	a := c.OfType("tent")[0]
 	b := c.OfType("sleeping bag")[0]
-	if len(c.SharedIntents(a, b)) != len(c.SharedIntents(b, a)) {
-		t.Error("SharedIntents should be symmetric in count")
+	if len(c.AppendSharedIntents(nil, a, b)) != len(c.AppendSharedIntents(nil, b, a)) {
+		t.Error("AppendSharedIntents should be symmetric in count")
 	}
-	if len(c.SharedIntents(a, b)) == 0 {
+	if len(c.AppendSharedIntents(nil, a, b)) == 0 {
 		t.Error("tent and sleeping bag should share the camping intent")
 	}
 }

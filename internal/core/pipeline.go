@@ -187,9 +187,14 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 	logf("annotated %d candidates (audit accuracy %.3f)", len(anns), res.AuditAccuracy)
 
 	// Stage 7's instruction data is built here, so that its inputs join
-	// the vocabulary before the branches below read it.
+	// the vocabulary before the branches below read it, as do the search
+	// contexts Stage 8 expands.
 	res.Instruction = instruction.NewBuilder(cfg.Instruction).Build(annCands, anns)
 	cosmolm.AddInputs(vocab, res.Instruction)
+	var expandCtx []string
+	if cfg.ExpandWithCosmoLM {
+		expandCtx = expandContexts(res, vocab)
+	}
 
 	// Stages 5–6 (critic, KG assembly) and Stages 7–8a (COSMO-LM,
 	// expansion candidates) read only the filtered and annotated
@@ -207,7 +212,7 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 		func() { // Stages 7–8a
 			res.CosmoLM = cosmolm.Train(vocab, res.Instruction, cfg.CosmoLM)
 			if cfg.ExpandWithCosmoLM {
-				expansion = expandCandidates(res, cfg)
+				expansion = expandCandidates(res, vocab, expandCtx, cfg)
 			}
 		},
 	}
@@ -256,64 +261,44 @@ func RunExpanded(cfg Config) (*Result, [][]know.Candidate, error) {
 // behavior index via llm.DeriveSeed), so the candidates for one behavior
 // never depend on how many draws other behaviors consumed — the property
 // that makes the fan-out order-independent. Search-buy indices are
-// offset past the co-buy range to keep the streams disjoint. The merge
-// assigns candidate IDs in behavior order, reproducing the sequential
-// numbering for every worker count.
+// offset past the co-buy range to keep the streams disjoint. Every
+// behavior yields exactly perBehavior candidates, so each one writes
+// into its own window of the result, co-buys first, and a candidate's ID
+// is its position plus one: the sequential numbering at any worker count.
 func generate(res *Result, teacher *llm.Teacher, perBehavior, workers int) []know.Candidate {
-	coGroups := parallel.Map(workers, res.SampledCoBuys, func(i int, e behavior.CoBuyPair) []know.Candidate {
+	base := len(res.SampledCoBuys)
+	cands := make([]know.Candidate, (base+len(res.SampledSearchBuys))*perBehavior)
+	parallel.ForEach(workers, res.SampledCoBuys, func(i int, e behavior.CoBuyPair) {
 		pa, _ := res.Catalog.ByID(e.A)
 		pb, _ := res.Catalog.ByID(e.B)
-		gens := teacher.GenerateCoBuyAt(uint64(i), pa, pb, perBehavior)
-		out := make([]know.Candidate, 0, len(gens))
-		context := pa.Title + " and " + pb.Title // one string for the behavior's candidates
-		for _, g := range gens {
-			out = append(out, know.Candidate{
-				Behavior: know.CoBuy, Domain: pa.Category,
-				ProductA: e.A, ProductB: e.B, TypeA: pa.Type, TypeB: pb.Type,
-				ContextText:     context,
-				Text:            g.Text,
-				Truth:           g.Truth,
-				PairIntentional: e.Intentional,
-			})
-		}
-		return out
+		context := llm.CoBuyContext(pa, pb) // one string for the behavior's candidates
+		var buf [4]llm.Candidate
+		fillWindow(cands, i*perBehavior, teacher.GenerateCoBuyAt(buf[:0], uint64(i), pa, pb, context, perBehavior), know.Candidate{
+			Behavior: know.CoBuy, Domain: pa.Category,
+			ProductA: e.A, ProductB: e.B, TypeA: pa.Type, TypeB: pb.Type,
+			ContextText: context, PairIntentional: e.Intentional,
+		})
 	})
-	base := uint64(len(res.SampledCoBuys))
-	sbGroups := parallel.Map(workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) []know.Candidate {
+	parallel.ForEach(workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) {
 		p, _ := res.Catalog.ByID(e.ProductID)
-		gens := teacher.GenerateSearchBuyAt(base+uint64(i), e.Query, p, perBehavior)
-		out := make([]know.Candidate, 0, len(gens))
-		context := e.Query + " " + p.Title
-		for _, g := range gens {
-			out = append(out, know.Candidate{
-				Behavior: know.SearchBuy, Domain: p.Category,
-				Query: e.Query, ProductA: e.ProductID, TypeA: p.Type,
-				ContextText:     context,
-				Text:            g.Text,
-				Truth:           g.Truth,
-				PairIntentional: e.Intentional,
-			})
-		}
-		return out
+		context := llm.SearchBuyContext(e.Query, p)
+		var buf [4]llm.Candidate
+		fillWindow(cands, (base+i)*perBehavior, teacher.GenerateSearchBuyAt(buf[:0], uint64(base+i), p, context, perBehavior), know.Candidate{
+			Behavior: know.SearchBuy, Domain: p.Category,
+			Query: e.Query, ProductA: e.ProductID, TypeA: p.Type,
+			ContextText: context, PairIntentional: e.Intentional,
+		})
 	})
-	n := 0
-	for _, groups := range [][][]know.Candidate{coGroups, sbGroups} {
-		for _, group := range groups {
-			n += len(group)
-		}
-	}
-	cands := make([]know.Candidate, 0, n)
-	id := 0
-	for _, groups := range [][][]know.Candidate{coGroups, sbGroups} {
-		for _, group := range groups {
-			for _, c := range group {
-				id++
-				c.ID = id
-				cands = append(cands, c)
-			}
-		}
-	}
 	return cands
+}
+
+// fillWindow writes one behavior's generations, each on a copy of head,
+// into cands from position at on, numbering each by its position.
+func fillWindow(cands []know.Candidate, at int, gens []llm.Candidate, head know.Candidate) {
+	for j, g := range gens {
+		head.ID, head.Text, head.Truth = at+j+1, g.Text, g.Truth
+		cands[at+j] = head
+	}
 }
 
 // selectForAnnotation applies the Eq. 2 re-weighting to pick the
@@ -373,19 +358,41 @@ func criticAndAssemble(res *Result, v *textproc.Vocab, kept, annCands []know.Can
 	return admitted, nil
 }
 
+// expandContexts returns the COSMO-LM context of every sampled search
+// behavior of res, in behavior order, and adds their sides to v.
+func expandContexts(res *Result, v *textproc.Vocab) []string {
+	ctxs := make([]string, len(res.SampledSearchBuys))
+	for i, e := range res.SampledSearchBuys {
+		p, _ := res.Catalog.ByID(e.ProductID)
+		ctxs[i] = cosmolm.SearchContext(e.Query, p.Title)
+		cosmolm.AddInput(v, ctxs[i])
+	}
+	return ctxs
+}
+
 // expandCandidates is Stage 8's admission rule: COSMO-LM generates
-// cfg.ExpandTopK assertions for every sampled search behavior of res and
-// those whose predicted plausibility passes cfg.PlausibilityThreshold
-// are kept, per behavior in behavior order. Generation and the two
-// prediction heads fan out across cfg.Workers (the trained model is
-// read-only); admission is order-sensitive (the graph dedupes edges), so
+// cfg.ExpandTopK assertions for every sampled search behavior of res,
+// from its context ctxs[i] (whose sides are in v), and those whose
+// predicted plausibility passes cfg.PlausibilityThreshold are kept, per
+// behavior in behavior order. Generation and the two prediction heads
+// fan out across cfg.Workers (the trained model and v are read-only);
+// admission is order-sensitive (the graph dedupes edges), so
 // admitExpansion runs it sequentially over the order-preserved groups.
-func expandCandidates(res *Result, cfg Config) [][]know.Candidate {
+func expandCandidates(res *Result, v *textproc.Vocab, ctxs []string, cfg Config) [][]know.Candidate {
 	return parallel.Map(cfg.Workers, res.SampledSearchBuys, func(i int, e behavior.SearchBuyPair) []know.Candidate {
 		p, _ := res.Catalog.ByID(e.ProductID)
-		ctx := cosmolm.SearchContext(e.Query, p.Title)
-		var out []know.Candidate
-		for _, g := range res.CosmoLM.GenerateScored(ctx, p.Category, cfg.ExpandTopK) {
+		scored := res.CosmoLM.GenerateScored(v, ctxs[i], p.Category, cfg.ExpandTopK)
+		n := 0 // the group is sized exactly: callers such as ScaledKG keep it
+		for _, g := range scored {
+			if g.Plausibility > cfg.PlausibilityThreshold {
+				n++
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		out := make([]know.Candidate, 0, n)
+		for _, g := range scored {
 			if g.Plausibility <= cfg.PlausibilityThreshold {
 				continue
 			}

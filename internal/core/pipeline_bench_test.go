@@ -65,10 +65,12 @@ func BenchmarkPipelineScore(b *testing.B) {
 func BenchmarkPipelineExpand(b *testing.B) {
 	res := run(b)
 	cfg := DefaultConfig()
+	v := textproc.NewVocab()
+	ctxs := expandContexts(res, v)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups := expandCandidates(res, cfg)
+		groups := expandCandidates(res, v, ctxs, cfg)
 		if len(groups) != len(res.SampledSearchBuys) {
 			b.Fatal("expansion group count mismatch")
 		}

@@ -69,6 +69,7 @@ func DefaultConfig() Config {
 type tailEntry struct {
 	relation relations.Relation
 	tail     string
+	text     string // relations.Verbalize(relation, tail), made once
 	count    int
 	domains  map[catalog.Category]int
 }
@@ -105,12 +106,14 @@ type Model struct {
 
 // scratch is the per-call working memory of Generate and Predict.
 type scratch struct {
+	ids     []int32   // input encoded from a vocabulary
 	toks    []string  // encoded input
 	idx     []int     // head features
 	acc     []float64 // score per tail ID; zero between calls
 	seen    []bool    // tail ID is in touched; false between calls
 	touched []int32
 	cands   []cand
+	gens    []Generated // generate's result
 }
 
 type cand struct {
@@ -126,15 +129,20 @@ func (m *Model) getScratch() *scratch {
 	return sc
 }
 
-// AddInputs adds to v the texts Train reads of each instance: the two
-// sides of its input's first '|'.
+// AddInputs adds to v the texts Train reads of each instance (AddInput).
 func AddInputs(v *textproc.Vocab, data []instruction.Instance) {
 	for _, in := range data {
-		left, right, ok := strings.Cut(in.Input, "|")
-		v.Add(left)
-		if ok {
-			v.Add(right)
-		}
+		AddInput(v, in.Input)
+	}
+}
+
+// AddInput adds to v the texts Train and GenerateScored read of an
+// input: the two sides of its first '|'.
+func AddInput(v *textproc.Vocab, input string) {
+	left, right, ok := strings.Cut(input, "|")
+	v.Add(left)
+	if ok {
+		v.Add(right)
 	}
 }
 
@@ -158,6 +166,7 @@ func Train(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
 	headY := map[instruction.Task][]bool{}
 	var ids []int32
 	var toks []string
+	var arena []int // the head rows, cut from shared blocks
 	for _, in := range data {
 		switch in.Task {
 		case instruction.TaskGenerate:
@@ -170,7 +179,8 @@ func Train(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
 				id = len(m.tails)
 				tailID[tailKey{rel, tail}] = id
 				m.tails = append(m.tails, tailEntry{
-					relation: rel, tail: tail, domains: map[catalog.Category]int{},
+					relation: rel, tail: tail, text: relations.Verbalize(rel, tail),
+					domains: map[catalog.Category]int{},
 				})
 			}
 			m.tails[id].count++
@@ -192,13 +202,13 @@ func Train(v *textproc.Vocab, data []instruction.Instance, cfg Config) *Model {
 		default:
 			var split int
 			ids, split = encodeVocab(ids[:0], v, in.Input)
-			toks = toks[:0]
-			for _, st := range ids {
-				toks = append(toks, v.StemText(st))
+			toks = stemTexts(toks[:0], v, ids)
+			if n := numFeatures(len(toks), split) + 1; cap(arena)-len(arena) < n {
+				arena = make([]int, 0, max(n, 1<<12))
 			}
-			x := make([]int, 0, numFeatures(len(toks), split)+1)
-			x = append(m.appendFeatures(x, toks, split), m.taskFeature(in.Task))
-			headX[in.Task] = append(headX[in.Task], x)
+			lo := len(arena)
+			arena = append(m.appendFeatures(arena, toks, split), m.taskFeature(in.Task))
+			headX[in.Task] = append(headX[in.Task], arena[lo:len(arena):len(arena)])
 			headY[in.Task] = append(headY[in.Task], in.Output == "yes")
 		}
 	}
@@ -291,6 +301,14 @@ func encodeVocab(dst []int32, v *textproc.Vocab, input string) ([]int32, int) {
 	return v.AppendContentStems(dst, right), split
 }
 
+// stemTexts appends the texts of the stem IDs ids of v to dst.
+func stemTexts(dst []string, v *textproc.Vocab, ids []int32) []string {
+	for _, st := range ids {
+		dst = append(dst, v.StemText(st))
+	}
+	return dst
+}
+
 // FNV-1a states after the feature-kind prefixes; a feature continues
 // from one of them with its tokens, so no feature string is built.
 var (
@@ -355,12 +373,14 @@ func (m *Model) Generate(context string, domain catalog.Category, rel relations.
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
 	sc.toks, _ = appendEncoded(sc.toks[:0], context)
-	return m.generate(sc, sc.toks, domain, rel, k)
+	gens := m.generate(sc, sc.toks, domain, rel, k)
+	return append(make([]Generated, 0, len(gens)), gens...)
 }
 
-// generate is Generate over an encoded context. Scores accumulate in a
-// dense slice over tail IDs; each tail's additions still happen in token
-// order, so the sums do not depend on how the index is laid out.
+// generate is Generate over an encoded context, into sc.gens. Scores
+// accumulate in a dense slice over tail IDs; each tail's additions still
+// happen in token order, so the sums do not depend on how the index is
+// laid out.
 func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, rel relations.Relation, k int) []Generated {
 	m.cost.ChargeCustom(llm.CostPerTokenCosmoLM, len(toks)+8)
 	for _, tok := range toks {
@@ -408,7 +428,7 @@ func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, re
 	slices.SortFunc(cands, m.rank)
 	sc.cands = cands
 	k = min(max(k, 0), len(cands))
-	out := make([]Generated, 0, k)
+	out := sc.gens[:0]
 	for i := 0; i < k; i++ {
 		// Prune low-confidence continuations: tails whose score rides on
 		// incidental token overlap (brands, adjectives) land far below
@@ -420,10 +440,11 @@ func (m *Model) generate(sc *scratch, toks []string, domain catalog.Category, re
 		out = append(out, Generated{
 			Relation: te.relation,
 			Tail:     te.tail,
-			Text:     relations.Verbalize(te.relation, te.tail),
+			Text:     te.text,
 			Score:    cands[i].s,
 		})
 	}
+	sc.gens = out
 	return out
 }
 
@@ -481,14 +502,16 @@ func (m *Model) headProb(task instruction.Task, x []int) float64 {
 // generation g, by Predict of the plausibility and the typicality task
 // on context+" | explanation: "+g.Text — the loop of the KG expansion
 // stage — with the same results and the same three kinds of charge on
-// the cost meter. The context is encoded once and each generation's
-// input is the context's tokens followed by the explanation's; the two
-// heads differ only in their closing task feature, so they share one
-// feature vector.
-func (m *Model) GenerateScored(context string, domain catalog.Category, k int) []Scored {
+// the cost meter. The context's sides (AddInput) are in v, which it is
+// encoded from once; each generation's input is the context's tokens
+// followed by the explanation's, and the two heads differ only in their
+// closing task feature, so they share one feature vector.
+func (m *Model) GenerateScored(v *textproc.Vocab, context string, domain catalog.Category, k int) []Scored {
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
-	toks, split := appendEncoded(sc.toks[:0], context)
+	var split int
+	sc.ids, split = encodeVocab(sc.ids[:0], v, context)
+	toks := stemTexts(sc.toks[:0], v, sc.ids)
 	gens := m.generate(sc, toks, domain, "", k)
 	if split < 0 {
 		split = len(toks) // the separator's '|' is the input's first

@@ -255,12 +255,16 @@ func TestGenerateScoredEquivalence(t *testing.T) {
 		for _, fx := range []*fixture{f, &noTypicality} {
 			m := fx.model
 			ctxs, domains := behaviorContexts(fx, 3)
+			v := textproc.NewVocab()
+			for _, ctx := range ctxs {
+				AddInput(v, ctx)
+			}
 			scoredAny := false
 			for i, ctx := range ctxs {
 				for _, domain := range domainVariants(domains[i], i) {
 					for _, k := range []int{0, 1, 2, 5} {
 						m.ResetCost()
-						got := m.GenerateScored(ctx, domain, k)
+						got := m.GenerateScored(v, ctx, domain, k)
 						gotCost := m.Cost()
 
 						m.ResetCost()
@@ -388,10 +392,11 @@ func TestGenerateTieOrder(t *testing.T) {
 	}
 }
 
-// TestGenerateScoredAllocBudget: the result, one Verbalize per
-// generation, and per encoded string a lower-cased copy plus the stems a
-// suffix rule rewrites; no per-call maps, sorts or feature strings. The
-// budget is for this context at k = 2.
+// TestGenerateScoredAllocBudget: the result and nothing else. The
+// context is read from the vocabulary and each generation's text was
+// made at Train; a stem a suffix rule rewrites would cost one more, and
+// this context's explanations have none. No per-call maps, sorts or
+// feature strings. The budget is for this context at k = 2.
 func TestGenerateScoredAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -399,11 +404,13 @@ func TestGenerateScoredAllocBudget(t *testing.T) {
 	f := getFixture(t)
 	p := f.cat.OfType("air mattress")[0]
 	ctx := SearchContext("camping", p.Title)
-	if len(f.model.GenerateScored(ctx, p.Category, 2)) != 2 {
+	v := textproc.NewVocab()
+	AddInput(v, ctx)
+	if len(f.model.GenerateScored(v, ctx, p.Category, 2)) != 2 {
 		t.Fatal("context does not yield two generations")
 	}
-	const budget = 12
-	n := testing.AllocsPerRun(200, func() { f.model.GenerateScored(ctx, p.Category, 2) })
+	const budget = 1
+	n := testing.AllocsPerRun(200, func() { f.model.GenerateScored(v, ctx, p.Category, 2) })
 	t.Logf("GenerateScored: %v allocs", n)
 	if n > budget {
 		t.Errorf("GenerateScored: %v allocs, budget %d", n, budget)

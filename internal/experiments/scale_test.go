@@ -13,6 +13,7 @@ import (
 	"cosmo/internal/fnv1a"
 	"cosmo/internal/kg"
 	"cosmo/internal/know"
+	"cosmo/internal/textproc"
 )
 
 // TestScaledKGGrowth pins the harness's contract: factor f yields at
@@ -92,6 +93,7 @@ func refScaledKG(r *Runner, factor int) (*kg.Graph, error) {
 			return nil, err
 		}
 	}
+	v := textproc.NewVocab()
 	for k := 1; k < factor; k++ {
 		suffix := fmt.Sprintf("#%d", k)
 		for _, sb := range res.SampledSearchBuys {
@@ -100,7 +102,8 @@ func refScaledKG(r *Runner, factor int) (*kg.Graph, error) {
 				continue
 			}
 			ctx := cosmolm.SearchContext(sb.Query, p.Title)
-			for _, gen := range res.CosmoLM.GenerateScored(ctx, p.Category, 2) {
+			cosmolm.AddInput(v, ctx)
+			for _, gen := range res.CosmoLM.GenerateScored(v, ctx, p.Category, 2) {
 				if gen.Plausibility <= 0.5 {
 					continue
 				}

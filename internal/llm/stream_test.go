@@ -121,9 +121,10 @@ func TestGenerateAtMatchesReference(t *testing.T) {
 		if i%50 == 0 {
 			k = 400
 		}
-		same("co-buy", i, teach.GenerateCoBuyAt(i, a, b, k), teach.generateCoBuy(refRngAt(teach, i), a, b, k))
-		same("search-buy", i, teach.GenerateSearchBuyAt(i, "camping", p, k),
-			teach.generateSearchBuy(refRngAt(teach, i), "camping", p, k))
+		co, sb := CoBuyContext(a, b), SearchBuyContext("camping", p)
+		same("co-buy", i, teach.GenerateCoBuyAt(nil, i, a, b, co, k), teach.generateCoBuy(nil, refRngAt(teach, i), a, b, co, k))
+		same("search-buy", i, teach.GenerateSearchBuyAt(nil, i, p, sb, k),
+			teach.generateSearchBuy(nil, refRngAt(teach, i), p, sb, k))
 	}
 }
 
@@ -139,6 +140,8 @@ func TestGenerateAtAllocBudget(t *testing.T) {
 	b := c.OfType("sleeping bag")[0]
 	p := c.OfType("air mattress")[0]
 	const index = 7
+	co, sb := CoBuyContext(a, b), SearchBuyContext("camping", p)
+	dst := make([]Candidate, 0, 4)
 	held := rand.New(new(lazySource))
 	reseed := func() *rand.Rand {
 		held.Seed(DeriveSeed(teach.cfg.Seed, index))
@@ -149,11 +152,11 @@ func TestGenerateAtAllocBudget(t *testing.T) {
 		at, body func()
 	}{
 		{"GenerateCoBuyAt",
-			func() { teach.GenerateCoBuyAt(index, a, b, 4) },
-			func() { teach.generateCoBuy(reseed(), a, b, 4) }},
+			func() { teach.GenerateCoBuyAt(dst, index, a, b, co, 4) },
+			func() { teach.generateCoBuy(dst, reseed(), a, b, co, 4) }},
 		{"GenerateSearchBuyAt",
-			func() { teach.GenerateSearchBuyAt(index, "camping", p, 4) },
-			func() { teach.generateSearchBuy(reseed(), "camping", p, 4) }},
+			func() { teach.GenerateSearchBuyAt(dst, index, p, sb, 4) },
+			func() { teach.generateSearchBuy(dst, reseed(), p, sb, 4) }},
 	} {
 		at := testing.AllocsPerRun(200, tc.at)
 		body := testing.AllocsPerRun(200, tc.body)
@@ -195,7 +198,7 @@ func BenchmarkTeacherGenerate(b *testing.B) {
 		pa, pb := c.OfType("tent")[0], c.OfType("sleeping bag")[0]
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			teach.GenerateCoBuyAt(uint64(i), pa, pb, 2)
+			teach.GenerateCoBuyAt(nil, uint64(i), pa, pb, CoBuyContext(pa, pb), 2)
 		}
 	})
 	b.Run("shared=co-buy", func(b *testing.B) {

@@ -142,22 +142,31 @@ func DeriveSeed(master int64, index uint64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// GenerateCoBuyAt is the order-independent form of GenerateCoBuy: the
-// candidates for (index, a, b, k) are a pure function of the teacher
-// config and index, so calls may run concurrently and in any order.
-// Callers must give each behavior a distinct index (disjoint across
-// behavior types) for the streams to be independent.
-func (t *Teacher) GenerateCoBuyAt(index uint64, a, b catalog.Product, k int) []Candidate {
+// CoBuyContext is the verbalized co-buy behavior of a and b: both titles.
+func CoBuyContext(a, b catalog.Product) string { return a.Title + " and " + b.Title }
+
+// SearchBuyContext is the verbalized search-buy behavior: the query and
+// the purchased product's title.
+func SearchBuyContext(query string, p catalog.Product) string { return query + " " + p.Title }
+
+// GenerateCoBuyAt is the order-independent form of GenerateCoBuy: it
+// appends to dst the candidates for (index, a, b, k), a pure function of
+// the teacher config and index, so calls may run concurrently and in any
+// order. context is CoBuyContext(a, b). Callers must give each behavior
+// a distinct index (disjoint across behavior types) for the streams to
+// be independent.
+func (t *Teacher) GenerateCoBuyAt(dst []Candidate, index uint64, a, b catalog.Product, context string, k int) []Candidate {
 	rng := t.rngAt(index)
 	defer streams.Put(rng)
-	return t.generateCoBuy(rng, a, b, k)
+	return t.generateCoBuy(dst, rng, a, b, context, k)
 }
 
-// GenerateSearchBuyAt is the order-independent form of GenerateSearchBuy.
-func (t *Teacher) GenerateSearchBuyAt(index uint64, query string, p catalog.Product, k int) []Candidate {
+// GenerateSearchBuyAt is the order-independent form of GenerateSearchBuy;
+// context is SearchBuyContext(query, p).
+func (t *Teacher) GenerateSearchBuyAt(dst []Candidate, index uint64, p catalog.Product, context string, k int) []Candidate {
 	rng := t.rngAt(index)
 	defer streams.Put(rng)
-	return t.generateSearchBuy(rng, query, p, k)
+	return t.generateSearchBuy(dst, rng, p, context, k)
 }
 
 var genericPool = []string{
@@ -177,13 +186,14 @@ var genericPool = []string{
 func (t *Teacher) GenerateCoBuy(a, b catalog.Product, k int) []Candidate {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.generateCoBuy(t.rng, a, b, k)
+	return t.generateCoBuy(make([]Candidate, 0, k), t.rng, a, b, CoBuyContext(a, b), k)
 }
 
-// generateCoBuy is the generation body; all randomness flows from rng.
-func (t *Teacher) generateCoBuy(rng *rand.Rand, a, b catalog.Product, k int) []Candidate {
-	out := make([]Candidate, 0, k)
-	shared := t.cat.SharedIntents(a, b)
+// generateCoBuy is the generation body, appending to dst; all randomness
+// flows from rng.
+func (t *Teacher) generateCoBuy(dst []Candidate, rng *rand.Rand, a, b catalog.Product, context string, k int) []Candidate {
+	var buf [8]catalog.Intent
+	shared := t.cat.AppendSharedIntents(buf[:0], a, b)
 	for i := 0; i < k; i++ {
 		r := rng.Float64()
 		var c Candidate
@@ -219,12 +229,12 @@ func (t *Teacher) generateCoBuy(rng *rand.Rand, a, b catalog.Product, k int) []C
 				Plausible: true, Typical: typical, Mode: ModeOneSided,
 			}}
 		default:
-			c = t.noiseCandidate(rng, a.Title+" and "+b.Title)
+			c = t.noiseCandidate(rng, context)
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 		t.cost.Charge(t.cfg.Size, textproc.CountTokens(c.Text))
 	}
-	return out
+	return dst
 }
 
 // GenerateSearchBuy emits k candidates explaining why query led to the
@@ -233,12 +243,12 @@ func (t *Teacher) generateCoBuy(rng *rand.Rand, a, b catalog.Product, k int) []C
 func (t *Teacher) GenerateSearchBuy(query string, p catalog.Product, k int) []Candidate {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.generateSearchBuy(t.rng, query, p, k)
+	return t.generateSearchBuy(make([]Candidate, 0, k), t.rng, p, SearchBuyContext(query, p), k)
 }
 
-// generateSearchBuy is the generation body; all randomness flows from rng.
-func (t *Teacher) generateSearchBuy(rng *rand.Rand, query string, p catalog.Product, k int) []Candidate {
-	out := make([]Candidate, 0, k)
+// generateSearchBuy is the generation body, appending to dst; all
+// randomness flows from rng.
+func (t *Teacher) generateSearchBuy(dst []Candidate, rng *rand.Rand, p catalog.Product, context string, k int) []Candidate {
 	ins := t.cat.IntentsOf(p)
 	for i := 0; i < k; i++ {
 		r := rng.Float64()
@@ -254,12 +264,12 @@ func (t *Teacher) generateSearchBuy(rng *rand.Rand, query string, p catalog.Prod
 				Plausible: true, Typical: true, Mode: ModeTypical,
 			}}
 		default:
-			c = t.noiseCandidate(rng, query+" "+p.Title)
+			c = t.noiseCandidate(rng, context)
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 		t.cost.Charge(t.cfg.Size, textproc.CountTokens(c.Text))
 	}
-	return out
+	return dst
 }
 
 // noiseCandidate picks among generic / paraphrase / incomplete /

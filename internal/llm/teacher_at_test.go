@@ -17,14 +17,14 @@ func TestGenerateAtOrderIndependent(t *testing.T) {
 	const n = 40
 	forward := make([][]Candidate, n)
 	for i := 0; i < n; i++ {
-		forward[i] = teach.GenerateCoBuyAt(uint64(i), a, b, 3)
+		forward[i] = teach.GenerateCoBuyAt(nil, uint64(i), a, b, CoBuyContext(a, b), 3)
 	}
 	// Reverse order, with interleaved unrelated draws on the shared
 	// sequential stream and other indices.
 	for i := n - 1; i >= 0; i-- {
 		teach.GenerateSearchBuy("camping", p, 2)
-		teach.GenerateSearchBuyAt(uint64(1000+i), "camping", p, 2)
-		got := teach.GenerateCoBuyAt(uint64(i), a, b, 3)
+		teach.GenerateSearchBuyAt(nil, uint64(1000+i), p, SearchBuyContext("camping", p), 2)
+		got := teach.GenerateCoBuyAt(nil, uint64(i), a, b, CoBuyContext(a, b), 3)
 		if len(got) != len(forward[i]) {
 			t.Fatalf("index %d: %d vs %d candidates", i, len(got), len(forward[i]))
 		}
@@ -46,7 +46,7 @@ func TestGenerateAtDistinctStreams(t *testing.T) {
 	b := c.OfType("sleeping bag")[0]
 	distinct := map[string]bool{}
 	for i := 0; i < 32; i++ {
-		for _, cd := range teach.GenerateCoBuyAt(uint64(i), a, b, 2) {
+		for _, cd := range teach.GenerateCoBuyAt(nil, uint64(i), a, b, CoBuyContext(a, b), 2) {
 			distinct[cd.Text] = true
 		}
 	}
@@ -60,8 +60,8 @@ func TestGenerateAtDistinctStreams(t *testing.T) {
 func TestGenerateAtSearchBuyDeterministic(t *testing.T) {
 	c, teach := testTeacher(t)
 	p := c.OfType("air mattress")[0]
-	g1 := teach.GenerateSearchBuyAt(7, "camping", p, 5)
-	g2 := teach.GenerateSearchBuyAt(7, "camping", p, 5)
+	g1 := teach.GenerateSearchBuyAt(nil, 7, p, SearchBuyContext("camping", p), 5)
+	g2 := teach.GenerateSearchBuyAt(nil, 7, p, SearchBuyContext("camping", p), 5)
 	for i := range g1 {
 		if g1[i] != g2[i] {
 			t.Fatalf("candidate %d differs on repeat call", i)

@@ -39,7 +39,7 @@ func TestTypicalCoBuyCandidatesMatchSharedIntent(t *testing.T) {
 	a := c.OfType("tent")[0]
 	b := c.OfType("sleeping bag")[0]
 	sharedSurfaces := map[string]bool{}
-	for _, in := range c.SharedIntents(a, b) {
+	for _, in := range c.AppendSharedIntents(nil, a, b) {
 		sharedSurfaces[in.Surface()] = true
 	}
 	for _, cd := range teach.GenerateCoBuy(a, b, 300) {

@@ -3,6 +3,8 @@ package relations
 import (
 	"sort"
 	"strings"
+
+	"cosmo/internal/textproc"
 )
 
 // PredicatePattern is a frequent surface pattern mined from generations,
@@ -129,27 +131,26 @@ var eventVerbs = map[string]bool{
 // heuristics; this implements the "tail types can be further canonicalized"
 // step of the paper's relation-discovery procedure.
 func ClassifyTail(tail string) TailType {
-	words := strings.Fields(strings.ToLower(tail))
-	if len(words) == 0 {
+	lower := strings.ToLower(tail)
+	first, rest := textproc.CutField(lower)
+	if first == "" {
 		return TailConcept
 	}
-	for _, w := range words {
+	// A body-part word anywhere wins, then an audience word, then an
+	// event verb; the words are read in place.
+	audience, event := false, false
+	for w := first; w != ""; w, rest = textproc.CutField(rest) {
 		if bodyParts[w] {
 			return TailBodyPart
 		}
+		audience = audience || audienceWords[w]
+		event = event || eventVerbs[w]
 	}
-	for _, w := range words {
-		if audienceWords[w] {
-			return TailAudience
-		}
-	}
-	if eventVerbs[words[0]] {
+	switch {
+	case audience:
+		return TailAudience
+	case event:
 		return TailEvent
-	}
-	for _, w := range words {
-		if eventVerbs[w] {
-			return TailEvent
-		}
 	}
 	return TailFunction
 }

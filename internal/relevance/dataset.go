@@ -192,7 +192,7 @@ func (g *Generator) example(rng *rand.Rand) (Example, bool) {
 			}
 			a := g.cat.OfType(queryType)[0]
 			b := g.cat.OfType(cand)[0]
-			if len(g.cat.SharedIntents(a, b)) > 0 {
+			if len(g.cat.AppendSharedIntents(nil, a, b)) > 0 {
 				continue
 			}
 			productType = cand
@@ -258,7 +258,7 @@ func OracleKnowledge(cat *catalog.Catalog) KnowledgeFn {
 		var spans []string
 		if qType != "" {
 			a := cat.OfType(qType)[0]
-			for _, in := range cat.SharedIntents(a, p) {
+			for _, in := range cat.AppendSharedIntents(nil, a, p) {
 				spans = append(spans, in.Surface())
 			}
 			if cat.AreComplements(qType, p.Type) {

@@ -6,11 +6,15 @@
 package sampling
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"cosmo/internal/behavior"
+	"cosmo/internal/catalog"
 	"cosmo/internal/textproc"
 )
 
@@ -66,15 +70,16 @@ func New(log *behavior.Log, cfg Config) *Sampler {
 func (s *Sampler) SampleProducts() map[string]bool {
 	c := s.log.Catalog
 	selected := map[string]bool{}
+	var ps []catalog.Product // a copy to sort: OfType is the catalog's view
 	for _, tn := range c.Types() {
-		ps := c.OfType(tn)
-		sort.Slice(ps, func(i, j int) bool {
-			di := s.log.CoBuyDegree(ps[i].ID) + s.log.ProductQueryDegree(ps[i].ID)
-			dj := s.log.CoBuyDegree(ps[j].ID) + s.log.ProductQueryDegree(ps[j].ID)
-			if di != dj {
-				return di > dj
+		ps = append(ps[:0], c.OfType(tn)...)
+		slices.SortFunc(ps, func(a, b catalog.Product) int {
+			da := s.log.CoBuyDegree(a.ID) + s.log.ProductQueryDegree(a.ID)
+			db := s.log.CoBuyDegree(b.ID) + s.log.ProductQueryDegree(b.ID)
+			if da != db {
+				return cmp.Compare(db, da)
 			}
-			return ps[i].ID < ps[j].ID
+			return strings.Compare(a.ID, b.ID)
 		})
 		k := s.cfg.TopProductsPerType
 		if k > len(ps) {
@@ -107,9 +112,8 @@ func (s *Sampler) SampleCoBuyPairs(selected map[string]bool) []behavior.CoBuyPai
 		// bought repeatedly (multi-pack behavior). Anything else is
 		// "likely randomly selected" in the paper's heuristic.
 		if pa.Type != pb.Type && !c.AreComplements(pa.Type, pb.Type) {
-			a0 := c.OfType(pa.Type)[0]
-			b0 := c.OfType(pb.Type)[0]
-			if len(c.SharedIntents(a0, b0)) == 0 {
+			var buf [8]catalog.Intent
+			if len(c.AppendSharedIntents(buf[:0], pa, pb)) == 0 {
 				continue
 			}
 		}

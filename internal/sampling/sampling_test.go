@@ -3,6 +3,8 @@ package sampling
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"cosmo/internal/behavior"
@@ -56,6 +58,19 @@ func TestSampleProductsTopTier(t *testing.T) {
 	}
 }
 
+// TestSamplingLeavesCatalogViews: OfType is a view of the catalog, so
+// sampling must not reorder it: after SampleProducts and
+// SampleCoBuyPairs every type's products are still in ID order.
+func TestSamplingLeavesCatalogViews(t *testing.T) {
+	l, s := testSampler(t)
+	s.SampleCoBuyPairs(s.SampleProducts())
+	for _, tn := range l.Catalog.Types() {
+		if !slices.IsSortedFunc(l.Catalog.OfType(tn), func(a, b catalog.Product) int { return strings.Compare(a.ID, b.ID) }) {
+			t.Fatalf("OfType(%q) is out of ID order after sampling", tn)
+		}
+	}
+}
+
 func TestSampleCoBuyPairsFiltersRandom(t *testing.T) {
 	l, s := testSampler(t)
 	sel := s.SampleProducts()
@@ -77,7 +92,7 @@ func TestSampleCoBuyPairsFiltersRandom(t *testing.T) {
 		if pa.Type != pb.Type && !c.AreComplements(pa.Type, pb.Type) {
 			a0 := c.OfType(pa.Type)[0]
 			b0 := c.OfType(pb.Type)[0]
-			if len(c.SharedIntents(a0, b0)) == 0 {
+			if len(c.AppendSharedIntents(nil, a0, b0)) == 0 {
 				t.Fatalf("random-type pair survived: %s / %s", pa.Type, pb.Type)
 			}
 		}

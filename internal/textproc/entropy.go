@@ -107,12 +107,3 @@ func (s *CooccurrenceStats[C]) DistinctContexts(k string) int {
 func (s *CooccurrenceStats[C]) IsGeneric(k string, minFreq int, minEntropy float64) bool {
 	return s.Frequency(k) >= minFreq && s.ContextEntropy(k) >= minEntropy
 }
-
-// Keys returns all observed knowledge strings (order unspecified).
-func (s *CooccurrenceStats[C]) Keys() []string {
-	out := make([]string, 0, len(s.counts))
-	for k := range s.counts {
-		out = append(out, k)
-	}
-	return out
-}

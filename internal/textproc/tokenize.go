@@ -82,7 +82,7 @@ var tokenByte = func() (t [256]bool) {
 // nextToken returns the bounds of the first token of lower that starts at
 // or after i, or end = -1 when there is none. An apostrophe or hyphen
 // stays in a token only between two word bytes.
-func nextToken(lower string, i int) (start, end int) {
+func nextToken[T string | []byte](lower T, i int) (start, end int) {
 	for i < len(lower) && !tokenByte[lower[i]] {
 		i++
 	}
@@ -104,27 +104,28 @@ func nextToken(lower string, i int) (start, end int) {
 // ASCII, every rune that is neither a letter, a digit, an apostrophe nor
 // a hyphen replaced by a space. Lower-case ASCII input is returned as is.
 func lowered(s string) string {
-	upper := false
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return loweredRunes(s)
+		}
+	}
+	return strings.ToLower(s) // ASCII: one copy, none without an upper-case letter
+}
+
+// appendLowered appends lowered(s) to dst; only a non-ASCII s allocates.
+func appendLowered(dst []byte, s string) []byte {
+	base := len(dst)
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= 0x80 {
-			return loweredRunes(s)
+			return append(dst[:base], loweredRunes(s)...)
 		}
-		upper = upper || ('A' <= c && c <= 'Z')
-	}
-	if !upper {
-		return s
-	}
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
 		if 'A' <= c && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		b.WriteByte(c)
+		dst = append(dst, c)
 	}
-	return b.String()
+	return dst
 }
 
 // loweredRunes is the non-ASCII path of lowered. Case mapping stays per
@@ -144,6 +145,17 @@ func loweredRunes(s string) string {
 		}
 	}
 	return b.String()
+}
+
+// CutField returns the first field of s, as strings.Fields splits it,
+// and the rest of s after it; field is "" when s has none. Calling it
+// again on rest walks s's fields in place.
+func CutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }
 
 // NormalizeSpace collapses runs of whitespace into single spaces and trims.

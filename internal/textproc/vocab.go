@@ -21,6 +21,7 @@ type Vocab struct {
 	tokens  []vocabToken // by token ID
 	stemID  map[string]int32
 	stems   []string // by stem ID
+	buf     []byte   // the text Add is tokenizing, lowered
 }
 
 // span is the half-open range [lo, hi) of ids that holds one text.
@@ -38,28 +39,40 @@ func NewVocab() *Vocab {
 }
 
 // Add tokenizes each text v does not hold yet. A text's tokens are those
-// of Tokenize(text); the only allocations beyond v's own tables are the
-// lowered copy of a mixed-case text and the stems of new tokens whose
-// suffix rule appends a replacement.
+// of Tokenize(text). The text is lowered into a buffer v reuses and only
+// its new tokens are copied out of it (a lower-case ASCII text's are its
+// own substrings), so the only allocations beyond v's own tables are
+// those copies, a non-ASCII text's lowered copy and the stems of new
+// tokens whose suffix rule appends a replacement.
 func (v *Vocab) Add(texts ...string) {
 	for _, s := range texts {
 		if _, ok := v.texts[s]; ok {
 			continue
 		}
-		lower := lowered(s)
 		lo := len(v.ids)
-		for start, end := nextToken(lower, 0); end >= 0; start, end = nextToken(lower, end) {
-			v.ids = append(v.ids, v.token(lower[start:end]))
+		v.buf = appendLowered(v.buf[:0], s)
+		same := string(v.buf) == s
+		for start, end := nextToken(v.buf, 0); end >= 0; start, end = nextToken(v.buf, end) {
+			sub := ""
+			if same {
+				sub = s[start:end]
+			}
+			v.ids = append(v.ids, v.token(v.buf[start:end], sub))
 		}
 		//cosmo:lint-ignore unchecked-narrowing a run's texts hold far fewer than 2^31 tokens
 		v.texts[s] = span{int32(lo), int32(len(v.ids))}
 	}
 }
 
-// token returns the ID of the lowered token t, adding it if it is new.
-func (v *Vocab) token(t string) int32 {
-	if id, ok := v.tokenID[t]; ok {
+// token returns the ID of the lowered token b, adding it if it is new:
+// as sub, a string that equals b, or else as a copy of b.
+func (v *Vocab) token(b []byte, sub string) int32 {
+	if id, ok := v.tokenID[string(b)]; ok {
 		return id
+	}
+	t := sub
+	if t == "" {
+		t = string(b)
 	}
 	st := Stem(t)
 	sid, ok := v.stemID[st]

@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -11,7 +12,8 @@ import (
 // and IsStopword's, its completeness is looksCompleteReference's, and
 // CountTokens counts what Tokenize builds. The vocabulary holds the
 // tokenizer corpus first, so a fuzzed text shares tokens and stems with
-// texts added before it. One seed ends in each unfinished ending.
+// texts added before it, and a text added after it does not change its
+// tokens. One seed ends in each unfinished ending.
 func FuzzVocab(f *testing.F) {
 	for _, seed := range tokenizeCorpus {
 		f.Add(seed)
@@ -20,6 +22,9 @@ func FuzzVocab(f *testing.F) {
 	for _, w := range incompleteEndings {
 		f.Add("used for walking the dog " + w)
 	}
+	// Mixed case, ASCII (lowered in the vocabulary's buffer) and not.
+	f.Add("Search Query: Tent-Stakes | purchased: Vertex Waterproof Stakes for Windy NIGHTS")
+	f.Add("Crème BRÛLÉE Ramekins for Café Nights, İstanbul Edition")
 	f.Fuzz(func(t *testing.T, s string) {
 		want := Tokenize(s)
 		if n := CountTokens(s); n != len(want) {
@@ -28,6 +33,7 @@ func FuzzVocab(f *testing.F) {
 		v := NewVocab()
 		v.Add(tokenizeCorpus...)
 		v.Add(s, s)
+		v.Add(strings.ToUpper(s)) // reuses the lowering buffer s's tokens were cut from
 		ids := v.Tokens(s)
 		got := make([]string, len(ids))
 		for i, id := range ids {
